@@ -99,6 +99,12 @@ for g, w in zip(got, want["runs"]):
 print(f"ok: {len(got)} run(s) bit-identical to the recorded pre-optimization stats")
 EOF
 
+echo "== gate: golden stats for every predictor family =="
+# Every bench design constructor (TSL 8K-512K, Inf TSL, the LLBP family,
+# the fig05 limit-study and breakdown configs) on NodeApp and TPCC must
+# reproduce scripts/golden.json counter for counter.
+cargo test -q --release --offline -p bench --test golden
+
 echo "== smoke: fault isolation (LLBPX_FAULT_CELL) =="
 # One deliberately-panicking cell: the run must exit nonzero, render the
 # broken preset as n/a, keep the other preset's row, and mark exactly one
