@@ -16,12 +16,9 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use tage::folded::FoldLanes;
 use tage::sc::ScInputConfidence;
-use tage::tsl::TslInfo;
-use tage::{
-    DirectionPredictor, FoldedHistory, PredictInput, TageScl, Update, HISTORY_LENGTHS,
-    NUM_TABLES,
-};
+use tage::{DirectionPredictor, PredictInput, TageScl, Update, HISTORY_LENGTHS, NUM_TABLES};
 use traces::BranchRecord;
 
 use crate::buffer::{Evicted, PatternBuffer, PbLookup};
@@ -60,10 +57,9 @@ pub struct Llbp {
     cfg: LlbpConfig,
     xcfg: Option<LlbpxConfig>,
     tsl: TageScl,
-    /// Per-length tag folds at the pattern tag width.
-    fold1: Vec<FoldedHistory>,
-    /// Second folds at width-1 (decorrelates tags, as in TAGE).
-    fold2: Vec<FoldedHistory>,
+    /// Per-length tag folds: lane 0 at the pattern tag width, lane 1 at
+    /// width-1 (decorrelates tags, as in TAGE).
+    folds: FoldLanes<NUM_TABLES, 2>,
     rcr: Rcr,
     ctt: Option<ContextTrackingTable>,
     /// Opt-W oracle: fixed depth decision per shallow context ID.
@@ -124,9 +120,8 @@ impl Llbp {
 
     fn build(cfg: LlbpConfig, xcfg: Option<LlbpxConfig>, oracle: Option<HashMap<u64, bool>>) -> Self {
         let tag_bits = cfg.pattern_tag_bits;
-        let fold1 = HISTORY_LENGTHS.iter().map(|&l| FoldedHistory::new(l, tag_bits)).collect();
-        let fold2 =
-            HISTORY_LENGTHS.iter().map(|&l| FoldedHistory::new(l, tag_bits - 1)).collect();
+        let folds =
+            FoldLanes::new(HISTORY_LENGTHS, [[tag_bits; NUM_TABLES], [tag_bits - 1; NUM_TABLES]]);
         let store = if cfg.infinite_contexts {
             PatternStore::infinite()
         } else {
@@ -146,8 +141,7 @@ impl Llbp {
         };
         Llbp {
             tsl: TageScl::new(cfg.tsl.clone()),
-            fold1,
-            fold2,
+            folds,
             rcr: Rcr::new(),
             ctt,
             oracle,
@@ -236,14 +230,10 @@ impl Llbp {
     /// Pattern tags for every history length under the current history.
     fn pattern_tags(&self, pc: u64) -> [u32; NUM_TABLES] {
         let mask = (1u64 << self.cfg.pattern_tag_bits) - 1;
-        let mut tags = [0u32; NUM_TABLES];
-        for (i, tag) in tags.iter_mut().enumerate() {
-            *tag = (((pc >> 2)
-                ^ self.fold1[i].value()
-                ^ (self.fold2[i].value() << 1))
-                & mask) as u32;
-        }
-        tags
+        let (fold1, fold2) = (self.folds.lane(0), self.folds.lane(1));
+        std::array::from_fn(|i| {
+            (((pc >> 2) ^ u64::from(fold1[i]) ^ (u64::from(fold2[i]) << 1)) & mask) as u32
+        })
     }
 
     fn current_context(&self) -> SelectedCtx {
@@ -319,7 +309,7 @@ impl Llbp {
 
         // --- LLBP pattern match -----------------------------------------
         let m: Option<PatternMatch> = {
-            let _t = telemetry::scope("llbp::pattern_lookup");
+            let _t = telemetry::scope!("llbp::pattern_lookup");
             if self.cfg.no_contextualization {
                 self.store.lookup(cur.cid).and_then(|set| set.find_longest(&tags, &allowed))
             } else {
@@ -368,7 +358,7 @@ impl Llbp {
                 if eval.decisive {
                     final_pred = eval.pred;
                 }
-                sc_used = Some((eval, base_pred, conf));
+                sc_used = Some((eval, base_pred));
             }
         }
         if self.tsl.loop_enabled() && linfo.hit && linfo.confident {
@@ -401,11 +391,9 @@ impl Llbp {
         }
 
         // --- train the TSL -------------------------------------------------
-        let tsl_info =
-            TslInfo { tage: tage.clone(), loop_info: linfo, sc: None, pred: final_pred };
-        self.tsl.train_without_sc(pc, taken, &tsl_info);
-        if let Some((eval, input, conf)) = sc_used {
-            self.tsl.train_sc_with_input(pc, taken, input, conf, eval);
+        self.tsl.train_without_sc(pc, taken, &tage);
+        if let Some((eval, input)) = sc_used {
+            self.tsl.train_sc_with_input(taken, input, eval);
         }
 
         // --- train the matched pattern -------------------------------------
@@ -547,7 +535,7 @@ impl Llbp {
     /// Issues a prefetch for `cid` if it is directory-resident and not
     /// already buffered.
     fn issue_prefetch(&mut self, cid: u64) {
-        let _t = telemetry::scope("llbp::prefetch");
+        let _t = telemetry::scope!("llbp::prefetch");
         if self.pb.contains(cid) {
             self.pb.touch(cid);
             return;
@@ -633,14 +621,9 @@ impl DirectionPredictor for Llbp {
             .is_conditional()
             .then(|| self.predict_and_train(record));
         // Histories advance after prediction/update, exactly once per
-        // branch, shared between TAGE and the pattern-tag folds. The newest
-        // history bit is read once for all 42 folds.
+        // branch, shared between TAGE and the pattern-tag folds.
         self.tsl.update_history(record);
-        let history = self.tsl.history();
-        let inbit = history.bit_unchecked(0);
-        for f in self.fold1.iter_mut().chain(self.fold2.iter_mut()) {
-            f.update_with(inbit, history);
-        }
+        self.folds.update(self.tsl.history());
         if record.kind.is_unconditional() {
             self.on_unconditional(record);
         }

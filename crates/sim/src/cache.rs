@@ -342,7 +342,7 @@ pub(crate) fn materialize_stream<S: BranchStream>(
     capacity_hint: usize,
     ticket: Option<&JobTicket>,
 ) -> Result<Option<Arc<Vec<BranchRecord>>>, SimError> {
-    let _t = telemetry::scope("workload::materialize");
+    let _t = telemetry::scope!("workload::materialize");
     let record_bytes = std::mem::size_of::<BranchRecord>() as u64;
     let hint = (capacity_hint as u64).min(cap_bytes / record_bytes.max(1)) as usize;
     let mut validator = StreamValidator::new();

@@ -17,6 +17,10 @@ pub const HISTORY_LENGTHS: [usize; NUM_TABLES] = [
     6, 9, 12, 17, 26, 37, 44, 53, 64, 78, 93, 112, 134, 161, 193, 232, 348, 522, 809, 1444, 3000,
 ];
 
+/// Widest supported partial tag. Tags live in a `u16` whose all-ones value
+/// marks an empty slot, so a real tag must leave the top bit clear.
+pub const MAX_TAG_BITS: u32 = 15;
+
 /// Index of the first history length of the *deep* range (37).
 pub const DEEP_RANGE_START: usize = 5;
 /// One past the index of the last history length of the *shallow* range (232).
@@ -78,12 +82,17 @@ impl TageConfig {
     }
 
     /// Tag width of table `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the width is 0 or exceeds [`MAX_TAG_BITS`].
     pub fn tag_bits(&self, t: usize) -> u32 {
-        if t < self.short_tables {
-            self.short_tag_bits
-        } else {
-            self.long_tag_bits
-        }
+        let bits = if t < self.short_tables { self.short_tag_bits } else { self.long_tag_bits };
+        assert!(
+            (1..=MAX_TAG_BITS).contains(&bits),
+            "TAGE tag width {bits} outside 1..={MAX_TAG_BITS}"
+        );
+        bits
     }
 
     /// Storage in bits of the TAGE component (tagged tables + bimodal).
@@ -243,5 +252,12 @@ mod tests {
         assert_eq!(c.tag_bits(8), 8);
         assert_eq!(c.tag_bits(9), 12);
         assert_eq!(c.tag_bits(NUM_TABLES - 1), 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "tag width 16")]
+    fn tags_wider_than_an_entry_slot_are_rejected() {
+        let c = TageConfig { long_tag_bits: 16, ..TageConfig::base_64k() };
+        let _ = c.tag_bits(NUM_TABLES - 1);
     }
 }

@@ -5,8 +5,11 @@
 //! the history into `w` bits and updates it in O(1) per branch: shift in the
 //! newest bit, XOR out the bit that just left the `L`-bit window.
 //!
-//! [`FoldedHistory`] is shared with the `llbpx` crate, which computes pattern
-//! tags at its own widths (13 / 20 bits) from the same global history.
+//! [`FoldedHistory`] is the single-fold reference. The predictors run
+//! [`FoldLanes`], which updates every fold over a set of history lengths in
+//! one vectorizable pass: TAGE for its indices and tags, and the `llbpx`
+//! crate for pattern tags at its own widths (13 / 20 bits) from the same
+//! global history.
 
 use crate::history::GlobalHistory;
 
@@ -83,15 +86,8 @@ impl FoldedHistory {
     /// Folds in the newest bit of `history` (call after `history.push`).
     #[inline]
     pub fn update(&mut self, history: &GlobalHistory) {
-        self.update_with(history.bit(0), history)
-    }
-
-    /// [`update`](Self::update) with the newest bit supplied by the caller,
-    /// so a bundle of folds over one history reads it once per branch.
-    #[inline(always)]
-    pub fn update_with(&mut self, inbit: u64, history: &GlobalHistory) {
         let outbit = history.bit_unchecked(self.length);
-        self.comp = (self.comp << 1) | inbit;
+        self.comp = (self.comp << 1) | history.bit(0);
         self.comp ^= outbit << self.out_pos;
         self.comp ^= self.comp >> self.width;
         self.comp &= self.mask;
@@ -113,53 +109,113 @@ impl FoldedHistory {
     }
 }
 
-/// A bundle of folds over the same global history, one per requested
-/// (length, width) pair, updated in lock-step.
+/// `K` folds for each of `N` history lengths, updated in lock-step.
 ///
-/// TAGE instantiates one set for indices and two for tags; LLBP instantiates
-/// one per pattern history length at its tag width.
+/// TAGE keeps three folds per table (index, tag and second tag) over the
+/// same 21 lengths, and LLBP two more at its pattern-tag width. Every fold
+/// of one length drops the same outgoing bit, so the lanes read it once per
+/// length and share it across the `K` folds.
+///
+/// The lanes are stored fold-major (`[fold][length]`) as `u32`s, and each
+/// lane carries its update as constants instead of shift counts: the
+/// outgoing-bit position `1 << (length % width)`, the overflow bit
+/// `1 << width` and the mask `2^width - 1`. The lane loop is then
+/// branch-free with uniform shifts, which the compiler vectorizes on the
+/// baseline x86-64 target.
+///
+/// Lane `(k, i)` always equals a [`FoldedHistory`] of `(lengths[i],
+/// widths[k][i])` driven by the same history, which stays the reference.
+///
+/// ```
+/// use tage::folded::FoldLanes;
+/// use tage::{FoldedHistory, GlobalHistory};
+///
+/// let mut h = GlobalHistory::new();
+/// let mut lanes = FoldLanes::new([6, 37], [[10, 10], [8, 7]]);
+/// for i in 0..200 {
+///     h.push(i % 7 < 3);
+///     lanes.update(&h);
+/// }
+/// assert_eq!(u64::from(lanes.lane(1)[1]), FoldedHistory::new(37, 7).compute_reference(&h));
+/// ```
 #[derive(Debug, Clone)]
-pub struct FoldedSet {
-    folds: Vec<FoldedHistory>,
+pub struct FoldLanes<const N: usize, const K: usize> {
+    comp: [[u32; N]; K],
+    /// `1 << (length % width)`: where the outgoing bit re-enters.
+    out: [[u32; N]; K],
+    /// `1 << width`: the bit the shift pushes out of the fold.
+    wrap: [[u32; N]; K],
+    /// `2^width - 1`.
+    mask: [[u32; N]; K],
+    lengths: [usize; N],
 }
 
-impl FoldedSet {
-    /// Builds a set from `(length, width)` pairs.
-    pub fn new(specs: impl IntoIterator<Item = (usize, u32)>) -> Self {
-        FoldedSet {
-            folds: specs.into_iter().map(|(l, w)| FoldedHistory::new(l, w)).collect(),
+impl<const N: usize, const K: usize> FoldLanes<N, K> {
+    /// Creates the lanes; `widths[k][i]` is the width of fold `k` over
+    /// `lengths[i]` history bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a length is 0 or does not fit the history ring, or a width
+    /// is 0 or above 31 (a lane needs a spare bit for the shift).
+    pub fn new(lengths: [usize; N], widths: [[u32; N]; K]) -> Self {
+        for &length in &lengths {
+            assert!(length > 0, "folded history length must be positive");
+            assert!(
+                length < crate::history::HISTORY_CAPACITY,
+                "folded history length {length} exceeds the history ring"
+            );
+        }
+        for &width in widths.iter().flatten() {
+            assert!((1..=31).contains(&width), "fold lane width {width} unsupported");
+        }
+        let lane = |f: &dyn Fn(usize, u32) -> u32| {
+            std::array::from_fn(|k| std::array::from_fn(|i| f(lengths[i], widths[k][i])))
+        };
+        FoldLanes {
+            comp: [[0; N]; K],
+            out: lane(&|length, width| 1 << (length as u32 % width)),
+            wrap: lane(&|_, width| 1 << width),
+            mask: lane(&|_, width| (1 << width) - 1),
+            lengths,
         }
     }
 
-    /// Updates every fold after a history push. The newest history bit is
-    /// read once and shared across all folds.
+    /// Folds in the newest bit of `history` (call once after every
+    /// `history.push`).
     #[inline]
     pub fn update(&mut self, history: &GlobalHistory) {
-        let inbit = history.bit_unchecked(0);
-        for f in &mut self.folds {
-            f.update_with(inbit, history);
+        let inbit = history.bit_unchecked(0) as u32;
+        // All ones where the bit leaving length `i`'s window is set.
+        let outgoing: [u32; N] = std::array::from_fn(|i| {
+            (history.bit_unchecked(self.lengths[i]) as u32).wrapping_neg()
+        });
+        for (k, comp) in self.comp.iter_mut().enumerate() {
+            let (out, wrap, mask) = (&self.out[k], &self.wrap[k], &self.mask[k]);
+            for (i, c) in comp.iter_mut().enumerate() {
+                let shifted = ((*c << 1) | inbit) ^ (out[i] & outgoing[i]);
+                // `FoldedHistory`'s `c ^= c >> width`: the single overflow
+                // bit wraps around to bit 0 (the mask then clears it).
+                let wrapped = u32::from(shifted & wrap[i] != 0);
+                *c = (shifted ^ wrapped) & mask[i];
+            }
         }
     }
 
-    /// Value of fold `i`.
+    /// The values of fold `k`, one per history length.
     #[inline]
-    pub fn value(&self, i: usize) -> u64 {
-        self.folds[i].value()
+    pub fn lane(&self, k: usize) -> &[u32; N] {
+        &self.comp[k]
     }
 
-    /// Number of folds in the set.
-    pub fn len(&self) -> usize {
-        self.folds.len()
+    /// The history lengths, in lane order.
+    pub fn lengths(&self) -> &[usize; N] {
+        &self.lengths
     }
 
-    /// Returns `true` if the set holds no folds.
-    pub fn is_empty(&self) -> bool {
-        self.folds.is_empty()
-    }
-
-    /// Read-only access to the folds.
-    pub fn folds(&self) -> &[FoldedHistory] {
-        &self.folds
+    /// Width in bits of fold `k` over length `i`.
+    pub fn width(&self, k: usize, i: usize) -> u32 {
+        self.mask[k][i].count_ones()
     }
 }
 
@@ -246,28 +302,39 @@ mod tests {
     fn zero_width_is_rejected() {
         let _ = FoldedHistory::new(10, 0);
     }
-
     #[test]
-    fn folded_set_updates_in_lockstep() {
+    fn fold_lanes_match_single_folds() {
+        let lengths = [6usize, 37, 232, 3000];
+        let widths = [[10u32, 13, 12, 11], [1, 31, 9, 20]];
         let mut h = GlobalHistory::new();
-        let mut set = FoldedSet::new([(6usize, 10u32), (37, 13), (232, 12)]);
-        let mut singles: Vec<FoldedHistory> =
-            vec![FoldedHistory::new(6, 10), FoldedHistory::new(37, 13), FoldedHistory::new(232, 12)];
+        let mut lanes = FoldLanes::new(lengths, widths);
+        let mut singles: Vec<Vec<FoldedHistory>> = widths
+            .iter()
+            .map(|ws| lengths.iter().zip(ws).map(|(&l, &w)| FoldedHistory::new(l, w)).collect())
+            .collect();
         let mut x = 0x1234u64 | 1;
-        for _ in 0..2000 {
+        for _ in 0..5000 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             h.push(x & 1 == 1);
-            set.update(&h);
-            for s in &mut singles {
-                s.update(&h);
+            lanes.update(&h);
+            for fold in singles.iter_mut().flatten() {
+                fold.update(&h);
+            }
+            for (k, folds) in singles.iter().enumerate() {
+                for (i, fold) in folds.iter().enumerate() {
+                    assert_eq!(u64::from(lanes.lane(k)[i]), fold.value(), "lane ({k}, {i})");
+                }
             }
         }
-        for (i, s) in singles.iter().enumerate() {
-            assert_eq!(set.value(i), s.value());
-        }
-        assert_eq!(set.len(), 3);
-        assert!(!set.is_empty());
+        assert_eq!(lanes.width(1, 1), 31);
+        assert_eq!(lanes.lengths(), &lengths);
+    }
+
+    #[test]
+    #[should_panic(expected = "width")]
+    fn fold_lanes_reject_a_32_bit_width() {
+        let _ = FoldLanes::new([10], [[32]]);
     }
 }

@@ -28,7 +28,8 @@ pub const HISTORY_CAPACITY: usize = 4096;
 /// ```
 #[derive(Debug, Clone)]
 pub struct GlobalHistory {
-    words: Vec<u64>,
+    /// The ring, inline so a history read is one load off the owner.
+    words: [u64; HISTORY_CAPACITY / 64],
     /// Total bits pushed so far; the most recent bit lives at
     /// `(pushed - 1) % HISTORY_CAPACITY`.
     pushed: u64,
@@ -41,7 +42,7 @@ pub struct GlobalHistory {
 impl GlobalHistory {
     /// Creates an all-zero history.
     pub fn new() -> Self {
-        GlobalHistory { words: vec![0; HISTORY_CAPACITY / 64], pushed: 0, recent_word: 0 }
+        GlobalHistory { words: [0; HISTORY_CAPACITY / 64], pushed: 0, recent_word: 0 }
     }
 
     /// Pushes the newest history bit.

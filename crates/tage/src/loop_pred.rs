@@ -101,20 +101,19 @@ impl LoopPredictor {
         self.with_loop >= 0
     }
 
+    /// What a matching entry predicts.
+    #[inline]
+    fn hit_info(e: &LoopEntry) -> LoopInfo {
+        // `past_iter` taken iterations precede the exit: once the current
+        // execution has seen that many, predict the exit.
+        let pred = if e.past_iter > 0 && e.current_iter >= e.past_iter { !e.dir } else { e.dir };
+        LoopInfo { pred, hit: true, confident: e.confidence == CONF_MAX }
+    }
+
     /// Queries the predictor (no state change).
     pub fn lookup(&self, pc: u64) -> LoopInfo {
         match self.find(pc) {
-            Some(i) => {
-                let e = &self.entries[i];
-                // `past_iter` taken iterations precede the exit: once the
-                // current execution has seen that many, predict the exit.
-                let pred = if e.past_iter > 0 && e.current_iter >= e.past_iter {
-                    !e.dir
-                } else {
-                    e.dir
-                };
-                LoopInfo { pred, hit: true, confident: e.confidence == CONF_MAX }
-            }
+            Some(i) => Self::hit_info(&self.entries[i]),
             None => LoopInfo { pred: false, hit: false, confident: false },
         }
     }
@@ -123,7 +122,7 @@ impl LoopPredictor {
     /// rest of the predictor produced, used to steer the meta-chooser.
     pub fn update(&mut self, pc: u64, taken: bool, tage_pred: bool) {
         if let Some(i) = self.find(pc) {
-            let info = self.lookup(pc);
+            let info = Self::hit_info(&self.entries[i]);
             if info.confident && info.pred != tage_pred {
                 // The chooser learns from genuine disagreements only.
                 let delta = if info.pred == taken { 1 } else { -1 };

@@ -47,6 +47,9 @@ pub struct ScEval {
     /// `true` when `|sum|` clears the adaptive use-threshold, i.e. the
     /// corrector is allowed to override the input prediction.
     pub decisive: bool,
+    /// The counter read for each [`SC_LENGTHS`] component, so training
+    /// updates exactly those counters without re-hashing.
+    pub indices: [u32; SC_LENGTHS.len()],
 }
 
 /// The statistical corrector.
@@ -61,15 +64,17 @@ pub struct ScEval {
 /// // flipping: train the corrector with input=false while outcome=true.
 /// for _ in 0..200 {
 ///     let eval = sc.evaluate(0x40, false, ScInputConfidence::Low, &h);
-///     sc.train(0x40, true, false, ScInputConfidence::Low, &h, eval);
+///     sc.train(true, false, eval);
 /// }
 /// let eval = sc.evaluate(0x40, false, ScInputConfidence::Low, &h);
 /// assert!(eval.pred && eval.decisive, "corrector should have learned the bias");
 /// ```
 #[derive(Debug, Clone)]
 pub struct StatisticalCorrector {
-    /// One counter table per [`SC_LENGTHS`] component.
-    tables: Vec<Vec<i8>>,
+    /// The counters of every [`SC_LENGTHS`] component in one array:
+    /// component `c` owns the `c`-th block of `2^log2_entries`.
+    counters: Vec<i8>,
+    log2_entries: u32,
     mask: u64,
     /// Adaptive use-threshold (Seznec's dynamic threshold fitting).
     threshold: i32,
@@ -82,7 +87,8 @@ impl StatisticalCorrector {
     pub fn new(log2_entries: u32) -> Self {
         assert!(log2_entries <= 20, "SC table too large");
         StatisticalCorrector {
-            tables: SC_LENGTHS.iter().map(|_| vec![0i8; 1 << log2_entries]).collect(),
+            counters: vec![0; SC_LENGTHS.len() << log2_entries],
+            log2_entries,
             mask: (1 << log2_entries) - 1,
             threshold: 12,
             threshold_ctr: 0,
@@ -99,7 +105,7 @@ impl StatisticalCorrector {
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(h.wrapping_mul(0xc2b2_ae3d_27d4_eb4f))
             .wrapping_add(comp as u64);
-        ((x >> 13) & self.mask) as usize
+        (comp << self.log2_entries) | ((x >> 13) & self.mask) as usize
     }
 
     /// Computes the corrector sum and decision for `pc` given the `input`
@@ -112,34 +118,26 @@ impl StatisticalCorrector {
         history: &GlobalHistory,
     ) -> ScEval {
         let mut sum: i32 = 0;
-        for comp in 0..SC_LENGTHS.len() {
+        let mut indices = [0u32; SC_LENGTHS.len()];
+        for (comp, slot) in indices.iter_mut().enumerate() {
             let idx = self.component_index(comp, pc, input, history);
-            sum += i32::from(self.tables[comp][idx]) * 2 + 1;
+            *slot = idx as u32;
+            sum += i32::from(self.counters[idx]) * 2 + 1;
         }
         sum += if input { conf.weight() } else { -conf.weight() };
-        ScEval { pred: sum >= 0, sum, decisive: sum.abs() >= self.threshold }
+        ScEval { pred: sum >= 0, sum, decisive: sum.abs() >= self.threshold, indices }
     }
 
     /// Trains the corrector on the resolved `taken` outcome.
     ///
-    /// `input`/`conf` must match what [`evaluate`](Self::evaluate) was
-    /// called with (the counters indexed by the bias component depend on
-    /// them), `eval` is that call's result.
-    pub fn train(
-        &mut self,
-        pc: u64,
-        taken: bool,
-        input: bool,
-        conf: ScInputConfidence,
-        history: &GlobalHistory,
-        eval: ScEval,
-    ) {
-        let _ = conf;
+    /// `eval` is the result of [`evaluate`](Self::evaluate) for this branch
+    /// and `input` the prediction it was called with; training updates the
+    /// counters that call read.
+    pub fn train(&mut self, taken: bool, input: bool, eval: ScEval) {
         // Perceptron-style: update on a wrong decision or a weak sum.
         if (eval.pred != taken) || eval.sum.abs() < self.threshold + 2 {
-            for comp in 0..SC_LENGTHS.len() {
-                let idx = self.component_index(comp, pc, input, history);
-                let c = &mut self.tables[comp][idx];
+            for idx in eval.indices {
+                let c = &mut self.counters[idx as usize];
                 if taken {
                     *c = (*c + 1).min(CTR_MAX);
                 } else {
@@ -170,7 +168,7 @@ impl StatisticalCorrector {
 
     /// Storage in bits: 6-bit counters across all components.
     pub fn storage_bits(&self) -> u64 {
-        self.tables.iter().map(|t| t.len() as u64 * 6).sum()
+        self.counters.len() as u64 * 6
     }
 }
 
@@ -205,7 +203,7 @@ mod tests {
         // branch is taken: the corrector must learn to override.
         for _ in 0..300 {
             let eval = sc.evaluate(0x2000, false, ScInputConfidence::Low, &h);
-            sc.train(0x2000, true, false, ScInputConfidence::Low, &h, eval);
+            sc.train(true, false, eval);
         }
         let eval = sc.evaluate(0x2000, false, ScInputConfidence::Low, &h);
         assert!(eval.pred && eval.decisive);
@@ -221,7 +219,7 @@ mod tests {
             let pc = 0x3000 + (i % 7) * 8;
             let eval = sc.evaluate(pc, true, ScInputConfidence::Low, &h);
             // Report outcome = input (corrector wrong whenever it differs).
-            sc.train(pc, true, true, ScInputConfidence::Low, &h, eval);
+            sc.train(true, true, eval);
         }
         assert!(sc.threshold() >= THRESHOLD_MIN);
         assert!(sc.threshold() <= THRESHOLD_MAX);
@@ -240,7 +238,7 @@ mod tests {
         // Train taken under h1 only.
         for _ in 0..300 {
             let eval = sc.evaluate(0x4000, false, ScInputConfidence::Low, &h1);
-            sc.train(0x4000, true, false, ScInputConfidence::Low, &h1, eval);
+            sc.train(true, false, eval);
         }
         let e1 = sc.evaluate(0x4000, false, ScInputConfidence::Low, &h1);
         let e2 = sc.evaluate(0x4000, false, ScInputConfidence::Low, &h2);

@@ -6,10 +6,14 @@ use crate::config::TableStorageKind;
 
 /// One tagged-table entry: partial tag, 3-bit signed prediction counter
 /// (-4..=3) and a useful bit (paper: `12b tag + 3b counter + 1b useful`).
+///
+/// Packed into 4 host bytes; the modelled storage is the paper's bit count
+/// ([`TageConfig::storage_bits`](crate::TageConfig::storage_bits)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TageEntry {
-    /// Partial tag (width depends on the table).
-    pub tag: u32,
+    /// Partial tag (width depends on the table, at most
+    /// [`MAX_TAG_BITS`](crate::config::MAX_TAG_BITS)).
+    pub tag: u16,
     /// Signed saturating prediction counter; sign is the direction.
     pub ctr: i8,
     /// Useful bit protecting the entry from replacement.
@@ -17,8 +21,8 @@ pub struct TageEntry {
 }
 
 impl TageEntry {
-    /// An invalid/empty slot.
-    pub const EMPTY: TageEntry = TageEntry { tag: u32::MAX, ctr: 0, useful: 0 };
+    /// An invalid/empty slot: its tag matches no real tag.
+    pub const EMPTY: TageEntry = TageEntry { tag: u16::MAX, ctr: 0, useful: 0 };
 
     /// Predicted direction (counter sign).
     #[inline]
@@ -71,14 +75,14 @@ pub enum TableStorage {
     /// Direct-mapped array.
     Direct(Vec<TageEntry>),
     /// Unbounded associativity, PC-tagged.
-    Infinite(HashMap<(u64, u32, u64), TageEntry>),
+    Infinite(HashMap<(u32, u16, u64), TageEntry>),
 }
 
 /// One tagged table of the TAGE predictor.
 #[derive(Debug, Clone)]
 pub struct TaggedTable {
     storage: TableStorage,
-    index_mask: u64,
+    index_mask: u32,
     tag_bits: u32,
 }
 
@@ -100,26 +104,28 @@ impl TaggedTable {
     }
 
     /// Index mask (`entries - 1`).
-    pub fn index_mask(&self) -> u64 {
+    pub fn index_mask(&self) -> u32 {
         self.index_mask
     }
 
-    /// Looks up the entry at `(index, tag)`; `pc` disambiguates in the
-    /// infinite organization. Returns `None` on a tag mismatch.
+    /// The entry at `(index, tag)` by value, or [`TageEntry::EMPTY`] on a
+    /// miss; `pc` disambiguates in the infinite organization. The caller
+    /// tests `entry.tag == tag` for the hit, so a probe never branches on
+    /// the match.
     #[inline]
-    pub fn lookup(&self, index: u64, tag: u32, pc: u64) -> Option<&TageEntry> {
+    pub fn probe(&self, index: u32, tag: u16, pc: u64) -> TageEntry {
         match &self.storage {
-            TableStorage::Direct(v) => {
-                let e = &v[(index & self.index_mask) as usize];
-                (e.tag == tag).then_some(e)
+            TableStorage::Direct(v) => v[(index & self.index_mask) as usize],
+            TableStorage::Infinite(m) => {
+                m.get(&(index & self.index_mask, tag, pc)).copied().unwrap_or(TageEntry::EMPTY)
             }
-            TableStorage::Infinite(m) => m.get(&(index & self.index_mask, tag, pc)),
         }
     }
 
-    /// Mutable lookup; same matching rule as [`lookup`](Self::lookup).
+    /// The entry at `(index, tag)` for update; `pc` disambiguates in the
+    /// infinite organization. Returns `None` on a tag mismatch.
     #[inline]
-    pub fn lookup_mut(&mut self, index: u64, tag: u32, pc: u64) -> Option<&mut TageEntry> {
+    pub fn lookup_mut(&mut self, index: u32, tag: u16, pc: u64) -> Option<&mut TageEntry> {
         match &mut self.storage {
             TableStorage::Direct(v) => {
                 let e = &mut v[(index & self.index_mask) as usize];
@@ -133,7 +139,7 @@ impl TaggedTable {
     ///
     /// Infinite tables can always allocate.
     #[inline]
-    pub fn can_allocate(&self, index: u64) -> bool {
+    pub fn can_allocate(&self, index: u32) -> bool {
         match &self.storage {
             TableStorage::Direct(v) => v[(index & self.index_mask) as usize].useful == 0,
             TableStorage::Infinite(_) => true,
@@ -143,7 +149,7 @@ impl TaggedTable {
     /// Ages the victim at `index` by clearing one useful level (the
     /// "decrement u on failed allocation" rule). No-op for infinite tables.
     #[inline]
-    pub fn age_victim(&mut self, index: u64) {
+    pub fn age_victim(&mut self, index: u32) {
         if let TableStorage::Direct(v) = &mut self.storage {
             let e = &mut v[(index & self.index_mask) as usize];
             e.useful = e.useful.saturating_sub(1);
@@ -153,7 +159,7 @@ impl TaggedTable {
     /// Installs a weak entry for `(index, tag, pc)` in direction `taken`,
     /// evicting whatever was there (direct) or adding a new entry (infinite).
     #[inline]
-    pub fn allocate(&mut self, index: u64, tag: u32, pc: u64, taken: bool) {
+    pub fn allocate(&mut self, index: u32, tag: u16, pc: u64, taken: bool) {
         let mut e = TageEntry { tag, ctr: 0, useful: 0 };
         e.reset_weak(taken);
         match &mut self.storage {
@@ -183,7 +189,7 @@ impl TaggedTable {
     /// Number of live entries (all slots for direct tables).
     pub fn population(&self) -> usize {
         match &self.storage {
-            TableStorage::Direct(v) => v.iter().filter(|e| e.tag != u32::MAX).count(),
+            TableStorage::Direct(v) => v.iter().filter(|e| e.tag != TageEntry::EMPTY.tag).count(),
             TableStorage::Infinite(m) => m.len(),
         }
     }
@@ -192,6 +198,12 @@ impl TaggedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The matching entry, as the predictor's hit test sees it.
+    fn hit(t: &TaggedTable, index: u32, tag: u16, pc: u64) -> Option<TageEntry> {
+        let e = t.probe(index, tag, pc);
+        (e.tag == tag).then_some(e)
+    }
 
     #[test]
     fn entry_train_saturates() {
@@ -219,13 +231,33 @@ mod tests {
     }
 
     #[test]
+    fn entries_pack_into_four_bytes() {
+        assert_eq!(std::mem::size_of::<TageEntry>(), 4);
+    }
+
+    #[test]
+    fn probe_returns_the_slot_or_an_empty_entry() {
+        let mut direct = TaggedTable::new(TableStorageKind::Direct, 4, 8);
+        let mut infinite = TaggedTable::new(TableStorageKind::Infinite, 4, 8);
+        for t in [&mut direct, &mut infinite] {
+            assert_eq!(t.probe(3, 0x5a, 0x1000), TageEntry::EMPTY);
+            t.allocate(3, 0x5a, 0x1000, true);
+            assert_eq!(t.probe(3, 0x5a, 0x1000).tag, 0x5a);
+        }
+        // A direct probe returns whatever occupies the slot; the caller's
+        // tag compare decides the hit.
+        assert_eq!(direct.probe(3, 0x5b, 0x1000).tag, 0x5a);
+        assert_eq!(infinite.probe(3, 0x5b, 0x1000), TageEntry::EMPTY);
+    }
+
+    #[test]
     fn direct_table_matches_only_on_tag() {
         let mut t = TaggedTable::new(TableStorageKind::Direct, 4, 8);
         t.allocate(3, 0x5a, 0x1000, true);
-        assert!(t.lookup(3, 0x5a, 0x1000).is_some());
-        assert!(t.lookup(3, 0x5b, 0x1000).is_none());
+        assert!(hit(&t, 3, 0x5a, 0x1000).is_some());
+        assert!(hit(&t, 3, 0x5b, 0x1000).is_none());
         // PC is irrelevant for direct tables (that is the aliasing).
-        assert!(t.lookup(3, 0x5a, 0x9999).is_some());
+        assert!(hit(&t, 3, 0x5a, 0x9999).is_some());
     }
 
     #[test]
@@ -233,10 +265,10 @@ mod tests {
         let mut t = TaggedTable::new(TableStorageKind::Direct, 4, 8);
         t.allocate(3, 0x11, 0x1000, true);
         t.allocate(3, 0x22, 0x2000, false);
-        assert!(t.lookup(3, 0x11, 0x1000).is_none(), "first entry must be evicted");
-        assert!(t.lookup(3, 0x22, 0x2000).is_some());
+        assert!(hit(&t, 3, 0x11, 0x1000).is_none(), "first entry must be evicted");
+        assert!(hit(&t, 3, 0x22, 0x2000).is_some());
         // Index wraps by the mask.
-        assert!(t.lookup(3 + 16, 0x22, 0x2000).is_some());
+        assert!(hit(&t, 3 + 16, 0x22, 0x2000).is_some());
     }
 
     #[test]
@@ -244,8 +276,8 @@ mod tests {
         let mut t = TaggedTable::new(TableStorageKind::Infinite, 4, 8);
         t.allocate(3, 0x11, 0x1000, true);
         t.allocate(3, 0x11, 0x2000, false);
-        assert!(t.lookup(3, 0x11, 0x1000).unwrap().taken());
-        assert!(!t.lookup(3, 0x11, 0x2000).unwrap().taken());
+        assert!(hit(&t, 3, 0x11, 0x1000).unwrap().taken());
+        assert!(!hit(&t, 3, 0x11, 0x2000).unwrap().taken());
         assert_eq!(t.population(), 2);
         assert!(t.can_allocate(3));
     }
@@ -259,6 +291,6 @@ mod tests {
         t.age_victim(7);
         assert!(t.can_allocate(7));
         t.reset_useful();
-        assert_eq!(t.lookup(7, 0x11, 0x1000).unwrap().useful, 0);
+        assert_eq!(hit(&t, 7, 0x11, 0x1000).unwrap().useful, 0);
     }
 }

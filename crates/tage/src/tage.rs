@@ -8,9 +8,14 @@
 
 use crate::bimodal::Bimodal;
 use crate::config::{TageConfig, HISTORY_LENGTHS, NUM_TABLES};
-use crate::folded::FoldedSet;
+use crate::folded::FoldLanes;
 use crate::history::{GlobalHistory, PathHistory, PathMix};
 use crate::table::{TageEntry, TaggedTable};
+
+/// Lanes of [`Tage`]'s folds: the index fold and the two tag folds.
+const INDEX: usize = 0;
+const TAG: usize = 1;
+const TAG2: usize = 2;
 
 /// Per-table indexing constants, hoisted out of the per-branch key loop.
 ///
@@ -48,9 +53,9 @@ pub struct TageInfo {
     /// Table index of the alternate, `None` when it is the bimodal.
     pub alt_provider: Option<usize>,
     /// Per-table indices computed for this branch.
-    pub indices: [u64; NUM_TABLES],
+    pub indices: [u32; NUM_TABLES],
     /// Per-table tags computed for this branch.
-    pub tags: [u32; NUM_TABLES],
+    pub tags: [u16; NUM_TABLES],
 }
 
 impl TageInfo {
@@ -68,9 +73,9 @@ pub struct Tage {
     bimodal: Bimodal,
     history: GlobalHistory,
     path: PathHistory,
-    index_folds: FoldedSet,
-    tag_folds: FoldedSet,
-    tag_folds2: FoldedSet,
+    /// Index, tag and second-tag folds ([`INDEX`], [`TAG`], [`TAG2`]) of
+    /// every history length.
+    folds: FoldLanes<NUM_TABLES, 3>,
     keys: [KeyConsts; NUM_TABLES],
     /// Signed counter: ≥0 means trust the alternate over weak providers.
     use_alt_on_na: i8,
@@ -86,14 +91,13 @@ impl Tage {
         let tables: Vec<TaggedTable> = (0..NUM_TABLES)
             .map(|t| TaggedTable::new(cfg.storage, cfg.log2_entries, cfg.tag_bits(t)))
             .collect();
-        let index_folds = FoldedSet::new(
-            HISTORY_LENGTHS.iter().map(|&l| (l, cfg.log2_entries)),
-        );
-        let tag_folds = FoldedSet::new(
-            (0..NUM_TABLES).map(|t| (HISTORY_LENGTHS[t], cfg.tag_bits(t))),
-        );
-        let tag_folds2 = FoldedSet::new(
-            (0..NUM_TABLES).map(|t| (HISTORY_LENGTHS[t], cfg.tag_bits(t) - 1)),
+        let folds = FoldLanes::new(
+            HISTORY_LENGTHS,
+            [
+                [cfg.log2_entries; NUM_TABLES],
+                std::array::from_fn(|t| cfg.tag_bits(t)),
+                std::array::from_fn(|t| cfg.tag_bits(t) - 1),
+            ],
         );
         let keys = std::array::from_fn(|t| KeyConsts {
             pc_shift: ((t as u32) % cfg.log2_entries) + 1,
@@ -106,9 +110,7 @@ impl Tage {
             tables,
             history: GlobalHistory::new(),
             path: PathHistory::new(),
-            index_folds,
-            tag_folds,
-            tag_folds2,
+            folds,
             keys,
             use_alt_on_na: 0,
             rng: 0x9e37_79b9_7f4a_7c15,
@@ -130,53 +132,47 @@ impl Tage {
     /// Fills `indices`/`tags` for every table in one flat pass, hoisting
     /// the PC-derived terms out of the per-table work.
     #[inline]
-    fn compute_keys(&self, pc: u64, indices: &mut [u64; NUM_TABLES], tags: &mut [u32; NUM_TABLES]) {
+    fn compute_keys(&self, pc: u64, indices: &mut [u32; NUM_TABLES], tags: &mut [u16; NUM_TABLES]) {
         let pcs = pc >> 2;
+        let (index_folds, tag_folds, tag_folds2) =
+            (self.folds.lane(INDEX), self.folds.lane(TAG), self.folds.lane(TAG2));
         for t in 0..NUM_TABLES {
             let k = &self.keys[t];
-            let hist_mix = self.index_folds.value(t);
+            let hist_mix = u64::from(index_folds[t]);
             let path_mix = k.path_mix.apply(&self.path);
-            indices[t] = (pcs ^ (pcs >> k.pc_shift) ^ hist_mix ^ path_mix) & k.index_mask;
-            tags[t] = ((pcs ^ self.tag_folds.value(t) ^ (self.tag_folds2.value(t) << 1))
-                & k.tag_mask) as u32;
+            indices[t] = ((pcs ^ (pcs >> k.pc_shift) ^ hist_mix ^ path_mix) & k.index_mask) as u32;
+            let tag_mix = u64::from(tag_folds[t]) ^ (u64::from(tag_folds2[t]) << 1);
+            tags[t] = ((pcs ^ tag_mix) & k.tag_mask) as u16;
         }
     }
 
     /// Computes the full prediction breakdown for `pc`.
     pub fn predict(&self, pc: u64) -> TageInfo {
-        let _t = telemetry::scope("tage::predict");
-        let mut indices = [0u64; NUM_TABLES];
-        let mut tags = [0u32; NUM_TABLES];
+        let _t = telemetry::scope!("tage::predict");
+        let mut indices = [0u32; NUM_TABLES];
+        let mut tags = [0u16; NUM_TABLES];
         self.compute_keys(pc, &mut indices, &mut tags);
 
-        // One scan from the longest history down, capturing the provider
-        // and alternate entries by value (they are `Copy`) so neither is
-        // looked up a second time.
-        let mut provider = None;
-        let mut provider_entry = TageEntry::EMPTY;
-        let mut alt_provider = None;
-        let mut alt_entry = TageEntry::EMPTY;
-        for t in (0..NUM_TABLES).rev() {
-            if let Some(e) = self.tables[t].lookup(indices[t], tags[t], pc) {
-                if provider.is_none() {
-                    provider = Some(t);
-                    provider_entry = *e;
-                } else {
-                    alt_provider = Some(t);
-                    alt_entry = *e;
-                    break;
-                }
-            }
+        // Probe every table and collect the matches as a bit mask: the
+        // provider is the longest match (highest set bit), the alternate
+        // the next longest. The probed entries are kept by value (they are
+        // `Copy`) so neither is looked up a second time.
+        let mut entries = [TageEntry::EMPTY; NUM_TABLES];
+        let mut hits = 0u32;
+        for t in 0..NUM_TABLES {
+            entries[t] = self.tables[t].probe(indices[t], tags[t], pc);
+            hits |= u32::from(entries[t].tag == tags[t]) << t;
         }
+        let provider = hits.checked_ilog2().map(|t| t as usize);
+        let alt_provider =
+            provider.and_then(|t| (hits & !(1 << t)).checked_ilog2()).map(|t| t as usize);
 
         let (provider_pred, provider_weak, provider_confident) = match provider {
-            Some(_) => {
-                (provider_entry.taken(), provider_entry.is_weak(), provider_entry.is_confident())
-            }
+            Some(t) => (entries[t].taken(), entries[t].is_weak(), entries[t].is_confident()),
             None => (self.bimodal.predict(pc), false, self.bimodal.confident(pc)),
         };
         let alt_pred = match alt_provider {
-            Some(_) => alt_entry.taken(),
+            Some(t) => entries[t].taken(),
             None => self.bimodal.predict(pc),
         };
 
@@ -213,7 +209,7 @@ impl Tage {
     /// [`predict`](Self::predict) for the same branch under the same history
     /// (i.e. before [`update_history`](Self::update_history)).
     pub fn update(&mut self, pc: u64, taken: bool, info: &TageInfo) {
-        let _t = telemetry::scope("tage::update");
+        let _t = telemetry::scope!("tage::update");
         // use_alt_on_na bookkeeping: when a weak provider and its alternate
         // disagree, learn which side to trust.
         if let Some(t) = info.provider {
@@ -295,9 +291,7 @@ impl Tage {
     pub fn update_history(&mut self, record: &traces::BranchRecord) {
         self.history.push(crate::history::history_bit(record));
         self.path.push(record.pc);
-        self.index_folds.update(&self.history);
-        self.tag_folds.update(&self.history);
-        self.tag_folds2.update(&self.history);
+        self.folds.update(&self.history);
     }
 
     /// Storage in bits (tagged tables + bimodal).

@@ -129,38 +129,25 @@ impl TageScl {
             self.loop_pred.update(pc, taken, info.tage.pred);
         }
         if let Some(eval) = info.sc {
-            self.sc.train(
-                pc,
-                taken,
-                info.tage.pred,
-                Self::input_confidence(&info.tage),
-                self.tage.history(),
-                eval,
-            );
+            self.sc.train(taken, info.tage.pred, eval);
         }
         self.tage.update(pc, taken, &info.tage);
     }
 
     /// Trains the SC with an explicit input prediction (used by LLBP-X,
-    /// which feeds the combined TAGE+PB result into the SC).
-    pub fn train_sc_with_input(
-        &mut self,
-        pc: u64,
-        taken: bool,
-        input: bool,
-        conf: ScInputConfidence,
-        eval: ScEval,
-    ) {
-        self.sc.train(pc, taken, input, conf, self.tage.history(), eval);
+    /// which feeds the combined TAGE+PB result into the SC). `eval` is the
+    /// [`sc_eval`](Self::sc_eval) result for that `input`.
+    pub fn train_sc_with_input(&mut self, taken: bool, input: bool, eval: ScEval) {
+        self.sc.train(taken, input, eval);
     }
 
     /// Trains TAGE and the loop predictor only (no SC) — the original LLBP
     /// suppresses the SC when its pattern provides the prediction.
-    pub fn train_without_sc(&mut self, pc: u64, taken: bool, info: &TslInfo) {
+    pub fn train_without_sc(&mut self, pc: u64, taken: bool, tage: &TageInfo) {
         if self.cfg.loop_predictor {
-            self.loop_pred.update(pc, taken, info.tage.pred);
+            self.loop_pred.update(pc, taken, tage.pred);
         }
-        self.tage.update(pc, taken, &info.tage);
+        self.tage.update(pc, taken, tage);
     }
 
     /// Whether the loop predictor chooser currently trusts loop predictions.

@@ -6,7 +6,12 @@
 //! workspace needs no registry access.
 
 use telemetry::SplitMix64;
-use tage::{DirectionPredictor, FoldedHistory, GlobalHistory, PredictInput, TageScl, TslConfig};
+use tage::folded::FoldLanes;
+use tage::history::HISTORY_CAPACITY;
+use tage::{
+    DirectionPredictor, FoldedHistory, GlobalHistory, PredictInput, TageConfig, TageScl,
+    TslConfig, HISTORY_LENGTHS, NUM_TABLES,
+};
 use traces::BranchRecord;
 
 fn rand_bits(rng: &mut SplitMix64, min: u64, max: u64) -> Vec<bool> {
@@ -53,6 +58,58 @@ fn folded_history_is_windowed() {
             f.value()
         };
         assert_eq!(run(&prefix_a), run(&prefix_b));
+    }
+}
+
+/// Drives `lanes` with a random stream longer than the history ring and
+/// checks every lane against the closed-form fold at checkpoints along the
+/// way (including after the ring wraps).
+fn check_lanes<const K: usize>(widths: [[u32; NUM_TABLES]; K], seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    let mut h = GlobalHistory::new();
+    let mut lanes = FoldLanes::new(HISTORY_LENGTHS, widths);
+    let pushes = HISTORY_CAPACITY + 1500;
+    let bias = 0.2 + 0.6 * rng.next_f64();
+    for n in 1..=pushes {
+        h.push(rng.next_bool(bias));
+        lanes.update(&h);
+        if n % 997 == 0 || n == HISTORY_CAPACITY || n == pushes {
+            for (k, ws) in widths.iter().enumerate() {
+                for (i, (&length, &width)) in HISTORY_LENGTHS.iter().zip(ws).enumerate() {
+                    let want = FoldedHistory::new(length, width).compute_reference(&h);
+                    assert_eq!(
+                        u64::from(lanes.lane(k)[i]),
+                        want,
+                        "push {n}: fold {k} of length {length} at width {width}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// TAGE's three fold lanes (index, tag, second tag) equal the reference
+/// fold at every TSL size class, with the 8/12-bit tag split.
+#[test]
+fn tage_fold_lanes_match_reference_at_every_size_class() {
+    for log2_entries in 7..=13 {
+        let cfg = TageConfig::base_64k().with_log2_entries(log2_entries);
+        let widths = [
+            [log2_entries; NUM_TABLES],
+            std::array::from_fn(|t| cfg.tag_bits(t)),
+            std::array::from_fn(|t| cfg.tag_bits(t) - 1),
+        ];
+        assert_eq!((widths[1][0], widths[1][NUM_TABLES - 1]), (8, 12));
+        check_lanes(widths, 0x6c61_6e65 ^ u64::from(log2_entries));
+    }
+}
+
+/// LLBP's two pattern-tag lanes equal the reference fold at its default
+/// 13-bit pattern tags and at the 20-bit tags of the limit study.
+#[test]
+fn llbp_fold_lanes_match_reference_at_pattern_tag_widths() {
+    for tag_bits in [13, 20] {
+        check_lanes([[tag_bits; NUM_TABLES], [tag_bits - 1; NUM_TABLES]], u64::from(tag_bits));
     }
 }
 

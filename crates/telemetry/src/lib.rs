@@ -27,6 +27,6 @@ pub mod record;
 
 pub use interval::{IntervalRecorder, IntervalSample, IntervalSnapshot};
 pub use json::Json;
-pub use profile::{scope, ScopeTotals};
+pub use profile::ScopeTotals;
 pub use prng::{SplitMix64, Xoshiro256StarStar};
 pub use record::RunRecord;

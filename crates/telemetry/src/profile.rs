@@ -1,11 +1,13 @@
 //! Lightweight scope profiling: RAII timers feeding a thread-local registry.
 //!
 //! The simulator's hot paths (`Tage::predict`/`update`, LLBP's pattern-set
-//! lookup and prefetch, the workload generator) open a [`scope`] guard;
-//! dropping the guard adds the elapsed wall time to that scope's running
-//! totals. The runner snapshots the registry around each run and reports
-//! the delta as the run's profile section, so optimisation work in later
-//! PRs has a per-run baseline to beat.
+//! lookup and prefetch, the workload generator) open a
+//! [`scope!`](crate::scope!) guard; dropping the guard adds the elapsed wall
+//! time to that scope's running totals. Each call site resolves its name to
+//! a registry slot once, so entering a scope is an indexed counter bump.
+//! The runner snapshots the registry around each run and reports the delta
+//! as the run's profile section, so optimisation work in later PRs has a
+//! per-run baseline to beat.
 //!
 //! Call counts are exact. Wall time is *sampled*: one in
 //! [`SAMPLE_PERIOD`] entries of each scope is timed (the first always is)
@@ -20,6 +22,7 @@
 //! their numbers.
 
 use std::cell::RefCell;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Every `SAMPLE_PERIOD`-th entry of a scope is timed; the rest only count.
@@ -37,47 +40,96 @@ pub struct ScopeTotals {
     pub nanos: u64,
 }
 
+/// Every scope name any thread has entered. A name's position is its slot
+/// in each thread's registry, fixed for the life of the process.
+static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+
 thread_local! {
+    /// This thread's totals, indexed by slot.
     static REGISTRY: RefCell<Vec<ScopeTotals>> = const { RefCell::new(Vec::new()) };
 }
 
-/// An RAII guard timing one scope entry; created by [`scope`].
+/// The slot of `name`, assigning the next free one on first use.
+fn intern(name: &'static str) -> usize {
+    let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+    match names.iter().position(|&n| n == name) {
+        Some(slot) => slot,
+        None => {
+            names.push(name);
+            names.len() - 1
+        }
+    }
+}
+
+/// The totals in `slot`, first growing this thread's registry to reach it
+/// (rare: once per scope per thread, and after a [`reset`]).
+#[inline]
+fn slot_mut(totals: &mut Vec<ScopeTotals>, slot: usize) -> &mut ScopeTotals {
+    if slot >= totals.len() {
+        let names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+        let have = totals.len();
+        let fresh = |&name| ScopeTotals { name, calls: 0, nanos: 0 };
+        totals.extend(names[have..=slot].iter().map(fresh));
+    }
+    &mut totals[slot]
+}
+
+/// One scope call site, created by [`scope!`](crate::scope!): the name and,
+/// after the first entry, its registry slot. Entering a resolved site is an
+/// indexed counter bump with no name lookup.
+#[derive(Debug)]
+pub struct ScopeSite {
+    name: &'static str,
+    slot: OnceLock<usize>,
+}
+
+impl ScopeSite {
+    /// A site for `name`; its slot is resolved on first entry.
+    pub const fn new(name: &'static str) -> Self {
+        ScopeSite { name, slot: OnceLock::new() }
+    }
+
+    /// Starts timing this site's scope until the returned guard drops.
+    #[inline]
+    pub fn enter(&self) -> ScopeGuard {
+        enter(*self.slot.get_or_init(|| intern(self.name)))
+    }
+}
+
+/// Starts timing a scope at a static call site until the guard drops:
+/// `let _t = telemetry::scope!("tage::predict");`.
+///
+/// The entry is counted immediately; whether it is *timed* depends on the
+/// scope's sampling phase (see the module docs). Sites sharing a name share
+/// one totals entry.
+#[macro_export]
+macro_rules! scope {
+    ($name:expr) => {{
+        static SITE: $crate::profile::ScopeSite = $crate::profile::ScopeSite::new($name);
+        SITE.enter()
+    }};
+}
+
+/// An RAII guard timing one scope entry; created by
+/// [`scope!`](crate::scope!).
 #[must_use = "the scope is timed until this guard is dropped"]
 pub struct ScopeGuard {
-    name: &'static str,
-    /// Registry slot the entry was counted in, so the drop path indexes
-    /// directly instead of re-scanning.
-    index: usize,
+    /// Registry slot the entry was counted in.
+    slot: usize,
     /// `Some` only for the sampled (timed) entries.
     start: Option<Instant>,
 }
 
-/// Starts timing `name` until the returned guard drops.
-///
-/// The entry is counted immediately; whether it is *timed* depends on the
-/// scope's sampling phase (see the module docs).
 #[inline]
-pub fn scope(name: &'static str) -> ScopeGuard {
+fn enter(slot: usize) -> ScopeGuard {
     REGISTRY.with(|r| {
         let mut totals = r.borrow_mut();
-        // Linear scan: the registry holds a handful of static names and
-        // the hot entry is found in the first few slots.
-        let index = match totals
-            .iter()
-            .position(|t| std::ptr::eq(t.name, name) || t.name == name)
-        {
-            Some(i) => i,
-            None => {
-                totals.push(ScopeTotals { name, calls: 0, nanos: 0 });
-                totals.len() - 1
-            }
-        };
-        let t = &mut totals[index];
+        let t = slot_mut(&mut totals, slot);
         t.calls += 1;
         // The first call of every scope is timed, so any entered scope has
         // nonzero time; after that, one in SAMPLE_PERIOD.
         let start = (t.calls % SAMPLE_PERIOD == 1).then(Instant::now);
-        ScopeGuard { name, index, start }
+        ScopeGuard { slot, start }
     })
 }
 
@@ -86,31 +138,17 @@ impl Drop for ScopeGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let nanos = (start.elapsed().as_nanos() as u64).saturating_mul(SAMPLE_PERIOD);
-        REGISTRY.with(|r| {
-            let mut totals = r.borrow_mut();
-            match totals.get_mut(self.index) {
-                // The common case: the slot is where we left it.
-                Some(t) if std::ptr::eq(t.name, self.name) || t.name == self.name => {
-                    t.nanos += nanos;
-                }
-                // The registry was reset while this guard was live (tests);
-                // re-register rather than corrupt another scope's slot.
-                _ => match totals
-                    .iter_mut()
-                    .find(|t| std::ptr::eq(t.name, self.name) || t.name == self.name)
-                {
-                    Some(t) => t.nanos += nanos,
-                    None => totals.push(ScopeTotals { name: self.name, calls: 1, nanos }),
-                },
-            }
-        });
+        // If the registry was reset while this guard was live (tests), the
+        // slot is regrown and the time still lands on this scope.
+        REGISTRY.with(|r| slot_mut(&mut r.borrow_mut(), self.slot).nanos += nanos);
     }
 }
 
 /// Current totals for every scope this thread has entered, sorted by name.
 pub fn snapshot() -> Vec<ScopeTotals> {
     REGISTRY.with(|r| {
-        let mut v = r.borrow().clone();
+        let mut v: Vec<ScopeTotals> =
+            r.borrow().iter().filter(|t| t.calls > 0 || t.nanos > 0).cloned().collect();
         v.sort_by(|a, b| a.name.cmp(b.name));
         v
     })
@@ -143,11 +181,11 @@ mod tests {
     fn guards_accumulate_calls_and_time() {
         reset();
         for _ in 0..10 {
-            let _g = scope("test::a");
+            let _g = crate::scope!("test::a");
             std::hint::black_box(());
         }
         {
-            let _g = scope("test::b");
+            let _g = crate::scope!("test::b");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let snap = snapshot();
@@ -162,14 +200,14 @@ mod tests {
     fn since_reports_only_new_activity() {
         reset();
         {
-            let _g = scope("test::warm");
+            let _g = crate::scope!("test::warm");
         }
         let before = snapshot();
         {
-            let _g = scope("test::hot");
+            let _g = crate::scope!("test::hot");
         }
         {
-            let _g = scope("test::hot");
+            let _g = crate::scope!("test::hot");
         }
         let delta = since(&before);
         assert_eq!(delta.len(), 1, "only the active scope appears: {delta:?}");
@@ -181,8 +219,8 @@ mod tests {
     fn nested_scopes_time_independently() {
         reset();
         {
-            let _outer = scope("test::outer");
-            let _inner = scope("test::inner");
+            let _outer = crate::scope!("test::outer");
+            let _inner = crate::scope!("test::inner");
         }
         let snap = snapshot();
         assert!(snap.iter().any(|t| t.name == "test::outer"));
@@ -193,7 +231,7 @@ mod tests {
     fn sampling_keeps_calls_exact_and_time_nonzero() {
         reset();
         for _ in 0..(SAMPLE_PERIOD * 3 + 5) {
-            let _g = scope("test::sampled");
+            let _g = crate::scope!("test::sampled");
             std::hint::black_box(());
         }
         let snap = snapshot();
@@ -203,13 +241,43 @@ mod tests {
     }
 
     #[test]
+    fn sites_sharing_a_name_share_totals() {
+        reset();
+        for _ in 0..3 {
+            let _g = crate::scope!("test::site");
+        }
+        {
+            let _g = crate::scope!("test::site");
+        }
+        let snap = snapshot();
+        let site: Vec<_> = snap.iter().filter(|t| t.name == "test::site").collect();
+        assert_eq!(site.len(), 1, "one totals entry per name: {snap:?}");
+        assert_eq!(site[0].calls, 4);
+    }
+
+    #[test]
+    fn other_threads_scopes_do_not_appear_here() {
+        reset();
+        std::thread::spawn(|| {
+            let _g = crate::scope!("test::elsewhere");
+        })
+        .join()
+        .expect("scope thread");
+        {
+            let _g = crate::scope!("test::here");
+        }
+        let names: Vec<_> = snapshot().iter().map(|t| t.name).collect();
+        assert_eq!(names, ["test::here"]);
+    }
+
+    #[test]
     fn reset_while_a_guard_is_live_does_not_corrupt_slots() {
         reset();
         {
-            let _live = scope("test::live");
+            let _live = crate::scope!("test::live");
             reset();
             {
-                let _other = scope("test::other");
+                let _other = crate::scope!("test::other");
             }
             // `_live` drops here, after its slot was cleared and reused.
         }

@@ -301,7 +301,7 @@ impl ServerWorkload {
 
     /// Emits the full record sequence of one request into the buffer.
     fn emit_request(&mut self) {
-        let _t = telemetry::scope("workload::emit_request");
+        let _t = telemetry::scope!("workload::emit_request");
         let r = self.next_request_type();
         let h = r % self.spec.handlers;
 

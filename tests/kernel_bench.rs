@@ -4,16 +4,17 @@
 //! Style follows `crates/tage/tests/randomized.rs`: deterministic seeded
 //! inputs, offline, no external harness. The timing tests measure the two
 //! kernels the hot-path work targets — `TageScl` predict/update and
-//! `PatternSet::find_longest` — and emit per-branch nanoseconds into the
-//! telemetry sink (`LLBPX_TELEMETRY=1`, sink `BENCH_kernel_bench.json`) so
-//! the trajectory tracks kernel cost across PRs. Assertions stay loose on
+//! `PatternSet::find_longest` — plus the three stages of the TAGE core
+//! (`tage::update_history`, `tage::predict`, `tage::update`), and emit
+//! per-call nanoseconds into the telemetry sink (`LLBPX_TELEMETRY=1`, sink
+//! `BENCH_kernel_bench.json`) so a regression names the stage that moved. Assertions stay loose on
 //! absolute speed (CI machines vary); the pinned-accuracy test is exact.
 
 use std::time::Instant;
 
 use bpsim::runner::Simulation;
 use llbpx::{LengthSet, PatternSet};
-use tage::{DirectionPredictor, PredictInput, TageScl, TslConfig, NUM_TABLES};
+use tage::{DirectionPredictor, PredictInput, Tage, TageConfig, TageScl, TslConfig, NUM_TABLES};
 use telemetry::{Json, SplitMix64};
 use traces::BranchRecord;
 
@@ -78,6 +79,59 @@ fn tage_process_kernel_latency() {
     // runs in well under a microsecond per branch on any machine.
     assert!(ns < 100_000.0, "predict/update took {ns:.0} ns/branch");
     emit_kernel_ns("tage::process", records.len(), ns);
+}
+
+/// Best-of-`REPEATS` nanoseconds per record of `pass` over `records`, each
+/// repeat on a fresh clone of the warmed `tage`.
+fn stage_ns(tage: &Tage, records: &[BranchRecord], pass: fn(&mut Tage, &BranchRecord)) -> f64 {
+    const REPEATS: usize = 3;
+    (0..REPEATS)
+        .map(|_| {
+            let mut t = tage.clone();
+            let start = Instant::now();
+            for rec in records {
+                pass(&mut t, rec);
+            }
+            std::hint::black_box(&t);
+            start.elapsed().as_nanos() as f64 / records.len() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Splits one TAGE-core branch into its stages. The stages depend on each
+/// other's state, so each is timed as the difference between passes that
+/// run successively more of them: history only, predict + history, and the
+/// full predict + update + history step.
+#[test]
+fn tage_stage_latency() {
+    let records = branch_batch(0x7374_6167);
+    let mut tage = Tage::new(TageConfig::base_64k());
+    let step = |t: &mut Tage, rec: &BranchRecord| {
+        let info = t.predict(rec.pc);
+        t.update(rec.pc, rec.taken, &info);
+        t.update_history(rec);
+    };
+    for rec in &records {
+        step(&mut tage, rec);
+    }
+    let history = stage_ns(&tage, &records, |t, rec| t.update_history(rec));
+    let predicted = stage_ns(&tage, &records, |t, rec| {
+        std::hint::black_box(t.predict(rec.pc));
+        t.update_history(rec);
+    });
+    let full = stage_ns(&tage, &records, step);
+    let stages = [
+        ("tage::update_history", history),
+        ("tage::predict", predicted - history),
+        ("tage::update", full - predicted),
+    ];
+    for (stage, ns) in stages {
+        // Differences of noisy timings can dip below zero on a busy host;
+        // only a catastrophic regression fails.
+        assert!(ns < 100_000.0, "{stage} took {ns:.0} ns/call");
+        emit_kernel_ns(stage, records.len(), ns.max(0.0));
+    }
+    assert!(history > 0.0 && full > history, "the stages take measurable time");
 }
 
 #[test]
