@@ -207,16 +207,6 @@ impl<const N: usize, const K: usize> FoldLanes<N, K> {
     pub fn lane(&self, k: usize) -> &[u32; N] {
         &self.comp[k]
     }
-
-    /// The history lengths, in lane order.
-    pub fn lengths(&self) -> &[usize; N] {
-        &self.lengths
-    }
-
-    /// Width in bits of fold `k` over length `i`.
-    pub fn width(&self, k: usize, i: usize) -> u32 {
-        self.mask[k][i].count_ones()
-    }
 }
 
 #[cfg(test)]
@@ -328,8 +318,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(lanes.width(1, 1), 31);
-        assert_eq!(lanes.lengths(), &lengths);
     }
 
     #[test]
