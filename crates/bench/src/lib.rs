@@ -37,8 +37,8 @@ use workloads::WorkloadSpec;
 /// elapsed wall time against it.
 static STARTED: OnceLock<Instant> = OnceLock::new();
 
-/// Matrix cells that failed (panicked, timed out, or were quarantined)
-/// across this invocation's matrices; [`exit_status`] turns a non-zero
+/// Matrix cells that failed (panicked or timed out) across this
+/// invocation's matrices; [`exit_status`] turns a non-zero
 /// count into a failing exit code.
 static FAILED_CELLS: AtomicUsize = AtomicUsize::new(0);
 
@@ -46,21 +46,9 @@ static FAILED_CELLS: AtomicUsize = AtomicUsize::new(0);
 /// simulated in this invocation.
 static RESUMED_CELLS: AtomicUsize = AtomicUsize::new(0);
 
-/// Matrix cells cancelled by the watchdog (`LLBPX_JOB_TIMEOUT` /
-/// `LLBPX_STALL_TIMEOUT`); a subset of [`FAILED_CELLS`].
+/// Matrix cells stopped at their `LLBPX_JOB_TIMEOUT` deadline; a subset
+/// of [`FAILED_CELLS`].
 static TIMEDOUT_CELLS: AtomicUsize = AtomicUsize::new(0);
-
-/// Matrix cells skipped because the checkpoint journal quarantines them;
-/// a subset of [`FAILED_CELLS`].
-static QUARANTINED_CELLS: AtomicUsize = AtomicUsize::new(0);
-
-/// Matrix cells that needed more than one attempt (`LLBPX_JOB_RETRIES`),
-/// whether they eventually completed or not.
-static RETRIED_CELLS: AtomicUsize = AtomicUsize::new(0);
-
-/// Completed matrix cells that were demoted to streaming under trace-cache
-/// memory pressure.
-static DEGRADED_CELLS: AtomicUsize = AtomicUsize::new(0);
 
 /// The exit code a binary's `main` should return: success when every
 /// matrix cell completed, failure (with a stderr summary) when any cell
@@ -72,10 +60,8 @@ pub fn exit_status() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         let timed_out = TIMEDOUT_CELLS.load(Ordering::Relaxed);
-        let quarantined = QUARANTINED_CELLS.load(Ordering::Relaxed);
         eprintln!(
-            "error: {failed} matrix cell(s) failed \
-             ({timed_out} timed out, {quarantined} quarantined); \
+            "error: {failed} matrix cell(s) failed ({timed_out} timed out); \
              see the n/a rows above"
         );
         ExitCode::FAILURE
@@ -199,11 +185,12 @@ pub fn run(design: &mut Box<dyn SimPredictor>, spec: &WorkloadSpec, sim: &Simula
 /// designs capture their config in a closure
 /// (`.predictor(move || bench::llbpx_with(cfg))`). The name labels the
 /// cell in engine error reports, so failures name the design, not just
-/// the workload.
+/// the workload, and it is part of the cell's checkpoint fingerprint, so
+/// give every distinct design in a binary a distinct name.
 pub struct JobSpec {
     name: String,
     workload: Option<WorkloadSpec>,
-    factory: Option<Box<dyn Fn() -> Box<dyn SimPredictor> + Send + 'static>>,
+    factory: Option<Box<dyn FnOnce() -> Box<dyn SimPredictor> + Send + 'static>>,
 }
 
 impl JobSpec {
@@ -220,12 +207,12 @@ impl JobSpec {
         self
     }
 
-    /// Sets the predictor factory; it runs on the worker thread (and is
-    /// re-invoked on retries, so every attempt starts fresh).
+    /// Sets the predictor factory; it runs once, on the worker thread
+    /// that claims the cell.
     #[must_use]
     pub fn predictor(
         mut self,
-        factory: impl Fn() -> Box<dyn SimPredictor> + Send + 'static,
+        factory: impl FnOnce() -> Box<dyn SimPredictor> + Send + 'static,
     ) -> Self {
         self.factory = Some(Box::new(factory));
         self
@@ -252,7 +239,7 @@ impl JobSpec {
         let factory = self
             .factory
             .unwrap_or_else(|| panic!("job `{}` has no predictor; call .predictor(..)", self.name));
-        MatrixJob { factory, spec: workload }
+        MatrixJob { name: self.name, factory, spec: workload }
     }
 }
 
@@ -276,9 +263,6 @@ pub fn run_matrix(
     FAILED_CELLS.fetch_add(report.failed_cells(), Ordering::Relaxed);
     RESUMED_CELLS.fetch_add(report.resumed_cells(), Ordering::Relaxed);
     TIMEDOUT_CELLS.fetch_add(report.timed_out_cells(), Ordering::Relaxed);
-    QUARANTINED_CELLS.fetch_add(report.quarantined_cells(), Ordering::Relaxed);
-    RETRIED_CELLS.fetch_add(report.retried_cells(), Ordering::Relaxed);
-    DEGRADED_CELLS.fetch_add(report.degraded_cells(), Ordering::Relaxed);
     report
         .outputs
         .into_iter()
@@ -409,8 +393,8 @@ impl Telemetry {
     }
 
     /// Attaches the engine's bookkeeping (thread count, trace-cache
-    /// behavior, supervision and chaos configuration) to the record line;
-    /// first matrix wins if a binary runs several.
+    /// behavior) to the record line; first matrix wins if a binary runs
+    /// several.
     pub fn record_engine(&mut self, report: &exec::MatrixReport) {
         if self.sink.is_none() || self.extra.iter().any(|(k, _)| k == "trace_cache") {
             return;
@@ -423,46 +407,8 @@ impl Telemetry {
                 .set("specs_streamed", report.cache.specs_streamed as u64)
                 .set("cached_records", report.cache.cached_records)
                 .set("cached_bytes", report.cache.cached_bytes)
-                .set("evictions", report.cache.evictions)
-                .set("demotions", report.cache.demotions)
                 .set("generation_seconds", report.cache.generation_seconds),
         ));
-        if report.supervise.active() {
-            let mut supervision =
-                Json::obj().set("retries", u64::from(report.supervise.retries));
-            if let Some(t) = report.supervise.job_timeout {
-                supervision = supervision.set("job_timeout_seconds", t.as_secs_f64());
-            }
-            if let Some(t) = report.supervise.stall_timeout {
-                supervision = supervision.set("stall_timeout_seconds", t.as_secs_f64());
-            }
-            self.extra.push(("supervision".to_owned(), supervision));
-        }
-        if let Some(chaos) = &report.chaos {
-            let events: Vec<Json> = chaos
-                .events
-                .iter()
-                .map(|e| {
-                    let cell = match e.cell {
-                        Some(cell) => Json::from(cell as u64),
-                        None => Json::Null,
-                    };
-                    Json::obj()
-                        .set("cell", cell)
-                        .set("attempt", u64::from(e.attempt))
-                        .set("workload", e.workload.as_str())
-                        .set("kind", e.kind.as_str())
-                        .set("outcome", e.outcome.as_str())
-                })
-                .collect();
-            self.extra.push((
-                "chaos".to_owned(),
-                Json::obj()
-                    .set("seed", chaos.seed)
-                    .set("rate", chaos.rate)
-                    .set("events", Json::Arr(events)),
-            ));
-        }
     }
 
     /// Attaches a top-level field to this binary's record line (for data
@@ -503,18 +449,6 @@ impl Telemetry {
         if timed_out > 0 {
             line = line.set("timed_out_cells", timed_out as u64);
         }
-        let quarantined = QUARANTINED_CELLS.load(Ordering::Relaxed);
-        if quarantined > 0 {
-            line = line.set("quarantined_cells", quarantined as u64);
-        }
-        let retried = RETRIED_CELLS.load(Ordering::Relaxed);
-        if retried > 0 {
-            line = line.set("retried_cells", retried as u64);
-        }
-        let degraded = DEGRADED_CELLS.load(Ordering::Relaxed);
-        if degraded > 0 {
-            line = line.set("degraded_cells", degraded as u64);
-        }
         for (k, v) in &self.extra {
             line = line.set(k.as_str(), v.clone());
         }
@@ -550,35 +484,15 @@ pub fn footer(sim: &Simulation, paper_ref: &str) {
             started.elapsed().as_secs_f64()
         );
     }
-    // Stderr, not stdout: a resumed or supervised run's tables must stay
-    // byte-identical to an uninterrupted run's.
+    // Stderr, not stdout: a resumed run's tables must stay byte-identical
+    // to an uninterrupted run's.
     let resumed = RESUMED_CELLS.load(Ordering::Relaxed);
     if resumed > 0 {
         eprintln!("checkpoint: {resumed} cell(s) restored from the LLBPX_CHECKPOINT journal");
     }
     let timed_out = TIMEDOUT_CELLS.load(Ordering::Relaxed);
     if timed_out > 0 {
-        eprintln!(
-            "supervision: {timed_out} cell(s) cancelled by the watchdog \
-             (LLBPX_JOB_TIMEOUT / LLBPX_STALL_TIMEOUT)"
-        );
-    }
-    let quarantined = QUARANTINED_CELLS.load(Ordering::Relaxed);
-    if quarantined > 0 {
-        eprintln!(
-            "supervision: {quarantined} cell(s) skipped as quarantined in the journal"
-        );
-    }
-    let retried = RETRIED_CELLS.load(Ordering::Relaxed);
-    if retried > 0 {
-        eprintln!("supervision: {retried} cell(s) needed more than one attempt");
-    }
-    let degraded = DEGRADED_CELLS.load(Ordering::Relaxed);
-    if degraded > 0 {
-        eprintln!(
-            "memory pressure: {degraded} cell(s) demoted to streaming \
-             (LLBPX_TRACE_CACHE_MB)"
-        );
+        eprintln!("deadline: {timed_out} cell(s) stopped at the LLBPX_JOB_TIMEOUT deadline");
     }
     println!("paper reference: {paper_ref}");
 }

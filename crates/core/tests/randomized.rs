@@ -1,8 +1,7 @@
 //! Randomized tests for LLBP's data structures: pattern sets, the rolling
 //! context register, and the context tracking table.
 //!
-//! Offline port of the proptest suite in `extras/net-deps/tests/` — the same
-//! properties, driven by the in-repo deterministic PRNG so the default
+//! Property tests driven by the in-repo deterministic PRNG, so the
 //! workspace needs no registry access.
 
 use telemetry::SplitMix64;

@@ -4,8 +4,8 @@
 //! a lost SSH session used to discard all of it. With `LLBPX_CHECKPOINT`
 //! pointing at a journal file, [`crate::exec::run_matrix`] appends one JSON
 //! line per *completed* cell — keyed by a deterministic fingerprint of the
-//! predictor configuration (label + storage bits), the workload spec and
-//! the simulation budgets — and a re-run of the same matrix skips finished
+//! cell's index and name, the predictor (label + storage bits), the
+//! workload spec and the simulation budgets — and a re-run of the same matrix skips finished
 //! cells by restoring their [`RunResult`]s bit-identically from the
 //! journal instead of re-simulating them.
 //!
@@ -16,11 +16,6 @@
 //! simply never looked up, so one journal can even be shared across
 //! re-runs with evolving parameters — only still-identical cells are
 //! reused.
-//!
-//! Besides completed cells, the journal holds **quarantine** entries: a
-//! cell that exhausted `LLBPX_JOB_RETRIES` is recorded as quarantined, and
-//! a resume skips it with an explicit `quarantined` status instead of
-//! re-failing forever (see [`crate::supervise`]).
 //!
 //! What a checkpoint entry restores: every accuracy field, the second-level
 //! counter set (so figures that read [`llbpx::LlbpStats`] — prefetch
@@ -40,15 +35,17 @@ use llbpx::LlbpStats;
 use telemetry::{IntervalSample, Json};
 use workloads::WorkloadSpec;
 
-use crate::error::{JobError, SimError};
+use crate::error::SimError;
 use crate::runner::{RunResult, RunStatus, Simulation, TraceSource};
 
 /// Environment variable selecting the checkpoint journal path. Unset or
 /// empty disables checkpointing.
 pub const ENV_CHECKPOINT: &str = "LLBPX_CHECKPOINT";
 
-/// Journal line format version.
-const ENTRY_VERSION: i64 = 1;
+/// Journal line format version. Version 1 fingerprints left out the cell
+/// name, so equal-label cells of different configurations (e.g. the
+/// LLBP-X H_th and CTT sweeps) collided; its lines are never matched.
+const ENTRY_VERSION: i64 = 2;
 
 /// FNV-1a 64-bit hash.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -60,21 +57,28 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The deterministic identity of one matrix cell: job index, predictor
-/// configuration (label + storage budget), the full workload spec and the
-/// simulation budgets. Two cells share a fingerprint exactly when
-/// re-running them would produce bit-identical results.
+/// The deterministic identity of one matrix cell: job index, the cell's
+/// name (the design label its binary gives it), the predictor's own label
+/// and storage budget, the full workload spec and the simulation budgets.
+/// Two cells share a fingerprint exactly when re-running them would
+/// produce bit-identical results.
+///
+/// The cell name tells apart configurations that the predictor label and
+/// storage cannot: every `LlbpxConfig::with_h_th` variant is labelled
+/// "LLBP-X" and has the same storage.
 pub fn job_fingerprint(
     index: usize,
+    cell: &str,
     predictor: &str,
     storage_bits: u64,
     spec: &WorkloadSpec,
     sim: &Simulation,
 ) -> String {
     // The spec's `Debug` form covers every field, so any spec change
-    // (seed, mix, sizes) changes the fingerprint.
+    // (seed, mix, sizes) changes the fingerprint; `{cell:?}` quotes the
+    // name so a `|` inside it cannot shift the fields.
     let canonical = format!(
-        "v{ENTRY_VERSION}|{index}|{predictor}|{storage_bits}|{spec:?}|{}|{}",
+        "v{ENTRY_VERSION}|{index}|{cell:?}|{predictor}|{storage_bits}|{spec:?}|{}|{}",
         sim.warmup_instructions, sim.measure_instructions
     );
     format!("{:016x}", fnv1a64(canonical.as_bytes()))
@@ -89,54 +93,34 @@ pub struct RestoredCell {
     pub storage_bits: u64,
 }
 
-/// A quarantine entry loaded from the journal.
-#[derive(Debug, Clone)]
-pub struct QuarantinedCell {
-    /// The failure message that exhausted the retries.
-    pub error: String,
-    /// How many attempts the quarantining invocation made.
-    pub attempts: u32,
-}
-
-enum Entry {
-    Completed(Box<RestoredCell>),
-    Quarantined(QuarantinedCell),
-}
-
-/// An open checkpoint journal: previously completed and quarantined cells
-/// indexed by fingerprint, plus an append handle for new entries.
+/// An open checkpoint journal: previously completed cells indexed by
+/// fingerprint, plus an append handle for new entries.
 pub struct Checkpoint {
     path: PathBuf,
     entries: HashMap<String, RestoredCell>,
-    quarantined: HashMap<String, QuarantinedCell>,
     file: Mutex<File>,
 }
 
 impl Checkpoint {
     /// Opens (creating if needed) the journal at `path` and loads every
     /// parseable entry. An unparseable non-empty line — e.g. the partial
-    /// trailing line a SIGKILL can leave — is dropped with a warning on
-    /// stderr; only that line is lost (its cell re-runs), never the
-    /// journal.
+    /// trailing line a SIGKILL can leave, or a line of an older format
+    /// version — is dropped with a warning on stderr; only that line is
+    /// lost (its cell re-runs), never the journal.
     pub fn open(path: &Path) -> Result<Self, SimError> {
         let mut entries = HashMap::new();
-        let mut quarantined = HashMap::new();
         if let Ok(text) = std::fs::read_to_string(path) {
             for (number, line) in text.lines().enumerate() {
                 if line.trim().is_empty() {
                     continue;
                 }
                 match parse_line(line) {
-                    Some((fingerprint, Entry::Completed(cell))) => {
-                        let cell = *cell;
+                    Some((fingerprint, cell)) => {
                         entries.insert(fingerprint, cell);
-                    }
-                    Some((fingerprint, Entry::Quarantined(cell))) => {
-                        quarantined.insert(fingerprint, cell);
                     }
                     None => eprintln!(
                         "warning: checkpoint {}: dropping unparseable journal line {} \
-                         ({} bytes; truncated by a crash mid-write?)",
+                         ({} bytes; truncated by a crash mid-write, or an older format?)",
                         path.display(),
                         number + 1,
                         line.len(),
@@ -147,12 +131,7 @@ impl Checkpoint {
         let file = OpenOptions::new().create(true).append(true).open(path).map_err(|e| {
             SimError::Checkpoint { path: path.to_path_buf(), detail: e.to_string() }
         })?;
-        Ok(Checkpoint {
-            path: path.to_path_buf(),
-            entries,
-            quarantined,
-            file: Mutex::new(file),
-        })
+        Ok(Checkpoint { path: path.to_path_buf(), entries, file: Mutex::new(file) })
     }
 
     /// The journal resolved from [`ENV_CHECKPOINT`], or `None` when
@@ -187,43 +166,9 @@ impl Checkpoint {
         self.entries.is_empty()
     }
 
-    /// Quarantined cells loaded from the journal.
-    pub fn quarantined_len(&self) -> usize {
-        self.quarantined.len()
-    }
-
     /// The restored cell for `fingerprint`, if the journal has one.
     pub fn lookup(&self, fingerprint: &str) -> Option<RestoredCell> {
         self.entries.get(fingerprint).cloned()
-    }
-
-    /// The quarantine entry for `fingerprint`, if an earlier invocation
-    /// exhausted its retries on this cell. A completed entry wins over a
-    /// quarantine one (a later, healthier run may have finished the cell).
-    pub fn lookup_quarantined(&self, fingerprint: &str) -> Option<QuarantinedCell> {
-        if self.entries.contains_key(fingerprint) {
-            return None;
-        }
-        self.quarantined.get(fingerprint).cloned()
-    }
-
-    /// Journals one quarantined cell: `err` exhausted its retries, and
-    /// resumes of this journal should skip the cell instead of re-failing.
-    /// Write errors warn on stderr, like [`Checkpoint::record`].
-    pub fn record_quarantine(&self, fingerprint: &str, err: &JobError) {
-        let line = Json::obj()
-            .set("v", ENTRY_VERSION)
-            .set("quarantined", true)
-            .set("fingerprint", fingerprint)
-            .set("predictor", err.predictor.as_deref().unwrap_or(""))
-            .set("workload", err.workload.as_str())
-            .set("error", err.message.as_str())
-            .set("attempts", u64::from(err.attempts))
-            .to_string();
-        let mut file = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Err(e) = file.write_all(format!("{line}\n").as_bytes()) {
-            eprintln!("warning: checkpoint {}: write failed: {e}", self.path.display());
-        }
     }
 
     /// Journals one completed cell. Failed cells are never journaled (a
@@ -272,19 +217,12 @@ fn entry_to_json(fingerprint: &str, result: &RunResult, storage_bits: u64) -> Js
         .set("llbp", llbp)
 }
 
-fn parse_line(line: &str) -> Option<(String, Entry)> {
+fn parse_line(line: &str) -> Option<(String, RestoredCell)> {
     let j = Json::parse(line.trim()).ok()?;
     if j.get("v")?.as_i64()? != ENTRY_VERSION {
         return None;
     }
     let fingerprint = j.get("fingerprint")?.as_str()?.to_owned();
-    if j.get("quarantined") == Some(&Json::Bool(true)) {
-        let cell = QuarantinedCell {
-            error: j.get("error")?.as_str()?.to_owned(),
-            attempts: j.get("attempts").and_then(Json::as_i64).unwrap_or(0) as u32,
-        };
-        return Some((fingerprint, Entry::Quarantined(cell)));
-    }
     let u = |key: &str| j.get(key).and_then(Json::as_i64).map(|v| v as u64);
     let result = RunResult {
         name: j.get("predictor")?.as_str()?.to_owned(),
@@ -303,11 +241,9 @@ fn parse_line(line: &str) -> Option<(String, Entry)> {
             _ => TraceSource::Streamed,
         },
         resumed: true,
-        degraded: false,
-        attempts: 0,
     };
     let storage_bits = u("storage_bits")?;
-    Some((fingerprint, Entry::Completed(Box::new(RestoredCell { result, storage_bits }))))
+    Some((fingerprint, RestoredCell { result, storage_bits }))
 }
 
 fn parse_intervals(j: &Json) -> Option<Vec<IntervalSample>> {
@@ -422,23 +358,28 @@ mod tests {
     fn fingerprints_separate_cells_and_budgets() {
         let spec = WorkloadSpec::new("w", 1).with_request_types(64).with_handlers(8);
         let sim = Simulation { warmup_instructions: 10, measure_instructions: 20 };
-        let base = job_fingerprint(0, "LLBP", 123, &spec, &sim);
-        assert_eq!(base, job_fingerprint(0, "LLBP", 123, &spec, &sim), "deterministic");
-        assert_ne!(base, job_fingerprint(1, "LLBP", 123, &spec, &sim), "index");
-        assert_ne!(base, job_fingerprint(0, "LLBP-X", 123, &spec, &sim), "label");
-        assert_ne!(base, job_fingerprint(0, "LLBP", 124, &spec, &sim), "storage");
+        let base = job_fingerprint(0, "LLBP", "LLBP", 123, &spec, &sim);
+        assert_eq!(base, job_fingerprint(0, "LLBP", "LLBP", 123, &spec, &sim), "deterministic");
+        assert_ne!(base, job_fingerprint(1, "LLBP", "LLBP", 123, &spec, &sim), "index");
+        assert_ne!(base, job_fingerprint(0, "LLBP 2", "LLBP", 123, &spec, &sim), "cell name");
+        assert_ne!(base, job_fingerprint(0, "LLBP", "LLBP-X", 123, &spec, &sim), "label");
+        assert_ne!(base, job_fingerprint(0, "LLBP", "LLBP", 124, &spec, &sim), "storage");
         let other_spec = WorkloadSpec::new("w", 2).with_request_types(64).with_handlers(8);
-        assert_ne!(base, job_fingerprint(0, "LLBP", 123, &other_spec, &sim), "spec");
+        assert_ne!(base, job_fingerprint(0, "LLBP", "LLBP", 123, &other_spec, &sim), "spec");
         let other_sim = Simulation { warmup_instructions: 11, measure_instructions: 20 };
-        assert_ne!(base, job_fingerprint(0, "LLBP", 123, &spec, &other_sim), "budgets");
+        assert_ne!(base, job_fingerprint(0, "LLBP", "LLBP", 123, &spec, &other_sim), "budgets");
+        // A `|` in a cell name cannot move bytes between fields.
+        assert_ne!(
+            job_fingerprint(0, "a|b", "c", 1, &spec, &sim),
+            job_fingerprint(0, "a", "b|c", 1, &spec, &sim)
+        );
     }
 
     #[test]
     fn entries_round_trip_bit_identically() {
         let result = sample_result();
         let line = entry_to_json("00ff", &result, 4096).to_string();
-        let (fp, entry) = parse_line(&line).expect("parses");
-        let Entry::Completed(cell) = entry else { panic!("a completed entry") };
+        let (fp, cell) = parse_line(&line).expect("parses");
         assert_eq!(fp, "00ff");
         assert_eq!(cell.storage_bits, 4096);
         let r = &cell.result;
@@ -488,35 +429,6 @@ mod tests {
                 assert!(cp.lookup("bbbb").is_none());
             }
         }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn quarantine_entries_round_trip_and_yield_to_completions() {
-        use crate::error::{JobError, JobErrorKind};
-        let path = tmp("quarantine");
-        let _ = std::fs::remove_file(&path);
-        let err = JobError {
-            kind: JobErrorKind::TimedOut,
-            attempts: 3,
-            ..JobError::panic(1, "NodeApp", Some("LLBP".into()), None, "too slow".into())
-        };
-        {
-            let cp = Checkpoint::open(&path).unwrap();
-            cp.record_quarantine("qqqq", &err);
-        }
-        let cp = Checkpoint::open(&path).unwrap();
-        assert_eq!(cp.len(), 0, "quarantine entries are not completed cells");
-        assert_eq!(cp.quarantined_len(), 1);
-        let q = cp.lookup_quarantined("qqqq").expect("quarantine restores");
-        assert_eq!(q.error, "too slow");
-        assert_eq!(q.attempts, 3);
-        // A later, healthier invocation completes the cell: the completed
-        // entry wins and the quarantine is ignored.
-        cp.record("qqqq", &sample_result(), 9);
-        let cp = Checkpoint::open(&path).unwrap();
-        assert!(cp.lookup("qqqq").is_some());
-        assert!(cp.lookup_quarantined("qqqq").is_none());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,18 +1,17 @@
 //! Environment-variable parsing with warn-once fallback.
 //!
 //! Every tunable the simulator reads from the environment
-//! (`LLBPX_THREADS`, `LLBPX_TRACE_CACHE_MB`, the `REPRO_*` budgets, the
-//! supervision and chaos knobs, ...) follows the same contract: an unset
-//! variable silently uses the default, a set-but-unparsable value uses the
-//! default *and* warns on stderr — but only once per key per process,
+//! (`LLBPX_THREADS`, `LLBPX_TRACE_CACHE_MB`, `LLBPX_FAULT_CELL`,
+//! `LLBPX_JOB_TIMEOUT` and the `REPRO_*` budgets) follows the same
+//! contract: an unset variable silently uses the default, a
+//! set-but-unparsable value uses the default *and* warns on stderr — but only once per key per process,
 //! because binaries resolve some keys more than once (engine fan-out +
 //! record emission). This module is the single implementation of that
 //! contract.
 //!
 //! Knobs are declared as [`Knob`] statics next to the subsystem that owns
-//! them ([`crate::exec`], [`crate::supervise`], [`crate::chaos`],
-//! [`crate::runner`]), which keeps the key, the expected-value description
-//! and the parser in one place and makes the parsing testable without
+//! them ([`crate::exec`], [`crate::runner`]), which keeps the key, the
+//! expected-value description and the parser in one place and makes the parsing testable without
 //! mutating the process environment (see [`Knob::resolve`]).
 
 use std::collections::BTreeSet;
@@ -69,31 +68,6 @@ impl<T> Knob<T> {
     }
 }
 
-/// Parses `key` from the environment via `parse` (applied to the trimmed
-/// value; return `None` to reject), falling back to `default()` when the
-/// variable is unset or rejected. A rejected value warns once per key.
-///
-/// Closure-based variant of [`Knob`] for call sites whose parser needs to
-/// capture context.
-pub fn env_parse_or_warn<T>(
-    key: &str,
-    expected: &str,
-    fallback_desc: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-    default: impl FnOnce() -> T,
-) -> T {
-    match std::env::var(key) {
-        Ok(raw) => match parse(raw.trim()) {
-            Some(v) => v,
-            None => {
-                warn_once(key, &raw, expected, fallback_desc);
-                default()
-            }
-        },
-        Err(_) => default(),
-    }
-}
-
 fn warn_once(key: &str, raw: &str, expected: &str, fallback_desc: &str) {
     static WARNED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
     let mut warned = WARNED.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -113,14 +87,13 @@ mod tests {
 
     #[test]
     fn unset_keys_fall_back_silently() {
-        let v = env_parse_or_warn(
+        static NEVER_SET: Knob<u32> = Knob::new(
             "LLBPX_TEST_KEY_THAT_IS_NEVER_SET",
             "a number",
             "using 7",
-            |raw| raw.parse::<u32>().ok(),
-            || 7,
+            |raw| raw.parse().ok(),
         );
-        assert_eq!(v, 7);
+        assert_eq!(NEVER_SET.get(|| 7), 7);
     }
 
     #[test]
@@ -169,54 +142,23 @@ mod tests {
     /// and unset default.
     #[test]
     fn every_knob_parses_valid_rejects_invalid_and_defaults_unset() {
-        use crate::exec::{FaultSpec, InjectedFault};
-        use crate::{chaos, exec, runner, supervise};
+        use crate::{exec, runner};
 
         check(&exec::THREADS, "8", 8usize, "zero-ish", 3);
         check(&exec::THREADS, "1", 1usize, "0", 4);
         check(&exec::TRACE_CACHE_MB, "1024", 1024u64, "-5", 7);
+        check(&exec::FAULT_CELL, "3", Some(3usize), "x", None);
+        check(&exec::FAULT_CELL, " 0 ", Some(0usize), "2:stall", None);
         check(
-            &exec::FAULT_CELL,
-            "3",
-            Some(FaultSpec { cell: 3, kind: InjectedFault::Panic }),
-            "x",
-            None,
-        );
-        check(
-            &exec::FAULT_CELL,
-            "2:stall",
-            Some(FaultSpec { cell: 2, kind: InjectedFault::Stall }),
-            "2:bogus",
-            None,
-        );
-        check(
-            &exec::FAULT_CELL,
-            "0:slow",
-            Some(FaultSpec { cell: 0, kind: InjectedFault::Slow }),
-            ":panic",
-            None,
-        );
-        check(
-            &supervise::JOB_TIMEOUT,
+            &exec::JOB_TIMEOUT,
             "2.5",
             Some(Duration::from_secs_f64(2.5)),
             "fast",
             None,
         );
         // `0` is a *valid* value meaning "deadline off", not a parse error.
-        check(&supervise::JOB_TIMEOUT, "0", None, "-1", Some(Duration::from_secs(9)));
-        check(
-            &supervise::STALL_TIMEOUT,
-            "1.25",
-            Some(Duration::from_secs_f64(1.25)),
-            "nan",
-            None,
-        );
-        check(&supervise::STALL_TIMEOUT, "0", None, "inf", None);
-        check(&supervise::JOB_RETRIES, "3", 3u32, "-1", 0);
-        check(&chaos::CHAOS_SEED, "42", Some(42u64), "abc", None);
-        check(&chaos::CHAOS_RATE, "0.5", 0.5f64, "1.5", 0.25);
-        check(&chaos::CHAOS_RATE, "1", 1.0f64, "-0.1", 0.25);
+        check(&exec::JOB_TIMEOUT, "0", None, "-1", Some(Duration::from_secs(9)));
+        check(&exec::JOB_TIMEOUT, "0.001", Some(Duration::from_millis(1)), "nan", None);
         check(&runner::WARMUP, "1_000_000", 1_000_000u64, "ten", 5);
         check(&runner::MEASURE, "2_000_000", 2_000_000u64, "", 6);
     }

@@ -12,22 +12,15 @@ use std::path::PathBuf;
 
 use traces::TraceDefect;
 
-/// How an isolated matrix cell failed — the supervision layer maps each
-/// kind to its telemetry `status` and decides whether a retry makes sense.
+/// How an isolated matrix cell failed; each kind maps to its telemetry
+/// `status`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum JobErrorKind {
     /// The cell's worker panicked (in the factory or the run).
     #[default]
     Panic,
-    /// The attempt exceeded the `LLBPX_JOB_TIMEOUT` wall-clock deadline
-    /// and was cancelled by the watchdog.
+    /// The cell ran past its `LLBPX_JOB_TIMEOUT` wall-clock deadline.
     TimedOut,
-    /// The attempt made no heartbeat progress for `LLBPX_STALL_TIMEOUT`
-    /// and was cancelled by the watchdog.
-    Stalled,
-    /// The cell was quarantined in the checkpoint journal by an earlier
-    /// invocation that exhausted its retries; this invocation skipped it.
-    Quarantined,
 }
 
 impl JobErrorKind {
@@ -35,8 +28,7 @@ impl JobErrorKind {
     pub fn status(self) -> &'static str {
         match self {
             JobErrorKind::Panic => "failed",
-            JobErrorKind::TimedOut | JobErrorKind::Stalled => "timeout",
-            JobErrorKind::Quarantined => "quarantined",
+            JobErrorKind::TimedOut => "timeout",
         }
     }
 
@@ -45,8 +37,6 @@ impl JobErrorKind {
         match self {
             JobErrorKind::Panic => "failed",
             JobErrorKind::TimedOut => "timed out",
-            JobErrorKind::Stalled => "stalled",
-            JobErrorKind::Quarantined => "quarantined",
         }
     }
 }
@@ -60,35 +50,26 @@ pub struct JobError {
     pub workload: String,
     /// Predictor label, if the factory got far enough to produce one.
     pub predictor: Option<String>,
-    /// Deterministic job fingerprint (see [`crate::checkpoint`]), if the
-    /// cell got far enough to compute one.
-    pub fingerprint: Option<String>,
-    /// The captured panic message (or timeout/quarantine description).
+    /// The captured panic message (or the deadline description).
     pub message: String,
     /// How the cell failed.
     pub kind: JobErrorKind,
-    /// Attempts made at this cell in this invocation (0 when the cell
-    /// never ran, e.g. a quarantined cell that was skipped).
-    pub attempts: u32,
 }
 
 impl JobError {
-    /// A panic-kind error, the pre-supervision default.
+    /// A panic-kind error.
     pub fn panic(
         index: usize,
         workload: &str,
         predictor: Option<String>,
-        fingerprint: Option<String>,
         message: String,
     ) -> Self {
         JobError {
             index,
             workload: workload.to_owned(),
             predictor,
-            fingerprint,
             message,
             kind: JobErrorKind::Panic,
-            attempts: 1,
         }
     }
 }
@@ -103,11 +84,7 @@ impl fmt::Display for JobError {
             self.workload,
             self.kind.as_str(),
             self.message
-        )?;
-        if self.attempts >= 2 {
-            write!(f, " (after {} attempts)", self.attempts)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -195,7 +172,6 @@ mod tests {
             3,
             "NodeApp",
             Some("LLBP-X".into()),
-            Some("deadbeef".into()),
             "boom".into(),
         );
         let s = e.to_string();
@@ -207,19 +183,15 @@ mod tests {
     }
 
     #[test]
-    fn job_error_kinds_map_to_statuses_and_render_attempts() {
+    fn job_error_kinds_map_to_statuses() {
         assert_eq!(JobErrorKind::Panic.status(), "failed");
         assert_eq!(JobErrorKind::TimedOut.status(), "timeout");
-        assert_eq!(JobErrorKind::Stalled.status(), "timeout");
-        assert_eq!(JobErrorKind::Quarantined.status(), "quarantined");
         let e = JobError {
             kind: JobErrorKind::TimedOut,
-            attempts: 3,
-            ..JobError::panic(0, "w", None, None, "too slow".into())
+            ..JobError::panic(0, "w", None, "too slow".into())
         };
         let s = e.to_string();
-        assert!(s.contains("timed out"), "{s}");
-        assert!(s.contains("after 3 attempts"), "{s}");
+        assert!(s.contains("timed out: too slow"), "{s}");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The parallel experiment engine: fans a run matrix out over worker
-//! threads, shares materialized workload traces between runs, isolates and
-//! supervises per-cell failures, and journals completed cells to a
-//! checkpoint.
+//! threads, shares materialized workload traces between runs, isolates
+//! per-cell failures, and journals completed cells to a checkpoint.
 //!
 //! Every figure/table binary replays the paper's protocol as a *matrix* of
 //! `(predictor, workload)` cells. The cells are embarrassingly parallel and
@@ -13,32 +12,27 @@
 //!   back in job order, bit-identical to running them serially;
 //! * a lazily-filled shared trace cache ([`crate::cache::TraceCache`],
 //!   capped by `LLBPX_TRACE_CACHE_MB`) so every predictor on a workload
-//!   replays identical records read-only instead of re-synthesizing them,
-//!   with LRU eviction and graceful demotion to streaming under memory
-//!   pressure;
+//!   replays identical records read-only instead of re-synthesizing them;
 //! * [`run_matrix`] — the two combined.
 //!
-//! Robustness, on top of that:
+//! A cell is a pure function of (predictor config, workload seed,
+//! protocol): a real failure fails the same way every time, so there is no
+//! retrying. What the engine does instead:
 //!
-//! * **Job isolation** — each matrix cell runs under `catch_unwind`, so a
+//! * **Cell isolation** — each matrix cell runs under `catch_unwind`, so a
 //!   panicking cell becomes an `Err(`[`JobError`]`)` in the report instead
 //!   of aborting the whole sweep; every other cell still completes.
-//!   `LLBPX_FAULT_CELL=<index>[:panic|stall|slow]` deliberately breaks one
-//!   cell, to exercise these paths end-to-end.
-//! * **Supervision** — with `LLBPX_JOB_TIMEOUT` / `LLBPX_STALL_TIMEOUT`
-//!   set, a watchdog thread cancels hung cells cooperatively (the runner's
-//!   hot loop heartbeats and polls at a bounded stride), reporting them as
-//!   structured timeout errors instead of wedging the sweep; transient
-//!   failures retry up to `LLBPX_JOB_RETRIES` times on a deterministic
-//!   seeded backoff, and cells that exhaust retries are quarantined in the
-//!   checkpoint journal. See [`crate::supervise`].
+//!   `LLBPX_FAULT_CELL=<index>` deliberately panics one cell, to exercise
+//!   this path end-to-end.
 //! * **Checkpoint/resume** — with `LLBPX_CHECKPOINT=<path>` set, every
 //!   completed cell is journaled (keyed by a deterministic fingerprint of
-//!   predictor config, workload spec and budgets); re-running after a
+//!   cell name, predictor, workload spec and budgets); re-running after a
 //!   crash or kill restores journaled cells bit-identically and simulates
 //!   only the rest. See [`crate::checkpoint`].
-//! * **Chaos** — `LLBPX_CHAOS_SEED` turns on seeded fault injection across
-//!   all of the above. See [`crate::chaos`].
+//! * **Deadline** — with `LLBPX_JOB_TIMEOUT=<seconds>` set, each cell gets
+//!   a wall-clock deadline fixed when its worker starts it; the runner's
+//!   hot loop checks it every [`crate::runner::DEADLINE_STRIDE`] records
+//!   and a cell past it becomes a timeout error.
 //!
 //! Telemetry stays correct under concurrency because every per-run source
 //! is job-local: the scope profiler is thread-local and snapshotted around
@@ -56,18 +50,13 @@ use std::time::{Duration, Instant};
 use traces::{BranchRecord, SharedTrace};
 use workloads::{ServerWorkload, WorkloadSpec};
 
-pub use crate::cache::{TraceCacheStats, TraceLease};
+pub use crate::cache::TraceCacheStats;
 use crate::cache::TraceCache;
-use crate::chaos::{ChaosEvent, ChaosFault, ChaosPlan, ChaosReport};
 use crate::checkpoint::{self, Checkpoint};
 use crate::env::Knob;
 use crate::error::{panic_message, JobError, JobErrorKind, SimError};
 use crate::predictor::SimPredictor;
 use crate::runner::{RunResult, Simulation, TraceSource};
-use crate::supervise::{
-    retry_backoff, CancelReason, Cancelled, JobTicket, SuperviseConfig, Watchdog,
-    ENV_JOB_TIMEOUT, ENV_STALL_TIMEOUT,
-};
 
 /// Environment variable selecting the worker count (default: available
 /// parallelism).
@@ -78,49 +67,18 @@ pub const ENV_THREADS: &str = "LLBPX_THREADS";
 pub const ENV_TRACE_CACHE_MB: &str = "LLBPX_TRACE_CACHE_MB";
 
 /// Environment variable naming one zero-based matrix cell to deliberately
-/// break, for exercising the failure-isolation and supervision paths
-/// end-to-end (tests, `scripts/verify.sh`). `<index>` alone panics the
-/// cell; `<index>:panic|stall|slow` selects the failure mode — `stall`
-/// hangs without heartbeat progress (caught by `LLBPX_STALL_TIMEOUT`),
-/// `slow` keeps beating but never finishes (caught by
-/// `LLBPX_JOB_TIMEOUT`).
+/// panic, for exercising the failure-isolation path end-to-end (tests,
+/// `scripts/verify.sh`).
 pub const ENV_FAULT_CELL: &str = "LLBPX_FAULT_CELL";
+
+/// Environment variable: wall-clock deadline per cell, in seconds
+/// (fractional allowed; unset or `0` means no deadline).
+pub const ENV_JOB_TIMEOUT: &str = "LLBPX_JOB_TIMEOUT";
 
 /// Default trace-cache cap: 3 GiB covers the 14-preset matrix at the
 /// laptop-scale default budgets; paper-scale budgets overflow it and
 /// stream instead.
 pub const DEFAULT_TRACE_CACHE_MB: u64 = 3072;
-
-/// How an injected fault breaks its cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectedFault {
-    /// Panic inside the run.
-    Panic,
-    /// Hang with no heartbeat progress until the watchdog cancels it.
-    Stall,
-    /// Keep heartbeating but never finish, until the deadline cancels it.
-    Slow,
-}
-
-impl InjectedFault {
-    /// The `LLBPX_FAULT_CELL` kind suffix.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            InjectedFault::Panic => "panic",
-            InjectedFault::Stall => "stall",
-            InjectedFault::Slow => "slow",
-        }
-    }
-}
-
-/// One deliberately-broken matrix cell, from [`ENV_FAULT_CELL`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// Zero-based matrix cell to break.
-    pub cell: usize,
-    /// How to break it.
-    pub kind: InjectedFault,
-}
 
 fn parse_threads(raw: &str) -> Option<usize> {
     raw.parse::<usize>().ok().filter(|&n| n >= 1)
@@ -130,19 +88,16 @@ fn parse_cache_mb(raw: &str) -> Option<u64> {
     raw.parse::<u64>().ok()
 }
 
-fn parse_fault(raw: &str) -> Option<Option<FaultSpec>> {
-    let (cell, kind) = match raw.split_once(':') {
-        Some((cell, kind)) => (cell, kind),
-        None => (raw, "panic"),
-    };
-    let cell = cell.trim().parse::<usize>().ok()?;
-    let kind = match kind.trim() {
-        "panic" => InjectedFault::Panic,
-        "stall" => InjectedFault::Stall,
-        "slow" => InjectedFault::Slow,
-        _ => return None,
-    };
-    Some(Some(FaultSpec { cell, kind }))
+fn parse_fault_cell(raw: &str) -> Option<Option<usize>> {
+    raw.parse::<usize>().ok().map(Some)
+}
+
+fn parse_timeout(raw: &str) -> Option<Option<Duration>> {
+    let secs: f64 = raw.parse().ok()?;
+    if !secs.is_finite() || secs < 0.0 {
+        return None;
+    }
+    Some((secs > 0.0).then(|| Duration::from_secs_f64(secs)))
 }
 
 /// [`ENV_THREADS`] knob.
@@ -162,11 +117,19 @@ pub static TRACE_CACHE_MB: Knob<u64> = Knob::new(
 );
 
 /// [`ENV_FAULT_CELL`] knob.
-pub static FAULT_CELL: Knob<Option<FaultSpec>> = Knob::new(
+pub static FAULT_CELL: Knob<Option<usize>> = Knob::new(
     ENV_FAULT_CELL,
-    "a zero-based cell index with an optional :panic|:stall|:slow kind",
+    "a zero-based cell index",
     "ignoring it",
-    parse_fault,
+    parse_fault_cell,
+);
+
+/// [`ENV_JOB_TIMEOUT`] knob.
+pub static JOB_TIMEOUT: Knob<Option<Duration>> = Knob::new(
+    ENV_JOB_TIMEOUT,
+    "a non-negative number of seconds (0 disables the deadline)",
+    "leaving the deadline off",
+    parse_timeout,
 );
 
 /// The worker count: `LLBPX_THREADS` if set to a positive integer,
@@ -183,11 +146,6 @@ fn default_threads() -> usize {
 /// The trace-cache cap in bytes, from [`ENV_TRACE_CACHE_MB`].
 pub fn trace_cache_bytes_from_env() -> u64 {
     TRACE_CACHE_MB.get(|| DEFAULT_TRACE_CACHE_MB).saturating_mul(1024 * 1024)
-}
-
-/// The deliberately-broken cell from [`ENV_FAULT_CELL`], if any.
-pub fn fault_from_env() -> Option<FaultSpec> {
-    FAULT_CELL.get(|| None)
 }
 
 /// A boxed unit of work for [`run_jobs`].
@@ -272,7 +230,7 @@ pub fn try_materialize(
     let mut stream = ServerWorkload::try_new(spec)
         .map_err(|reason| SimError::InvalidSpec { workload: spec.name.clone(), reason })?;
     let hint = crate::cache::estimated_records(spec, instructions);
-    crate::cache::materialize_stream(&spec.name, &mut stream, instructions, cap_bytes, hint, None)
+    crate::cache::materialize_stream(&spec.name, &mut stream, instructions, cap_bytes, hint)
 }
 
 /// [`try_materialize`], panicking on invalid specs or corrupt streams.
@@ -284,26 +242,31 @@ pub fn materialize(
     try_materialize(spec, instructions, cap_bytes).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// One cell of a run matrix: a predictor factory plus the workload it runs
-/// on. The factory executes on the worker thread that claims the job, so
-/// predictors never cross threads; it is re-invoked on every retry
-/// (`LLBPX_JOB_RETRIES`), so each attempt starts from a fresh predictor.
+/// One cell of a run matrix: its name, a predictor factory and the
+/// workload it runs on. The factory executes once, on the worker thread
+/// that claims the job, so predictors never cross threads.
 pub struct MatrixJob<'a> {
+    /// The cell's name (the design label its binary gives it). It is part
+    /// of the checkpoint fingerprint, where it tells apart configurations
+    /// whose predictors share a label and storage size.
+    pub name: String,
     /// Builds the predictor (and may run arbitrary setup, e.g. oracle
     /// training) on the worker thread.
-    pub factory: Box<dyn Fn() -> Box<dyn SimPredictor> + Send + 'a>,
+    pub factory: Box<dyn FnOnce() -> Box<dyn SimPredictor> + Send + 'a>,
     /// The workload the predictor runs on. Jobs with equal specs share one
     /// materialized trace.
     pub spec: WorkloadSpec,
 }
 
 impl<'a> MatrixJob<'a> {
-    /// Creates a job from a factory and the workload spec it runs on.
+    /// Creates a job named `name` from a factory and the workload spec it
+    /// runs on.
     pub fn new(
-        factory: impl Fn() -> Box<dyn SimPredictor> + Send + 'a,
+        name: impl Into<String>,
+        factory: impl FnOnce() -> Box<dyn SimPredictor> + Send + 'a,
         spec: &WorkloadSpec,
     ) -> Self {
-        MatrixJob { factory: Box::new(factory), spec: spec.clone() }
+        MatrixJob { name: name.into(), factory: Box::new(factory), spec: spec.clone() }
     }
 }
 
@@ -320,17 +283,13 @@ pub struct MatrixOutput {
 /// bookkeeping for the coordinator's telemetry record.
 pub struct MatrixReport {
     /// Per-job outcomes, in the order the jobs were submitted. A cell that
-    /// panicked, timed out or was quarantined is an `Err` carrying the
-    /// structured error; every other cell completed normally.
+    /// panicked or timed out is an `Err` carrying the structured error;
+    /// every other cell completed normally.
     pub outputs: Vec<Result<MatrixOutput, JobError>>,
     /// Worker threads actually used.
     pub threads: usize,
     /// Shared-trace cache behavior.
     pub cache: TraceCacheStats,
-    /// The supervision configuration the matrix ran under.
-    pub supervise: SuperviseConfig,
-    /// Chaos attribution, when the matrix ran under a chaos plan.
-    pub chaos: Option<ChaosReport>,
 }
 
 impl MatrixReport {
@@ -339,41 +298,14 @@ impl MatrixReport {
         self.outputs.iter().filter_map(|o| o.as_ref().err())
     }
 
-    /// How many cells failed (panicked, timed out, or quarantined).
+    /// How many cells failed (panicked or timed out).
     pub fn failed_cells(&self) -> usize {
         self.failures().count()
     }
 
-    /// How many cells were cancelled by the watchdog.
+    /// How many cells ran past their deadline.
     pub fn timed_out_cells(&self) -> usize {
-        self.failures()
-            .filter(|e| matches!(e.kind, JobErrorKind::TimedOut | JobErrorKind::Stalled))
-            .count()
-    }
-
-    /// How many cells were skipped because the journal quarantines them.
-    pub fn quarantined_cells(&self) -> usize {
-        self.failures().filter(|e| e.kind == JobErrorKind::Quarantined).count()
-    }
-
-    /// How many cells needed more than one attempt (successful or not).
-    pub fn retried_cells(&self) -> usize {
-        self.outputs
-            .iter()
-            .filter(|o| match o {
-                Ok(out) => out.result.attempts >= 2,
-                Err(err) => err.attempts >= 2,
-            })
-            .count()
-    }
-
-    /// How many completed cells were demoted to streaming under memory
-    /// pressure.
-    pub fn degraded_cells(&self) -> usize {
-        self.outputs
-            .iter()
-            .filter(|o| matches!(o, Ok(out) if out.result.degraded))
-            .count()
+        self.failures().filter(|e| e.kind == JobErrorKind::TimedOut).count()
     }
 
     /// How many cells were restored from the checkpoint journal instead of
@@ -388,8 +320,8 @@ impl MatrixReport {
 
 /// Everything that shapes how a matrix executes, beyond the jobs
 /// themselves. [`EngineOptions::from_env`] reads the whole knob set;
-/// [`EngineOptions::basic`] is the bare engine (no checkpoint, no faults,
-/// no supervision) for tests and library callers.
+/// [`EngineOptions::basic`] is the bare engine (no checkpoint, no fault,
+/// no deadline) for tests and library callers.
 pub struct EngineOptions {
     /// Worker threads.
     pub threads: usize,
@@ -397,40 +329,30 @@ pub struct EngineOptions {
     pub cap_bytes: u64,
     /// Checkpoint journal, if any.
     pub checkpoint: Option<Arc<Checkpoint>>,
-    /// One deliberately-broken cell, if any ([`ENV_FAULT_CELL`]).
-    pub fault: Option<FaultSpec>,
-    /// Deadlines, stall detection and retries.
-    pub supervise: SuperviseConfig,
-    /// Seeded chaos injection, if any.
-    pub chaos: Option<Arc<ChaosPlan>>,
+    /// One cell to deliberately panic, if any ([`ENV_FAULT_CELL`]).
+    pub fault_cell: Option<usize>,
+    /// Wall-clock time each cell may take, if limited
+    /// ([`ENV_JOB_TIMEOUT`]).
+    pub job_timeout: Option<Duration>,
 }
 
 impl EngineOptions {
     /// The bare engine: explicit threads and cache cap, everything else
     /// off.
     pub fn basic(threads: usize, cap_bytes: u64) -> Self {
-        EngineOptions {
-            threads,
-            cap_bytes,
-            checkpoint: None,
-            fault: None,
-            supervise: SuperviseConfig::default(),
-            chaos: None,
-        }
+        EngineOptions { threads, cap_bytes, checkpoint: None, fault_cell: None, job_timeout: None }
     }
 
     /// The full environment-driven configuration: `LLBPX_THREADS`,
-    /// `LLBPX_TRACE_CACHE_MB`, `LLBPX_CHECKPOINT`, `LLBPX_FAULT_CELL`,
-    /// `LLBPX_JOB_TIMEOUT` / `LLBPX_STALL_TIMEOUT` / `LLBPX_JOB_RETRIES`,
-    /// and `LLBPX_CHAOS_SEED` / `LLBPX_CHAOS_RATE`.
+    /// `LLBPX_TRACE_CACHE_MB`, `LLBPX_CHECKPOINT`, `LLBPX_FAULT_CELL` and
+    /// `LLBPX_JOB_TIMEOUT`.
     pub fn from_env() -> Self {
         EngineOptions {
             threads: threads_from_env(),
             cap_bytes: trace_cache_bytes_from_env(),
             checkpoint: Checkpoint::from_env().map(Arc::new),
-            fault: fault_from_env(),
-            supervise: SuperviseConfig::from_env(),
-            chaos: ChaosPlan::from_env().map(Arc::new),
+            fault_cell: FAULT_CELL.get(|| None),
+            job_timeout: JOB_TIMEOUT.get(|| None),
         }
     }
 }
@@ -442,7 +364,7 @@ pub fn run_matrix(sim: &Simulation, jobs: Vec<MatrixJob<'_>>) -> MatrixReport {
 }
 
 /// Runs a matrix with explicit thread count and cache cap, no checkpoint,
-/// no fault injection and no supervision. See [`run_matrix_opts`].
+/// no fault injection and no deadline. See [`run_matrix_opts`].
 pub fn run_matrix_with(
     sim: &Simulation,
     jobs: Vec<MatrixJob<'_>>,
@@ -452,328 +374,66 @@ pub fn run_matrix_with(
     run_matrix_opts(sim, jobs, EngineOptions::basic(threads, cap_bytes))
 }
 
-/// A stall or slow fault that nothing would ever cancel must not hang the
-/// sweep; after this long it panics instead (which the cell isolation
-/// catches).
-const INJECTED_FAULT_FAILSAFE: Duration = Duration::from_secs(120);
-
-/// What one attempt at one cell has injected into it.
-#[derive(Debug, Clone, Copy, Default)]
-struct AttemptFaults {
-    /// Break the run itself (panic / stall / slow).
-    delay: Option<InjectedFault>,
-    /// Pretend the checkpoint write failed for this cell.
-    drop_checkpoint: bool,
-    /// Force this cell off the trace cache onto degraded streaming.
-    cache_pressure: bool,
-}
-
-/// Shared per-matrix context the cell runner needs.
-struct MatrixContext<'e> {
-    sim: Simulation,
-    checkpoint: Option<Arc<Checkpoint>>,
-    fault: Option<FaultSpec>,
-    chaos: Option<Arc<ChaosPlan>>,
-    supervise: SuperviseConfig,
-    cache: &'e TraceCache,
-    watchdog: Option<&'e Watchdog>,
-}
-
-impl MatrixContext<'_> {
-    /// Resolves the faults injected into `(index, attempt)` — from the
-    /// explicit `LLBPX_FAULT_CELL` (which hits every attempt, so retries
-    /// of it exhaust deterministically) or the chaos plan — and records
-    /// chaos attribution. Stall/slow faults that no configured watchdog
-    /// could ever cancel are downgraded to panics so they cannot hang the
-    /// sweep.
-    fn faults_for(&self, index: usize, attempt: u32, workload: &str) -> AttemptFaults {
-        let mut faults = AttemptFaults::default();
-        if let Some(fault) = self.fault {
-            if fault.cell == index {
-                faults.delay = Some(self.downgrade(fault.kind));
-                return faults;
-            }
-        }
-        let Some(chaos) = self.chaos.as_deref() else { return faults };
-        let Some(injected) = chaos.cell_fault(index, attempt) else { return faults };
-        let mut outcome = "injected";
-        match injected {
-            ChaosFault::Panic => faults.delay = Some(InjectedFault::Panic),
-            ChaosFault::Stall => {
-                faults.delay = Some(self.downgrade(InjectedFault::Stall));
-                if faults.delay == Some(InjectedFault::Panic) {
-                    outcome = "downgraded-to-panic";
-                }
-            }
-            ChaosFault::Slow => {
-                faults.delay = Some(self.downgrade(InjectedFault::Slow));
-                if faults.delay == Some(InjectedFault::Panic) {
-                    outcome = "downgraded-to-panic";
-                }
-            }
-            ChaosFault::CheckpointDrop => {
-                faults.drop_checkpoint = true;
-                if self.checkpoint.is_none() {
-                    outcome = "no-checkpoint";
-                }
-            }
-            ChaosFault::CachePressure => faults.cache_pressure = true,
-        }
-        chaos.record(ChaosEvent {
-            cell: Some(index),
-            attempt,
-            workload: workload.to_owned(),
-            kind: injected.label().to_owned(),
-            outcome: outcome.to_owned(),
-        });
-        faults
-    }
-
-    /// A stall needs *some* watchdog window; a slow fault specifically
-    /// needs the wall-clock deadline (its heartbeat keeps the stall
-    /// detector quiet). Without one, inject a panic instead.
-    fn downgrade(&self, kind: InjectedFault) -> InjectedFault {
-        match kind {
-            InjectedFault::Stall if !self.supervise.watched() => InjectedFault::Panic,
-            InjectedFault::Slow if self.supervise.job_timeout.is_none() => {
-                InjectedFault::Panic
-            }
-            kind => kind,
-        }
-    }
-
-    /// Renders a watchdog cancellation as the cell's error message.
-    fn cancel_message(&self, cancelled: Cancelled) -> String {
-        match cancelled.reason {
-            CancelReason::DeadlineExceeded => format!(
-                "cancelled by the watchdog: exceeded the {:.3}s wall-clock deadline \
-                 ({ENV_JOB_TIMEOUT}) after {} simulated instructions",
-                self.supervise.job_timeout.unwrap_or_default().as_secs_f64(),
-                cancelled.instructions,
-            ),
-            CancelReason::Stalled => format!(
-                "cancelled by the watchdog: no heartbeat progress for {:.3}s \
-                 ({ENV_STALL_TIMEOUT}) after {} simulated instructions",
-                self.supervise.stall_timeout.unwrap_or_default().as_secs_f64(),
-                cancelled.instructions,
-            ),
-        }
-    }
-}
-
-/// Parks without heartbeat progress until the watchdog cancels the ticket.
-fn stall_until_cancelled(ticket: &JobTicket) -> Cancelled {
-    let started = Instant::now();
-    loop {
-        if let Some(reason) = ticket.cancelled() {
-            return Cancelled { reason, instructions: 0 };
-        }
-        if started.elapsed() > INJECTED_FAULT_FAILSAFE {
-            panic!("injected stall was never cancelled; is a watchdog configured?");
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// Keeps heartbeating (so the stall detector stays quiet) but never
-/// finishes, until the wall-clock deadline cancels the ticket.
-fn crawl_until_cancelled(ticket: &JobTicket) -> Cancelled {
-    let started = Instant::now();
-    loop {
-        ticket.bump();
-        if let Some(reason) = ticket.cancelled() {
-            return Cancelled { reason, instructions: 0 };
-        }
-        if started.elapsed() > INJECTED_FAULT_FAILSAFE {
-            panic!("injected slow cell was never cancelled; is a deadline configured?");
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// One attempt at one cell: build the predictor, consult the journal,
-/// claim the trace, run under `catch_unwind` and supervision, journal the
-/// completion.
-fn run_cell_once(
-    ctx: &MatrixContext<'_>,
+/// One cell: fix its deadline, build the predictor, consult the journal,
+/// claim the trace, run under `catch_unwind`, journal the completion.
+fn run_cell(
+    sim: &Simulation,
+    opts: &EngineOptions,
+    cache: &TraceCache,
     index: usize,
-    factory: &(dyn Fn() -> Box<dyn SimPredictor> + Send),
-    spec: &WorkloadSpec,
+    job: MatrixJob<'_>,
     sharers: usize,
-    attempt: u32,
 ) -> Result<MatrixOutput, JobError> {
-    let mut predictor = match std::panic::catch_unwind(AssertUnwindSafe(factory)) {
-        Ok(predictor) => predictor,
-        Err(payload) => {
-            return Err(JobError::panic(
-                index,
-                &spec.name,
-                None,
-                None,
-                panic_message(payload),
-            ))
-        }
-    };
+    let deadline = opts.job_timeout.map(|timeout| Instant::now() + timeout);
+    let MatrixJob { name: cell, factory, spec } = job;
+    let mut predictor = std::panic::catch_unwind(AssertUnwindSafe(factory))
+        .map_err(|payload| JobError::panic(index, &spec.name, None, panic_message(payload)))?;
     let name = predictor.name();
     let storage_bits = predictor.storage_bits();
-    let fingerprint =
-        checkpoint::job_fingerprint(index, &name, storage_bits, spec, &ctx.sim);
-    if let Some(cell) = ctx.checkpoint.as_deref().and_then(|cp| cp.lookup(&fingerprint)) {
-        return Ok(MatrixOutput { result: cell.result, storage_bits: cell.storage_bits });
-    }
-    if let Some(q) =
-        ctx.checkpoint.as_deref().and_then(|cp| cp.lookup_quarantined(&fingerprint))
-    {
-        return Err(JobError {
-            index,
-            workload: spec.name.clone(),
-            predictor: Some(name),
-            fingerprint: Some(fingerprint),
-            message: format!(
-                "quarantined by an earlier invocation after {} attempts: {}",
-                q.attempts, q.error
-            ),
-            kind: JobErrorKind::Quarantined,
-            attempts: 0,
-        });
+    let fingerprint = checkpoint::job_fingerprint(index, &cell, &name, storage_bits, &spec, sim);
+    if let Some(restored) = opts.checkpoint.as_deref().and_then(|cp| cp.lookup(&fingerprint)) {
+        return Ok(MatrixOutput { result: restored.result, storage_bits: restored.storage_bits });
     }
 
-    // Resolved only after the journal lookups: a restored or quarantined
-    // cell never ran, so it takes (and attributes) no injection.
-    let faults = ctx.faults_for(index, attempt, &spec.name);
-    let ticket = Arc::new(JobTicket::new(index));
-    let _guard = ctx.watchdog.map(|w| w.watch(Arc::clone(&ticket)));
-    let run = std::panic::catch_unwind(AssertUnwindSafe(
-        || -> Result<RunResult, Cancelled> {
-            match faults.delay {
-                Some(InjectedFault::Panic) => panic!(
-                    "deliberate fault injected into cell {index} \
-                     (see {ENV_FAULT_CELL} / chaos)"
-                ),
-                Some(InjectedFault::Stall) => return Err(stall_until_cancelled(&ticket)),
-                Some(InjectedFault::Slow) => return Err(crawl_until_cancelled(&ticket)),
-                None => {}
+    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if opts.fault_cell == Some(index) {
+            panic!("deliberate fault injected into cell {index} (see {ENV_FAULT_CELL})");
+        }
+        match cache.acquire(&spec, sharers) {
+            Some(records) => {
+                let mut replay = SharedTrace::new(records);
+                sim.run_stream_until(predictor.as_mut(), &mut replay, &spec.name, deadline)
+                    .map(|result| RunResult { trace_source: TraceSource::Materialized, ..result })
             }
-            let lease = if faults.cache_pressure {
-                TraceLease::Streamed { degraded: true }
-            } else {
-                ctx.cache.acquire(spec, sharers, &ticket)
-            };
-            if let Some(reason) = ticket.cancelled() {
-                return Err(Cancelled { reason, instructions: 0 });
+            None => {
+                let mut stream = ServerWorkload::try_new(&spec).unwrap_or_else(|reason| {
+                    panic!("{}", SimError::InvalidSpec { workload: spec.name.clone(), reason })
+                });
+                sim.run_stream_until(predictor.as_mut(), &mut stream, &spec.name, deadline)
+                    .map(|result| RunResult { trace_source: TraceSource::Streamed, ..result })
             }
-            match lease {
-                TraceLease::Materialized(records) => {
-                    let mut replay = SharedTrace::new(records);
-                    let mut result = ctx.sim.run_stream_watched(
-                        predictor.as_mut(),
-                        &mut replay,
-                        &spec.name,
-                        &ticket,
-                    )?;
-                    result.trace_source = TraceSource::Materialized;
-                    Ok(result)
-                }
-                TraceLease::Streamed { degraded } => {
-                    let mut stream = ServerWorkload::try_new(spec).unwrap_or_else(
-                        |reason| {
-                            panic!(
-                                "{}",
-                                SimError::InvalidSpec {
-                                    workload: spec.name.clone(),
-                                    reason
-                                }
-                            )
-                        },
-                    );
-                    let mut result = ctx.sim.run_stream_watched(
-                        predictor.as_mut(),
-                        &mut stream,
-                        &spec.name,
-                        &ticket,
-                    )?;
-                    result.trace_source = TraceSource::Streamed;
-                    result.degraded = degraded;
-                    Ok(result)
-                }
-            }
-        },
-    ));
+        }
+    }));
     match run {
         Ok(Ok(result)) => {
-            if let Some(cp) = ctx.checkpoint.as_deref() {
-                if !faults.drop_checkpoint {
-                    cp.record(&fingerprint, &result, storage_bits);
-                }
+            if let Some(cp) = opts.checkpoint.as_deref() {
+                cp.record(&fingerprint, &result, storage_bits);
             }
             Ok(MatrixOutput { result, storage_bits })
         }
-        Ok(Err(cancelled)) => Err(JobError {
+        Ok(Err(exceeded)) => Err(JobError {
             index,
             workload: spec.name.clone(),
             predictor: Some(name),
-            fingerprint: Some(fingerprint),
-            message: ctx.cancel_message(cancelled),
-            kind: match cancelled.reason {
-                CancelReason::DeadlineExceeded => JobErrorKind::TimedOut,
-                CancelReason::Stalled => JobErrorKind::Stalled,
-            },
-            attempts: 1,
+            message: format!(
+                "exceeded the {:.3}s wall-clock deadline ({ENV_JOB_TIMEOUT}) after {} \
+                 simulated instructions",
+                opts.job_timeout.unwrap_or_default().as_secs_f64(),
+                exceeded.instructions,
+            ),
+            kind: JobErrorKind::TimedOut,
         }),
-        Err(payload) => Err(JobError::panic(
-            index,
-            &spec.name,
-            Some(name),
-            Some(fingerprint),
-            panic_message(payload),
-        )),
-    }
-}
-
-/// The per-cell retry loop around [`run_cell_once`]: transient failures
-/// (panics, timeouts) retry up to `LLBPX_JOB_RETRIES` times on the
-/// deterministic backoff schedule; a cell that exhausts its retries is
-/// quarantined in the journal (when both retries and a checkpoint are
-/// configured) so resumes skip it.
-fn run_cell_supervised(
-    ctx: &MatrixContext<'_>,
-    index: usize,
-    factory: &(dyn Fn() -> Box<dyn SimPredictor> + Send),
-    spec: &WorkloadSpec,
-    sharers: usize,
-) -> Result<MatrixOutput, JobError> {
-    let retries = ctx.supervise.retries;
-    let backoff_seed =
-        ctx.chaos.as_deref().map_or(0x5EED_0BAC_C0FFu64, ChaosPlan::seed);
-    let mut attempt = 0u32;
-    loop {
-        match run_cell_once(ctx, index, factory, spec, sharers, attempt) {
-            Ok(mut out) => {
-                if !out.result.resumed {
-                    out.result.attempts = attempt + 1;
-                }
-                return Ok(out);
-            }
-            Err(mut err) => {
-                if err.kind == JobErrorKind::Quarantined {
-                    return Err(err);
-                }
-                err.attempts = attempt + 1;
-                if attempt < retries {
-                    std::thread::sleep(retry_backoff(backoff_seed, index, attempt));
-                    attempt += 1;
-                    continue;
-                }
-                if retries > 0 {
-                    if let (Some(cp), Some(fp)) =
-                        (ctx.checkpoint.as_deref(), err.fingerprint.as_deref())
-                    {
-                        cp.record_quarantine(fp, &err);
-                    }
-                }
-                return Err(err);
-            }
-        }
+        Err(payload) => Err(JobError::panic(index, &spec.name, Some(name), panic_message(payload))),
     }
 }
 
@@ -783,71 +443,46 @@ fn run_cell_supervised(
 /// serially via [`Simulation::run`].
 ///
 /// Each distinct spec shared by two or more jobs is materialized lazily
-/// into the shared trace cache (within `opts.cap_bytes` across all specs,
-/// with LRU eviction and graceful demotion to degraded streaming — see
-/// [`crate::cache::TraceCache`]) and replayed read-only by every job on
-/// that workload; single-job specs stream from the generator exactly as
-/// the serial path does. Both paths produce the same records in the same
+/// into the shared trace cache (within `opts.cap_bytes` across all specs;
+/// see [`crate::cache::TraceCache`]) and replayed read-only by every job
+/// on that workload; the rest stream from the generator exactly as the
+/// serial path does. Both paths produce the same records in the same
 /// order, so accuracy never depends on which one ran — the one that did is
-/// attributed per run in [`RunResult::trace_source`] and
-/// [`RunResult::degraded`].
+/// attributed per run in [`RunResult::trace_source`].
 ///
-/// Each cell runs under `catch_unwind` and (when configured) the
-/// watchdog/retry supervision of [`crate::supervise`]; failures of any
-/// kind yield `Err(JobError)` for that cell and every other cell still
-/// completes. With a checkpoint, completed cells are journaled under their
-/// deterministic fingerprint and cells already in the journal are restored
-/// (marked `resumed`) or skipped (`quarantined`) instead of simulated.
+/// Each cell runs under `catch_unwind` and, with `opts.job_timeout`, a
+/// wall-clock deadline; a failure of either kind yields `Err(JobError)`
+/// for that cell and every other cell still completes. With a checkpoint,
+/// completed cells are journaled under their deterministic fingerprint and
+/// cells already in the journal are restored (marked `resumed`) instead of
+/// simulated.
 pub fn run_matrix_opts(
     sim: &Simulation,
     jobs: Vec<MatrixJob<'_>>,
     opts: EngineOptions,
 ) -> MatrixReport {
     let budget = sim.warmup_instructions.saturating_add(sim.measure_instructions);
-    let cache = TraceCache::new(opts.cap_bytes, budget, opts.chaos.clone());
-    let watchdog = opts.supervise.watched().then(|| Watchdog::spawn(opts.supervise));
+    let cache = TraceCache::new(opts.cap_bytes, budget);
     let sharers: Vec<usize> = jobs
         .iter()
         .map(|job| jobs.iter().filter(|j| j.spec == job.spec).count())
         .collect();
 
     let n = jobs.len();
-    let ctx = MatrixContext {
-        sim: *sim,
-        checkpoint: opts.checkpoint.clone(),
-        fault: opts.fault,
-        chaos: opts.chaos.clone(),
-        supervise: opts.supervise,
-        cache: &cache,
-        watchdog: watchdog.as_ref(),
-    };
+    let (opts, cache) = (&opts, &cache);
     let boxed: Vec<BoxedJob<'_, Result<MatrixOutput, JobError>>> = jobs
         .into_iter()
-        .zip(&sharers)
+        .zip(sharers)
         .enumerate()
-        .map(|(index, (job, &sharers))| {
-            let ctx = &ctx;
-            let MatrixJob { factory, spec } = job;
-            Box::new(move || {
-                run_cell_supervised(ctx, index, factory.as_ref(), &spec, sharers)
-            }) as BoxedJob<'_, Result<MatrixOutput, JobError>>
+        .map(|(index, (job, sharers))| {
+            Box::new(move || run_cell(sim, opts, cache, index, job, sharers))
+                as BoxedJob<'_, Result<MatrixOutput, JobError>>
         })
         .collect();
 
     let used_threads = opts.threads.max(1).min(n.max(1));
     let outputs = run_jobs_with(opts.threads, boxed);
-    let chaos = opts.chaos.as_deref().map(|plan| ChaosReport {
-        seed: plan.seed(),
-        rate: plan.rate(),
-        events: plan.take_events(),
-    });
-    MatrixReport {
-        outputs,
-        threads: used_threads,
-        cache: cache.stats(),
-        supervise: opts.supervise,
-        chaos,
-    }
+    MatrixReport { outputs, threads: used_threads, cache: cache.stats() }
 }
 
 #[cfg(test)]
@@ -874,9 +509,9 @@ mod tests {
         threads: usize,
         cap: u64,
         checkpoint: Option<Arc<Checkpoint>>,
-        fault: Option<FaultSpec>,
+        fault_cell: Option<usize>,
     ) -> EngineOptions {
-        EngineOptions { checkpoint, fault, ..EngineOptions::basic(threads, cap) }
+        EngineOptions { checkpoint, fault_cell, ..EngineOptions::basic(threads, cap) }
     }
 
     #[test]
@@ -934,25 +569,11 @@ mod tests {
     }
 
     #[test]
-    fn fault_specs_parse_every_kind_and_reject_garbage() {
-        assert_eq!(
-            parse_fault("3"),
-            Some(Some(FaultSpec { cell: 3, kind: InjectedFault::Panic }))
-        );
-        assert_eq!(
-            parse_fault("2:stall"),
-            Some(Some(FaultSpec { cell: 2, kind: InjectedFault::Stall }))
-        );
-        assert_eq!(
-            parse_fault("0:slow"),
-            Some(Some(FaultSpec { cell: 0, kind: InjectedFault::Slow }))
-        );
-        assert_eq!(
-            parse_fault("1:panic"),
-            Some(Some(FaultSpec { cell: 1, kind: InjectedFault::Panic }))
-        );
-        for bad in ["", "x", "-1", "2:bogus", ":stall", "stall:2"] {
-            assert_eq!(parse_fault(bad), None, "{bad:?} must be rejected");
+    fn fault_cells_parse_an_index_and_reject_garbage() {
+        assert_eq!(parse_fault_cell("3"), Some(Some(3)));
+        assert_eq!(parse_fault_cell("0"), Some(Some(0)));
+        for bad in ["", "x", "-1", "1:panic", "2:stall", "0:slow", ":stall"] {
+            assert_eq!(parse_fault_cell(bad), None, "{bad:?} must be rejected");
         }
     }
 
@@ -960,10 +581,12 @@ mod tests {
         let mut jobs = Vec::new();
         for spec in specs {
             jobs.push(MatrixJob::new(
+                "64K TSL",
                 || Box::new(TageScl::new(TslConfig::kilobytes(64))) as Box<dyn SimPredictor>,
                 spec,
             ));
             jobs.push(MatrixJob::new(
+                "LLBP",
                 || Box::new(Llbp::new(LlbpConfig::paper_baseline())) as Box<dyn SimPredictor>,
                 spec,
             ));
@@ -1013,8 +636,6 @@ mod tests {
                     };
                     assert_eq!(parallel.result.trace_source, expected);
                     assert!(!parallel.result.resumed);
-                    assert!(!parallel.result.degraded, "no memory pressure here");
-                    assert_eq!(parallel.result.attempts, 1);
                 }
                 if cap == u64::MAX {
                     assert_eq!(report.cache.specs_cached, 2);
@@ -1022,8 +643,6 @@ mod tests {
                     assert_eq!(report.cache.specs_cached, 0);
                     assert_eq!(report.cache.specs_streamed, 2);
                 }
-                assert_eq!(report.retried_cells(), 0);
-                assert!(report.chaos.is_none());
             }
         }
     }
@@ -1034,10 +653,12 @@ mod tests {
         let spec = tiny_spec("prof", 5);
         let jobs = vec![
             MatrixJob::new(
+                "LLBP a",
                 || Box::new(Llbp::new(LlbpConfig::paper_baseline())) as Box<dyn SimPredictor>,
                 &spec,
             ),
             MatrixJob::new(
+                "LLBP b",
                 || Box::new(Llbp::new(LlbpConfig::paper_baseline())) as Box<dyn SimPredictor>,
                 &spec,
             ),
@@ -1062,14 +683,13 @@ mod tests {
         for threads in [1usize, 4] {
             let jobs = vec![
                 MatrixJob::new(
+                    "ok a",
                     || Box::new(TageScl::new(TslConfig::kilobytes(64))) as Box<dyn SimPredictor>,
                     &spec,
                 ),
+                MatrixJob::new("boom", || panic!("factory exploded on purpose"), &spec),
                 MatrixJob::new(
-                    || panic!("factory exploded on purpose"),
-                    &spec,
-                ),
-                MatrixJob::new(
+                    "ok b",
                     || Box::new(TageScl::new(TslConfig::kilobytes(64))) as Box<dyn SimPredictor>,
                     &spec,
                 ),
@@ -1094,17 +714,15 @@ mod tests {
     fn fault_injection_fails_exactly_the_chosen_cell() {
         let sim = tiny_sim();
         let specs = [tiny_spec("fault", 13)];
-        let fault = FaultSpec { cell: 1, kind: InjectedFault::Panic };
         let report = run_matrix_opts(
             &sim,
             standard_jobs(&specs),
-            with_fault(2, u64::MAX, None, Some(fault)),
+            with_fault(2, u64::MAX, None, Some(1)),
         );
         assert_eq!(report.failed_cells(), 1);
         let err = report.outputs[1].as_ref().expect_err("cell 1 is the fault cell");
         assert!(err.message.contains(ENV_FAULT_CELL), "{}", err.message);
         assert_eq!(err.predictor.as_deref(), Some("LLBP"), "run-stage failures carry the label");
-        assert!(err.fingerprint.is_some());
         assert!(report.outputs[0].is_ok());
     }
 
@@ -1114,7 +732,6 @@ mod tests {
         let specs = [tiny_spec("ckpt", 17)];
         let path = tmp("resume");
         let _ = std::fs::remove_file(&path);
-        let fault = FaultSpec { cell: 1, kind: InjectedFault::Panic };
 
         let clean = run_matrix_with(&sim, standard_jobs(&specs), 2, u64::MAX);
 
@@ -1123,7 +740,7 @@ mod tests {
         let first = run_matrix_opts(
             &sim,
             standard_jobs(&specs),
-            with_fault(2, u64::MAX, Some(cp), Some(fault)),
+            with_fault(2, u64::MAX, Some(cp), Some(1)),
         );
         assert_eq!(first.failed_cells(), 1);
         assert_eq!(first.resumed_cells(), 0);
@@ -1179,179 +796,84 @@ mod tests {
     }
 
     #[test]
+    fn cells_with_equal_labels_and_storage_never_restore_each_other() {
+        use llbpx::LlbpxConfig;
+        let sim = tiny_sim();
+        let spec = tiny_spec("sweep", 47);
+        let path = tmp("sweeps");
+        let _ = std::fs::remove_file(&path);
+        // Two sweeps sharing one journal, like sensitivity's H_th and CTT
+        // matrices: each cell 0 is an "LLBP-X" of equal storage, but a
+        // different configuration.
+        let sweep = |h_th: usize| {
+            let cfg = LlbpxConfig::paper_baseline().with_h_th(h_th);
+            let cp = Arc::new(Checkpoint::open(&path).expect("journal opens"));
+            let job = MatrixJob::new(
+                format!("LLBP-X H_th={h_th}"),
+                move || Box::new(Llbp::new_x(cfg)) as Box<dyn SimPredictor>,
+                &spec,
+            );
+            run_matrix_opts(&sim, vec![job], with_fault(1, u64::MAX, Some(cp), None))
+        };
+        let first = sweep(112);
+        let second = sweep(522);
+        let _ = std::fs::remove_file(&path);
+        let (a, b) = (first.outputs[0].as_ref(), second.outputs[0].as_ref());
+        let (a, b) = (a.expect("completes"), b.expect("completes"));
+        assert_eq!((a.result.name.as_str(), b.result.name.as_str()), ("LLBP-X", "LLBP-X"));
+        assert_eq!(a.storage_bits, b.storage_bits, "the collision needs equal storage");
+        assert_eq!(second.resumed_cells(), 0, "a different H_th must not restore");
+    }
+
+    #[test]
     fn stalled_cell_is_cancelled_and_reported_as_a_timeout() {
         let sim = tiny_sim();
-        let specs = [tiny_spec("stall", 19)];
-        let supervise = SuperviseConfig {
-            job_timeout: Some(Duration::from_secs(30)),
-            stall_timeout: Some(Duration::from_millis(250)),
-            retries: 0,
-        };
-        let opts = EngineOptions {
-            fault: Some(FaultSpec { cell: 1, kind: InjectedFault::Stall }),
-            supervise,
-            ..EngineOptions::basic(2, u64::MAX)
-        };
-        let started = Instant::now();
-        let report = run_matrix_opts(&sim, standard_jobs(&specs), opts);
-        assert!(
-            started.elapsed() < Duration::from_secs(20),
-            "the stall must be cancelled well before the failsafe"
+        let spec = tiny_spec("stall", 19);
+        let path = tmp("deadline");
+        let _ = std::fs::remove_file(&path);
+        // The factory stalls past the deadline, so the run stops at its
+        // first check.
+        let stalled = MatrixJob::new(
+            "stalled TSL",
+            || {
+                std::thread::sleep(Duration::from_millis(50));
+                Box::new(TageScl::new(TslConfig::kilobytes(64))) as Box<dyn SimPredictor>
+            },
+            &spec,
         );
-        assert_eq!(report.failed_cells(), 1);
-        assert_eq!(report.timed_out_cells(), 1);
-        let err = report.outputs[1].as_ref().expect_err("the stalled cell");
-        assert_eq!(err.kind, JobErrorKind::Stalled);
+        let opts = EngineOptions {
+            job_timeout: Some(Duration::from_millis(10)),
+            ..with_fault(1, u64::MAX, Some(Arc::new(Checkpoint::open(&path).expect("opens"))), None)
+        };
+        let report = run_matrix_opts(&sim, vec![stalled], opts);
+        let err = report.outputs[0].as_ref().expect_err("the stalled cell");
+        assert_eq!(err.kind, JobErrorKind::TimedOut);
         assert_eq!(err.kind.status(), "timeout");
-        assert!(err.message.contains(ENV_STALL_TIMEOUT), "{}", err.message);
-        assert!(report.outputs[0].is_ok(), "the healthy cell still completes");
+        assert!(err.message.contains(ENV_JOB_TIMEOUT), "{}", err.message);
+        assert_eq!(report.timed_out_cells(), 1);
+        let journal = Checkpoint::open(&path).expect("reopens");
+        let _ = std::fs::remove_file(&path);
+        assert!(journal.is_empty(), "a timed-out cell is not journaled");
     }
 
     #[test]
     fn slow_cell_hits_the_wall_clock_deadline() {
-        let sim = tiny_sim();
+        // An unbounded measurement phase on a healthy cell: only the
+        // deadline can end it, mid-run.
+        let sim = Simulation { warmup_instructions: 0, measure_instructions: u64::MAX };
         let specs = [tiny_spec("slow", 23)];
-        let supervise = SuperviseConfig {
-            job_timeout: Some(Duration::from_millis(400)),
-            stall_timeout: None,
-            retries: 0,
-        };
         let opts = EngineOptions {
-            fault: Some(FaultSpec { cell: 0, kind: InjectedFault::Slow }),
-            supervise,
-            ..EngineOptions::basic(1, u64::MAX)
+            job_timeout: Some(Duration::from_millis(200)),
+            ..EngineOptions::basic(2, 0)
         };
+        let started = Instant::now();
         let report = run_matrix_opts(&sim, standard_jobs(&specs), opts);
-        let err = report.outputs[0].as_ref().expect_err("the slow cell");
-        assert_eq!(err.kind, JobErrorKind::TimedOut);
-        assert!(err.message.contains(ENV_JOB_TIMEOUT), "{}", err.message);
-        assert!(report.outputs[1].is_ok());
-    }
-
-    #[test]
-    fn unwatched_stall_faults_downgrade_to_panics_instead_of_hanging() {
-        let sim = tiny_sim();
-        let specs = [tiny_spec("nohang", 29)];
-        for kind in [InjectedFault::Stall, InjectedFault::Slow] {
-            let opts = EngineOptions {
-                fault: Some(FaultSpec { cell: 0, kind }),
-                ..EngineOptions::basic(1, u64::MAX)
-            };
-            let started = Instant::now();
-            let report = run_matrix_opts(&sim, standard_jobs(&specs), opts);
-            assert!(started.elapsed() < Duration::from_secs(20));
-            let err = report.outputs[0].as_ref().expect_err("the faulted cell");
-            assert_eq!(err.kind, JobErrorKind::Panic, "downgraded: nothing could cancel it");
+        assert!(started.elapsed() < Duration::from_secs(20), "the deadline ends the sweep");
+        assert_eq!(report.timed_out_cells(), 2);
+        for output in &report.outputs {
+            let err = output.as_ref().expect_err("no cell can finish");
+            assert_eq!(err.kind, JobErrorKind::TimedOut);
+            assert!(err.message.contains("0.200s"), "{}", err.message);
         }
-    }
-
-    #[test]
-    fn exhausted_retries_quarantine_the_cell_and_resumes_skip_it() {
-        let sim = tiny_sim();
-        let specs = [tiny_spec("quar", 31)];
-        let path = tmp("quarantine");
-        let _ = std::fs::remove_file(&path);
-        let fault = FaultSpec { cell: 1, kind: InjectedFault::Panic };
-        let supervise = SuperviseConfig { retries: 2, ..SuperviseConfig::default() };
-
-        // First pass: cell 1 panics on every attempt, exhausts its retries
-        // and is quarantined in the journal.
-        let cp = Arc::new(Checkpoint::open(&path).expect("journal opens"));
-        let opts = EngineOptions {
-            supervise,
-            ..with_fault(2, u64::MAX, Some(cp), Some(fault))
-        };
-        let first = run_matrix_opts(&sim, standard_jobs(&specs), opts);
-        let err = first.outputs[1].as_ref().expect_err("the faulted cell");
-        assert_eq!(err.kind, JobErrorKind::Panic);
-        assert_eq!(err.attempts, 3, "one initial try plus two retries");
-        assert_eq!(first.retried_cells(), 1);
-
-        // Second pass, same journal, fault still armed: the quarantined
-        // cell is skipped (no attempts burned), the completed cell resumes.
-        let cp = Arc::new(Checkpoint::open(&path).expect("journal reopens"));
-        assert_eq!(cp.quarantined_len(), 1);
-        let opts = EngineOptions {
-            supervise,
-            ..with_fault(2, u64::MAX, Some(cp), Some(fault))
-        };
-        let second = run_matrix_opts(&sim, standard_jobs(&specs), opts);
-        assert_eq!(second.resumed_cells(), 1);
-        assert_eq!(second.quarantined_cells(), 1);
-        let err = second.outputs[1].as_ref().expect_err("the quarantined cell");
-        assert_eq!(err.kind, JobErrorKind::Quarantined);
-        assert_eq!(err.kind.status(), "quarantined");
-        assert_eq!(err.attempts, 0, "skipped, never run");
-        assert!(err.message.contains("quarantined by an earlier invocation"), "{}", err.message);
-        assert_eq!(second.retried_cells(), 0);
-
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn retries_without_a_checkpoint_do_not_quarantine() {
-        let sim = tiny_sim();
-        let specs = [tiny_spec("noquar", 37)];
-        let supervise = SuperviseConfig { retries: 1, ..SuperviseConfig::default() };
-        let opts = EngineOptions {
-            supervise,
-            fault: Some(FaultSpec { cell: 0, kind: InjectedFault::Panic }),
-            ..EngineOptions::basic(1, u64::MAX)
-        };
-        let report = run_matrix_opts(&sim, standard_jobs(&specs), opts);
-        let err = report.outputs[0].as_ref().expect_err("the faulted cell");
-        assert_eq!(err.kind, JobErrorKind::Panic);
-        assert_eq!(err.attempts, 2);
-        assert_eq!(report.quarantined_cells(), 0);
-    }
-
-    #[test]
-    fn chaos_outcomes_are_deterministic_across_thread_counts() {
-        let sim = tiny_sim();
-        let specs = [tiny_spec("chaos-a", 41), tiny_spec("chaos-b", 43)];
-        let supervise = SuperviseConfig {
-            job_timeout: Some(Duration::from_secs(2)),
-            stall_timeout: Some(Duration::from_millis(250)),
-            retries: 0,
-        };
-        let run = |threads: usize| {
-            let opts = EngineOptions {
-                supervise,
-                chaos: Some(Arc::new(ChaosPlan::new(0xC0FFEE, 1.0))),
-                ..EngineOptions::basic(threads, u64::MAX)
-            };
-            run_matrix_opts(&sim, standard_jobs(&specs), opts)
-        };
-        let one = run(1);
-        let four = run(4);
-        let digest = |report: &MatrixReport| {
-            report
-                .outputs
-                .iter()
-                .map(|o| match o {
-                    Ok(out) => format!(
-                        "ok:{}:{}:{}",
-                        out.result.mispredicts, out.result.degraded, out.result.attempts
-                    ),
-                    Err(e) => format!("{:?}:{}", e.kind, e.attempts),
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(digest(&one), digest(&four));
-        let events = |report: &MatrixReport| {
-            report
-                .chaos
-                .as_ref()
-                .expect("chaos report present")
-                .events
-                .iter()
-                .map(|e| format!("{:?}:{}:{}:{}", e.cell, e.attempt, e.kind, e.outcome))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(events(&one), events(&four));
-        assert!(
-            !events(&one).is_empty(),
-            "rate 1.0 must inject into every cell"
-        );
     }
 }

@@ -8,23 +8,16 @@
 //!   scaled by configuration) and produces [`runner::RunResult`]s;
 //! * [`exec`] — the parallel experiment engine: fans a matrix of
 //!   `(predictor, workload)` runs out over `LLBPX_THREADS` workers with
-//!   deterministic job ordering, sharing one materialized trace per
-//!   workload across its runs (`LLBPX_TRACE_CACHE_MB` caps the cache),
-//!   isolating panicking cells as structured [`error::JobError`]s and
-//!   journaling completed cells to a [`checkpoint`] for crash/resume;
-//! * [`supervise`] — job deadlines and the watchdog: heartbeat tickets,
-//!   cooperative cancellation (`LLBPX_JOB_TIMEOUT` /
-//!   `LLBPX_STALL_TIMEOUT`) and the deterministic retry backoff
-//!   (`LLBPX_JOB_RETRIES`);
-//! * [`cache`] — the shared trace cache with LRU eviction and graceful
-//!   demotion to streaming under memory pressure;
-//! * [`chaos`] — seeded chaos injection (`LLBPX_CHAOS_SEED` /
-//!   `LLBPX_CHAOS_RATE`) across runs, checkpoints and the cache, with
-//!   full attribution of every injected fault;
+//!   deterministic job ordering, isolates panicking cells as structured
+//!   [`error::JobError`]s (`LLBPX_FAULT_CELL` panics one on purpose),
+//!   stops cells past an optional `LLBPX_JOB_TIMEOUT` deadline, and
+//!   journals completed cells to a [`checkpoint`] for crash/resume;
+//! * [`cache`] — the shared trace cache: one lazily materialized trace
+//!   per workload, replayed by all of its cells within the
+//!   `LLBPX_TRACE_CACHE_MB` cap;
 //! * [`checkpoint`] — the `LLBPX_CHECKPOINT` journal: completed matrix
 //!   cells keyed by deterministic job fingerprints, restored
-//!   bit-identically on re-run, plus quarantine entries for cells that
-//!   exhausted their retries;
+//!   bit-identically on re-run;
 //! * [`error`] — the [`error::SimError`] hierarchy surfaced by the
 //!   library's fallible paths;
 //! * [`env`] — the shared warn-once environment-variable parsing used by
@@ -55,7 +48,6 @@
 
 pub mod analysis;
 pub mod cache;
-pub mod chaos;
 pub mod checkpoint;
 pub mod energy;
 pub mod env;
@@ -64,12 +56,9 @@ pub mod exec;
 pub mod predictor;
 pub mod report;
 pub mod runner;
-pub mod supervise;
 pub mod timing;
 
-pub use chaos::{ChaosEvent, ChaosPlan, ChaosReport};
 pub use error::{JobError, JobErrorKind, SimError};
 pub use predictor::SimPredictor;
 pub use runner::{RunResult, RunStatus, Simulation, TraceSource};
-pub use supervise::SuperviseConfig;
 pub use timing::CoreParams;

@@ -1,8 +1,7 @@
 //! Randomized tests for the TAGE substrate: folded histories, the history
 //! ring, bimodal counters, and predictor determinism.
 //!
-//! Offline port of the proptest suite in `extras/net-deps/tests/` — the same
-//! properties, driven by the in-repo deterministic PRNG so the default
+//! Property tests driven by the in-repo deterministic PRNG, so the
 //! workspace needs no registry access.
 
 use telemetry::SplitMix64;

@@ -17,16 +17,18 @@ use crate::profile::ScopeTotals;
 
 /// Schema identifier written into every emitted record line.
 ///
-/// Each version is a strict superset of the last, so readers of older
-/// schemas keep working unchanged on newer lines. v2 added per-run
-/// `status` (`"ok"` / `"failed"`), `error`, `trace_cache`
-/// (`"streamed"` / `"materialized"`) and `resumed`. v3 adds the
-/// supervision vocabulary: `status` may also be `"timeout"` or
-/// `"quarantined"`, `degraded: true` marks runs demoted to streaming
-/// under memory pressure, `attempts` appears on retried cells, and
-/// engine records may carry `supervision` / `chaos` objects plus
-/// timeout/quarantine/retry counts.
-pub const SCHEMA: &str = "llbpx-telemetry/3";
+/// v2 added per-run `status` (`"ok"` / `"failed"`), `error`,
+/// `trace_cache` (`"streamed"` / `"materialized"`) and `resumed`. v3 added
+/// the supervision vocabulary (`status` `"timeout"` / `"quarantined"`,
+/// per-run `degraded` / `attempts`, record-level `supervision` / `chaos`
+/// objects, timeout/quarantine/retry/degraded counts and the trace cache's
+/// `evictions` / `demotions`). v4 removes everything of v3 except the
+/// `"timeout"` status and the `timed_out_cells` count: `status` is
+/// `"ok"`, `"failed"` or `"timeout"`, and the other v3 fields are gone.
+pub const SCHEMA: &str = "llbpx-telemetry/4";
+
+/// The v3 schema identifier, kept for readers that accept several.
+pub const SCHEMA_V3: &str = "llbpx-telemetry/3";
 
 /// The v2 schema identifier, kept for readers that accept several.
 pub const SCHEMA_V2: &str = "llbpx-telemetry/2";
@@ -82,7 +84,8 @@ pub struct RunRecord {
     /// Scope profile accumulated during the run.
     pub profile: Vec<ScopeTotals>,
     /// Run outcome: empty or `"ok"` for a completed run, `"failed"` for an
-    /// isolated matrix cell that panicked (schema v2).
+    /// isolated matrix cell that panicked (schema v2), `"timeout"` for one
+    /// stopped at its wall-clock deadline (schema v3).
     pub status: String,
     /// Captured failure message of a failed cell (schema v2).
     pub error: Option<String>,
@@ -92,14 +95,6 @@ pub struct RunRecord {
     /// Whether this run was restored from a checkpoint journal rather than
     /// simulated in this invocation (schema v2).
     pub resumed: bool,
-    /// Whether this run was demoted to streaming under memory pressure
-    /// instead of replaying the shared materialized trace (schema v3).
-    pub degraded: bool,
-    /// Attempts made at this cell in the invocation that produced the
-    /// record; emitted only when it exceeds one, i.e. the cell was retried
-    /// (schema v3). Zero means unknown/not-applicable (e.g. restored
-    /// cells).
-    pub attempts: u64,
     /// Additional fields appended by outer layers (storage bits, CPI, ...).
     pub extra: Vec<(String, Json)>,
 }
@@ -154,12 +149,6 @@ impl RunRecord {
         }
         if self.resumed {
             j = j.set("resumed", true);
-        }
-        if self.degraded {
-            j = j.set("degraded", true);
-        }
-        if self.attempts >= 2 {
-            j = j.set("attempts", self.attempts);
         }
         for (k, v) in &self.extra {
             j = j.set(k.as_str(), v.clone());
@@ -255,9 +244,6 @@ mod tests {
         assert_eq!(j.get("status").unwrap().as_str(), Some("ok"));
         assert!(j.get("error").is_none());
         assert!(j.get("resumed").is_none());
-        // Schema v3: the degradation/retry fields also stay off clean lines.
-        assert!(j.get("degraded").is_none());
-        assert!(j.get("attempts").is_none());
     }
 
     #[test]
@@ -279,23 +265,21 @@ mod tests {
     }
 
     #[test]
-    fn degraded_and_retried_records_emit_v3_fields() {
+    fn timeout_records_emit_the_v4_fields_only() {
         let rec = RunRecord {
             predictor: "LLBP".into(),
             workload: "NodeApp".into(),
             status: "timeout".into(),
-            degraded: true,
-            attempts: 3,
+            error: Some("exceeded the 0.001s wall-clock deadline".into()),
             ..RunRecord::default()
         };
         let j = Json::parse(&rec.to_json().to_string()).expect("round-trips");
         assert_eq!(j.get("status").unwrap().as_str(), Some("timeout"));
-        assert_eq!(j.get("degraded").unwrap(), &Json::Bool(true));
-        assert_eq!(j.get("attempts").unwrap().as_i64(), Some(3));
-        // A single clean attempt is the norm and stays off the line.
-        let rec = RunRecord { attempts: 1, ..RunRecord::default() };
-        let j = Json::parse(&rec.to_json().to_string()).expect("round-trips");
-        assert!(j.get("attempts").is_none());
+        assert!(j.get("error").unwrap().as_str().unwrap().contains("deadline"));
+        // The fields v4 dropped never reappear.
+        for gone in ["degraded", "attempts"] {
+            assert!(j.get(gone).is_none(), "{gone} is not a v4 field");
+        }
     }
 
     #[test]

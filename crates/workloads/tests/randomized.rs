@@ -1,7 +1,6 @@
 //! Randomized tests for the synthetic workload generator.
 //!
-//! Offline port of the proptest suite in `extras/net-deps/tests/` — the same
-//! properties, driven by the in-repo deterministic PRNG so the default
+//! Property tests driven by the in-repo deterministic PRNG, so the
 //! workspace needs no registry access.
 
 use telemetry::SplitMix64;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification, fully offline: release build, the whole test suite,
 # the panic-free lint gate, and smoke experiments covering determinism,
-# fault isolation, and checkpoint/resume.
+# fault isolation, the per-cell deadline, and checkpoint/resume.
 #
 # Usage: scripts/verify.sh
 # Exits nonzero on the first failure.
@@ -11,6 +11,13 @@ cd "$(dirname "$0")/.."
 
 echo "== tier-1: release build =="
 cargo build --release --offline
+
+# The benchmark driver is a separate workspace that calls the engine's
+# public API; build it here so an API change breaks CI, not the next
+# benchmark run. Its artifacts go to the repository's target directory.
+echo "== build: benchmark driver (perfbench/driver) =="
+cargo build --release --offline --manifest-path perfbench/driver/Cargo.toml \
+    --target-dir target
 
 echo "== tier-1: test suite =="
 cargo test -q --offline
@@ -50,7 +57,7 @@ def load(path):
         lines = [l for l in f.read().splitlines() if l.strip()]
     assert len(lines) == 1, f"expected one record line, got {len(lines)}"
     rec = json.loads(lines[0])
-    assert rec["schema"] == "llbpx-telemetry/3", rec["schema"]
+    assert rec["schema"] == "llbpx-telemetry/4", rec["schema"]
     assert rec["bench"] == "fig01"
     assert "failed_cells" not in rec, "no cell may fail in the clean smoke"
     assert rec["total_wall_seconds"] > 0
@@ -130,55 +137,29 @@ print(f"ok: 1 of {len(rec['runs'])} cells failed, isolated, exit nonzero")
 EOF
 rm -f "$sink_fault" "$fault_out"
 
-echo "== smoke: watchdog cancels a stalled cell (LLBPX_STALL_TIMEOUT) =="
-# One deliberately-stalled cell under a seeded chaos-style sweep: the
-# watchdog must cancel it within the stall window (the outer `timeout` is
-# the backstop proving the sweep cannot hang), the run must exit nonzero,
-# and telemetry must attribute the cell as status "timeout".
-sink_stall="$(mktemp -t llbpx-verify-stall-XXXXXX.json)"
-stall_out="$(mktemp -t llbpx-verify-stall-XXXXXX.out)"
-if timeout 120 env LLBPX_FAULT_CELL=1:stall LLBPX_STALL_TIMEOUT=2 \
-    LLBPX_JOB_TIMEOUT=60 LLBPX_THREADS=4 REPRO_WORKLOADS=NodeApp,TPCC \
+echo "== smoke: per-cell deadline (LLBPX_JOB_TIMEOUT) =="
+# A 1 ms deadline is shorter than any cell: the run must exit nonzero,
+# render every preset as n/a, and mark every telemetry run "timeout".
+sink_deadline="$(mktemp -t llbpx-verify-deadline-XXXXXX.json)"
+deadline_out="$(mktemp -t llbpx-verify-deadline-XXXXXX.out)"
+if LLBPX_JOB_TIMEOUT=0.001 LLBPX_THREADS=4 REPRO_WORKLOADS=NodeApp,TPCC \
     REPRO_WARMUP=100000 REPRO_INSTRUCTIONS=400000 \
-    ./target/release/fig01 --json "$sink_stall" >"$stall_out" 2>/dev/null; then
-    echo "error: fig01 exited 0 despite a timed-out cell" >&2
+    ./target/release/fig01 --json "$sink_deadline" >"$deadline_out" 2>/dev/null; then
+    echo "error: fig01 exited 0 despite timed-out cells" >&2
     exit 1
 fi
-grep -q "n/a" "$stall_out" || { echo "error: no n/a row for the stalled cell" >&2; exit 1; }
-python3 - "$sink_stall" <<'EOF'
+[ "$(grep -c "n/a" "$deadline_out")" -eq 2 ] \
+    || { echo "error: expected an n/a row per preset" >&2; exit 1; }
+python3 - "$sink_deadline" <<'EOF'
 import json, sys
 rec = json.loads(open(sys.argv[1]).read().splitlines()[0])
-assert rec["timed_out_cells"] == 1, rec.get("timed_out_cells")
-timed_out = [r for r in rec["runs"] if r["status"] == "timeout"]
-assert len(timed_out) == 1, [r["status"] for r in rec["runs"]]
-assert "watchdog" in timed_out[0]["error"], timed_out[0]["error"]
-assert rec["supervision"]["stall_timeout_seconds"] == 2.0, rec["supervision"]
-ok = [r for r in rec["runs"] if r["status"] == "ok"]
-assert len(ok) == len(rec["runs"]) - 1, "the other cells must complete"
-print(f"ok: stalled cell cancelled and attributed, {len(ok)} healthy cell(s) completed")
-EOF
-rm -f "$sink_stall" "$stall_out"
-
-echo "== smoke: seeded chaos sweep terminates with full attribution =="
-# A chaotic sweep (every supervision feature armed) must terminate inside
-# the deadline and attribute every cell to a known status.
-sink_chaos="$(mktemp -t llbpx-verify-chaos-XXXXXX.json)"
-timeout 180 env LLBPX_CHAOS_SEED=7 LLBPX_CHAOS_RATE=0.4 LLBPX_JOB_RETRIES=1 \
-    LLBPX_STALL_TIMEOUT=2 LLBPX_JOB_TIMEOUT=30 LLBPX_THREADS=4 \
-    REPRO_WORKLOADS=NodeApp,TPCC REPRO_WARMUP=100000 REPRO_INSTRUCTIONS=400000 \
-    ./target/release/fig01 --json "$sink_chaos" >/dev/null 2>&1 || true
-python3 - "$sink_chaos" <<'EOF'
-import json, sys
-rec = json.loads(open(sys.argv[1]).read().splitlines()[0])
-assert rec["chaos"]["seed"] == 7 and rec["chaos"]["rate"] == 0.4, rec["chaos"]
 statuses = [r["status"] for r in rec["runs"]]
-assert all(s in ("ok", "failed", "timeout", "quarantined") for s in statuses), statuses
-for ev in rec["chaos"]["events"]:
-    assert ev["kind"] and ev["outcome"], ev
-print(f"ok: chaotic sweep terminated; statuses={statuses}, "
-      f"{len(rec['chaos']['events'])} injection(s) attributed")
+assert statuses == ["timeout"] * 4, statuses
+assert rec["timed_out_cells"] == 4, rec.get("timed_out_cells")
+assert all("LLBPX_JOB_TIMEOUT" in r["error"] for r in rec["runs"]), rec["runs"]
+print(f"ok: all {len(statuses)} cells stopped at the deadline, exit nonzero")
 EOF
-rm -f "$sink_chaos"
+rm -f "$sink_deadline" "$deadline_out"
 
 echo "== smoke: kill -9 mid-matrix, resume from LLBPX_CHECKPOINT =="
 ckpt="$(mktemp -t llbpx-verify-ckpt-XXXXXX.jsonl)"

@@ -58,8 +58,8 @@ fn engine_matrix_is_bit_identical_to_serial_compare() {
         for cap_bytes in [0u64, u64::MAX] {
             let mut jobs = Vec::new();
             for spec in &specs() {
-                jobs.push(MatrixJob::new(bench::tsl64, spec));
-                jobs.push(MatrixJob::new(bench::llbpx, spec));
+                jobs.push(MatrixJob::new("64K TSL", bench::tsl64, spec));
+                jobs.push(MatrixJob::new("LLBP-X", bench::llbpx, spec));
             }
             let report = run_matrix_with(&sim, jobs, threads, cap_bytes);
             assert_eq!(report.threads, threads);
