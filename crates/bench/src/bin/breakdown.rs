@@ -3,7 +3,7 @@
 
 use std::process::ExitCode;
 
-use bpsim::report::{geomean, pct, Table};
+use bpsim::report::{pct, Table};
 use llbpx::LlbpxConfig;
 
 fn main() -> ExitCode {
@@ -13,46 +13,30 @@ fn main() -> ExitCode {
         "\u{a7}VII-E — optimization breakdown (MPKI reduction over LLBP)",
         &["workload", "depth adaptation only", "full LLBP-X"],
     );
-    let presets = bench::presets();
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        jobs.push(bench::JobSpec::new("LLBP").workload(&preset.spec).predictor(bench::llbp));
-        jobs.push(
-            bench::JobSpec::new("LLBP-X no-HRS").workload(&preset.spec).predictor(|| {
-                bench::llbpx_with(LlbpxConfig::paper_baseline().without_history_range_selection())
-            }),
-        );
-        jobs.push(bench::JobSpec::new("LLBP-X").workload(&preset.spec).predictor(bench::llbpx));
-    }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
-
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); 2];
-    for preset in &presets {
-        let base = results.next().expect("one result per job");
-        let runs: Vec<_> =
-            ratios.iter().map(|_| results.next().expect("one result per job")).collect();
-        if bench::any_failed(std::iter::once(&base).chain(&runs)) {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-        let mut cells = vec![preset.spec.name.clone()];
-        for (ratio_col, r) in ratios.iter_mut().zip(&runs) {
-            ratio_col.push(r.mpki() / base.mpki());
-            cells.push(pct(1.0 - r.mpki() / base.mpki()));
-        }
-        table.row(cells);
-    }
-    let depth = 1.0 - geomean(ratios[0].iter().copied());
-    let full = 1.0 - geomean(ratios[1].iter().copied());
+    let designs = [
+        bench::design("LLBP", |_| bench::llbp()),
+        bench::design("LLBP-X no-HRS", |_| {
+            bench::llbpx_with(LlbpxConfig::paper_baseline().without_history_range_selection())
+        }),
+        bench::design("LLBP-X", |_| bench::llbpx()),
+    ];
+    let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
+    bench::tabulate(&mut table, &rows, |_, runs| {
+        (1..designs.len()).map(|i| pct(1.0 - bench::mpki_ratio(runs, i))).collect()
+    });
+    let reduction = |i| bench::geomean_ratio(&rows, i).map(|g| 1.0 - g);
+    let (depth, full) = (reduction(1), reduction(2));
     table.row(["geomean".into(), pct(depth), pct(full)]);
     print!("{}", table.render());
 
-    if full > 0.0 {
-        println!(
+    match depth.zip(full) {
+        Some((depth, full)) if full > 0.0 => println!(
             "\ncontribution: depth adaptation {:.0}%, history range selection {:.0}%",
             100.0 * depth / full,
             100.0 * (full - depth) / full
-        );
+        ),
+        Some(_) => {}
+        None => println!("\ncontribution: depth adaptation n/a, history range selection n/a"),
     }
     bench::footer(
         &sim,

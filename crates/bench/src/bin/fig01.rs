@@ -33,12 +33,11 @@ fn main() -> ExitCode {
         .collect();
 
     // Skylake-class predictor: 64K TSL. SPR-class: larger (128K).
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        jobs.push(bench::JobSpec::new("64K TSL").workload(&preset.spec).predictor(bench::tsl64));
-        jobs.push(bench::JobSpec::new("128K TSL").workload(&preset.spec).predictor(|| bench::tsl(128)));
-    }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
+    let designs = [
+        bench::design("64K TSL", |_| bench::tsl64()),
+        bench::design("128K TSL", |_| bench::tsl(128)),
+    ];
+    let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);
 
     // A zero-MPKI baseline has no meaningful relative change.
     let rel = |new: f64, base: f64| {
@@ -48,26 +47,19 @@ fn main() -> ExitCode {
             pct(new / base - 1.0)
         }
     };
-    for preset in &presets {
-        let skl = results.next().expect("one result per job");
-        let spr = results.next().expect("one result per job");
-        if bench::any_failed([&skl, &spr]) {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-
+    bench::tabulate(&mut table, &rows, |_, runs| {
+        let (skl, spr) = (&runs[0], &runs[1]);
         let skl_frac = sky_core.branch_stall_fraction(skl.instructions, skl.mispredicts);
         let spr_frac = spr_core.branch_stall_fraction(spr.instructions, spr.mispredicts);
-        table.row([
-            preset.spec.name.clone(),
+        vec![
             f3(skl.mpki()),
             f3(spr.mpki()),
             rel(spr.mpki(), skl.mpki()),
             pct(skl_frac),
             pct(spr_frac),
             rel(spr_frac, skl_frac),
-        ]);
-    }
+        ]
+    });
     print!("{}", table.render());
     bench::footer(
         &sim,

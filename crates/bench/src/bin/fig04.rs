@@ -3,7 +3,7 @@
 
 use std::process::ExitCode;
 
-use bpsim::report::{f3, geomean, pct, Table};
+use bpsim::report::{f3, pct, Table};
 
 fn main() -> ExitCode {
     let sim = bench::sim();
@@ -12,46 +12,27 @@ fn main() -> ExitCode {
         "Fig. 4 — MPKI normalized to 64K TSL (lower is better)",
         &["workload", "64K MPKI", "LLBP", "LLBP-0Lat", "512K TSL", "Inf TSL"],
     );
-    let presets = bench::presets();
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        jobs.push(bench::JobSpec::new("64K TSL").workload(&preset.spec).predictor(bench::tsl64));
-        jobs.push(bench::JobSpec::new("LLBP").workload(&preset.spec).predictor(bench::llbp));
-        jobs.push(bench::JobSpec::new("LLBP-0Lat").workload(&preset.spec).predictor(bench::llbp_0lat));
-        jobs.push(bench::JobSpec::new("512K TSL").workload(&preset.spec).predictor(|| bench::tsl(512)));
-        jobs.push(bench::JobSpec::new("Inf TSL").workload(&preset.spec).predictor(bench::tsl_inf));
-    }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
-
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    for preset in &presets {
-        let base = results.next().expect("one result per job");
-        let runs: Vec<_> = ratios.iter().map(|_| results.next().expect("one result per job")).collect();
-        if bench::any_failed(std::iter::once(&base).chain(&runs)) {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-        let mut cells = vec![preset.spec.name.clone(), f3(base.mpki())];
-        for (ratio_col, r) in ratios.iter_mut().zip(&runs) {
-            let ratio = r.mpki() / base.mpki();
-            ratio_col.push(ratio);
-            cells.push(f3(ratio));
-        }
-        table.row(cells);
-    }
+    let designs = [
+        bench::design("64K TSL", |_| bench::tsl64()),
+        bench::design("LLBP", |_| bench::llbp()),
+        bench::design("LLBP-0Lat", |_| bench::llbp_0lat()),
+        bench::design("512K TSL", |_| bench::tsl(512)),
+        bench::design("Inf TSL", |_| bench::tsl_inf()),
+    ];
+    let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
+    bench::tabulate(&mut table, &rows, |_, runs| {
+        let ratios = (1..designs.len()).map(|i| f3(bench::mpki_ratio(runs, i)));
+        std::iter::once(f3(runs[0].mpki())).chain(ratios).collect()
+    });
     let mut avg = vec!["geomean".into(), "-".into()];
-    for r in &ratios {
-        avg.push(f3(geomean(r.iter().copied())));
-    }
+    avg.extend((1..designs.len()).map(|i| f3(bench::geomean_ratio(&rows, i))));
     table.row(avg);
     print!("{}", table.render());
 
     println!();
     for (i, name) in ["LLBP", "LLBP-0Lat", "512K TSL", "Inf TSL"].iter().enumerate() {
-        println!(
-            "{name}: average MPKI reduction {}",
-            pct(1.0 - geomean(ratios[i].iter().copied()))
-        );
+        let reduction = bench::geomean_ratio(&rows, i + 1).map(|g| 1.0 - g);
+        println!("{name}: average MPKI reduction {}", pct(reduction));
     }
     bench::footer(
         &sim,

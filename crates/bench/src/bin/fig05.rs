@@ -11,7 +11,7 @@
 
 use std::process::ExitCode;
 
-use bpsim::report::{f3, geomean, pct, Table};
+use bpsim::report::{f3, pct, Table};
 use llbpx::LlbpConfig;
 
 fn main() -> ExitCode {
@@ -33,48 +33,26 @@ fn main() -> ExitCode {
         &header,
     );
 
-    let presets = bench::representative_presets();
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        jobs.push(bench::JobSpec::new("LLBP-0Lat").workload(&preset.spec).predictor(bench::llbp_0lat));
-        for &(step_name, cfg) in &steps {
-            jobs.push(
-                bench::JobSpec::new(format!("LLBP {step_name}"))
-                    .workload(&preset.spec)
-                    .predictor(move || bench::llbp_with(cfg())),
-            );
-        }
+    let mut designs = vec![bench::design("LLBP-0Lat", |_| bench::llbp_0lat())];
+    for &(step_name, cfg) in &steps {
+        designs.push(bench::design(format!("LLBP {step_name}"), move |_| bench::llbp_with(cfg())));
     }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
-
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); steps.len()];
-    for preset in &presets {
-        let base = results.next().expect("one result per job");
-        let runs: Vec<_> = ratios.iter().map(|_| results.next().expect("one result per job")).collect();
-        if bench::any_failed(std::iter::once(&base).chain(&runs)) {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-        let mut cells = vec![preset.spec.name.clone(), f3(base.mpki())];
-        for (ratio_col, r) in ratios.iter_mut().zip(&runs) {
-            let ratio = r.mpki() / base.mpki();
-            ratio_col.push(ratio);
-            cells.push(f3(ratio));
-        }
-        table.row(cells);
-    }
-    let mut avg = vec!["geomean".into(), "1.000".into()];
-    for r in &ratios {
-        avg.push(f3(geomean(r.iter().copied())));
-    }
+    let rows = bench::run_rows(&mut telemetry, &sim, bench::representative_presets(), &designs);
+    bench::tabulate(&mut table, &rows, |_, runs| {
+        let ratios = (1..designs.len()).map(|i| f3(bench::mpki_ratio(runs, i)));
+        std::iter::once(f3(runs[0].mpki())).chain(ratios).collect()
+    });
+    let base = if bench::completed(&rows).next().is_some() { "1.000" } else { "n/a" };
+    let mut avg = vec!["geomean".into(), base.into()];
+    avg.extend((1..designs.len()).map(|i| f3(bench::geomean_ratio(&rows, i))));
     table.row(avg);
     print!("{}", table.render());
 
     println!("\nstepwise reduction relative to the preceding configuration:");
-    let mut prev = 1.0;
+    let mut prev = Some(1.0);
     for (i, (name, _)) in steps.iter().enumerate() {
-        let g = geomean(ratios[i].iter().copied());
-        println!("  {name:<22} {}", pct(1.0 - g / prev));
+        let g = bench::geomean_ratio(&rows, i + 1);
+        println!("  {name:<22} {}", pct(g.zip(prev).map(|(g, prev)| 1.0 - g / prev)));
         prev = g;
     }
     bench::footer(

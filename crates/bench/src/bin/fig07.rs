@@ -34,10 +34,11 @@ fn main() -> ExitCode {
     print!("{}", table.render());
 
     // The load-bearing comparison: top decile vs bottom decile.
-    if n >= 10 {
-        let top = mean(analysis.contexts[..n / 10].iter().map(|c| c.avg_history_len));
-        let bottom =
-            mean(analysis.contexts[n - n / 10..].iter().map(|c| c.avg_history_len));
+    // Fewer than ten contexts leave both deciles empty.
+    let decile = n / 10;
+    let top = mean(analysis.contexts[..decile].iter().map(|c| c.avg_history_len));
+    let bottom = mean(analysis.contexts[n - decile..].iter().map(|c| c.avg_history_len));
+    if let Some((top, bottom)) = top.zip(bottom) {
         println!("\navg history length, most-contended decile: {top:.0} bits");
         println!("avg history length, least-contended decile: {bottom:.0} bits");
         println!(

@@ -3,7 +3,7 @@
 
 use std::process::ExitCode;
 
-use bpsim::report::{f3, geomean, pct, Table};
+use bpsim::report::{f3, pct, Table};
 
 fn main() -> ExitCode {
     let sim = bench::sim();
@@ -12,52 +12,35 @@ fn main() -> ExitCode {
         "Fig. 12 — branch misprediction reduction over 64K TSL",
         &["workload", "64K MPKI", "LLBP", "LLBP-X", "LLBP-X Opt-W", "512K TSL"],
     );
-    let presets = bench::presets();
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        jobs.push(bench::JobSpec::new("64K TSL").workload(&preset.spec).predictor(bench::tsl64));
-        jobs.push(bench::JobSpec::new("LLBP").workload(&preset.spec).predictor(bench::llbp));
-        jobs.push(bench::JobSpec::new("LLBP-X").workload(&preset.spec).predictor(bench::llbpx));
-        // The Opt-W oracle trains on a converged LLBP-X run; that training
-        // run executes on the worker that claims this job.
-        let (spec, train_sim) = (preset.spec.clone(), sim);
-        jobs.push(
-            bench::JobSpec::new("LLBP-X Opt-W")
-                .workload(&preset.spec)
-                .predictor(move || bench::llbpx_opt_w(bench::opt_w_oracle(&spec, &train_sim))),
-        );
-        jobs.push(bench::JobSpec::new("512K TSL").workload(&preset.spec).predictor(|| bench::tsl(512)));
-    }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
-
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    for preset in &presets {
-        let base = results.next().expect("one result per job");
-        let runs: Vec<_> = ratios.iter().map(|_| results.next().expect("one result per job")).collect();
-        if bench::any_failed(std::iter::once(&base).chain(&runs)) {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-        let mut cells = vec![preset.spec.name.clone(), f3(base.mpki())];
-        for (ratio_col, r) in ratios.iter_mut().zip(&runs) {
-            ratio_col.push(r.mpki() / base.mpki());
-            cells.push(pct(1.0 - r.mpki() / base.mpki()));
-        }
-        table.row(cells);
-    }
+    // The Opt-W oracle trains on a converged LLBP-X run of the row's
+    // workload; that training run executes on the worker that claims the
+    // cell.
+    let designs = [
+        bench::design("64K TSL", |_| bench::tsl64()),
+        bench::design("LLBP", |_| bench::llbp()),
+        bench::design("LLBP-X", |_| bench::llbpx()),
+        bench::design("LLBP-X Opt-W", move |spec| {
+            bench::llbpx_opt_w(bench::opt_w_oracle(spec, &sim))
+        }),
+        bench::design("512K TSL", |_| bench::tsl(512)),
+    ];
+    let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
+    bench::tabulate(&mut table, &rows, |_, runs| {
+        let reductions = (1..designs.len()).map(|i| pct(1.0 - bench::mpki_ratio(runs, i)));
+        std::iter::once(f3(runs[0].mpki())).chain(reductions).collect()
+    });
+    let reduction = |i| bench::geomean_ratio(&rows, i).map(|g| 1.0 - g);
     let mut avg = vec!["geomean".into(), "-".into()];
-    for r in &ratios {
-        avg.push(pct(1.0 - geomean(r.iter().copied())));
-    }
+    avg.extend((1..designs.len()).map(|i| pct(reduction(i))));
     table.row(avg);
     print!("{}", table.render());
 
-    let llbp = 1.0 - geomean(ratios[0].iter().copied());
-    let llbpx = 1.0 - geomean(ratios[1].iter().copied());
-    let optw = 1.0 - geomean(ratios[2].iter().copied());
-    println!("\nLLBP-X vs LLBP improvement: {}", pct(llbpx - llbp));
-    if optw > 0.0 {
-        println!("LLBP-X achieves {:.0}% of Opt-W", 100.0 * llbpx / optw);
+    let (llbp, llbpx, optw) = (reduction(1), reduction(2), reduction(3));
+    println!("\nLLBP-X vs LLBP improvement: {}", pct(llbpx.zip(llbp).map(|(x, l)| x - l)));
+    match llbpx.zip(optw) {
+        Some((x, o)) if o > 0.0 => println!("LLBP-X achieves {:.0}% of Opt-W", 100.0 * x / o),
+        Some(_) => {}
+        None => println!("LLBP-X achieves n/a of Opt-W"),
     }
     bench::footer(
         &sim,

@@ -7,8 +7,8 @@
 
 use std::process::ExitCode;
 
-use bpsim::report::{f3, geomean, Table};
-use bpsim::CoreParams;
+use bpsim::report::{f3, fmt_or_na, geomean, Table};
+use bpsim::{CoreParams, RunResult};
 
 fn main() -> ExitCode {
     let sim = bench::sim();
@@ -23,48 +23,38 @@ fn main() -> ExitCode {
         // Google traces: trace-only, as in the paper.
         .filter(|p| p.in_gem5_eval || std::env::var("REPRO_WORKLOADS").is_ok())
         .collect();
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        jobs.push(bench::JobSpec::new("64K TSL").workload(&preset.spec).predictor(bench::tsl64));
-        jobs.push(bench::JobSpec::new("LLBP").workload(&preset.spec).predictor(bench::llbp));
-        jobs.push(bench::JobSpec::new("LLBP-X").workload(&preset.spec).predictor(bench::llbpx));
-        jobs.push(bench::JobSpec::new("512K TSL").workload(&preset.spec).predictor(|| bench::tsl(512)));
-    }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
-
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for preset in &presets {
-        let base = results.next().expect("one result per job");
-        let runs: Vec<_> =
-            speedups.iter().map(|_| results.next().expect("one result per job")).collect();
-        if bench::any_failed(std::iter::once(&base).chain(&runs)) {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-        let mut cells = vec![preset.spec.name.clone()];
-        for (speedup_col, r) in speedups.iter_mut().zip(&runs) {
-            let s = core.speedup(&base, r);
-            speedup_col.push(s);
-            cells.push(f3(s));
-        }
-        table.row(cells);
-    }
+    let designs = [
+        bench::design("64K TSL", |_| bench::tsl64()),
+        bench::design("LLBP", |_| bench::llbp()),
+        bench::design("LLBP-X", |_| bench::llbpx()),
+        bench::design("512K TSL", |_| bench::tsl(512)),
+    ];
+    let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);
+    let speedup = |runs: &[RunResult], i: usize| core.speedup(&runs[0], &runs[i]);
+    bench::tabulate(&mut table, &rows, |_, runs| {
+        (1..designs.len()).map(|i| f3(speedup(runs, i))).collect()
+    });
+    let geo = |i| geomean(bench::completed(&rows).map(|runs| speedup(runs, i)));
     let mut avg = vec!["geomean".into()];
-    for s in &speedups {
-        avg.push(f3(geomean(s.iter().copied())));
-    }
+    avg.extend((1..designs.len()).map(|i| f3(geo(i))));
     table.row(avg);
     print!("{}", table.render());
 
-    let g = |i: usize| (geomean(speedups[i].iter().copied()) - 1.0) * 100.0;
+    let g = |i| geo(i).map(|g| (g - 1.0) * 100.0);
+    let gain = |i| fmt_or_na(g(i), |g| format!("{g:+.2}%"));
     println!(
-        "\naverage speedup: LLBP {:+.2}%, LLBP-X {:+.2}%, 512K TSL {:+.2}%",
-        g(0),
-        g(1),
-        g(2)
+        "\naverage speedup: LLBP {}, LLBP-X {}, 512K TSL {}",
+        gain(1),
+        gain(2),
+        gain(3)
     );
-    if g(2) > 0.0 {
-        println!("LLBP-X captures {:.0}% of the ideal 512K gain (paper: 42%)", 100.0 * g(1) / g(2));
+    match g(2).zip(g(3)) {
+        Some((x, ideal)) if ideal > 0.0 => println!(
+            "LLBP-X captures {:.0}% of the ideal 512K gain (paper: 42%)",
+            100.0 * x / ideal
+        ),
+        Some(_) => {}
+        None => println!("LLBP-X captures n/a of the ideal 512K gain (paper: 42%)"),
     }
     bench::footer(
         &sim,

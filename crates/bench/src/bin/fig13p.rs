@@ -10,7 +10,7 @@
 use std::process::ExitCode;
 
 use bpsim::exec;
-use bpsim::report::{f3, geomean, Table};
+use bpsim::report::{f3, fmt_or_na, geomean, Table};
 use pipeline::{PipelineModel, PipelineParams};
 use traces::BranchStream;
 use workloads::ServerWorkload;
@@ -86,18 +86,15 @@ fn main() -> ExitCode {
     for (i, label) in ["llbp", "llbpx", "tsl512"].iter().enumerate() {
         telemetry.set_extra(
             &format!("geomean_speedup_{label}"),
-            telemetry::Json::Num(geomean(speedups[i].iter().copied())),
+            telemetry::Json::from(geomean(speedups[i].iter().copied())),
         );
     }
     telemetry.emit();
 
-    let g = |i: usize| (geomean(speedups[i].iter().copied()) - 1.0) * 100.0;
-    println!(
-        "\naverage speedup: LLBP {:+.2}%, LLBP-X {:+.2}%, 512K TSL {:+.2}%",
-        g(0),
-        g(1),
-        g(2)
-    );
+    let g = |i: usize| {
+        fmt_or_na(geomean(speedups[i].iter().copied()), |g| format!("{:+.2}%", (g - 1.0) * 100.0))
+    };
+    println!("\naverage speedup: LLBP {}, LLBP-X {}, 512K TSL {}", g(0), g(1), g(2));
     bench::footer(
         &sim,
         "Fig. 13 (\u{a7}VII-B), execution-driven cross-check: LLBP-X 1% avg \

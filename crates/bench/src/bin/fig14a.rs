@@ -8,7 +8,8 @@
 
 use std::process::ExitCode;
 
-use bpsim::report::{f3, mean, pct, Table};
+use bpsim::report::{f3, fmt_or_na, mean, pct, Table};
+use bpsim::RunResult;
 use llbpx::{FalsePathMode, LlbpxConfig};
 
 fn main() -> ExitCode {
@@ -18,67 +19,61 @@ fn main() -> ExitCode {
         "Fig. 14a — prefetch effectiveness (share of issued prefetches)",
         &["workload", "mode", "on-time", "late", "unused", "MPKI"],
     );
-    let presets = bench::presets();
     let modes = [FalsePathMode::Include, FalsePathMode::Flush];
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        for mode in modes {
-            jobs.push(
-                bench::JobSpec::new(format!("LLBP-X {mode:?}"))
-                    .workload(&preset.spec)
-                    .predictor(move || {
-                        let mut cfg = LlbpxConfig::paper_baseline();
-                        cfg.base.false_path = mode;
-                        bench::llbpx_with(cfg)
-                    }),
-            );
-        }
-    }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
+    let designs = modes.map(|mode| {
+        bench::design(format!("LLBP-X {mode:?}"), move |_| {
+            let mut cfg = LlbpxConfig::paper_baseline();
+            cfg.base.false_path = mode;
+            bench::llbpx_with(cfg)
+        })
+    });
+    let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
 
-    let mut acc: Vec<Vec<f64>> = vec![Vec::new(); 8];
-    for preset in &presets {
-        for (mi, mode) in modes.into_iter().enumerate() {
-            let r = results.next().expect("one result per job");
+    // On-time, late and unused shares of the classified prefetches, and MPKI.
+    let shares = |r: &RunResult| {
+        let s = r.llbp.as_ref().expect("LLBP stats");
+        let classified = (s.prefetch_on_time + s.prefetch_late + s.prefetch_unused).max(1) as f64;
+        let share = |n: u64| n as f64 / classified;
+        [share(s.prefetch_on_time), share(s.prefetch_late), share(s.prefetch_unused), r.mpki()]
+    };
+    // Each mode's row stands alone: a failed mode leaves the other's row.
+    for (preset, runs) in &rows {
+        for (mode, r) in modes.iter().zip(runs) {
             if r.is_failed() {
                 table.na_row(format!("{} ({mode:?})", preset.spec.name));
                 continue;
             }
-            let s = r.llbp.as_ref().expect("LLBP stats");
-            let classified = (s.prefetch_on_time + s.prefetch_late + s.prefetch_unused).max(1);
-            let on_time = s.prefetch_on_time as f64 / classified as f64;
-            let late = s.prefetch_late as f64 / classified as f64;
-            let unused = s.prefetch_unused as f64 / classified as f64;
-            acc[mi * 4].push(on_time);
-            acc[mi * 4 + 1].push(late);
-            acc[mi * 4 + 2].push(unused);
-            acc[mi * 4 + 3].push(r.mpki());
+            let [on_time, late, unused, mpki] = shares(r);
             table.row([
                 preset.spec.name.clone(),
                 format!("{mode:?}"),
                 pct(on_time),
                 pct(late),
                 pct(unused),
-                f3(r.mpki()),
+                f3(mpki),
             ]);
         }
     }
     print!("{}", table.render());
 
+    let avg = |mode: usize, k: usize| {
+        let completed = rows.iter().map(|(_, runs)| &runs[mode]).filter(|r| !r.is_failed());
+        mean(completed.map(|r| shares(r)[k]))
+    };
     println!("\naverages:");
     for (mi, mode) in ["with false-path (upper bar)", "flushed false-path (lower bar)"]
         .iter()
         .enumerate()
     {
         println!(
-            "  {mode}: on-time {}, late {}, unused {}, MPKI {:.3}",
-            pct(mean(acc[mi * 4].iter().copied())),
-            pct(mean(acc[mi * 4 + 1].iter().copied())),
-            pct(mean(acc[mi * 4 + 2].iter().copied())),
-            mean(acc[mi * 4 + 3].iter().copied()),
+            "  {mode}: on-time {}, late {}, unused {}, MPKI {}",
+            pct(avg(mi, 0)),
+            pct(avg(mi, 1)),
+            pct(avg(mi, 2)),
+            fmt_or_na(avg(mi, 3), |mpki| format!("{mpki:.3}")),
         );
     }
-    let over_drop = 1.0 - mean(acc[6].iter().copied()) / mean(acc[2].iter().copied()).max(1e-12);
+    let over_drop = avg(1, 2).zip(avg(0, 2)).map(|(flush, all)| 1.0 - flush / all.max(1e-12));
     println!("\nflushing false-path prefetches cuts unused prefetches by {}", pct(over_drop));
     bench::footer(
         &sim,

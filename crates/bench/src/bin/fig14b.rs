@@ -8,8 +8,8 @@
 
 use std::process::ExitCode;
 
-use bpsim::report::{f3, geomean, Table};
-use bpsim::CoreParams;
+use bpsim::report::{f3, fmt_or_na, geomean, Table};
+use bpsim::{CoreParams, RunResult};
 
 fn main() -> ExitCode {
     let sim = bench::sim();
@@ -23,43 +23,24 @@ fn main() -> ExitCode {
         .into_iter()
         .filter(|p| p.in_gem5_eval || std::env::var("REPRO_WORKLOADS").is_ok())
         .collect();
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        jobs.push(bench::JobSpec::new("64K TSL").workload(&preset.spec).predictor(bench::tsl64));
-        jobs.push(bench::JobSpec::new("128K TSL").workload(&preset.spec).predictor(|| bench::tsl(128)));
-        jobs.push(bench::JobSpec::new("LLBP-X").workload(&preset.spec).predictor(bench::llbpx));
-    }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
-
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); 2];
-    for preset in &presets {
-        let base = results.next().expect("one result per job");
-        let runs: Vec<_> =
-            speedups.iter().map(|_| results.next().expect("one result per job")).collect();
-        if bench::any_failed(std::iter::once(&base).chain(&runs)) {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-        let mut cells = vec![preset.spec.name.clone()];
-        for (speedup_col, r) in speedups.iter_mut().zip(&runs) {
-            let s = core.speedup(&base, r);
-            speedup_col.push(s);
-            cells.push(f3(s));
-        }
-        table.row(cells);
-    }
+    let designs = [
+        bench::design("64K TSL", |_| bench::tsl64()),
+        bench::design("128K TSL", |_| bench::tsl(128)),
+        bench::design("LLBP-X", |_| bench::llbpx()),
+    ];
+    let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);
+    let speedup = |runs: &[RunResult], i: usize| core.speedup(&runs[0], &runs[i]);
+    bench::tabulate(&mut table, &rows, |_, runs| {
+        (1..designs.len()).map(|i| f3(speedup(runs, i))).collect()
+    });
+    let geo = |i| geomean(bench::completed(&rows).map(|runs| speedup(runs, i)));
     let mut avg = vec!["geomean".into()];
-    for s in &speedups {
-        avg.push(f3(geomean(s.iter().copied())));
-    }
+    avg.extend((1..designs.len()).map(|i| f3(geo(i))));
     table.row(avg);
     print!("{}", table.render());
 
-    println!(
-        "\naverage speedup: 128K TSL {:+.2}%, LLBP-X {:+.2}%",
-        (geomean(speedups[0].iter().copied()) - 1.0) * 100.0,
-        (geomean(speedups[1].iter().copied()) - 1.0) * 100.0
-    );
+    let gain = |i| fmt_or_na(geo(i), |g| format!("{:+.2}%", (g - 1.0) * 100.0));
+    println!("\naverage speedup: 128K TSL {}, LLBP-X {}", gain(1), gain(2));
     bench::footer(
         &sim,
         "Fig. 14b (\u{a7}VII-C): with overriding, 128K TSL gains 0.6% while \

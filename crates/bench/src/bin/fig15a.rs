@@ -3,7 +3,8 @@
 
 use std::process::ExitCode;
 
-use bpsim::report::{f3, mean, pct, Table};
+use bpsim::report::{f3, fmt_or_na, mean, pct, Table};
+use bpsim::RunResult;
 
 fn main() -> ExitCode {
     let sim = bench::sim();
@@ -12,49 +13,34 @@ fn main() -> ExitCode {
         "Fig. 15a — pattern store <-> pattern buffer transfer (bits/instr)",
         &["workload", "LLBP reads", "LLBP writes", "X reads", "X writes", "total change"],
     );
-    let presets = bench::presets();
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        jobs.push(bench::JobSpec::new("LLBP").workload(&preset.spec).predictor(bench::llbp));
-        jobs.push(bench::JobSpec::new("LLBP-X").workload(&preset.spec).predictor(bench::llbpx));
-    }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
-
-    let mut totals: Vec<Vec<f64>> = vec![Vec::new(); 2];
-    for preset in &presets {
-        let rl = results.next().expect("one result per job");
-        let rx = results.next().expect("one result per job");
-        if bench::any_failed([&rl, &rx]) {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-        let (lr, lw) = rl
-            .llbp
-            .as_ref()
-            .expect("LLBP stats")
-            .transfer_bits_per_instruction(rl.instructions);
-        let (xr, xw) = rx
-            .llbp
-            .as_ref()
-            .expect("LLBP-X stats")
-            .transfer_bits_per_instruction(rx.instructions);
-        totals[0].push(lr + lw);
-        totals[1].push(xr + xw);
-        table.row([
-            preset.spec.name.clone(),
-            f3(lr),
-            f3(lw),
-            f3(xr),
-            f3(xw),
-            pct((xr + xw) / (lr + lw).max(1e-12) - 1.0),
-        ]);
-    }
+    let designs = [
+        bench::design("LLBP", |_| bench::llbp()),
+        bench::design("LLBP-X", |_| bench::llbpx()),
+    ];
+    let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
+    // Reads and writes of one run, in bits per instruction.
+    let transfer = |r: &RunResult| {
+        r.llbp.as_ref().expect("LLBP stats").transfer_bits_per_instruction(r.instructions)
+    };
+    bench::tabulate(&mut table, &rows, |_, runs| {
+        let ((lr, lw), (xr, xw)) = (transfer(&runs[0]), transfer(&runs[1]));
+        vec![f3(lr), f3(lw), f3(xr), f3(xw), pct((xr + xw) / (lr + lw).max(1e-12) - 1.0)]
+    });
     print!("{}", table.render());
 
-    let llbp_total = mean(totals[0].iter().copied());
-    let x_total = mean(totals[1].iter().copied());
-    println!("\naverage bits/instruction: LLBP {llbp_total:.2}, LLBP-X {x_total:.2}");
-    println!("LLBP-X bandwidth change: {}", pct(x_total / llbp_total - 1.0));
+    let total = |i: usize| {
+        mean(bench::completed(&rows).map(|runs| {
+            let (reads, writes) = transfer(&runs[i]);
+            reads + writes
+        }))
+    };
+    let (llbp_total, x_total) = (total(0), total(1));
+    let two = |bits| fmt_or_na(bits, |bits| format!("{bits:.2}"));
+    println!("\naverage bits/instruction: LLBP {}, LLBP-X {}", two(llbp_total), two(x_total));
+    println!(
+        "LLBP-X bandwidth change: {}",
+        pct(x_total.zip(llbp_total).map(|(x, l)| x / l - 1.0))
+    );
     bench::footer(
         &sim,
         "Fig. 15a (\u{a7}VII-D): reads dominate (writes ~1/5); LLBP-X moves 9.9 \

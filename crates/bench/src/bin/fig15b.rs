@@ -7,7 +7,13 @@
 use std::process::ExitCode;
 
 use bpsim::energy::EnergyModel;
-use bpsim::report::{pct, Table};
+use bpsim::report::{mean, pct, Table};
+use bpsim::RunResult;
+use llbpx::LlbpStats;
+
+fn stats(run: &RunResult) -> &LlbpStats {
+    run.llbp.as_ref().expect("LLBP stats")
+}
 
 fn main() -> ExitCode {
     let sim = bench::sim();
@@ -16,44 +22,28 @@ fn main() -> ExitCode {
         "Fig. 15b — LLBP-X energy relative to LLBP",
         &["workload", "PS energy", "CTT energy", "total"],
     );
-    let presets = bench::presets();
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        jobs.push(bench::JobSpec::new("LLBP").workload(&preset.spec).predictor(bench::llbp));
-        jobs.push(bench::JobSpec::new("LLBP-X").workload(&preset.spec).predictor(bench::llbpx));
-    }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
-
-    let mut rel_totals = Vec::new();
-    for preset in &presets {
-        let rl = results.next().expect("one result per job");
-        let rx = results.next().expect("one result per job");
-        if bench::any_failed([&rl, &rx]) {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-        let sl = rl.llbp.as_ref().expect("LLBP stats");
-        let sx = rx.llbp.as_ref().expect("LLBP-X stats");
-
-        let llbp_model = EnergyModel::llbp();
-        let x_model = EnergyModel::llbpx();
-        let base_total = llbp_model.total(sl);
-        let x_total = x_model.total(sx);
+    let designs = [
+        bench::design("LLBP", |_| bench::llbp()),
+        bench::design("LLBP-X", |_| bench::llbpx()),
+    ];
+    let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
+    let (llbp_model, x_model) = (EnergyModel::llbp(), EnergyModel::llbpx());
+    let relative_total =
+        |runs: &[RunResult]| x_model.total(stats(&runs[1])) / llbp_model.total(stats(&runs[0]));
+    bench::tabulate(&mut table, &rows, |_, runs| {
+        let (sl, sx) = (stats(&runs[0]), stats(&runs[1]));
         let (_, _, base_ps, _) = llbp_model.breakdown(sl);
         let (_, _, x_ps, x_ctt) = x_model.breakdown(sx);
-
-        rel_totals.push(x_total / base_total);
-        table.row([
-            preset.spec.name.clone(),
+        vec![
             pct(x_ps / base_ps - 1.0),
-            pct(x_ctt / base_total),
-            pct(x_total / base_total - 1.0),
-        ]);
-    }
+            pct(x_ctt / llbp_model.total(sl)),
+            pct(relative_total(runs) - 1.0),
+        ]
+    });
     print!("{}", table.render());
 
-    let avg = bpsim::report::mean(rel_totals.iter().copied());
-    println!("\naverage LLBP-X energy vs LLBP: {}", pct(avg - 1.0));
+    let avg = mean(bench::completed(&rows).map(relative_total));
+    println!("\naverage LLBP-X energy vs LLBP: {}", pct(avg.map(|avg| avg - 1.0)));
     bench::footer(
         &sim,
         "Fig. 15b (\u{a7}VII-D): LLBP-X saves 5.4% pattern-store access energy, \

@@ -4,7 +4,7 @@
 
 use std::process::ExitCode;
 
-use bpsim::report::{geomean, pct, Table};
+use bpsim::report::{pct, Table};
 use llbpx::LlbpxConfig;
 
 fn main() -> ExitCode {
@@ -25,42 +25,20 @@ fn main() -> ExitCode {
         &header_refs,
     );
 
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        jobs.push(bench::JobSpec::new("64K TSL").workload(&preset.spec).predictor(bench::tsl64));
-        for &(log2_sets, _) in sweeps {
-            jobs.push(
-                bench::JobSpec::new(format!("LLBP-X CD 2^{log2_sets}"))
-                    .workload(&preset.spec)
-                    .predictor(move || {
-                        let mut cfg = LlbpxConfig::zero_latency();
-                        cfg.base.cd_log2_sets = log2_sets;
-                        bench::llbpx_with(cfg)
-                    }),
-            );
-        }
+    let mut designs = vec![bench::design("64K TSL", |_| bench::tsl64())];
+    for &(log2_sets, _) in sweeps {
+        designs.push(bench::design(format!("LLBP-X CD 2^{log2_sets}"), move |_| {
+            let mut cfg = LlbpxConfig::zero_latency();
+            cfg.base.cd_log2_sets = log2_sets;
+            bench::llbpx_with(cfg)
+        }));
     }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
-
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); sweeps.len()];
-    for preset in &presets {
-        let base = results.next().expect("one result per job");
-        let runs: Vec<_> = ratios.iter().map(|_| results.next().expect("one result per job")).collect();
-        if bench::any_failed(std::iter::once(&base).chain(&runs)) {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-        let mut cells = vec![preset.spec.name.clone()];
-        for (ratio_col, r) in ratios.iter_mut().zip(&runs) {
-            ratio_col.push(r.mpki() / base.mpki());
-            cells.push(pct(1.0 - r.mpki() / base.mpki()));
-        }
-        table.row(cells);
-    }
+    let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);
+    bench::tabulate(&mut table, &rows, |_, runs| {
+        (1..designs.len()).map(|i| pct(1.0 - bench::mpki_ratio(runs, i))).collect()
+    });
     let mut avg = vec!["geomean".to_string()];
-    for r in &ratios {
-        avg.push(pct(1.0 - geomean(r.iter().copied())));
-    }
+    avg.extend((1..designs.len()).map(|i| pct(bench::geomean_ratio(&rows, i).map(|g| 1.0 - g))));
     table.row(avg);
     print!("{}", table.render());
     bench::footer(

@@ -6,6 +6,7 @@ use std::process::ExitCode;
 
 use bpsim::report::{geomean, pct, Table};
 use llbpx::LlbpxConfig;
+use bpsim::RunResult;
 use tage::TslConfig;
 
 fn main() -> ExitCode {
@@ -22,43 +23,24 @@ fn main() -> ExitCode {
         &header_refs,
     );
 
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        for &kb in sizes {
-            jobs.push(bench::JobSpec::new(format!("{kb}K TSL")).workload(&preset.spec).predictor(move || bench::tsl(kb)));
-            jobs.push(
-                bench::JobSpec::new(format!("LLBP-X {kb}K"))
-                    .workload(&preset.spec)
-                    .predictor(move || {
-                        let mut cfg = LlbpxConfig::zero_latency();
-                        cfg.base.tsl = TslConfig::kilobytes(kb);
-                        bench::llbpx_with(cfg)
-                    }),
-            );
-        }
+    // Each size is a pair of designs: the baseline TSL, then LLBP-X on it.
+    let mut designs = Vec::new();
+    for &kb in sizes {
+        designs.push(bench::design(format!("{kb}K TSL"), move |_| bench::tsl(kb)));
+        designs.push(bench::design(format!("LLBP-X {kb}K"), move |_| {
+            let mut cfg = LlbpxConfig::zero_latency();
+            cfg.base.tsl = TslConfig::kilobytes(kb);
+            bench::llbpx_with(cfg)
+        }));
     }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
-
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); sizes.len()];
-    for preset in &presets {
-        let all: Vec<_> =
-            (0..2 * sizes.len()).map(|_| results.next().expect("one result per job")).collect();
-        if bench::any_failed(&all) {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-        let mut cells = vec![preset.spec.name.clone()];
-        for (ratio_col, pair) in ratios.iter_mut().zip(all.chunks(2)) {
-            let (base, r) = (&pair[0], &pair[1]);
-            ratio_col.push(r.mpki() / base.mpki());
-            cells.push(pct(1.0 - r.mpki() / base.mpki()));
-        }
-        table.row(cells);
-    }
+    let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);
+    let ratio = |runs: &[RunResult], size: usize| bench::mpki_ratio(&runs[2 * size..], 1);
+    bench::tabulate(&mut table, &rows, |_, runs| {
+        (0..sizes.len()).map(|size| pct(1.0 - ratio(runs, size))).collect()
+    });
+    let geo = |size| geomean(bench::completed(&rows).map(|runs| ratio(runs, size)));
     let mut avg = vec!["geomean".to_string()];
-    for r in &ratios {
-        avg.push(pct(1.0 - geomean(r.iter().copied())));
-    }
+    avg.extend((0..sizes.len()).map(|size| pct(geo(size).map(|g| 1.0 - g))));
     table.row(avg);
     print!("{}", table.render());
     bench::footer(

@@ -2,105 +2,68 @@
 
 use std::process::ExitCode;
 
-use bpsim::report::{geomean, pct, Table};
+use bpsim::report::{pct, Table};
+use bpsim::runner::Simulation;
 use llbpx::LlbpxConfig;
+
+/// Runs one sweep whose first design is the 64K TSL baseline and prints
+/// its table: each configuration's MPKI reduction, then the geomean row.
+fn sweep(
+    telemetry: &mut bench::Telemetry,
+    sim: &Simulation,
+    title: &str,
+    columns: &[String],
+    designs: &[bench::Design],
+) {
+    let mut header = vec!["workload"];
+    header.extend(columns.iter().map(String::as_str));
+    let mut table = Table::new(title, &header);
+    let rows = bench::run_rows(telemetry, sim, bench::representative_presets(), designs);
+    bench::tabulate(&mut table, &rows, |_, runs| {
+        (1..designs.len()).map(|i| pct(1.0 - bench::mpki_ratio(runs, i))).collect()
+    });
+    let mut avg = vec!["geomean".to_string()];
+    avg.extend((1..designs.len()).map(|i| pct(bench::geomean_ratio(&rows, i).map(|g| 1.0 - g))));
+    table.row(avg);
+    print!("{}", table.render());
+}
 
 fn main() -> ExitCode {
     let sim = bench::sim();
     let mut telemetry = bench::Telemetry::new("sensitivity");
-    let presets = bench::representative_presets();
+    let baseline = || bench::design("64K TSL", |_| bench::tsl64());
 
     // --- H_th sweep (must be TAGE history lengths) ---------------------
     let h_ths = [37usize, 112, 232, 522, 1444];
-    let mut header = vec!["workload".to_string()];
-    header.extend(h_ths.iter().map(|h| format!("H_th={h}")));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(
+    let mut designs = vec![baseline()];
+    designs.extend(h_ths.map(|h| {
+        bench::design(format!("LLBP-X H_th={h}"), move |_| {
+            bench::llbpx_with(LlbpxConfig::paper_baseline().with_h_th(h))
+        })
+    }));
+    sweep(
+        &mut telemetry,
+        &sim,
         "\u{a7}VII-F — H_th sweep: MPKI reduction over 64K TSL",
-        &header_refs,
+        &h_ths.map(|h| format!("H_th={h}")),
+        &designs,
     );
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        jobs.push(bench::JobSpec::new("64K TSL").workload(&preset.spec).predictor(bench::tsl64));
-        for &h in &h_ths {
-            jobs.push(
-                bench::JobSpec::new(format!("LLBP-X H_th={h}"))
-                    .workload(&preset.spec)
-                    .predictor(move || bench::llbpx_with(LlbpxConfig::paper_baseline().with_h_th(h))),
-            );
-        }
-    }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
-
-    let mut h_ratios: Vec<Vec<f64>> = vec![Vec::new(); h_ths.len()];
-    for preset in &presets {
-        let base = results.next().expect("one result per job");
-        let runs: Vec<_> =
-            h_ratios.iter().map(|_| results.next().expect("one result per job")).collect();
-        if bench::any_failed(std::iter::once(&base).chain(&runs)) {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-        let mut cells = vec![preset.spec.name.clone()];
-        for (ratio_col, r) in h_ratios.iter_mut().zip(&runs) {
-            ratio_col.push(r.mpki() / base.mpki());
-            cells.push(pct(1.0 - r.mpki() / base.mpki()));
-        }
-        table.row(cells);
-    }
-    let mut avg = vec!["geomean".to_string()];
-    for r in &h_ratios {
-        avg.push(pct(1.0 - geomean(r.iter().copied())));
-    }
-    table.row(avg);
-    print!("{}", table.render());
 
     // --- CTT size sweep -------------------------------------------------
     let ctt_sizes = [4096usize, 6144, 8192];
-    let mut header = vec!["workload".to_string()];
-    header.extend(ctt_sizes.iter().map(|e| format!("CTT {}K", e / 1024)));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(
+    let mut designs = vec![baseline()];
+    designs.extend(ctt_sizes.map(|entries| {
+        bench::design(format!("LLBP-X CTT={entries}"), move |_| {
+            bench::llbpx_with(LlbpxConfig::paper_baseline().with_ctt_entries(entries))
+        })
+    }));
+    sweep(
+        &mut telemetry,
+        &sim,
         "\u{a7}VII-F — CTT capacity sweep: MPKI reduction over 64K TSL",
-        &header_refs,
+        &ctt_sizes.map(|e| format!("CTT {}K", e / 1024)),
+        &designs,
     );
-    let mut jobs = Vec::new();
-    for preset in &presets {
-        jobs.push(bench::JobSpec::new("64K TSL").workload(&preset.spec).predictor(bench::tsl64));
-        for &entries in &ctt_sizes {
-            jobs.push(
-                bench::JobSpec::new(format!("LLBP-X CTT={entries}"))
-                    .workload(&preset.spec)
-                    .predictor(move || {
-                        bench::llbpx_with(LlbpxConfig::paper_baseline().with_ctt_entries(entries))
-                    }),
-            );
-        }
-    }
-    let mut results = bench::run_matrix(&mut telemetry, &sim, jobs).into_iter();
-
-    let mut c_ratios: Vec<Vec<f64>> = vec![Vec::new(); ctt_sizes.len()];
-    for preset in &presets {
-        let base = results.next().expect("one result per job");
-        let runs: Vec<_> =
-            c_ratios.iter().map(|_| results.next().expect("one result per job")).collect();
-        if bench::any_failed(std::iter::once(&base).chain(&runs)) {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-        let mut cells = vec![preset.spec.name.clone()];
-        for (ratio_col, r) in c_ratios.iter_mut().zip(&runs) {
-            ratio_col.push(r.mpki() / base.mpki());
-            cells.push(pct(1.0 - r.mpki() / base.mpki()));
-        }
-        table.row(cells);
-    }
-    let mut avg = vec!["geomean".to_string()];
-    for r in &c_ratios {
-        avg.push(pct(1.0 - geomean(r.iter().copied())));
-    }
-    table.row(avg);
-    print!("{}", table.render());
 
     bench::footer(
         &sim,

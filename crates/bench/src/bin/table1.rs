@@ -14,20 +14,13 @@ fn main() -> ExitCode {
         "Table I — workloads with branch MPKI for 64K TSL",
         &["workload", "measured MPKI", "paper MPKI"],
     );
-    let presets = bench::presets();
-    let jobs = presets.iter().map(|p| bench::JobSpec::new("64K TSL").workload(&p.spec).predictor(bench::tsl64)).collect();
-    let results = bench::run_matrix(&mut telemetry, &sim, jobs);
-
-    let mut measured = Vec::new();
-    for (preset, result) in presets.iter().zip(&results) {
-        if result.is_failed() {
-            table.na_row(&preset.spec.name);
-            continue;
-        }
-        measured.push(result.mpki());
-        table.row([preset.spec.name.clone(), f3(result.mpki()), f3(preset.paper_mpki)]);
-    }
-    table.row(["average".into(), f3(mean(measured)), "2.92".into()]);
+    let designs = [bench::design("64K TSL", |_| bench::tsl64())];
+    let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
+    bench::tabulate(&mut table, &rows, |preset, runs| {
+        vec![f3(runs[0].mpki()), f3(preset.paper_mpki)]
+    });
+    let measured = mean(bench::completed(&rows).map(|runs| runs[0].mpki()));
+    table.row(["average".into(), f3(measured), "2.92".into()]);
     print!("{}", table.render());
     bench::footer(&sim, "Table I (\u{a7}VI): absolute MPKI 0.26-5.38, avg 2.92");
     bench::exit_status()

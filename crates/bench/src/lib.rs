@@ -5,11 +5,19 @@
 //! whole evaluation:
 //!
 //! * `REPRO_WARMUP` — warmup instructions per run (default 10M),
-//! * `REPRO_INSTRUCTIONS` — measured instructions per run (default 20M),
+//! * `REPRO_INSTRUCTIONS` — measured instructions per run (default 20M;
+//!   must be positive),
 //! * `REPRO_WORKLOADS` — comma-separated preset names to restrict to.
 //!
 //! The paper's protocol is 100M + 200M; the defaults are sized for a
 //! single-core laptop while preserving every qualitative trend.
+//!
+//! A figure is a table of workloads × designs. A binary declares its
+//! designs once ([`design`]) and [`run_rows`] runs them on every preset,
+//! one engine matrix row per preset, returning one result row per preset.
+//! [`tabulate`] renders those rows (`n/a` for a row with a failed cell),
+//! and the geomean/mean summaries run over the [`completed`] rows, so a
+//! summary over no completed rows renders `n/a` too.
 //!
 //! Next to the text tables, every binary can also emit a machine-readable
 //! record of its runs (full counters, interval time-series, scope profile)
@@ -24,7 +32,8 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use bpsim::analysis::ContextAnalysis;
-use bpsim::exec::{self, MatrixJob};
+use bpsim::exec::{self, MatrixRow, TraceCacheStats};
+use bpsim::report::Table;
 use bpsim::runner::{RunResult, Simulation};
 use bpsim::{CoreParams, SimPredictor};
 use llbpx::{Llbp, LlbpConfig, LlbpxConfig};
@@ -66,12 +75,6 @@ pub fn exit_status() -> ExitCode {
         );
         ExitCode::FAILURE
     }
-}
-
-/// Whether any of `results` is a failed cell — binaries guard per-preset
-/// ratio math with this and emit an `n/a` row instead.
-pub fn any_failed<'a>(results: impl IntoIterator<Item = &'a RunResult>) -> bool {
-    results.into_iter().any(RunResult::is_failed)
 }
 
 /// The simulation protocol for this invocation (env-scaled).
@@ -166,127 +169,130 @@ pub fn llbpx_opt_w(oracle: std::collections::HashMap<u64, bool>) -> Box<dyn SimP
     Box::new(Llbp::new_x_with_oracle(cfg, oracle))
 }
 
-/// Runs one boxed design over a preset.
-pub fn run(design: &mut Box<dyn SimPredictor>, spec: &WorkloadSpec, sim: &Simulation) -> RunResult {
-    sim.run(design.as_mut(), spec)
+/// One design of a figure: the cell name it gives every row and a
+/// predictor factory that receives each row's workload.
+///
+/// The name labels the cell in engine error reports, so failures name the
+/// design, not just the workload, and it is part of the cell's checkpoint
+/// fingerprint, so give every distinct design in a binary a distinct name.
+pub struct Design {
+    name: String,
+    factory: Box<dyn Fn(&WorkloadSpec) -> Box<dyn SimPredictor> + Sync>,
 }
 
-/// Fluent description of one run-matrix cell: a display name, the workload
-/// it runs on, and the predictor factory that builds the design on the
-/// worker thread claiming the job.
+/// A [`Design`] named `name`. Plain designs ignore the workload
+/// (`|_| bench::tsl64()`); Opt-W trains its oracle on it.
+pub fn design(
+    name: impl Into<String>,
+    factory: impl Fn(&WorkloadSpec) -> Box<dyn SimPredictor> + Sync + 'static,
+) -> Design {
+    Design { name: name.into(), factory: Box::new(factory) }
+}
+
+/// Runs every design on every preset through the parallel experiment
+/// engine ([`bpsim::exec`]), one matrix row per preset, records every run
+/// and returns one result row per preset: the runs in design order,
+/// bit-identical to running the same cells serially. A failed cell comes
+/// back as a failed [`RunResult`]; [`tabulate`] renders its row `n/a`.
 ///
 /// ```no_run
-/// # let preset = &workloads::presets::all()[0];
-/// # let mut jobs = Vec::new();
-/// jobs.push(bench::JobSpec::new("64K TSL").workload(&preset.spec).predictor(bench::tsl64));
+/// let sim = bench::sim();
+/// let mut telemetry = bench::Telemetry::new("demo");
+/// let designs = [
+///     bench::design("64K TSL", |_| bench::tsl64()),
+///     bench::design("LLBP-X Opt-W", move |spec| {
+///         bench::llbpx_opt_w(bench::opt_w_oracle(spec, &sim))
+///     }),
+/// ];
+/// for (preset, runs) in bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs) {
+///     println!("{}: {:.3} vs {:.3}", preset.spec.name, runs[0].mpki(), runs[1].mpki());
+/// }
 /// ```
 ///
-/// Plain constructors pass directly to [`JobSpec::predictor`]; configured
-/// designs capture their config in a closure
-/// (`.predictor(move || bench::llbpx_with(cfg))`). The name labels the
-/// cell in engine error reports, so failures name the design, not just
-/// the workload, and it is part of the cell's checkpoint fingerprint, so
-/// give every distinct design in a binary a distinct name.
-pub struct JobSpec {
-    name: String,
-    workload: Option<WorkloadSpec>,
-    factory: Option<Box<dyn FnOnce() -> Box<dyn SimPredictor> + Send + 'static>>,
-}
-
-impl JobSpec {
-    /// Starts a cell description named `name` (the design label).
-    pub fn new(name: impl Into<String>) -> Self {
-        JobSpec { name: name.into(), workload: None, factory: None }
-    }
-
-    /// Sets the workload the cell runs on. Cells with equal specs share
-    /// one materialized trace in the engine.
-    #[must_use]
-    pub fn workload(mut self, spec: &WorkloadSpec) -> Self {
-        self.workload = Some(spec.clone());
-        self
-    }
-
-    /// Sets the predictor factory; it runs once, on the worker thread
-    /// that claims the cell.
-    #[must_use]
-    pub fn predictor(
-        mut self,
-        factory: impl FnOnce() -> Box<dyn SimPredictor> + Send + 'static,
-    ) -> Self {
-        self.factory = Some(Box::new(factory));
-        self
-    }
-
-    /// The cell's display label: `name / workload`.
-    pub fn label(&self) -> String {
-        match &self.workload {
-            Some(spec) => format!("{} / {}", self.name, spec.name),
-            None => self.name.clone(),
-        }
-    }
-
-    /// Converts into the engine's job form.
-    ///
-    /// # Panics
-    ///
-    /// Panics (naming the cell) when `workload` or `predictor` was never
-    /// set — a construction bug in the calling binary.
-    fn build(self) -> MatrixJob<'static> {
-        let workload = self
-            .workload
-            .unwrap_or_else(|| panic!("job `{}` has no workload; call .workload(..)", self.name));
-        let factory = self
-            .factory
-            .unwrap_or_else(|| panic!("job `{}` has no predictor; call .predictor(..)", self.name));
-        MatrixJob { name: self.name, factory, spec: workload }
-    }
-}
-
-/// Runs a matrix of jobs through the parallel experiment engine
-/// ([`bpsim::exec`]) and records every run, returning the results in job
-/// order — bit-identical to running the same cells serially.
-///
-/// `LLBPX_THREADS` selects the worker count and `LLBPX_TRACE_CACHE_MB`
-/// caps the shared trace cache (see the engine docs). The engine's
-/// bookkeeping (thread count, cache behavior) lands on the binary's
-/// telemetry record line.
-pub fn run_matrix(
+/// The engine's knobs (`LLBPX_THREADS`, `LLBPX_TRACE_CACHE_MB`, ...) apply,
+/// and its bookkeeping lands on the binary's telemetry record line.
+pub fn run_rows(
     telemetry: &mut Telemetry,
     sim: &Simulation,
-    jobs: Vec<JobSpec>,
-) -> Vec<RunResult> {
-    let labels: Vec<String> = jobs.iter().map(JobSpec::label).collect();
-    let jobs: Vec<MatrixJob<'static>> = jobs.into_iter().map(JobSpec::build).collect();
-    let report = exec::run_matrix(sim, jobs);
+    presets: Vec<Preset>,
+    designs: &[Design],
+) -> Vec<(Preset, Vec<RunResult>)> {
+    let rows: Vec<MatrixRow<'_>> = presets
+        .iter()
+        .map(|preset| {
+            designs.iter().fold(MatrixRow::new(&preset.spec), |row, design| {
+                row.cell(design.name.clone(), |spec| (design.factory)(spec))
+            })
+        })
+        .collect();
+    let report = exec::run_matrix(sim, rows);
     telemetry.record_engine(&report);
     FAILED_CELLS.fetch_add(report.failed_cells(), Ordering::Relaxed);
     RESUMED_CELLS.fetch_add(report.resumed_cells(), Ordering::Relaxed);
     TIMEDOUT_CELLS.fetch_add(report.timed_out_cells(), Ordering::Relaxed);
-    report
-        .outputs
-        .into_iter()
-        .zip(labels)
-        .map(|(output, label)| match output {
-            Ok(mut output) => {
-                telemetry.record_run(&mut output.result, sim, Some(output.storage_bits));
-                output.result
-            }
-            Err(err) => {
-                eprintln!("error: cell `{label}`: {err}");
-                let mut result = RunResult::from_job_error(err);
-                telemetry.record_run(&mut result, sim, None);
-                result
-            }
-        })
-        .collect()
+
+    let mut record = |output: Result<_, _>, design: &Design, preset: &Preset| match output {
+        Ok(exec::MatrixOutput { mut result, storage_bits }) => {
+            telemetry.record_run(&mut result, sim, Some(storage_bits));
+            result
+        }
+        Err(err) => {
+            eprintln!("error: cell `{} / {}`: {err}", design.name, preset.spec.name);
+            let mut result = RunResult::from_job_error(err);
+            telemetry.record_run(&mut result, sim, None);
+            result
+        }
+    };
+    let rows = presets.into_iter().zip(report.rows);
+    rows.map(|(preset, row)| {
+        let runs = row.into_iter().zip(designs).map(|(o, d)| record(o, d, &preset)).collect();
+        (preset, runs)
+    })
+    .collect()
+}
+
+/// Adds one table row per result row: the workload name followed by
+/// `render`'s cells when every cell of the row completed, and an `n/a`
+/// row when any failed — so one bad cell never hides the rest of a figure.
+pub fn tabulate(
+    table: &mut Table,
+    rows: &[(Preset, Vec<RunResult>)],
+    mut render: impl FnMut(&Preset, &[RunResult]) -> Vec<String>,
+) {
+    for (preset, runs) in rows {
+        if runs.iter().any(RunResult::is_failed) {
+            table.na_row(&preset.spec.name);
+        } else {
+            let mut cells = vec![preset.spec.name.clone()];
+            cells.extend(render(preset, runs));
+            table.row(cells);
+        }
+    }
+}
+
+/// The result rows whose every cell completed: what a figure's geomean
+/// and mean summaries run over.
+pub fn completed(rows: &[(Preset, Vec<RunResult>)]) -> impl Iterator<Item = &[RunResult]> {
+    let complete = |runs: &&[RunResult]| !runs.iter().any(RunResult::is_failed);
+    rows.iter().map(|(_, runs)| runs.as_slice()).filter(complete)
+}
+
+/// Design `i`'s MPKI relative to the row's baseline, design 0.
+pub fn mpki_ratio(runs: &[RunResult], i: usize) -> f64 {
+    runs[i].mpki() / runs[0].mpki()
+}
+
+/// The geomean of design `i`'s [`mpki_ratio`] over the completed rows;
+/// `None` when no row completed.
+pub fn geomean_ratio(rows: &[(Preset, Vec<RunResult>)], i: usize) -> Option<f64> {
+    bpsim::report::geomean(completed(rows).map(|runs| mpki_ratio(runs, i)))
 }
 
 /// Runs several context analyses (Figs. 6-9) in parallel through the
 /// engine, recording each underlying simulation run; results come back in
 /// job order. Analysis runs always stream their workload (the instrumented
 /// predictor dominates their cost), so only the fan-out is shared with
-/// [`run_matrix`].
+/// [`run_rows`].
 pub fn run_analyses(
     telemetry: &mut Telemetry,
     sim: &Simulation,
@@ -310,16 +316,18 @@ pub fn run_analyses(
 /// Machine-readable emission for one experiment binary.
 ///
 /// Construct once at the top of `main`, route every simulation through
-/// [`Telemetry::run`] / [`Telemetry::analyze`], and on drop (or an explicit
-/// [`Telemetry::emit`]) the collected run records are appended as one JSON
-/// line to the resolved sink. With no `--json` argument and no
-/// `LLBPX_TELEMETRY` variable this is all free: nothing is recorded and
-/// nothing is written.
+/// [`run_rows`] / [`run_analyses`] (or [`Telemetry::record_run`]), and on
+/// drop (or an explicit [`Telemetry::emit`]) the collected run records are
+/// appended as one JSON line to the resolved sink. With no `--json`
+/// argument and no `LLBPX_TELEMETRY` variable this is all free: nothing is
+/// recorded and nothing is written.
 pub struct Telemetry {
     bench: &'static str,
     sink: Option<PathBuf>,
     runs: Vec<Json>,
     extra: Vec<(String, Json)>,
+    /// Engine bookkeeping across this invocation's matrices.
+    engine: Option<(usize, TraceCacheStats)>,
     started: Instant,
     emitted: bool,
 }
@@ -333,38 +341,13 @@ impl Telemetry {
             sink: telemetry::record::sink_from_env(bench),
             runs: Vec::new(),
             extra: Vec::new(),
+            engine: None,
             started: Instant::now(),
             emitted: false,
         }
     }
 
-    /// Whether a sink is configured (records are only collected then).
-    pub fn enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Runs one boxed design over a preset and records the run (the serial
-    /// path; matrix binaries go through [`run_matrix`] instead).
-    pub fn run(
-        &mut self,
-        design: &mut Box<dyn SimPredictor>,
-        spec: &WorkloadSpec,
-        sim: &Simulation,
-    ) -> RunResult {
-        let mut result = sim.run(design.as_mut(), spec);
-        self.record_run(&mut result, sim, Some(design.storage_bits()));
-        result
-    }
-
-    /// Runs the context analysis (Figs. 6-9) and records its underlying
-    /// simulation run.
-    pub fn analyze(&mut self, spec: &WorkloadSpec, w: usize, sim: &Simulation) -> ContextAnalysis {
-        let mut analysis = bpsim::analysis::analyze_contexts(spec, w, sim);
-        self.record_run(&mut analysis.run, sim, None);
-        analysis
-    }
-
-    /// Records an externally produced run (e.g. from [`run`] or
+    /// Records an externally produced run (e.g. from
     /// [`bpsim::runner::compare`]). Recording *moves* the run's interval
     /// time-series and scope profile into the record (no cloning), leaving
     /// those sections empty on `result`; headline metrics stay.
@@ -392,23 +375,22 @@ impl Telemetry {
         self.runs.push(rec.to_json());
     }
 
-    /// Attaches the engine's bookkeeping (thread count, trace-cache
-    /// behavior) to the record line; first matrix wins if a binary runs
-    /// several.
+    /// Adds one matrix's engine bookkeeping to the record line: the thread
+    /// count, and the shared-trace counts summed over every matrix of this
+    /// invocation, with `peak_bytes` their maximum.
     pub fn record_engine(&mut self, report: &exec::MatrixReport) {
-        if self.sink.is_none() || self.extra.iter().any(|(k, _)| k == "trace_cache") {
+        if self.sink.is_none() {
             return;
         }
-        self.extra.push(("threads".to_owned(), Json::from(report.threads as u64)));
-        self.extra.push((
-            "trace_cache".to_owned(),
-            Json::obj()
-                .set("specs_cached", report.cache.specs_cached as u64)
-                .set("specs_streamed", report.cache.specs_streamed as u64)
-                .set("cached_records", report.cache.cached_records)
-                .set("cached_bytes", report.cache.cached_bytes)
-                .set("generation_seconds", report.cache.generation_seconds),
-        ));
+        let (threads, total) = self.engine.get_or_insert_with(Default::default);
+        let cache = report.cache;
+        *threads = report.threads;
+        total.specs_cached += cache.specs_cached;
+        total.specs_streamed += cache.specs_streamed;
+        total.cached_records += cache.cached_records;
+        total.cached_bytes += cache.cached_bytes;
+        total.peak_bytes = total.peak_bytes.max(cache.peak_bytes);
+        total.generation_seconds += cache.generation_seconds;
     }
 
     /// Attaches a top-level field to this binary's record line (for data
@@ -434,8 +416,19 @@ impl Telemetry {
             .set("bench", self.bench)
             .set("total_wall_seconds", self.started.elapsed().as_secs_f64())
             .set("runs", Json::Arr(std::mem::take(&mut self.runs)));
-        if !self.extra.iter().any(|(k, _)| k == "threads") {
-            line = line.set("threads", exec::threads_from_env() as u64);
+        let threads = self.engine.map_or_else(exec::threads_from_env, |(threads, _)| threads);
+        line = line.set("threads", threads as u64);
+        if let Some((_, cache)) = self.engine {
+            line = line.set(
+                "trace_cache",
+                Json::obj()
+                    .set("specs_cached", cache.specs_cached as u64)
+                    .set("specs_streamed", cache.specs_streamed as u64)
+                    .set("cached_records", cache.cached_records)
+                    .set("cached_bytes", cache.cached_bytes)
+                    .set("peak_bytes", cache.peak_bytes)
+                    .set("generation_seconds", cache.generation_seconds),
+            );
         }
         let failed = FAILED_CELLS.load(Ordering::Relaxed);
         if failed > 0 {
@@ -517,6 +510,43 @@ mod tests {
         let rep = representative_presets();
         assert!(rep.len() <= presets().len());
         assert!(rep.iter().any(|p| p.spec.name == "NodeApp"));
+    }
+
+    #[test]
+    fn engine_stats_add_up_across_the_matrices_of_one_invocation() {
+        let sink = std::env::temp_dir()
+            .join(format!("llbpx-bench-engine-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&sink);
+        let mut telemetry = Telemetry::new("engine-test");
+        telemetry.sink = Some(sink.clone());
+        let matrix = |cached: usize, bytes: u64, peak: u64| exec::MatrixReport {
+            rows: Vec::new(),
+            threads: 2,
+            cache: TraceCacheStats {
+                specs_cached: cached,
+                specs_streamed: 1,
+                cached_records: bytes / 16,
+                cached_bytes: bytes,
+                peak_bytes: peak,
+                generation_seconds: 0.5,
+            },
+        };
+        telemetry.record_engine(&matrix(3, 3000, 2000));
+        telemetry.record_engine(&matrix(2, 1600, 1600));
+        telemetry.emit();
+
+        let text = std::fs::read_to_string(&sink).expect("the record was written");
+        let _ = std::fs::remove_file(&sink);
+        let line = Json::parse(text.trim()).expect("one JSON line");
+        assert_eq!(line.get("threads").and_then(Json::as_i64), Some(2));
+        let cache = line.get("trace_cache").expect("trace_cache");
+        let field = |key: &str| cache.get(key).and_then(Json::as_f64).expect(key);
+        assert_eq!(field("specs_cached"), 5.0, "counts sum across matrices");
+        assert_eq!(field("specs_streamed"), 2.0);
+        assert_eq!(field("cached_records"), 287.0);
+        assert_eq!(field("cached_bytes"), 4600.0);
+        assert_eq!(field("peak_bytes"), 2000.0, "the peak is the largest one");
+        assert_eq!(field("generation_seconds"), 1.0);
     }
 
     #[test]

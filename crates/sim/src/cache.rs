@@ -1,20 +1,24 @@
-//! The shared trace cache behind the run matrix.
+//! Shared traces for the run matrix, scoped to their rows.
 //!
-//! Traces are materialized *lazily*, at the moment the first cell on a
-//! workload claims them, and held as `Arc<Vec<BranchRecord>>` entries for
-//! the rest of the matrix under the `LLBPX_TRACE_CACHE_MB` cap.
-//! Concurrent cells on the same workload generate its trace once: the
-//! first claimant generates, later claimants wait on a condvar.
+//! A matrix row is one workload and the cells (predictors) that run on it.
+//! A row with two or more unfinished cells materializes its trace at its
+//! first claim, as an `Arc<Vec<BranchRecord>>` that every cell of the row
+//! replays read-only; cells that claim while the first one generates wait
+//! on the row's lock. The row drops its trace when its last cell finishes
+//! — completed, failed or restored from the checkpoint — so only rows in
+//! flight hold trace memory, and the `LLBPX_TRACE_CACHE_MB` cap bounds the
+//! bytes live at once across them.
 //!
-//! Everything that cannot be cached streams from the generator instead:
-//! workloads with a single cell (materializing would cost more than it
-//! saves), every workload when the cap is zero, a workload whose trace
-//! does not fit in what the cap has left, and a workload whose generation
-//! fails (invalid spec, corrupt stream), where the same failure then
-//! surfaces per cell instead of poisoning the sweep. Streaming and replay
-//! produce the same records, so which path ran never changes results.
+//! Everything that cannot be shared streams from the generator instead:
+//! single-cell rows (materializing would cost more than it saves), every
+//! row when the cap is zero, a row whose trace does not fit in what the cap
+//! has left, and a row whose generation fails (invalid spec, corrupt
+//! stream), where the same failure then surfaces per cell instead of
+//! poisoning the sweep. Streaming and replay produce the same records, so
+//! which path ran never changes results.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use traces::{BranchRecord, BranchStream, StreamValidator};
@@ -22,122 +26,147 @@ use workloads::WorkloadSpec;
 
 use crate::error::SimError;
 
-/// How the shared trace cache behaved for one matrix.
+/// How the shared traces behaved for one matrix.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TraceCacheStats {
-    /// Distinct workload specs materialized into shared storage.
+    /// Rows whose trace was materialized into shared storage.
     pub specs_cached: usize,
-    /// Distinct specs that streamed (single-job specs, cap overflow, or
-    /// generation failures).
+    /// Rows that streamed (single-cell rows, cap overflow, or generation
+    /// failures).
     pub specs_streamed: usize,
-    /// Total records materialized across all cached traces.
+    /// Total records materialized across all shared traces.
     pub cached_records: u64,
-    /// Total bytes materialized across all cached traces.
+    /// Total bytes materialized across all shared traces.
     pub cached_bytes: u64,
+    /// Most bytes of shared traces live at once.
+    pub peak_bytes: u64,
     /// Wall-clock seconds spent generating shared traces.
     pub generation_seconds: f64,
 }
 
 #[derive(Default)]
-struct Inner {
-    cached: Vec<(WorkloadSpec, Arc<Vec<BranchRecord>>)>,
-    /// Specs some worker is currently generating; others wait.
-    generating: Vec<WorkloadSpec>,
-    /// Specs that stream: decided once, never regenerated.
-    streamed: Vec<WorkloadSpec>,
+struct Ledger {
+    live_bytes: u64,
     stats: TraceCacheStats,
 }
 
-impl Inner {
-    fn stream(&mut self, spec: &WorkloadSpec) {
-        self.streamed.push(spec.clone());
-        self.stats.specs_streamed += 1;
-    }
-}
-
-/// The shared, lazily-filled trace cache for one matrix.
+/// What one matrix's rows share: the cap on live trace bytes, the
+/// instruction budget every trace covers, and the stats.
 pub struct TraceCache {
     cap_bytes: u64,
     /// Instructions each trace must cover (warmup + measurement).
     budget: u64,
-    inner: Mutex<Inner>,
-    ready: Condvar,
+    ledger: Mutex<Ledger>,
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl TraceCache {
-    /// A cache holding at most `cap_bytes` of materialized records, each
-    /// trace covering `budget` instructions.
+    /// Rows holding at most `cap_bytes` of materialized records at once,
+    /// each trace covering `budget` instructions.
     pub fn new(cap_bytes: u64, budget: u64) -> Self {
-        TraceCache {
-            cap_bytes,
-            budget,
-            inner: Mutex::new(Inner::default()),
-            ready: Condvar::new(),
-        }
+        TraceCache { cap_bytes, budget, ledger: Mutex::new(Ledger::default()) }
     }
 
-    /// Cache behavior so far.
+    /// Shared-trace behavior so far.
     pub fn stats(&self) -> TraceCacheStats {
-        self.lock().stats
+        lock(&self.ledger).stats
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+    /// Materializes `spec` for `sharers` cells if that pays and fits in
+    /// what the cap has left, or returns `None` to stream.
+    fn share(&self, spec: &WorkloadSpec, sharers: usize) -> Option<Arc<Vec<BranchRecord>>> {
+        let room = self.cap_bytes.saturating_sub(lock(&self.ledger).live_bytes);
+        let trace = (sharers >= 2 && room > 0)
+            .then(|| {
+                let started = Instant::now();
+                let generated = crate::exec::try_materialize(spec, self.budget, room);
+                lock(&self.ledger).stats.generation_seconds += started.elapsed().as_secs_f64();
+                generated.unwrap_or_else(|e| {
+                    eprintln!("warning: {e}; streaming workload `{}`", spec.name);
+                    None
+                })
+            })
+            .flatten();
 
-    /// Claims workload `spec`'s shared trace for one cell, or `None` when
-    /// the cell should stream it. `sharers` is how many cells of the
-    /// matrix run this workload. Blocks while another worker generates
-    /// the same trace.
-    pub fn acquire(&self, spec: &WorkloadSpec, sharers: usize) -> Option<Arc<Vec<BranchRecord>>> {
-        let mut inner = self.lock();
-        loop {
-            if let Some((_, trace)) = inner.cached.iter().find(|(s, _)| s == spec) {
-                return Some(Arc::clone(trace));
-            }
-            if inner.streamed.contains(spec) {
-                return None;
-            }
-            if sharers < 2 || self.cap_bytes == 0 {
-                inner.stream(spec);
-                return None;
-            }
-            if !inner.generating.contains(spec) {
-                break;
-            }
-            inner = self.ready.wait(inner).unwrap_or_else(PoisonError::into_inner);
-        }
-        inner.generating.push(spec.clone());
-        let room = self.cap_bytes.saturating_sub(inner.stats.cached_bytes);
-        drop(inner);
-
-        let started = Instant::now();
-        let generated = crate::exec::try_materialize(spec, self.budget, room);
-
-        let mut inner = self.lock();
-        inner.generating.retain(|s| s != spec);
-        inner.stats.generation_seconds += started.elapsed().as_secs_f64();
-        let trace = match generated {
-            Ok(Some(trace)) => {
-                inner.stats.specs_cached += 1;
-                inner.stats.cached_records += trace.len() as u64;
-                inner.stats.cached_bytes += trace_bytes(&trace);
-                inner.cached.push((spec.clone(), Arc::clone(&trace)));
+        let mut ledger = lock(&self.ledger);
+        match trace {
+            // Re-checked under the lock: rows generating concurrently all
+            // sized themselves against the same room.
+            Some(trace) if ledger.live_bytes + trace_bytes(&trace) <= self.cap_bytes => {
+                let bytes = trace_bytes(&trace);
+                let Ledger { live_bytes, stats } = &mut *ledger;
+                *live_bytes += bytes;
+                stats.specs_cached += 1;
+                stats.cached_records += trace.len() as u64;
+                stats.cached_bytes += bytes;
+                stats.peak_bytes = stats.peak_bytes.max(*live_bytes);
                 Some(trace)
             }
-            Ok(None) => {
-                inner.stream(spec);
+            _ => {
+                ledger.stats.specs_streamed += 1;
                 None
             }
-            Err(e) => {
-                eprintln!("warning: {e}; streaming workload `{}`", spec.name);
-                inner.stream(spec);
-                None
+        }
+    }
+}
+
+/// How a row's cells get their records, decided by its first claim.
+enum Slot {
+    Unclaimed,
+    Shared(Arc<Vec<BranchRecord>>),
+    Streamed,
+}
+
+/// One row's trace: materialized at the row's first claim, dropped when
+/// its last cell finishes.
+pub struct RowTrace {
+    spec: WorkloadSpec,
+    slot: Mutex<Slot>,
+    /// Cells of the row that have not finished yet.
+    unfinished: AtomicUsize,
+}
+
+impl RowTrace {
+    /// The trace of a row of `cells` cells on workload `spec`.
+    pub fn new(spec: WorkloadSpec, cells: usize) -> Self {
+        RowTrace { spec, slot: Mutex::new(Slot::Unclaimed), unfinished: AtomicUsize::new(cells) }
+    }
+
+    /// The row's workload.
+    pub fn spec(&self) -> &WorkloadSpec {
+        &self.spec
+    }
+
+    /// Claims the row's shared trace for one cell, or `None` when the cell
+    /// should stream. The first claim decides: it materializes the trace
+    /// when another cell of the row is still unfinished and the trace fits
+    /// the cap. Cells claiming meanwhile block on the row's lock.
+    pub fn claim(&self, cache: &TraceCache) -> Option<Arc<Vec<BranchRecord>>> {
+        let mut slot = lock(&self.slot);
+        match &*slot {
+            Slot::Shared(trace) => Some(Arc::clone(trace)),
+            Slot::Streamed => None,
+            Slot::Unclaimed => {
+                let trace = cache.share(&self.spec, self.unfinished.load(Ordering::Acquire));
+                *slot = trace.clone().map_or(Slot::Streamed, Slot::Shared);
+                trace
             }
-        };
-        drop(inner);
-        self.ready.notify_all();
-        trace
+        }
+    }
+
+    /// Marks one cell of the row finished, however it ended. The last one
+    /// drops the row's trace and returns its bytes to the cap; cells must
+    /// drop their own handles on the trace first.
+    pub fn finish(&self, cache: &TraceCache) {
+        if self.unfinished.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return;
+        }
+        if let Slot::Shared(trace) = std::mem::replace(&mut *lock(&self.slot), Slot::Streamed) {
+            lock(&cache.ledger).live_bytes -= trace_bytes(&trace);
+        }
     }
 }
 
@@ -161,11 +190,8 @@ fn trace_bytes(trace: &[BranchRecord]) -> u64 {
 /// generator — same records, same order, same stopping point.
 ///
 /// The record buffer is allocated once up front (sized by `capacity_hint`,
-/// clamped to the cap) and handed to the `Arc` by move. Growth
-/// reallocations and the old `Vec → Arc<[_]>` slice conversion each copied
-/// the whole trace through fresh pages — for the ~100 MB traces fig01
-/// shares, the first-touch page faults cost multiples of the generation
-/// arithmetic itself.
+/// clamped to the cap) and handed to the `Arc` by move: copying a ~100 MB
+/// trace through fresh pages costs more than generating it.
 pub(crate) fn materialize_stream<S: BranchStream>(
     workload: &str,
     stream: &mut S,
@@ -219,24 +245,24 @@ mod tests {
     #[test]
     fn shared_specs_materialize_once_and_hit_after() {
         let cache = TraceCache::new(u64::MAX, BUDGET);
-        let spec = tiny_spec("hit", 1);
-        let a = cache.acquire(&spec, 2).expect("materialized");
-        let b = cache.acquire(&spec, 2).expect("materialized");
+        let row = RowTrace::new(tiny_spec("hit", 1), 2);
+        let a = row.claim(&cache).expect("materialized");
+        let b = row.claim(&cache).expect("materialized");
         assert!(Arc::ptr_eq(&a, &b), "one generation, shared storage");
         let stats = cache.stats();
         assert_eq!(stats.specs_cached, 1);
         assert_eq!(stats.specs_streamed, 0);
         assert_eq!(stats.cached_records, a.len() as u64);
         assert_eq!(stats.cached_bytes, trace_bytes(&a));
+        assert_eq!(stats.peak_bytes, stats.cached_bytes);
     }
 
     #[test]
     fn singletons_and_zero_cap_stream_undegraded() {
         let cache = TraceCache::new(u64::MAX, BUDGET);
-        let spec = tiny_spec("single", 2);
-        assert!(cache.acquire(&spec, 1).is_none());
+        assert!(RowTrace::new(tiny_spec("single", 2), 1).claim(&cache).is_none());
         let zero = TraceCache::new(0, BUDGET);
-        assert!(zero.acquire(&spec, 2).is_none());
+        assert!(RowTrace::new(tiny_spec("single", 2), 2).claim(&zero).is_none());
         for stats in [cache.stats(), zero.stats()] {
             assert_eq!(stats.specs_streamed, 1);
             assert_eq!(stats.specs_cached, 0);
@@ -246,17 +272,18 @@ mod tests {
 
     #[test]
     fn a_spec_that_does_not_fit_what_is_left_streams() {
-        let spec_a = tiny_spec("fit-a", 3);
-        let spec_b = tiny_spec("fit-b", 4);
-        let one = trace_bytes(&TraceCache::new(u64::MAX, BUDGET).acquire(&spec_a, 2).expect("fits"));
+        let (spec_a, spec_b) = (tiny_spec("fit-a", 3), tiny_spec("fit-b", 4));
+        let probe = TraceCache::new(u64::MAX, BUDGET);
+        let one = trace_bytes(&RowTrace::new(spec_a.clone(), 2).claim(&probe).expect("fits"));
 
-        // Room for one trace: A is cached, B overflows what is left and
+        // Room for one trace: A is live, so B overflows what is left and
         // streams, and later claims of B stream without regenerating.
         let cache = TraceCache::new(one + one / 2, BUDGET);
-        assert!(cache.acquire(&spec_a, 2).is_some());
-        assert!(cache.acquire(&spec_b, 2).is_none());
+        let (row_a, row_b) = (RowTrace::new(spec_a, 2), RowTrace::new(spec_b, 2));
+        assert!(row_a.claim(&cache).is_some());
+        assert!(row_b.claim(&cache).is_none());
         let after_first = cache.stats();
-        assert!(cache.acquire(&spec_b, 2).is_none());
+        assert!(row_b.claim(&cache).is_none());
         let stats = cache.stats();
         assert_eq!(stats.generation_seconds, after_first.generation_seconds);
         assert_eq!((stats.specs_cached, stats.specs_streamed), (1, 1));
@@ -264,11 +291,34 @@ mod tests {
     }
 
     #[test]
+    fn the_last_finished_cell_releases_the_row_trace() {
+        let (spec_a, spec_b) = (tiny_spec("rel-a", 5), tiny_spec("rel-b", 6));
+        let probe = TraceCache::new(u64::MAX, BUDGET);
+        let one = trace_bytes(&RowTrace::new(spec_a.clone(), 2).claim(&probe).expect("fits"));
+
+        // The same room for one trace as above, but A's row finishes first:
+        // its bytes return to the cap and B materializes too.
+        let cache = TraceCache::new(one + one / 2, BUDGET);
+        let (row_a, row_b) = (RowTrace::new(spec_a, 2), RowTrace::new(spec_b, 2));
+        let a = row_a.claim(&cache).expect("fits");
+        assert_eq!(Arc::strong_count(&a), 2, "the row and this cell");
+        drop(a);
+        row_a.finish(&cache);
+        assert!(row_a.claim(&cache).is_some(), "one cell left: the trace stays");
+        row_a.finish(&cache);
+        let b = row_b.claim(&cache).expect("A's bytes were released");
+        let stats = cache.stats();
+        assert_eq!(stats.specs_cached, 2);
+        assert_eq!(stats.cached_bytes, one + trace_bytes(&b));
+        assert_eq!(stats.peak_bytes, one.max(trace_bytes(&b)));
+    }
+
+    #[test]
     fn failed_generation_is_remembered_and_streams_clean() {
-        let bad = WorkloadSpec::new("bad", 1).with_request_types(0);
         let cache = TraceCache::new(u64::MAX, BUDGET);
+        let bad = RowTrace::new(WorkloadSpec::new("bad", 1).with_request_types(0), 2);
         for _ in 0..2 {
-            assert!(cache.acquire(&bad, 2).is_none());
+            assert!(bad.claim(&cache).is_none());
         }
         assert_eq!(cache.stats().specs_streamed, 1);
     }
@@ -276,12 +326,12 @@ mod tests {
     #[test]
     fn concurrent_claimants_share_one_generation() {
         let cache = TraceCache::new(u64::MAX, BUDGET);
-        let spec = tiny_spec("race", 5);
+        let row = RowTrace::new(tiny_spec("race", 5), 4);
         let start = std::sync::Barrier::new(4);
         let traces: Vec<_> = std::thread::scope(|scope| {
             let claim = || {
                 start.wait();
-                cache.acquire(&spec, 4)
+                row.claim(&cache)
             };
             let claims: Vec<_> = (0..4).map(|_| scope.spawn(claim)).collect();
             claims.into_iter().map(|c| c.join().expect("claimant").expect("cached")).collect()

@@ -242,7 +242,12 @@ fn parse_line(line: &str) -> Option<(String, RestoredCell)> {
         },
         resumed: true,
     };
-    let storage_bits = u("storage_bits")?;
+    // Infinite designs report `u64::MAX` storage, which the journal holds
+    // as a float; the saturating cast restores it exactly.
+    let storage_bits = match j.get("storage_bits")? {
+        Json::Num(x) if *x >= i64::MAX as f64 => *x as u64,
+        other => other.as_i64()? as u64,
+    };
     Some((fingerprint, RestoredCell { result, storage_bits }))
 }
 
@@ -394,6 +399,13 @@ mod tests {
         let (a, b) = (r.llbp.as_ref().unwrap(), result.llbp.as_ref().unwrap());
         assert_eq!(a.counters(), b.counters());
         assert_eq!(a.alloc_len_histogram, b.alloc_len_histogram);
+    }
+
+    #[test]
+    fn infinite_storage_round_trips() {
+        let line = entry_to_json("00ff", &sample_result(), u64::MAX).to_string();
+        let (_, cell) = parse_line(&line).expect("an Inf TSL cell restores");
+        assert_eq!(cell.storage_bits, u64::MAX);
     }
 
     #[test]

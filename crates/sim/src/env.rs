@@ -161,5 +161,8 @@ mod tests {
         check(&exec::JOB_TIMEOUT, "0.001", Some(Duration::from_millis(1)), "nan", None);
         check(&runner::WARMUP, "1_000_000", 1_000_000u64, "ten", 5);
         check(&runner::MEASURE, "2_000_000", 2_000_000u64, "", 6);
+        // Zero measured instructions is rejected; zero warmup is valid.
+        check(&runner::MEASURE, "1", 1u64, "0", 6);
+        check(&runner::WARMUP, "0", 0u64, "-1", 5);
     }
 }

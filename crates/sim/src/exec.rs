@@ -1,19 +1,24 @@
 //! The parallel experiment engine: fans a run matrix out over worker
-//! threads, shares materialized workload traces between runs, isolates
-//! per-cell failures, and journals completed cells to a checkpoint.
+//! threads, shares each row's materialized workload trace between its
+//! cells, isolates per-cell failures, and journals completed cells to a
+//! checkpoint.
 //!
-//! Every figure/table binary replays the paper's protocol as a *matrix* of
-//! `(predictor, workload)` cells. The cells are embarrassingly parallel and
-//! deterministic by construction (the workload generator is seeded, the
-//! runner is single-threaded per cell), so this module provides:
+//! Every figure/table binary replays the paper's protocol as a *matrix*:
+//! one [`MatrixRow`] per workload, one cell per predictor design on it.
+//! The cells are embarrassingly parallel and deterministic by construction
+//! (the workload generator is seeded, the runner is single-threaded per
+//! cell), so this module provides:
 //!
 //! * [`run_jobs`] — a deterministic-order parallel map: jobs are claimed in
 //!   index order by `LLBPX_THREADS` scoped workers and the results come
 //!   back in job order, bit-identical to running them serially;
-//! * a lazily-filled shared trace cache ([`crate::cache::TraceCache`],
-//!   capped by `LLBPX_TRACE_CACHE_MB`) so every predictor on a workload
-//!   replays identical records read-only instead of re-synthesizing them;
-//! * [`run_matrix`] — the two combined.
+//! * row-scoped shared traces ([`crate::cache::RowTrace`]): the cells of a
+//!   row replay one materialized trace read-only instead of re-synthesizing
+//!   it, and the row drops it when its last cell finishes, within the
+//!   `LLBPX_TRACE_CACHE_MB` cap on live bytes;
+//! * [`run_matrix`] — the two combined: cells keep a flat, row-major index
+//!   (their claim order, their fingerprint and their `LLBPX_FAULT_CELL`
+//!   number) and come back grouped by row.
 //!
 //! A cell is a pure function of (predictor config, workload seed,
 //! protocol): a real failure fails the same way every time, so there is no
@@ -51,7 +56,7 @@ use traces::{BranchRecord, SharedTrace};
 use workloads::{ServerWorkload, WorkloadSpec};
 
 pub use crate::cache::TraceCacheStats;
-use crate::cache::TraceCache;
+use crate::cache::{RowTrace, TraceCache};
 use crate::checkpoint::{self, Checkpoint};
 use crate::env::Knob;
 use crate::error::{panic_message, JobError, JobErrorKind, SimError};
@@ -62,8 +67,9 @@ use crate::runner::{RunResult, Simulation, TraceSource};
 /// parallelism).
 pub const ENV_THREADS: &str = "LLBPX_THREADS";
 
-/// Environment variable capping the shared trace cache, in MiB
-/// (default [`DEFAULT_TRACE_CACHE_MB`]; `0` disables materialization).
+/// Environment variable capping the bytes of shared traces live at once,
+/// in MiB (default [`DEFAULT_TRACE_CACHE_MB`]; `0` disables
+/// materialization).
 pub const ENV_TRACE_CACHE_MB: &str = "LLBPX_TRACE_CACHE_MB";
 
 /// Environment variable naming one zero-based matrix cell to deliberately
@@ -75,8 +81,8 @@ pub const ENV_FAULT_CELL: &str = "LLBPX_FAULT_CELL";
 /// (fractional allowed; unset or `0` means no deadline).
 pub const ENV_JOB_TIMEOUT: &str = "LLBPX_JOB_TIMEOUT";
 
-/// Default trace-cache cap: 3 GiB covers the 14-preset matrix at the
-/// laptop-scale default budgets; paper-scale budgets overflow it and
+/// Default trace-cache cap: 3 GiB holds the rows in flight at the
+/// laptop-scale default budgets; paper-scale traces overflow it and
 /// stream instead.
 pub const DEFAULT_TRACE_CACHE_MB: u64 = 3072;
 
@@ -208,20 +214,10 @@ pub fn run_jobs_with<T: Send>(threads: usize, jobs: Vec<BoxedJob<'_, T>>) -> Vec
 }
 
 /// Materializes the branch stream of `spec` into shared read-only storage
-/// covering at least `instructions` of simulation, validating every record
-/// structurally on the way in.
-///
-/// Returns `Ok(None)` when materializing would exceed `cap_bytes` or the
-/// stream ends early (callers fall back to per-job streaming), and an
-/// error when the spec is invalid or the generator emits a structurally
-/// corrupt record — a corrupt shared trace would poison every cell that
-/// replays it, so it is rejected before any cell runs.
-///
-/// The trace is generated past the requested budget by twice the largest
-/// record seen, which provably covers the runner's boundary overshoot (the
-/// warmup and measurement loops each run their crossing record to
-/// completion), so replaying the result is bit-identical to streaming the
-/// generator — same records, same order, same stopping point.
+/// covering at least `instructions` of simulation, so that replaying it is
+/// bit-identical to streaming the generator. Returns `Ok(None)` when the
+/// trace would exceed `cap_bytes`, and an error when the spec is invalid
+/// or a record is structurally corrupt (see `cache::materialize_stream`).
 pub fn try_materialize(
     spec: &WorkloadSpec,
     instructions: u64,
@@ -233,40 +229,38 @@ pub fn try_materialize(
     crate::cache::materialize_stream(&spec.name, &mut stream, instructions, cap_bytes, hint)
 }
 
-/// [`try_materialize`], panicking on invalid specs or corrupt streams.
-pub fn materialize(
-    spec: &WorkloadSpec,
-    instructions: u64,
-    cap_bytes: u64,
-) -> Option<Arc<Vec<BranchRecord>>> {
-    try_materialize(spec, instructions, cap_bytes).unwrap_or_else(|e| panic!("{e}"))
-}
+/// A matrix cell's predictor factory. It receives the row's workload and
+/// executes once, on the worker thread that claims the cell, so predictors
+/// never cross threads; it may run arbitrary setup (e.g. oracle training).
+pub type Factory<'a> = Box<dyn FnOnce(&WorkloadSpec) -> Box<dyn SimPredictor> + Send + 'a>;
 
-/// One cell of a run matrix: its name, a predictor factory and the
-/// workload it runs on. The factory executes once, on the worker thread
-/// that claims the job, so predictors never cross threads.
-pub struct MatrixJob<'a> {
-    /// The cell's name (the design label its binary gives it). It is part
-    /// of the checkpoint fingerprint, where it tells apart configurations
-    /// whose predictors share a label and storage size.
-    pub name: String,
-    /// Builds the predictor (and may run arbitrary setup, e.g. oracle
-    /// training) on the worker thread.
-    pub factory: Box<dyn FnOnce() -> Box<dyn SimPredictor> + Send + 'a>,
-    /// The workload the predictor runs on. Jobs with equal specs share one
-    /// materialized trace.
+/// One row of a run matrix: a workload and the named cells that run on it.
+pub struct MatrixRow<'a> {
+    /// The workload every cell of the row runs on; the row's cells share
+    /// one materialized trace.
     pub spec: WorkloadSpec,
+    /// The cells: a name (the design label its binary gives it) and a
+    /// predictor factory. The name is part of the checkpoint fingerprint,
+    /// where it tells apart configurations whose predictors share a label
+    /// and storage size.
+    pub cells: Vec<(String, Factory<'a>)>,
 }
 
-impl<'a> MatrixJob<'a> {
-    /// Creates a job named `name` from a factory and the workload spec it
-    /// runs on.
-    pub fn new(
+impl<'a> MatrixRow<'a> {
+    /// An empty row on workload `spec`.
+    pub fn new(spec: &WorkloadSpec) -> Self {
+        MatrixRow { spec: spec.clone(), cells: Vec::new() }
+    }
+
+    /// Appends a cell named `name`.
+    #[must_use]
+    pub fn cell(
+        mut self,
         name: impl Into<String>,
-        factory: impl FnOnce() -> Box<dyn SimPredictor> + Send + 'a,
-        spec: &WorkloadSpec,
+        factory: impl FnOnce(&WorkloadSpec) -> Box<dyn SimPredictor> + Send + 'a,
     ) -> Self {
-        MatrixJob { name: name.into(), factory: Box::new(factory), spec: spec.clone() }
+        self.cells.push((name.into(), Box::new(factory)));
+        self
     }
 }
 
@@ -279,23 +273,23 @@ pub struct MatrixOutput {
     pub storage_bits: u64,
 }
 
-/// A completed run matrix: per-cell outcomes in job order plus engine
+/// A completed run matrix: per-cell outcomes row by row plus engine
 /// bookkeeping for the coordinator's telemetry record.
 pub struct MatrixReport {
-    /// Per-job outcomes, in the order the jobs were submitted. A cell that
-    /// panicked or timed out is an `Err` carrying the structured error;
-    /// every other cell completed normally.
-    pub outputs: Vec<Result<MatrixOutput, JobError>>,
+    /// Per-cell outcomes, one vector per submitted row, cells in submitted
+    /// order. A cell that panicked or timed out is an `Err` carrying the
+    /// structured error; every other cell completed normally.
+    pub rows: Vec<Vec<Result<MatrixOutput, JobError>>>,
     /// Worker threads actually used.
     pub threads: usize,
-    /// Shared-trace cache behavior.
+    /// Shared-trace behavior.
     pub cache: TraceCacheStats,
 }
 
 impl MatrixReport {
-    /// The failed cells (any kind), in job order.
+    /// The failed cells (any kind), in flat index order.
     pub fn failures(&self) -> impl Iterator<Item = &JobError> {
-        self.outputs.iter().filter_map(|o| o.as_ref().err())
+        self.rows.iter().flatten().filter_map(|o| o.as_ref().err())
     }
 
     /// How many cells failed (panicked or timed out).
@@ -311,8 +305,9 @@ impl MatrixReport {
     /// How many cells were restored from the checkpoint journal instead of
     /// simulated in this invocation.
     pub fn resumed_cells(&self) -> usize {
-        self.outputs
+        self.rows
             .iter()
+            .flatten()
             .filter(|o| matches!(o, Ok(out) if out.result.resumed))
             .count()
     }
@@ -325,7 +320,7 @@ impl MatrixReport {
 pub struct EngineOptions {
     /// Worker threads.
     pub threads: usize,
-    /// Shared trace cache cap, in bytes.
+    /// Cap on the bytes of shared traces live at once.
     pub cap_bytes: u64,
     /// Checkpoint journal, if any.
     pub checkpoint: Option<Arc<Checkpoint>>,
@@ -359,38 +354,38 @@ impl EngineOptions {
 
 /// Runs a matrix under the full environment-driven configuration
 /// ([`EngineOptions::from_env`]). See [`run_matrix_opts`].
-pub fn run_matrix(sim: &Simulation, jobs: Vec<MatrixJob<'_>>) -> MatrixReport {
-    run_matrix_opts(sim, jobs, EngineOptions::from_env())
+pub fn run_matrix(sim: &Simulation, rows: Vec<MatrixRow<'_>>) -> MatrixReport {
+    run_matrix_opts(sim, rows, EngineOptions::from_env())
 }
 
 /// Runs a matrix with explicit thread count and cache cap, no checkpoint,
 /// no fault injection and no deadline. See [`run_matrix_opts`].
 pub fn run_matrix_with(
     sim: &Simulation,
-    jobs: Vec<MatrixJob<'_>>,
+    rows: Vec<MatrixRow<'_>>,
     threads: usize,
     cap_bytes: u64,
 ) -> MatrixReport {
-    run_matrix_opts(sim, jobs, EngineOptions::basic(threads, cap_bytes))
+    run_matrix_opts(sim, rows, EngineOptions::basic(threads, cap_bytes))
 }
 
 /// One cell: fix its deadline, build the predictor, consult the journal,
-/// claim the trace, run under `catch_unwind`, journal the completion.
+/// claim the row's trace, run under `catch_unwind`, journal the completion.
 fn run_cell(
     sim: &Simulation,
     opts: &EngineOptions,
     cache: &TraceCache,
+    row: &RowTrace,
     index: usize,
-    job: MatrixJob<'_>,
-    sharers: usize,
+    (cell, factory): (String, Factory<'_>),
 ) -> Result<MatrixOutput, JobError> {
     let deadline = opts.job_timeout.map(|timeout| Instant::now() + timeout);
-    let MatrixJob { name: cell, factory, spec } = job;
-    let mut predictor = std::panic::catch_unwind(AssertUnwindSafe(factory))
+    let spec = row.spec();
+    let mut predictor = std::panic::catch_unwind(AssertUnwindSafe(|| factory(spec)))
         .map_err(|payload| JobError::panic(index, &spec.name, None, panic_message(payload)))?;
     let name = predictor.name();
     let storage_bits = predictor.storage_bits();
-    let fingerprint = checkpoint::job_fingerprint(index, &cell, &name, storage_bits, &spec, sim);
+    let fingerprint = checkpoint::job_fingerprint(index, &cell, &name, storage_bits, spec, sim);
     if let Some(restored) = opts.checkpoint.as_deref().and_then(|cp| cp.lookup(&fingerprint)) {
         return Ok(MatrixOutput { result: restored.result, storage_bits: restored.storage_bits });
     }
@@ -399,14 +394,14 @@ fn run_cell(
         if opts.fault_cell == Some(index) {
             panic!("deliberate fault injected into cell {index} (see {ENV_FAULT_CELL})");
         }
-        match cache.acquire(&spec, sharers) {
+        match row.claim(cache) {
             Some(records) => {
                 let mut replay = SharedTrace::new(records);
                 sim.run_stream_until(predictor.as_mut(), &mut replay, &spec.name, deadline)
                     .map(|result| RunResult { trace_source: TraceSource::Materialized, ..result })
             }
             None => {
-                let mut stream = ServerWorkload::try_new(&spec).unwrap_or_else(|reason| {
+                let mut stream = ServerWorkload::try_new(spec).unwrap_or_else(|reason| {
                     panic!("{}", SimError::InvalidSpec { workload: spec.name.clone(), reason })
                 });
                 sim.run_stream_until(predictor.as_mut(), &mut stream, &spec.name, deadline)
@@ -437,18 +432,20 @@ fn run_cell(
     }
 }
 
-/// Runs every `(predictor factory, workload)` job under `sim`, fanning out
-/// over at most `opts.threads` workers, and returns the outcomes in job
-/// order — completed cells bit-identical to running the same cells
-/// serially via [`Simulation::run`].
+/// Runs every cell of `rows` under `sim`, fanning out over at most
+/// `opts.threads` workers, and returns the outcomes row by row — completed
+/// cells bit-identical to running the same cells serially via
+/// [`Simulation::run`].
 ///
-/// Each distinct spec shared by two or more jobs is materialized lazily
-/// into the shared trace cache (within `opts.cap_bytes` across all specs;
-/// see [`crate::cache::TraceCache`]) and replayed read-only by every job
-/// on that workload; the rest stream from the generator exactly as the
-/// serial path does. Both paths produce the same records in the same
-/// order, so accuracy never depends on which one ran — the one that did is
-/// attributed per run in [`RunResult::trace_source`].
+/// Cells are claimed in flat, row-major index order. A row with two or
+/// more cells materializes its workload at its first claim and every cell
+/// of the row replays it read-only; the row drops it when its last cell
+/// finishes, so the `opts.cap_bytes` cap bounds the bytes live at once
+/// (see [`crate::cache::RowTrace`]). Single-cell rows, and rows that do
+/// not fit, stream from the generator exactly as the serial path does.
+/// Both paths produce the same records in the same order, so accuracy
+/// never depends on which one ran — the one that did is attributed per run
+/// in [`RunResult::trace_source`].
 ///
 /// Each cell runs under `catch_unwind` and, with `opts.job_timeout`, a
 /// wall-clock deadline; a failure of either kind yields `Err(JobError)`
@@ -458,31 +455,32 @@ fn run_cell(
 /// simulated.
 pub fn run_matrix_opts(
     sim: &Simulation,
-    jobs: Vec<MatrixJob<'_>>,
+    rows: Vec<MatrixRow<'_>>,
     opts: EngineOptions,
 ) -> MatrixReport {
     let budget = sim.warmup_instructions.saturating_add(sim.measure_instructions);
     let cache = TraceCache::new(opts.cap_bytes, budget);
-    let sharers: Vec<usize> = jobs
-        .iter()
-        .map(|job| jobs.iter().filter(|j| j.spec == job.spec).count())
-        .collect();
+    let widths: Vec<usize> = rows.iter().map(|row| row.cells.len()).collect();
+    let traces: Vec<RowTrace> =
+        rows.iter().map(|row| RowTrace::new(row.spec.clone(), row.cells.len())).collect();
 
-    let n = jobs.len();
     let (opts, cache) = (&opts, &cache);
-    let boxed: Vec<BoxedJob<'_, Result<MatrixOutput, JobError>>> = jobs
-        .into_iter()
-        .zip(sharers)
-        .enumerate()
-        .map(|(index, (job, sharers))| {
-            Box::new(move || run_cell(sim, opts, cache, index, job, sharers))
-                as BoxedJob<'_, Result<MatrixOutput, JobError>>
-        })
-        .collect();
+    let mut jobs: Vec<BoxedJob<'_, Result<MatrixOutput, JobError>>> = Vec::new();
+    for (row, trace) in rows.into_iter().zip(&traces) {
+        for cell in row.cells {
+            let index = jobs.len();
+            jobs.push(Box::new(move || {
+                let output = run_cell(sim, opts, cache, trace, index, cell);
+                trace.finish(cache);
+                output
+            }));
+        }
+    }
 
-    let used_threads = opts.threads.max(1).min(n.max(1));
-    let outputs = run_jobs_with(opts.threads, boxed);
-    MatrixReport { outputs, threads: used_threads, cache: cache.stats() }
+    let used_threads = opts.threads.max(1).min(jobs.len().max(1));
+    let mut outputs = run_jobs_with(opts.threads, jobs).into_iter();
+    let rows = widths.into_iter().map(|width| outputs.by_ref().take(width).collect()).collect();
+    MatrixReport { rows, threads: used_threads, cache: cache.stats() }
 }
 
 #[cfg(test)]
@@ -514,6 +512,14 @@ mod tests {
         EngineOptions { checkpoint, fault_cell, ..EngineOptions::basic(threads, cap) }
     }
 
+    fn tsl64(_: &WorkloadSpec) -> Box<dyn SimPredictor> {
+        Box::new(TageScl::new(TslConfig::kilobytes(64)))
+    }
+
+    fn llbp(_: &WorkloadSpec) -> Box<dyn SimPredictor> {
+        Box::new(Llbp::new(LlbpConfig::paper_baseline()))
+    }
+
     #[test]
     fn run_jobs_preserves_submission_order() {
         let jobs: Vec<BoxedJob<'_, usize>> =
@@ -536,8 +542,10 @@ mod tests {
         let spec = tiny_spec("mat", 7);
         let streamed = sim.run(&mut TageScl::new(TslConfig::kilobytes(64)), &spec);
 
-        let trace = materialize(&spec, sim.warmup_instructions + sim.measure_instructions, u64::MAX)
-            .expect("uncapped materialization succeeds");
+        let trace =
+            try_materialize(&spec, sim.warmup_instructions + sim.measure_instructions, u64::MAX)
+                .expect("a valid spec")
+                .expect("uncapped materialization succeeds");
         let mut replay = SharedTrace::new(trace);
         let replayed = sim.run_stream(
             &mut TageScl::new(TslConfig::kilobytes(64)),
@@ -555,8 +563,9 @@ mod tests {
     #[test]
     fn materialization_respects_the_cap() {
         let spec = tiny_spec("cap", 9);
-        assert!(materialize(&spec, 100_000, 1024).is_none(), "1 KiB cannot hold 100K instrs");
-        assert!(materialize(&spec, 100_000, u64::MAX).is_some());
+        let capped = try_materialize(&spec, 100_000, 1024).expect("a valid spec");
+        assert!(capped.is_none(), "1 KiB cannot hold 100K instrs");
+        assert!(try_materialize(&spec, 100_000, u64::MAX).expect("a valid spec").is_some());
     }
 
     #[test]
@@ -577,21 +586,9 @@ mod tests {
         }
     }
 
-    fn standard_jobs<'a>(specs: &'a [WorkloadSpec]) -> Vec<MatrixJob<'a>> {
-        let mut jobs = Vec::new();
-        for spec in specs {
-            jobs.push(MatrixJob::new(
-                "64K TSL",
-                || Box::new(TageScl::new(TslConfig::kilobytes(64))) as Box<dyn SimPredictor>,
-                spec,
-            ));
-            jobs.push(MatrixJob::new(
-                "LLBP",
-                || Box::new(Llbp::new(LlbpConfig::paper_baseline())) as Box<dyn SimPredictor>,
-                spec,
-            ));
-        }
-        jobs
+    fn standard_rows(specs: &[WorkloadSpec]) -> Vec<MatrixRow<'static>> {
+        let row = |spec| MatrixRow::new(spec).cell("64K TSL", tsl64).cell("LLBP", llbp);
+        specs.iter().map(row).collect()
     }
 
     #[test]
@@ -603,7 +600,7 @@ mod tests {
         for spec in &specs {
             let mut tsl = TageScl::new(TslConfig::kilobytes(64));
             let mut llbp = Llbp::new(LlbpConfig::paper_baseline());
-            serial.extend(compare(
+            serial.push(compare(
                 &sim,
                 spec,
                 [&mut tsl as &mut dyn SimPredictor, &mut llbp as &mut dyn SimPredictor],
@@ -612,30 +609,33 @@ mod tests {
 
         for threads in [1usize, 4] {
             for cap in [0u64, u64::MAX] {
-                let report = run_matrix_with(&sim, standard_jobs(&specs), threads, cap);
-                assert_eq!(report.outputs.len(), serial.len());
+                let report = run_matrix_with(&sim, standard_rows(&specs), threads, cap);
+                assert_eq!(report.rows.len(), serial.len());
                 assert_eq!(report.failed_cells(), 0);
-                for (parallel, serial) in report.outputs.iter().zip(&serial) {
-                    let parallel = parallel.as_ref().expect("no cell fails");
-                    assert_eq!(parallel.result.name, serial.name);
-                    assert_eq!(parallel.result.workload, serial.workload);
-                    assert_eq!(parallel.result.instructions, serial.instructions);
-                    assert_eq!(parallel.result.mispredicts, serial.mispredicts);
-                    assert_eq!(
-                        parallel.result.override_candidates,
-                        serial.override_candidates
-                    );
-                    assert_eq!(parallel.result.intervals, serial.intervals);
-                    assert!(parallel.storage_bits > 0);
-                    // Per-run trace attribution follows the path that
-                    // actually ran, not the global engine config.
-                    let expected = if cap == 0 {
-                        TraceSource::Streamed
-                    } else {
-                        TraceSource::Materialized
-                    };
-                    assert_eq!(parallel.result.trace_source, expected);
-                    assert!(!parallel.result.resumed);
+                for (row, serial_row) in report.rows.iter().zip(&serial) {
+                    assert_eq!(row.len(), serial_row.len());
+                    for (parallel, serial) in row.iter().zip(serial_row) {
+                        let parallel = parallel.as_ref().expect("no cell fails");
+                        assert_eq!(parallel.result.name, serial.name);
+                        assert_eq!(parallel.result.workload, serial.workload);
+                        assert_eq!(parallel.result.instructions, serial.instructions);
+                        assert_eq!(parallel.result.mispredicts, serial.mispredicts);
+                        assert_eq!(
+                            parallel.result.override_candidates,
+                            serial.override_candidates
+                        );
+                        assert_eq!(parallel.result.intervals, serial.intervals);
+                        assert!(parallel.storage_bits > 0);
+                        // Per-run trace attribution follows the path that
+                        // actually ran, not the global engine config.
+                        let expected = if cap == 0 {
+                            TraceSource::Streamed
+                        } else {
+                            TraceSource::Materialized
+                        };
+                        assert_eq!(parallel.result.trace_source, expected);
+                        assert!(!parallel.result.resumed);
+                    }
                 }
                 if cap == u64::MAX {
                     assert_eq!(report.cache.specs_cached, 2);
@@ -648,23 +648,46 @@ mod tests {
     }
 
     #[test]
+    fn rows_release_their_traces_as_they_finish() {
+        // One worker finishes row 0 before it claims row 1, so only one
+        // trace is ever live.
+        let specs = [tiny_spec("rel-a", 29), tiny_spec("rel-b", 31)];
+        let report = run_matrix_with(&tiny_sim(), standard_rows(&specs), 1, u64::MAX);
+        let stats = report.cache;
+        assert_eq!(stats.specs_cached, 2);
+        assert!(stats.peak_bytes > 0);
+        assert!(
+            stats.peak_bytes < stats.cached_bytes,
+            "peak {} must stay below the {} bytes materialized",
+            stats.peak_bytes,
+            stats.cached_bytes
+        );
+    }
+
+    #[test]
+    fn fault_cells_keep_their_flat_index_across_rows() {
+        let specs = [tiny_spec("flat-a", 37), tiny_spec("flat-b", 41)];
+        let rows: Vec<MatrixRow<'_>> = specs
+            .iter()
+            .map(|spec| {
+                (0..5).fold(MatrixRow::new(spec), |row, i| row.cell(format!("TSL {i}"), tsl64))
+            })
+            .collect();
+        let sim = Simulation { warmup_instructions: 10_000, measure_instructions: 20_000 };
+        let report = run_matrix_opts(&sim, rows, with_fault(2, u64::MAX, None, Some(5)));
+        assert_eq!(report.failed_cells(), 1);
+        let err = report.rows[1][0].as_ref().expect_err("cell 5 opens row 1");
+        assert_eq!((err.index, err.workload.as_str()), (5, "flat-b"));
+        assert!(err.message.contains(ENV_FAULT_CELL), "{}", err.message);
+        assert!(report.rows.iter().flatten().filter(|o| o.is_ok()).count() == 9);
+    }
+
+    #[test]
     fn worker_profiles_travel_with_their_runs() {
         let sim = tiny_sim();
-        let spec = tiny_spec("prof", 5);
-        let jobs = vec![
-            MatrixJob::new(
-                "LLBP a",
-                || Box::new(Llbp::new(LlbpConfig::paper_baseline())) as Box<dyn SimPredictor>,
-                &spec,
-            ),
-            MatrixJob::new(
-                "LLBP b",
-                || Box::new(Llbp::new(LlbpConfig::paper_baseline())) as Box<dyn SimPredictor>,
-                &spec,
-            ),
-        ];
-        let report = run_matrix_with(&sim, jobs, 4, u64::MAX);
-        for output in &report.outputs {
+        let row = MatrixRow::new(&tiny_spec("prof", 5)).cell("LLBP a", llbp).cell("LLBP b", llbp);
+        let report = run_matrix_with(&sim, vec![row], 4, u64::MAX);
+        for output in report.rows.iter().flatten() {
             let output = output.as_ref().expect("no cell fails");
             let named: Vec<&str> = output.result.profile.iter().map(|s| s.name).collect();
             for scope in ["tage::predict", "tage::update", "llbp::pattern_lookup"] {
@@ -681,29 +704,21 @@ mod tests {
         let clean = sim.run(&mut TageScl::new(TslConfig::kilobytes(64)), &spec);
 
         for threads in [1usize, 4] {
-            let jobs = vec![
-                MatrixJob::new(
-                    "ok a",
-                    || Box::new(TageScl::new(TslConfig::kilobytes(64))) as Box<dyn SimPredictor>,
-                    &spec,
-                ),
-                MatrixJob::new("boom", || panic!("factory exploded on purpose"), &spec),
-                MatrixJob::new(
-                    "ok b",
-                    || Box::new(TageScl::new(TslConfig::kilobytes(64))) as Box<dyn SimPredictor>,
-                    &spec,
-                ),
-            ];
-            let report = run_matrix_with(&sim, jobs, threads, u64::MAX);
+            let row = MatrixRow::new(&spec)
+                .cell("ok a", tsl64)
+                .cell("boom", |_| panic!("factory exploded on purpose"))
+                .cell("ok b", tsl64);
+            let report = run_matrix_with(&sim, vec![row], threads, u64::MAX);
             assert_eq!(report.failed_cells(), 1);
-            let err = report.outputs[1].as_ref().expect_err("cell 1 fails");
+            let row = &report.rows[0];
+            let err = row[1].as_ref().expect_err("cell 1 fails");
             assert_eq!(err.index, 1);
             assert_eq!(err.workload, spec.name);
             assert_eq!(err.predictor, None, "the factory never produced one");
             assert_eq!(err.kind, JobErrorKind::Panic);
             assert!(err.message.contains("factory exploded"), "{}", err.message);
             for i in [0usize, 2] {
-                let ok = report.outputs[i].as_ref().expect("survivors complete");
+                let ok = row[i].as_ref().expect("survivors complete");
                 assert_eq!(ok.result.mispredicts, clean.mispredicts);
                 assert!(!ok.result.is_failed());
             }
@@ -716,14 +731,14 @@ mod tests {
         let specs = [tiny_spec("fault", 13)];
         let report = run_matrix_opts(
             &sim,
-            standard_jobs(&specs),
+            standard_rows(&specs),
             with_fault(2, u64::MAX, None, Some(1)),
         );
         assert_eq!(report.failed_cells(), 1);
-        let err = report.outputs[1].as_ref().expect_err("cell 1 is the fault cell");
+        let err = report.rows[0][1].as_ref().expect_err("cell 1 is the fault cell");
         assert!(err.message.contains(ENV_FAULT_CELL), "{}", err.message);
         assert_eq!(err.predictor.as_deref(), Some("LLBP"), "run-stage failures carry the label");
-        assert!(report.outputs[0].is_ok());
+        assert!(report.rows[0][0].is_ok());
     }
 
     #[test]
@@ -733,13 +748,13 @@ mod tests {
         let path = tmp("resume");
         let _ = std::fs::remove_file(&path);
 
-        let clean = run_matrix_with(&sim, standard_jobs(&specs), 2, u64::MAX);
+        let clean = run_matrix_with(&sim, standard_rows(&specs), 2, u64::MAX);
 
         // First pass: cell 1 faults, so only cell 0 lands in the journal.
         let cp = Arc::new(Checkpoint::open(&path).expect("journal opens"));
         let first = run_matrix_opts(
             &sim,
-            standard_jobs(&specs),
+            standard_rows(&specs),
             with_fault(2, u64::MAX, Some(cp), Some(1)),
         );
         assert_eq!(first.failed_cells(), 1);
@@ -751,12 +766,12 @@ mod tests {
         assert_eq!(cp.len(), 1, "only the completed cell was journaled");
         let second = run_matrix_opts(
             &sim,
-            standard_jobs(&specs),
+            standard_rows(&specs),
             with_fault(2, u64::MAX, Some(cp), None),
         );
         assert_eq!(second.failed_cells(), 0);
         assert_eq!(second.resumed_cells(), 1);
-        for (resumed, clean) in second.outputs.iter().zip(&clean.outputs) {
+        for (resumed, clean) in second.rows[0].iter().zip(&clean.rows[0]) {
             let resumed = resumed.as_ref().expect("no cell fails");
             let clean = clean.as_ref().expect("no cell fails");
             assert_eq!(resumed.result.name, clean.result.name);
@@ -769,15 +784,15 @@ mod tests {
             assert_eq!(resumed.result.intervals, clean.result.intervals);
             assert_eq!(resumed.storage_bits, clean.storage_bits);
         }
-        assert!(second.outputs[0].as_ref().is_ok_and(|o| o.result.resumed));
-        assert!(second.outputs[1].as_ref().is_ok_and(|o| !o.result.resumed));
+        assert!(second.rows[0][0].as_ref().is_ok_and(|o| o.result.resumed));
+        assert!(second.rows[0][1].as_ref().is_ok_and(|o| !o.result.resumed));
 
         // Third pass: everything restores; nothing is simulated.
         let cp = Arc::new(Checkpoint::open(&path).expect("journal reopens again"));
         assert_eq!(cp.len(), 2);
         let third = run_matrix_opts(
             &sim,
-            standard_jobs(&specs),
+            standard_rows(&specs),
             with_fault(2, u64::MAX, Some(cp), None),
         );
         assert_eq!(third.resumed_cells(), 2);
@@ -787,7 +802,7 @@ mod tests {
         let cp = Arc::new(Checkpoint::open(&path).expect("journal reopens once more"));
         let fourth = run_matrix_opts(
             &other,
-            standard_jobs(&specs),
+            standard_rows(&specs),
             with_fault(2, u64::MAX, Some(cp), None),
         );
         assert_eq!(fourth.resumed_cells(), 0, "stale fingerprints never match");
@@ -808,17 +823,15 @@ mod tests {
         let sweep = |h_th: usize| {
             let cfg = LlbpxConfig::paper_baseline().with_h_th(h_th);
             let cp = Arc::new(Checkpoint::open(&path).expect("journal opens"));
-            let job = MatrixJob::new(
-                format!("LLBP-X H_th={h_th}"),
-                move || Box::new(Llbp::new_x(cfg)) as Box<dyn SimPredictor>,
-                &spec,
-            );
-            run_matrix_opts(&sim, vec![job], with_fault(1, u64::MAX, Some(cp), None))
+            let row = MatrixRow::new(&spec).cell(format!("LLBP-X H_th={h_th}"), move |_| {
+                Box::new(Llbp::new_x(cfg)) as Box<dyn SimPredictor>
+            });
+            run_matrix_opts(&sim, vec![row], with_fault(1, u64::MAX, Some(cp), None))
         };
         let first = sweep(112);
         let second = sweep(522);
         let _ = std::fs::remove_file(&path);
-        let (a, b) = (first.outputs[0].as_ref(), second.outputs[0].as_ref());
+        let (a, b) = (first.rows[0][0].as_ref(), second.rows[0][0].as_ref());
         let (a, b) = (a.expect("completes"), b.expect("completes"));
         assert_eq!((a.result.name.as_str(), b.result.name.as_str()), ("LLBP-X", "LLBP-X"));
         assert_eq!(a.storage_bits, b.storage_bits, "the collision needs equal storage");
@@ -833,20 +846,16 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         // The factory stalls past the deadline, so the run stops at its
         // first check.
-        let stalled = MatrixJob::new(
-            "stalled TSL",
-            || {
-                std::thread::sleep(Duration::from_millis(50));
-                Box::new(TageScl::new(TslConfig::kilobytes(64))) as Box<dyn SimPredictor>
-            },
-            &spec,
-        );
+        let stalled = MatrixRow::new(&spec).cell("stalled TSL", |spec| {
+            std::thread::sleep(Duration::from_millis(50));
+            tsl64(spec)
+        });
         let opts = EngineOptions {
             job_timeout: Some(Duration::from_millis(10)),
             ..with_fault(1, u64::MAX, Some(Arc::new(Checkpoint::open(&path).expect("opens"))), None)
         };
         let report = run_matrix_opts(&sim, vec![stalled], opts);
-        let err = report.outputs[0].as_ref().expect_err("the stalled cell");
+        let err = report.rows[0][0].as_ref().expect_err("the stalled cell");
         assert_eq!(err.kind, JobErrorKind::TimedOut);
         assert_eq!(err.kind.status(), "timeout");
         assert!(err.message.contains(ENV_JOB_TIMEOUT), "{}", err.message);
@@ -867,10 +876,10 @@ mod tests {
             ..EngineOptions::basic(2, 0)
         };
         let started = Instant::now();
-        let report = run_matrix_opts(&sim, standard_jobs(&specs), opts);
+        let report = run_matrix_opts(&sim, standard_rows(&specs), opts);
         assert!(started.elapsed() < Duration::from_secs(20), "the deadline ends the sweep");
         assert_eq!(report.timed_out_cells(), 2);
-        for output in &report.outputs {
+        for output in report.rows.iter().flatten() {
             let err = output.as_ref().expect_err("no cell can finish");
             assert_eq!(err.kind, JobErrorKind::TimedOut);
             assert!(err.message.contains("0.200s"), "{}", err.message);

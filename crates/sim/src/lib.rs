@@ -6,15 +6,17 @@
 //! * [`runner`] — drives a predictor over a workload with warmup and
 //!   measurement phases (the paper's 100M + 200M instruction protocol,
 //!   scaled by configuration) and produces [`runner::RunResult`]s;
-//! * [`exec`] — the parallel experiment engine: fans a matrix of
-//!   `(predictor, workload)` runs out over `LLBPX_THREADS` workers with
-//!   deterministic job ordering, isolates panicking cells as structured
-//!   [`error::JobError`]s (`LLBPX_FAULT_CELL` panics one on purpose),
-//!   stops cells past an optional `LLBPX_JOB_TIMEOUT` deadline, and
-//!   journals completed cells to a [`checkpoint`] for crash/resume;
-//! * [`cache`] — the shared trace cache: one lazily materialized trace
-//!   per workload, replayed by all of its cells within the
-//!   `LLBPX_TRACE_CACHE_MB` cap;
+//! * [`exec`] — the parallel experiment engine: fans a run matrix (one
+//!   row per workload, one cell per predictor on it) out over
+//!   `LLBPX_THREADS` workers with deterministic cell ordering, isolates
+//!   panicking cells as structured [`error::JobError`]s
+//!   (`LLBPX_FAULT_CELL` panics one on purpose), stops cells past an
+//!   optional `LLBPX_JOB_TIMEOUT` deadline, and journals completed cells
+//!   to a [`checkpoint`] for crash/resume;
+//! * [`cache`] — row-scoped shared traces: a row's trace is materialized
+//!   at its first claim, replayed by all of its cells and dropped when the
+//!   last one finishes, within the `LLBPX_TRACE_CACHE_MB` cap on the
+//!   bytes live at once;
 //! * [`checkpoint`] — the `LLBPX_CHECKPOINT` journal: completed matrix
 //!   cells keyed by deterministic job fingerprints, restored
 //!   bit-identically on re-run;

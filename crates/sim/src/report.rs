@@ -95,21 +95,28 @@ impl Table {
     }
 }
 
-/// Formats a ratio as a signed percentage (e.g. `+12.3%`).
-pub fn pct(x: f64) -> String {
-    format!("{:+.1}%", x * 100.0)
+/// Formats a ratio as a signed percentage (e.g. `+12.3%`); a missing
+/// value (a summary over no completed rows) renders as `n/a`.
+pub fn pct(x: impl Into<Option<f64>>) -> String {
+    fmt_or_na(x, |x| format!("{:+.1}%", x * 100.0))
 }
 
-/// Formats a float with three decimals.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
+/// Formats a float with three decimals; a missing value renders as `n/a`.
+pub fn f3(x: impl Into<Option<f64>>) -> String {
+    fmt_or_na(x, |x| format!("{x:.3}"))
 }
 
-/// Geometric mean of strictly positive values (0 for empty input).
+/// Formats a present value with `fmt`, a missing one as `n/a`.
+pub fn fmt_or_na(x: impl Into<Option<f64>>, fmt: impl FnOnce(f64) -> String) -> String {
+    x.into().map_or_else(|| "n/a".to_owned(), fmt)
+}
+
+/// Geometric mean of strictly positive values; `None` for empty input,
+/// so a summary over no completed rows renders `n/a`, not a number.
 ///
 /// MPKI ratios are multiplicative, so cross-workload summaries use the
 /// geometric mean.
-pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
+pub fn geomean(values: impl IntoIterator<Item = f64>) -> Option<f64> {
     let mut log_sum = 0.0;
     let mut n = 0usize;
     for v in values {
@@ -117,26 +124,18 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
         log_sum += v.ln();
         n += 1;
     }
-    if n == 0 {
-        0.0
-    } else {
-        (log_sum / n as f64).exp()
-    }
+    (n > 0).then(|| (log_sum / n as f64).exp())
 }
 
-/// Arithmetic mean (0 for empty input).
-pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
+/// Arithmetic mean; `None` for empty input.
+pub fn mean(values: impl IntoIterator<Item = f64>) -> Option<f64> {
     let mut sum = 0.0;
     let mut n = 0usize;
     for v in values {
         sum += v;
         n += 1;
     }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
+    (n > 0).then(|| sum / n as f64)
 }
 
 #[cfg(test)]
@@ -174,20 +173,30 @@ mod tests {
 
     #[test]
     fn geomean_matches_hand_computation() {
-        assert!((geomean([1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((geomean([2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(std::iter::empty()), 0.0);
+        assert!((geomean([1.0, 4.0]).unwrap() - 2.0).abs() < 1e-12);
+        assert!((geomean([2.0, 2.0, 2.0]).unwrap() - 2.0).abs() < 1e-12);
+        assert_eq!(geomean(std::iter::empty()), None);
     }
 
     #[test]
     fn mean_is_arithmetic() {
-        assert!((mean([1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(mean(std::iter::empty()), 0.0);
+        assert!((mean([1.0, 2.0, 3.0]).unwrap() - 2.0).abs() < 1e-12);
+        assert_eq!(mean(std::iter::empty()), None);
     }
 
     #[test]
     fn pct_formats_sign_and_scale() {
         assert_eq!(pct(0.123), "+12.3%");
         assert_eq!(pct(-0.05), "-5.0%");
+    }
+
+    #[test]
+    fn summaries_over_no_rows_render_na() {
+        let none = std::iter::empty::<f64>;
+        assert_eq!(pct(geomean(none()).map(|g| 1.0 - g)), "n/a");
+        assert_eq!(f3(geomean(none())), "n/a");
+        assert_eq!(f3(mean(none())), "n/a");
+        assert_eq!(fmt_or_na(mean(none()), |m| format!("{m:.2}")), "n/a");
+        assert_eq!(f3(Some(0.5)), "0.500");
     }
 }

@@ -217,12 +217,13 @@ pub static WARMUP: Knob<u64> = Knob::new(
     parse_instruction_count,
 );
 
-/// `REPRO_INSTRUCTIONS` knob: measurement instruction budget.
+/// `REPRO_INSTRUCTIONS` knob: measurement instruction budget. Zero is
+/// rejected: a run that measures nothing has no MPKI to normalize by.
 pub static MEASURE: Knob<u64> = Knob::new(
     "REPRO_INSTRUCTIONS",
-    "an instruction count",
+    "a positive instruction count",
     "using the default budget",
-    parse_instruction_count,
+    |raw| parse_instruction_count(raw).filter(|&n| n > 0),
 );
 
 /// Records between deadline checks in the hot loop: one clock read per

@@ -73,6 +73,11 @@ def load(path):
 
 one, four = load(sys.argv[1]), load(sys.argv[2])
 assert one["threads"] == 1 and four["threads"] == 4, (one["threads"], four["threads"])
+# A row releases its shared trace when its last cell finishes: one worker
+# never holds both rows' traces at once; four workers may.
+tc1, tc4 = one["trace_cache"], four["trace_cache"]
+assert tc1["peak_bytes"] < tc1["cached_bytes"], f"threads=1 held both rows: {tc1}"
+assert tc4["peak_bytes"] <= tc4["cached_bytes"], f"threads=4 peak over total: {tc4}"
 assert len(one["runs"]) == len(four["runs"])
 ACCURACY = ["predictor", "workload", "instructions", "cond_branches",
             "mispredicts", "mpki", "intervals"]

@@ -11,7 +11,9 @@
 //!   matches an uninterrupted run;
 //! * a 4-thread run SIGKILLed mid-matrix resumes from its
 //!   `LLBPX_CHECKPOINT` journal and produces stdout byte-identical to an
-//!   uninterrupted run (only the wall-time line may differ).
+//!   uninterrupted run (only the wall-time line may differ);
+//! * a figure whose only row failed renders its geomean/mean rows and
+//!   summary lines as `n/a` instead of numbers computed over no rows.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -68,6 +70,45 @@ fn a_panicking_cell_yields_na_row_failed_status_and_nonzero_exit() {
     let error = failed[0].get("error").unwrap().as_str().unwrap();
     assert!(error.contains("LLBPX_FAULT_CELL"), "error carries the panic message: {error}");
     assert_eq!(failed[0].get("workload").unwrap().as_str(), Some("NodeApp"));
+}
+
+#[test]
+fn summaries_over_no_completed_rows_render_na() {
+    let binaries = [
+        env!("CARGO_BIN_EXE_fig04"),
+        env!("CARGO_BIN_EXE_fig12"),
+        env!("CARGO_BIN_EXE_fig15a"),
+    ];
+    for binary in binaries {
+        // Cell 0 opens NodeApp's row, the only one: no row completes.
+        let output = Command::new(binary)
+            .env("REPRO_WORKLOADS", "NodeApp")
+            .env("REPRO_WARMUP", "20000")
+            .env("REPRO_INSTRUCTIONS", "60000")
+            .env("LLBPX_THREADS", "2")
+            .env("LLBPX_FAULT_CELL", "0")
+            .output()
+            .expect("the binary runs");
+        assert!(!output.status.success(), "{binary}: a failed cell must not exit 0");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        // The footer quotes the paper's numbers; only the figure counts.
+        let figure = stdout.split("\nprotocol:").next().unwrap_or_default();
+        let summaries: Vec<&str> = figure
+            .lines()
+            .filter(|l| {
+                ["geomean", "average", "improvement", "achieves", "bandwidth change"]
+                    .iter()
+                    .any(|word| l.contains(word))
+            })
+            .collect();
+        assert!(summaries.len() >= 2, "{binary}: no summaries in\n{stdout}");
+        for line in summaries {
+            assert!(line.contains("n/a"), "{binary}: a summary over no rows: {line}");
+            for number in ["NaN", "100", "0.000", "0.00"] {
+                assert!(!line.contains(number), "{binary}: {number} in {line}");
+            }
+        }
+    }
 }
 
 #[test]

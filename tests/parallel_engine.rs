@@ -1,7 +1,7 @@
 //! Determinism acceptance for the parallel experiment engine: the same
-//! `(predictor, workload)` matrix must be bit-identical whether it runs
-//! serially ([`bpsim::runner::compare`]), on one engine worker, or on
-//! four — with and without the shared trace cache.
+//! matrix (one row per workload, one cell per predictor) must be
+//! bit-identical whether it runs serially ([`bpsim::runner::compare`]), on
+//! one engine worker, or on four — with and without shared traces.
 //!
 //! The second test drives a real experiment binary end-to-end under
 //! `LLBPX_THREADS=1` and `LLBPX_THREADS=4` and diffs every accuracy field
@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use bpsim::exec::{run_matrix_with, MatrixJob};
+use bpsim::exec::{run_matrix_with, MatrixRow};
 use bpsim::runner::{compare, RunResult, Simulation, TraceSource};
 use bpsim::SimPredictor;
 use telemetry::Json;
@@ -45,36 +45,47 @@ fn engine_matrix_is_bit_identical_to_serial_compare() {
     for spec in specs() {
         let mut tsl = bench::tsl64();
         let mut llbpx = bench::llbpx();
-        serial.extend(compare(
+        serial.push(compare(
             &sim,
             &spec,
             [tsl.as_mut(), llbpx.as_mut()] as [&mut dyn SimPredictor; 2],
         ));
     }
 
-    // Engine: 1 and 4 workers, with the trace cache on (every spec shared
-    // by two jobs) and forced off (cap 0 streams every run).
+    // Engine: 1 and 4 workers, with the shared traces on (every row has
+    // two cells) and forced off (cap 0 streams every run).
     for threads in [1usize, 4] {
         for cap_bytes in [0u64, u64::MAX] {
-            let mut jobs = Vec::new();
-            for spec in &specs() {
-                jobs.push(MatrixJob::new("64K TSL", bench::tsl64, spec));
-                jobs.push(MatrixJob::new("LLBP-X", bench::llbpx, spec));
-            }
-            let report = run_matrix_with(&sim, jobs, threads, cap_bytes);
+            let rows: Vec<MatrixRow<'_>> = specs()
+                .iter()
+                .map(|spec| {
+                    MatrixRow::new(spec)
+                        .cell("64K TSL", |_| bench::tsl64())
+                        .cell("LLBP-X", |_| bench::llbpx())
+                })
+                .collect();
+            let report = run_matrix_with(&sim, rows, threads, cap_bytes);
             assert_eq!(report.threads, threads);
             assert_eq!(report.failed_cells(), 0);
-            assert_eq!(report.outputs.len(), serial.len());
+            assert_eq!(report.rows.len(), serial.len());
             // With the cap forced to zero every cell streams (the serial
-            // fallback path); with an unlimited cap every spec is shared by
-            // two jobs, so every cell replays the materialized trace. Both
-            // must match the serial reference bit for bit.
+            // fallback path); with an unlimited cap every row materializes
+            // its trace, so every cell replays it. Both must match the
+            // serial reference bit for bit.
             let expected_source =
                 if cap_bytes == 0 { TraceSource::Streamed } else { TraceSource::Materialized };
-            for (s, out) in serial.iter().zip(&report.outputs) {
-                let out = out.as_ref().expect("no cell fails");
-                assert_same_run(s, &out.result, &format!("threads={threads} cap={cap_bytes}"));
-                assert_eq!(out.result.trace_source, expected_source);
+            for (serial_row, row) in serial.iter().zip(&report.rows) {
+                assert_eq!(serial_row.len(), row.len());
+                for (s, out) in serial_row.iter().zip(row) {
+                    let out = out.as_ref().expect("no cell fails");
+                    let how = format!("threads={threads} cap={cap_bytes}");
+                    assert_same_run(s, &out.result, &how);
+                    assert_eq!(out.result.trace_source, expected_source);
+                }
+            }
+            if cap_bytes == u64::MAX {
+                assert_eq!(report.cache.specs_cached, 2);
+                assert!(report.cache.peak_bytes <= report.cache.cached_bytes);
             }
         }
     }
