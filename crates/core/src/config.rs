@@ -269,19 +269,6 @@ impl LlbpConfig {
         self
     }
 
-    /// Scales the context directory; `log2_sets` with 7 ways (Fig. 16a
-    /// sweeps 8K..128K contexts).
-    pub fn with_cd_log2_sets(mut self, log2_sets: u32) -> Self {
-        self.cd_log2_sets = log2_sets;
-        self
-    }
-
-    /// Replaces the baseline TSL (Fig. 16b pairs LLBP-X with smaller TAGEs).
-    pub fn with_tsl(mut self, tsl: TslConfig) -> Self {
-        self.tsl = tsl;
-        self
-    }
-
     /// Renames for reports.
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();

@@ -235,11 +235,6 @@ impl PipelineModel {
             + r.redirect_cycles
             + r.backend_stall_cycles;
     }
-
-    /// BTB hit/miss statistics so far.
-    pub fn btb_stats(&self) -> (u64, u64) {
-        self.btb.stats()
-    }
 }
 
 #[cfg(test)]

@@ -12,19 +12,16 @@
 //! Everything that cannot be shared streams from the generator instead:
 //! single-cell rows (materializing would cost more than it saves), every
 //! row when the cap is zero, a row whose trace does not fit in what the cap
-//! has left, and a row whose generation fails (invalid spec, corrupt
-//! stream), where the same failure then surfaces per cell instead of
-//! poisoning the sweep. Streaming and replay produce the same records, so
-//! which path ran never changes results.
+//! has left, and a row whose spec is invalid, where the same failure then
+//! surfaces per cell instead of poisoning the sweep. Streaming and replay
+//! produce the same records, so which path ran never changes results.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use traces::{BranchRecord, BranchStream, StreamValidator};
+use traces::{BranchRecord, BranchStream};
 use workloads::WorkloadSpec;
-
-use crate::error::SimError;
 
 /// How the shared traces behaved for one matrix.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -175,13 +172,9 @@ fn trace_bytes(trace: &[BranchRecord]) -> u64 {
 }
 
 /// Materializes `stream` into shared read-only storage covering at least
-/// `instructions`, validating every record structurally on the way in.
-///
-/// Returns `Ok(None)` when materializing would exceed `cap_bytes` or the
-/// stream ends early (callers fall back to per-job streaming), and an
-/// error when the stream emits a structurally corrupt record — a corrupt
-/// shared trace would poison every cell that replays it, so it is rejected
-/// before any cell runs.
+/// `instructions`, or returns `None` when materializing would exceed
+/// `cap_bytes` or the stream ends early (callers fall back to per-job
+/// streaming).
 ///
 /// The trace is generated past the requested budget by twice the largest
 /// record seen, which provably covers the runner's boundary overshoot (the
@@ -193,32 +186,27 @@ fn trace_bytes(trace: &[BranchRecord]) -> u64 {
 /// clamped to the cap) and handed to the `Arc` by move: copying a ~100 MB
 /// trace through fresh pages costs more than generating it.
 pub(crate) fn materialize_stream<S: BranchStream>(
-    workload: &str,
     stream: &mut S,
     instructions: u64,
     cap_bytes: u64,
     capacity_hint: usize,
-) -> Result<Option<Arc<Vec<BranchRecord>>>, SimError> {
+) -> Option<Arc<Vec<BranchRecord>>> {
     let _t = telemetry::scope!("workload::materialize");
     let record_bytes = std::mem::size_of::<BranchRecord>() as u64;
     let hint = (capacity_hint as u64).min(cap_bytes / record_bytes.max(1)) as usize;
-    let mut validator = StreamValidator::new();
     let mut records: Vec<BranchRecord> = Vec::with_capacity(hint);
     let mut generated = 0u64;
     let mut largest = 1u64;
     while generated < instructions.saturating_add(2 * largest) {
         if (records.len() as u64 + 1) * record_bytes > cap_bytes {
-            return Ok(None);
+            return None;
         }
-        let Some(rec) = stream.next_branch() else { return Ok(None) };
-        validator
-            .check(&rec)
-            .map_err(|defect| SimError::Trace { workload: workload.to_owned(), defect })?;
+        let rec = stream.next_branch()?;
         generated += rec.instructions();
         largest = largest.max(rec.instructions());
         records.push(rec);
     }
-    Ok(Some(Arc::new(records)))
+    Some(Arc::new(records))
 }
 
 /// Expected record count for a trace covering `instructions` of `spec`:

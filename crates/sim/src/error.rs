@@ -3,14 +3,11 @@
 //! The experiment engine is built to survive partial failure: a panicking
 //! matrix cell becomes a [`JobError`] (captured on the worker via
 //! `catch_unwind`) instead of aborting the whole matrix, and the library
-//! paths that used to panic — invalid workload specs, unreadable
-//! checkpoints, corrupt traces found while materializing — surface a
-//! [`SimError`] instead.
+//! paths that used to panic — invalid workload specs and unreadable
+//! checkpoints — surface a [`SimError`] instead.
 
 use std::fmt;
 use std::path::PathBuf;
-
-use traces::TraceDefect;
 
 /// How an isolated matrix cell failed; each kind maps to its telemetry
 /// `status`.
@@ -109,13 +106,6 @@ pub enum SimError {
         /// Underlying IO error, rendered.
         detail: String,
     },
-    /// A branch stream failed validation while being materialized.
-    Trace {
-        /// Workload name.
-        workload: String,
-        /// The structural defect found.
-        defect: TraceDefect,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -128,9 +118,6 @@ impl fmt::Display for SimError {
             SimError::Checkpoint { path, detail } => {
                 write!(f, "checkpoint {}: {detail}", path.display())
             }
-            SimError::Trace { workload, defect } => {
-                write!(f, "trace of workload `{workload}` is corrupt: {defect}")
-            }
         }
     }
 }
@@ -139,7 +126,6 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Job(e) => Some(e),
-            SimError::Trace { defect, .. } => Some(defect),
             _ => None,
         }
     }
@@ -212,10 +198,5 @@ mod tests {
         assert!(invalid.to_string().contains("invalid workload spec `w`"));
         let ckpt = SimError::Checkpoint { path: "/tmp/x".into(), detail: "denied".into() };
         assert!(ckpt.to_string().contains("/tmp/x"));
-        let trace = SimError::Trace {
-            workload: "w".into(),
-            defect: TraceDefect::ZeroPc { at: 0 },
-        };
-        assert!(trace.to_string().contains("corrupt"));
     }
 }

@@ -216,8 +216,7 @@ pub fn run_jobs_with<T: Send>(threads: usize, jobs: Vec<BoxedJob<'_, T>>) -> Vec
 /// Materializes the branch stream of `spec` into shared read-only storage
 /// covering at least `instructions` of simulation, so that replaying it is
 /// bit-identical to streaming the generator. Returns `Ok(None)` when the
-/// trace would exceed `cap_bytes`, and an error when the spec is invalid
-/// or a record is structurally corrupt (see `cache::materialize_stream`).
+/// trace would exceed `cap_bytes`, and an error when the spec is invalid.
 pub fn try_materialize(
     spec: &WorkloadSpec,
     instructions: u64,
@@ -226,7 +225,7 @@ pub fn try_materialize(
     let mut stream = ServerWorkload::try_new(spec)
         .map_err(|reason| SimError::InvalidSpec { workload: spec.name.clone(), reason })?;
     let hint = crate::cache::estimated_records(spec, instructions);
-    crate::cache::materialize_stream(&spec.name, &mut stream, instructions, cap_bytes, hint)
+    Ok(crate::cache::materialize_stream(&mut stream, instructions, cap_bytes, hint))
 }
 
 /// A matrix cell's predictor factory. It receives the row's workload and

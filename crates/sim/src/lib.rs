@@ -22,7 +22,7 @@
 //!   bit-identically on re-run;
 //! * [`error`] — the [`error::SimError`] hierarchy surfaced by the
 //!   library's fallible paths;
-//! * [`env`] — the shared warn-once environment-variable parsing used by
+//! * [`mod@env`] — the shared warn-once environment-variable parsing used by
 //!   every `LLBPX_*`/`REPRO_*` tunable;
 //! * [`timing`] — an analytical out-of-order core model standing in for
 //!   gem5 (Figs. 1, 13, 14b), including the overriding-pipeline variant;

@@ -1,16 +1,14 @@
-//! Branch trace model and IO for the LLBP-X reproduction.
+//! Branch trace model for the LLBP-X reproduction.
 //!
 //! This crate defines the vocabulary shared by every other crate in the
 //! workspace: what a dynamic branch looks like ([`BranchRecord`]), how a
-//! sequence of them is consumed ([`BranchStream`]), how traces are persisted
-//! and replayed ([`format`]), and summary statistics ([`stats`]).
+//! sequence of them is consumed ([`BranchStream`]) or replayed from memory
+//! ([`VecTrace`], [`SharedTrace`]), and summary statistics ([`stats`]).
 //!
-//! The paper evaluates predictors on server traces in the ChampSim format.
-//! We reproduce the *role* of that format — persist a branch-level view of an
-//! execution and replay it deterministically — with a compact binary encoding
-//! of our own (see [`format`] for the layout). Workload generators in the
-//! `workloads` crate produce [`BranchStream`]s directly, so the common path
-//! never touches disk.
+//! The paper evaluates predictors on ChampSim server traces, which cannot
+//! be fetched offline. The seeded generators of the `workloads` crate are
+//! the only trace source: they produce [`BranchStream`]s directly, so no
+//! trace ever touches disk.
 //!
 //! # Example
 //!
@@ -30,18 +28,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod branch;
-mod bytes;
-pub mod champsim;
-pub mod fault;
-pub mod format;
 pub mod stats;
 pub mod stream;
-pub mod validate;
 
 pub use branch::{BranchKind, BranchRecord};
-pub use champsim::{read_champsim, write_champsim, ChampSimInstr};
-pub use fault::{FaultClass, FaultInjector};
-pub use format::{read_trace, write_trace, TraceFormatError};
 pub use stats::TraceStats;
 pub use stream::{BranchStream, SharedTrace, StreamExt, Take, VecTrace};
-pub use validate::{StreamValidator, TraceDefect};

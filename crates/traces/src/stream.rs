@@ -1,6 +1,6 @@
 //! Abstractions for consuming sequences of branch records.
 //!
-//! Predict` simulators pull records one at a time from a [`BranchStream`].
+//! Simulators pull records one at a time from a [`BranchStream`].
 //! Streams are ordinary state machines, so workload generators can synthesize
 //! records lazily without materializing multi-hundred-million-branch traces.
 
@@ -91,8 +91,7 @@ impl<S: BranchStream> Iterator for StreamIter<S> {
 
 /// An in-memory trace backed by a `Vec<BranchRecord>`.
 ///
-/// Useful for tests, trace files loaded via [`crate::read_trace`], and small
-/// captured workloads.
+/// Useful for tests and small captured workloads.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VecTrace {
     records: Vec<BranchRecord>,
@@ -118,11 +117,6 @@ impl VecTrace {
     /// Read-only view of the underlying records.
     pub fn records(&self) -> &[BranchRecord] {
         &self.records
-    }
-
-    /// Rewinds the cursor to the first record.
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
     }
 
     /// Consumes the trace and returns the underlying records.
@@ -177,11 +171,6 @@ impl SharedTrace {
     /// Read-only view of the underlying records.
     pub fn records(&self) -> &[BranchRecord] {
         &self.records
-    }
-
-    /// A second, independent cursor over the same shared storage.
-    pub fn reopen(&self) -> SharedTrace {
-        SharedTrace { records: Arc::clone(&self.records), cursor: 0 }
     }
 }
 
@@ -252,14 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn rewind_restarts_the_stream() {
-        let mut trace = VecTrace::new(sample(3));
-        while trace.next_branch().is_some() {}
-        trace.rewind();
-        assert_eq!(trace.iter().count(), 3);
-    }
-
-    #[test]
     fn take_bounds_an_infinite_stream() {
         struct Forever;
         impl BranchStream for Forever {
@@ -299,14 +280,15 @@ mod tests {
     fn shared_trace_replays_identically_from_shared_storage() {
         let records = sample(4);
         let shared: SharedTrace = records.clone().into();
-        let mut a = shared.reopen();
-        let mut b = shared.reopen();
+        let mut a = shared.clone();
+        let mut b = shared.clone();
         for expected in &records {
             assert_eq!(a.next_branch().as_ref(), Some(expected));
             assert_eq!(b.next_branch().as_ref(), Some(expected));
         }
         assert_eq!(a.next_branch(), None);
-        assert_eq!(shared.len(), 4, "reopened cursors leave the source untouched");
+        assert!(Arc::ptr_eq(&a.records, &shared.records), "clones share one buffer");
+        assert_eq!(shared.len(), 4, "cloned cursors leave the source untouched");
         assert_eq!(shared.records(), &records[..]);
     }
 

@@ -389,11 +389,37 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// Beyond taken unconditionals, every preset's stream keeps the
+    /// structural invariants the predictors rely on: nonzero 4-byte-aligned
+    /// PCs and taken targets, and fallthrough to a strictly higher PC after
+    /// a not-taken conditional.
     #[test]
     fn unconditionals_are_always_taken() {
-        for rec in ServerWorkload::new(&small_spec()).take_branches(20_000).iter() {
-            if rec.kind.is_unconditional() {
-                assert!(rec.taken, "unconditional at {:#x} not taken", rec.pc);
+        const BUDGET: u64 = 200_000;
+        for preset in crate::presets::all() {
+            let name = &preset.spec.name;
+            let mut stream = ServerWorkload::new(&preset.spec);
+            let mut prev: Option<BranchRecord> = None;
+            let mut instructions = 0u64;
+            while instructions < BUDGET {
+                let rec = stream.next_branch().expect("generators never end");
+                let pc = rec.pc;
+                assert!(pc != 0 && pc.is_multiple_of(4), "{name}: bad PC {pc:#x}");
+                if rec.taken {
+                    let target = rec.target;
+                    assert!(
+                        target != 0 && target.is_multiple_of(4),
+                        "{name}: branch at {pc:#x} has bad target {target:#x}"
+                    );
+                }
+                if rec.kind.is_unconditional() {
+                    assert!(rec.taken, "{name}: unconditional at {pc:#x} not taken");
+                }
+                if let Some(p) = prev.filter(|p| p.kind.is_conditional() && !p.taken) {
+                    assert!(pc > p.pc, "{name}: {pc:#x} does not fall through from {:#x}", p.pc);
+                }
+                prev = Some(rec);
+                instructions += rec.instructions();
             }
         }
     }

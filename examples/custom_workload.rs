@@ -1,5 +1,5 @@
 //! Custom workload: build your own synthetic service with the
-//! `WorkloadSpec` builder, persist a trace to disk, replay it, and compare
+//! `WorkloadSpec` builder, profile its branch stream, and compare
 //! predictors on it.
 //!
 //! ```sh
@@ -10,7 +10,7 @@ use bpsim::report::{f3, pct, Table};
 use bpsim::runner::Simulation;
 use llbpx::{Llbp, LlbpxConfig};
 use tage::{TageScl, TslConfig};
-use traces::{read_trace, write_trace, StreamExt, TraceStats};
+use traces::{StreamExt, TraceStats};
 use workloads::{ServerWorkload, WorkloadSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,19 +24,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_session_stay(0.9);
     spec.validate().map_err(std::io::Error::other)?;
 
-    // Persist a slice of the trace (the role ChampSim files play in the
-    // paper's artifact), then read it back.
-    let path = std::env::temp_dir().join("my_service.llbptrc");
-    let stream = ServerWorkload::new(&spec).take_branches(200_000);
-    let written = write_trace(stream, std::fs::File::create(&path)?)?;
-    let trace = read_trace(std::fs::File::open(&path)?)?;
-    println!("wrote {written} branch records to {}", path.display());
+    // Profile the first 200K branches of the stream.
+    let stats = TraceStats::from_stream(ServerWorkload::new(&spec).take_branches(200_000));
+    println!("trace profile:\n{stats}\n");
 
-    let stats = TraceStats::from_stream(trace.clone());
-    println!("\ntrace profile:\n{stats}\n");
-
-    // Compare predictors on the generated stream (full length, not the
-    // persisted slice).
+    // Compare predictors on the generated stream.
     let sim = Simulation { warmup_instructions: 2_000_000, measure_instructions: 4_000_000 };
     let base = sim.run(&mut TageScl::new(TslConfig::kilobytes(64)), &spec);
     let x = sim.run(&mut Llbp::new_x(LlbpxConfig::paper_baseline()), &spec);
@@ -45,7 +37,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     table.row([base.name.clone(), f3(base.mpki()), "-".into()]);
     table.row([x.name.clone(), f3(x.mpki()), pct(x.reduction_vs(&base))]);
     print!("{}", table.render());
-
-    std::fs::remove_file(&path).ok();
     Ok(())
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification, fully offline: release build, the whole test suite,
-# the panic-free lint gate, and smoke experiments covering determinism,
-# fault isolation, the per-cell deadline, and checkpoint/resume.
+# the panic-free lint gate, the rustdoc link gate, and smoke experiments
+# covering determinism, fault isolation, the per-cell deadline, and
+# checkpoint/resume.
 #
 # Usage: scripts/verify.sh
 # Exits nonzero on the first failure.
@@ -32,6 +33,9 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "== lint: clippy unavailable, skipping (lib.rs deny attributes still apply) =="
 fi
+
+echo "== lint: rustdoc (broken or ambiguous intra-doc links fail) =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
 
 echo "== smoke: fig01 --json, LLBPX_THREADS=1 vs 4 =="
 sink1="$(mktemp -t llbpx-verify-t1-XXXXXX.json)"

@@ -2,10 +2,11 @@
 //! build.
 //!
 //! `scripts/golden.json` holds the full counter set of each `bench` design
-//! constructor on NodeApp and TPCC at a small protocol: the run totals and,
-//! for the LLBP family, every `LlbpStats` counter plus the allocation-length
-//! histogram. The per-branch kernel is optimization territory; a change that
-//! moves a single counter here is a correctness bug, not a speed-up.
+//! constructor, plus fig14a's false-path-flushing LLBP-X, on NodeApp and
+//! TPCC at a small protocol: the run totals and, for the LLBP family, every
+//! `LlbpStats` counter plus the allocation-length histogram. The per-branch
+//! kernel is optimization territory; a change that moves a single counter
+//! here is a correctness bug, not a speed-up.
 //!
 //! Re-record (only when a PR deliberately changes accuracy, and says why):
 //!
@@ -18,7 +19,7 @@ use std::path::PathBuf;
 use bpsim::exec::{run_jobs_with, BoxedJob};
 use bpsim::runner::{RunResult, Simulation};
 use bpsim::SimPredictor;
-use llbpx::{LlbpConfig, LlbpxConfig};
+use llbpx::{FalsePathMode, LlbpConfig, LlbpxConfig};
 use telemetry::Json;
 
 const PROTOCOL: Simulation =
@@ -49,6 +50,11 @@ fn designs() -> Vec<(&'static str, Factory)> {
         ("+No Contextualization", || bench::llbp_with(LlbpConfig::without_contextualization())),
         ("LLBP-X no-HRS", || {
             bench::llbpx_with(LlbpxConfig::paper_baseline().without_history_range_selection())
+        }),
+        ("LLBP-X Flush", || {
+            let mut cfg = LlbpxConfig::paper_baseline();
+            cfg.base.false_path = FalsePathMode::Flush;
+            bench::llbpx_with(cfg)
         }),
     ]
 }

@@ -1,27 +1,14 @@
-//! End-to-end pipeline test: workload generation → trace persistence →
-//! replay → prediction → statistics, across every crate boundary.
+//! End-to-end pipeline test: workload generation → in-memory replay →
+//! prediction → statistics, across every crate boundary.
 
 use bpsim::runner::Simulation;
 use llbpx::{Llbp, LlbpConfig};
 use tage::{TageScl, TslConfig};
-use traces::{read_trace, write_trace, BranchStream, StreamExt, TraceStats};
+use traces::{BranchStream, StreamExt, TraceStats, VecTrace};
 use workloads::{ServerWorkload, WorkloadSpec};
 
 fn small_spec() -> WorkloadSpec {
     WorkloadSpec::new("pipeline", 77).with_request_types(128).with_handlers(16)
-}
-
-#[test]
-fn generated_trace_roundtrips_through_disk_format() {
-    let stream = ServerWorkload::new(&small_spec()).take_branches(30_000);
-    let mut bytes = Vec::new();
-    let written = write_trace(stream, &mut bytes).expect("write succeeds");
-    assert_eq!(written, 30_000);
-
-    let replayed = read_trace(bytes.as_slice()).expect("read succeeds");
-    let original: Vec<_> =
-        ServerWorkload::new(&small_spec()).take_branches(30_000).iter().collect();
-    assert_eq!(replayed.records(), original.as_slice(), "replay is bit-exact");
 }
 
 #[test]
@@ -42,17 +29,16 @@ fn replayed_trace_and_live_generator_predict_identically() {
 
     let live = sim.run(&mut TageScl::new(TslConfig::kilobytes(64)), &small_spec());
 
-    // Same protocol, but through the on-disk format.
-    let mut bytes = Vec::new();
-    write_trace(ServerWorkload::new(&small_spec()).take_branches(60_000), &mut bytes).unwrap();
-    let mut trace = read_trace(bytes.as_slice()).unwrap();
+    // Same protocol, but replayed from a captured copy of the stream.
+    let mut trace: VecTrace =
+        ServerWorkload::new(&small_spec()).take_branches(60_000).iter().collect();
     let replayed = sim.run_stream(
         &mut TageScl::new(TslConfig::kilobytes(64)),
         &mut trace,
         "pipeline",
     );
 
-    assert_eq!(live.mispredicts, replayed.mispredicts, "disk replay must not perturb results");
+    assert_eq!(live.mispredicts, replayed.mispredicts, "replay must not perturb results");
     assert_eq!(live.instructions, replayed.instructions);
 }
 
