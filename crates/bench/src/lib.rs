@@ -4,13 +4,14 @@
 //! They all honour two environment variables so a single knob rescales the
 //! whole evaluation:
 //!
-//! * `REPRO_WARMUP` — warmup instructions per run (default 10M),
-//! * `REPRO_INSTRUCTIONS` — measured instructions per run (default 20M;
+//! * `REPRO_WARMUP` — warmup instructions per run (default 4M),
+//! * `REPRO_INSTRUCTIONS` — measured instructions per run (default 8M;
 //!   must be positive),
 //! * `REPRO_WORKLOADS` — comma-separated preset names to restrict to.
 //!
-//! The paper's protocol is 100M + 200M; the defaults are sized for a
-//! single-core laptop while preserving every qualitative trend.
+//! The paper's protocol is 100M + 200M; the defaults are the protocol the
+//! committed `results/*.txt` files were recorded at, so a bare run prints
+//! its committed table.
 //!
 //! A figure is a table of workloads × designs. A binary declares its
 //! designs once ([`design`]) and [`run_rows`] runs them on every preset,
@@ -32,7 +33,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use bpsim::analysis::ContextAnalysis;
-use bpsim::exec::{self, MatrixRow, TraceCacheStats};
+use bpsim::exec::{self, MatrixRow};
 use bpsim::report::Table;
 use bpsim::runner::{RunResult, Simulation};
 use bpsim::{CoreParams, SimPredictor};
@@ -209,7 +210,7 @@ pub fn design(
 /// }
 /// ```
 ///
-/// The engine's knobs (`LLBPX_THREADS`, `LLBPX_TRACE_CACHE_MB`, ...) apply,
+/// The engine's knobs (`LLBPX_THREADS`, `LLBPX_CHECKPOINT`, ...) apply,
 /// and its bookkeeping lands on the binary's telemetry record line.
 pub fn run_rows(
     telemetry: &mut Telemetry,
@@ -289,10 +290,8 @@ pub fn geomean_ratio(rows: &[(Preset, Vec<RunResult>)], i: usize) -> Option<f64>
 }
 
 /// Runs several context analyses (Figs. 6-9) in parallel through the
-/// engine, recording each underlying simulation run; results come back in
-/// job order. Analysis runs always stream their workload (the instrumented
-/// predictor dominates their cost), so only the fan-out is shared with
-/// [`run_rows`].
+/// engine's fan-out, recording each underlying simulation run; results
+/// come back in job order.
 pub fn run_analyses(
     telemetry: &mut Telemetry,
     sim: &Simulation,
@@ -326,8 +325,8 @@ pub struct Telemetry {
     sink: Option<PathBuf>,
     runs: Vec<Json>,
     extra: Vec<(String, Json)>,
-    /// Engine bookkeeping across this invocation's matrices.
-    engine: Option<(usize, TraceCacheStats)>,
+    /// Worker threads the last matrix of this invocation used.
+    threads: Option<usize>,
     started: Instant,
     emitted: bool,
 }
@@ -341,7 +340,7 @@ impl Telemetry {
             sink: telemetry::record::sink_from_env(bench),
             runs: Vec::new(),
             extra: Vec::new(),
-            engine: None,
+            threads: None,
             started: Instant::now(),
             emitted: false,
         }
@@ -375,22 +374,10 @@ impl Telemetry {
         self.runs.push(rec.to_json());
     }
 
-    /// Adds one matrix's engine bookkeeping to the record line: the thread
-    /// count, and the shared-trace counts summed over every matrix of this
-    /// invocation, with `peak_bytes` their maximum.
+    /// Adds one matrix's engine bookkeeping to the record line: the
+    /// worker threads it used.
     pub fn record_engine(&mut self, report: &exec::MatrixReport) {
-        if self.sink.is_none() {
-            return;
-        }
-        let (threads, total) = self.engine.get_or_insert_with(Default::default);
-        let cache = report.cache;
-        *threads = report.threads;
-        total.specs_cached += cache.specs_cached;
-        total.specs_streamed += cache.specs_streamed;
-        total.cached_records += cache.cached_records;
-        total.cached_bytes += cache.cached_bytes;
-        total.peak_bytes = total.peak_bytes.max(cache.peak_bytes);
-        total.generation_seconds += cache.generation_seconds;
+        self.threads = Some(report.threads);
     }
 
     /// Attaches a top-level field to this binary's record line (for data
@@ -416,20 +403,8 @@ impl Telemetry {
             .set("bench", self.bench)
             .set("total_wall_seconds", self.started.elapsed().as_secs_f64())
             .set("runs", Json::Arr(std::mem::take(&mut self.runs)));
-        let threads = self.engine.map_or_else(exec::threads_from_env, |(threads, _)| threads);
+        let threads = self.threads.unwrap_or_else(exec::threads_from_env);
         line = line.set("threads", threads as u64);
-        if let Some((_, cache)) = self.engine {
-            line = line.set(
-                "trace_cache",
-                Json::obj()
-                    .set("specs_cached", cache.specs_cached as u64)
-                    .set("specs_streamed", cache.specs_streamed as u64)
-                    .set("cached_records", cache.cached_records)
-                    .set("cached_bytes", cache.cached_bytes)
-                    .set("peak_bytes", cache.peak_bytes)
-                    .set("generation_seconds", cache.generation_seconds),
-            );
-        }
         let failed = FAILED_CELLS.load(Ordering::Relaxed);
         if failed > 0 {
             line = line.set("failed_cells", failed as u64);
@@ -513,40 +488,21 @@ mod tests {
     }
 
     #[test]
-    fn engine_stats_add_up_across_the_matrices_of_one_invocation() {
+    fn engine_threads_land_on_the_record_line() {
         let sink = std::env::temp_dir()
             .join(format!("llbpx-bench-engine-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&sink);
         let mut telemetry = Telemetry::new("engine-test");
         telemetry.sink = Some(sink.clone());
-        let matrix = |cached: usize, bytes: u64, peak: u64| exec::MatrixReport {
-            rows: Vec::new(),
-            threads: 2,
-            cache: TraceCacheStats {
-                specs_cached: cached,
-                specs_streamed: 1,
-                cached_records: bytes / 16,
-                cached_bytes: bytes,
-                peak_bytes: peak,
-                generation_seconds: 0.5,
-            },
-        };
-        telemetry.record_engine(&matrix(3, 3000, 2000));
-        telemetry.record_engine(&matrix(2, 1600, 1600));
+        let matrix = |threads: usize| exec::MatrixReport { rows: Vec::new(), threads };
+        telemetry.record_engine(&matrix(3));
+        telemetry.record_engine(&matrix(2));
         telemetry.emit();
 
         let text = std::fs::read_to_string(&sink).expect("the record was written");
         let _ = std::fs::remove_file(&sink);
         let line = Json::parse(text.trim()).expect("one JSON line");
-        assert_eq!(line.get("threads").and_then(Json::as_i64), Some(2));
-        let cache = line.get("trace_cache").expect("trace_cache");
-        let field = |key: &str| cache.get(key).and_then(Json::as_f64).expect(key);
-        assert_eq!(field("specs_cached"), 5.0, "counts sum across matrices");
-        assert_eq!(field("specs_streamed"), 2.0);
-        assert_eq!(field("cached_records"), 287.0);
-        assert_eq!(field("cached_bytes"), 4600.0);
-        assert_eq!(field("peak_bytes"), 2000.0, "the peak is the largest one");
-        assert_eq!(field("generation_seconds"), 1.0);
+        assert_eq!(line.get("threads").and_then(Json::as_i64), Some(2), "the last matrix's");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! What a checkpoint entry restores: every accuracy field, the second-level
 //! counter set (so figures that read [`llbpx::LlbpStats`] — prefetch
 //! timeliness, traffic, energy — render identically), the interval
-//! time-series, storage bits and per-run trace attribution. What it does
+//! time-series and storage bits. What it does
 //! not restore: the scope profile (its labels are `&'static str`s into the
 //! binary) and honest wall-clock — restored cells carry the original run's
 //! `wall_seconds` and are marked `resumed: true` in telemetry.
@@ -36,7 +36,7 @@ use telemetry::{IntervalSample, Json};
 use workloads::WorkloadSpec;
 
 use crate::error::SimError;
-use crate::runner::{RunResult, RunStatus, Simulation, TraceSource};
+use crate::runner::{RunResult, RunStatus, Simulation};
 
 /// Environment variable selecting the checkpoint journal path. Unset or
 /// empty disables checkpointing.
@@ -45,6 +45,8 @@ pub const ENV_CHECKPOINT: &str = "LLBPX_CHECKPOINT";
 /// Journal line format version. Version 1 fingerprints left out the cell
 /// name, so equal-label cells of different configurations (e.g. the
 /// LLBP-X H_th and CTT sweeps) collided; its lines are never matched.
+/// Older version-2 lines also carry a per-run trace attribution label,
+/// which restoring ignores.
 const ENTRY_VERSION: i64 = 2;
 
 /// FNV-1a 64-bit hash.
@@ -212,7 +214,6 @@ fn entry_to_json(fingerprint: &str, result: &RunResult, storage_bits: u64) -> Js
         .set("override_candidates", result.override_candidates)
         .set("wall_seconds", result.wall_seconds)
         .set("storage_bits", storage_bits)
-        .set("trace_cache", result.trace_source.as_str())
         .set("intervals", Json::Arr(result.intervals.iter().map(IntervalSample::to_json).collect()))
         .set("llbp", llbp)
 }
@@ -236,10 +237,6 @@ fn parse_line(line: &str) -> Option<(String, RestoredCell)> {
         intervals: parse_intervals(j.get("intervals")?)?,
         profile: Vec::new(),
         status: RunStatus::Ok,
-        trace_source: match j.get("trace_cache")?.as_str()? {
-            "materialized" => TraceSource::Materialized,
-            _ => TraceSource::Streamed,
-        },
         resumed: true,
     };
     // Infinite designs report `u64::MAX` storage, which the journal holds

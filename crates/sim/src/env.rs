@@ -1,8 +1,8 @@
 //! Environment-variable parsing with warn-once fallback.
 //!
 //! Every tunable the simulator reads from the environment
-//! (`LLBPX_THREADS`, `LLBPX_TRACE_CACHE_MB`, `LLBPX_FAULT_CELL`,
-//! `LLBPX_JOB_TIMEOUT` and the `REPRO_*` budgets) follows the same
+//! (`LLBPX_THREADS`, `LLBPX_FAULT_CELL`, `LLBPX_JOB_TIMEOUT` and the
+//! `REPRO_*` budgets) follows the same
 //! contract: an unset variable silently uses the default, a
 //! set-but-unparsable value uses the default *and* warns on stderr — but only once per key per process,
 //! because binaries resolve some keys more than once (engine fan-out +
@@ -146,7 +146,6 @@ mod tests {
 
         check(&exec::THREADS, "8", 8usize, "zero-ish", 3);
         check(&exec::THREADS, "1", 1usize, "0", 4);
-        check(&exec::TRACE_CACHE_MB, "1024", 1024u64, "-5", 7);
         check(&exec::FAULT_CELL, "3", Some(3usize), "x", None);
         check(&exec::FAULT_CELL, " 0 ", Some(0usize), "2:stall", None);
         check(

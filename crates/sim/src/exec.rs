@@ -1,6 +1,5 @@
 //! The parallel experiment engine: fans a run matrix out over worker
-//! threads, shares each row's materialized workload trace between its
-//! cells, isolates per-cell failures, and journals completed cells to a
+//! threads, isolates per-cell failures, and journals completed cells to a
 //! checkpoint.
 //!
 //! Every figure/table binary replays the paper's protocol as a *matrix*:
@@ -12,13 +11,11 @@
 //! * [`run_jobs`] — a deterministic-order parallel map: jobs are claimed in
 //!   index order by `LLBPX_THREADS` scoped workers and the results come
 //!   back in job order, bit-identical to running them serially;
-//! * row-scoped shared traces ([`crate::cache::RowTrace`]): the cells of a
-//!   row replay one materialized trace read-only instead of re-synthesizing
-//!   it, and the row drops it when its last cell finishes, within the
-//!   `LLBPX_TRACE_CACHE_MB` cap on live bytes;
-//! * [`run_matrix`] — the two combined: cells keep a flat, row-major index
-//!   (their claim order, their fingerprint and their `LLBPX_FAULT_CELL`
-//!   number) and come back grouped by row.
+//! * [`run_matrix`] — a run matrix on top of it: every cell streams its
+//!   row's workload from its own seeded generator, so the cells of a row
+//!   see the same records without sharing any memory; cells keep a flat,
+//!   row-major index (their claim order, their fingerprint and their
+//!   `LLBPX_FAULT_CELL` number) and come back grouped by row.
 //!
 //! A cell is a pure function of (predictor config, workload seed,
 //! protocol): a real failure fails the same way every time, so there is no
@@ -52,25 +49,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use traces::{BranchRecord, SharedTrace};
 use workloads::{ServerWorkload, WorkloadSpec};
 
-pub use crate::cache::TraceCacheStats;
-use crate::cache::{RowTrace, TraceCache};
 use crate::checkpoint::{self, Checkpoint};
 use crate::env::Knob;
 use crate::error::{panic_message, JobError, JobErrorKind, SimError};
 use crate::predictor::SimPredictor;
-use crate::runner::{RunResult, Simulation, TraceSource};
+use crate::runner::{RunResult, Simulation};
 
 /// Environment variable selecting the worker count (default: available
 /// parallelism).
 pub const ENV_THREADS: &str = "LLBPX_THREADS";
-
-/// Environment variable capping the bytes of shared traces live at once,
-/// in MiB (default [`DEFAULT_TRACE_CACHE_MB`]; `0` disables
-/// materialization).
-pub const ENV_TRACE_CACHE_MB: &str = "LLBPX_TRACE_CACHE_MB";
 
 /// Environment variable naming one zero-based matrix cell to deliberately
 /// panic, for exercising the failure-isolation path end-to-end (tests,
@@ -81,17 +70,8 @@ pub const ENV_FAULT_CELL: &str = "LLBPX_FAULT_CELL";
 /// (fractional allowed; unset or `0` means no deadline).
 pub const ENV_JOB_TIMEOUT: &str = "LLBPX_JOB_TIMEOUT";
 
-/// Default trace-cache cap: 3 GiB holds the rows in flight at the
-/// laptop-scale default budgets; paper-scale traces overflow it and
-/// stream instead.
-pub const DEFAULT_TRACE_CACHE_MB: u64 = 3072;
-
 fn parse_threads(raw: &str) -> Option<usize> {
     raw.parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
-fn parse_cache_mb(raw: &str) -> Option<u64> {
-    raw.parse::<u64>().ok()
 }
 
 fn parse_fault_cell(raw: &str) -> Option<Option<usize>> {
@@ -112,14 +92,6 @@ pub static THREADS: Knob<usize> = Knob::new(
     "a positive thread count",
     "using available parallelism",
     parse_threads,
-);
-
-/// [`ENV_TRACE_CACHE_MB`] knob.
-pub static TRACE_CACHE_MB: Knob<u64> = Knob::new(
-    ENV_TRACE_CACHE_MB,
-    "a size in MiB",
-    "using the default cap",
-    parse_cache_mb,
 );
 
 /// [`ENV_FAULT_CELL`] knob.
@@ -147,11 +119,6 @@ pub fn threads_from_env() -> usize {
 
 fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// The trace-cache cap in bytes, from [`ENV_TRACE_CACHE_MB`].
-pub fn trace_cache_bytes_from_env() -> u64 {
-    TRACE_CACHE_MB.get(|| DEFAULT_TRACE_CACHE_MB).saturating_mul(1024 * 1024)
 }
 
 /// A boxed unit of work for [`run_jobs`].
@@ -213,21 +180,6 @@ pub fn run_jobs_with<T: Send>(threads: usize, jobs: Vec<BoxedJob<'_, T>>) -> Vec
         .collect()
 }
 
-/// Materializes the branch stream of `spec` into shared read-only storage
-/// covering at least `instructions` of simulation, so that replaying it is
-/// bit-identical to streaming the generator. Returns `Ok(None)` when the
-/// trace would exceed `cap_bytes`, and an error when the spec is invalid.
-pub fn try_materialize(
-    spec: &WorkloadSpec,
-    instructions: u64,
-    cap_bytes: u64,
-) -> Result<Option<Arc<Vec<BranchRecord>>>, SimError> {
-    let mut stream = ServerWorkload::try_new(spec)
-        .map_err(|reason| SimError::InvalidSpec { workload: spec.name.clone(), reason })?;
-    let hint = crate::cache::estimated_records(spec, instructions);
-    Ok(crate::cache::materialize_stream(&mut stream, instructions, cap_bytes, hint))
-}
-
 /// A matrix cell's predictor factory. It receives the row's workload and
 /// executes once, on the worker thread that claims the cell, so predictors
 /// never cross threads; it may run arbitrary setup (e.g. oracle training).
@@ -235,8 +187,8 @@ pub type Factory<'a> = Box<dyn FnOnce(&WorkloadSpec) -> Box<dyn SimPredictor> + 
 
 /// One row of a run matrix: a workload and the named cells that run on it.
 pub struct MatrixRow<'a> {
-    /// The workload every cell of the row runs on; the row's cells share
-    /// one materialized trace.
+    /// The workload every cell of the row runs on; each cell streams it
+    /// from its own generator.
     pub spec: WorkloadSpec,
     /// The cells: a name (the design label its binary gives it) and a
     /// predictor factory. The name is part of the checkpoint fingerprint,
@@ -281,8 +233,6 @@ pub struct MatrixReport {
     pub rows: Vec<Vec<Result<MatrixOutput, JobError>>>,
     /// Worker threads actually used.
     pub threads: usize,
-    /// Shared-trace behavior.
-    pub cache: TraceCacheStats,
 }
 
 impl MatrixReport {
@@ -319,8 +269,6 @@ impl MatrixReport {
 pub struct EngineOptions {
     /// Worker threads.
     pub threads: usize,
-    /// Cap on the bytes of shared traces live at once.
-    pub cap_bytes: u64,
     /// Checkpoint journal, if any.
     pub checkpoint: Option<Arc<Checkpoint>>,
     /// One cell to deliberately panic, if any ([`ENV_FAULT_CELL`]).
@@ -331,19 +279,16 @@ pub struct EngineOptions {
 }
 
 impl EngineOptions {
-    /// The bare engine: explicit threads and cache cap, everything else
-    /// off.
-    pub fn basic(threads: usize, cap_bytes: u64) -> Self {
-        EngineOptions { threads, cap_bytes, checkpoint: None, fault_cell: None, job_timeout: None }
+    /// The bare engine: explicit threads, everything else off.
+    pub fn basic(threads: usize) -> Self {
+        EngineOptions { threads, checkpoint: None, fault_cell: None, job_timeout: None }
     }
 
     /// The full environment-driven configuration: `LLBPX_THREADS`,
-    /// `LLBPX_TRACE_CACHE_MB`, `LLBPX_CHECKPOINT`, `LLBPX_FAULT_CELL` and
-    /// `LLBPX_JOB_TIMEOUT`.
+    /// `LLBPX_CHECKPOINT`, `LLBPX_FAULT_CELL` and `LLBPX_JOB_TIMEOUT`.
     pub fn from_env() -> Self {
         EngineOptions {
             threads: threads_from_env(),
-            cap_bytes: trace_cache_bytes_from_env(),
             checkpoint: Checkpoint::from_env().map(Arc::new),
             fault_cell: FAULT_CELL.get(|| None),
             job_timeout: JOB_TIMEOUT.get(|| None),
@@ -357,29 +302,22 @@ pub fn run_matrix(sim: &Simulation, rows: Vec<MatrixRow<'_>>) -> MatrixReport {
     run_matrix_opts(sim, rows, EngineOptions::from_env())
 }
 
-/// Runs a matrix with explicit thread count and cache cap, no checkpoint,
-/// no fault injection and no deadline. See [`run_matrix_opts`].
-pub fn run_matrix_with(
-    sim: &Simulation,
-    rows: Vec<MatrixRow<'_>>,
-    threads: usize,
-    cap_bytes: u64,
-) -> MatrixReport {
-    run_matrix_opts(sim, rows, EngineOptions::basic(threads, cap_bytes))
+/// Runs a matrix with an explicit thread count, no checkpoint, no fault
+/// injection and no deadline. See [`run_matrix_opts`].
+pub fn run_matrix_with(sim: &Simulation, rows: Vec<MatrixRow<'_>>, threads: usize) -> MatrixReport {
+    run_matrix_opts(sim, rows, EngineOptions::basic(threads))
 }
 
 /// One cell: fix its deadline, build the predictor, consult the journal,
-/// claim the row's trace, run under `catch_unwind`, journal the completion.
+/// stream the workload under `catch_unwind`, journal the completion.
 fn run_cell(
     sim: &Simulation,
     opts: &EngineOptions,
-    cache: &TraceCache,
-    row: &RowTrace,
+    spec: &WorkloadSpec,
     index: usize,
     (cell, factory): (String, Factory<'_>),
 ) -> Result<MatrixOutput, JobError> {
     let deadline = opts.job_timeout.map(|timeout| Instant::now() + timeout);
-    let spec = row.spec();
     let mut predictor = std::panic::catch_unwind(AssertUnwindSafe(|| factory(spec)))
         .map_err(|payload| JobError::panic(index, &spec.name, None, panic_message(payload)))?;
     let name = predictor.name();
@@ -393,20 +331,10 @@ fn run_cell(
         if opts.fault_cell == Some(index) {
             panic!("deliberate fault injected into cell {index} (see {ENV_FAULT_CELL})");
         }
-        match row.claim(cache) {
-            Some(records) => {
-                let mut replay = SharedTrace::new(records);
-                sim.run_stream_until(predictor.as_mut(), &mut replay, &spec.name, deadline)
-                    .map(|result| RunResult { trace_source: TraceSource::Materialized, ..result })
-            }
-            None => {
-                let mut stream = ServerWorkload::try_new(spec).unwrap_or_else(|reason| {
-                    panic!("{}", SimError::InvalidSpec { workload: spec.name.clone(), reason })
-                });
-                sim.run_stream_until(predictor.as_mut(), &mut stream, &spec.name, deadline)
-                    .map(|result| RunResult { trace_source: TraceSource::Streamed, ..result })
-            }
-        }
+        let mut stream = ServerWorkload::try_new(spec).unwrap_or_else(|reason| {
+            panic!("{}", SimError::InvalidSpec { workload: spec.name.clone(), reason })
+        });
+        sim.run_stream_until(predictor.as_mut(), &mut stream, &spec.name, deadline)
     }));
     match run {
         Ok(Ok(result)) => {
@@ -436,15 +364,11 @@ fn run_cell(
 /// cells bit-identical to running the same cells serially via
 /// [`Simulation::run`].
 ///
-/// Cells are claimed in flat, row-major index order. A row with two or
-/// more cells materializes its workload at its first claim and every cell
-/// of the row replays it read-only; the row drops it when its last cell
-/// finishes, so the `opts.cap_bytes` cap bounds the bytes live at once
-/// (see [`crate::cache::RowTrace`]). Single-cell rows, and rows that do
-/// not fit, stream from the generator exactly as the serial path does.
-/// Both paths produce the same records in the same order, so accuracy
-/// never depends on which one ran — the one that did is attributed per run
-/// in [`RunResult::trace_source`].
+/// Cells are claimed in flat, row-major index order. Each cell streams its
+/// row's workload from a generator of its own, exactly as the serial path
+/// does: the generator is seeded, so every cell of a row sees the same
+/// records, and a row holds no trace memory. A row whose spec is invalid
+/// fails each of its cells with [`SimError::InvalidSpec`].
 ///
 /// Each cell runs under `catch_unwind` and, with `opts.job_timeout`, a
 /// wall-clock deadline; a failure of either kind yields `Err(JobError)`
@@ -457,29 +381,21 @@ pub fn run_matrix_opts(
     rows: Vec<MatrixRow<'_>>,
     opts: EngineOptions,
 ) -> MatrixReport {
-    let budget = sim.warmup_instructions.saturating_add(sim.measure_instructions);
-    let cache = TraceCache::new(opts.cap_bytes, budget);
     let widths: Vec<usize> = rows.iter().map(|row| row.cells.len()).collect();
-    let traces: Vec<RowTrace> =
-        rows.iter().map(|row| RowTrace::new(row.spec.clone(), row.cells.len())).collect();
 
-    let (opts, cache) = (&opts, &cache);
+    let opts = &opts;
     let mut jobs: Vec<BoxedJob<'_, Result<MatrixOutput, JobError>>> = Vec::new();
-    for (row, trace) in rows.into_iter().zip(&traces) {
-        for cell in row.cells {
-            let index = jobs.len();
-            jobs.push(Box::new(move || {
-                let output = run_cell(sim, opts, cache, trace, index, cell);
-                trace.finish(cache);
-                output
-            }));
+    for MatrixRow { spec, cells } in rows {
+        for cell in cells {
+            let (index, spec) = (jobs.len(), spec.clone());
+            jobs.push(Box::new(move || run_cell(sim, opts, &spec, index, cell)));
         }
     }
 
     let used_threads = opts.threads.max(1).min(jobs.len().max(1));
     let mut outputs = run_jobs_with(opts.threads, jobs).into_iter();
     let rows = widths.into_iter().map(|width| outputs.by_ref().take(width).collect()).collect();
-    MatrixReport { rows, threads: used_threads, cache: cache.stats() }
+    MatrixReport { rows, threads: used_threads }
 }
 
 #[cfg(test)]
@@ -504,11 +420,10 @@ mod tests {
 
     fn with_fault(
         threads: usize,
-        cap: u64,
         checkpoint: Option<Arc<Checkpoint>>,
         fault_cell: Option<usize>,
     ) -> EngineOptions {
-        EngineOptions { checkpoint, fault_cell, ..EngineOptions::basic(threads, cap) }
+        EngineOptions { checkpoint, fault_cell, ..EngineOptions::basic(threads) }
     }
 
     fn tsl64(_: &WorkloadSpec) -> Box<dyn SimPredictor> {
@@ -536,47 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn materialized_replay_is_bit_identical_to_streaming() {
-        let sim = tiny_sim();
-        let spec = tiny_spec("mat", 7);
-        let streamed = sim.run(&mut TageScl::new(TslConfig::kilobytes(64)), &spec);
-
-        let trace =
-            try_materialize(&spec, sim.warmup_instructions + sim.measure_instructions, u64::MAX)
-                .expect("a valid spec")
-                .expect("uncapped materialization succeeds");
-        let mut replay = SharedTrace::new(trace);
-        let replayed = sim.run_stream(
-            &mut TageScl::new(TslConfig::kilobytes(64)),
-            &mut replay,
-            &spec.name,
-        );
-
-        assert_eq!(streamed.instructions, replayed.instructions);
-        assert_eq!(streamed.cond_branches, replayed.cond_branches);
-        assert_eq!(streamed.mispredicts, replayed.mispredicts);
-        assert_eq!(streamed.override_candidates, replayed.override_candidates);
-        assert_eq!(streamed.intervals, replayed.intervals);
-    }
-
-    #[test]
-    fn materialization_respects_the_cap() {
-        let spec = tiny_spec("cap", 9);
-        let capped = try_materialize(&spec, 100_000, 1024).expect("a valid spec");
-        assert!(capped.is_none(), "1 KiB cannot hold 100K instrs");
-        assert!(try_materialize(&spec, 100_000, u64::MAX).expect("a valid spec").is_some());
-    }
-
-    #[test]
-    fn try_materialize_rejects_invalid_specs_structurally() {
-        let bad = WorkloadSpec::new("bad", 1).with_request_types(0);
-        match try_materialize(&bad, 1_000, u64::MAX) {
-            Err(SimError::InvalidSpec { workload, .. }) => assert_eq!(workload, "bad"),
-            other => panic!("expected InvalidSpec, got {:?}", other.map(|t| t.is_some())),
-        }
-    }
-
-    #[test]
     fn fault_cells_parse_an_index_and_reject_garbage() {
         assert_eq!(parse_fault_cell("3"), Some(Some(3)));
         assert_eq!(parse_fault_cell("0"), Some(Some(0)));
@@ -590,77 +464,68 @@ mod tests {
         specs.iter().map(row).collect()
     }
 
+    /// A [`standard_rows`] row run serially through [`compare`].
+    fn serial_row(sim: &Simulation, spec: &WorkloadSpec) -> Vec<RunResult> {
+        let mut tsl = TageScl::new(TslConfig::kilobytes(64));
+        let mut llbp = Llbp::new(LlbpConfig::paper_baseline());
+        compare(sim, spec, [&mut tsl as &mut dyn SimPredictor, &mut llbp])
+    }
+
     #[test]
     fn matrix_matches_serial_compare_at_every_thread_count() {
         let sim = tiny_sim();
         let specs = [tiny_spec("a", 3), tiny_spec("b", 4)];
-
-        let mut serial = Vec::new();
-        for spec in &specs {
-            let mut tsl = TageScl::new(TslConfig::kilobytes(64));
-            let mut llbp = Llbp::new(LlbpConfig::paper_baseline());
-            serial.push(compare(
-                &sim,
-                spec,
-                [&mut tsl as &mut dyn SimPredictor, &mut llbp as &mut dyn SimPredictor],
-            ));
-        }
+        let serial: Vec<_> = specs.iter().map(|spec| serial_row(&sim, spec)).collect();
 
         for threads in [1usize, 4] {
-            for cap in [0u64, u64::MAX] {
-                let report = run_matrix_with(&sim, standard_rows(&specs), threads, cap);
-                assert_eq!(report.rows.len(), serial.len());
-                assert_eq!(report.failed_cells(), 0);
-                for (row, serial_row) in report.rows.iter().zip(&serial) {
-                    assert_eq!(row.len(), serial_row.len());
-                    for (parallel, serial) in row.iter().zip(serial_row) {
-                        let parallel = parallel.as_ref().expect("no cell fails");
-                        assert_eq!(parallel.result.name, serial.name);
-                        assert_eq!(parallel.result.workload, serial.workload);
-                        assert_eq!(parallel.result.instructions, serial.instructions);
-                        assert_eq!(parallel.result.mispredicts, serial.mispredicts);
-                        assert_eq!(
-                            parallel.result.override_candidates,
-                            serial.override_candidates
-                        );
-                        assert_eq!(parallel.result.intervals, serial.intervals);
-                        assert!(parallel.storage_bits > 0);
-                        // Per-run trace attribution follows the path that
-                        // actually ran, not the global engine config.
-                        let expected = if cap == 0 {
-                            TraceSource::Streamed
-                        } else {
-                            TraceSource::Materialized
-                        };
-                        assert_eq!(parallel.result.trace_source, expected);
-                        assert!(!parallel.result.resumed);
-                    }
-                }
-                if cap == u64::MAX {
-                    assert_eq!(report.cache.specs_cached, 2);
-                } else {
-                    assert_eq!(report.cache.specs_cached, 0);
-                    assert_eq!(report.cache.specs_streamed, 2);
+            let report = run_matrix_with(&sim, standard_rows(&specs), threads);
+            assert_eq!(report.rows.len(), serial.len());
+            assert_eq!(report.failed_cells(), 0);
+            for (row, serial_row) in report.rows.iter().zip(&serial) {
+                assert_eq!(row.len(), serial_row.len());
+                for (parallel, serial) in row.iter().zip(serial_row) {
+                    assert_same_run(parallel.as_ref().expect("no cell fails"), serial);
                 }
             }
         }
     }
 
+    fn assert_same_run(parallel: &MatrixOutput, serial: &RunResult) {
+        assert_eq!(parallel.result.name, serial.name);
+        assert_eq!(parallel.result.workload, serial.workload);
+        assert_eq!(parallel.result.instructions, serial.instructions);
+        assert_eq!(parallel.result.mispredicts, serial.mispredicts);
+        assert_eq!(parallel.result.override_candidates, serial.override_candidates);
+        assert_eq!(parallel.result.intervals, serial.intervals);
+        assert!(parallel.storage_bits > 0);
+        assert!(!parallel.result.resumed);
+    }
+
     #[test]
-    fn rows_release_their_traces_as_they_finish() {
-        // One worker finishes row 0 before it claims row 1, so only one
-        // trace is ever live.
-        let specs = [tiny_spec("rel-a", 29), tiny_spec("rel-b", 31)];
-        let report = run_matrix_with(&tiny_sim(), standard_rows(&specs), 1, u64::MAX);
-        let stats = report.cache;
-        assert_eq!(stats.specs_cached, 2);
-        assert!(stats.peak_bytes > 0);
-        assert!(
-            stats.peak_bytes < stats.cached_bytes,
-            "peak {} must stay below the {} bytes materialized",
-            stats.peak_bytes,
-            stats.cached_bytes
-        );
+    fn an_invalid_spec_fails_each_cell_of_its_row_alone() {
+        let sim = tiny_sim();
+        let bad = WorkloadSpec::new("bad", 1).with_request_types(0);
+        let good = tiny_spec("good", 43);
+        let serial = serial_row(&sim, &good);
+
+        let specs = [bad, good];
+        for threads in [1usize, 4] {
+            let report = run_matrix_with(&sim, standard_rows(&specs), threads);
+            assert_eq!(report.failed_cells(), 2);
+            for (index, cell) in report.rows[0].iter().enumerate() {
+                let err = cell.as_ref().expect_err("an invalid spec cannot run");
+                assert_eq!((err.index, err.workload.as_str()), (index, "bad"));
+                assert_eq!(err.kind, JobErrorKind::Panic);
+                assert!(
+                    err.message.starts_with("invalid workload spec `bad`"),
+                    "{}",
+                    err.message
+                );
+            }
+            for (parallel, serial) in report.rows[1].iter().zip(&serial) {
+                assert_same_run(parallel.as_ref().expect("the valid row completes"), serial);
+            }
+        }
     }
 
     #[test]
@@ -673,7 +538,7 @@ mod tests {
             })
             .collect();
         let sim = Simulation { warmup_instructions: 10_000, measure_instructions: 20_000 };
-        let report = run_matrix_opts(&sim, rows, with_fault(2, u64::MAX, None, Some(5)));
+        let report = run_matrix_opts(&sim, rows, with_fault(2, None, Some(5)));
         assert_eq!(report.failed_cells(), 1);
         let err = report.rows[1][0].as_ref().expect_err("cell 5 opens row 1");
         assert_eq!((err.index, err.workload.as_str()), (5, "flat-b"));
@@ -685,7 +550,7 @@ mod tests {
     fn worker_profiles_travel_with_their_runs() {
         let sim = tiny_sim();
         let row = MatrixRow::new(&tiny_spec("prof", 5)).cell("LLBP a", llbp).cell("LLBP b", llbp);
-        let report = run_matrix_with(&sim, vec![row], 4, u64::MAX);
+        let report = run_matrix_with(&sim, vec![row], 4);
         for output in report.rows.iter().flatten() {
             let output = output.as_ref().expect("no cell fails");
             let named: Vec<&str> = output.result.profile.iter().map(|s| s.name).collect();
@@ -707,7 +572,7 @@ mod tests {
                 .cell("ok a", tsl64)
                 .cell("boom", |_| panic!("factory exploded on purpose"))
                 .cell("ok b", tsl64);
-            let report = run_matrix_with(&sim, vec![row], threads, u64::MAX);
+            let report = run_matrix_with(&sim, vec![row], threads);
             assert_eq!(report.failed_cells(), 1);
             let row = &report.rows[0];
             let err = row[1].as_ref().expect_err("cell 1 fails");
@@ -728,11 +593,7 @@ mod tests {
     fn fault_injection_fails_exactly_the_chosen_cell() {
         let sim = tiny_sim();
         let specs = [tiny_spec("fault", 13)];
-        let report = run_matrix_opts(
-            &sim,
-            standard_rows(&specs),
-            with_fault(2, u64::MAX, None, Some(1)),
-        );
+        let report = run_matrix_opts(&sim, standard_rows(&specs), with_fault(2, None, Some(1)));
         assert_eq!(report.failed_cells(), 1);
         let err = report.rows[0][1].as_ref().expect_err("cell 1 is the fault cell");
         assert!(err.message.contains(ENV_FAULT_CELL), "{}", err.message);
@@ -747,15 +608,11 @@ mod tests {
         let path = tmp("resume");
         let _ = std::fs::remove_file(&path);
 
-        let clean = run_matrix_with(&sim, standard_rows(&specs), 2, u64::MAX);
+        let clean = run_matrix_with(&sim, standard_rows(&specs), 2);
 
         // First pass: cell 1 faults, so only cell 0 lands in the journal.
         let cp = Arc::new(Checkpoint::open(&path).expect("journal opens"));
-        let first = run_matrix_opts(
-            &sim,
-            standard_rows(&specs),
-            with_fault(2, u64::MAX, Some(cp), Some(1)),
-        );
+        let first = run_matrix_opts(&sim, standard_rows(&specs), with_fault(2, Some(cp), Some(1)));
         assert_eq!(first.failed_cells(), 1);
         assert_eq!(first.resumed_cells(), 0);
 
@@ -763,11 +620,7 @@ mod tests {
         // cell 1 simulates, and every metric matches the clean run.
         let cp = Arc::new(Checkpoint::open(&path).expect("journal reopens"));
         assert_eq!(cp.len(), 1, "only the completed cell was journaled");
-        let second = run_matrix_opts(
-            &sim,
-            standard_rows(&specs),
-            with_fault(2, u64::MAX, Some(cp), None),
-        );
+        let second = run_matrix_opts(&sim, standard_rows(&specs), with_fault(2, Some(cp), None));
         assert_eq!(second.failed_cells(), 0);
         assert_eq!(second.resumed_cells(), 1);
         for (resumed, clean) in second.rows[0].iter().zip(&clean.rows[0]) {
@@ -789,21 +642,14 @@ mod tests {
         // Third pass: everything restores; nothing is simulated.
         let cp = Arc::new(Checkpoint::open(&path).expect("journal reopens again"));
         assert_eq!(cp.len(), 2);
-        let third = run_matrix_opts(
-            &sim,
-            standard_rows(&specs),
-            with_fault(2, u64::MAX, Some(cp), None),
-        );
+        let third = run_matrix_opts(&sim, standard_rows(&specs), with_fault(2, Some(cp), None));
         assert_eq!(third.resumed_cells(), 2);
 
         // A different budget changes every fingerprint: nothing restores.
         let other = Simulation { warmup_instructions: 50_000, ..sim };
         let cp = Arc::new(Checkpoint::open(&path).expect("journal reopens once more"));
-        let fourth = run_matrix_opts(
-            &other,
-            standard_rows(&specs),
-            with_fault(2, u64::MAX, Some(cp), None),
-        );
+        let fourth =
+            run_matrix_opts(&other, standard_rows(&specs), with_fault(2, Some(cp), None));
         assert_eq!(fourth.resumed_cells(), 0, "stale fingerprints never match");
 
         let _ = std::fs::remove_file(&path);
@@ -825,7 +671,7 @@ mod tests {
             let row = MatrixRow::new(&spec).cell(format!("LLBP-X H_th={h_th}"), move |_| {
                 Box::new(Llbp::new_x(cfg)) as Box<dyn SimPredictor>
             });
-            run_matrix_opts(&sim, vec![row], with_fault(1, u64::MAX, Some(cp), None))
+            run_matrix_opts(&sim, vec![row], with_fault(1, Some(cp), None))
         };
         let first = sweep(112);
         let second = sweep(522);
@@ -851,7 +697,7 @@ mod tests {
         });
         let opts = EngineOptions {
             job_timeout: Some(Duration::from_millis(10)),
-            ..with_fault(1, u64::MAX, Some(Arc::new(Checkpoint::open(&path).expect("opens"))), None)
+            ..with_fault(1, Some(Arc::new(Checkpoint::open(&path).expect("opens"))), None)
         };
         let report = run_matrix_opts(&sim, vec![stalled], opts);
         let err = report.rows[0][0].as_ref().expect_err("the stalled cell");
@@ -872,7 +718,7 @@ mod tests {
         let specs = [tiny_spec("slow", 23)];
         let opts = EngineOptions {
             job_timeout: Some(Duration::from_millis(200)),
-            ..EngineOptions::basic(2, 0)
+            ..EngineOptions::basic(2)
         };
         let started = Instant::now();
         let report = run_matrix_opts(&sim, standard_rows(&specs), opts);

@@ -8,15 +8,12 @@
 //!   scaled by configuration) and produces [`runner::RunResult`]s;
 //! * [`exec`] — the parallel experiment engine: fans a run matrix (one
 //!   row per workload, one cell per predictor on it) out over
-//!   `LLBPX_THREADS` workers with deterministic cell ordering, isolates
+//!   `LLBPX_THREADS` workers with deterministic cell ordering (each cell
+//!   streams its workload from its own seeded generator), isolates
 //!   panicking cells as structured [`error::JobError`]s
 //!   (`LLBPX_FAULT_CELL` panics one on purpose), stops cells past an
 //!   optional `LLBPX_JOB_TIMEOUT` deadline, and journals completed cells
 //!   to a [`checkpoint`] for crash/resume;
-//! * [`cache`] — row-scoped shared traces: a row's trace is materialized
-//!   at its first claim, replayed by all of its cells and dropped when the
-//!   last one finishes, within the `LLBPX_TRACE_CACHE_MB` cap on the
-//!   bytes live at once;
 //! * [`checkpoint`] — the `LLBPX_CHECKPOINT` journal: completed matrix
 //!   cells keyed by deterministic job fingerprints, restored
 //!   bit-identically on re-run;
@@ -49,7 +46,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analysis;
-pub mod cache;
 pub mod checkpoint;
 pub mod energy;
 pub mod env;
@@ -62,5 +58,5 @@ pub mod timing;
 
 pub use error::{JobError, JobErrorKind, SimError};
 pub use predictor::SimPredictor;
-pub use runner::{RunResult, RunStatus, Simulation, TraceSource};
+pub use runner::{RunResult, RunStatus, Simulation};
 pub use timing::CoreParams;

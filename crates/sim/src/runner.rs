@@ -45,27 +45,6 @@ impl RunStatus {
     }
 }
 
-/// Where a run's branch records came from under the experiment engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TraceSource {
-    /// Generated on the fly by the workload generator (the serial path and
-    /// the engine's cache-overflow fallback).
-    #[default]
-    Streamed,
-    /// Replayed from the engine's shared materialized trace.
-    Materialized,
-}
-
-impl TraceSource {
-    /// Telemetry label for the source.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TraceSource::Streamed => "streamed",
-            TraceSource::Materialized => "materialized",
-        }
-    }
-}
-
 /// Result of one predictor × workload run.
 #[derive(Debug, Clone, Default)]
 pub struct RunResult {
@@ -99,8 +78,6 @@ pub struct RunResult {
     pub profile: Vec<ScopeTotals>,
     /// Outcome of the cell that produced this result.
     pub status: RunStatus,
-    /// Whether the run streamed its workload or replayed a shared trace.
-    pub trace_source: TraceSource,
     /// Whether this result was restored from a checkpoint journal instead
     /// of simulated in this invocation.
     pub resumed: bool,
@@ -194,11 +171,6 @@ impl RunResult {
             profile: std::mem::take(&mut self.profile),
             status: self.status.as_str().to_owned(),
             error: self.error().map(str::to_owned),
-            trace_source: if self.is_failed() {
-                String::new()
-            } else {
-                self.trace_source.as_str().to_owned()
-            },
             resumed: self.resumed,
             extra: Vec::new(),
         }
@@ -249,9 +221,11 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Reasonable laptop-scale defaults (10M + 20M instructions).
+    /// The default protocol, 4M + 8M instructions: the one every
+    /// committed `results/*.txt` file was recorded at, so a bare run of a
+    /// binary prints its committed table.
     pub fn quick() -> Self {
-        Simulation { warmup_instructions: 10_000_000, measure_instructions: 20_000_000 }
+        Simulation { warmup_instructions: 4_000_000, measure_instructions: 8_000_000 }
     }
 
     /// Reads `REPRO_WARMUP` / `REPRO_INSTRUCTIONS` from the environment

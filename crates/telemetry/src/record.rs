@@ -17,24 +17,18 @@ use crate::profile::ScopeTotals;
 
 /// Schema identifier written into every emitted record line.
 ///
-/// v2 added per-run `status` (`"ok"` / `"failed"`), `error`,
-/// `trace_cache` (`"streamed"` / `"materialized"`) and `resumed`. v3 added
-/// the supervision vocabulary (`status` `"timeout"` / `"quarantined"`,
+/// v2 added per-run `status` (`"ok"` / `"failed"`), `error`, a trace
+/// attribution label (`"streamed"` / `"materialized"`) and `resumed`. v3
+/// added the supervision vocabulary (`status` `"timeout"` / `"quarantined"`,
 /// per-run `degraded` / `attempts`, record-level `supervision` / `chaos`
 /// objects, timeout/quarantine/retry/degraded counts and the trace cache's
 /// `evictions` / `demotions`). v4 removes everything of v3 except the
 /// `"timeout"` status and the `timed_out_cells` count: `status` is
 /// `"ok"`, `"failed"` or `"timeout"`, and the other v3 fields are gone.
-pub const SCHEMA: &str = "llbpx-telemetry/4";
-
-/// The v3 schema identifier, kept for readers that accept several.
-pub const SCHEMA_V3: &str = "llbpx-telemetry/3";
-
-/// The v2 schema identifier, kept for readers that accept several.
-pub const SCHEMA_V2: &str = "llbpx-telemetry/2";
-
-/// The original schema identifier, kept for readers that accept several.
-pub const SCHEMA_V1: &str = "llbpx-telemetry/1";
+/// v5 removes the shared-trace fields: the per-run trace attribution label
+/// and the record-level trace-cache object are gone, because every run
+/// streams its workload from its own generator.
+pub const SCHEMA: &str = "llbpx-telemetry/5";
 
 /// Environment variable enabling telemetry without touching a binary's
 /// argument list. Values: `1`/`true` (default `BENCH_<name>.json` in the
@@ -89,9 +83,6 @@ pub struct RunRecord {
     pub status: String,
     /// Captured failure message of a failed cell (schema v2).
     pub error: Option<String>,
-    /// Per-run trace attribution: `"streamed"` or `"materialized"`
-    /// (schema v2; empty = not emitted, for records outside the engine).
-    pub trace_source: String,
     /// Whether this run was restored from a checkpoint journal rather than
     /// simulated in this invocation (schema v2).
     pub resumed: bool,
@@ -143,9 +134,6 @@ impl RunRecord {
             .set("status", if self.status.is_empty() { "ok" } else { self.status.as_str() });
         if let Some(error) = &self.error {
             j = j.set("error", error.as_str());
-        }
-        if !self.trace_source.is_empty() {
-            j = j.set("trace_cache", self.trace_source.as_str());
         }
         if self.resumed {
             j = j.set("resumed", true);
@@ -253,14 +241,12 @@ mod tests {
             workload: "NodeApp".into(),
             status: "failed".into(),
             error: Some("worker panicked".into()),
-            trace_source: "materialized".into(),
             resumed: true,
             ..RunRecord::default()
         };
         let j = Json::parse(&rec.to_json().to_string()).expect("round-trips");
         assert_eq!(j.get("status").unwrap().as_str(), Some("failed"));
         assert_eq!(j.get("error").unwrap().as_str(), Some("worker panicked"));
-        assert_eq!(j.get("trace_cache").unwrap().as_str(), Some("materialized"));
         assert_eq!(j.get("resumed").unwrap(), &Json::Bool(true));
     }
 
@@ -276,9 +262,9 @@ mod tests {
         let j = Json::parse(&rec.to_json().to_string()).expect("round-trips");
         assert_eq!(j.get("status").unwrap().as_str(), Some("timeout"));
         assert!(j.get("error").unwrap().as_str().unwrap().contains("deadline"));
-        // The fields v4 dropped never reappear.
+        // The fields v4 and v5 dropped never reappear.
         for gone in ["degraded", "attempts"] {
-            assert!(j.get(gone).is_none(), "{gone} is not a v4 field");
+            assert!(j.get(gone).is_none(), "{gone} is not a v5 field");
         }
     }
 

@@ -139,13 +139,12 @@ impl BranchStream for VecTrace {
 /// Cloning a `SharedTrace` (or building several from the same
 /// `Arc<Vec<BranchRecord>>`) shares the backing storage, so many
 /// simulations can replay the identical materialized trace concurrently
-/// without duplicating it — the trace-cache path of the parallel
-/// experiment engine. Each instance keeps its own cursor.
+/// without duplicating it, as the benchmark driver's in-process replay
+/// (`perfbench/driver`) does. Each instance keeps its own cursor.
 ///
 /// The storage is an `Arc<Vec<_>>` rather than an `Arc<[_]>` so a freshly
-/// generated `Vec` moves in without the slice-conversion copy — for the
-/// multi-hundred-megabyte traces the cache holds, that copy touches every
-/// page a second time.
+/// generated `Vec` moves in without the slice-conversion copy, which would
+/// touch every page of a large trace a second time.
 #[derive(Debug, Clone)]
 pub struct SharedTrace {
     records: Arc<Vec<BranchRecord>>,

@@ -1,7 +1,7 @@
 //! Determinism acceptance for the parallel experiment engine: the same
 //! matrix (one row per workload, one cell per predictor) must be
 //! bit-identical whether it runs serially ([`bpsim::runner::compare`]), on
-//! one engine worker, or on four — with and without shared traces.
+//! one engine worker, or on four.
 //!
 //! The second test drives a real experiment binary end-to-end under
 //! `LLBPX_THREADS=1` and `LLBPX_THREADS=4` and diffs every accuracy field
@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use bpsim::exec::{run_matrix_with, MatrixRow};
-use bpsim::runner::{compare, RunResult, Simulation, TraceSource};
+use bpsim::runner::{compare, RunResult, Simulation};
 use bpsim::SimPredictor;
 use telemetry::Json;
 use workloads::WorkloadSpec;
@@ -52,40 +52,25 @@ fn engine_matrix_is_bit_identical_to_serial_compare() {
         ));
     }
 
-    // Engine: 1 and 4 workers, with the shared traces on (every row has
-    // two cells) and forced off (cap 0 streams every run).
+    // Engine: 1 and 4 workers, every cell streaming its own generator.
     for threads in [1usize, 4] {
-        for cap_bytes in [0u64, u64::MAX] {
-            let rows: Vec<MatrixRow<'_>> = specs()
-                .iter()
-                .map(|spec| {
-                    MatrixRow::new(spec)
-                        .cell("64K TSL", |_| bench::tsl64())
-                        .cell("LLBP-X", |_| bench::llbpx())
-                })
-                .collect();
-            let report = run_matrix_with(&sim, rows, threads, cap_bytes);
-            assert_eq!(report.threads, threads);
-            assert_eq!(report.failed_cells(), 0);
-            assert_eq!(report.rows.len(), serial.len());
-            // With the cap forced to zero every cell streams (the serial
-            // fallback path); with an unlimited cap every row materializes
-            // its trace, so every cell replays it. Both must match the
-            // serial reference bit for bit.
-            let expected_source =
-                if cap_bytes == 0 { TraceSource::Streamed } else { TraceSource::Materialized };
-            for (serial_row, row) in serial.iter().zip(&report.rows) {
-                assert_eq!(serial_row.len(), row.len());
-                for (s, out) in serial_row.iter().zip(row) {
-                    let out = out.as_ref().expect("no cell fails");
-                    let how = format!("threads={threads} cap={cap_bytes}");
-                    assert_same_run(s, &out.result, &how);
-                    assert_eq!(out.result.trace_source, expected_source);
-                }
-            }
-            if cap_bytes == u64::MAX {
-                assert_eq!(report.cache.specs_cached, 2);
-                assert!(report.cache.peak_bytes <= report.cache.cached_bytes);
+        let rows: Vec<MatrixRow<'_>> = specs()
+            .iter()
+            .map(|spec| {
+                MatrixRow::new(spec)
+                    .cell("64K TSL", |_| bench::tsl64())
+                    .cell("LLBP-X", |_| bench::llbpx())
+            })
+            .collect();
+        let report = run_matrix_with(&sim, rows, threads);
+        assert_eq!(report.threads, threads);
+        assert_eq!(report.failed_cells(), 0);
+        assert_eq!(report.rows.len(), serial.len());
+        for (serial_row, row) in serial.iter().zip(&report.rows) {
+            assert_eq!(serial_row.len(), row.len());
+            for (s, out) in serial_row.iter().zip(row) {
+                let out = out.as_ref().expect("no cell fails");
+                assert_same_run(s, &out.result, &format!("threads={threads}"));
             }
         }
     }
