@@ -529,6 +529,18 @@ mod tests {
     }
 
     #[test]
+    fn an_invalid_spec_is_rejected_structurally() {
+        let bad = WorkloadSpec::new("bad", 1).with_request_types(0);
+        let reason = bad.validate().expect_err("zero request types is invalid");
+        let expected = SimError::InvalidSpec { workload: "bad".into(), reason }.to_string();
+        let row = MatrixRow::new(&bad).cell("64K TSL", tsl64);
+        let report = run_matrix_with(&tiny_sim(), vec![row], 1);
+        let err = report.rows[0][0].as_ref().expect_err("an invalid spec cannot run");
+        assert_eq!(err.message, expected);
+        assert!(err.predictor.is_some(), "the factory ran before the spec was rejected");
+    }
+
+    #[test]
     fn fault_cells_keep_their_flat_index_across_rows() {
         let specs = [tiny_spec("flat-a", 37), tiny_spec("flat-b", 41)];
         let rows: Vec<MatrixRow<'_>> = specs
