@@ -47,18 +47,13 @@ use workloads::WorkloadSpec;
 /// elapsed wall time against it.
 static STARTED: OnceLock<Instant> = OnceLock::new();
 
-/// Matrix cells that failed (panicked or timed out) across this
-/// invocation's matrices; [`exit_status`] turns a non-zero
-/// count into a failing exit code.
+/// Matrix cells that failed (panicked) across this invocation's matrices;
+/// [`exit_status`] turns a non-zero count into a failing exit code.
 static FAILED_CELLS: AtomicUsize = AtomicUsize::new(0);
 
 /// Matrix cells restored from the `LLBPX_CHECKPOINT` journal instead of
 /// simulated in this invocation.
 static RESUMED_CELLS: AtomicUsize = AtomicUsize::new(0);
-
-/// Matrix cells stopped at their `LLBPX_JOB_TIMEOUT` deadline; a subset
-/// of [`FAILED_CELLS`].
-static TIMEDOUT_CELLS: AtomicUsize = AtomicUsize::new(0);
 
 /// The exit code a binary's `main` should return: success when every
 /// matrix cell completed, failure (with a stderr summary) when any cell
@@ -69,11 +64,7 @@ pub fn exit_status() -> ExitCode {
     if failed == 0 {
         ExitCode::SUCCESS
     } else {
-        let timed_out = TIMEDOUT_CELLS.load(Ordering::Relaxed);
-        eprintln!(
-            "error: {failed} matrix cell(s) failed ({timed_out} timed out); \
-             see the n/a rows above"
-        );
+        eprintln!("error: {failed} matrix cell(s) failed; see the n/a rows above");
         ExitCode::FAILURE
     }
 }
@@ -230,7 +221,6 @@ pub fn run_rows(
     telemetry.record_engine(&report);
     FAILED_CELLS.fetch_add(report.failed_cells(), Ordering::Relaxed);
     RESUMED_CELLS.fetch_add(report.resumed_cells(), Ordering::Relaxed);
-    TIMEDOUT_CELLS.fetch_add(report.timed_out_cells(), Ordering::Relaxed);
 
     let mut record = |output: Result<_, _>, design: &Design, preset: &Preset| match output {
         Ok(exec::MatrixOutput { mut result, storage_bits }) => {
@@ -413,10 +403,6 @@ impl Telemetry {
         if resumed > 0 {
             line = line.set("resumed_cells", resumed as u64);
         }
-        let timed_out = TIMEDOUT_CELLS.load(Ordering::Relaxed);
-        if timed_out > 0 {
-            line = line.set("timed_out_cells", timed_out as u64);
-        }
         for (k, v) in &self.extra {
             line = line.set(k.as_str(), v.clone());
         }
@@ -457,10 +443,6 @@ pub fn footer(sim: &Simulation, paper_ref: &str) {
     let resumed = RESUMED_CELLS.load(Ordering::Relaxed);
     if resumed > 0 {
         eprintln!("checkpoint: {resumed} cell(s) restored from the LLBPX_CHECKPOINT journal");
-    }
-    let timed_out = TIMEDOUT_CELLS.load(Ordering::Relaxed);
-    if timed_out > 0 {
-        eprintln!("deadline: {timed_out} cell(s) stopped at the LLBPX_JOB_TIMEOUT deadline");
     }
     println!("paper reference: {paper_ref}");
 }

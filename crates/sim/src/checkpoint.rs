@@ -36,7 +36,7 @@ use telemetry::{IntervalSample, Json};
 use workloads::WorkloadSpec;
 
 use crate::error::SimError;
-use crate::runner::{RunResult, RunStatus, Simulation};
+use crate::runner::{RunResult, Simulation};
 
 /// Environment variable selecting the checkpoint journal path. Unset or
 /// empty disables checkpointing.
@@ -89,7 +89,7 @@ pub fn job_fingerprint(
 /// One cell restored from the journal.
 #[derive(Debug, Clone)]
 pub struct RestoredCell {
-    /// The run, marked `resumed` with status `Ok`.
+    /// The run, marked `resumed` and carrying no error.
     pub result: RunResult,
     /// Storage budget recorded for the cell.
     pub storage_bits: u64,
@@ -151,11 +151,6 @@ impl Checkpoint {
                 None
             }
         }
-    }
-
-    /// The journal path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Completed cells loaded from the journal.
@@ -236,7 +231,7 @@ fn parse_line(line: &str) -> Option<(String, RestoredCell)> {
         wall_seconds: j.get("wall_seconds")?.as_f64()?,
         intervals: parse_intervals(j.get("intervals")?)?,
         profile: Vec::new(),
-        status: RunStatus::Ok,
+        error: None,
         resumed: true,
     };
     // Infinite designs report `u64::MAX` storage, which the journal holds
@@ -449,7 +444,11 @@ mod tests {
             let cp = Checkpoint::open(&path).unwrap();
             assert!(cp.is_empty());
             cp.record("cell1", &sample_result(), 77);
-            let failed = RunResult::failed(None, "NodeApp", "boom".into());
+            let failed = RunResult {
+                workload: "NodeApp".into(),
+                error: Some("boom".into()),
+                ..RunResult::default()
+            };
             cp.record("cell2", &failed, 0);
         }
         let cp = Checkpoint::open(&path).unwrap();

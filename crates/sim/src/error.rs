@@ -2,43 +2,16 @@
 //!
 //! The experiment engine is built to survive partial failure: a panicking
 //! matrix cell becomes a [`JobError`] (captured on the worker via
-//! `catch_unwind`) instead of aborting the whole matrix, and the library
-//! paths that used to panic — invalid workload specs and unreadable
-//! checkpoints — surface a [`SimError`] instead.
+//! `catch_unwind`) instead of aborting the whole matrix. An unreadable
+//! checkpoint surfaces a [`SimError`]; an invalid workload spec panics with
+//! [`SimError::InvalidSpec`]'s message, which the engine isolates like any
+//! other panic.
 
 use std::fmt;
 use std::path::PathBuf;
 
-/// How an isolated matrix cell failed; each kind maps to its telemetry
-/// `status`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum JobErrorKind {
-    /// The cell's worker panicked (in the factory or the run).
-    #[default]
-    Panic,
-    /// The cell ran past its `LLBPX_JOB_TIMEOUT` wall-clock deadline.
-    TimedOut,
-}
-
-impl JobErrorKind {
-    /// The telemetry `status` value for this kind.
-    pub fn status(self) -> &'static str {
-        match self {
-            JobErrorKind::Panic => "failed",
-            JobErrorKind::TimedOut => "timeout",
-        }
-    }
-
-    /// Short human label for messages.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JobErrorKind::Panic => "failed",
-            JobErrorKind::TimedOut => "timed out",
-        }
-    }
-}
-
-/// A failure inside one isolated matrix cell.
+/// A failure inside one isolated matrix cell: its worker panicked, in the
+/// predictor factory or in the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobError {
     /// Zero-based index of the job in its matrix.
@@ -47,27 +20,19 @@ pub struct JobError {
     pub workload: String,
     /// Predictor label, if the factory got far enough to produce one.
     pub predictor: Option<String>,
-    /// The captured panic message (or the deadline description).
+    /// The captured panic message.
     pub message: String,
-    /// How the cell failed.
-    pub kind: JobErrorKind,
 }
 
 impl JobError {
-    /// A panic-kind error.
+    /// The error of cell `index`, whose worker panicked with `message`.
     pub fn panic(
         index: usize,
         workload: &str,
         predictor: Option<String>,
         message: String,
     ) -> Self {
-        JobError {
-            index,
-            workload: workload.to_owned(),
-            predictor,
-            message,
-            kind: JobErrorKind::Panic,
-        }
+        JobError { index, workload: workload.to_owned(), predictor, message }
     }
 }
 
@@ -75,11 +40,10 @@ impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "matrix cell {} ({} × {}) {}: {}",
+            "matrix cell {} ({} × {}) failed: {}",
             self.index,
             self.predictor.as_deref().unwrap_or("unbuilt predictor"),
             self.workload,
-            self.kind.as_str(),
             self.message
         )
     }
@@ -97,8 +61,6 @@ pub enum SimError {
         /// The validation message.
         reason: String,
     },
-    /// An isolated matrix cell failed.
-    Job(JobError),
     /// The checkpoint journal could not be opened or written.
     Checkpoint {
         /// Journal path.
@@ -114,7 +76,6 @@ impl fmt::Display for SimError {
             SimError::InvalidSpec { workload, reason } => {
                 write!(f, "invalid workload spec `{workload}`: {reason}")
             }
-            SimError::Job(e) => e.fmt(f),
             SimError::Checkpoint { path, detail } => {
                 write!(f, "checkpoint {}: {detail}", path.display())
             }
@@ -122,20 +83,7 @@ impl fmt::Display for SimError {
     }
 }
 
-impl std::error::Error for SimError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SimError::Job(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<JobError> for SimError {
-    fn from(e: JobError) -> Self {
-        SimError::Job(e)
-    }
-}
+impl std::error::Error for SimError {}
 
 /// Renders a captured panic payload (from `catch_unwind`) as a message.
 pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -164,20 +112,13 @@ mod tests {
         assert!(s.contains("cell 3"), "{s}");
         assert!(s.contains("LLBP-X × NodeApp"), "{s}");
         assert!(s.contains("boom"), "{s}");
-        let s = SimError::from(e).to_string();
-        assert!(s.contains("boom"), "{s}");
     }
 
+    /// A job error has one kind, a panic, and renders as `failed`.
     #[test]
     fn job_error_kinds_map_to_statuses() {
-        assert_eq!(JobErrorKind::Panic.status(), "failed");
-        assert_eq!(JobErrorKind::TimedOut.status(), "timeout");
-        let e = JobError {
-            kind: JobErrorKind::TimedOut,
-            ..JobError::panic(0, "w", None, "too slow".into())
-        };
-        let s = e.to_string();
-        assert!(s.contains("timed out: too slow"), "{s}");
+        let s = JobError::panic(0, "w", None, "boom".into()).to_string();
+        assert!(s.contains("unbuilt predictor × w) failed: boom"), "{s}");
     }
 
     #[test]

@@ -31,10 +31,10 @@
 //!   cell name, predictor, workload spec and budgets); re-running after a
 //!   crash or kill restores journaled cells bit-identically and simulates
 //!   only the rest. See [`crate::checkpoint`].
-//! * **Deadline** — with `LLBPX_JOB_TIMEOUT=<seconds>` set, each cell gets
-//!   a wall-clock deadline fixed when its worker starts it; the runner's
-//!   hot loop checks it every [`crate::runner::DEADLINE_STRIDE`] records
-//!   and a cell past it becomes a timeout error.
+//!
+//! There is no per-cell deadline either: a cell that runs too long does so
+//! on every attempt. Bound a whole sweep with a process-level `timeout`
+//! instead; the journal keeps every cell finished before it fired.
 //!
 //! Telemetry stays correct under concurrency because every per-run source
 //! is job-local: the scope profiler is thread-local and snapshotted around
@@ -47,13 +47,12 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
-use workloads::{ServerWorkload, WorkloadSpec};
+use workloads::WorkloadSpec;
 
 use crate::checkpoint::{self, Checkpoint};
 use crate::env::Knob;
-use crate::error::{panic_message, JobError, JobErrorKind, SimError};
+use crate::error::{panic_message, JobError};
 use crate::predictor::SimPredictor;
 use crate::runner::{RunResult, Simulation};
 
@@ -66,24 +65,12 @@ pub const ENV_THREADS: &str = "LLBPX_THREADS";
 /// `scripts/verify.sh`).
 pub const ENV_FAULT_CELL: &str = "LLBPX_FAULT_CELL";
 
-/// Environment variable: wall-clock deadline per cell, in seconds
-/// (fractional allowed; unset or `0` means no deadline).
-pub const ENV_JOB_TIMEOUT: &str = "LLBPX_JOB_TIMEOUT";
-
 fn parse_threads(raw: &str) -> Option<usize> {
     raw.parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
 fn parse_fault_cell(raw: &str) -> Option<Option<usize>> {
     raw.parse::<usize>().ok().map(Some)
-}
-
-fn parse_timeout(raw: &str) -> Option<Option<Duration>> {
-    let secs: f64 = raw.parse().ok()?;
-    if !secs.is_finite() || secs < 0.0 {
-        return None;
-    }
-    Some((secs > 0.0).then(|| Duration::from_secs_f64(secs)))
 }
 
 /// [`ENV_THREADS`] knob.
@@ -100,14 +87,6 @@ pub static FAULT_CELL: Knob<Option<usize>> = Knob::new(
     "a zero-based cell index",
     "ignoring it",
     parse_fault_cell,
-);
-
-/// [`ENV_JOB_TIMEOUT`] knob.
-pub static JOB_TIMEOUT: Knob<Option<Duration>> = Knob::new(
-    ENV_JOB_TIMEOUT,
-    "a non-negative number of seconds (0 disables the deadline)",
-    "leaving the deadline off",
-    parse_timeout,
 );
 
 /// The worker count: `LLBPX_THREADS` if set to a positive integer,
@@ -228,27 +207,22 @@ pub struct MatrixOutput {
 /// bookkeeping for the coordinator's telemetry record.
 pub struct MatrixReport {
     /// Per-cell outcomes, one vector per submitted row, cells in submitted
-    /// order. A cell that panicked or timed out is an `Err` carrying the
-    /// structured error; every other cell completed normally.
+    /// order. A cell that panicked is an `Err` carrying the structured
+    /// error; every other cell completed normally.
     pub rows: Vec<Vec<Result<MatrixOutput, JobError>>>,
     /// Worker threads actually used.
     pub threads: usize,
 }
 
 impl MatrixReport {
-    /// The failed cells (any kind), in flat index order.
+    /// The failed cells, in flat index order.
     pub fn failures(&self) -> impl Iterator<Item = &JobError> {
         self.rows.iter().flatten().filter_map(|o| o.as_ref().err())
     }
 
-    /// How many cells failed (panicked or timed out).
+    /// How many cells failed.
     pub fn failed_cells(&self) -> usize {
         self.failures().count()
-    }
-
-    /// How many cells ran past their deadline.
-    pub fn timed_out_cells(&self) -> usize {
-        self.failures().filter(|e| e.kind == JobErrorKind::TimedOut).count()
     }
 
     /// How many cells were restored from the checkpoint journal instead of
@@ -264,8 +238,8 @@ impl MatrixReport {
 
 /// Everything that shapes how a matrix executes, beyond the jobs
 /// themselves. [`EngineOptions::from_env`] reads the whole knob set;
-/// [`EngineOptions::basic`] is the bare engine (no checkpoint, no fault,
-/// no deadline) for tests and library callers.
+/// [`EngineOptions::basic`] is the bare engine (no checkpoint, no fault)
+/// for tests and library callers.
 pub struct EngineOptions {
     /// Worker threads.
     pub threads: usize,
@@ -273,25 +247,21 @@ pub struct EngineOptions {
     pub checkpoint: Option<Arc<Checkpoint>>,
     /// One cell to deliberately panic, if any ([`ENV_FAULT_CELL`]).
     pub fault_cell: Option<usize>,
-    /// Wall-clock time each cell may take, if limited
-    /// ([`ENV_JOB_TIMEOUT`]).
-    pub job_timeout: Option<Duration>,
 }
 
 impl EngineOptions {
     /// The bare engine: explicit threads, everything else off.
     pub fn basic(threads: usize) -> Self {
-        EngineOptions { threads, checkpoint: None, fault_cell: None, job_timeout: None }
+        EngineOptions { threads, checkpoint: None, fault_cell: None }
     }
 
     /// The full environment-driven configuration: `LLBPX_THREADS`,
-    /// `LLBPX_CHECKPOINT`, `LLBPX_FAULT_CELL` and `LLBPX_JOB_TIMEOUT`.
+    /// `LLBPX_CHECKPOINT` and `LLBPX_FAULT_CELL`.
     pub fn from_env() -> Self {
         EngineOptions {
             threads: threads_from_env(),
             checkpoint: Checkpoint::from_env().map(Arc::new),
             fault_cell: FAULT_CELL.get(|| None),
-            job_timeout: JOB_TIMEOUT.get(|| None),
         }
     }
 }
@@ -302,14 +272,14 @@ pub fn run_matrix(sim: &Simulation, rows: Vec<MatrixRow<'_>>) -> MatrixReport {
     run_matrix_opts(sim, rows, EngineOptions::from_env())
 }
 
-/// Runs a matrix with an explicit thread count, no checkpoint, no fault
-/// injection and no deadline. See [`run_matrix_opts`].
+/// Runs a matrix with an explicit thread count, no checkpoint and no fault
+/// injection. See [`run_matrix_opts`].
 pub fn run_matrix_with(sim: &Simulation, rows: Vec<MatrixRow<'_>>, threads: usize) -> MatrixReport {
     run_matrix_opts(sim, rows, EngineOptions::basic(threads))
 }
 
-/// One cell: fix its deadline, build the predictor, consult the journal,
-/// stream the workload under `catch_unwind`, journal the completion.
+/// One cell: build the predictor, consult the journal, run it under
+/// `catch_unwind`, journal the completion.
 fn run_cell(
     sim: &Simulation,
     opts: &EngineOptions,
@@ -317,7 +287,6 @@ fn run_cell(
     index: usize,
     (cell, factory): (String, Factory<'_>),
 ) -> Result<MatrixOutput, JobError> {
-    let deadline = opts.job_timeout.map(|timeout| Instant::now() + timeout);
     let mut predictor = std::panic::catch_unwind(AssertUnwindSafe(|| factory(spec)))
         .map_err(|payload| JobError::panic(index, &spec.name, None, panic_message(payload)))?;
     let name = predictor.name();
@@ -327,36 +296,17 @@ fn run_cell(
         return Ok(MatrixOutput { result: restored.result, storage_bits: restored.storage_bits });
     }
 
-    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         if opts.fault_cell == Some(index) {
             panic!("deliberate fault injected into cell {index} (see {ENV_FAULT_CELL})");
         }
-        let mut stream = ServerWorkload::try_new(spec).unwrap_or_else(|reason| {
-            panic!("{}", SimError::InvalidSpec { workload: spec.name.clone(), reason })
-        });
-        sim.run_stream_until(predictor.as_mut(), &mut stream, &spec.name, deadline)
-    }));
-    match run {
-        Ok(Ok(result)) => {
-            if let Some(cp) = opts.checkpoint.as_deref() {
-                cp.record(&fingerprint, &result, storage_bits);
-            }
-            Ok(MatrixOutput { result, storage_bits })
-        }
-        Ok(Err(exceeded)) => Err(JobError {
-            index,
-            workload: spec.name.clone(),
-            predictor: Some(name),
-            message: format!(
-                "exceeded the {:.3}s wall-clock deadline ({ENV_JOB_TIMEOUT}) after {} \
-                 simulated instructions",
-                opts.job_timeout.unwrap_or_default().as_secs_f64(),
-                exceeded.instructions,
-            ),
-            kind: JobErrorKind::TimedOut,
-        }),
-        Err(payload) => Err(JobError::panic(index, &spec.name, Some(name), panic_message(payload))),
+        sim.run(predictor.as_mut(), spec)
+    }))
+    .map_err(|payload| JobError::panic(index, &spec.name, Some(name), panic_message(payload)))?;
+    if let Some(cp) = opts.checkpoint.as_deref() {
+        cp.record(&fingerprint, &result, storage_bits);
     }
+    Ok(MatrixOutput { result, storage_bits })
 }
 
 /// Runs every cell of `rows` under `sim`, fanning out over at most
@@ -368,11 +318,10 @@ fn run_cell(
 /// row's workload from a generator of its own, exactly as the serial path
 /// does: the generator is seeded, so every cell of a row sees the same
 /// records, and a row holds no trace memory. A row whose spec is invalid
-/// fails each of its cells with [`SimError::InvalidSpec`].
+/// fails each of its cells with [`crate::SimError::InvalidSpec`]'s message.
 ///
-/// Each cell runs under `catch_unwind` and, with `opts.job_timeout`, a
-/// wall-clock deadline; a failure of either kind yields `Err(JobError)`
-/// for that cell and every other cell still completes. With a checkpoint,
+/// Each cell runs under `catch_unwind`; a panic yields `Err(JobError)` for
+/// that cell and every other cell still completes. With a checkpoint,
 /// completed cells are journaled under their deterministic fingerprint and
 /// cells already in the journal are restored (marked `resumed`) instead of
 /// simulated.
@@ -401,6 +350,7 @@ pub fn run_matrix_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SimError;
     use crate::runner::compare;
     use llbpx::{Llbp, LlbpConfig};
     use std::path::PathBuf;
@@ -515,7 +465,6 @@ mod tests {
             for (index, cell) in report.rows[0].iter().enumerate() {
                 let err = cell.as_ref().expect_err("an invalid spec cannot run");
                 assert_eq!((err.index, err.workload.as_str()), (index, "bad"));
-                assert_eq!(err.kind, JobErrorKind::Panic);
                 assert!(
                     err.message.starts_with("invalid workload spec `bad`"),
                     "{}",
@@ -591,7 +540,6 @@ mod tests {
             assert_eq!(err.index, 1);
             assert_eq!(err.workload, spec.name);
             assert_eq!(err.predictor, None, "the factory never produced one");
-            assert_eq!(err.kind, JobErrorKind::Panic);
             assert!(err.message.contains("factory exploded"), "{}", err.message);
             for i in [0usize, 2] {
                 let ok = row[i].as_ref().expect("survivors complete");
@@ -693,53 +641,5 @@ mod tests {
         assert_eq!((a.result.name.as_str(), b.result.name.as_str()), ("LLBP-X", "LLBP-X"));
         assert_eq!(a.storage_bits, b.storage_bits, "the collision needs equal storage");
         assert_eq!(second.resumed_cells(), 0, "a different H_th must not restore");
-    }
-
-    #[test]
-    fn stalled_cell_is_cancelled_and_reported_as_a_timeout() {
-        let sim = tiny_sim();
-        let spec = tiny_spec("stall", 19);
-        let path = tmp("deadline");
-        let _ = std::fs::remove_file(&path);
-        // The factory stalls past the deadline, so the run stops at its
-        // first check.
-        let stalled = MatrixRow::new(&spec).cell("stalled TSL", |spec| {
-            std::thread::sleep(Duration::from_millis(50));
-            tsl64(spec)
-        });
-        let opts = EngineOptions {
-            job_timeout: Some(Duration::from_millis(10)),
-            ..with_fault(1, Some(Arc::new(Checkpoint::open(&path).expect("opens"))), None)
-        };
-        let report = run_matrix_opts(&sim, vec![stalled], opts);
-        let err = report.rows[0][0].as_ref().expect_err("the stalled cell");
-        assert_eq!(err.kind, JobErrorKind::TimedOut);
-        assert_eq!(err.kind.status(), "timeout");
-        assert!(err.message.contains(ENV_JOB_TIMEOUT), "{}", err.message);
-        assert_eq!(report.timed_out_cells(), 1);
-        let journal = Checkpoint::open(&path).expect("reopens");
-        let _ = std::fs::remove_file(&path);
-        assert!(journal.is_empty(), "a timed-out cell is not journaled");
-    }
-
-    #[test]
-    fn slow_cell_hits_the_wall_clock_deadline() {
-        // An unbounded measurement phase on a healthy cell: only the
-        // deadline can end it, mid-run.
-        let sim = Simulation { warmup_instructions: 0, measure_instructions: u64::MAX };
-        let specs = [tiny_spec("slow", 23)];
-        let opts = EngineOptions {
-            job_timeout: Some(Duration::from_millis(200)),
-            ..EngineOptions::basic(2)
-        };
-        let started = Instant::now();
-        let report = run_matrix_opts(&sim, standard_rows(&specs), opts);
-        assert!(started.elapsed() < Duration::from_secs(20), "the deadline ends the sweep");
-        assert_eq!(report.timed_out_cells(), 2);
-        for output in report.rows.iter().flatten() {
-            let err = output.as_ref().expect_err("no cell can finish");
-            assert_eq!(err.kind, JobErrorKind::TimedOut);
-            assert!(err.message.contains("0.200s"), "{}", err.message);
-        }
     }
 }

@@ -11,9 +11,9 @@
 //!   `LLBPX_THREADS` workers with deterministic cell ordering (each cell
 //!   streams its workload from its own seeded generator), isolates
 //!   panicking cells as structured [`error::JobError`]s
-//!   (`LLBPX_FAULT_CELL` panics one on purpose), stops cells past an
-//!   optional `LLBPX_JOB_TIMEOUT` deadline, and journals completed cells
-//!   to a [`checkpoint`] for crash/resume;
+//!   (`LLBPX_FAULT_CELL` panics one on purpose; a panic is the only way a
+//!   cell fails), and journals completed cells to a [`checkpoint`] for
+//!   crash/resume;
 //! * [`checkpoint`] — the `LLBPX_CHECKPOINT` journal: completed matrix
 //!   cells keyed by deterministic job fingerprints, restored
 //!   bit-identically on re-run;
@@ -56,7 +56,7 @@ pub mod report;
 pub mod runner;
 pub mod timing;
 
-pub use error::{JobError, JobErrorKind, SimError};
+pub use error::{JobError, SimError};
 pub use predictor::SimPredictor;
-pub use runner::{RunResult, RunStatus, Simulation};
+pub use runner::{RunResult, Simulation};
 pub use timing::CoreParams;

@@ -11,39 +11,8 @@ use traces::BranchStream;
 use workloads::{ServerWorkload, WorkloadSpec};
 
 use crate::env::Knob;
-use crate::error::{JobError, JobErrorKind, SimError};
+use crate::error::{JobError, SimError};
 use crate::predictor::SimPredictor;
-
-/// Outcome of one matrix cell.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum RunStatus {
-    /// The run completed.
-    #[default]
-    Ok,
-    /// The cell's worker panicked; the matrix kept going and this result
-    /// is a placeholder carrying the captured message.
-    Failed {
-        /// The captured panic message.
-        error: String,
-    },
-    /// The cell ran past its `LLBPX_JOB_TIMEOUT` wall-clock deadline and
-    /// was stopped; the matrix kept going.
-    TimedOut {
-        /// The deadline and how far the run got.
-        error: String,
-    },
-}
-
-impl RunStatus {
-    /// The telemetry `status` label.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RunStatus::Ok => "ok",
-            RunStatus::Failed { .. } => "failed",
-            RunStatus::TimedOut { .. } => "timeout",
-        }
-    }
-}
 
 /// Result of one predictor × workload run.
 #[derive(Debug, Clone, Default)]
@@ -71,59 +40,37 @@ pub struct RunResult {
     /// ([`crate::exec`]) runs overlap, so the sum of `wall_seconds` across
     /// runs exceeds the elapsed wall clock of the invoking binary.
     pub wall_seconds: f64,
-    /// Interval time-series over the measurement phase (width from
-    /// `LLBPX_INTERVAL` or an eighth of the budget).
+    /// Interval time-series over the measurement phase, an eighth of the
+    /// budget per sample.
     pub intervals: Vec<IntervalSample>,
     /// Scope profile accumulated during the run (warmup + measurement).
     pub profile: Vec<ScopeTotals>,
-    /// Outcome of the cell that produced this result.
-    pub status: RunStatus,
+    /// The captured panic message of a matrix cell that failed; `None` for
+    /// a completed run.
+    pub error: Option<String>,
     /// Whether this result was restored from a checkpoint journal instead
     /// of simulated in this invocation.
     pub resumed: bool,
 }
 
 impl RunResult {
-    /// A placeholder result for an isolated matrix cell that failed;
-    /// coordinators render these as `n/a` rows.
-    pub fn failed(predictor: Option<String>, workload: &str, error: String) -> RunResult {
-        RunResult {
-            name: predictor.unwrap_or_else(|| "(failed)".to_owned()),
-            workload: workload.to_owned(),
-            status: RunStatus::Failed { error },
-            ..RunResult::default()
-        }
-    }
-
-    /// A placeholder result for a matrix cell that errored, with the
-    /// status matching the error's kind (failed / timeout); coordinators
+    /// A placeholder result for a matrix cell that failed; coordinators
     /// render these as `n/a` rows.
     pub fn from_job_error(err: JobError) -> RunResult {
-        let JobError { workload, predictor, message: error, kind, .. } = err;
         RunResult {
-            name: predictor.unwrap_or_else(|| "(failed)".to_owned()),
-            workload,
-            status: match kind {
-                JobErrorKind::Panic => RunStatus::Failed { error },
-                JobErrorKind::TimedOut => RunStatus::TimedOut { error },
-            },
+            name: err.predictor.unwrap_or_else(|| "(failed)".to_owned()),
+            workload: err.workload,
+            error: Some(err.message),
             ..RunResult::default()
         }
     }
 
     /// Whether the cell did not complete (the accuracy fields are
-    /// meaningless then): panicked or timed out.
+    /// meaningless then).
     pub fn is_failed(&self) -> bool {
-        !matches!(self.status, RunStatus::Ok)
+        self.error.is_some()
     }
 
-    /// The captured failure message, if the cell did not complete.
-    pub fn error(&self) -> Option<&str> {
-        match &self.status {
-            RunStatus::Ok => None,
-            RunStatus::Failed { error } | RunStatus::TimedOut { error } => Some(error),
-        }
-    }
     /// Mispredictions per kilo-instruction.
     pub fn mpki(&self) -> f64 {
         if self.instructions == 0 {
@@ -169,8 +116,7 @@ impl RunResult {
                 .unwrap_or_default(),
             intervals: std::mem::take(&mut self.intervals),
             profile: std::mem::take(&mut self.profile),
-            status: self.status.as_str().to_owned(),
-            error: self.error().map(str::to_owned),
+            error: self.error.clone(),
             resumed: self.resumed,
             extra: Vec::new(),
         }
@@ -197,18 +143,6 @@ pub static MEASURE: Knob<u64> = Knob::new(
     "using the default budget",
     |raw| parse_instruction_count(raw).filter(|&n| n > 0),
 );
-
-/// Records between deadline checks in the hot loop: one clock read per
-/// stride keeps the overhead unmeasurable while bounding how far a run
-/// overshoots its deadline to about a stride of work.
-pub const DEADLINE_STRIDE: u32 = 1024;
-
-/// A run stopped because it reached its wall-clock deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadlineExceeded {
-    /// Instructions simulated (warmup + measurement) before the stop.
-    pub instructions: u64,
-}
 
 /// Warmup/measurement protocol, in instructions (the paper warms 100M and
 /// measures 200M; scale to taste via [`Simulation::from_env`]).
@@ -249,23 +183,13 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if `spec` fails validation; use [`Simulation::try_run`] to
-    /// handle that structurally.
+    /// Panics with [`SimError::InvalidSpec`]'s message if `spec` fails
+    /// validation.
     pub fn run<P: SimPredictor + ?Sized>(&self, predictor: &mut P, spec: &WorkloadSpec) -> RunResult {
-        self.try_run(predictor, spec).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs `predictor` over the workload described by `spec`, reporting an
-    /// invalid spec as [`SimError::InvalidSpec`] instead of panicking.
-    pub fn try_run<P: SimPredictor + ?Sized>(
-        &self,
-        predictor: &mut P,
-        spec: &WorkloadSpec,
-    ) -> Result<RunResult, SimError> {
-        let mut stream = ServerWorkload::try_new(spec).map_err(|reason| {
-            SimError::InvalidSpec { workload: spec.name.clone(), reason }
-        })?;
-        Ok(self.run_stream(predictor, &mut stream, &spec.name))
+        let mut stream = ServerWorkload::try_new(spec).unwrap_or_else(|reason| {
+            panic!("{}", SimError::InvalidSpec { workload: spec.name.clone(), reason })
+        });
+        self.run_stream(predictor, &mut stream, &spec.name)
     }
 
     /// Runs `predictor` over an arbitrary branch stream.
@@ -274,39 +198,8 @@ impl Simulation {
         P: SimPredictor + ?Sized,
         S: BranchStream + ?Sized,
     {
-        match self.run_stream_until(predictor, stream, workload, None) {
-            Ok(result) => result,
-            Err(_) => unreachable!("a run without a deadline never exceeds it"),
-        }
-    }
-
-    /// [`Simulation::run_stream`] with an optional wall-clock `deadline`:
-    /// every [`DEADLINE_STRIDE`] records the hot loop compares it with
-    /// [`Instant::now`] and stops with [`DeadlineExceeded`] once it has
-    /// passed. The check never influences simulated state, so a run that
-    /// finishes in time is bit-identical to one without a deadline.
-    pub fn run_stream_until<P, S>(
-        &self,
-        predictor: &mut P,
-        stream: &mut S,
-        workload: &str,
-        deadline: Option<Instant>,
-    ) -> Result<RunResult, DeadlineExceeded>
-    where
-        P: SimPredictor + ?Sized,
-        S: BranchStream + ?Sized,
-    {
         let started = Instant::now();
         let profile_before = telemetry::profile::snapshot();
-        let mut since_check: u32 = 0;
-        let mut past_deadline = || -> bool {
-            since_check += 1;
-            if since_check >= DEADLINE_STRIDE {
-                since_check = 0;
-                return deadline.is_some_and(|d| Instant::now() >= d);
-            }
-            false
-        };
 
         // Warmup.
         let mut elapsed = 0u64;
@@ -314,9 +207,6 @@ impl Simulation {
             let Some(rec) = stream.next_branch() else { break };
             elapsed += rec.instructions();
             predictor.process(PredictInput::new(&rec));
-            if past_deadline() {
-                return Err(DeadlineExceeded { instructions: elapsed });
-            }
         }
         // Second-level counters are cumulative; snapshot them so the
         // result reports the measurement phase only.
@@ -355,9 +245,6 @@ impl Simulation {
             if result.instructions >= recorder.next_boundary() {
                 recorder.observe(snapshot_counters(&result, predictor, warm_stats.as_ref()));
             }
-            if past_deadline() {
-                return Err(DeadlineExceeded { instructions: elapsed + result.instructions });
-            }
         }
         predictor.finish();
         // Invariants are cumulative-state properties; check them before the
@@ -373,7 +260,7 @@ impl Simulation {
         });
         result.profile = telemetry::profile::since(&profile_before);
         result.wall_seconds = started.elapsed().as_secs_f64();
-        Ok(result)
+        result
     }
 }
 
@@ -523,62 +410,20 @@ mod tests {
     }
 
     #[test]
-    fn a_past_deadline_stops_the_run_within_a_stride() {
-        let sim = Simulation { warmup_instructions: 0, measure_instructions: u64::MAX };
-        let mut stream = ServerWorkload::new(&tiny_spec());
-        let exceeded = sim
-            .run_stream_until(
-                &mut TageScl::new(TslConfig::kilobytes(64)),
-                &mut stream,
-                "tiny",
-                Some(Instant::now()),
-            )
-            .expect_err("a deadline already past must stop the run");
-        assert!(exceeded.instructions > 0, "it ran up to the first check");
-        // One stride of records, each far shorter than 1000 instructions.
-        assert!(
-            exceeded.instructions < u64::from(DEADLINE_STRIDE) * 1000,
-            "stopped at the first check, not later: {exceeded:?}"
-        );
-    }
-
-    #[test]
-    fn watched_and_unwatched_runs_are_bit_identical() {
-        let sim = tiny_sim();
-        let plain = sim.run(&mut TageScl::new(TslConfig::kilobytes(64)), &tiny_spec());
-        let mut stream = ServerWorkload::new(&tiny_spec());
-        let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let watched = sim
-            .run_stream_until(
-                &mut TageScl::new(TslConfig::kilobytes(64)),
-                &mut stream,
-                "tiny",
-                Some(far),
-            )
-            .expect("an hour is plenty");
-        assert_eq!(plain.mispredicts, watched.mispredicts);
-        assert_eq!(plain.instructions, watched.instructions);
-        assert_eq!(plain.intervals, watched.intervals);
-    }
-
-    #[test]
     fn statuses_map_to_labels_and_placeholders() {
-        use crate::error::{JobError, JobErrorKind};
-        assert_eq!(RunStatus::Ok.as_str(), "ok");
-        assert_eq!(RunStatus::Failed { error: "e".into() }.as_str(), "failed");
-        assert_eq!(RunStatus::TimedOut { error: "e".into() }.as_str(), "timeout");
-        let err = JobError {
-            kind: JobErrorKind::TimedOut,
-            ..JobError::panic(1, "w", Some("LLBP".into()), "past the deadline".into())
+        let status = |r: &mut RunResult| {
+            let json = r.take_record(&tiny_sim()).to_json();
+            json.get("status").and_then(|s| s.as_str()).map(str::to_owned)
         };
-        let r = RunResult::from_job_error(err);
+        let mut ok = RunResult::default();
+        assert!(!ok.is_failed());
+        assert_eq!(status(&mut ok).as_deref(), Some("ok"));
+        let err = JobError::panic(1, "w", Some("LLBP".into()), "boom".into());
+        let mut r = RunResult::from_job_error(err);
         assert!(r.is_failed());
-        assert_eq!(r.status.as_str(), "timeout");
-        assert_eq!(r.error(), Some("past the deadline"));
-        let mut r = r;
-        let rec = r.take_record(&tiny_sim());
-        assert_eq!(rec.status, "timeout");
-        assert_eq!(rec.error.as_deref(), Some("past the deadline"));
+        assert_eq!((r.name.as_str(), r.workload.as_str()), ("LLBP", "w"));
+        assert_eq!(r.error.as_deref(), Some("boom"));
+        assert_eq!(status(&mut r).as_deref(), Some("failed"));
     }
 
     #[test]

@@ -23,21 +23,19 @@ use crate::profile::ScopeTotals;
 /// per-run `degraded` / `attempts`, record-level `supervision` / `chaos`
 /// objects, timeout/quarantine/retry/degraded counts and the trace cache's
 /// `evictions` / `demotions`). v4 removes everything of v3 except the
-/// `"timeout"` status and the `timed_out_cells` count: `status` is
-/// `"ok"`, `"failed"` or `"timeout"`, and the other v3 fields are gone.
+/// `"timeout"` status and the record-level count of timed-out cells.
 /// v5 removes the shared-trace fields: the per-run trace attribution label
 /// and the record-level trace-cache object are gone, because every run
-/// streams its workload from its own generator.
-pub const SCHEMA: &str = "llbpx-telemetry/5";
+/// streams its workload from its own generator. v6 removes the per-cell
+/// deadline and with it the `"timeout"` status and the timed-out-cell
+/// count: `status` is `"ok"` or `"failed"`, and a failed run is one that
+/// panicked.
+pub const SCHEMA: &str = "llbpx-telemetry/6";
 
 /// Environment variable enabling telemetry without touching a binary's
 /// argument list. Values: `1`/`true` (default `BENCH_<name>.json` in the
 /// working directory), a `*.json` path, or a directory.
 pub const ENV_SINK: &str = "LLBPX_TELEMETRY";
-
-/// Environment variable overriding the interval width (instructions per
-/// time-series sample).
-pub const ENV_INTERVAL: &str = "LLBPX_INTERVAL";
 
 /// One predictor × workload run, fully described.
 #[derive(Debug, Clone, Default)]
@@ -77,11 +75,9 @@ pub struct RunRecord {
     pub intervals: Vec<IntervalSample>,
     /// Scope profile accumulated during the run.
     pub profile: Vec<ScopeTotals>,
-    /// Run outcome: empty or `"ok"` for a completed run, `"failed"` for an
-    /// isolated matrix cell that panicked (schema v2), `"timeout"` for one
-    /// stopped at its wall-clock deadline (schema v3).
-    pub status: String,
-    /// Captured failure message of a failed cell (schema v2).
+    /// Captured panic message of a failed matrix cell (schema v2). The
+    /// emitted `status` derives from it: `"failed"` when set, `"ok"`
+    /// otherwise.
     pub error: Option<String>,
     /// Whether this run was restored from a checkpoint journal rather than
     /// simulated in this invocation (schema v2).
@@ -131,7 +127,7 @@ impl RunRecord {
                         .collect(),
                 ),
             )
-            .set("status", if self.status.is_empty() { "ok" } else { self.status.as_str() });
+            .set("status", if self.error.is_some() { "failed" } else { "ok" });
         if let Some(error) = &self.error {
             j = j.set("error", error.as_str());
         }
@@ -181,14 +177,12 @@ pub fn sink_from_env(bench: &str) -> Option<PathBuf> {
     sink_from(bench, std::env::args().skip(1), env.as_deref())
 }
 
-/// The interval width (instructions per sample): [`ENV_INTERVAL`] if set,
-/// otherwise an eighth of the measurement budget (at least one instruction).
+/// The interval width (instructions per sample): an eighth of the
+/// measurement budget, at least one instruction. It is a function of the
+/// budget alone, so a checkpoint fingerprint that hashes the budget also
+/// pins the width of every journaled interval series.
 pub fn interval_width(measure_instructions: u64) -> u64 {
-    std::env::var(ENV_INTERVAL)
-        .ok()
-        .and_then(|v| v.replace('_', "").parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or_else(|| (measure_instructions / 8).max(1))
+    (measure_instructions / 8).max(1)
 }
 
 /// Appends `record` as one JSON line to `path` (creating the file if
@@ -227,8 +221,8 @@ mod tests {
         assert_eq!(j.get("counters").unwrap().get("llbp_provided").unwrap().as_i64(), Some(3));
         assert_eq!(j.get("profile").unwrap().as_arr().unwrap().len(), 1);
         assert_eq!(j.get("cpi").unwrap().as_f64(), Some(1.5));
-        // Schema v2: an unset status reads back as "ok"; optional fields
-        // stay off the line entirely.
+        // No error reads back as status "ok"; optional fields stay off the
+        // line entirely.
         assert_eq!(j.get("status").unwrap().as_str(), Some("ok"));
         assert!(j.get("error").is_none());
         assert!(j.get("resumed").is_none());
@@ -239,7 +233,6 @@ mod tests {
         let rec = RunRecord {
             predictor: "LLBP".into(),
             workload: "NodeApp".into(),
-            status: "failed".into(),
             error: Some("worker panicked".into()),
             resumed: true,
             ..RunRecord::default()
@@ -248,24 +241,6 @@ mod tests {
         assert_eq!(j.get("status").unwrap().as_str(), Some("failed"));
         assert_eq!(j.get("error").unwrap().as_str(), Some("worker panicked"));
         assert_eq!(j.get("resumed").unwrap(), &Json::Bool(true));
-    }
-
-    #[test]
-    fn timeout_records_emit_the_v4_fields_only() {
-        let rec = RunRecord {
-            predictor: "LLBP".into(),
-            workload: "NodeApp".into(),
-            status: "timeout".into(),
-            error: Some("exceeded the 0.001s wall-clock deadline".into()),
-            ..RunRecord::default()
-        };
-        let j = Json::parse(&rec.to_json().to_string()).expect("round-trips");
-        assert_eq!(j.get("status").unwrap().as_str(), Some("timeout"));
-        assert!(j.get("error").unwrap().as_str().unwrap().contains("deadline"));
-        // The fields v4 and v5 dropped never reappear.
-        for gone in ["degraded", "attempts"] {
-            assert!(j.get(gone).is_none(), "{gone} is not a v5 field");
-        }
     }
 
     #[test]
@@ -310,11 +285,7 @@ mod tests {
 
     #[test]
     fn interval_width_defaults_to_an_eighth() {
-        // Only exercise the fallback path (environment mutation is unsafe
-        // in multithreaded test runs).
-        if std::env::var(ENV_INTERVAL).is_err() {
-            assert_eq!(interval_width(8_000), 1_000);
-            assert_eq!(interval_width(0), 1);
-        }
+        assert_eq!(interval_width(8_000), 1_000);
+        assert_eq!(interval_width(0), 1);
     }
 }

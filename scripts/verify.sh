@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification, fully offline: release build, the whole test suite,
 # the panic-free lint gate, the rustdoc link gate, and smoke experiments
-# covering determinism, fault isolation, the per-cell deadline, and
-# checkpoint/resume.
+# covering determinism, fault isolation, and checkpoint/resume.
 #
 # Usage: scripts/verify.sh
 # Exits nonzero on the first failure.
@@ -62,7 +61,7 @@ def load(path):
         lines = [l for l in f.read().splitlines() if l.strip()]
     assert len(lines) == 1, f"expected one record line, got {len(lines)}"
     rec = json.loads(lines[0])
-    assert rec["schema"] == "llbpx-telemetry/5", rec["schema"]
+    assert rec["schema"] == "llbpx-telemetry/6", rec["schema"]
     assert rec["bench"] == "fig01"
     assert "failed_cells" not in rec, "no cell may fail in the clean smoke"
     assert rec["total_wall_seconds"] > 0
@@ -120,7 +119,8 @@ cargo test -q --release --offline -p bench --test golden
 echo "== smoke: fault isolation (LLBPX_FAULT_CELL) =="
 # One deliberately-panicking cell: the run must exit nonzero, render the
 # broken preset as n/a, keep the other preset's row, and mark exactly one
-# telemetry run failed.
+# telemetry run failed. A panic is the only way a cell fails, so every
+# run is "ok" or "failed" and the record carries no other failure count.
 sink_fault="$(mktemp -t llbpx-verify-fault-XXXXXX.json)"
 fault_out="$(mktemp -t llbpx-verify-fault-XXXXXX.out)"
 if LLBPX_FAULT_CELL=1 LLBPX_THREADS=4 REPRO_WORKLOADS=NodeApp,TPCC \
@@ -134,6 +134,13 @@ python3 - "$sink_fault" <<'EOF'
 import json, sys
 rec = json.loads(open(sys.argv[1]).read().splitlines()[0])
 assert rec["failed_cells"] == 1, rec.get("failed_cells")
+# The record line holds the engine bookkeeping and nothing else: no
+# failure count besides failed_cells.
+RECORD_KEYS = {"schema", "bench", "total_wall_seconds", "runs", "threads",
+               "failed_cells", "resumed_cells"}
+assert set(rec) <= RECORD_KEYS, set(rec) - RECORD_KEYS
+statuses = {r["status"] for r in rec["runs"]}
+assert statuses <= {"ok", "failed"}, statuses
 failed = [r for r in rec["runs"] if r["status"] == "failed"]
 assert len(failed) == 1 and "LLBPX_FAULT_CELL" in failed[0]["error"], failed
 ok = [r for r in rec["runs"] if r["status"] == "ok"]
@@ -141,30 +148,6 @@ assert len(ok) == len(rec["runs"]) - 1, "the other cells must complete"
 print(f"ok: 1 of {len(rec['runs'])} cells failed, isolated, exit nonzero")
 EOF
 rm -f "$sink_fault" "$fault_out"
-
-echo "== smoke: per-cell deadline (LLBPX_JOB_TIMEOUT) =="
-# A 1 ms deadline is shorter than any cell: the run must exit nonzero,
-# render every preset as n/a, and mark every telemetry run "timeout".
-sink_deadline="$(mktemp -t llbpx-verify-deadline-XXXXXX.json)"
-deadline_out="$(mktemp -t llbpx-verify-deadline-XXXXXX.out)"
-if LLBPX_JOB_TIMEOUT=0.001 LLBPX_THREADS=4 REPRO_WORKLOADS=NodeApp,TPCC \
-    REPRO_WARMUP=100000 REPRO_INSTRUCTIONS=400000 \
-    ./target/release/fig01 --json "$sink_deadline" >"$deadline_out" 2>/dev/null; then
-    echo "error: fig01 exited 0 despite timed-out cells" >&2
-    exit 1
-fi
-[ "$(grep -c "n/a" "$deadline_out")" -eq 2 ] \
-    || { echo "error: expected an n/a row per preset" >&2; exit 1; }
-python3 - "$sink_deadline" <<'EOF'
-import json, sys
-rec = json.loads(open(sys.argv[1]).read().splitlines()[0])
-statuses = [r["status"] for r in rec["runs"]]
-assert statuses == ["timeout"] * 4, statuses
-assert rec["timed_out_cells"] == 4, rec.get("timed_out_cells")
-assert all("LLBPX_JOB_TIMEOUT" in r["error"] for r in rec["runs"]), rec["runs"]
-print(f"ok: all {len(statuses)} cells stopped at the deadline, exit nonzero")
-EOF
-rm -f "$sink_deadline" "$deadline_out"
 
 echo "== smoke: kill -9 mid-matrix, resume from LLBPX_CHECKPOINT =="
 ckpt="$(mktemp -t llbpx-verify-ckpt-XXXXXX.jsonl)"

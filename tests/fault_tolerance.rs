@@ -3,12 +3,10 @@
 //!
 //! * a matrix with one deliberately-panicking cell (`LLBPX_FAULT_CELL`)
 //!   completes every other cell, renders the failed preset as an `n/a`
-//!   row, marks the run `status: "failed"` in telemetry, and exits
-//!   non-zero;
-//! * a run whose `LLBPX_JOB_TIMEOUT` deadline is shorter than any cell
-//!   reports every cell as `status: "timeout"` with `n/a` rows and a
-//!   non-zero exit, and a re-run on its journal without the deadline
-//!   matches an uninterrupted run;
+//!   row, marks the run `status: "failed"` in telemetry, exits non-zero
+//!   and leaves the failed cell out of its `LLBPX_CHECKPOINT` journal, so
+//!   a re-run on that journal without the fault matches an uninterrupted
+//!   run;
 //! * a 4-thread run SIGKILLed mid-matrix resumes from its
 //!   `LLBPX_CHECKPOINT` journal and produces stdout byte-identical to an
 //!   uninterrupted run (only the wall-time line may differ);
@@ -37,13 +35,20 @@ fn fig01() -> Command {
 #[test]
 fn a_panicking_cell_yields_na_row_failed_status_and_nonzero_exit() {
     let sink = tmp_path("fault-cell.json");
+    let checkpoint = tmp_path("fault-cell.ckpt");
     let _ = std::fs::remove_file(&sink);
+    let _ = std::fs::remove_file(&checkpoint);
+
+    // Uninterrupted reference for the re-run diff below.
+    let clean = fig01().output().expect("fig01 runs");
+    assert!(clean.status.success());
 
     // Cell 1 is NodeApp's second job; TPCC's cells must still complete.
     let output = fig01()
         .arg("--json")
         .arg(&sink)
         .env("LLBPX_FAULT_CELL", "1")
+        .env("LLBPX_CHECKPOINT", &checkpoint)
         .output()
         .expect("fig01 runs");
     assert!(!output.status.success(), "a failed cell must not exit 0");
@@ -70,6 +75,32 @@ fn a_panicking_cell_yields_na_row_failed_status_and_nonzero_exit() {
     let error = failed[0].get("error").unwrap().as_str().unwrap();
     assert!(error.contains("LLBPX_FAULT_CELL"), "error carries the panic message: {error}");
     assert_eq!(failed[0].get("workload").unwrap().as_str(), Some("NodeApp"));
+
+    // Re-run on the same journal without the fault: the three completed
+    // cells restore, the failed one (never journaled) simulates, and
+    // stdout is byte-identical to the uninterrupted reference.
+    let rerun = fig01()
+        .arg("--json")
+        .arg(&sink)
+        .env("LLBPX_CHECKPOINT", &checkpoint)
+        .output()
+        .expect("fig01 re-runs");
+    let _ = std::fs::remove_file(&checkpoint);
+    assert!(
+        rerun.status.success(),
+        "re-run after a failed cell failed: {}",
+        String::from_utf8_lossy(&rerun.stderr)
+    );
+    assert_eq!(
+        stable_stdout(&clean.stdout),
+        stable_stdout(&rerun.stdout),
+        "a re-run after a failed cell must match an uninterrupted run"
+    );
+    let text = std::fs::read_to_string(&sink).expect("sink was written");
+    let _ = std::fs::remove_file(&sink);
+    let line = Json::parse(text.lines().next().expect("one record line")).expect("valid JSON");
+    assert_eq!(line.get("resumed_cells").unwrap().as_i64(), Some(3));
+    assert!(line.get("failed_cells").is_none(), "nothing fails on the re-run");
 }
 
 #[test]
@@ -109,65 +140,6 @@ fn summaries_over_no_completed_rows_render_na() {
             }
         }
     }
-}
-
-#[test]
-fn a_past_deadline_times_out_every_cell_and_a_clean_resume_matches() {
-    let sink = tmp_path("deadline.json");
-    let checkpoint = tmp_path("deadline.ckpt");
-    let _ = std::fs::remove_file(&sink);
-    let _ = std::fs::remove_file(&checkpoint);
-
-    // Uninterrupted reference for the resume diff below.
-    let clean = fig01().output().expect("fig01 runs");
-    assert!(clean.status.success());
-
-    // A 1 ms deadline is shorter than any cell: every one must stop at it.
-    let output = fig01()
-        .arg("--json")
-        .arg(&sink)
-        .env("LLBPX_JOB_TIMEOUT", "0.001")
-        .env("LLBPX_CHECKPOINT", &checkpoint)
-        .output()
-        .expect("fig01 runs");
-    assert!(!output.status.success(), "a timed-out cell must not exit 0");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("timed out"), "stderr attributes the timeout: {stderr}");
-
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    for workload in ["NodeApp", "TPCC"] {
-        let row = stdout.lines().find(|l| l.contains(workload)).expect("row renders");
-        assert!(row.contains("n/a"), "timed-out preset renders as n/a: {row}");
-    }
-
-    let text = std::fs::read_to_string(&sink).expect("sink was written");
-    let _ = std::fs::remove_file(&sink);
-    let line = Json::parse(text.lines().next().expect("one record line")).expect("valid JSON");
-    let runs = line.get("runs").unwrap().as_arr().unwrap();
-    assert_eq!(runs.len(), 4);
-    assert_eq!(line.get("timed_out_cells").unwrap().as_i64(), Some(4));
-    assert_eq!(line.get("failed_cells").unwrap().as_i64(), Some(4));
-    for run in runs {
-        assert_eq!(run.get("status").unwrap().as_str(), Some("timeout"), "{run}");
-        let error = run.get("error").unwrap().as_str().unwrap();
-        assert!(error.contains("LLBPX_JOB_TIMEOUT"), "error names the knob: {error}");
-    }
-
-    // Re-run on the same journal without the deadline: nothing timed out
-    // was journaled, every cell simulates, and stdout is byte-identical to
-    // the uninterrupted reference.
-    let resumed = fig01().env("LLBPX_CHECKPOINT", &checkpoint).output().expect("fig01 resumes");
-    let _ = std::fs::remove_file(&checkpoint);
-    assert!(
-        resumed.status.success(),
-        "re-run after a timeout failed: {}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-    assert_eq!(
-        stable_stdout(&clean.stdout),
-        stable_stdout(&resumed.stdout),
-        "a re-run after a timeout must match an uninterrupted run"
-    );
 }
 
 /// Drops the only line that may legitimately differ between a clean run
