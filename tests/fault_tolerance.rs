@@ -3,10 +3,11 @@
 //!
 //! * a matrix with one deliberately-panicking cell (`LLBPX_FAULT_CELL`)
 //!   completes every other cell, renders the failed preset as an `n/a`
-//!   row, marks the run `status: "failed"` in telemetry, exits non-zero
-//!   and leaves the failed cell out of its `LLBPX_CHECKPOINT` journal, so
-//!   a re-run on that journal without the fault matches an uninterrupted
-//!   run;
+//!   row, marks the run `status: "failed"` in telemetry, and exits
+//!   non-zero;
+//! * a failed cell is left out of the run's `LLBPX_CHECKPOINT` journal,
+//!   so a re-run on that journal without the fault matches an
+//!   uninterrupted run;
 //! * a 4-thread run SIGKILLed mid-matrix resumes from its
 //!   `LLBPX_CHECKPOINT` journal and produces stdout byte-identical to an
 //!   uninterrupted run (only the wall-time line may differ);
@@ -35,20 +36,13 @@ fn fig01() -> Command {
 #[test]
 fn a_panicking_cell_yields_na_row_failed_status_and_nonzero_exit() {
     let sink = tmp_path("fault-cell.json");
-    let checkpoint = tmp_path("fault-cell.ckpt");
     let _ = std::fs::remove_file(&sink);
-    let _ = std::fs::remove_file(&checkpoint);
-
-    // Uninterrupted reference for the re-run diff below.
-    let clean = fig01().output().expect("fig01 runs");
-    assert!(clean.status.success());
 
     // Cell 1 is NodeApp's second job; TPCC's cells must still complete.
     let output = fig01()
         .arg("--json")
         .arg(&sink)
         .env("LLBPX_FAULT_CELL", "1")
-        .env("LLBPX_CHECKPOINT", &checkpoint)
         .output()
         .expect("fig01 runs");
     assert!(!output.status.success(), "a failed cell must not exit 0");
@@ -75,6 +69,28 @@ fn a_panicking_cell_yields_na_row_failed_status_and_nonzero_exit() {
     let error = failed[0].get("error").unwrap().as_str().unwrap();
     assert!(error.contains("LLBPX_FAULT_CELL"), "error carries the panic message: {error}");
     assert_eq!(failed[0].get("workload").unwrap().as_str(), Some("NodeApp"));
+}
+
+#[test]
+fn a_failed_cell_is_not_journaled_and_a_clean_resume_matches() {
+    let sink = tmp_path("unjournaled.json");
+    let checkpoint = tmp_path("unjournaled.ckpt");
+    let _ = std::fs::remove_file(&sink);
+    let _ = std::fs::remove_file(&checkpoint);
+
+    // Uninterrupted reference for the re-run diff below.
+    let clean = fig01().output().expect("fig01 runs");
+    assert!(clean.status.success());
+
+    // Cell 1 panics; the other three complete and are journaled.
+    let faulted = fig01()
+        .env("LLBPX_FAULT_CELL", "1")
+        .env("LLBPX_CHECKPOINT", &checkpoint)
+        .output()
+        .expect("fig01 runs");
+    assert!(!faulted.status.success(), "a failed cell must not exit 0");
+    let journaled = std::fs::read_to_string(&checkpoint).expect("journal was written");
+    assert_eq!(journaled.lines().count(), 3, "only the completed cells are journaled");
 
     // Re-run on the same journal without the fault: the three completed
     // cells restore, the failed one (never journaled) simulates, and
