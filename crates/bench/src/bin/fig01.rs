@@ -25,12 +25,7 @@ fn main() -> ExitCode {
 
     // The paper plots three workloads; default to a web/db/java mix.
     let wanted = ["NodeApp", "TPCC", "Wikipedia"];
-    let presets: Vec<_> = bench::presets()
-        .into_iter()
-        .filter(|p| {
-            std::env::var("REPRO_WORKLOADS").is_ok() || wanted.contains(&p.spec.name.as_str())
-        })
-        .collect();
+    let presets = bench::presets_where(|p| wanted.contains(&p.spec.name.as_str()));
 
     // Skylake-class predictor: 64K TSL. SPR-class: larger (128K).
     let designs = [

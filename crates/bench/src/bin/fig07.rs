@@ -12,10 +12,7 @@ use bpsim::report::{f3, mean, Table};
 fn main() -> ExitCode {
     let sim = bench::sim();
     let mut telemetry = bench::Telemetry::new("fig07");
-    let preset = bench::presets()
-        .into_iter()
-        .find(|p| p.spec.name == "NodeApp")
-        .unwrap_or_else(|| bench::presets().remove(0));
+    let preset = bench::analysis_preset();
     let analysis = bench::run_analyses(&mut telemetry, &sim, vec![(preset.spec.clone(), 8)])
         .pop()
         .expect("one analysis per job");

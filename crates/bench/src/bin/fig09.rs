@@ -14,10 +14,7 @@ use tage::NUM_TABLES;
 fn main() -> ExitCode {
     let sim = bench::sim();
     let mut telemetry = bench::Telemetry::new("fig09");
-    let preset = bench::presets()
-        .into_iter()
-        .find(|p| p.spec.name == "NodeApp")
-        .unwrap_or_else(|| bench::presets().remove(0));
+    let preset = bench::analysis_preset();
 
     let mut analyses = bench::run_analyses(
         &mut telemetry,

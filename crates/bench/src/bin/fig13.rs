@@ -18,11 +18,8 @@ fn main() -> ExitCode {
         "Fig. 13 — speedup over 64K TSL (8-wide OoO model)",
         &["workload", "LLBP", "LLBP-X", "512K TSL (ideal)"],
     );
-    let presets: Vec<_> = bench::presets()
-        .into_iter()
-        // Google traces: trace-only, as in the paper.
-        .filter(|p| p.in_gem5_eval || std::env::var("REPRO_WORKLOADS").is_ok())
-        .collect();
+    // Google traces: trace-only, as in the paper.
+    let presets = bench::presets_where(|p| p.in_gem5_eval);
     let designs = [
         bench::design("64K TSL", |_| bench::tsl64()),
         bench::design("LLBP", |_| bench::llbp()),

@@ -45,10 +45,7 @@ fn main() -> ExitCode {
         "Fig. 13 (execution-driven) — speedup over 64K TSL, pipeline model",
         &["workload", "64K IPC", "LLBP", "LLBP-X", "512K TSL (ideal)"],
     );
-    let presets: Vec<_> = bench::presets()
-        .into_iter()
-        .filter(|p| p.in_gem5_eval || std::env::var("REPRO_WORKLOADS").is_ok())
-        .collect();
+    let presets = bench::presets_where(|p| p.in_gem5_eval);
     // The pipeline model sits outside the runner, so fan out over the raw
     // job API rather than the run matrix.
     let factories: [fn() -> Box<dyn bpsim::SimPredictor>; 4] =

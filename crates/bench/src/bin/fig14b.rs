@@ -19,10 +19,7 @@ fn main() -> ExitCode {
         "Fig. 14b — speedup over 64K TSL in a 3-cycle overriding scheme",
         &["workload", "128K TSL", "LLBP-X"],
     );
-    let presets: Vec<_> = bench::presets()
-        .into_iter()
-        .filter(|p| p.in_gem5_eval || std::env::var("REPRO_WORKLOADS").is_ok())
-        .collect();
+    let presets = bench::presets_where(|p| p.in_gem5_eval);
     let designs = [
         bench::design("64K TSL", |_| bench::tsl64()),
         bench::design("128K TSL", |_| bench::tsl(128)),

@@ -1,13 +1,14 @@
 //! Shared harness for the experiment binaries (`fig*`, `table*`, ...).
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper.
-//! They all honour two environment variables so a single knob rescales the
+//! They all honour three environment variables so a single knob rescales the
 //! whole evaluation:
 //!
 //! * `REPRO_WARMUP` — warmup instructions per run (default 4M),
 //! * `REPRO_INSTRUCTIONS` — measured instructions per run (default 8M;
 //!   must be positive),
-//! * `REPRO_WORKLOADS` — comma-separated preset names to restrict to.
+//! * `REPRO_WORKLOADS` — comma-separated preset names to restrict to
+//!   ([`WORKLOADS`]; a typo warns and keeps the binary's default presets).
 //!
 //! The paper's protocol is 100M + 200M; the defaults are the protocol the
 //! committed `results/*.txt` files were recorded at, so a bare run prints
@@ -33,6 +34,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use bpsim::analysis::ContextAnalysis;
+use bpsim::env::Knob;
 use bpsim::exec::{self, MatrixRow};
 use bpsim::report::Table;
 use bpsim::runner::{RunResult, Simulation};
@@ -75,35 +77,54 @@ pub fn sim() -> Simulation {
     Simulation::from_env()
 }
 
+/// `REPRO_WORKLOADS` knob: the presets a comma-separated list of names
+/// selects (case-insensitive, space-trimmed), in preset-table order with
+/// duplicates dropped. An unknown name or an empty list rejects the whole
+/// value; `None` means "the binary's default presets".
+pub static WORKLOADS: Knob<Option<Vec<Preset>>> = Knob::new(
+    "REPRO_WORKLOADS",
+    "a comma-separated list of known preset names",
+    "using the binary's default workloads",
+    parse_workloads,
+);
+
+fn parse_workloads(raw: &str) -> Option<Option<Vec<Preset>>> {
+    let wanted: Vec<String> = raw.split(',').map(|s| s.trim().to_ascii_lowercase()).collect();
+    let all = workloads::presets::all();
+    let picked: Vec<Preset> = all
+        .into_iter()
+        .filter(|p| wanted.contains(&p.spec.name.to_ascii_lowercase()))
+        .collect();
+    let known = |w: &String| picked.iter().any(|p| p.spec.name.eq_ignore_ascii_case(w));
+    wanted.iter().all(known).then_some(Some(picked))
+}
+
+/// The presets `REPRO_WORKLOADS` selects, or else every preset `default`
+/// keeps.
+pub fn presets_where(default: impl Fn(&Preset) -> bool) -> Vec<Preset> {
+    WORKLOADS
+        .get(|| None)
+        .unwrap_or_else(|| workloads::presets::all().into_iter().filter(|p| default(p)).collect())
+}
+
 /// All presets, restricted by `REPRO_WORKLOADS` if set.
 pub fn presets() -> Vec<Preset> {
-    let all = workloads::presets::all();
-    match std::env::var("REPRO_WORKLOADS") {
-        Ok(filter) => {
-            let wanted: Vec<String> =
-                filter.split(',').map(|s| s.trim().to_ascii_lowercase()).collect();
-            let picked: Vec<Preset> = all
-                .into_iter()
-                .filter(|p| wanted.iter().any(|w| w == &p.spec.name.to_ascii_lowercase()))
-                .collect();
-            assert!(!picked.is_empty(), "REPRO_WORKLOADS matched no preset");
-            picked
-        }
-        Err(_) => all,
-    }
+    presets_where(|_| true)
 }
 
 /// A representative six-workload subset for the expensive limit studies
 /// (idealized structures simulate slowly); override via `REPRO_WORKLOADS`.
 pub fn representative_presets() -> Vec<Preset> {
-    if std::env::var("REPRO_WORKLOADS").is_ok() {
-        return presets();
-    }
     let keep = ["NodeApp", "TPCC", "Wikipedia", "Spring", "Charlie", "Whiskey"];
-    workloads::presets::all()
-        .into_iter()
-        .filter(|p| keep.contains(&p.spec.name.as_str()))
-        .collect()
+    presets_where(|p| keep.contains(&p.spec.name.as_str()))
+}
+
+/// The workload of the context analyses (Figs. 6-9): NodeApp, or the
+/// first selected preset when `REPRO_WORKLOADS` leaves NodeApp out.
+pub fn analysis_preset() -> Preset {
+    let mut presets = presets();
+    let nodeapp = presets.iter().position(|p| p.spec.name == "NodeApp");
+    presets.swap_remove(nodeapp.unwrap_or(0))
 }
 
 /// The paper's baseline predictor: 64K TAGE-SC-L.
@@ -222,17 +243,13 @@ pub fn run_rows(
     FAILED_CELLS.fetch_add(report.failed_cells(), Ordering::Relaxed);
     RESUMED_CELLS.fetch_add(report.resumed_cells(), Ordering::Relaxed);
 
-    let mut record = |output: Result<_, _>, design: &Design, preset: &Preset| match output {
-        Ok(exec::MatrixOutput { mut result, storage_bits }) => {
-            telemetry.record_run(&mut result, sim, Some(storage_bits));
-            result
-        }
-        Err(err) => {
+    let mut record = |output: Result<_, _>, design: &Design, preset: &Preset| {
+        let result = output.unwrap_or_else(|err| {
             eprintln!("error: cell `{} / {}`: {err}", design.name, preset.spec.name);
-            let mut result = RunResult::from_job_error(err);
-            telemetry.record_run(&mut result, sim, None);
-            result
-        }
+            RunResult::from_job_error(err)
+        });
+        telemetry.record_run(&result, sim);
+        result
     };
     let rows = presets.into_iter().zip(report.rows);
     rows.map(|(preset, row)| {
@@ -295,9 +312,9 @@ pub fn run_analyses(
                 as exec::BoxedJob<'static, ContextAnalysis>
         })
         .collect();
-    let mut analyses = exec::run_jobs(boxed);
-    for analysis in &mut analyses {
-        telemetry.record_run(&mut analysis.run, sim, None);
+    let analyses = exec::run_jobs(boxed);
+    for analysis in &analyses {
+        telemetry.record_run(&analysis.run, sim);
     }
     analyses
 }
@@ -337,31 +354,19 @@ impl Telemetry {
     }
 
     /// Records an externally produced run (e.g. from
-    /// [`bpsim::runner::compare`]). Recording *moves* the run's interval
-    /// time-series and scope profile into the record (no cloning), leaving
-    /// those sections empty on `result`; headline metrics stay.
-    pub fn record_run(
-        &mut self,
-        result: &mut RunResult,
-        sim: &Simulation,
-        storage_bits: Option<u64>,
-    ) {
+    /// [`bpsim::runner::compare`]): its run record
+    /// ([`RunResult::to_json`]) plus the run's CPI on the paper's core.
+    pub fn record_run(&mut self, result: &RunResult, sim: &Simulation) {
         if self.sink.is_none() {
             return;
         }
-        let mut rec = result.take_record(sim);
+        let mut rec = result.to_json(sim);
         // A failed cell ran zero instructions; its CPI is meaningless.
         if !result.is_failed() {
             let core = CoreParams::paper_table2();
-            rec.extra.push((
-                "cpi".to_owned(),
-                Json::Num(core.cpi(result.instructions, result.mispredicts, 0)),
-            ));
+            rec = rec.set("cpi", core.cpi(result.instructions, result.mispredicts, 0));
         }
-        if let Some(bits) = storage_bits {
-            rec.extra.push(("storage_bits".to_owned(), Json::from(bits)));
-        }
-        self.runs.push(rec.to_json());
+        self.runs.push(rec);
     }
 
     /// Adds one matrix's engine bookkeeping to the record line: the
@@ -460,6 +465,20 @@ mod tests {
         assert_eq!(llbp_0lat().name(), "LLBP-0Lat");
         assert_eq!(llbpx().name(), "LLBP-X");
         assert_eq!(llbpx_opt_w(Default::default()).name(), "LLBP-X Opt-W");
+    }
+
+    #[test]
+    fn repro_workloads_selects_in_table_order_and_rejects_typos_whole() {
+        let names = |raw: &str| {
+            let picked = WORKLOADS.resolve(Some(raw), || None)?;
+            Some(picked.into_iter().map(|p| p.spec.name).collect::<Vec<_>>())
+        };
+        let both = Some(vec!["NodeApp".to_owned(), "TPCC".to_owned()]);
+        assert_eq!(names(" tpcc , NODEAPP,TPCC"), both, "table order, no duplicates");
+        assert_eq!(names("NodeApp,TPPC"), None, "one unknown name rejects the value");
+        assert_eq!(names(""), None, "an empty list is rejected");
+        assert_eq!(names("NodeApp,"), None, "an empty name is rejected");
+        assert!(WORKLOADS.resolve(None, || None).is_none(), "unset selects nothing");
     }
 
     #[test]

@@ -269,12 +269,6 @@ impl LlbpConfig {
         self
     }
 
-    /// Renames for reports.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-
     /// Enables per-context/per-pattern analysis statistics.
     pub fn with_analysis(mut self) -> Self {
         self.analysis = true;

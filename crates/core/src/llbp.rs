@@ -198,13 +198,6 @@ impl Llbp {
         self.ctt.as_ref()
     }
 
-    /// Whether the most recent conditional prediction came from the
-    /// pattern buffer. PB predictions are available in the first cycle of
-    /// an overriding pipeline, so they never pay the override bubble.
-    pub fn provided_last(&self) -> bool {
-        self.last_provided
-    }
-
     /// Flushes the pattern buffer so prefetch classifications are final.
     /// Call once at the end of a measurement run.
     pub fn finish(&mut self) {

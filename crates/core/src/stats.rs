@@ -63,6 +63,36 @@ pub struct LlbpStats {
     pub analysis: Option<AnalysisStats>,
 }
 
+/// Reads one scalar counter.
+type Get = fn(&LlbpStats) -> u64;
+/// Writes one scalar counter.
+type GetMut = fn(&mut LlbpStats) -> &mut u64;
+
+/// The scalar counters, name → field, in declaration order: the one list
+/// [`LlbpStats::counters`], [`LlbpStats::delta_since`] and
+/// [`LlbpStats::from_counters`] read.
+const COUNTERS: [(&str, Get, GetMut); 19] = [
+    ("cond_branches", |s| s.cond_branches, |s| &mut s.cond_branches),
+    ("mispredicts", |s| s.mispredicts, |s| &mut s.mispredicts),
+    ("llbp_provided", |s| s.llbp_provided, |s| &mut s.llbp_provided),
+    ("llbp_useful", |s| s.llbp_useful, |s| &mut s.llbp_useful),
+    ("llbp_harmful", |s| s.llbp_harmful, |s| &mut s.llbp_harmful),
+    ("ps_reads", |s| s.ps_reads, |s| &mut s.ps_reads),
+    ("ps_writes", |s| s.ps_writes, |s| &mut s.ps_writes),
+    ("pb_accesses", |s| s.pb_accesses, |s| &mut s.pb_accesses),
+    ("cd_accesses", |s| s.cd_accesses, |s| &mut s.cd_accesses),
+    ("ctt_accesses", |s| s.ctt_accesses, |s| &mut s.ctt_accesses),
+    ("prefetches_issued", |s| s.prefetches_issued, |s| &mut s.prefetches_issued),
+    ("prefetch_on_time", |s| s.prefetch_on_time, |s| &mut s.prefetch_on_time),
+    ("prefetch_late", |s| s.prefetch_late, |s| &mut s.prefetch_late),
+    ("prefetch_unused", |s| s.prefetch_unused, |s| &mut s.prefetch_unused),
+    ("demand_fetches", |s| s.demand_fetches, |s| &mut s.demand_fetches),
+    ("allocations", |s| s.allocations, |s| &mut s.allocations),
+    ("alloc_dropped_range", |s| s.alloc_dropped_range, |s| &mut s.alloc_dropped_range),
+    ("sets_created", |s| s.sets_created, |s| &mut s.sets_created),
+    ("depth_transitions", |s| s.depth_transitions, |s| &mut s.depth_transitions),
+];
+
 impl LlbpStats {
     /// Mispredictions per kilo-instruction given the measured instructions.
     pub fn mpki(&self, instructions: u64) -> f64 {
@@ -83,60 +113,32 @@ impl LlbpStats {
     /// Panics (debug builds) if `earlier` is not a prefix state of `self`
     /// (any counter would underflow).
     pub fn delta_since(&self, earlier: &LlbpStats) -> LlbpStats {
-        let mut alloc_len_histogram = [0u64; NUM_TABLES];
-        for (i, slot) in alloc_len_histogram.iter_mut().enumerate() {
+        let mut delta = LlbpStats { analysis: self.analysis.clone(), ..LlbpStats::default() };
+        for (i, slot) in delta.alloc_len_histogram.iter_mut().enumerate() {
             *slot = self.alloc_len_histogram[i] - earlier.alloc_len_histogram[i];
         }
-        LlbpStats {
-            cond_branches: self.cond_branches - earlier.cond_branches,
-            mispredicts: self.mispredicts - earlier.mispredicts,
-            llbp_provided: self.llbp_provided - earlier.llbp_provided,
-            llbp_useful: self.llbp_useful - earlier.llbp_useful,
-            llbp_harmful: self.llbp_harmful - earlier.llbp_harmful,
-            ps_reads: self.ps_reads - earlier.ps_reads,
-            ps_writes: self.ps_writes - earlier.ps_writes,
-            pb_accesses: self.pb_accesses - earlier.pb_accesses,
-            cd_accesses: self.cd_accesses - earlier.cd_accesses,
-            ctt_accesses: self.ctt_accesses - earlier.ctt_accesses,
-            prefetches_issued: self.prefetches_issued - earlier.prefetches_issued,
-            prefetch_on_time: self.prefetch_on_time - earlier.prefetch_on_time,
-            prefetch_late: self.prefetch_late - earlier.prefetch_late,
-            prefetch_unused: self.prefetch_unused - earlier.prefetch_unused,
-            demand_fetches: self.demand_fetches - earlier.demand_fetches,
-            allocations: self.allocations - earlier.allocations,
-            alloc_dropped_range: self.alloc_dropped_range - earlier.alloc_dropped_range,
-            sets_created: self.sets_created - earlier.sets_created,
-            depth_transitions: self.depth_transitions - earlier.depth_transitions,
-            alloc_len_histogram,
-            analysis: self.analysis.clone(),
+        for (_, get, get_mut) in COUNTERS {
+            *get_mut(&mut delta) = get(self) - get(earlier);
         }
+        delta
     }
 
     /// The scalar counters as `(name, value)` pairs in declaration order,
     /// for structured (JSON) emission. The histogram and analysis maps are
     /// exported separately.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("cond_branches", self.cond_branches),
-            ("mispredicts", self.mispredicts),
-            ("llbp_provided", self.llbp_provided),
-            ("llbp_useful", self.llbp_useful),
-            ("llbp_harmful", self.llbp_harmful),
-            ("ps_reads", self.ps_reads),
-            ("ps_writes", self.ps_writes),
-            ("pb_accesses", self.pb_accesses),
-            ("cd_accesses", self.cd_accesses),
-            ("ctt_accesses", self.ctt_accesses),
-            ("prefetches_issued", self.prefetches_issued),
-            ("prefetch_on_time", self.prefetch_on_time),
-            ("prefetch_late", self.prefetch_late),
-            ("prefetch_unused", self.prefetch_unused),
-            ("demand_fetches", self.demand_fetches),
-            ("allocations", self.allocations),
-            ("alloc_dropped_range", self.alloc_dropped_range),
-            ("sets_created", self.sets_created),
-            ("depth_transitions", self.depth_transitions),
-        ]
+        COUNTERS.iter().map(|&(name, get, _)| (name, get(self))).collect()
+    }
+
+    /// The inverse of [`counters`](Self::counters): every scalar counter
+    /// read by name through `value`, or `None` when any is missing. The
+    /// histogram and analysis maps stay empty.
+    pub fn from_counters(mut value: impl FnMut(&str) -> Option<u64>) -> Option<LlbpStats> {
+        let mut stats = LlbpStats::default();
+        for (name, _, get_mut) in COUNTERS {
+            *get_mut(&mut stats) = value(name)?;
+        }
+        Some(stats)
     }
 
     /// Cross-counter invariants that hold for any cumulative counter state.

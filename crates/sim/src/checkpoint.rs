@@ -1,29 +1,26 @@
 //! Durable run-matrix checkpoints: a JSONL journal of completed cells.
 //!
-//! At paper-scale budgets a sweep is hours of work; a crash, an OOM kill or
-//! a lost SSH session used to discard all of it. With `LLBPX_CHECKPOINT`
-//! pointing at a journal file, [`crate::exec::run_matrix`] appends one JSON
-//! line per *completed* cell — keyed by a deterministic fingerprint of the
-//! cell's index and name, the predictor (label + storage bits), the
-//! workload spec and the simulation budgets — and a re-run of the same matrix skips finished
-//! cells by restoring their [`RunResult`]s bit-identically from the
-//! journal instead of re-simulating them.
+//! At paper-scale budgets a sweep is hours of work. With `LLBPX_CHECKPOINT`
+//! pointing at a journal file, [`crate::exec::run_matrix`] appends one line
+//! per *completed* cell, keyed by a deterministic fingerprint of the cell's
+//! index and name, the predictor (label + storage bits), the workload spec
+//! and the simulation budgets. A re-run of the same matrix restores those
+//! cells from the journal instead of re-simulating them.
+//!
+//! A journal line is the cell's run record ([`RunResult::to_json`], the
+//! object a telemetry line holds per run) plus `"v"` (the line format
+//! version) and `"fingerprint"`. [`RunResult::from_json`] reads it back:
+//! every accuracy field, the second-level counters, the interval
+//! time-series, the storage bits and the original run's `wall_seconds`.
+//! The scope profile is not restored, and restored runs are marked
+//! `resumed: true` in telemetry.
 //!
 //! The journal is append-only and crash-tolerant: a SIGKILL mid-write
 //! leaves at most one partial trailing line, which the loader drops with a
-//! warning (the cell simply re-runs). Lines whose fingerprints no longer
-//! match (changed budgets, changed predictor config, different matrix) are
-//! simply never looked up, so one journal can even be shared across
-//! re-runs with evolving parameters — only still-identical cells are
-//! reused.
-//!
-//! What a checkpoint entry restores: every accuracy field, the second-level
-//! counter set (so figures that read [`llbpx::LlbpStats`] — prefetch
-//! timeliness, traffic, energy — render identically), the interval
-//! time-series and storage bits. What it does
-//! not restore: the scope profile (its labels are `&'static str`s into the
-//! binary) and honest wall-clock — restored cells carry the original run's
-//! `wall_seconds` and are marked `resumed: true` in telemetry.
+//! warning, as it drops lines of an older format version; their cells
+//! re-run. Lines whose fingerprints no longer match (changed budgets,
+//! predictor config or matrix) are never looked up, so one journal can be
+//! shared across re-runs with evolving parameters.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -31,8 +28,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use llbpx::LlbpStats;
-use telemetry::{IntervalSample, Json};
+use telemetry::Json;
 use workloads::WorkloadSpec;
 
 use crate::error::SimError;
@@ -42,12 +38,13 @@ use crate::runner::{RunResult, Simulation};
 /// empty disables checkpointing.
 pub const ENV_CHECKPOINT: &str = "LLBPX_CHECKPOINT";
 
-/// Journal line format version. Version 1 fingerprints left out the cell
-/// name, so equal-label cells of different configurations (e.g. the
-/// LLBP-X H_th and CTT sweeps) collided; its lines are never matched.
-/// Older version-2 lines also carry a per-run trace attribution label,
-/// which restoring ignores.
-const ENTRY_VERSION: i64 = 2;
+/// Journal line format version, also hashed into every fingerprint.
+/// Version 1 fingerprints left out the cell name, so equal-label cells of
+/// different configurations (e.g. the LLBP-X H_th and CTT sweeps)
+/// collided. Version 2 lines held a journal-only encoding of the run;
+/// version 3 lines are the run record itself. Lines of any other version
+/// are dropped with a warning and their cells re-run.
+const ENTRY_VERSION: i64 = 3;
 
 /// FNV-1a 64-bit hash.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -86,20 +83,11 @@ pub fn job_fingerprint(
     format!("{:016x}", fnv1a64(canonical.as_bytes()))
 }
 
-/// One cell restored from the journal.
-#[derive(Debug, Clone)]
-pub struct RestoredCell {
-    /// The run, marked `resumed` and carrying no error.
-    pub result: RunResult,
-    /// Storage budget recorded for the cell.
-    pub storage_bits: u64,
-}
-
 /// An open checkpoint journal: previously completed cells indexed by
 /// fingerprint, plus an append handle for new entries.
 pub struct Checkpoint {
     path: PathBuf,
-    entries: HashMap<String, RestoredCell>,
+    entries: HashMap<String, RunResult>,
     file: Mutex<File>,
 }
 
@@ -117,8 +105,8 @@ impl Checkpoint {
                     continue;
                 }
                 match parse_line(line) {
-                    Some((fingerprint, cell)) => {
-                        entries.insert(fingerprint, cell);
+                    Some((fingerprint, result)) => {
+                        entries.insert(fingerprint, result);
                     }
                     None => eprintln!(
                         "warning: checkpoint {}: dropping unparseable journal line {} \
@@ -163,19 +151,21 @@ impl Checkpoint {
         self.entries.is_empty()
     }
 
-    /// The restored cell for `fingerprint`, if the journal has one.
-    pub fn lookup(&self, fingerprint: &str) -> Option<RestoredCell> {
+    /// The restored run for `fingerprint`, marked `resumed`, if the
+    /// journal has one.
+    pub fn lookup(&self, fingerprint: &str) -> Option<RunResult> {
         self.entries.get(fingerprint).cloned()
     }
 
-    /// Journals one completed cell. Failed cells are never journaled (a
-    /// re-run should retry them). Write errors warn on stderr; losing a
-    /// checkpoint entry must not fail the run that produced it.
-    pub fn record(&self, fingerprint: &str, result: &RunResult, storage_bits: u64) {
+    /// Journals one completed cell; `sim` is the protocol it ran under.
+    /// Failed cells are never journaled (a re-run should retry them).
+    /// Write errors warn on stderr; losing a checkpoint entry must not fail
+    /// the run that produced it.
+    pub fn record(&self, fingerprint: &str, result: &RunResult, sim: &Simulation) {
         if result.is_failed() {
             return;
         }
-        let line = entry_to_json(fingerprint, result, storage_bits).to_string();
+        let line = journal_line(fingerprint, result, sim).to_string();
         let mut file = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         // One write_all per line keeps concurrent workers' entries whole.
         if let Err(e) = file.write_all(format!("{line}\n").as_bytes()) {
@@ -184,130 +174,26 @@ impl Checkpoint {
     }
 }
 
-fn entry_to_json(fingerprint: &str, result: &RunResult, storage_bits: u64) -> Json {
-    let llbp = match &result.llbp {
-        None => Json::Null,
-        Some(stats) => {
-            let mut counters = Json::obj();
-            for (name, value) in stats.counters() {
-                counters = counters.set(name, value);
-            }
-            Json::obj().set("counters", counters).set(
-                "alloc_len_histogram",
-                Json::Arr(stats.alloc_len_histogram.iter().map(|&v| Json::from(v)).collect()),
-            )
-        }
-    };
-    Json::obj()
-        .set("v", ENTRY_VERSION)
-        .set("fingerprint", fingerprint)
-        .set("predictor", result.name.as_str())
-        .set("workload", result.workload.as_str())
-        .set("instructions", result.instructions)
-        .set("cond_branches", result.cond_branches)
-        .set("mispredicts", result.mispredicts)
-        .set("override_candidates", result.override_candidates)
-        .set("wall_seconds", result.wall_seconds)
-        .set("storage_bits", storage_bits)
-        .set("intervals", Json::Arr(result.intervals.iter().map(IntervalSample::to_json).collect()))
-        .set("llbp", llbp)
+/// A journal line: the run record plus the format version and the cell's
+/// fingerprint.
+fn journal_line(fingerprint: &str, result: &RunResult, sim: &Simulation) -> Json {
+    result.to_json(sim).set("v", ENTRY_VERSION).set("fingerprint", fingerprint)
 }
 
-fn parse_line(line: &str) -> Option<(String, RestoredCell)> {
+fn parse_line(line: &str) -> Option<(String, RunResult)> {
     let j = Json::parse(line.trim()).ok()?;
     if j.get("v")?.as_i64()? != ENTRY_VERSION {
         return None;
     }
     let fingerprint = j.get("fingerprint")?.as_str()?.to_owned();
-    let u = |key: &str| j.get(key).and_then(Json::as_i64).map(|v| v as u64);
-    let result = RunResult {
-        name: j.get("predictor")?.as_str()?.to_owned(),
-        workload: j.get("workload")?.as_str()?.to_owned(),
-        instructions: u("instructions")?,
-        cond_branches: u("cond_branches")?,
-        mispredicts: u("mispredicts")?,
-        override_candidates: u("override_candidates")?,
-        llbp: parse_llbp(j.get("llbp")?)?,
-        wall_seconds: j.get("wall_seconds")?.as_f64()?,
-        intervals: parse_intervals(j.get("intervals")?)?,
-        profile: Vec::new(),
-        error: None,
-        resumed: true,
-    };
-    // Infinite designs report `u64::MAX` storage, which the journal holds
-    // as a float; the saturating cast restores it exactly.
-    let storage_bits = match j.get("storage_bits")? {
-        Json::Num(x) if *x >= i64::MAX as f64 => *x as u64,
-        other => other.as_i64()? as u64,
-    };
-    Some((fingerprint, RestoredCell { result, storage_bits }))
-}
-
-fn parse_intervals(j: &Json) -> Option<Vec<IntervalSample>> {
-    let mut out = Vec::new();
-    for s in j.as_arr()? {
-        let u = |key: &str| s.get(key).and_then(Json::as_i64).map(|v| v as u64);
-        let f = |key: &str| s.get(key).and_then(Json::as_f64);
-        out.push(IntervalSample {
-            instructions: u("instructions")?,
-            cond_branches: u("cond_branches")?,
-            mispredicts: u("mispredicts")?,
-            mpki: f("mpki")?,
-            prefetches_issued: u("prefetches_issued")?,
-            prefetch_on_time: u("prefetch_on_time")?,
-            prefetch_late: u("prefetch_late")?,
-            allocations: u("allocations")?,
-            allocs_per_kilo: f("allocs_per_kilo")?,
-            pb_occupancy: match s.get("pb_occupancy") {
-                Some(Json::Null) | None => None,
-                Some(v) => Some(v.as_f64()?),
-            },
-        });
-    }
-    Some(out)
-}
-
-fn parse_llbp(j: &Json) -> Option<Option<LlbpStats>> {
-    if matches!(j, Json::Null) {
-        return Some(None);
-    }
-    let counters = j.get("counters")?;
-    let c = |key: &str| counters.get(key).and_then(Json::as_i64).map(|v| v as u64);
-    let mut stats = LlbpStats {
-        cond_branches: c("cond_branches")?,
-        mispredicts: c("mispredicts")?,
-        llbp_provided: c("llbp_provided")?,
-        llbp_useful: c("llbp_useful")?,
-        llbp_harmful: c("llbp_harmful")?,
-        ps_reads: c("ps_reads")?,
-        ps_writes: c("ps_writes")?,
-        pb_accesses: c("pb_accesses")?,
-        cd_accesses: c("cd_accesses")?,
-        ctt_accesses: c("ctt_accesses")?,
-        prefetches_issued: c("prefetches_issued")?,
-        prefetch_on_time: c("prefetch_on_time")?,
-        prefetch_late: c("prefetch_late")?,
-        prefetch_unused: c("prefetch_unused")?,
-        demand_fetches: c("demand_fetches")?,
-        allocations: c("allocations")?,
-        alloc_dropped_range: c("alloc_dropped_range")?,
-        sets_created: c("sets_created")?,
-        depth_transitions: c("depth_transitions")?,
-        ..LlbpStats::default()
-    };
-    let histogram = j.get("alloc_len_histogram")?.as_arr()?;
-    if histogram.len() != stats.alloc_len_histogram.len() {
-        return None;
-    }
-    for (slot, v) in stats.alloc_len_histogram.iter_mut().zip(histogram) {
-        *slot = v.as_i64()? as u64;
-    }
-    Some(Some(stats))
+    Some((fingerprint, RunResult { resumed: true, ..RunResult::from_json(&j)? }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llbpx::LlbpStats;
+    use telemetry::IntervalSample;
 
     fn sample_result() -> RunResult {
         let mut stats = LlbpStats {
@@ -330,6 +216,7 @@ mod tests {
             mispredicts: 310,
             override_candidates: 99,
             llbp: Some(stats),
+            storage_bits: 4096,
             wall_seconds: 0.125,
             intervals: vec![IntervalSample {
                 instructions: 100_000,
@@ -345,6 +232,14 @@ mod tests {
             }],
             ..RunResult::default()
         }
+    }
+
+    fn sim() -> Simulation {
+        Simulation { warmup_instructions: 100_000, measure_instructions: 200_000 }
+    }
+
+    fn line(fingerprint: &str, result: &RunResult) -> String {
+        journal_line(fingerprint, result, &sim()).to_string()
     }
 
     fn tmp(tag: &str) -> PathBuf {
@@ -375,29 +270,29 @@ mod tests {
     #[test]
     fn entries_round_trip_bit_identically() {
         let result = sample_result();
-        let line = entry_to_json("00ff", &result, 4096).to_string();
-        let (fp, cell) = parse_line(&line).expect("parses");
+        let (fp, r) = parse_line(&line("00ff", &result)).expect("parses");
         assert_eq!(fp, "00ff");
-        assert_eq!(cell.storage_bits, 4096);
-        let r = &cell.result;
-        assert_eq!(r.name, result.name);
-        assert_eq!(r.instructions, result.instructions);
-        assert_eq!(r.mispredicts, result.mispredicts);
-        assert_eq!(r.override_candidates, result.override_candidates);
-        assert_eq!(r.intervals, result.intervals);
-        assert_eq!(r.wall_seconds, result.wall_seconds);
-        assert!(r.resumed);
-        assert!(!r.is_failed());
-        let (a, b) = (r.llbp.as_ref().unwrap(), result.llbp.as_ref().unwrap());
-        assert_eq!(a.counters(), b.counters());
-        assert_eq!(a.alloc_len_histogram, b.alloc_len_histogram);
+        assert!(r.resumed && !r.is_failed() && r.llbp.is_some());
+        // Every field the record holds — accuracy, counters, histogram,
+        // intervals, storage, wall time — reads back unchanged.
+        let resumed = RunResult { resumed: true, ..result };
+        assert_eq!(r.to_json(&sim()), resumed.to_json(&sim()));
     }
 
     #[test]
     fn infinite_storage_round_trips() {
-        let line = entry_to_json("00ff", &sample_result(), u64::MAX).to_string();
-        let (_, cell) = parse_line(&line).expect("an Inf TSL cell restores");
-        assert_eq!(cell.storage_bits, u64::MAX);
+        let inf = RunResult { storage_bits: u64::MAX, ..sample_result() };
+        let (_, r) = parse_line(&line("00ff", &inf)).expect("an Inf TSL cell restores");
+        assert_eq!(r.storage_bits, u64::MAX);
+    }
+
+    #[test]
+    fn a_line_with_a_negative_counter_is_rejected() {
+        let good = line("00ff", &sample_result());
+        assert!(parse_line(&good).is_some());
+        let negative = good.replace("\"ps_reads\":0,", "\"ps_reads\":-1,");
+        assert_ne!(negative, good, "the line holds the counter");
+        assert!(parse_line(&negative).is_none(), "-1 must not restore as 2^64-1");
     }
 
     #[test]
@@ -405,7 +300,7 @@ mod tests {
         let path = tmp("garbage");
         let _ = std::fs::remove_file(&path);
         let result = sample_result();
-        let good = entry_to_json("aaaa", &result, 1).to_string();
+        let good = line("aaaa", &result);
         let partial = &good[..good.len() / 2];
         std::fs::write(&path, format!("{good}\nnot json at all\n{partial}")).unwrap();
         let cp = Checkpoint::open(&path).unwrap();
@@ -420,8 +315,8 @@ mod tests {
     #[test]
     fn truncated_trailing_records_are_dropped_at_every_byte_offset() {
         let path = tmp("truncate");
-        let first = entry_to_json("aaaa", &sample_result(), 1).to_string();
-        let second = entry_to_json("bbbb", &sample_result(), 2).to_string();
+        let first = line("aaaa", &sample_result());
+        let second = line("bbbb", &sample_result());
         for cut in 0..=second.len() {
             std::fs::write(&path, format!("{first}\n{}", &second[..cut])).unwrap();
             let cp = Checkpoint::open(&path).unwrap();
@@ -443,19 +338,19 @@ mod tests {
         {
             let cp = Checkpoint::open(&path).unwrap();
             assert!(cp.is_empty());
-            cp.record("cell1", &sample_result(), 77);
+            cp.record("cell1", &RunResult { storage_bits: 77, ..sample_result() }, &sim());
             let failed = RunResult {
                 workload: "NodeApp".into(),
                 error: Some("boom".into()),
                 ..RunResult::default()
             };
-            cp.record("cell2", &failed, 0);
+            cp.record("cell2", &failed, &sim());
         }
         let cp = Checkpoint::open(&path).unwrap();
         assert_eq!(cp.len(), 1, "failed cells are never journaled");
         let cell = cp.lookup("cell1").expect("completed cell restores");
         assert_eq!(cell.storage_bits, 77);
-        assert_eq!(cell.result.mispredicts, 310);
+        assert_eq!(cell.mispredicts, 310);
         assert!(cp.lookup("cell2").is_none());
         let _ = std::fs::remove_file(&path);
     }

@@ -1,17 +1,19 @@
 //! Environment-variable parsing with warn-once fallback.
 //!
 //! Every tunable the simulator reads from the environment
-//! (`LLBPX_THREADS`, `LLBPX_FAULT_CELL` and the `REPRO_*` budgets) follows
-//! the same contract: an unset variable silently uses the default, a
-//! set-but-unparsable value uses the default *and* warns on stderr — but only once per key per process,
-//! because binaries resolve some keys more than once (engine fan-out +
-//! record emission). This module is the single implementation of that
-//! contract.
+//! (`LLBPX_THREADS`, `LLBPX_FAULT_CELL`, the `REPRO_*` budgets and the
+//! experiment binaries' `REPRO_WORKLOADS` preset list) follows the same
+//! contract: an unset variable silently uses the default, a set-but-invalid
+//! value uses the default *and* warns on stderr — but only once per key
+//! per process, because binaries resolve some keys more than once (engine
+//! fan-out + record emission). This module is the single implementation of
+//! that contract.
 //!
 //! Knobs are declared as [`Knob`] statics next to the subsystem that owns
-//! them ([`crate::exec`], [`crate::runner`]), which keeps the key, the
-//! expected-value description and the parser in one place and makes the parsing testable without
-//! mutating the process environment (see [`Knob::resolve`]).
+//! them ([`crate::exec`], [`crate::runner`], the `bench` crate), which
+//! keeps the key, the expected-value description and the parser in one
+//! place and makes the parsing testable without mutating the process
+//! environment (see [`Knob::resolve`]).
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;

@@ -194,35 +194,21 @@ impl<'a> MatrixRow<'a> {
     }
 }
 
-/// One finished matrix cell.
-#[derive(Debug, Clone)]
-pub struct MatrixOutput {
-    /// The run itself (headline metrics plus telemetry sections).
-    pub result: RunResult,
-    /// Storage budget of the predictor that ran, for the telemetry record.
-    pub storage_bits: u64,
-}
-
 /// A completed run matrix: per-cell outcomes row by row plus engine
 /// bookkeeping for the coordinator's telemetry record.
 pub struct MatrixReport {
     /// Per-cell outcomes, one vector per submitted row, cells in submitted
     /// order. A cell that panicked is an `Err` carrying the structured
     /// error; every other cell completed normally.
-    pub rows: Vec<Vec<Result<MatrixOutput, JobError>>>,
+    pub rows: Vec<Vec<Result<RunResult, JobError>>>,
     /// Worker threads actually used.
     pub threads: usize,
 }
 
 impl MatrixReport {
-    /// The failed cells, in flat index order.
-    pub fn failures(&self) -> impl Iterator<Item = &JobError> {
-        self.rows.iter().flatten().filter_map(|o| o.as_ref().err())
-    }
-
     /// How many cells failed.
     pub fn failed_cells(&self) -> usize {
-        self.failures().count()
+        self.rows.iter().flatten().filter(|o| o.is_err()).count()
     }
 
     /// How many cells were restored from the checkpoint journal instead of
@@ -231,7 +217,7 @@ impl MatrixReport {
         self.rows
             .iter()
             .flatten()
-            .filter(|o| matches!(o, Ok(out) if out.result.resumed))
+            .filter(|o| matches!(o, Ok(result) if result.resumed))
             .count()
     }
 }
@@ -286,14 +272,14 @@ fn run_cell(
     spec: &WorkloadSpec,
     index: usize,
     (cell, factory): (String, Factory<'_>),
-) -> Result<MatrixOutput, JobError> {
+) -> Result<RunResult, JobError> {
     let mut predictor = std::panic::catch_unwind(AssertUnwindSafe(|| factory(spec)))
         .map_err(|payload| JobError::panic(index, &spec.name, None, panic_message(payload)))?;
     let name = predictor.name();
     let storage_bits = predictor.storage_bits();
     let fingerprint = checkpoint::job_fingerprint(index, &cell, &name, storage_bits, spec, sim);
     if let Some(restored) = opts.checkpoint.as_deref().and_then(|cp| cp.lookup(&fingerprint)) {
-        return Ok(MatrixOutput { result: restored.result, storage_bits: restored.storage_bits });
+        return Ok(restored);
     }
 
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -304,9 +290,9 @@ fn run_cell(
     }))
     .map_err(|payload| JobError::panic(index, &spec.name, Some(name), panic_message(payload)))?;
     if let Some(cp) = opts.checkpoint.as_deref() {
-        cp.record(&fingerprint, &result, storage_bits);
+        cp.record(&fingerprint, &result, sim);
     }
-    Ok(MatrixOutput { result, storage_bits })
+    Ok(result)
 }
 
 /// Runs every cell of `rows` under `sim`, fanning out over at most
@@ -333,7 +319,7 @@ pub fn run_matrix_opts(
     let widths: Vec<usize> = rows.iter().map(|row| row.cells.len()).collect();
 
     let opts = &opts;
-    let mut jobs: Vec<BoxedJob<'_, Result<MatrixOutput, JobError>>> = Vec::new();
+    let mut jobs: Vec<BoxedJob<'_, Result<RunResult, JobError>>> = Vec::new();
     for MatrixRow { spec, cells } in rows {
         for cell in cells {
             let (index, spec) = (jobs.len(), spec.clone());
@@ -440,15 +426,15 @@ mod tests {
         }
     }
 
-    fn assert_same_run(parallel: &MatrixOutput, serial: &RunResult) {
-        assert_eq!(parallel.result.name, serial.name);
-        assert_eq!(parallel.result.workload, serial.workload);
-        assert_eq!(parallel.result.instructions, serial.instructions);
-        assert_eq!(parallel.result.mispredicts, serial.mispredicts);
-        assert_eq!(parallel.result.override_candidates, serial.override_candidates);
-        assert_eq!(parallel.result.intervals, serial.intervals);
+    fn assert_same_run(parallel: &RunResult, serial: &RunResult) {
+        assert_eq!(parallel.name, serial.name);
+        assert_eq!(parallel.workload, serial.workload);
+        assert_eq!(parallel.instructions, serial.instructions);
+        assert_eq!(parallel.mispredicts, serial.mispredicts);
+        assert_eq!(parallel.override_candidates, serial.override_candidates);
+        assert_eq!(parallel.intervals, serial.intervals);
         assert!(parallel.storage_bits > 0);
-        assert!(!parallel.result.resumed);
+        assert!(!parallel.resumed);
     }
 
     #[test]
@@ -514,11 +500,11 @@ mod tests {
         let report = run_matrix_with(&sim, vec![row], 4);
         for output in report.rows.iter().flatten() {
             let output = output.as_ref().expect("no cell fails");
-            let named: Vec<&str> = output.result.profile.iter().map(|s| s.name).collect();
+            let named: Vec<&str> = output.profile.iter().map(|s| s.name).collect();
             for scope in ["tage::predict", "tage::update", "llbp::pattern_lookup"] {
                 assert!(named.contains(&scope), "{scope} missing from {named:?}");
             }
-            assert!(output.result.wall_seconds > 0.0);
+            assert!(output.wall_seconds > 0.0);
         }
     }
 
@@ -543,8 +529,8 @@ mod tests {
             assert!(err.message.contains("factory exploded"), "{}", err.message);
             for i in [0usize, 2] {
                 let ok = row[i].as_ref().expect("survivors complete");
-                assert_eq!(ok.result.mispredicts, clean.mispredicts);
-                assert!(!ok.result.is_failed());
+                assert_eq!(ok.mispredicts, clean.mispredicts);
+                assert!(!ok.is_failed());
             }
         }
     }
@@ -586,18 +572,15 @@ mod tests {
         for (resumed, clean) in second.rows[0].iter().zip(&clean.rows[0]) {
             let resumed = resumed.as_ref().expect("no cell fails");
             let clean = clean.as_ref().expect("no cell fails");
-            assert_eq!(resumed.result.name, clean.result.name);
-            assert_eq!(resumed.result.instructions, clean.result.instructions);
-            assert_eq!(resumed.result.mispredicts, clean.result.mispredicts);
-            assert_eq!(
-                resumed.result.override_candidates,
-                clean.result.override_candidates
-            );
-            assert_eq!(resumed.result.intervals, clean.result.intervals);
+            assert_eq!(resumed.name, clean.name);
+            assert_eq!(resumed.instructions, clean.instructions);
+            assert_eq!(resumed.mispredicts, clean.mispredicts);
+            assert_eq!(resumed.override_candidates, clean.override_candidates);
+            assert_eq!(resumed.intervals, clean.intervals);
             assert_eq!(resumed.storage_bits, clean.storage_bits);
         }
-        assert!(second.rows[0][0].as_ref().is_ok_and(|o| o.result.resumed));
-        assert!(second.rows[0][1].as_ref().is_ok_and(|o| !o.result.resumed));
+        assert!(second.rows[0][0].as_ref().is_ok_and(|o| o.resumed));
+        assert!(second.rows[0][1].as_ref().is_ok_and(|o| !o.resumed));
 
         // Third pass: everything restores; nothing is simulated.
         let cp = Arc::new(Checkpoint::open(&path).expect("journal reopens again"));
@@ -638,7 +621,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let (a, b) = (first.rows[0][0].as_ref(), second.rows[0][0].as_ref());
         let (a, b) = (a.expect("completes"), b.expect("completes"));
-        assert_eq!((a.result.name.as_str(), b.result.name.as_str()), ("LLBP-X", "LLBP-X"));
+        assert_eq!((a.name.as_str(), b.name.as_str()), ("LLBP-X", "LLBP-X"));
         assert_eq!(a.storage_bits, b.storage_bits, "the collision needs equal storage");
         assert_eq!(second.resumed_cells(), 0, "a different H_th must not restore");
     }

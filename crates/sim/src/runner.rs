@@ -6,7 +6,7 @@ use std::time::Instant;
 use llbpx::LlbpStats;
 use tage::bimodal::Bimodal;
 use tage::PredictInput;
-use telemetry::{IntervalRecorder, IntervalSample, IntervalSnapshot, RunRecord, ScopeTotals};
+use telemetry::{IntervalRecorder, IntervalSample, IntervalSnapshot, Json, ScopeTotals};
 use traces::BranchStream;
 use workloads::{ServerWorkload, WorkloadSpec};
 
@@ -34,6 +34,9 @@ pub struct RunResult {
     /// Second-level statistics (hierarchical predictors only), snapshot
     /// after [`SimPredictor::finish`].
     pub llbp: Option<LlbpStats>,
+    /// Storage budget of the predictor that ran (`u64::MAX` for the
+    /// idealized infinite designs).
+    pub storage_bits: u64,
     /// Wall-clock seconds of the whole run (warmup + measurement).
     ///
     /// This is per-job wall time: under the parallel experiment engine
@@ -89,37 +92,88 @@ impl RunResult {
         }
     }
 
-    /// The run as a structured telemetry record; `sim` supplies the
-    /// requested protocol (warmup/measurement budgets).
-    ///
-    /// The bulky telemetry sections (`intervals`, `profile`) are *moved*
-    /// into the record rather than cloned — after this call the result
-    /// keeps its headline counters (MPKI, mispredicts, second-level stats)
-    /// but its interval time-series and scope profile are empty.
-    pub fn take_record(&mut self, sim: &Simulation) -> RunRecord {
-        RunRecord {
-            predictor: self.name.clone(),
-            workload: self.workload.clone(),
-            warmup_instructions: sim.warmup_instructions,
-            measure_instructions: sim.measure_instructions,
-            instructions: self.instructions,
-            cond_branches: self.cond_branches,
-            mispredicts: self.mispredicts,
-            mpki: self.mpki(),
-            override_candidates: self.override_candidates,
-            wall_seconds: self.wall_seconds,
-            counters: self.llbp.as_ref().map(LlbpStats::counters).unwrap_or_default(),
-            alloc_len_histogram: self
-                .llbp
-                .as_ref()
-                .map(|l| l.alloc_len_histogram.to_vec())
-                .unwrap_or_default(),
-            intervals: std::mem::take(&mut self.intervals),
-            profile: std::mem::take(&mut self.profile),
-            error: self.error.clone(),
-            resumed: self.resumed,
-            extra: Vec::new(),
+    /// The run record: the run as one JSON object, the shape of both a
+    /// telemetry run and a checkpoint journal line. `sim` supplies the
+    /// requested protocol (warmup/measurement budgets). A failed run
+    /// carries its `error` and no `storage_bits`.
+    pub fn to_json(&self, sim: &Simulation) -> Json {
+        let mut counters = Json::obj();
+        let mut histogram = Vec::new();
+        if let Some(stats) = &self.llbp {
+            for (name, value) in stats.counters() {
+                counters = counters.set(name, value);
+            }
+            histogram = stats.alloc_len_histogram.iter().map(|&v| Json::from(v)).collect();
         }
+        let intervals = self.intervals.iter().map(IntervalSample::to_json).collect();
+        let profile = self.profile.iter().map(|s| {
+            Json::obj().set("scope", s.name).set("calls", s.calls).set("nanos", s.nanos)
+        });
+        let mut j = Json::obj()
+            .set("predictor", self.name.as_str())
+            .set("workload", self.workload.as_str())
+            .set("warmup_instructions", sim.warmup_instructions)
+            .set("measure_instructions", sim.measure_instructions)
+            .set("instructions", self.instructions)
+            .set("cond_branches", self.cond_branches)
+            .set("mispredicts", self.mispredicts)
+            .set("mpki", self.mpki())
+            .set("override_candidates", self.override_candidates)
+            .set("wall_seconds", self.wall_seconds)
+            .set("counters", counters)
+            .set("alloc_len_histogram", histogram)
+            .set("intervals", Json::Arr(intervals))
+            .set("profile", Json::Arr(profile.collect()))
+            .set("status", if self.is_failed() { "failed" } else { "ok" });
+        if let Some(error) = &self.error {
+            j = j.set("error", error.as_str());
+        }
+        if self.resumed {
+            j = j.set("resumed", true);
+        }
+        if !self.is_failed() {
+            j = j.set("storage_bits", self.storage_bits);
+        }
+        j
+    }
+
+    /// The inverse of [`RunResult::to_json`] for a completed run: the
+    /// accuracy fields, the second-level counters (`None` when the record's
+    /// `counters` object is empty), the interval time-series, the storage
+    /// bits and `wall_seconds`. The scope profile is not restored: its
+    /// labels are `&'static str`s into the binary. `None` for a failed
+    /// run, or when any field is missing, negative or fractional.
+    pub fn from_json(j: &Json) -> Option<RunResult> {
+        if j.get("status")?.as_str()? != "ok" {
+            return None;
+        }
+        let u = |key: &str| j.get(key).and_then(Json::as_u64);
+        let counters = j.get("counters")?;
+        let llbp = if *counters == Json::obj() {
+            None
+        } else {
+            let histogram = j.get("alloc_len_histogram")?.as_arr()?.iter().map(Json::as_u64);
+            Some(LlbpStats {
+                alloc_len_histogram: histogram.collect::<Option<Vec<_>>>()?.try_into().ok()?,
+                ..LlbpStats::from_counters(|name| counters.get(name)?.as_u64())?
+            })
+        };
+        let intervals = j.get("intervals")?.as_arr()?.iter().map(IntervalSample::from_json);
+        Some(RunResult {
+            name: j.get("predictor")?.as_str()?.to_owned(),
+            workload: j.get("workload")?.as_str()?.to_owned(),
+            instructions: u("instructions")?,
+            cond_branches: u("cond_branches")?,
+            mispredicts: u("mispredicts")?,
+            override_candidates: u("override_candidates")?,
+            llbp,
+            storage_bits: u("storage_bits")?,
+            wall_seconds: j.get("wall_seconds")?.as_f64()?,
+            intervals: intervals.collect::<Option<_>>()?,
+            profile: Vec::new(),
+            error: None,
+            resumed: j.get("resumed") == Some(&Json::Bool(true)),
+        })
     }
 }
 
@@ -258,6 +312,7 @@ impl Simulation {
             Some(start) => end.delta_since(start),
             None => end.clone(),
         });
+        result.storage_bits = predictor.storage_bits();
         result.profile = telemetry::profile::since(&profile_before);
         result.wall_seconds = started.elapsed().as_secs_f64();
         result
@@ -303,8 +358,8 @@ pub fn compare<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llbpx::{Llbp, LlbpConfig};
-    use tage::{TageScl, TslConfig};
+    use llbpx::{Llbp, LlbpConfig, LlbpxConfig};
+    use tage::{DirectionPredictor, TageScl, TslConfig};
     use traces::VecTrace;
 
     fn tiny_spec() -> WorkloadSpec {
@@ -389,41 +444,71 @@ mod tests {
     }
 
     #[test]
-    fn take_record_captures_protocol_and_counters_without_cloning_sections() {
+    fn run_record_serializes_all_sections() {
         let sim = tiny_sim();
-        let mut r = sim.run(&mut Llbp::new(LlbpConfig::paper_baseline()), &tiny_spec());
-        let intervals = r.intervals.len();
-        assert!(intervals >= 2);
-        let record = r.take_record(&sim);
-        assert_eq!(record.warmup_instructions, sim.warmup_instructions);
-        assert_eq!(record.measure_instructions, sim.measure_instructions);
-        assert!(!record.counters.is_empty());
-        assert_eq!(record.intervals.len(), intervals);
-        assert!(r.intervals.is_empty(), "sections move into the record");
-        assert!(r.profile.is_empty(), "sections move into the record");
-        let json = record.to_json();
+        let mut llbp = Llbp::new(LlbpConfig::paper_baseline());
+        let r = sim.run(&mut llbp, &tiny_spec());
+        assert!(r.intervals.len() >= 2);
+        let json = r.to_json(&sim);
+        let get = |key: &str| json.get(key).unwrap();
+        assert_eq!(get("warmup_instructions").as_u64(), Some(sim.warmup_instructions));
+        assert_eq!(get("measure_instructions").as_u64(), Some(sim.measure_instructions));
+        assert_eq!(get("intervals").as_arr().unwrap().len(), r.intervals.len());
+        assert_eq!(get("profile").as_arr().unwrap().len(), r.profile.len());
         assert_eq!(
-            json.get("counters").and_then(|c| c.get("cond_branches")).and_then(|v| v.as_i64()),
-            Some(r.llbp.as_ref().unwrap().cond_branches as i64)
+            get("counters").get("cond_branches").and_then(Json::as_u64),
+            Some(r.llbp.as_ref().unwrap().cond_branches)
         );
-        assert!((json.get("mpki").unwrap().as_f64().unwrap() - r.mpki()).abs() < 1e-12);
+        assert!((get("mpki").as_f64().unwrap() - r.mpki()).abs() < 1e-12);
+        assert_eq!(get("storage_bits").as_u64(), Some(llbp.storage_bits()));
+        assert_eq!(get("status").as_str(), Some("ok"));
+        assert!(json.get("error").is_none() && json.get("resumed").is_none());
+    }
+
+    /// `from_json` inverts `to_json` on real runs of every storage class
+    /// and predictor family, the TSLs' empty counter set included.
+    #[test]
+    fn run_records_round_trip_through_from_json() {
+        let sim = tiny_sim();
+        let strip_profile = |j: Json| match j {
+            Json::Obj(fields) => Json::Obj(fields.into_iter().filter(|(k, _)| k != "profile").collect()),
+            other => other,
+        };
+        let designs: [Box<dyn SimPredictor>; 4] = [
+            Box::new(TageScl::new(TslConfig::kilobytes(64))),
+            Box::new(TageScl::new(TslConfig::infinite())),
+            Box::new(Llbp::new(LlbpConfig::paper_baseline())),
+            Box::new(Llbp::new_x(LlbpxConfig::paper_baseline())),
+        ];
+        for mut design in designs {
+            let run = sim.run(design.as_mut(), &tiny_spec());
+            let json = run.to_json(&sim);
+            let back = RunResult::from_json(&json).expect("a completed run restores");
+            assert_eq!(back.llbp.is_some(), run.llbp.is_some(), "{}", run.name);
+            assert_eq!(back.storage_bits, run.storage_bits);
+            assert_eq!(strip_profile(back.to_json(&sim)), strip_profile(json), "{}", run.name);
+        }
     }
 
     #[test]
     fn statuses_map_to_labels_and_placeholders() {
-        let status = |r: &mut RunResult| {
-            let json = r.take_record(&tiny_sim()).to_json();
-            json.get("status").and_then(|s| s.as_str()).map(str::to_owned)
-        };
-        let mut ok = RunResult::default();
-        assert!(!ok.is_failed());
-        assert_eq!(status(&mut ok).as_deref(), Some("ok"));
+        let json = |r: &RunResult| Json::parse(&r.to_json(&tiny_sim()).to_string()).unwrap();
+        let resumed = RunResult { resumed: true, ..RunResult::default() };
+        assert!(!resumed.is_failed());
+        let j = json(&resumed);
+        assert_eq!(j.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(j.get("resumed"), Some(&Json::Bool(true)));
+        assert!(RunResult::from_json(&j).unwrap().resumed);
         let err = JobError::panic(1, "w", Some("LLBP".into()), "boom".into());
-        let mut r = RunResult::from_job_error(err);
+        let r = RunResult::from_job_error(err);
         assert!(r.is_failed());
         assert_eq!((r.name.as_str(), r.workload.as_str()), ("LLBP", "w"));
         assert_eq!(r.error.as_deref(), Some("boom"));
-        assert_eq!(status(&mut r).as_deref(), Some("failed"));
+        let j = json(&r);
+        assert_eq!(j.get("status").and_then(Json::as_str), Some("failed"));
+        assert_eq!(j.get("error").and_then(Json::as_str), Some("boom"));
+        assert!(j.get("storage_bits").is_none(), "a failed run has no storage");
+        assert!(RunResult::from_json(&j).is_none(), "only completed runs restore");
     }
 
     #[test]

@@ -171,12 +171,6 @@ impl TslConfig {
             label: "Inf TSL".to_owned(),
         }
     }
-
-    /// Renames the configuration for reports.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
 }
 
 impl Default for TslConfig {

@@ -303,7 +303,5 @@ mod tests {
     #[test]
     fn name_reflects_configuration() {
         assert_eq!(TageScl::new(TslConfig::kilobytes(512)).name(), "512K TSL");
-        let renamed = TageScl::new(TslConfig::kilobytes(64).with_label("base"));
-        assert_eq!(renamed.name(), "base");
     }
 }

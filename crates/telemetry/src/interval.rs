@@ -73,6 +73,28 @@ impl IntervalSample {
             .set("allocs_per_kilo", self.allocs_per_kilo)
             .set("pb_occupancy", self.pb_occupancy)
     }
+
+    /// The inverse of [`IntervalSample::to_json`]; `None` when a field is
+    /// missing or out of range.
+    pub fn from_json(j: &Json) -> Option<IntervalSample> {
+        let u = |key: &str| j.get(key).and_then(Json::as_u64);
+        let f = |key: &str| j.get(key).and_then(Json::as_f64);
+        Some(IntervalSample {
+            instructions: u("instructions")?,
+            cond_branches: u("cond_branches")?,
+            mispredicts: u("mispredicts")?,
+            mpki: f("mpki")?,
+            prefetches_issued: u("prefetches_issued")?,
+            prefetch_on_time: u("prefetch_on_time")?,
+            prefetch_late: u("prefetch_late")?,
+            allocations: u("allocations")?,
+            allocs_per_kilo: f("allocs_per_kilo")?,
+            pb_occupancy: match j.get("pb_occupancy")? {
+                Json::Null => None,
+                v => Some(v.as_f64()?),
+            },
+        })
+    }
 }
 
 /// Samples cumulative counters into fixed-width intervals.
@@ -239,5 +261,6 @@ mod tests {
         let j = r.samples()[0].to_json();
         assert_eq!(j.get("pb_occupancy").unwrap().as_f64(), Some(0.5));
         assert_eq!(j.get("instructions").unwrap().as_i64(), Some(12));
+        assert_eq!(IntervalSample::from_json(&j).as_ref(), Some(&r.samples()[0]));
     }
 }

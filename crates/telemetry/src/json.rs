@@ -68,6 +68,20 @@ impl Json {
         }
     }
 
+    /// The value as a u64: a non-negative integer, or an integral float up
+    /// to the `u64::MAX` sentinel that [`From<u64>`] stores as a float
+    /// (saturated back to exactly `u64::MAX`). Negative and fractional
+    /// values are `None`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(i) => u64::try_from(*i).ok(),
+            Json::Num(x) if x.fract() == 0.0 && (0.0..=u64::MAX as f64).contains(x) => {
+                Some(*x as u64)
+            }
+            _ => None,
+        }
+    }
+
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -491,6 +505,16 @@ mod tests {
     fn u64_beyond_i64_degrades_to_float() {
         assert!(matches!(Json::from(u64::MAX), Json::Num(_)));
         assert_eq!(Json::from(42u64), Json::Int(42));
+    }
+
+    #[test]
+    fn as_u64_rejects_negative_and_fractional_values() {
+        let sentinel = Json::parse(&Json::from(u64::MAX).to_string()).unwrap();
+        assert_eq!(sentinel.as_u64(), Some(u64::MAX), "the Inf storage sentinel saturates");
+        assert_eq!((Json::Int(7).as_u64(), Json::Num(3.0).as_u64()), (Some(7), Some(3)));
+        for bad in [Json::Int(-1), Json::Num(-1.0), Json::Num(2.5), Json::Num(1e30), Json::Null] {
+            assert_eq!(bad.as_u64(), None, "{bad:?} must be rejected");
+        }
     }
 
     #[test]

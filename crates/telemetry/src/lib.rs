@@ -5,9 +5,8 @@
 //!
 //! * [`json`] — a small JSON value type, serializer and parser used for the
 //!   machine-readable run records (`BENCH_*.json`);
-//! * [`record`] — the [`RunRecord`] schema one simulation run emits, plus
-//!   the `--json` / `LLBPX_TELEMETRY` sink resolution shared by every
-//!   experiment binary;
+//! * [`record`] — the record-line schema, plus the `--json` /
+//!   `LLBPX_TELEMETRY` sink resolution shared by every experiment binary;
 //! * [`interval`] — per-interval time-series sampling (MPKI, pattern-buffer
 //!   occupancy, prefetch timeliness, allocation rate) for phase-behavior
 //!   views of a run;
@@ -29,4 +28,3 @@ pub use interval::{IntervalRecorder, IntervalSample, IntervalSnapshot};
 pub use json::Json;
 pub use profile::ScopeTotals;
 pub use prng::{SplitMix64, Xoshiro256StarStar};
-pub use record::RunRecord;

@@ -1,19 +1,19 @@
-//! The structured run record one simulation emits, and the sink plumbing
-//! shared by every experiment binary.
+//! The record-line schema and the sink plumbing shared by every
+//! experiment binary.
 //!
-//! A [`RunRecord`] captures one predictor × workload run end to end:
-//! protocol (warmup/measure), configuration labels, headline metrics,
-//! the full always-on counter set, the interval time-series and the scope
-//! profile. Experiment binaries bundle their runs into one JSON line and
-//! append it to `BENCH_<name>.json`, which later PRs use as the
-//! performance/accuracy trajectory of the repository.
+//! A run record is one predictor × workload run as a JSON object:
+//! protocol (warmup/measure), configuration labels, headline metrics, the
+//! full always-on counter set, the interval time-series and the scope
+//! profile. `bpsim::runner::RunResult::to_json` writes it, and the
+//! `LLBPX_CHECKPOINT` journal stores the same object per completed cell.
+//! Experiment binaries bundle their runs into one JSON line and append it
+//! to `BENCH_<name>.json`, the performance/accuracy trajectory of the
+//! repository.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::interval::IntervalSample;
 use crate::json::Json;
-use crate::profile::ScopeTotals;
 
 /// Schema identifier written into every emitted record line.
 ///
@@ -29,117 +29,13 @@ use crate::profile::ScopeTotals;
 /// streams its workload from its own generator. v6 removes the per-cell
 /// deadline and with it the `"timeout"` status and the timed-out-cell
 /// count: `status` is `"ok"` or `"failed"`, and a failed run is one that
-/// panicked.
+/// panicked. Every completed run carries its predictor's `storage_bits`.
 pub const SCHEMA: &str = "llbpx-telemetry/6";
 
 /// Environment variable enabling telemetry without touching a binary's
 /// argument list. Values: `1`/`true` (default `BENCH_<name>.json` in the
 /// working directory), a `*.json` path, or a directory.
 pub const ENV_SINK: &str = "LLBPX_TELEMETRY";
-
-/// One predictor × workload run, fully described.
-#[derive(Debug, Clone, Default)]
-pub struct RunRecord {
-    /// Predictor label (e.g. `"LLBP-X"`).
-    pub predictor: String,
-    /// Workload name (e.g. `"NodeApp"`).
-    pub workload: String,
-    /// Warmup instructions requested.
-    pub warmup_instructions: u64,
-    /// Measured instructions requested.
-    pub measure_instructions: u64,
-    /// Instructions actually measured.
-    pub instructions: u64,
-    /// Conditional branches measured.
-    pub cond_branches: u64,
-    /// Final mispredictions.
-    pub mispredicts: u64,
-    /// Mispredictions per kilo-instruction.
-    pub mpki: f64,
-    /// Override-bubble candidates (see the overriding pipeline model).
-    pub override_candidates: u64,
-    /// Wall-clock seconds the run took on the worker that executed it.
-    ///
-    /// Runs overlap under the parallel experiment engine, so across a
-    /// record's runs these sum to more than the invocation's elapsed time;
-    /// the record line's `total_wall_seconds` carries the coordinator's
-    /// elapsed clock for cross-thread-count comparisons.
-    pub wall_seconds: f64,
-    /// Full second-level counter set, in declaration order (empty for
-    /// predictors without one).
-    pub counters: Vec<(&'static str, u64)>,
-    /// Allocation-attempt histogram per history length (empty for
-    /// predictors without one).
-    pub alloc_len_histogram: Vec<u64>,
-    /// Interval time-series.
-    pub intervals: Vec<IntervalSample>,
-    /// Scope profile accumulated during the run.
-    pub profile: Vec<ScopeTotals>,
-    /// Captured panic message of a failed matrix cell (schema v2). The
-    /// emitted `status` derives from it: `"failed"` when set, `"ok"`
-    /// otherwise.
-    pub error: Option<String>,
-    /// Whether this run was restored from a checkpoint journal rather than
-    /// simulated in this invocation (schema v2).
-    pub resumed: bool,
-    /// Additional fields appended by outer layers (storage bits, CPI, ...).
-    pub extra: Vec<(String, Json)>,
-}
-
-impl RunRecord {
-    /// The record as a JSON object.
-    pub fn to_json(&self) -> Json {
-        let mut counters = Json::obj();
-        for &(name, value) in &self.counters {
-            counters = counters.set(name, value);
-        }
-        let mut j = Json::obj()
-            .set("predictor", self.predictor.as_str())
-            .set("workload", self.workload.as_str())
-            .set("warmup_instructions", self.warmup_instructions)
-            .set("measure_instructions", self.measure_instructions)
-            .set("instructions", self.instructions)
-            .set("cond_branches", self.cond_branches)
-            .set("mispredicts", self.mispredicts)
-            .set("mpki", self.mpki)
-            .set("override_candidates", self.override_candidates)
-            .set("wall_seconds", self.wall_seconds)
-            .set("counters", counters)
-            .set(
-                "alloc_len_histogram",
-                Json::Arr(self.alloc_len_histogram.iter().map(|&v| Json::from(v)).collect()),
-            )
-            .set(
-                "intervals",
-                Json::Arr(self.intervals.iter().map(IntervalSample::to_json).collect()),
-            )
-            .set(
-                "profile",
-                Json::Arr(
-                    self.profile
-                        .iter()
-                        .map(|s| {
-                            Json::obj()
-                                .set("scope", s.name)
-                                .set("calls", s.calls)
-                                .set("nanos", s.nanos)
-                        })
-                        .collect(),
-                ),
-            )
-            .set("status", if self.error.is_some() { "failed" } else { "ok" });
-        if let Some(error) = &self.error {
-            j = j.set("error", error.as_str());
-        }
-        if self.resumed {
-            j = j.set("resumed", true);
-        }
-        for (k, v) in &self.extra {
-            j = j.set(k.as_str(), v.clone());
-        }
-        j
-    }
-}
 
 /// Resolves the telemetry sink for a bench binary named `bench` from an
 /// explicit `--json <path>` argument (checked first) or the
@@ -195,53 +91,6 @@ pub fn append_line(path: &Path, record: &Json) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn run_record_serializes_all_sections() {
-        let rec = RunRecord {
-            predictor: "LLBP".into(),
-            workload: "NodeApp".into(),
-            warmup_instructions: 10,
-            measure_instructions: 20,
-            instructions: 21,
-            cond_branches: 5,
-            mispredicts: 2,
-            mpki: 95.2,
-            override_candidates: 1,
-            wall_seconds: 0.25,
-            counters: vec![("llbp_provided", 3)],
-            alloc_len_histogram: vec![0, 2],
-            intervals: Vec::new(),
-            profile: vec![ScopeTotals { name: "tage::predict", calls: 5, nanos: 1000 }],
-            extra: vec![("cpi".into(), Json::Num(1.5))],
-            ..RunRecord::default()
-        };
-        let j = Json::parse(&rec.to_json().to_string()).expect("round-trips");
-        assert_eq!(j.get("predictor").unwrap().as_str(), Some("LLBP"));
-        assert_eq!(j.get("counters").unwrap().get("llbp_provided").unwrap().as_i64(), Some(3));
-        assert_eq!(j.get("profile").unwrap().as_arr().unwrap().len(), 1);
-        assert_eq!(j.get("cpi").unwrap().as_f64(), Some(1.5));
-        // No error reads back as status "ok"; optional fields stay off the
-        // line entirely.
-        assert_eq!(j.get("status").unwrap().as_str(), Some("ok"));
-        assert!(j.get("error").is_none());
-        assert!(j.get("resumed").is_none());
-    }
-
-    #[test]
-    fn failed_and_resumed_records_emit_v2_fields() {
-        let rec = RunRecord {
-            predictor: "LLBP".into(),
-            workload: "NodeApp".into(),
-            error: Some("worker panicked".into()),
-            resumed: true,
-            ..RunRecord::default()
-        };
-        let j = Json::parse(&rec.to_json().to_string()).expect("round-trips");
-        assert_eq!(j.get("status").unwrap().as_str(), Some("failed"));
-        assert_eq!(j.get("error").unwrap().as_str(), Some("worker panicked"));
-        assert_eq!(j.get("resumed").unwrap(), &Json::Bool(true));
-    }
 
     #[test]
     fn sink_resolution_prefers_explicit_argument() {

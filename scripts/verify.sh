@@ -154,13 +154,12 @@ ckpt="$(mktemp -t llbpx-verify-ckpt-XXXXXX.jsonl)"
 clean_out="$(mktemp -t llbpx-verify-clean-XXXXXX.out)"
 resume_out="$(mktemp -t llbpx-verify-resume-XXXXXX.out)"
 rm -f "$ckpt"
-run_fig01_4t() { # args = extra env assignments
-    env LLBPX_THREADS=4 REPRO_WORKLOADS=NodeApp,TPCC,Wikipedia,Spring \
-        REPRO_WARMUP=300000 REPRO_INSTRUCTIONS=1000000 "$@" \
-        ./target/release/fig01
-}
-run_fig01_4t >"$clean_out"
-run_fig01_4t "LLBPX_CHECKPOINT=$ckpt" >/dev/null 2>&1 &
+fig01_4t=(env LLBPX_THREADS=4 REPRO_WORKLOADS=NodeApp,TPCC,Wikipedia,Spring
+          REPRO_WARMUP=300000 REPRO_INSTRUCTIONS=1000000)
+"${fig01_4t[@]}" ./target/release/fig01 >"$clean_out"
+# A plain command, not a shell function: then `$!` is fig01 itself, and
+# the kill below stops it instead of a subshell whose fig01 runs on.
+"${fig01_4t[@]}" "LLBPX_CHECKPOINT=$ckpt" ./target/release/fig01 >/dev/null 2>&1 &
 victim=$!
 # Kill as soon as the journal holds one finished cell (mid-matrix).
 for _ in $(seq 1 600); do
@@ -172,13 +171,30 @@ kill -9 "$victim" 2>/dev/null || true
 wait "$victim" 2>/dev/null || true
 [ -s "$ckpt" ] || { echo "error: the killed run journaled nothing" >&2; exit 1; }
 before=$(wc -l <"$ckpt")
-run_fig01_4t "LLBPX_CHECKPOINT=$ckpt" >"$resume_out" 2>/dev/null
+"${fig01_4t[@]}" "LLBPX_CHECKPOINT=$ckpt" ./target/release/fig01 >"$resume_out" 2>/dev/null
 # Only the wall-time line may differ from the uninterrupted run.
 if ! diff <(grep -v "total wall time" "$clean_out") \
           <(grep -v "total wall time" "$resume_out"); then
     echo "error: resumed output is not byte-identical to a clean run" >&2
     exit 1
 fi
+# Every journal line is a run record (the object a telemetry run holds)
+# plus the format version and the cell's fingerprint: one line per cell.
+python3 - "$ckpt" <<'EOF'
+import json, sys
+RECORD_KEYS = {"predictor", "workload", "instructions", "cond_branches",
+               "mispredicts", "override_candidates", "counters",
+               "alloc_len_histogram", "intervals", "storage_bits"}
+lines = [l for l in open(sys.argv[1]).read().splitlines() if l.strip()]
+assert len(lines) == 8, f"expected one line per fig01 cell, got {len(lines)}"
+for line in lines:
+    entry = json.loads(line)
+    assert entry["v"] == 3, entry["v"]
+    assert entry["fingerprint"], "a journal line needs its cell's fingerprint"
+    missing = RECORD_KEYS - set(entry)
+    assert not missing, f"journal line lacks run-record keys {sorted(missing)}"
+print(f"ok: {len(lines)} journal line(s), each a v3 run record")
+EOF
 echo "ok: killed after $before journaled cell(s); resumed output byte-identical"
 rm -f "$ckpt" "$clean_out" "$resume_out"
 

@@ -8,6 +8,8 @@
 //! * a failed cell is left out of the run's `LLBPX_CHECKPOINT` journal,
 //!   so a re-run on that journal without the fault matches an
 //!   uninterrupted run;
+//! * journal lines of an older format version are dropped with a warning
+//!   and their cells re-simulate;
 //! * a 4-thread run SIGKILLed mid-matrix resumes from its
 //!   `LLBPX_CHECKPOINT` journal and produces stdout byte-identical to an
 //!   uninterrupted run (only the wall-time line may differ);
@@ -117,6 +119,30 @@ fn a_failed_cell_is_not_journaled_and_a_clean_resume_matches() {
     let line = Json::parse(text.lines().next().expect("one record line")).expect("valid JSON");
     assert_eq!(line.get("resumed_cells").unwrap().as_i64(), Some(3));
     assert!(line.get("failed_cells").is_none(), "nothing fails on the re-run");
+}
+
+#[test]
+fn journal_lines_of_an_older_format_are_dropped_and_their_cells_re_simulate() {
+    let checkpoint = tmp_path("v2.ckpt");
+    let _ = std::fs::remove_file(&checkpoint);
+    let clean = fig01().env("LLBPX_CHECKPOINT", &checkpoint).output().expect("fig01 runs");
+    assert!(clean.status.success());
+
+    // Relabel every journaled line as format version 2: even under a
+    // matching fingerprint, a line of an older format must not restore.
+    let journal = std::fs::read_to_string(&checkpoint).expect("journal was written");
+    assert_eq!(journal.matches("\"v\":3").count(), 4, "one v3 line per cell");
+    std::fs::write(&checkpoint, journal.replace("\"v\":3", "\"v\":2")).unwrap();
+
+    let rerun = fig01().env("LLBPX_CHECKPOINT", &checkpoint).output().expect("fig01 re-runs");
+    let journal = std::fs::read_to_string(&checkpoint).expect("journal was appended");
+    let _ = std::fs::remove_file(&checkpoint);
+    assert!(rerun.status.success());
+    let stderr = String::from_utf8_lossy(&rerun.stderr);
+    assert_eq!(stderr.matches("dropping unparseable journal line").count(), 4, "{stderr}");
+    assert!(!stderr.contains("restored from"), "no cell may restore: {stderr}");
+    assert_eq!(stable_stdout(&clean.stdout), stable_stdout(&rerun.stdout));
+    assert_eq!(journal.matches("\"v\":3").count(), 4, "every cell re-simulated");
 }
 
 #[test]

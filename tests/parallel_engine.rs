@@ -70,7 +70,7 @@ fn engine_matrix_is_bit_identical_to_serial_compare() {
             assert_eq!(serial_row.len(), row.len());
             for (s, out) in serial_row.iter().zip(row) {
                 let out = out.as_ref().expect("no cell fails");
-                assert_same_run(s, &out.result, &format!("threads={threads}"));
+                assert_same_run(s, out, &format!("threads={threads}"));
             }
         }
     }

@@ -24,9 +24,9 @@ fn library_run_records_carry_every_section() {
     let sim = Simulation { warmup_instructions: 50_000, measure_instructions: 200_000 };
     let spec = WorkloadSpec::new("tiny", 11).with_request_types(64).with_handlers(8);
     let mut p = Llbp::new_x(LlbpxConfig::paper_baseline());
-    let mut result = sim.run(&mut p, &spec);
+    let result = sim.run(&mut p, &spec);
 
-    let json = Json::parse(&result.take_record(&sim).to_json().to_string()).expect("round-trips");
+    let json = Json::parse(&result.to_json(&sim).to_string()).expect("round-trips");
     assert_eq!(json.get("predictor").unwrap().as_str(), Some("LLBP-X"));
     assert_eq!(json.get("warmup_instructions").unwrap().as_i64(), Some(50_000));
     let counters = json.get("counters").expect("counters section");
