@@ -105,11 +105,7 @@ impl RunResult {
             }
             histogram = stats.alloc_len_histogram.iter().map(|&v| Json::from(v)).collect();
         }
-        let intervals = self.intervals.iter().map(IntervalSample::to_json).collect();
-        let profile = self.profile.iter().map(|s| {
-            Json::obj().set("scope", s.name).set("calls", s.calls).set("nanos", s.nanos)
-        });
-        let mut j = Json::obj()
+        let j = Json::obj()
             .set("predictor", self.name.as_str())
             .set("workload", self.workload.as_str())
             .set("warmup_instructions", sim.warmup_instructions)
@@ -121,16 +117,14 @@ impl RunResult {
             .set("override_candidates", self.override_candidates)
             .set("wall_seconds", self.wall_seconds)
             .set("counters", counters)
-            .set("alloc_len_histogram", histogram)
-            .set("intervals", Json::Arr(intervals))
-            .set("profile", Json::Arr(profile.collect()))
-            .set("status", if self.is_failed() { "failed" } else { "ok" });
-        if let Some(error) = &self.error {
-            j = j.set("error", error.as_str());
-        }
-        if self.resumed {
-            j = j.set("resumed", true);
-        }
+            .set("alloc_len_histogram", histogram);
+        let mut j = telemetry::record::with_run_sections(
+            j,
+            &self.intervals,
+            &self.profile,
+            self.error.as_deref(),
+            self.resumed,
+        );
         if !self.is_failed() {
             j = j.set("storage_bits", self.storage_bits);
         }
@@ -444,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn run_record_serializes_all_sections() {
+    fn to_json_captures_protocol_and_counters() {
         let sim = tiny_sim();
         let mut llbp = Llbp::new(LlbpConfig::paper_baseline());
         let r = sim.run(&mut llbp, &tiny_spec());

@@ -4,8 +4,10 @@
 //! A run record is one predictor × workload run as a JSON object:
 //! protocol (warmup/measure), configuration labels, headline metrics, the
 //! full always-on counter set, the interval time-series and the scope
-//! profile. `bpsim::runner::RunResult::to_json` writes it, and the
-//! `LLBPX_CHECKPOINT` journal stores the same object per completed cell.
+//! profile. `bpsim::runner::RunResult::to_json` writes it, closing it with
+//! [`with_run_sections`] (the sections whose types this crate owns, and
+//! the run's outcome), and the `LLBPX_CHECKPOINT` journal stores the same
+//! object per completed cell.
 //! Experiment binaries bundle their runs into one JSON line and append it
 //! to `BENCH_<name>.json`, the performance/accuracy trajectory of the
 //! repository.
@@ -13,7 +15,9 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use crate::interval::IntervalSample;
 use crate::json::Json;
+use crate::profile::ScopeTotals;
 
 /// Schema identifier written into every emitted record line.
 ///
@@ -36,6 +40,34 @@ pub const SCHEMA: &str = "llbpx-telemetry/6";
 /// argument list. Values: `1`/`true` (default `BENCH_<name>.json` in the
 /// working directory), a `*.json` path, or a directory.
 pub const ENV_SINK: &str = "LLBPX_TELEMETRY";
+
+/// Appends the closing sections of a run record to `run`: the `intervals`
+/// time-series, the scope `profile`, and the outcome (schema v2) —
+/// `status` (`"failed"` when `error` is set, `"ok"` otherwise), the failed
+/// run's `error`, and `resumed` for a run restored from a checkpoint
+/// journal. Optional fields stay off the line entirely.
+pub fn with_run_sections(
+    run: Json,
+    intervals: &[IntervalSample],
+    profile: &[ScopeTotals],
+    error: Option<&str>,
+    resumed: bool,
+) -> Json {
+    let profile = profile.iter().map(|s| {
+        Json::obj().set("scope", s.name).set("calls", s.calls).set("nanos", s.nanos)
+    });
+    let mut j = run
+        .set("intervals", Json::Arr(intervals.iter().map(IntervalSample::to_json).collect()))
+        .set("profile", Json::Arr(profile.collect()))
+        .set("status", if error.is_some() { "failed" } else { "ok" });
+    if let Some(error) = error {
+        j = j.set("error", error);
+    }
+    if resumed {
+        j = j.set("resumed", true);
+    }
+    j
+}
 
 /// Resolves the telemetry sink for a bench binary named `bench` from an
 /// explicit `--json <path>` argument (checked first) or the
@@ -91,6 +123,55 @@ pub fn append_line(path: &Path, record: &Json) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_record_serializes_all_sections() {
+        let run = Json::obj()
+            .set("predictor", "LLBP")
+            .set("workload", "NodeApp")
+            .set("counters", Json::obj().set("llbp_provided", 3u64));
+        let sample = IntervalSample {
+            instructions: 20,
+            cond_branches: 5,
+            mispredicts: 2,
+            mpki: 100.0,
+            prefetches_issued: 0,
+            prefetch_on_time: 0,
+            prefetch_late: 0,
+            allocations: 1,
+            allocs_per_kilo: 50.0,
+            pb_occupancy: Some(0.5),
+        };
+        let profile = [ScopeTotals { name: "tage::predict", calls: 5, nanos: 1000 }];
+        let intervals = std::slice::from_ref(&sample);
+        let rec = with_run_sections(run, intervals, &profile, None, false).set("cpi", 1.5);
+        let j = Json::parse(&rec.to_string()).expect("round-trips");
+        assert_eq!(j.get("predictor").unwrap().as_str(), Some("LLBP"));
+        assert_eq!(j.get("counters").unwrap().get("llbp_provided").unwrap().as_i64(), Some(3));
+        let intervals = j.get("intervals").unwrap().as_arr().unwrap();
+        assert_eq!(intervals.len(), 1);
+        assert_eq!(IntervalSample::from_json(&intervals[0]), Some(sample));
+        let profile = j.get("profile").unwrap().as_arr().unwrap();
+        assert_eq!(profile.len(), 1);
+        assert_eq!(profile[0].get("scope").unwrap().as_str(), Some("tage::predict"));
+        assert_eq!(profile[0].get("nanos").unwrap().as_u64(), Some(1000));
+        assert_eq!(j.get("cpi").unwrap().as_f64(), Some(1.5));
+        // No error reads back as status "ok"; optional fields stay off the
+        // line entirely.
+        assert_eq!(j.get("status").unwrap().as_str(), Some("ok"));
+        assert!(j.get("error").is_none());
+        assert!(j.get("resumed").is_none());
+    }
+
+    #[test]
+    fn failed_and_resumed_records_emit_v2_fields() {
+        let run = Json::obj().set("predictor", "LLBP").set("workload", "NodeApp");
+        let rec = with_run_sections(run, &[], &[], Some("worker panicked"), true);
+        let j = Json::parse(&rec.to_string()).expect("round-trips");
+        assert_eq!(j.get("status").unwrap().as_str(), Some("failed"));
+        assert_eq!(j.get("error").unwrap().as_str(), Some("worker panicked"));
+        assert_eq!(j.get("resumed").unwrap(), &Json::Bool(true));
+    }
 
     #[test]
     fn sink_resolution_prefers_explicit_argument() {
