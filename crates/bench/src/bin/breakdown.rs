@@ -4,7 +4,7 @@
 use std::process::ExitCode;
 
 use bpsim::report::{pct, Table};
-use llbpx::LlbpxConfig;
+use llbpx::LlbpConfig;
 
 fn main() -> ExitCode {
     let sim = bench::sim();
@@ -16,7 +16,7 @@ fn main() -> ExitCode {
     let designs = [
         bench::design("LLBP", |_| bench::llbp()),
         bench::design("LLBP-X no-HRS", |_| {
-            bench::llbpx_with(LlbpxConfig::paper_baseline().without_history_range_selection())
+            bench::llbp_with(LlbpConfig::llbpx().without_history_range_selection())
         }),
         bench::design("LLBP-X", |_| bench::llbpx()),
     ];

@@ -10,7 +10,7 @@ use std::process::ExitCode;
 
 use bpsim::report::{f3, fmt_or_na, mean, pct, Table};
 use bpsim::RunResult;
-use llbpx::{FalsePathMode, LlbpxConfig};
+use llbpx::{FalsePathMode, LlbpConfig};
 
 fn main() -> ExitCode {
     let sim = bench::sim();
@@ -22,9 +22,7 @@ fn main() -> ExitCode {
     let modes = [FalsePathMode::Include, FalsePathMode::Flush];
     let designs = modes.map(|mode| {
         bench::design(format!("LLBP-X {mode:?}"), move |_| {
-            let mut cfg = LlbpxConfig::paper_baseline();
-            cfg.base.false_path = mode;
-            bench::llbpx_with(cfg)
+            bench::llbp_with(LlbpConfig { false_path: mode, ..LlbpConfig::llbpx() })
         })
     });
     let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);

@@ -5,7 +5,7 @@
 use std::process::ExitCode;
 
 use bpsim::report::{pct, Table};
-use llbpx::LlbpxConfig;
+use llbpx::LlbpConfig;
 
 fn main() -> ExitCode {
     let sim = bench::sim();
@@ -26,11 +26,9 @@ fn main() -> ExitCode {
     );
 
     let mut designs = vec![bench::design("64K TSL", |_| bench::tsl64())];
-    for &(log2_sets, _) in sweeps {
-        designs.push(bench::design(format!("LLBP-X CD 2^{log2_sets}"), move |_| {
-            let mut cfg = LlbpxConfig::zero_latency();
-            cfg.base.cd_log2_sets = log2_sets;
-            bench::llbpx_with(cfg)
+    for &(cd_log2_sets, _) in sweeps {
+        designs.push(bench::design(format!("LLBP-X CD 2^{cd_log2_sets}"), move |_| {
+            bench::llbp_with(LlbpConfig { cd_log2_sets, ..LlbpConfig::llbpx_zero_latency() })
         }));
     }
     let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);

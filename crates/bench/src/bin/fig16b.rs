@@ -5,8 +5,8 @@
 use std::process::ExitCode;
 
 use bpsim::report::{geomean, pct, Table};
-use llbpx::LlbpxConfig;
 use bpsim::RunResult;
+use llbpx::LlbpConfig;
 use tage::TslConfig;
 
 fn main() -> ExitCode {
@@ -28,9 +28,8 @@ fn main() -> ExitCode {
     for &kb in sizes {
         designs.push(bench::design(format!("{kb}K TSL"), move |_| bench::tsl(kb)));
         designs.push(bench::design(format!("LLBP-X {kb}K"), move |_| {
-            let mut cfg = LlbpxConfig::zero_latency();
-            cfg.base.tsl = TslConfig::kilobytes(kb);
-            bench::llbpx_with(cfg)
+            let tsl = TslConfig::kilobytes(kb);
+            bench::llbp_with(LlbpConfig { tsl, ..LlbpConfig::llbpx_zero_latency() })
         }));
     }
     let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);

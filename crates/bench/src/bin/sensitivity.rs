@@ -4,7 +4,7 @@ use std::process::ExitCode;
 
 use bpsim::report::{pct, Table};
 use bpsim::runner::Simulation;
-use llbpx::LlbpxConfig;
+use llbpx::LlbpConfig;
 
 /// Runs one sweep whose first design is the 64K TSL baseline and prints
 /// its table: each configuration's MPKI reduction, then the geomean row.
@@ -38,7 +38,7 @@ fn main() -> ExitCode {
     let mut designs = vec![baseline()];
     designs.extend(h_ths.map(|h| {
         bench::design(format!("LLBP-X H_th={h}"), move |_| {
-            bench::llbpx_with(LlbpxConfig::paper_baseline().with_h_th(h))
+            bench::llbp_with(LlbpConfig::llbpx().with_h_th(h))
         })
     }));
     sweep(
@@ -54,7 +54,7 @@ fn main() -> ExitCode {
     let mut designs = vec![baseline()];
     designs.extend(ctt_sizes.map(|entries| {
         bench::design(format!("LLBP-X CTT={entries}"), move |_| {
-            bench::llbpx_with(LlbpxConfig::paper_baseline().with_ctt_entries(entries))
+            bench::llbp_with(LlbpConfig::llbpx().with_ctt_entries(entries))
         })
     }));
     sweep(

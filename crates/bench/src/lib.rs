@@ -39,7 +39,7 @@ use bpsim::exec::{self, MatrixRow};
 use bpsim::report::Table;
 use bpsim::runner::{RunResult, Simulation};
 use bpsim::{CoreParams, SimPredictor};
-use llbpx::{Llbp, LlbpConfig, LlbpxConfig};
+use llbpx::{Llbp, LlbpConfig};
 use tage::{TageScl, TslConfig};
 use telemetry::Json;
 use workloads::presets::Preset;
@@ -154,32 +154,27 @@ pub fn llbp_0lat() -> Box<dyn SimPredictor> {
 
 /// LLBP-X, the paper's proposal.
 pub fn llbpx() -> Box<dyn SimPredictor> {
-    Box::new(Llbp::new_x(LlbpxConfig::paper_baseline()))
+    Box::new(Llbp::new(LlbpConfig::llbpx()))
 }
 
-/// An LLBP limit-study configuration by constructor.
+/// An LLBP or LLBP-X variant by configuration (a limit-study step, a sweep
+/// point).
 pub fn llbp_with(cfg: LlbpConfig) -> Box<dyn SimPredictor> {
     Box::new(Llbp::new(cfg))
-}
-
-/// An LLBP-X variant by configuration.
-pub fn llbpx_with(cfg: LlbpxConfig) -> Box<dyn SimPredictor> {
-    Box::new(Llbp::new_x(cfg))
 }
 
 /// Runs LLBP-X once to convergence and returns its per-context depth
 /// decisions — the "found ahead of time" oracle of LLBP-X Opt-W (§VII-A).
 pub fn opt_w_oracle(spec: &WorkloadSpec, sim: &Simulation) -> std::collections::HashMap<u64, bool> {
-    let mut trainer = Llbp::new_x(LlbpxConfig::paper_baseline());
+    let mut trainer = Llbp::new(LlbpConfig::llbpx());
     let _ = sim.run(&mut trainer, spec);
     trainer.depth_decisions().clone()
 }
 
 /// LLBP-X with a fixed depth oracle (no retraining loss on transitions).
 pub fn llbpx_opt_w(oracle: std::collections::HashMap<u64, bool>) -> Box<dyn SimPredictor> {
-    let mut cfg = LlbpxConfig::paper_baseline();
-    cfg.base.label = "LLBP-X Opt-W".to_owned();
-    Box::new(Llbp::new_x_with_oracle(cfg, oracle))
+    let cfg = LlbpConfig { label: "LLBP-X Opt-W".to_owned(), ..LlbpConfig::llbpx() };
+    Box::new(Llbp::with_oracle(cfg, oracle))
 }
 
 /// One design of a figure: the cell name it gives every row and a
@@ -190,8 +185,11 @@ pub fn llbpx_opt_w(oracle: std::collections::HashMap<u64, bool>) -> Box<dyn SimP
 /// fingerprint, so give every distinct design in a binary a distinct name.
 pub struct Design {
     name: String,
-    factory: Box<dyn Fn(&WorkloadSpec) -> Box<dyn SimPredictor> + Sync>,
+    factory: Factory,
 }
+
+/// Builds a design's predictor for one row's workload.
+type Factory = Box<dyn Fn(&WorkloadSpec) -> Box<dyn SimPredictor> + Sync>;
 
 /// A [`Design`] named `name`. Plain designs ignore the workload
 /// (`|_| bench::tsl64()`); Opt-W trains its oracle on it.

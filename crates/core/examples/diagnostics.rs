@@ -6,7 +6,7 @@
 //! cargo run --release -p llbpx --example diagnostics [workload] [branches]
 //! ```
 
-use llbpx::{Llbp, LlbpConfig, LlbpxConfig};
+use llbpx::{Llbp, LlbpConfig};
 use tage::{DirectionPredictor, PredictInput};
 use traces::{BranchStream, StreamExt};
 use workloads::ServerWorkload;
@@ -63,5 +63,5 @@ fn main() {
     let spec = workloads::presets::by_name(&name)
         .unwrap_or_else(|| panic!("unknown preset {name}; see workloads::presets::names()"));
     run(&mut Llbp::new(LlbpConfig::paper_baseline()), &spec, n);
-    run(&mut Llbp::new_x(LlbpxConfig::paper_baseline()), &spec, n);
+    run(&mut Llbp::new(LlbpConfig::llbpx()), &spec, n);
 }

@@ -1,5 +1,10 @@
-//! Configuration of the LLBP and LLBP-X hierarchical predictors, including
-//! every limit-study knob of the paper's §III-A (Fig. 5).
+//! Configuration of the LLBP and LLBP-X hierarchical predictors.
+//!
+//! [`LlbpConfig`] holds only what some figure varies: the limit-study knobs
+//! of the paper's §III-A (Fig. 5), the sweeps of §VII, and, for LLBP-X, the
+//! [`DepthAdaptation`] part (`None` is plain LLBP). The hardware the paper
+//! fixes (CD associativity, pattern-set size, D, the two LLBP-X depths, the
+//! CTT geometry, ...) is named constants, each citing its paper section.
 
 use tage::{TslConfig, HISTORY_LENGTHS, NUM_TABLES};
 
@@ -125,27 +130,57 @@ pub enum FalsePathMode {
     Flush,
 }
 
-/// Configuration of the baseline LLBP (§II-C) plus the limit-study knobs.
+// The hardware the paper fixes. No figure varies these, so they are
+// constants rather than `LlbpConfig` fields.
+
+/// Context-directory associativity: 2^11 sets × 7 ways are the 14K
+/// contexts of the paper's LLBP (§II-C.3).
+pub const CD_WAYS: usize = 7;
+/// Context tag bits per context-directory entry (§II-C.3). The unbounded
+/// store of the "+ Inf Contexts" limit config keeps whole context IDs.
+pub const CONTEXT_TAG_BITS: u32 = 14;
+/// Patterns per pattern set: 4 buckets of 4, one 288-bit pattern-store
+/// transaction (§II-C.4).
+pub const PATTERNS_PER_SET: usize = 16;
+/// Pattern-buffer entries (§II-C.3).
+pub const PB_ENTRIES: usize = 64;
+/// Skip depth D: the most recent unconditional branches left out of the
+/// context ID, which opens the prefetch window (§II-C.3).
+pub const SKIP_DEPTH: usize = 4;
+/// LLBP-X's shallow context depth W, the CTT's key (CID₂, §V-B.2).
+pub const W_SHALLOW: usize = 2;
+/// LLBP-X's deep context depth W (CID₆₄, §V-B.2).
+pub const W_DEEP: usize = 64;
+/// log2 of CTT sets: 2^10 sets × 6 ways are the 6K-entry, 9 KiB CTT
+/// (§V-D.3).
+pub const CTT_LOG2_SETS: u32 = 10;
+/// CTT tag bits (§V-D.3).
+pub const CTT_TAG_BITS: u32 = 6;
+/// Confident patterns in a set before the pattern buffer raises the
+/// overflow signal (§V-B.1).
+pub const OVERFLOW_THRESHOLD: u32 = 7;
+/// Saturation value of the CTT's 3-bit avg-hist-len counter (§V-B.1).
+pub const AVG_HIST_SATURATION: u8 = 7;
+
+/// Configuration of LLBP (§II-C), its limit-study variants (§III-A) and
+/// LLBP-X (§V): every value some figure varies. The rest of the hardware
+/// is the constants above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LlbpConfig {
-    /// Baseline TSL under the hierarchy (the paper pairs LLBP with 64K TSL).
+    /// Baseline TSL under the hierarchy (the paper pairs LLBP with 64K TSL;
+    /// Fig. 16b sweeps it).
     pub tsl: TslConfig,
     /// Human-readable label for reports.
     pub label: String,
 
     // Context directory / pattern store --------------------------------
-    /// log2 of context-directory sets (2^11 sets × 7 ways = 14336 contexts).
+    /// log2 of context-directory sets (2^11 sets × [`CD_WAYS`] = 14336
+    /// contexts; Fig. 16a sweeps it).
     pub cd_log2_sets: u32,
-    /// Context-directory associativity.
-    pub cd_ways: usize,
-    /// Context tag bits stored in the CD (31 in the +Inf Contexts study).
-    pub context_tag_bits: u32,
     /// Unbounded context storage (the "+ Inf Contexts" limit config).
     pub infinite_contexts: bool,
 
     // Pattern sets ------------------------------------------------------
-    /// Patterns per pattern set (16 in hardware).
-    pub patterns_per_set: usize,
     /// Unbounded patterns per set (the "+ Inf Patterns" limit config).
     pub infinite_patterns: bool,
     /// Pattern tag width (13 in hardware, 20 in the "+ 20b Tag" study).
@@ -157,16 +192,13 @@ pub struct LlbpConfig {
     pub suppress_sc: bool,
 
     // Context formation ---------------------------------------------------
-    /// Context depth W: unconditional branches hashed into the context ID.
+    /// Context depth W: unconditional branches hashed into the context ID
+    /// (LLBP-X uses [`W_SHALLOW`] and [`W_DEEP`] instead).
     pub w: usize,
-    /// Skip depth D: most recent UBs excluded, creating the prefetch window.
-    pub d: usize,
     /// Replace the RCR hash with the branch PC ("+ No Contextualization").
     pub no_contextualization: bool,
 
-    // Pattern buffer / timing ----------------------------------------------
-    /// Pattern-buffer entries.
-    pub pb_entries: usize,
+    // Timing --------------------------------------------------------------
     /// Prefetch latency in branch events (0 = the 0-latency idealization).
     pub latency_events: u64,
     /// Wrong-path prefetch handling.
@@ -175,6 +207,38 @@ pub struct LlbpConfig {
     /// Collect per-context/per-pattern analysis statistics (Figs. 6-9).
     /// Costs memory and time; off for plain MPKI runs.
     pub analysis: bool,
+
+    /// LLBP-X's dynamic context depth adaptation (§V); `None` is LLBP.
+    pub depth: Option<DepthAdaptation>,
+}
+
+/// The part of LLBP-X's depth adaptation (§V) that the paper's figures
+/// sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DepthAdaptation {
+    /// History-length threshold H_th steering avg-hist-len (232; §VII-F
+    /// sweeps 37..=1444).
+    pub h_th: usize,
+    /// CTT associativity (6 ways of 2^[`CTT_LOG2_SETS`] sets; §VII-F sweeps
+    /// 4K..=8K entries).
+    pub ctt_ways: usize,
+    /// Partition history lengths by depth (§V-C); disabling this keeps the
+    /// original LLBP 16-length set for both depths (ablation §VII-E).
+    pub history_range_selection: bool,
+}
+
+impl DepthAdaptation {
+    /// Total CTT entries.
+    pub fn ctt_entries(&self) -> usize {
+        (1usize << CTT_LOG2_SETS) * self.ctt_ways
+    }
+
+    /// CTT storage in bits: 6b tag + 3b avg-hist-len + 1b depth + 2b
+    /// replacement per entry (the paper's 9 KiB).
+    pub fn ctt_storage_bits(&self) -> u64 {
+        let avg_hist_bits = u64::from(AVG_HIST_SATURATION.ilog2() + 1);
+        self.ctt_entries() as u64 * (u64::from(CTT_TAG_BITS) + avg_hist_bits + 1 + 2)
+    }
 }
 
 impl LlbpConfig {
@@ -187,21 +251,17 @@ impl LlbpConfig {
             tsl: TslConfig::kilobytes(64),
             label: "LLBP".to_owned(),
             cd_log2_sets: 11,
-            cd_ways: 7,
-            context_tag_bits: 14,
             infinite_contexts: false,
-            patterns_per_set: 16,
             infinite_patterns: false,
             pattern_tag_bits: 13,
             lengths: LengthSet::llbp_default(),
             suppress_sc: true,
             w: 8,
-            d: 4,
             no_contextualization: false,
-            pb_entries: 64,
             latency_events: 8,
             false_path: FalsePathMode::Include,
             analysis: false,
+            depth: None,
         }
     }
 
@@ -234,11 +294,11 @@ impl LlbpConfig {
         }
     }
 
-    /// Limit study step 3 (+ Inf Contexts): unlimited contexts, 31-bit tags.
+    /// Limit study step 3 (+ Inf Contexts): unlimited contexts, each
+    /// stored under its whole context ID.
     pub fn with_infinite_contexts() -> Self {
         LlbpConfig {
             infinite_contexts: true,
-            context_tag_bits: 31,
             label: "+Inf Contexts".to_owned(),
             ..LlbpConfig::with_20b_tags()
         }
@@ -263,6 +323,25 @@ impl LlbpConfig {
         }
     }
 
+    /// The paper's LLBP-X: LLBP plus a 6K-entry 6-way CTT, H_th = 232 and
+    /// shallow 6..=232 / deep 37..=3000 history ranges.
+    pub fn llbpx() -> Self {
+        LlbpConfig {
+            label: "LLBP-X".to_owned(),
+            depth: Some(DepthAdaptation { h_th: 232, ctt_ways: 6, history_range_selection: true }),
+            ..LlbpConfig::paper_baseline()
+        }
+    }
+
+    /// 0-latency LLBP-X (capacity sensitivity studies).
+    pub fn llbpx_zero_latency() -> Self {
+        LlbpConfig {
+            latency_events: 0,
+            label: "LLBP-X-0Lat".to_owned(),
+            ..LlbpConfig::llbpx()
+        }
+    }
+
     /// Sets the context depth W (Figs. 8 and 9 sweep this).
     pub fn with_w(mut self, w: usize) -> Self {
         self.w = w;
@@ -275,9 +354,49 @@ impl LlbpConfig {
         self
     }
 
+    /// Sets H_th (§VII-F sweeps 37..=1444).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless this is an LLBP-X configuration.
+    pub fn with_h_th(mut self, h_th: usize) -> Self {
+        self.depth_mut().h_th = h_th;
+        self
+    }
+
+    /// Sets the CTT capacity (§VII-F sweeps 4K..=8K entries with 1K sets).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless this is an LLBP-X configuration and `entries` fills
+    /// whole ways.
+    pub fn with_ctt_entries(mut self, entries: usize) -> Self {
+        assert!(entries.is_multiple_of(1 << CTT_LOG2_SETS), "entries must fill whole ways");
+        self.depth_mut().ctt_ways = entries >> CTT_LOG2_SETS;
+        self
+    }
+
+    /// Disables history range selection (optimization breakdown, §VII-E).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless this is an LLBP-X configuration.
+    pub fn without_history_range_selection(mut self) -> Self {
+        self.depth_mut().history_range_selection = false;
+        self
+    }
+
+    /// The depth part the LLBP-X builders edit; panics on a plain LLBP.
+    fn depth_mut(&mut self) -> &mut DepthAdaptation {
+        match &mut self.depth {
+            Some(depth) => depth,
+            None => panic!("`{}` is not an LLBP-X config", self.label),
+        }
+    }
+
     /// Total contexts in the directory.
     pub fn total_contexts(&self) -> usize {
-        (1usize << self.cd_log2_sets) * self.cd_ways
+        (1usize << self.cd_log2_sets) * CD_WAYS
     }
 
     /// Bits of one stored pattern: tag + 3-bit counter + 2-bit length
@@ -286,19 +405,21 @@ impl LlbpConfig {
         u64::from(self.pattern_tag_bits) + 3 + 2
     }
 
-    /// Storage of the second level in bits (pattern store + CD + PB + RCR).
+    /// Storage of the second level in bits: pattern store + CD + PB + RCR,
+    /// plus the CTT for LLBP-X.
     ///
     /// Returns `u64::MAX` for the unbounded limit-study configurations.
     pub fn storage_bits(&self) -> u64 {
         if self.infinite_contexts || self.infinite_patterns {
             return u64::MAX;
         }
-        let set_bits = self.patterns_per_set as u64 * self.pattern_bits();
+        let set_bits = PATTERNS_PER_SET as u64 * self.pattern_bits();
         let store = self.total_contexts() as u64 * set_bits;
-        let cd = self.total_contexts() as u64 * (u64::from(self.context_tag_bits) + 2);
-        let pb = self.pb_entries as u64 * set_bits;
+        let cd = self.total_contexts() as u64 * (u64::from(CONTEXT_TAG_BITS) + 2);
+        let pb = PB_ENTRIES as u64 * set_bits;
         let rcr = self.w as u64 * 28;
-        store + cd + pb + rcr
+        let ctt = self.depth.map_or(0, |depth| depth.ctt_storage_bits());
+        store + cd + pb + rcr + ctt
     }
 
     /// Validates internal consistency.
@@ -307,12 +428,6 @@ impl LlbpConfig {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.cd_ways == 0 || self.pb_entries == 0 {
-            return Err("cd_ways and pb_entries must be positive".into());
-        }
-        if self.patterns_per_set == 0 && !self.infinite_patterns {
-            return Err("patterns_per_set must be positive".into());
-        }
         if !(8..=31).contains(&self.pattern_tag_bits) {
             return Err("pattern_tag_bits out of range".into());
         }
@@ -325,6 +440,14 @@ impl LlbpConfig {
         if self.lengths.bucketed() && !self.lengths.len().is_multiple_of(4) {
             return Err("bucketed length sets must split into 4 buckets".into());
         }
+        if let Some(depth) = self.depth {
+            if depth.ctt_ways == 0 {
+                return Err("ctt_ways must be positive".into());
+            }
+            if !HISTORY_LENGTHS.contains(&depth.h_th) {
+                return Err(format!("h_th {} is not a TAGE history length", depth.h_th));
+            }
+        }
         Ok(())
     }
 }
@@ -332,125 +455,6 @@ impl LlbpConfig {
 impl Default for LlbpConfig {
     fn default() -> Self {
         LlbpConfig::paper_baseline()
-    }
-}
-
-/// Configuration of LLBP-X's dynamic context depth adaptation (§V).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LlbpxConfig {
-    /// Everything shared with the baseline (W is superseded by the two
-    /// depths below).
-    pub base: LlbpConfig,
-    /// Shallow context depth (default 2).
-    pub w_shallow: usize,
-    /// Deep context depth (default 64).
-    pub w_deep: usize,
-    /// log2 of CTT sets (2^10 sets × 6 ways = 6K entries, 9 KiB).
-    pub ctt_log2_sets: u32,
-    /// CTT associativity.
-    pub ctt_ways: usize,
-    /// CTT tag bits (6 in the paper).
-    pub ctt_tag_bits: u32,
-    /// Confident patterns in a set before the PB raises the overflow
-    /// signal (7 in the paper).
-    pub overflow_threshold: u32,
-    /// History-length threshold H_th steering avg-hist-len (232).
-    pub h_th: usize,
-    /// Saturation value of the 3-bit avg-hist-len counter (7).
-    pub avg_hist_saturation: u8,
-    /// Partition history lengths by depth (§V-C); disabling this keeps the
-    /// original LLBP 16-length set for both depths (ablation §VII-E).
-    pub history_range_selection: bool,
-}
-
-impl LlbpxConfig {
-    /// The paper's LLBP-X: CTT 6K entries 6-way, overflow at 7 confident
-    /// patterns, H_th = 232, shallow 6..=232 / deep 37..=3000 ranges.
-    pub fn paper_baseline() -> Self {
-        LlbpxConfig {
-            base: LlbpConfig {
-                label: "LLBP-X".to_owned(),
-                ..LlbpConfig::paper_baseline()
-            },
-            w_shallow: 2,
-            w_deep: 64,
-            ctt_log2_sets: 10,
-            ctt_ways: 6,
-            ctt_tag_bits: 6,
-            overflow_threshold: 7,
-            h_th: 232,
-            avg_hist_saturation: 7,
-            history_range_selection: true,
-        }
-    }
-
-    /// 0-latency LLBP-X (capacity sensitivity studies).
-    pub fn zero_latency() -> Self {
-        let mut cfg = LlbpxConfig::paper_baseline();
-        cfg.base.latency_events = 0;
-        cfg.base.label = "LLBP-X-0Lat".to_owned();
-        cfg
-    }
-
-    /// Sets H_th (§VII-F sweeps 37..=1444).
-    pub fn with_h_th(mut self, h_th: usize) -> Self {
-        self.h_th = h_th;
-        self
-    }
-
-    /// Sets the CTT capacity (§VII-F sweeps 4K..=8K entries with 1K sets).
-    pub fn with_ctt_entries(mut self, entries: usize) -> Self {
-        assert!(entries.is_multiple_of(1 << self.ctt_log2_sets), "entries must fill whole ways");
-        self.ctt_ways = entries / (1 << self.ctt_log2_sets);
-        self
-    }
-
-    /// Disables history range selection (optimization breakdown, §VII-E).
-    pub fn without_history_range_selection(mut self) -> Self {
-        self.history_range_selection = false;
-        self
-    }
-
-    /// Total CTT entries.
-    pub fn ctt_entries(&self) -> usize {
-        (1usize << self.ctt_log2_sets) * self.ctt_ways
-    }
-
-    /// CTT storage in bits: 6b tag + 3b avg-hist-len + 1b depth + 2b
-    /// replacement per entry (the paper's 9 KiB).
-    pub fn ctt_storage_bits(&self) -> u64 {
-        self.ctt_entries() as u64
-            * (u64::from(self.ctt_tag_bits) + u64::from(self.avg_hist_saturation.ilog2() + 1) + 1 + 2)
-    }
-
-    /// Validates internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        self.base.validate()?;
-        if self.w_shallow == 0 || self.w_deep <= self.w_shallow {
-            return Err("need 0 < w_shallow < w_deep".into());
-        }
-        if self.ctt_ways == 0 {
-            return Err("ctt_ways must be positive".into());
-        }
-        if self.overflow_threshold == 0
-            || self.overflow_threshold > self.base.patterns_per_set as u32
-        {
-            return Err("overflow_threshold must be in 1..=patterns_per_set".into());
-        }
-        if !HISTORY_LENGTHS.contains(&self.h_th) {
-            return Err(format!("h_th {} is not a TAGE history length", self.h_th));
-        }
-        Ok(())
-    }
-}
-
-impl Default for LlbpxConfig {
-    fn default() -> Self {
-        LlbpxConfig::paper_baseline()
     }
 }
 
@@ -467,17 +471,24 @@ mod tests {
         assert_eq!(LlbpConfig::with_infinite_contexts().validate(), Ok(()));
         assert_eq!(LlbpConfig::with_infinite_patterns().validate(), Ok(()));
         assert_eq!(LlbpConfig::without_contextualization().validate(), Ok(()));
-        assert_eq!(LlbpxConfig::paper_baseline().validate(), Ok(()));
+        assert_eq!(LlbpConfig::llbpx().validate(), Ok(()));
+        assert_eq!(LlbpConfig::llbpx_zero_latency().validate(), Ok(()));
     }
 
     #[test]
     fn paper_llbp_has_14k_contexts_and_515kb() {
+        // The fixed LLBP hardware of §II-C.
+        assert_eq!(CD_WAYS, 7);
+        assert_eq!(CONTEXT_TAG_BITS, 14);
+        assert_eq!(PATTERNS_PER_SET, 16);
+        assert_eq!(PB_ENTRIES, 64);
+        assert_eq!(SKIP_DEPTH, 4);
         let cfg = LlbpConfig::paper_baseline();
         assert_eq!(cfg.total_contexts(), 14336);
         let kib = cfg.storage_bits() as f64 / 8.0 / 1024.0;
         // Paper: 515 KB of second-level storage.
         assert!((490.0..=540.0).contains(&kib), "LLBP storage was {kib:.0} KiB");
-        assert_eq!(cfg.patterns_per_set as u64 * cfg.pattern_bits(), 288);
+        assert_eq!(PATTERNS_PER_SET as u64 * cfg.pattern_bits(), 288);
     }
 
     #[test]
@@ -534,29 +545,31 @@ mod tests {
 
     #[test]
     fn ctt_is_9kib_with_6k_entries() {
-        let cfg = LlbpxConfig::paper_baseline();
-        assert_eq!(cfg.ctt_entries(), 6144);
-        let kib = cfg.ctt_storage_bits() as f64 / 8.0 / 1024.0;
+        // The fixed LLBP-X hardware of §V.
+        assert_eq!((W_SHALLOW, W_DEEP), (2, 64));
+        assert_eq!(CTT_LOG2_SETS, 10);
+        assert_eq!(CTT_TAG_BITS, 6);
+        assert_eq!(OVERFLOW_THRESHOLD, 7);
+        assert_eq!(AVG_HIST_SATURATION, 7);
+        let depth = LlbpConfig::llbpx().depth.expect("LLBP-X adapts its depth");
+        assert_eq!(depth.ctt_entries(), 6144);
+        let kib = depth.ctt_storage_bits() as f64 / 8.0 / 1024.0;
         assert!((8.5..=9.5).contains(&kib), "CTT storage was {kib:.2} KiB");
     }
 
     #[test]
     fn ctt_entry_builder_rejects_partial_ways() {
-        let cfg = LlbpxConfig::paper_baseline().with_ctt_entries(4096);
-        assert_eq!(cfg.ctt_ways, 4);
-        let result = std::panic::catch_unwind(|| {
-            LlbpxConfig::paper_baseline().with_ctt_entries(5000)
-        });
+        let cfg = LlbpConfig::llbpx().with_ctt_entries(4096);
+        assert_eq!(cfg.depth.map(|d| d.ctt_ways), Some(4));
+        let result = std::panic::catch_unwind(|| LlbpConfig::llbpx().with_ctt_entries(5000));
         assert!(result.is_err());
+        assert!(LlbpConfig::llbpx().with_ctt_entries(0).validate().is_err(), "no CTT ways");
     }
 
     #[test]
     fn validation_rejects_degenerate_depths() {
-        let mut cfg = LlbpxConfig::paper_baseline();
-        cfg.w_deep = cfg.w_shallow;
-        assert!(cfg.validate().is_err());
-        let mut cfg = LlbpxConfig::paper_baseline();
-        cfg.h_th = 100; // not a TAGE length
-        assert!(cfg.validate().is_err());
+        assert!(LlbpConfig::paper_baseline().with_w(0).validate().is_err());
+        // 100 is not a TAGE length.
+        assert!(LlbpConfig::llbpx().with_h_th(100).validate().is_err());
     }
 }

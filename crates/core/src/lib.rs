@@ -17,13 +17,13 @@
 //! # Quick start
 //!
 //! ```
-//! use llbpx::{Llbp, LlbpConfig, LlbpxConfig};
+//! use llbpx::{Llbp, LlbpConfig};
 //! use tage::{DirectionPredictor, PredictInput};
 //! use traces::BranchRecord;
 //!
-//! // The paper's three main simulated designs:
+//! // LLBP, and LLBP-X: the same config plus a depth-adaptation part.
 //! let mut llbp = Llbp::new(LlbpConfig::paper_baseline());
-//! let mut llbpx = Llbp::new_x(LlbpxConfig::paper_baseline());
+//! let mut llbpx = Llbp::new(LlbpConfig::llbpx());
 //!
 //! let rec = BranchRecord::cond(0x40_0000, 0x40_0800, true, 6);
 //! assert!(llbp.process(PredictInput::new(&rec)).pred.is_some());
@@ -43,7 +43,7 @@ pub mod rcr;
 pub mod stats;
 pub mod store;
 
-pub use config::{FalsePathMode, LengthSet, LlbpConfig, LlbpxConfig};
+pub use config::{DepthAdaptation, FalsePathMode, LengthSet, LlbpConfig};
 pub use ctt::ContextTrackingTable;
 pub use llbp::Llbp;
 pub use pattern::Pattern;

@@ -2,8 +2,8 @@
 //!
 //! One struct implements both designs: LLBP-X is LLBP plus the context
 //! tracking table, dual rolling context IDs and history range selection,
-//! enabled by constructing with an [`LlbpxConfig`]. The limit-study
-//! configurations of §III-A are [`LlbpConfig`] variants.
+//! enabled by an [`LlbpConfig`] with a [`depth`](LlbpConfig::depth) part.
+//! The limit-study configurations of §III-A are [`LlbpConfig`] variants.
 //!
 //! # Per-branch flow
 //!
@@ -22,7 +22,11 @@ use tage::{DirectionPredictor, PredictInput, TageScl, Update, HISTORY_LENGTHS, N
 use traces::BranchRecord;
 
 use crate::buffer::{Evicted, PatternBuffer, PbLookup};
-use crate::config::{FalsePathMode, LengthSet, LlbpConfig, LlbpxConfig};
+use crate::config::{
+    FalsePathMode, LengthSet, LlbpConfig, AVG_HIST_SATURATION, CD_WAYS, CONTEXT_TAG_BITS,
+    CTT_LOG2_SETS, CTT_TAG_BITS, OVERFLOW_THRESHOLD, PATTERNS_PER_SET, PB_ENTRIES, SKIP_DEPTH,
+    W_DEEP, W_SHALLOW,
+};
 use crate::ctt::ContextTrackingTable;
 use crate::pattern_set::{PatternMatch, PatternSet};
 use crate::rcr::Rcr;
@@ -43,11 +47,11 @@ const BOOT_CTX: SelectedCtx = SelectedCtx { cid: 0x1, cid2: 0x1, deep: false };
 /// The LLBP / LLBP-X hierarchical branch predictor.
 ///
 /// ```
-/// use llbpx::{Llbp, LlbpxConfig};
+/// use llbpx::{Llbp, LlbpConfig};
 /// use tage::{DirectionPredictor, PredictInput};
 /// use traces::BranchRecord;
 ///
-/// let mut p = Llbp::new_x(LlbpxConfig::paper_baseline());
+/// let mut p = Llbp::new(LlbpConfig::llbpx());
 /// let rec = BranchRecord::cond(0x4000, 0x4100, true, 4);
 /// assert!(p.process(PredictInput::new(&rec)).pred.is_some());
 /// assert_eq!(p.name(), "LLBP-X");
@@ -55,7 +59,6 @@ const BOOT_CTX: SelectedCtx = SelectedCtx { cid: 0x1, cid2: 0x1, deep: false };
 #[derive(Debug, Clone)]
 pub struct Llbp {
     cfg: LlbpConfig,
-    xcfg: Option<LlbpxConfig>,
     tsl: TageScl,
     /// Per-length tag folds: lane 0 at the pattern tag width, lane 1 at
     /// width-1 (decorrelates tags, as in TAGE).
@@ -84,55 +87,48 @@ pub struct Llbp {
 }
 
 impl Llbp {
-    /// Builds the original LLBP (or a limit-study variant) from `cfg`.
+    /// Builds LLBP-X when `cfg` has a [`depth`](LlbpConfig::depth) part,
+    /// and otherwise the original LLBP (or a limit-study variant).
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails validation.
     pub fn new(cfg: LlbpConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid LLBP config `{}`: {e}", cfg.label);
-        }
-        Self::build(cfg, None, None)
-    }
-
-    /// Builds LLBP-X from `xcfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xcfg` fails validation.
-    pub fn new_x(xcfg: LlbpxConfig) -> Self {
-        if let Err(e) = xcfg.validate() {
-            panic!("invalid LLBP-X config `{}`: {e}", xcfg.base.label);
-        }
-        Self::build(xcfg.base.clone(), Some(xcfg), None)
+        Self::build(cfg, None)
     }
 
     /// Builds LLBP-X with pre-computed depth decisions (the paper's
     /// "LLBP-X Opt-W" upper bound): depths are fixed from the first
     /// instruction, so no retraining is lost on transitions.
-    pub fn new_x_with_oracle(xcfg: LlbpxConfig, oracle: HashMap<u64, bool>) -> Self {
-        if let Err(e) = xcfg.validate() {
-            panic!("invalid LLBP-X config `{}`: {e}", xcfg.base.label);
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails validation or has no depth part.
+    pub fn with_oracle(cfg: LlbpConfig, oracle: HashMap<u64, bool>) -> Self {
+        if cfg.depth.is_none() {
+            panic!("LLBP-X Opt-W needs a depth-adapting config; `{}` has none", cfg.label);
         }
-        Self::build(xcfg.base.clone(), Some(xcfg), Some(oracle))
+        Self::build(cfg, Some(oracle))
     }
 
-    fn build(cfg: LlbpConfig, xcfg: Option<LlbpxConfig>, oracle: Option<HashMap<u64, bool>>) -> Self {
+    fn build(cfg: LlbpConfig, oracle: Option<HashMap<u64, bool>>) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid LLBP config `{}`: {e}", cfg.label);
+        }
         let tag_bits = cfg.pattern_tag_bits;
         let folds =
             FoldLanes::new(HISTORY_LENGTHS, [[tag_bits; NUM_TABLES], [tag_bits - 1; NUM_TABLES]]);
         let store = if cfg.infinite_contexts {
             PatternStore::infinite()
         } else {
-            PatternStore::finite(cfg.cd_log2_sets, cfg.cd_ways, cfg.context_tag_bits)
+            PatternStore::finite(cfg.cd_log2_sets, CD_WAYS, CONTEXT_TAG_BITS)
         };
-        let ctt = xcfg.as_ref().filter(|_| oracle.is_none()).map(|x| {
+        let ctt = cfg.depth.filter(|_| oracle.is_none()).map(|depth| {
             ContextTrackingTable::new(
-                x.ctt_log2_sets,
-                x.ctt_ways,
-                x.ctt_tag_bits,
-                x.avg_hist_saturation,
+                CTT_LOG2_SETS,
+                depth.ctt_ways,
+                CTT_TAG_BITS,
+                AVG_HIST_SATURATION,
             )
         });
         let stats = LlbpStats {
@@ -146,9 +142,9 @@ impl Llbp {
             ctt,
             oracle,
             depth_decisions: HashMap::new(),
-            ctx_queue: VecDeque::with_capacity(cfg.d + 2),
+            ctx_queue: VecDeque::with_capacity(SKIP_DEPTH + 2),
             store,
-            pb: PatternBuffer::new(cfg.pb_entries),
+            pb: PatternBuffer::new(PB_ENTRIES),
             recent_ctxs: VecDeque::with_capacity(32),
             stats,
             last_provided: false,
@@ -157,18 +153,12 @@ impl Llbp {
             shallow_lengths: LengthSet::shallow_range(),
             deep_lengths: LengthSet::deep_range(),
             cfg,
-            xcfg,
         }
     }
 
-    /// The baseline configuration.
+    /// The configuration.
     pub fn config(&self) -> &LlbpConfig {
         &self.cfg
-    }
-
-    /// The LLBP-X extension configuration, if any.
-    pub fn xconfig(&self) -> Option<&LlbpxConfig> {
-        self.xcfg.as_ref()
     }
 
     /// Run statistics.
@@ -182,7 +172,7 @@ impl Llbp {
     }
 
     /// Final depth decision observed per shallow context (feed this to
-    /// [`new_x_with_oracle`](Self::new_x_with_oracle) for Opt-W).
+    /// [`with_oracle`](Self::with_oracle) for Opt-W).
     pub fn depth_decisions(&self) -> &HashMap<u64, bool> {
         &self.depth_decisions
     }
@@ -208,8 +198,8 @@ impl Llbp {
 
     /// Active history lengths for a context of the given depth.
     fn allowed_lengths(&self, deep: bool) -> &LengthSet {
-        match &self.xcfg {
-            Some(x) if x.history_range_selection => {
+        match self.cfg.depth {
+            Some(depth) if depth.history_range_selection => {
                 if deep {
                     &self.deep_lengths
                 } else {
@@ -272,10 +262,10 @@ impl Llbp {
                 if let Some(ev) = self.pb.insert(cid, set, self.clock, prefetched) {
                     Self::account_eviction(&mut self.stats, &mut self.store, ev);
                 }
-                self.pb
-                    .lookup(cid, u64::MAX)
-                    .ready_index()
-                    .unwrap_or_else(|| unreachable!("entry was just inserted"))
+                match self.pb.lookup(cid, u64::MAX) {
+                    PbLookup::Ready(i) => i,
+                    _ => unreachable!("entry was just inserted"),
+                }
             }
         }
     }
@@ -412,8 +402,8 @@ impl Llbp {
             } else {
                 tage.provider_history_len()
             };
-            self.allocate(pc, taken, provider_bits, &tags, cur, &allowed);
-            self.on_mispredict(cur);
+            self.allocate(taken, provider_bits, &tags, cur, &allowed);
+            self.on_mispredict();
         }
 
         final_pred
@@ -423,7 +413,6 @@ impl Llbp {
     /// provider, honoring depth-based history ranges and CTT feedback.
     fn allocate(
         &mut self,
-        _pc: u64,
         taken: bool,
         provider_bits: usize,
         tags: &[u32; NUM_TABLES],
@@ -439,12 +428,12 @@ impl Llbp {
         };
         self.stats.alloc_len_histogram[needed_idx as usize] += 1;
 
-        if let (Some(x), Some(ctt)) = (&self.xcfg, &mut self.ctt) {
+        if let (Some(depth), Some(ctt)) = (self.cfg.depth, &mut self.ctt) {
             if ctt.is_tracked(cur.cid2) {
                 // "Long" is inclusive of H_th itself: an allocation landing
                 // on the threshold rung means the provider already sits just
                 // below it, i.e. the context is pushing the shallow ceiling.
-                let long = HISTORY_LENGTHS[needed_idx as usize] >= x.h_th;
+                let long = HISTORY_LENGTHS[needed_idx as usize] >= depth.h_th;
                 ctt.observe_allocation(cur.cid2, long);
                 self.depth_decisions.insert(cur.cid2, ctt.peek_deep(cur.cid2));
                 self.stats.depth_transitions = ctt.transitions();
@@ -452,14 +441,13 @@ impl Llbp {
         }
 
         let Some(alloc_idx) = allowed.next_longer(provider_bits) else {
-            if self.xcfg.as_ref().is_some_and(|x| x.history_range_selection) {
+            if self.cfg.depth.is_some_and(|depth| depth.history_range_selection) {
                 self.stats.alloc_dropped_range += 1;
             }
             return;
         };
 
-        let capacity =
-            if self.cfg.infinite_patterns { None } else { Some(self.cfg.patterns_per_set) };
+        let capacity = if self.cfg.infinite_patterns { None } else { Some(PATTERNS_PER_SET) };
 
         if self.cfg.no_contextualization {
             if self.store.lookup(cur.cid).is_none() {
@@ -484,22 +472,17 @@ impl Llbp {
         self.check_overflow(i, cur.cid2);
     }
 
-    /// PB → CTT overflow signal (SV-B.1): the set holds too many confident
+    /// PB → CTT overflow signal (§V-B.1): the set holds too many confident
     /// patterns, or it has churned through far more allocations than its
-    /// capacity (the `T_max` heuristic).
+    /// capacity (the `T_max` heuristic). Only LLBP-X without an oracle has
+    /// a CTT to signal.
     fn check_overflow(&mut self, pb_index: usize, cid2: u64) {
-        let Some(x) = &self.xcfg else { return };
-        if self.oracle.is_some() {
-            return;
-        }
+        let Some(ctt) = &mut self.ctt else { return };
         let set = &self.pb.entry(pb_index).set;
-        let churn_limit = (2 * self.cfg.patterns_per_set).min(u16::MAX as usize) as u16;
-        if set.confident_count() >= x.overflow_threshold
-            || set.lifetime_allocations() >= churn_limit
+        if set.confident_count() >= OVERFLOW_THRESHOLD
+            || set.lifetime_allocations() >= 2 * PATTERNS_PER_SET as u16
         {
-            if let Some(ctt) = &mut self.ctt {
-                ctt.begin_tracking(cid2);
-            }
+            ctt.begin_tracking(cid2);
         }
     }
 
@@ -508,7 +491,7 @@ impl Llbp {
     /// in `Include` mode the next prefetches are modelled as already issued
     /// (zero latency) plus one stale-context pollution prefetch; in `Flush`
     /// mode in-flight fills are dropped instead.
-    fn on_mispredict(&mut self, _cur: SelectedCtx) {
+    fn on_mispredict(&mut self) {
         match self.cfg.false_path {
             FalsePathMode::Include => {
                 self.boosted = 2;
@@ -556,26 +539,23 @@ impl Llbp {
             return;
         }
 
-        let sel = match &self.xcfg {
-            Some(x) => {
-                self.stats.ctt_accesses += 1;
-                let cid2 = self.rcr.context_id(x.w_shallow);
-                let deep = match (&self.oracle, &mut self.ctt) {
-                    (Some(map), _) => map.get(&cid2).copied().unwrap_or(false),
-                    (None, Some(ctt)) => ctt.is_deep(cid2),
-                    (None, None) => false,
-                };
-                let cid = if deep { self.rcr.context_id(x.w_deep) } else { cid2 };
-                SelectedCtx { cid, cid2, deep }
-            }
-            None => {
-                let cid = self.rcr.context_id(self.cfg.w);
-                SelectedCtx { cid, cid2: cid, deep: false }
-            }
+        let sel = if self.cfg.depth.is_some() {
+            self.stats.ctt_accesses += 1;
+            let cid2 = self.rcr.context_id(W_SHALLOW);
+            let deep = match (&self.oracle, &mut self.ctt) {
+                (Some(map), _) => map.get(&cid2).copied().unwrap_or(false),
+                (None, Some(ctt)) => ctt.is_deep(cid2),
+                (None, None) => false,
+            };
+            let cid = if deep { self.rcr.context_id(W_DEEP) } else { cid2 };
+            SelectedCtx { cid, cid2, deep }
+        } else {
+            let cid = self.rcr.context_id(self.cfg.w);
+            SelectedCtx { cid, cid2: cid, deep: false }
         };
 
         self.ctx_queue.push_back(sel);
-        if self.ctx_queue.len() > self.cfg.d + 1 {
+        if self.ctx_queue.len() > SKIP_DEPTH + 1 {
             let activated = self
                 .ctx_queue
                 .pop_front()
@@ -588,20 +568,6 @@ impl Llbp {
 
         self.stats.cd_accesses += 1;
         self.issue_prefetch(sel.cid);
-    }
-}
-
-/// Convenience accessor used by [`Llbp::ensure_pb_set`].
-trait ReadyIndex {
-    fn ready_index(self) -> Option<usize>;
-}
-
-impl ReadyIndex for PbLookup {
-    fn ready_index(self) -> Option<usize> {
-        match self {
-            PbLookup::Ready(i) => Some(i),
-            _ => None,
-        }
     }
 }
 
@@ -633,8 +599,7 @@ impl DirectionPredictor for Llbp {
         if tsl == u64::MAX || second == u64::MAX {
             return u64::MAX;
         }
-        let ctt = self.xcfg.as_ref().map_or(0, |x| x.ctt_storage_bits());
-        tsl + second + ctt
+        tsl + second
     }
 }
 
@@ -708,18 +673,25 @@ mod tests {
 
     #[test]
     fn llbpx_constructs_with_and_without_oracle() {
-        let p = Llbp::new_x(LlbpxConfig::paper_baseline());
-        assert!(p.xconfig().is_some());
+        let p = Llbp::new(LlbpConfig::llbpx());
+        assert!(p.config().depth.is_some() && p.ctt().is_some());
         assert_eq!(p.name(), "LLBP-X");
         let oracle = HashMap::from([(42u64, true)]);
-        let p = Llbp::new_x_with_oracle(LlbpxConfig::paper_baseline(), oracle);
-        assert!(p.xconfig().is_some());
+        let p = Llbp::with_oracle(LlbpConfig::llbpx(), oracle);
+        assert!(p.config().depth.is_some() && p.ctt().is_none(), "the oracle replaces the CTT");
+        assert!(Llbp::new(LlbpConfig::paper_baseline()).ctt().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "`LLBP-0Lat` has none")]
+    fn opt_w_needs_a_depth_adapting_config() {
+        let _ = Llbp::with_oracle(LlbpConfig::zero_latency(), HashMap::new());
     }
 
     #[test]
     fn storage_accounts_for_all_levels() {
         let llbp = Llbp::new(LlbpConfig::paper_baseline());
-        let llbpx = Llbp::new_x(LlbpxConfig::paper_baseline());
+        let llbpx = Llbp::new(LlbpConfig::llbpx());
         let diff = llbpx.storage_bits() as i64 - llbp.storage_bits() as i64;
         // LLBP-X adds the 9 KiB CTT (§V-D.3).
         let kib = diff as f64 / 8.0 / 1024.0;
@@ -784,7 +756,7 @@ mod tests {
 
     #[test]
     fn depth_decisions_are_recorded_for_oracle_replay() {
-        let mut p = Llbp::new_x(LlbpxConfig::paper_baseline());
+        let mut p = Llbp::new(LlbpConfig::llbpx());
         // Hammer one context with long-history mispredictions to push it
         // deep: random outcomes under a stable 2-UB context.
         let mut x = 11u64;

@@ -5,7 +5,7 @@
 //! model fuses the two (the CD entry *is* the set's residence). The finite
 //! organization is set-associative with the paper's replacement policy —
 //! favor keeping sets with more high-confidence patterns; the infinite
-//! organization (limit studies) is a hash map with full 31-bit tags.
+//! organization (limit studies) is a hash map keyed by whole context IDs.
 
 use std::collections::HashMap;
 
@@ -60,10 +60,9 @@ impl PatternStore {
         PatternStore { inner: StoreImpl::Infinite(HashMap::new()), clock: 0, evictions: 0 }
     }
 
-    fn locate(ways: &[StoreWay], sets_log2: u32, assoc: usize, tag_bits: u32, cid: u64) -> (usize, u32) {
+    fn locate(sets_log2: u32, assoc: usize, tag_bits: u32, cid: u64) -> (usize, u32) {
         let set = (cid as usize) & ((1 << sets_log2) - 1);
         let tag = ((cid >> sets_log2) & ((1u64 << tag_bits) - 1)) as u32;
-        let _ = ways;
         (set * assoc, tag)
     }
 
@@ -72,7 +71,7 @@ impl PatternStore {
         self.clock += 1;
         match &mut self.inner {
             StoreImpl::Finite { ways, sets_log2, assoc, tag_bits } => {
-                let (base, tag) = Self::locate(ways, *sets_log2, *assoc, *tag_bits, cid);
+                let (base, tag) = Self::locate(*sets_log2, *assoc, *tag_bits, cid);
                 for i in base..base + *assoc {
                     if ways[i].valid && ways[i].tag == tag {
                         ways[i].lru = self.clock;
@@ -89,7 +88,7 @@ impl PatternStore {
     pub fn contains(&self, cid: u64) -> bool {
         match &self.inner {
             StoreImpl::Finite { ways, sets_log2, assoc, tag_bits } => {
-                let (base, tag) = Self::locate(ways, *sets_log2, *assoc, *tag_bits, cid);
+                let (base, tag) = Self::locate(*sets_log2, *assoc, *tag_bits, cid);
                 ways[base..base + *assoc].iter().any(|w| w.valid && w.tag == tag)
             }
             StoreImpl::Infinite(map) => map.contains_key(&cid),
@@ -104,7 +103,7 @@ impl PatternStore {
         self.clock += 1;
         match &mut self.inner {
             StoreImpl::Finite { ways, sets_log2, assoc, tag_bits } => {
-                let (base, tag) = Self::locate(ways, *sets_log2, *assoc, *tag_bits, cid);
+                let (base, tag) = Self::locate(*sets_log2, *assoc, *tag_bits, cid);
                 // Update in place on a directory hit.
                 for i in base..base + *assoc {
                     if ways[i].valid && ways[i].tag == tag {
@@ -138,7 +137,7 @@ impl PatternStore {
         self.clock += 1;
         match &mut self.inner {
             StoreImpl::Finite { ways, sets_log2, assoc, tag_bits } => {
-                let (base, tag) = Self::locate(ways, *sets_log2, *assoc, *tag_bits, cid);
+                let (base, tag) = Self::locate(*sets_log2, *assoc, *tag_bits, cid);
                 for i in base..base + *assoc {
                     if ways[i].valid && ways[i].tag == tag {
                         ways[i].lru = self.clock;

@@ -63,7 +63,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// produce bit-identical results.
 ///
 /// The cell name tells apart configurations that the predictor label and
-/// storage cannot: every `LlbpxConfig::with_h_th` variant is labelled
+/// storage cannot: every `LlbpConfig::with_h_th` variant is labelled
 /// "LLBP-X" and has the same storage.
 pub fn job_fingerprint(
     index: usize,

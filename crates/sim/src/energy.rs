@@ -46,14 +46,7 @@ impl EnergyModel {
     /// counts: PB per prediction, CD/CTT per unconditional branch, pattern
     /// store per 36-byte transaction (§VII-D).
     pub fn total(&self, stats: &LlbpStats) -> f64 {
-        let pb = access_energy(self.pb_bytes, 36) * stats.pb_accesses as f64;
-        let cd = access_energy(self.cd_bytes, 1) * stats.cd_accesses as f64;
-        let ps = access_energy(self.ps_bytes, 36) * (stats.ps_reads + stats.ps_writes) as f64;
-        let ctt = if self.ctt_bytes > 0 {
-            access_energy(self.ctt_bytes, 2) * stats.ctt_accesses as f64
-        } else {
-            0.0
-        };
+        let (pb, cd, ps, ctt) = self.breakdown(stats);
         pb + cd + ps + ctt
     }
 

@@ -600,7 +600,6 @@ mod tests {
 
     #[test]
     fn cells_with_equal_labels_and_storage_never_restore_each_other() {
-        use llbpx::LlbpxConfig;
         let sim = tiny_sim();
         let spec = tiny_spec("sweep", 47);
         let path = tmp("sweeps");
@@ -609,10 +608,10 @@ mod tests {
         // matrices: each cell 0 is an "LLBP-X" of equal storage, but a
         // different configuration.
         let sweep = |h_th: usize| {
-            let cfg = LlbpxConfig::paper_baseline().with_h_th(h_th);
+            let cfg = LlbpConfig::llbpx().with_h_th(h_th);
             let cp = Arc::new(Checkpoint::open(&path).expect("journal opens"));
             let row = MatrixRow::new(&spec).cell(format!("LLBP-X H_th={h_th}"), move |_| {
-                Box::new(Llbp::new_x(cfg)) as Box<dyn SimPredictor>
+                Box::new(Llbp::new(cfg)) as Box<dyn SimPredictor>
             });
             run_matrix_opts(&sim, vec![row], with_fault(1, Some(cp), None))
         };

@@ -352,7 +352,7 @@ pub fn compare<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llbpx::{Llbp, LlbpConfig, LlbpxConfig};
+    use llbpx::{Llbp, LlbpConfig};
     use tage::{DirectionPredictor, TageScl, TslConfig};
     use traces::VecTrace;
 
@@ -472,7 +472,7 @@ mod tests {
             Box::new(TageScl::new(TslConfig::kilobytes(64))),
             Box::new(TageScl::new(TslConfig::infinite())),
             Box::new(Llbp::new(LlbpConfig::paper_baseline())),
-            Box::new(Llbp::new_x(LlbpxConfig::paper_baseline())),
+            Box::new(Llbp::new(LlbpConfig::llbpx())),
         ];
         for mut design in designs {
             let run = sim.run(design.as_mut(), &tiny_spec());

@@ -12,8 +12,8 @@
 //!   views of a run;
 //! * [`profile`] — lightweight RAII scope timers with a thread-local
 //!   registry, instrumenting the simulator's hot paths;
-//! * [`prng`] — deterministic SplitMix64 / xoshiro256** generators used by
-//!   the randomized tests across the workspace (in place of the former
+//! * [`prng`] — a deterministic SplitMix64 generator used by the
+//!   randomized tests across the workspace (in place of the former
 //!   crates-io `rand` dependency).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -27,4 +27,4 @@ pub mod record;
 pub use interval::{IntervalRecorder, IntervalSample, IntervalSnapshot};
 pub use json::Json;
 pub use profile::ScopeTotals;
-pub use prng::{SplitMix64, Xoshiro256StarStar};
+pub use prng::SplitMix64;

@@ -1,12 +1,10 @@
-//! Deterministic pseudo-random generators for tests and tooling.
+//! A deterministic pseudo-random generator for tests and tooling.
 //!
 //! The workspace previously declared a crates-io `rand` dependency that the
 //! offline build could not fetch (and that no code actually imported).
-//! These two generators replace it: [`SplitMix64`] for cheap seeding and
-//! stream splitting, [`Xoshiro256StarStar`] where longer periods matter.
-//! Both are tiny, well-studied, and bit-for-bit reproducible across
-//! platforms, which is what the randomized property tests in `traces`,
-//! `workloads`, `tage`, `core` and `sim` need.
+//! [`SplitMix64`] replaces it: tiny, well-studied, and bit-for-bit
+//! reproducible across platforms, which is what the randomized property
+//! tests in `traces`, `workloads`, `tage`, `core` and `sim` need.
 //!
 //! Simulator-internal randomness (TAGE's allocation spreading, the workload
 //! synthesizer's XorShift) is deliberately untouched: changing those
@@ -59,65 +57,6 @@ impl SplitMix64 {
     }
 }
 
-/// xoshiro256** (Blackman, Vigna 2018): 256-bit state, period 2^256 - 1.
-#[derive(Debug, Clone)]
-pub struct Xoshiro256StarStar {
-    s: [u64; 4],
-}
-
-impl Xoshiro256StarStar {
-    /// A generator whose state is expanded from `seed` via [`SplitMix64`].
-    pub fn new(seed: u64) -> Self {
-        let mut sm = SplitMix64::new(seed);
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = sm.next_u64();
-        }
-        // The all-zero state is the one invalid configuration.
-        if s == [0; 4] {
-            s[0] = 0x9e37_79b9_7f4a_7c15;
-        }
-        Xoshiro256StarStar { s }
-    }
-
-    /// Next raw 64-bit value.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
-    }
-
-    /// A value in `0..bound`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    #[inline]
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "next_below bound must be positive");
-        ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
-    }
-
-    /// A uniform value in `[0, 1)`.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// A boolean that is `true` with probability `p`.
-    #[inline]
-    pub fn next_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,15 +73,15 @@ mod tests {
     #[test]
     fn generators_are_seed_deterministic() {
         let a: Vec<u64> = {
-            let mut g = Xoshiro256StarStar::new(99);
+            let mut g = SplitMix64::new(99);
             (0..64).map(|_| g.next_u64()).collect()
         };
         let b: Vec<u64> = {
-            let mut g = Xoshiro256StarStar::new(99);
+            let mut g = SplitMix64::new(99);
             (0..64).map(|_| g.next_u64()).collect()
         };
         let c: Vec<u64> = {
-            let mut g = Xoshiro256StarStar::new(100);
+            let mut g = SplitMix64::new(100);
             (0..64).map(|_| g.next_u64()).collect()
         };
         assert_eq!(a, b);
@@ -163,7 +102,7 @@ mod tests {
 
     #[test]
     fn next_f64_is_in_unit_interval_and_roughly_uniform() {
-        let mut g = Xoshiro256StarStar::new(42);
+        let mut g = SplitMix64::new(42);
         let mut sum = 0.0;
         for _ in 0..10_000 {
             let x = g.next_f64();

@@ -9,7 +9,7 @@
 use bpsim::report::{f3, Table};
 use bpsim::runner::Simulation;
 use bpsim::SimPredictor;
-use llbpx::{Llbp, LlbpConfig, LlbpxConfig};
+use llbpx::{Llbp, LlbpConfig};
 use tage::{TageScl, TslConfig};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
         Box::new(TageScl::new(TslConfig::kilobytes(128))),
         Box::new(TageScl::new(TslConfig::kilobytes(512))),
         Box::new(Llbp::new(LlbpConfig::paper_baseline())),
-        Box::new(Llbp::new_x(LlbpxConfig::paper_baseline())),
+        Box::new(Llbp::new(LlbpConfig::llbpx())),
     ];
 
     let mut table = Table::new(

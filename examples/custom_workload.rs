@@ -8,7 +8,7 @@
 
 use bpsim::report::{f3, pct, Table};
 use bpsim::runner::Simulation;
-use llbpx::{Llbp, LlbpxConfig};
+use llbpx::{Llbp, LlbpConfig};
 use tage::{TageScl, TslConfig};
 use traces::{StreamExt, TraceStats};
 use workloads::{ServerWorkload, WorkloadSpec};
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Compare predictors on the generated stream.
     let sim = Simulation { warmup_instructions: 2_000_000, measure_instructions: 4_000_000 };
     let base = sim.run(&mut TageScl::new(TslConfig::kilobytes(64)), &spec);
-    let x = sim.run(&mut Llbp::new_x(LlbpxConfig::paper_baseline()), &spec);
+    let x = sim.run(&mut Llbp::new(LlbpConfig::llbpx()), &spec);
 
     let mut table = Table::new("my-service — predictor comparison", &["design", "MPKI", "delta"]);
     table.row([base.name.clone(), f3(base.mpki()), "-".into()]);

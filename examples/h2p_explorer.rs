@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use bpsim::report::Table;
-use llbpx::{Llbp, LlbpxConfig};
+use llbpx::{Llbp, LlbpConfig};
 use tage::{DirectionPredictor, PredictInput, TageScl, TslConfig};
 use traces::{BranchStream, StreamExt};
 use workloads::engine::SiteClass;
@@ -70,7 +70,7 @@ fn main() {
     println!("\nH2P sites among the top 15 contributors: {h2p_in_top}");
 
     // Pass 2: how does LLBP-X's depth adaptation react?
-    let mut llbpx = Llbp::new_x(LlbpxConfig::paper_baseline());
+    let mut llbpx = Llbp::new(LlbpConfig::llbpx());
     let mut stream = ServerWorkload::new(&spec).take_branches(3_000_000);
     while let Some(rec) = stream.next_branch() {
         llbpx.process(PredictInput::new(&rec));

@@ -7,7 +7,7 @@
 
 use bpsim::report::{f3, pct, Table};
 use bpsim::runner::Simulation;
-use llbpx::{Llbp, LlbpConfig, LlbpxConfig};
+use llbpx::{Llbp, LlbpConfig};
 use tage::{TageScl, TslConfig};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     // The three contenders.
     let mut tsl = TageScl::new(TslConfig::kilobytes(64));
     let mut llbp = Llbp::new(LlbpConfig::paper_baseline());
-    let mut llbpx = Llbp::new_x(LlbpxConfig::paper_baseline());
+    let mut llbpx = Llbp::new(LlbpConfig::llbpx());
 
     let base = sim.run(&mut tsl, &spec);
     let r_llbp = sim.run(&mut llbp, &spec);

@@ -22,13 +22,13 @@ cargo build --release --offline --manifest-path perfbench/driver/Cargo.toml \
 echo "== tier-1: test suite =="
 cargo test -q --offline
 
-# The library crates deny unwrap/expect outside tests (see the
-# `#![cfg_attr(not(test), deny(...))]` attribute in each crate's lib.rs);
-# clippy enforces it when available.
+# Every target of every crate (libraries, the experiment binaries, tests,
+# examples) must be clippy-clean. The library crates also deny
+# unwrap/expect outside tests (see the `#![cfg_attr(not(test), deny(...))]`
+# attribute in each crate's lib.rs); clippy enforces that here too.
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "== lint: clippy unwrap/expect gate (all library crates) =="
-    cargo clippy -q --offline -p traces -p bpsim -p llbpx -p tage \
-        -p workloads -p pipeline -p telemetry -- -D warnings
+    echo "== lint: clippy -D warnings (whole workspace, all targets) =="
+    cargo clippy -q --offline --workspace --all-targets -- -D warnings
 else
     echo "== lint: clippy unavailable, skipping (lib.rs deny attributes still apply) =="
 fi

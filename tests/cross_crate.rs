@@ -3,7 +3,7 @@
 
 use bpsim::runner::Simulation;
 use bpsim::SimPredictor;
-use llbpx::{Llbp, LlbpConfig, LlbpxConfig};
+use llbpx::{Llbp, LlbpConfig};
 use tage::{DirectionPredictor, FoldedHistory, GlobalHistory, PredictInput, TageScl, TslConfig};
 use traces::{BranchKind, BranchRecord};
 use workloads::WorkloadSpec;
@@ -13,7 +13,7 @@ fn storage_budgets_line_up_with_the_paper() {
     // 64K TSL ≈ 64 KiB class, LLBP adds ~515 KiB, LLBP-X adds ~9 KiB CTT.
     let tsl = TageScl::new(TslConfig::kilobytes(64));
     let llbp = Llbp::new(LlbpConfig::paper_baseline());
-    let llbpx = Llbp::new_x(LlbpxConfig::paper_baseline());
+    let llbpx = Llbp::new(LlbpConfig::llbpx());
 
     let kib = |bits: u64| bits as f64 / 8.0 / 1024.0;
     let tsl_kib = kib(tsl.storage_bits());
@@ -45,7 +45,7 @@ fn every_design_accepts_every_branch_kind() {
     let designs: Vec<Box<dyn SimPredictor>> = vec![
         Box::new(TageScl::new(TslConfig::kilobytes(64))),
         Box::new(Llbp::new(LlbpConfig::paper_baseline())),
-        Box::new(Llbp::new_x(LlbpxConfig::paper_baseline())),
+        Box::new(Llbp::new(LlbpConfig::llbpx())),
     ];
     for mut design in designs {
         for (i, kind) in BranchKind::ALL.into_iter().enumerate() {
@@ -62,13 +62,12 @@ fn opt_w_oracle_flows_between_runs() {
     let spec = WorkloadSpec::new("oracle", 9).with_request_types(128).with_handlers(16);
     let sim = Simulation { warmup_instructions: 300_000, measure_instructions: 600_000 };
 
-    let mut trainer = Llbp::new_x(LlbpxConfig::paper_baseline());
+    let mut trainer = Llbp::new(LlbpConfig::llbpx());
     let first = sim.run(&mut trainer, &spec);
     let oracle = trainer.depth_decisions().clone();
 
-    let mut cfg = LlbpxConfig::paper_baseline();
-    cfg.base.label = "LLBP-X Opt-W".to_owned();
-    let mut oracled = Llbp::new_x_with_oracle(cfg, oracle);
+    let cfg = LlbpConfig { label: "LLBP-X Opt-W".to_owned(), ..LlbpConfig::llbpx() };
+    let mut oracled = Llbp::with_oracle(cfg, oracle);
     let second = sim.run(&mut oracled, &spec);
 
     assert_eq!(second.name, "LLBP-X Opt-W");
@@ -101,7 +100,7 @@ fn workload_presets_drive_all_predictors() {
     for mut design in [
         Box::new(TageScl::new(TslConfig::kilobytes(64))) as Box<dyn SimPredictor>,
         Box::new(Llbp::new(LlbpConfig::paper_baseline())),
-        Box::new(Llbp::new_x(LlbpxConfig::paper_baseline())),
+        Box::new(Llbp::new(LlbpConfig::llbpx())),
     ] {
         let r = sim.run(design.as_mut(), &spec);
         assert!(r.cond_branches > 1000, "{}", r.name);

@@ -2,9 +2,10 @@
 //! build.
 //!
 //! `scripts/golden.json` holds the full counter set of each `bench` design
-//! constructor, plus fig14a's false-path-flushing LLBP-X, on NodeApp and
-//! TPCC at a small protocol: the run totals and, for the LLBP family, every
-//! `LlbpStats` counter plus the allocation-length histogram. The per-branch
+//! constructor, plus fig14a's false-path-flushing LLBP-X, fig16a/16b's
+//! 0-latency LLBP-X base and the sensitivity sweep's 4K-entry CTT, on
+//! NodeApp and TPCC at a small protocol: the run totals and, for the LLBP
+//! family, every `LlbpStats` counter plus the allocation-length histogram. The per-branch
 //! kernel is optimization territory; a change that moves a single counter
 //! here is a correctness bug, not a speed-up.
 //!
@@ -19,7 +20,7 @@ use std::path::PathBuf;
 use bpsim::exec::{run_jobs_with, BoxedJob};
 use bpsim::runner::{RunResult, Simulation};
 use bpsim::SimPredictor;
-use llbpx::{FalsePathMode, LlbpConfig, LlbpxConfig};
+use llbpx::{FalsePathMode, LlbpConfig};
 use telemetry::Json;
 
 const PROTOCOL: Simulation =
@@ -49,13 +50,13 @@ fn designs() -> Vec<(&'static str, Factory)> {
         ("+Inf Patterns", || bench::llbp_with(LlbpConfig::with_infinite_patterns())),
         ("+No Contextualization", || bench::llbp_with(LlbpConfig::without_contextualization())),
         ("LLBP-X no-HRS", || {
-            bench::llbpx_with(LlbpxConfig::paper_baseline().without_history_range_selection())
+            bench::llbp_with(LlbpConfig::llbpx().without_history_range_selection())
         }),
         ("LLBP-X Flush", || {
-            let mut cfg = LlbpxConfig::paper_baseline();
-            cfg.base.false_path = FalsePathMode::Flush;
-            bench::llbpx_with(cfg)
+            bench::llbp_with(LlbpConfig { false_path: FalsePathMode::Flush, ..LlbpConfig::llbpx() })
         }),
+        ("LLBP-X-0Lat", || bench::llbp_with(LlbpConfig::llbpx_zero_latency())),
+        ("LLBP-X CTT=4096", || bench::llbp_with(LlbpConfig::llbpx().with_ctt_entries(4096))),
     ]
 }
 

@@ -48,7 +48,7 @@ fn branch_batch(seed: u64) -> Vec<BranchRecord> {
             // Direction correlates with recent global history plus noise:
             // predictable enough to populate tagged tables, noisy enough
             // to keep training active.
-            let taken = (history ^ pc).count_ones() % 3 != 0 || rng.next_bool(0.1);
+            let taken = !(history ^ pc).count_ones().is_multiple_of(3) || rng.next_bool(0.1);
             history = (history << 1) | taken as u64;
             BranchRecord::cond(pc, pc + 0x100, taken, 2)
         })

@@ -6,7 +6,7 @@
 //! debug builds; the experiment binaries check the same shapes at scale.
 
 use bpsim::runner::Simulation;
-use llbpx::{Llbp, LlbpConfig, LlbpxConfig};
+use llbpx::{Llbp, LlbpConfig};
 use tage::{TageScl, TslConfig};
 use workloads::WorkloadSpec;
 
@@ -40,7 +40,7 @@ fn llbp_improves_on_the_baseline_and_llbpx_improves_on_llbp() {
     let s = sim();
     let base = s.run(&mut TageScl::new(TslConfig::kilobytes(64)), &spec()).mpki();
     let llbp = s.run(&mut Llbp::new(LlbpConfig::paper_baseline()), &spec()).mpki();
-    let llbpx = s.run(&mut Llbp::new_x(LlbpxConfig::paper_baseline()), &spec()).mpki();
+    let llbpx = s.run(&mut Llbp::new(LlbpConfig::llbpx()), &spec()).mpki();
     assert!(llbp < base, "LLBP must reduce MPKI ({llbp:.3} vs {base:.3})");
     assert!(
         llbpx < llbp * 1.005,
@@ -94,7 +94,7 @@ fn bandwidth_shape_reads_dominate_and_llbpx_stays_in_band() {
     // depends on cycle-level residence effects — see EXPERIMENTS.md.)
     let s = sim();
     let rl = s.run(&mut Llbp::new(LlbpConfig::paper_baseline()), &spec());
-    let rx = s.run(&mut Llbp::new_x(LlbpxConfig::paper_baseline()), &spec());
+    let rx = s.run(&mut Llbp::new(LlbpConfig::llbpx()), &spec());
     let (lr, lw) =
         rl.llbp.as_ref().unwrap().transfer_bits_per_instruction(rl.instructions);
     let (xr, xw) =
@@ -113,7 +113,7 @@ fn bandwidth_shape_reads_dominate_and_llbpx_stays_in_band() {
 fn prefetches_mostly_arrive_on_time() {
     // Fig. 14a's headline: a large majority of used prefetches are timely.
     let s = sim();
-    let r = s.run(&mut Llbp::new_x(LlbpxConfig::paper_baseline()), &spec());
+    let r = s.run(&mut Llbp::new(LlbpConfig::llbpx()), &spec());
     let stats = r.llbp.expect("stats");
     let used = stats.prefetch_on_time + stats.prefetch_late;
     assert!(used > 0, "some prefetches must be used");

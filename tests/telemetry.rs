@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use bpsim::runner::Simulation;
-use llbpx::{Llbp, LlbpxConfig};
+use llbpx::{Llbp, LlbpConfig};
 use telemetry::Json;
 use workloads::WorkloadSpec;
 
@@ -23,7 +23,7 @@ fn tmp_path(tag: &str) -> PathBuf {
 fn library_run_records_carry_every_section() {
     let sim = Simulation { warmup_instructions: 50_000, measure_instructions: 200_000 };
     let spec = WorkloadSpec::new("tiny", 11).with_request_types(64).with_handlers(8);
-    let mut p = Llbp::new_x(LlbpxConfig::paper_baseline());
+    let mut p = Llbp::new(LlbpConfig::llbpx());
     let result = sim.run(&mut p, &spec);
 
     let json = Json::parse(&result.to_json(&sim).to_string()).expect("round-trips");
