@@ -12,16 +12,14 @@ fn main() -> ExitCode {
         "Fig. 12 — branch misprediction reduction over 64K TSL",
         &["workload", "64K MPKI", "LLBP", "LLBP-X", "LLBP-X Opt-W", "512K TSL"],
     );
-    // The Opt-W oracle trains on a converged LLBP-X run of the row's
-    // workload; that training run executes on the worker that claims the
-    // cell.
+    // Opt-W is two-pass: pass 1 is the row's own LLBP-X cell, whose final
+    // depth decisions become pass 2's fixed oracle. The engine runs the
+    // Opt-W cell once that LLBP-X cell has finished.
     let designs = [
         bench::design("64K TSL", |_| bench::tsl64()),
         bench::design("LLBP", |_| bench::llbp()),
         bench::design("LLBP-X", |_| bench::llbpx()),
-        bench::design("LLBP-X Opt-W", move |spec| {
-            bench::llbpx_opt_w(bench::opt_w_oracle(spec, &sim))
-        }),
+        bench::design_after("LLBP-X Opt-W", "LLBP-X", bench::llbpx_opt_w_after),
         bench::design("512K TSL", |_| bench::tsl(512)),
     ];
     let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);

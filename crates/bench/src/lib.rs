@@ -27,6 +27,7 @@
 //! and one JSON line per invocation is appended to the sink (default
 //! `BENCH_<name>.json`).
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -163,22 +164,43 @@ pub fn llbp_with(cfg: LlbpConfig) -> Box<dyn SimPredictor> {
     Box::new(Llbp::new(cfg))
 }
 
-/// Runs LLBP-X once to convergence and returns its per-context depth
-/// decisions — the "found ahead of time" oracle of LLBP-X Opt-W (§VII-A).
-pub fn opt_w_oracle(spec: &WorkloadSpec, sim: &Simulation) -> std::collections::HashMap<u64, bool> {
-    let mut trainer = Llbp::new(LlbpConfig::llbpx());
-    let _ = sim.run(&mut trainer, spec);
-    trainer.depth_decisions().clone()
+/// Runs LLBP-X once to convergence and returns its depth decisions as a
+/// map, every listed context deep — the "found ahead of time" oracle of
+/// LLBP-X Opt-W (§VII-A). A figure takes the same decisions from its row's
+/// LLBP-X cell instead ([`llbpx_opt_w_after`]).
+pub fn opt_w_oracle(spec: &WorkloadSpec, sim: &Simulation) -> HashMap<u64, bool> {
+    let llbpx = sim.run(&mut Llbp::new(LlbpConfig::llbpx()), spec);
+    llbpx.deep_contexts.unwrap_or_default().into_iter().map(|cid| (cid, true)).collect()
 }
 
-/// LLBP-X with a fixed depth oracle (no retraining loss on transitions).
-pub fn llbpx_opt_w(oracle: std::collections::HashMap<u64, bool>) -> Box<dyn SimPredictor> {
+/// LLBP-X with a fixed depth oracle (no retraining loss on transitions):
+/// the contexts `oracle` maps to `true` are deep, every other is shallow.
+pub fn llbpx_opt_w(oracle: HashMap<u64, bool>) -> Box<dyn SimPredictor> {
+    opt_w(oracle.into_iter().filter_map(|(cid, deep)| deep.then_some(cid)))
+}
+
+/// LLBP-X Opt-W with the depth decisions of a finished LLBP-X run: the
+/// factory of a cell that depends on its row's LLBP-X cell.
+///
+/// # Panics
+///
+/// Panics if `llbpx` is not a depth-adapting run (it carries no deep
+/// contexts).
+pub fn llbpx_opt_w_after(llbpx: &RunResult) -> Box<dyn SimPredictor> {
+    let Some(deep) = &llbpx.deep_contexts else {
+        panic!("Opt-W needs an LLBP-X run's depth decisions; `{}` made none", llbpx.name);
+    };
+    opt_w(deep.iter().copied())
+}
+
+fn opt_w(deep_contexts: impl IntoIterator<Item = u64>) -> Box<dyn SimPredictor> {
     let cfg = LlbpConfig { label: "LLBP-X Opt-W".to_owned(), ..LlbpConfig::llbpx() };
-    Box::new(Llbp::with_oracle(cfg, oracle))
+    Box::new(Llbp::with_oracle(cfg, deep_contexts))
 }
 
 /// One design of a figure: the cell name it gives every row and a
-/// predictor factory that receives each row's workload.
+/// predictor factory that receives each row's workload, or, for a design
+/// that depends on another, that design's run on the row.
 ///
 /// The name labels the cell in engine error reports, so failures name the
 /// design, not just the workload, and it is part of the cell's checkpoint
@@ -189,15 +211,38 @@ pub struct Design {
 }
 
 /// Builds a design's predictor for one row's workload.
-type Factory = Box<dyn Fn(&WorkloadSpec) -> Box<dyn SimPredictor> + Sync>;
+type FromSpec = Box<dyn Fn(&WorkloadSpec) -> Box<dyn SimPredictor> + Sync>;
 
-/// A [`Design`] named `name`. Plain designs ignore the workload
-/// (`|_| bench::tsl64()`); Opt-W trains its oracle on it.
+/// Builds a design's predictor from the row's run of another design.
+type FromRun = Box<dyn Fn(&RunResult) -> Box<dyn SimPredictor> + Sync>;
+
+enum Factory {
+    Plain(FromSpec),
+    /// Built from the row's run of the design named `source`.
+    After { source: String, factory: FromRun },
+}
+
+/// A [`Design`] named `name`. Most designs ignore the workload
+/// (`|_| bench::tsl64()`).
 pub fn design(
     name: impl Into<String>,
     factory: impl Fn(&WorkloadSpec) -> Box<dyn SimPredictor> + Sync + 'static,
 ) -> Design {
-    Design { name: name.into(), factory: Box::new(factory) }
+    Design { name: name.into(), factory: Factory::Plain(Box::new(factory)) }
+}
+
+/// A [`Design`] named `name` whose predictor is built from the row's run
+/// of the design named `source` ([`MatrixRow::cell_after`]): Opt-W takes
+/// its depth oracle from the row's LLBP-X run
+/// (`design_after("LLBP-X Opt-W", "LLBP-X", bench::llbpx_opt_w_after)`).
+/// `source` must be a design without a source of its own.
+pub fn design_after(
+    name: impl Into<String>,
+    source: impl Into<String>,
+    factory: impl Fn(&RunResult) -> Box<dyn SimPredictor> + Sync + 'static,
+) -> Design {
+    let (source, factory) = (source.into(), Box::new(factory));
+    Design { name: name.into(), factory: Factory::After { source, factory } }
 }
 
 /// Runs every design on every preset through the parallel experiment
@@ -210,10 +255,9 @@ pub fn design(
 /// let sim = bench::sim();
 /// let mut telemetry = bench::Telemetry::new("demo");
 /// let designs = [
-///     bench::design("64K TSL", |_| bench::tsl64()),
-///     bench::design("LLBP-X Opt-W", move |spec| {
-///         bench::llbpx_opt_w(bench::opt_w_oracle(spec, &sim))
-///     }),
+///     bench::design("LLBP-X", |_| bench::llbpx()),
+///     // Pass 1 of Opt-W is the row's own LLBP-X cell.
+///     bench::design_after("LLBP-X Opt-W", "LLBP-X", bench::llbpx_opt_w_after),
 /// ];
 /// for (preset, runs) in bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs) {
 ///     println!("{}: {:.3} vs {:.3}", preset.spec.name, runs[0].mpki(), runs[1].mpki());
@@ -232,7 +276,11 @@ pub fn run_rows(
         .iter()
         .map(|preset| {
             designs.iter().fold(MatrixRow::new(&preset.spec), |row, design| {
-                row.cell(design.name.clone(), |spec| (design.factory)(spec))
+                let name = design.name.clone();
+                match &design.factory {
+                    Factory::Plain(factory) => row.cell(name, factory),
+                    Factory::After { source, factory } => row.cell_after(name, source, factory),
+                }
             })
         })
         .collect();
@@ -505,13 +553,25 @@ mod tests {
     }
 
     #[test]
-    fn oracle_helper_produces_decisions() {
+    fn opt_w_takes_the_decisions_of_an_llbpx_run() {
         let spec = WorkloadSpec::new("tiny", 2).with_request_types(64).with_handlers(8);
         let sim = Simulation { warmup_instructions: 50_000, measure_instructions: 100_000 };
+        let llbpx_run = sim.run(llbpx().as_mut(), &spec);
+        let deep = llbpx_run.deep_contexts.clone().expect("LLBP-X decides depths");
         let oracle = opt_w_oracle(&spec, &sim);
-        // Tiny runs may or may not transition; the call itself must work.
-        let mut p = llbpx_opt_w(oracle);
-        let r = sim.run(p.as_mut(), &spec);
-        assert!(r.cond_branches > 0);
+        assert!(oracle.values().all(|&d| d), "the oracle lists deep contexts only");
+        let mut listed: Vec<u64> = oracle.keys().copied().collect();
+        listed.sort_unstable();
+        assert_eq!(listed, deep, "the oracle is the run's deep-context list");
+        let from_map = sim.run(llbpx_opt_w(oracle).as_mut(), &spec);
+        let from_run = sim.run(llbpx_opt_w_after(&llbpx_run).as_mut(), &spec);
+        assert_eq!(from_map.mispredicts, from_run.mispredicts);
+        assert!(from_run.deep_contexts.is_none(), "an oracle run decides no depths");
+    }
+
+    #[test]
+    #[should_panic(expected = "`LLBP` made none")]
+    fn opt_w_needs_a_depth_adapting_source_run() {
+        let _ = llbpx_opt_w_after(&RunResult { name: "LLBP".into(), ..RunResult::default() });
     }
 }

@@ -14,11 +14,14 @@
 //!   LLBP-X) → context queue advance (the D-deep temporal window) →
 //!   prefetch probe of the CD.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use tage::folded::FoldLanes;
 use tage::sc::ScInputConfidence;
-use tage::{DirectionPredictor, PredictInput, TageScl, Update, HISTORY_LENGTHS, NUM_TABLES};
+use tage::{
+    DirectionPredictor, FastMap, FastSet, PredictInput, TageScl, Update, HISTORY_LENGTHS,
+    NUM_TABLES,
+};
 use traces::BranchRecord;
 
 use crate::buffer::{Evicted, PatternBuffer, PbLookup};
@@ -65,10 +68,11 @@ pub struct Llbp {
     folds: FoldLanes<NUM_TABLES, 2>,
     rcr: Rcr,
     ctt: Option<ContextTrackingTable>,
-    /// Opt-W oracle: fixed depth decision per shallow context ID.
-    oracle: Option<HashMap<u64, bool>>,
-    /// Observed final depth decision per shallow context (for Opt-W).
-    depth_decisions: HashMap<u64, bool>,
+    /// Opt-W oracle: the shallow context IDs that are deep; every other
+    /// context is shallow.
+    oracle: Option<FastSet<u64>>,
+    /// Observed final depth decision per tracked shallow context.
+    depth_decisions: FastMap<u64, bool>,
     /// Selected contexts awaiting activation (index 0 = current).
     ctx_queue: VecDeque<SelectedCtx>,
     store: PatternStore,
@@ -98,20 +102,23 @@ impl Llbp {
     }
 
     /// Builds LLBP-X with pre-computed depth decisions (the paper's
-    /// "LLBP-X Opt-W" upper bound): depths are fixed from the first
-    /// instruction, so no retraining is lost on transitions.
+    /// "LLBP-X Opt-W" upper bound): the shallow context IDs in
+    /// `deep_contexts` are deep and every other context is shallow, fixed
+    /// from the first instruction, so no retraining is lost on transitions.
+    /// The deep entries of a converged LLBP-X run's
+    /// [`depth_decisions`](Self::depth_decisions) are exactly such a list.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails validation or has no depth part.
-    pub fn with_oracle(cfg: LlbpConfig, oracle: HashMap<u64, bool>) -> Self {
+    pub fn with_oracle(cfg: LlbpConfig, deep_contexts: impl IntoIterator<Item = u64>) -> Self {
         if cfg.depth.is_none() {
             panic!("LLBP-X Opt-W needs a depth-adapting config; `{}` has none", cfg.label);
         }
-        Self::build(cfg, Some(oracle))
+        Self::build(cfg, Some(deep_contexts.into_iter().collect()))
     }
 
-    fn build(cfg: LlbpConfig, oracle: Option<HashMap<u64, bool>>) -> Self {
+    fn build(cfg: LlbpConfig, oracle: Option<FastSet<u64>>) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid LLBP config `{}`: {e}", cfg.label);
         }
@@ -141,7 +148,7 @@ impl Llbp {
             rcr: Rcr::new(),
             ctt,
             oracle,
-            depth_decisions: HashMap::new(),
+            depth_decisions: FastMap::default(),
             ctx_queue: VecDeque::with_capacity(SKIP_DEPTH + 2),
             store,
             pb: PatternBuffer::new(PB_ENTRIES),
@@ -171,9 +178,9 @@ impl Llbp {
         self.pb.len() as f64 / self.pb.capacity() as f64
     }
 
-    /// Final depth decision observed per shallow context (feed this to
-    /// [`with_oracle`](Self::with_oracle) for Opt-W).
-    pub fn depth_decisions(&self) -> &HashMap<u64, bool> {
+    /// Final depth decision observed per tracked shallow context; empty
+    /// unless the CTT decides depths (LLBP-X without an oracle).
+    pub fn depth_decisions(&self) -> &FastMap<u64, bool> {
         &self.depth_decisions
     }
 
@@ -543,7 +550,7 @@ impl Llbp {
             self.stats.ctt_accesses += 1;
             let cid2 = self.rcr.context_id(W_SHALLOW);
             let deep = match (&self.oracle, &mut self.ctt) {
-                (Some(map), _) => map.get(&cid2).copied().unwrap_or(false),
+                (Some(deep_contexts), _) => deep_contexts.contains(&cid2),
                 (None, Some(ctt)) => ctt.is_deep(cid2),
                 (None, None) => false,
             };
@@ -676,8 +683,7 @@ mod tests {
         let p = Llbp::new(LlbpConfig::llbpx());
         assert!(p.config().depth.is_some() && p.ctt().is_some());
         assert_eq!(p.name(), "LLBP-X");
-        let oracle = HashMap::from([(42u64, true)]);
-        let p = Llbp::with_oracle(LlbpConfig::llbpx(), oracle);
+        let p = Llbp::with_oracle(LlbpConfig::llbpx(), [42u64]);
         assert!(p.config().depth.is_some() && p.ctt().is_none(), "the oracle replaces the CTT");
         assert!(Llbp::new(LlbpConfig::paper_baseline()).ctt().is_none());
     }
@@ -685,7 +691,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "`LLBP-0Lat` has none")]
     fn opt_w_needs_a_depth_adapting_config() {
-        let _ = Llbp::with_oracle(LlbpConfig::zero_latency(), HashMap::new());
+        let _ = Llbp::with_oracle(LlbpConfig::zero_latency(), []);
     }
 
     #[test]

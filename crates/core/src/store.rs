@@ -7,7 +7,7 @@
 //! favor keeping sets with more high-confidence patterns; the infinite
 //! organization (limit studies) is a hash map keyed by whole context IDs.
 
-use std::collections::HashMap;
+use tage::FastMap;
 
 use crate::pattern_set::PatternSet;
 
@@ -22,7 +22,7 @@ struct StoreWay {
 #[derive(Debug, Clone)]
 enum StoreImpl {
     Finite { ways: Vec<StoreWay>, sets_log2: u32, assoc: usize, tag_bits: u32 },
-    Infinite(HashMap<u64, PatternSet>),
+    Infinite(FastMap<u64, PatternSet>),
 }
 
 /// The second-level pattern store with its context directory.
@@ -57,7 +57,7 @@ impl PatternStore {
 
     /// The unbounded store of the "+ Inf Contexts" limit configuration.
     pub fn infinite() -> Self {
-        PatternStore { inner: StoreImpl::Infinite(HashMap::new()), clock: 0, evictions: 0 }
+        PatternStore { inner: StoreImpl::Infinite(FastMap::default()), clock: 0, evictions: 0 }
     }
 
     fn locate(sets_log2: u32, assoc: usize, tag_bits: u32, cid: u64) -> (usize, u32) {

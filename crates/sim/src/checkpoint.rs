@@ -42,9 +42,12 @@ pub const ENV_CHECKPOINT: &str = "LLBPX_CHECKPOINT";
 /// Version 1 fingerprints left out the cell name, so equal-label cells of
 /// different configurations (e.g. the LLBP-X H_th and CTT sweeps)
 /// collided. Version 2 lines held a journal-only encoding of the run;
-/// version 3 lines are the run record itself. Lines of any other version
-/// are dropped with a warning and their cells re-run.
-const ENTRY_VERSION: i64 = 3;
+/// version 3 lines are the run record itself. Version 4 records carry an
+/// LLBP-X run's deep contexts, the oracle a dependent Opt-W cell is built
+/// from: a version 3 LLBP-X line would restore with none, and its Opt-W
+/// would silently equal LLBP-X. Lines of any other version are dropped
+/// with a warning and their cells re-run.
+const ENTRY_VERSION: i64 = 4;
 
 /// FNV-1a 64-bit hash.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -217,6 +220,7 @@ mod tests {
             override_candidates: 99,
             llbp: Some(stats),
             storage_bits: 4096,
+            deep_contexts: Some(vec![0x2a, 0x8000_0000_0000_0001, u64::MAX]),
             wall_seconds: 0.125,
             intervals: vec![IntervalSample {
                 instructions: 100_000,
@@ -273,6 +277,7 @@ mod tests {
         let (fp, r) = parse_line(&line("00ff", &result)).expect("parses");
         assert_eq!(fp, "00ff");
         assert!(r.resumed && !r.is_failed() && r.llbp.is_some());
+        assert_eq!(r.deep_contexts, result.deep_contexts, "context IDs beyond i64 survive");
         // Every field the record holds — accuracy, counters, histogram,
         // intervals, storage, wall time — reads back unchanged.
         let resumed = RunResult { resumed: true, ..result };

@@ -14,8 +14,11 @@
 //! * [`run_matrix`] — a run matrix on top of it: every cell streams its
 //!   row's workload from its own seeded generator, so the cells of a row
 //!   see the same records without sharing any memory; cells keep a flat,
-//!   row-major index (their claim order, their fingerprint and their
-//!   `LLBPX_FAULT_CELL` number) and come back grouped by row.
+//!   row-major index (their fingerprint and their `LLBPX_FAULT_CELL`
+//!   number) and come back grouped by row. A *dependent* cell
+//!   ([`MatrixRow::cell_after`]) builds its predictor from the finished run
+//!   of another cell of its row, as fig12's Opt-W takes its depth oracle
+//!   from the row's LLBP-X run.
 //!
 //! A cell is a pure function of (predictor config, workload seed,
 //! protocol): a real failure fails the same way every time, so there is no
@@ -46,7 +49,7 @@
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use workloads::WorkloadSpec;
 
@@ -161,8 +164,26 @@ pub fn run_jobs_with<T: Send>(threads: usize, jobs: Vec<BoxedJob<'_, T>>) -> Vec
 
 /// A matrix cell's predictor factory. It receives the row's workload and
 /// executes once, on the worker thread that claims the cell, so predictors
-/// never cross threads; it may run arbitrary setup (e.g. oracle training).
+/// never cross threads.
 pub type Factory<'a> = Box<dyn FnOnce(&WorkloadSpec) -> Box<dyn SimPredictor> + Send + 'a>;
+
+/// A dependent cell's predictor factory: it receives the finished run of
+/// its source cell, and executes once, on the worker that claims the cell.
+pub type DependentFactory<'a> = Box<dyn FnOnce(&RunResult) -> Box<dyn SimPredictor> + Send + 'a>;
+
+/// How a matrix cell builds its predictor.
+pub enum CellFactory<'a> {
+    /// From the row's workload alone.
+    Independent(Factory<'a>),
+    /// From the finished run of the independent cell at position `source`
+    /// of the same row.
+    After {
+        /// The source cell's position in its row.
+        source: usize,
+        /// The factory, called with the source's run.
+        factory: DependentFactory<'a>,
+    },
+}
 
 /// One row of a run matrix: a workload and the named cells that run on it.
 pub struct MatrixRow<'a> {
@@ -173,7 +194,7 @@ pub struct MatrixRow<'a> {
     /// predictor factory. The name is part of the checkpoint fingerprint,
     /// where it tells apart configurations whose predictors share a label
     /// and storage size.
-    pub cells: Vec<(String, Factory<'a>)>,
+    pub cells: Vec<(String, CellFactory<'a>)>,
 }
 
 impl<'a> MatrixRow<'a> {
@@ -189,7 +210,33 @@ impl<'a> MatrixRow<'a> {
         name: impl Into<String>,
         factory: impl FnOnce(&WorkloadSpec) -> Box<dyn SimPredictor> + Send + 'a,
     ) -> Self {
-        self.cells.push((name.into(), Box::new(factory)));
+        self.cells.push((name.into(), CellFactory::Independent(Box::new(factory))));
+        self
+    }
+
+    /// Appends a cell named `name` whose predictor is built from the
+    /// finished run of the row's cell named `source`. If that cell fails,
+    /// this one fails too, with an error that names it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `source` names an earlier cell of this row that is
+    /// not itself dependent.
+    #[must_use]
+    pub fn cell_after(
+        mut self,
+        name: impl Into<String>,
+        source: &str,
+        factory: impl FnOnce(&RunResult) -> Box<dyn SimPredictor> + Send + 'a,
+    ) -> Self {
+        let name = name.into();
+        let found = self.cells.iter().position(|(cell, factory)| {
+            cell == source && matches!(factory, CellFactory::Independent(_))
+        });
+        let Some(source) = found else {
+            panic!("cell `{name}` depends on `{source}`, which is no independent cell of its row");
+        };
+        self.cells.push((name, CellFactory::After { source, factory: Box::new(factory) }));
         self
     }
 }
@@ -271,13 +318,14 @@ fn run_cell(
     opts: &EngineOptions,
     spec: &WorkloadSpec,
     index: usize,
-    (cell, factory): (String, Factory<'_>),
+    cell: &str,
+    factory: impl FnOnce(&WorkloadSpec) -> Box<dyn SimPredictor>,
 ) -> Result<RunResult, JobError> {
     let mut predictor = std::panic::catch_unwind(AssertUnwindSafe(|| factory(spec)))
         .map_err(|payload| JobError::panic(index, &spec.name, None, panic_message(payload)))?;
     let name = predictor.name();
     let storage_bits = predictor.storage_bits();
-    let fingerprint = checkpoint::job_fingerprint(index, &cell, &name, storage_bits, spec, sim);
+    let fingerprint = checkpoint::job_fingerprint(index, cell, &name, storage_bits, spec, sim);
     if let Some(restored) = opts.checkpoint.as_deref().and_then(|cp| cp.lookup(&fingerprint)) {
         return Ok(restored);
     }
@@ -295,40 +343,127 @@ fn run_cell(
     Ok(result)
 }
 
+/// Finished runs of the cells that others depend on, published by the
+/// worker that ran each one to the workers waiting for it.
+struct Sources {
+    done: Mutex<Vec<Option<Result<RunResult, JobError>>>>,
+    ready: Condvar,
+}
+
+impl Sources {
+    fn new(cells: usize) -> Self {
+        Sources { done: Mutex::new(vec![None; cells]), ready: Condvar::new() }
+    }
+
+    fn publish(&self, index: usize, outcome: &Result<RunResult, JobError>) {
+        let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
+        done[index] = Some(outcome.clone());
+        self.ready.notify_all();
+    }
+
+    /// Blocks until cell `index` has been published, then returns it.
+    fn wait(&self, index: usize) -> Result<RunResult, JobError> {
+        let done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
+        let done = self
+            .ready
+            .wait_while(done, |done| done[index].is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        match &done[index] {
+            Some(outcome) => outcome.clone(),
+            None => unreachable!("wait_while returns once the cell is published"),
+        }
+    }
+}
+
 /// Runs every cell of `rows` under `sim`, fanning out over at most
 /// `opts.threads` workers, and returns the outcomes row by row — completed
 /// cells bit-identical to running the same cells serially via
 /// [`Simulation::run`].
 ///
-/// Cells are claimed in flat, row-major index order. Each cell streams its
-/// row's workload from a generator of its own, exactly as the serial path
-/// does: the generator is seeded, so every cell of a row sees the same
-/// records, and a row holds no trace memory. A row whose spec is invalid
-/// fails each of its cells with [`crate::SimError::InvalidSpec`]'s message.
+/// Every cell has a flat, row-major index: its checkpoint fingerprint and
+/// its `LLBPX_FAULT_CELL` number. Workers claim every independent cell in
+/// index order before any dependent cell, so a dependent cell's source is
+/// finished or running when it is claimed, and it waits for a running one;
+/// a single worker never waits. Each cell streams its row's workload from
+/// a generator of its own, exactly as the serial path does: the generator
+/// is seeded, so every cell of a row sees the same records, and a row
+/// holds no trace memory. A row whose spec is invalid fails each of its
+/// cells with [`crate::SimError::InvalidSpec`]'s message.
 ///
 /// Each cell runs under `catch_unwind`; a panic yields `Err(JobError)` for
-/// that cell and every other cell still completes. With a checkpoint,
-/// completed cells are journaled under their deterministic fingerprint and
-/// cells already in the journal are restored (marked `resumed`) instead of
-/// simulated.
+/// that cell and for the cells that depend on it, and every other cell
+/// still completes. With a checkpoint, completed cells are journaled under
+/// their deterministic fingerprint and cells already in the journal are
+/// restored (marked `resumed`) instead of simulated; a dependent cell is
+/// built from its source's restored run then.
 pub fn run_matrix_opts(
     sim: &Simulation,
     rows: Vec<MatrixRow<'_>>,
     opts: EngineOptions,
 ) -> MatrixReport {
-    let widths: Vec<usize> = rows.iter().map(|row| row.cells.len()).collect();
+    type Job<'a> = BoxedJob<'a, Result<RunResult, JobError>>;
 
-    let opts = &opts;
-    let mut jobs: Vec<BoxedJob<'_, Result<RunResult, JobError>>> = Vec::new();
+    let widths: Vec<usize> = rows.iter().map(|row| row.cells.len()).collect();
+    let cells: usize = widths.iter().sum();
+    let sources = Sources::new(cells);
+    let (opts, sources) = (&opts, &sources);
+
+    let mut independent: Vec<(usize, Job<'_>)> = Vec::new();
+    let mut dependent: Vec<(usize, Job<'_>)> = Vec::new();
+    let mut is_source = vec![false; cells];
+    let mut base = 0;
     for MatrixRow { spec, cells } in rows {
-        for cell in cells {
-            let (index, spec) = (jobs.len(), spec.clone());
-            jobs.push(Box::new(move || run_cell(sim, opts, &spec, index, cell)));
+        let names: Vec<String> = cells.iter().map(|(name, _)| name.clone()).collect();
+        for (position, (name, factory)) in cells.into_iter().enumerate() {
+            let (index, spec) = (base + position, spec.clone());
+            match factory {
+                CellFactory::Independent(factory) => {
+                    let job = move || run_cell(sim, opts, &spec, index, &name, factory);
+                    independent.push((index, Box::new(job)));
+                }
+                CellFactory::After { source, factory } => {
+                    let (source, source_name) = (base + source, names[source].clone());
+                    is_source[source] = true;
+                    let job = move || match sources.wait(source) {
+                        Ok(run) => run_cell(sim, opts, &spec, index, &name, |_| factory(&run)),
+                        Err(err) => {
+                            let message = format!(
+                                "its source cell {source} (`{source_name}`) failed: {}",
+                                err.message
+                            );
+                            Err(JobError::panic(index, &spec.name, None, message))
+                        }
+                    };
+                    dependent.push((index, Box::new(job)));
+                }
+            }
         }
+        base += names.len();
     }
 
-    let used_threads = opts.threads.max(1).min(jobs.len().max(1));
-    let mut outputs = run_jobs_with(opts.threads, jobs).into_iter();
+    // A source publishes its outcome to the dependent cells waiting on it.
+    let is_source = &is_source;
+    let publishing = independent.into_iter().map(|(index, job)| {
+        let job: Job<'_> = Box::new(move || {
+            let outcome = job();
+            if is_source[index] {
+                sources.publish(index, &outcome);
+            }
+            outcome
+        });
+        (index, job)
+    });
+    let (order, jobs): (Vec<usize>, Vec<Job<'_>>) = publishing.chain(dependent).unzip();
+
+    let used_threads = opts.threads.max(1).min(cells.max(1));
+    let mut slots: Vec<Option<Result<RunResult, JobError>>> = vec![None; cells];
+    for (index, outcome) in order.into_iter().zip(run_jobs_with(opts.threads, jobs)) {
+        slots[index] = Some(outcome);
+    }
+    let mut outputs = slots.into_iter().map(|slot| match slot {
+        Some(outcome) => outcome,
+        None => unreachable!("every cell runs exactly once"),
+    });
     let rows = widths.into_iter().map(|width| outputs.by_ref().take(width).collect()).collect();
     MatrixReport { rows, threads: used_threads }
 }
@@ -596,6 +731,143 @@ mod tests {
         assert_eq!(fourth.resumed_cells(), 0, "stale fingerprints never match");
 
         let _ = std::fs::remove_file(&path);
+    }
+
+    fn llbpx(_: &WorkloadSpec) -> Box<dyn SimPredictor> {
+        Box::new(Llbp::new(LlbpConfig::llbpx()))
+    }
+
+    /// LLBP-X Opt-W built from its source's depth decisions.
+    fn opt_w(source: &RunResult) -> Box<dyn SimPredictor> {
+        let Some(deep) = source.deep_contexts.clone() else {
+            panic!("`{}` decides no depths", source.name);
+        };
+        let cfg = LlbpConfig { label: "LLBP-X Opt-W".to_owned(), ..LlbpConfig::llbpx() };
+        Box::new(Llbp::with_oracle(cfg, deep))
+    }
+
+    /// Rows whose dependent cell sits between two independent cells, so
+    /// its claim order differs from its index.
+    fn dependent_rows(specs: &[WorkloadSpec]) -> Vec<MatrixRow<'static>> {
+        let row = |spec| {
+            MatrixRow::new(spec)
+                .cell("LLBP-X", llbpx)
+                .cell_after("Opt-W", "LLBP-X", opt_w)
+                .cell("64K TSL", tsl64)
+        };
+        specs.iter().map(row).collect()
+    }
+
+    #[test]
+    fn a_dependent_cell_is_built_from_its_source_run_at_every_thread_count() {
+        let sim = tiny_sim();
+        let specs = [tiny_spec("dep-a", 19), tiny_spec("dep-b", 23)];
+        let serial: Vec<Vec<RunResult>> = specs
+            .iter()
+            .map(|spec| {
+                let llbpx = sim.run(&mut Llbp::new(LlbpConfig::llbpx()), spec);
+                let opt_w = sim.run(opt_w(&llbpx).as_mut(), spec);
+                let tsl = sim.run(&mut TageScl::new(TslConfig::kilobytes(64)), spec);
+                vec![llbpx, opt_w, tsl]
+            })
+            .collect();
+
+        for threads in [1usize, 4] {
+            // Each dependent records the run it was handed.
+            let received = Mutex::new(Vec::new());
+            let rows = specs
+                .iter()
+                .map(|spec| {
+                    let opt_w = |source: &RunResult| {
+                        let seen = (source.workload.clone(), source.mispredicts);
+                        received.lock().unwrap_or_else(PoisonError::into_inner).push(seen);
+                        opt_w(source)
+                    };
+                    MatrixRow::new(spec)
+                        .cell("LLBP-X", llbpx)
+                        .cell_after("Opt-W", "LLBP-X", opt_w)
+                        .cell("64K TSL", tsl64)
+                })
+                .collect();
+            let report = run_matrix_with(&sim, rows, threads);
+            assert_eq!(report.failed_cells(), 0);
+            let mut received = received.into_inner().unwrap_or_else(PoisonError::into_inner);
+            received.sort();
+            let source = |row: &Vec<Result<RunResult, JobError>>| {
+                let source = row[0].as_ref().expect("no cell fails");
+                (source.workload.clone(), source.mispredicts)
+            };
+            let sources: Vec<_> = report.rows.iter().map(source).collect();
+            assert_eq!(received, sources, "each dependent is handed its own row's run");
+            for (row, serial_row) in report.rows.iter().zip(&serial) {
+                for (parallel, serial) in row.iter().zip(serial_row) {
+                    let parallel = parallel.as_ref().expect("no cell fails");
+                    assert_same_run(parallel, serial);
+                    assert_eq!(parallel.deep_contexts, serial.deep_contexts);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_dependent_of_a_failed_source_fails_naming_it() {
+        let sim = tiny_sim();
+        let specs = [tiny_spec("dep-fault", 29)];
+        for threads in [1usize, 4] {
+            let opts = with_fault(threads, None, Some(0));
+            let report = run_matrix_opts(&sim, dependent_rows(&specs), opts);
+            assert_eq!(report.failed_cells(), 2);
+            let err = report.rows[0][1].as_ref().expect_err("the dependent fails with its source");
+            assert_eq!((err.index, err.predictor.as_deref()), (1, None), "it was never built");
+            assert!(err.message.contains("source cell 0 (`LLBP-X`) failed"), "{}", err.message);
+            assert!(err.message.contains(ENV_FAULT_CELL), "{}", err.message);
+            assert!(report.rows[0][2].is_ok(), "an unrelated cell still completes");
+        }
+    }
+
+    #[test]
+    fn every_cell_keeps_its_row_major_index_and_fingerprint() {
+        let sim = tiny_sim();
+        let specs = [tiny_spec("order-a", 31), tiny_spec("order-b", 37)];
+        let path = tmp("order");
+        let _ = std::fs::remove_file(&path);
+        let cp = Arc::new(Checkpoint::open(&path).expect("journal opens"));
+        // Cell 4 is row 1's dependent, claimed last of all: the fault cell
+        // is numbered row-major, not in claim order.
+        let opts = with_fault(2, Some(cp), Some(4));
+        let report = run_matrix_opts(&sim, dependent_rows(&specs), opts);
+        assert_eq!(report.failed_cells(), 1);
+        let err = report.rows[1][1].as_ref().expect_err("cell 4 is row 1's Opt-W");
+        assert_eq!(err.index, 4);
+        assert!(err.message.contains(ENV_FAULT_CELL), "{}", err.message);
+
+        let journal = std::fs::read_to_string(&path).expect("the journal was written");
+        let _ = std::fs::remove_file(&path);
+        let fingerprint = |line: &str| {
+            let line = telemetry::Json::parse(line).expect("a journal line is JSON");
+            line.get("fingerprint").and_then(telemetry::Json::as_str).map(str::to_owned)
+        };
+        let mut journaled: Vec<_> = journal.lines().map(fingerprint).collect();
+        let mut expected = Vec::new();
+        for ((r, row), spec) in report.rows.iter().enumerate().zip(&specs) {
+            for (c, (cell, outcome)) in ["LLBP-X", "Opt-W", "64K TSL"].iter().zip(row).enumerate() {
+                if let Ok(run) = outcome {
+                    let (index, name, bits) = (3 * r + c, &run.name, run.storage_bits);
+                    let fp = checkpoint::job_fingerprint(index, cell, name, bits, spec, &sim);
+                    expected.push(Some(fp));
+                }
+            }
+        }
+        journaled.sort();
+        expected.sort();
+        assert_eq!(journaled.len(), 5, "every completed cell is journaled");
+        assert_eq!(journaled, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "`Opt-W` depends on `LLBP-X`, which is no independent cell")]
+    fn a_dependent_needs_an_independent_source_in_its_row() {
+        let _ = MatrixRow::new(&tiny_spec("no-source", 1)).cell_after("Opt-W", "LLBP-X", opt_w);
     }
 
     #[test]

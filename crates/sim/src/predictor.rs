@@ -1,7 +1,7 @@
 //! Simulator-side predictor instrumentation.
 
 use llbpx::{Llbp, LlbpStats};
-use tage::{DirectionPredictor, TageScl};
+use tage::{DirectionPredictor, FastMap, TageScl};
 
 /// A point-in-time snapshot of everything a predictor exposes to the
 /// simulator's instrumentation, returned by [`SimPredictor::observe`].
@@ -16,6 +16,9 @@ pub struct Observation<'a> {
     /// Pattern-buffer occupancy in `[0, 1]`, for predictors that have one
     /// (a telemetry gauge sampled into the interval time-series).
     pub pb_occupancy: Option<f64>,
+    /// Depth decision per tracked shallow context, for predictors whose
+    /// CTT decides depths (LLBP-X without an oracle).
+    pub depth_decisions: Option<&'a FastMap<u64, bool>>,
 }
 
 /// A predictor the simulation runner can drive and instrument.
@@ -45,6 +48,7 @@ impl SimPredictor for Llbp {
         Observation {
             llbp: Some(self.stats()),
             pb_occupancy: Some(Llbp::pb_occupancy(self)),
+            depth_decisions: self.ctt().map(|_| self.depth_decisions()),
         }
     }
 }
@@ -76,6 +80,8 @@ mod tests {
         let llbp = Llbp::new(LlbpConfig::paper_baseline());
         assert!(llbp.observe().llbp.is_some());
         assert!(llbp.observe().pb_occupancy.is_some());
+        assert!(llbp.observe().depth_decisions.is_none(), "plain LLBP decides no depths");
+        assert!(Llbp::new(LlbpConfig::llbpx()).observe().depth_decisions.is_some());
     }
 
     #[test]

@@ -37,6 +37,11 @@ pub struct RunResult {
     /// Storage budget of the predictor that ran (`u64::MAX` for the
     /// idealized infinite designs).
     pub storage_bits: u64,
+    /// The shallow context IDs whose final depth decision is deep, sorted:
+    /// the exact Opt-W oracle of this run, since the oracle reads a missing
+    /// context as shallow. `Some` only for predictors whose CTT decides
+    /// depths (LLBP-X without an oracle).
+    pub deep_contexts: Option<Vec<u64>>,
     /// Wall-clock seconds of the whole run (warmup + measurement).
     ///
     /// This is per-job wall time: under the parallel experiment engine
@@ -95,7 +100,9 @@ impl RunResult {
     /// The run record: the run as one JSON object, the shape of both a
     /// telemetry run and a checkpoint journal line. `sim` supplies the
     /// requested protocol (warmup/measurement budgets). A failed run
-    /// carries its `error` and no `storage_bits`.
+    /// carries its `error` and no `storage_bits`. A depth-adapting run
+    /// carries `deep_contexts` as 16-digit hex strings (a context ID is a
+    /// full 64-bit hash, beyond what a JSON number holds exactly).
     pub fn to_json(&self, sim: &Simulation) -> Json {
         let mut counters = Json::obj();
         let mut histogram = Vec::new();
@@ -118,6 +125,13 @@ impl RunResult {
             .set("wall_seconds", self.wall_seconds)
             .set("counters", counters)
             .set("alloc_len_histogram", histogram);
+        let j = match &self.deep_contexts {
+            Some(deep) => {
+                let hex: Vec<Json> = deep.iter().map(|cid| format!("{cid:016x}").into()).collect();
+                j.set("deep_contexts", hex)
+            }
+            None => j,
+        };
         let mut j = telemetry::record::with_run_sections(
             j,
             &self.intervals,
@@ -133,8 +147,8 @@ impl RunResult {
 
     /// The inverse of [`RunResult::to_json`] for a completed run: the
     /// accuracy fields, the second-level counters (`None` when the record's
-    /// `counters` object is empty), the interval time-series, the storage
-    /// bits and `wall_seconds`. The scope profile is not restored: its
+    /// `counters` object is empty), the deep contexts, the interval
+    /// time-series, the storage bits and `wall_seconds`. The scope profile is not restored: its
     /// labels are `&'static str`s into the binary. `None` for a failed
     /// run, or when any field is missing, negative or fractional.
     pub fn from_json(j: &Json) -> Option<RunResult> {
@@ -152,6 +166,13 @@ impl RunResult {
                 ..LlbpStats::from_counters(|name| counters.get(name)?.as_u64())?
             })
         };
+        let deep_contexts = match j.get("deep_contexts") {
+            Some(deep) => {
+                let cid = |v: &Json| u64::from_str_radix(v.as_str()?, 16).ok();
+                Some(deep.as_arr()?.iter().map(cid).collect::<Option<Vec<_>>>()?)
+            }
+            None => None,
+        };
         let intervals = j.get("intervals")?.as_arr()?.iter().map(IntervalSample::from_json);
         Some(RunResult {
             name: j.get("predictor")?.as_str()?.to_owned(),
@@ -162,6 +183,7 @@ impl RunResult {
             override_candidates: u("override_candidates")?,
             llbp,
             storage_bits: u("storage_bits")?,
+            deep_contexts,
             wall_seconds: j.get("wall_seconds")?.as_f64()?,
             intervals: intervals.collect::<Option<_>>()?,
             profile: Vec::new(),
@@ -305,6 +327,12 @@ impl Simulation {
         result.llbp = predictor.observe().llbp.map(|end| match &warm_stats {
             Some(start) => end.delta_since(start),
             None => end.clone(),
+        });
+        result.deep_contexts = predictor.observe().depth_decisions.map(|decisions| {
+            let deep = decisions.iter().filter(|&(_, &deep)| deep).map(|(&cid, _)| cid);
+            let mut deep: Vec<u64> = deep.collect();
+            deep.sort_unstable();
+            deep
         });
         result.storage_bits = predictor.storage_bits();
         result.profile = telemetry::profile::since(&profile_before);

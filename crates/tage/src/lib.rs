@@ -43,6 +43,7 @@
 
 pub mod bimodal;
 pub mod config;
+pub mod fast_map;
 pub mod folded;
 pub mod history;
 pub mod loop_pred;
@@ -54,6 +55,7 @@ pub mod tage;
 pub mod tsl;
 
 pub use config::{TableStorageKind, TageConfig, TslConfig, HISTORY_LENGTHS, NUM_TABLES};
+pub use fast_map::{FastMap, FastSet};
 pub use folded::FoldedHistory;
 pub use history::{GlobalHistory, PathHistory};
 pub use predictor::{DirectionPredictor, PredictInput, Update};

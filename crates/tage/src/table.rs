@@ -1,8 +1,7 @@
 //! Tagged TAGE tables: direct-mapped (hardware) and infinite (idealized).
 
-use std::collections::HashMap;
-
 use crate::config::TableStorageKind;
+use crate::fast_map::FastMap;
 
 /// One tagged-table entry: partial tag, 3-bit signed prediction counter
 /// (-4..=3) and a useful bit (paper: `12b tag + 3b counter + 1b useful`).
@@ -75,7 +74,7 @@ pub enum TableStorage {
     /// Direct-mapped array.
     Direct(Vec<TageEntry>),
     /// Unbounded associativity, PC-tagged.
-    Infinite(HashMap<(u32, u16, u64), TageEntry>),
+    Infinite(FastMap<(u32, u16, u64), TageEntry>),
 }
 
 /// One tagged table of the TAGE predictor.
@@ -93,7 +92,7 @@ impl TaggedTable {
             TableStorageKind::Direct => {
                 TableStorage::Direct(vec![TageEntry::EMPTY; 1 << log2_entries])
             }
-            TableStorageKind::Infinite => TableStorage::Infinite(HashMap::new()),
+            TableStorageKind::Infinite => TableStorage::Infinite(FastMap::default()),
         };
         TaggedTable { storage, index_mask: (1 << log2_entries) - 1, tag_bits }
     }

@@ -189,13 +189,60 @@ lines = [l for l in open(sys.argv[1]).read().splitlines() if l.strip()]
 assert len(lines) == 8, f"expected one line per fig01 cell, got {len(lines)}"
 for line in lines:
     entry = json.loads(line)
-    assert entry["v"] == 3, entry["v"]
+    assert entry["v"] == 4, entry["v"]
     assert entry["fingerprint"], "a journal line needs its cell's fingerprint"
     missing = RECORD_KEYS - set(entry)
     assert not missing, f"journal line lacks run-record keys {sorted(missing)}"
-print(f"ok: {len(lines)} journal line(s), each a v3 run record")
+print(f"ok: {len(lines)} journal line(s), each a v4 run record")
 EOF
 echo "ok: killed after $before journaled cell(s); resumed output byte-identical"
 rm -f "$ckpt" "$clean_out" "$resume_out"
+
+echo "== smoke: fig12 rebuilds Opt-W from a restored LLBP-X record =="
+# fig12's Opt-W cell takes its depth oracle from the deep contexts of the
+# row's LLBP-X run. Journal a clean run, delete its Opt-W lines and keep
+# the LLBP-X lines, then re-run: each Opt-W cell is rebuilt from a
+# *restored* LLBP-X record and must match the clean run — the table byte
+# for byte, and every counter of the re-simulated cell. Kafka has a deep
+# context at this budget, so the oracle under test is not empty.
+ckpt="$(mktemp -t llbpx-verify-optw-XXXXXX.jsonl)"
+optw_clean="$(mktemp -t llbpx-verify-optw-XXXXXX.jsonl)"
+clean_out="$(mktemp -t llbpx-verify-optw-XXXXXX.out)"
+resume_out="$(mktemp -t llbpx-verify-optw-XXXXXX.out)"
+rm -f "$ckpt"
+fig12_small=(env LLBPX_THREADS=2 REPRO_WORKLOADS=NodeApp,Kafka
+             REPRO_WARMUP=100000 REPRO_INSTRUCTIONS=400000 "LLBPX_CHECKPOINT=$ckpt")
+"${fig12_small[@]}" ./target/release/fig12 >"$clean_out"
+python3 - "$ckpt" "$optw_clean" <<'EOF'
+import json, sys
+lines = [l for l in open(sys.argv[1]).read().splitlines() if l.strip()]
+runs = [json.loads(l) for l in lines]
+assert len(runs) == 10, f"expected one line per fig12 cell, got {len(runs)}"
+kafka = [r for r in runs if r["predictor"] == "LLBP-X" and r["workload"] == "Kafka"]
+assert len(kafka) == 1 and kafka[0]["deep_contexts"], "Kafka's LLBP-X must record a deep context"
+is_optw = [r["predictor"] == "LLBP-X Opt-W" for r in runs]
+assert sum(is_optw) == 2, sum(is_optw)
+open(sys.argv[1], "w").write("".join(l + "\n" for l, o in zip(lines, is_optw) if not o))
+open(sys.argv[2], "w").write("".join(l + "\n" for l, o in zip(lines, is_optw) if o))
+EOF
+"${fig12_small[@]}" ./target/release/fig12 >"$resume_out" 2>/dev/null
+if ! diff <(grep -v '^engine:' "$clean_out") <(grep -v '^engine:' "$resume_out"); then
+    echo "error: fig12 with Opt-W rebuilt from restored LLBP-X records differs" >&2
+    exit 1
+fi
+python3 - "$ckpt" "$optw_clean" <<'EOF'
+import json, sys
+TIMING = {"wall_seconds", "profile", "fingerprint"}
+def optw_counters(path):
+    runs = [json.loads(l) for l in open(path).read().splitlines() if l.strip()]
+    optw = [r for r in runs if r["predictor"] == "LLBP-X Opt-W"]
+    return sorted(({k: v for k, v in r.items() if k not in TIMING} for r in optw),
+                  key=lambda r: r["workload"])
+rerun, clean = optw_counters(sys.argv[1]), optw_counters(sys.argv[2])
+assert len(rerun) == 2, f"the re-run must journal both Opt-W cells anew, got {len(rerun)}"
+assert rerun == clean, "an Opt-W cell built from a restored LLBP-X record drifted"
+print("ok: 2 Opt-W cells rebuilt from restored LLBP-X records, counter-identical")
+EOF
+rm -f "$ckpt" "$optw_clean" "$clean_out" "$resume_out"
 
 echo "== verify: all green =="

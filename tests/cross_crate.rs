@@ -1,7 +1,7 @@
 //! Cross-crate interoperability: the seams between traces, workloads,
 //! tage, llbpx and bpsim.
 
-use bpsim::runner::Simulation;
+use bpsim::runner::{RunResult, Simulation};
 use bpsim::SimPredictor;
 use llbpx::{Llbp, LlbpConfig};
 use tage::{DirectionPredictor, FoldedHistory, GlobalHistory, PredictInput, TageScl, TslConfig};
@@ -62,12 +62,15 @@ fn opt_w_oracle_flows_between_runs() {
     let spec = WorkloadSpec::new("oracle", 9).with_request_types(128).with_handlers(16);
     let sim = Simulation { warmup_instructions: 300_000, measure_instructions: 600_000 };
 
-    let mut trainer = Llbp::new(LlbpConfig::llbpx());
-    let first = sim.run(&mut trainer, &spec);
-    let oracle = trainer.depth_decisions().clone();
+    // The oracle travels in the LLBP-X run's record, as a journaled cell's
+    // does: the deep contexts survive the round trip exactly.
+    let first = sim.run(&mut Llbp::new(LlbpConfig::llbpx()), &spec);
+    let record = RunResult::from_json(&first.to_json(&sim)).expect("the record restores");
+    assert_eq!(record.deep_contexts, first.deep_contexts);
+    let deep = record.deep_contexts.expect("LLBP-X decides depths");
 
     let cfg = LlbpConfig { label: "LLBP-X Opt-W".to_owned(), ..LlbpConfig::llbpx() };
-    let mut oracled = Llbp::with_oracle(cfg, oracle);
+    let mut oracled = Llbp::with_oracle(cfg, deep);
     let second = sim.run(&mut oracled, &spec);
 
     assert_eq!(second.name, "LLBP-X Opt-W");

@@ -123,16 +123,16 @@ fn a_failed_cell_is_not_journaled_and_a_clean_resume_matches() {
 
 #[test]
 fn journal_lines_of_an_older_format_are_dropped_and_their_cells_re_simulate() {
-    let checkpoint = tmp_path("v2.ckpt");
+    let checkpoint = tmp_path("v3.ckpt");
     let _ = std::fs::remove_file(&checkpoint);
     let clean = fig01().env("LLBPX_CHECKPOINT", &checkpoint).output().expect("fig01 runs");
     assert!(clean.status.success());
 
-    // Relabel every journaled line as format version 2: even under a
+    // Relabel every journaled line as format version 3: even under a
     // matching fingerprint, a line of an older format must not restore.
     let journal = std::fs::read_to_string(&checkpoint).expect("journal was written");
-    assert_eq!(journal.matches("\"v\":3").count(), 4, "one v3 line per cell");
-    std::fs::write(&checkpoint, journal.replace("\"v\":3", "\"v\":2")).unwrap();
+    assert_eq!(journal.matches("\"v\":4").count(), 4, "one v4 line per cell");
+    std::fs::write(&checkpoint, journal.replace("\"v\":4", "\"v\":3")).unwrap();
 
     let rerun = fig01().env("LLBPX_CHECKPOINT", &checkpoint).output().expect("fig01 re-runs");
     let journal = std::fs::read_to_string(&checkpoint).expect("journal was appended");
@@ -142,7 +142,7 @@ fn journal_lines_of_an_older_format_are_dropped_and_their_cells_re_simulate() {
     assert_eq!(stderr.matches("dropping unparseable journal line").count(), 4, "{stderr}");
     assert!(!stderr.contains("restored from"), "no cell may restore: {stderr}");
     assert_eq!(stable_stdout(&clean.stdout), stable_stdout(&rerun.stdout));
-    assert_eq!(journal.matches("\"v\":3").count(), 4, "every cell re-simulated");
+    assert_eq!(journal.matches("\"v\":4").count(), 4, "every cell re-simulated");
 }
 
 #[test]

@@ -9,6 +9,11 @@
 //! kernel is optimization territory; a change that moves a single counter
 //! here is a correctness bug, not a speed-up.
 //!
+//! Opt-W is built as fig12 builds it: from the deep contexts of the row's
+//! LLBP-X run, read back from that run's record. NodeApp and TPCC have no
+//! deep context at this protocol, so Kafka adds an LLBP-X and an Opt-W
+//! line whose oracle is not empty.
+//!
 //! Re-record (only when a PR deliberately changes accuracy, and says why):
 //!
 //! ```text
@@ -17,7 +22,7 @@
 
 use std::path::PathBuf;
 
-use bpsim::exec::{run_jobs_with, BoxedJob};
+use bpsim::exec::{run_matrix_with, MatrixRow};
 use bpsim::runner::{RunResult, Simulation};
 use bpsim::SimPredictor;
 use llbpx::{FalsePathMode, LlbpConfig};
@@ -30,7 +35,7 @@ const WORKLOADS: [&str; 2] = ["NodeApp", "TPCC"];
 type Factory = fn() -> Box<dyn SimPredictor>;
 
 /// Every design constructor the figure binaries use, by display name. Opt-W
-/// is added per workload: its oracle is trained on that workload.
+/// is added to each row: its oracle comes from the row's LLBP-X run.
 fn designs() -> Vec<(&'static str, Factory)> {
     vec![
         ("8K TSL", || bench::tsl(8)),
@@ -84,21 +89,33 @@ fn stats(design: &str, r: &RunResult) -> Json {
     j
 }
 
+/// Opt-W from the record of an LLBP-X run, as a resumed fig12 builds it.
+fn opt_w_from_record(llbpx: &RunResult) -> Box<dyn SimPredictor> {
+    let record = RunResult::from_json(&llbpx.to_json(&PROTOCOL)).expect("the record restores");
+    bench::llbpx_opt_w_after(&record)
+}
+
 /// Runs every design on every golden workload, two cells at a time.
 fn simulate() -> Vec<Json> {
-    let mut jobs: Vec<BoxedJob<'static, Json>> = Vec::new();
-    for workload in WORKLOADS {
+    let mut names = Vec::new();
+    let mut row = |workload: &str, designs: Vec<(&'static str, Factory)>| {
         let spec = workloads::presets::by_name(workload).expect("golden preset exists");
-        for (name, factory) in designs() {
-            let spec = spec.clone();
-            jobs.push(Box::new(move || stats(name, &PROTOCOL.run(factory().as_mut(), &spec))));
-        }
-        jobs.push(Box::new(move || {
-            let oracle = bench::opt_w_oracle(&spec, &PROTOCOL);
-            stats("LLBP-X Opt-W", &PROTOCOL.run(bench::llbpx_opt_w(oracle).as_mut(), &spec))
-        }));
-    }
-    run_jobs_with(2, jobs)
+        let row = designs.into_iter().fold(MatrixRow::new(&spec), |row, (name, factory)| {
+            names.push(name);
+            row.cell(name, move |_| factory())
+        });
+        names.push("LLBP-X Opt-W");
+        row.cell_after("LLBP-X Opt-W", "LLBP-X", opt_w_from_record)
+    };
+    let mut rows: Vec<MatrixRow<'_>> = WORKLOADS.iter().map(|w| row(w, designs())).collect();
+    rows.push(row("Kafka", vec![("LLBP-X", bench::llbpx)]));
+    let report = run_matrix_with(&PROTOCOL, rows, 2);
+
+    let kafka = report.rows[WORKLOADS.len()][0].as_ref().expect("Kafka's LLBP-X completes");
+    let deep = kafka.deep_contexts.as_ref().expect("LLBP-X decides depths");
+    assert!(!deep.is_empty(), "Kafka's Opt-W line must pin a non-empty oracle");
+    let runs = report.rows.iter().flatten().map(|run| run.as_ref().expect("no golden cell fails"));
+    names.into_iter().zip(runs).map(|(name, run)| stats(name, run)).collect()
 }
 
 /// One run per line, so a drift shows up as a readable diff.
