@@ -553,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn opt_w_takes_the_decisions_of_an_llbpx_run() {
+    fn oracle_helper_produces_decisions() {
         let spec = WorkloadSpec::new("tiny", 2).with_request_types(64).with_handlers(8);
         let sim = Simulation { warmup_instructions: 50_000, measure_instructions: 100_000 };
         let llbpx_run = sim.run(llbpx().as_mut(), &spec);

@@ -148,9 +148,10 @@ impl RunResult {
     /// The inverse of [`RunResult::to_json`] for a completed run: the
     /// accuracy fields, the second-level counters (`None` when the record's
     /// `counters` object is empty), the deep contexts, the interval
-    /// time-series, the storage bits and `wall_seconds`. The scope profile is not restored: its
-    /// labels are `&'static str`s into the binary. `None` for a failed
-    /// run, or when any field is missing, negative or fractional.
+    /// time-series, the storage bits and `wall_seconds`. The scope profile
+    /// is not restored: its labels are `&'static str`s into the binary.
+    /// `None` for a failed run, or when any field is missing, negative or
+    /// fractional.
     pub fn from_json(j: &Json) -> Option<RunResult> {
         if j.get("status")?.as_str()? != "ok" {
             return None;
