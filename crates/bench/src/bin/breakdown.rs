@@ -14,11 +14,11 @@ fn main() -> ExitCode {
         &["workload", "depth adaptation only", "full LLBP-X"],
     );
     let designs = [
-        bench::design("LLBP", |_| bench::llbp()),
-        bench::design("LLBP-X no-HRS", |_| {
+        bench::design("LLBP", bench::llbp),
+        bench::design("LLBP-X no-HRS", || {
             bench::llbp_with(LlbpConfig::llbpx().without_history_range_selection())
         }),
-        bench::design("LLBP-X", |_| bench::llbpx()),
+        bench::design("LLBP-X", bench::llbpx),
     ];
     let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
     bench::tabulate(&mut table, &rows, |_, runs| {

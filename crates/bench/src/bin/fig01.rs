@@ -29,8 +29,8 @@ fn main() -> ExitCode {
 
     // Skylake-class predictor: 64K TSL. SPR-class: larger (128K).
     let designs = [
-        bench::design("64K TSL", |_| bench::tsl64()),
-        bench::design("128K TSL", |_| bench::tsl(128)),
+        bench::design("64K TSL", bench::tsl64),
+        bench::design("128K TSL", || bench::tsl(128)),
     ];
     let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);
 

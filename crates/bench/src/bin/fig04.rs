@@ -13,11 +13,11 @@ fn main() -> ExitCode {
         &["workload", "64K MPKI", "LLBP", "LLBP-0Lat", "512K TSL", "Inf TSL"],
     );
     let designs = [
-        bench::design("64K TSL", |_| bench::tsl64()),
-        bench::design("LLBP", |_| bench::llbp()),
-        bench::design("LLBP-0Lat", |_| bench::llbp_0lat()),
-        bench::design("512K TSL", |_| bench::tsl(512)),
-        bench::design("Inf TSL", |_| bench::tsl_inf()),
+        bench::design("64K TSL", bench::tsl64),
+        bench::design("LLBP", bench::llbp),
+        bench::design("LLBP-0Lat", bench::llbp_0lat),
+        bench::design("512K TSL", || bench::tsl(512)),
+        bench::design("Inf TSL", bench::tsl_inf),
     ];
     let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
     bench::tabulate(&mut table, &rows, |_, runs| {

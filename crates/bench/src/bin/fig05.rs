@@ -33,9 +33,9 @@ fn main() -> ExitCode {
         &header,
     );
 
-    let mut designs = vec![bench::design("LLBP-0Lat", |_| bench::llbp_0lat())];
+    let mut designs = vec![bench::design("LLBP-0Lat", bench::llbp_0lat)];
     for &(step_name, cfg) in &steps {
-        designs.push(bench::design(format!("LLBP {step_name}"), move |_| bench::llbp_with(cfg())));
+        designs.push(bench::design(format!("LLBP {step_name}"), move || bench::llbp_with(cfg())));
     }
     let rows = bench::run_rows(&mut telemetry, &sim, bench::representative_presets(), &designs);
     bench::tabulate(&mut table, &rows, |_, runs| {

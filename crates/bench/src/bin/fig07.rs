@@ -8,19 +8,24 @@
 use std::process::ExitCode;
 
 use bpsim::report::{f3, mean, Table};
+use bpsim::Simulation;
 
 fn main() -> ExitCode {
     let sim = bench::sim();
     let mut telemetry = bench::Telemetry::new("fig07");
     let preset = bench::analysis_preset();
-    let analysis = bench::run_analyses(&mut telemetry, &sim, vec![(preset.spec.clone(), 8)])
-        .pop()
-        .expect("one analysis per job");
+    let analysis = bench::run_analyses(&mut telemetry, &sim, &preset.spec, &[8]).remove(0);
 
     let mut table = Table::new(
         format!("Fig. 7 — avg history length per context, {} (Fig. 6 order)", preset.spec.name),
         &["context rank", "useful patterns", "avg history (bits)"],
     );
+    let Some(analysis) = analysis else {
+        table.na_row(preset.spec.name.as_str());
+        print!("{}", table.render());
+        println!("\navg history length, most-contended decile: n/a");
+        return footer(&sim);
+    };
     let n = analysis.contexts.len();
     let mut rank = 1usize;
     while rank <= n {
@@ -43,8 +48,12 @@ fn main() -> ExitCode {
             if bottom > 0.0 { top / bottom } else { f64::INFINITY }
         );
     }
+    footer(&sim)
+}
+
+fn footer(sim: &Simulation) -> ExitCode {
     bench::footer(
-        &sim,
+        sim,
         "Fig. 7 (\u{a7}III-B): contexts with the most useful patterns hold the \
          longest-history patterns",
     );

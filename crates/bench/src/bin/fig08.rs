@@ -17,11 +17,8 @@ fn main() -> ExitCode {
     let preset = bench::analysis_preset();
 
     let depths = [2usize, 8, 64];
-    let analyses = bench::run_analyses(
-        &mut telemetry,
-        &sim,
-        depths.iter().map(|&w| (preset.spec.clone(), w)).collect(),
-    );
+    // A failed cell's column renders `n/a`.
+    let analyses = bench::run_analyses(&mut telemetry, &sim, &preset.spec, &depths);
 
     let mut table = Table::new(
         format!("Fig. 8 — duplicates per unique useful pattern, {}", preset.spec.name),
@@ -30,12 +27,13 @@ fn main() -> ExitCode {
     for len_idx in 0..NUM_TABLES {
         let cells: Vec<String> = analyses
             .iter()
-            .map(|a| match a.duplication_ratio()[len_idx] {
-                Some(r) => format!("{r:.2}"),
-                None => "-".into(),
+            .map(|a| match a.as_ref().map(|a| a.duplication_ratio()[len_idx]) {
+                Some(Some(r)) => format!("{r:.2}"),
+                Some(None) => "-".into(),
+                None => "n/a".into(),
             })
             .collect();
-        if cells.iter().all(|c| c == "-") {
+        if cells.iter().all(|c| c == "-" || c == "n/a") {
             continue;
         }
         table.row([len_label(len_idx), cells[0].clone(), cells[1].clone(), cells[2].clone()]);
@@ -45,6 +43,10 @@ fn main() -> ExitCode {
     // Aggregate short-vs-long comparison per depth.
     println!("\naggregate duplication ratio (copies per unique pattern):");
     for (w, a) in depths.iter().zip(&analyses) {
+        let Some(a) = a else {
+            println!("  W={w:<3} n/a");
+            continue;
+        };
         let agg = |range: std::ops::Range<usize>| {
             let (t, u) = a.duplication[range]
                 .iter()

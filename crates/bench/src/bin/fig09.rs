@@ -9,6 +9,7 @@ use std::process::ExitCode;
 
 use bpsim::analysis::{len_label, useful_change_by_len};
 use bpsim::report::{pct, Table};
+use bpsim::Simulation;
 use tage::NUM_TABLES;
 
 fn main() -> ExitCode {
@@ -16,22 +17,20 @@ fn main() -> ExitCode {
     let mut telemetry = bench::Telemetry::new("fig09");
     let preset = bench::analysis_preset();
 
-    let mut analyses = bench::run_analyses(
-        &mut telemetry,
-        &sim,
-        vec![(preset.spec.clone(), 8), (preset.spec.clone(), 2), (preset.spec.clone(), 64)],
-    )
-    .into_iter();
-    let base = analyses.next().expect("one analysis per job");
-    let shallow = analyses.next().expect("one analysis per job");
-    let deep = analyses.next().expect("one analysis per job");
-    let d_shallow = useful_change_by_len(&base, &shallow);
-    let d_deep = useful_change_by_len(&base, &deep);
-
+    let analyses = bench::run_analyses(&mut telemetry, &sim, &preset.spec, &[8, 2, 64]);
     let mut table = Table::new(
         format!("Fig. 9 — useful predictions vs W=8 baseline, {}", preset.spec.name),
         &["history length", "useful @W=8", "W=2", "W=64"],
     );
+    let [Some(base), Some(shallow), Some(deep)] = analyses.as_slice() else {
+        table.na_row(preset.spec.name.as_str());
+        print!("{}", table.render());
+        println!("\naggregate useful predictions vs W=8: n/a");
+        return footer(&sim);
+    };
+    let d_shallow = useful_change_by_len(base, shallow);
+    let d_deep = useful_change_by_len(base, deep);
+
     for len_idx in 0..NUM_TABLES {
         if base.useful_by_len[len_idx] == 0 {
             continue;
@@ -53,16 +52,20 @@ fn main() -> ExitCode {
     println!("\naggregate useful predictions vs W=8:");
     println!(
         "  short lengths: W=2 {}, W=64 {}",
-        pct(agg(&shallow, short.clone()) as f64 / agg(&base, short.clone()).max(1) as f64 - 1.0),
-        pct(agg(&deep, short.clone()) as f64 / agg(&base, short).max(1) as f64 - 1.0),
+        pct(agg(shallow, short.clone()) as f64 / agg(base, short.clone()).max(1) as f64 - 1.0),
+        pct(agg(deep, short.clone()) as f64 / agg(base, short).max(1) as f64 - 1.0),
     );
     println!(
         "  long lengths:  W=2 {}, W=64 {}",
-        pct(agg(&shallow, long.clone()) as f64 / agg(&base, long.clone()).max(1) as f64 - 1.0),
-        pct(agg(&deep, long.clone()) as f64 / agg(&base, long).max(1) as f64 - 1.0),
+        pct(agg(shallow, long.clone()) as f64 / agg(base, long.clone()).max(1) as f64 - 1.0),
+        pct(agg(deep, long.clone()) as f64 / agg(base, long).max(1) as f64 - 1.0),
     );
+    footer(&sim)
+}
+
+fn footer(sim: &Simulation) -> ExitCode {
     bench::footer(
-        &sim,
+        sim,
         "Fig. 9 (\u{a7}IV): short lengths gain 63-213% with W=2; long lengths \
          gain 4.2-95% with W=64 and lose 49-74% with W=2",
     );

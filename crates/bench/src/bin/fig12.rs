@@ -16,11 +16,11 @@ fn main() -> ExitCode {
     // depth decisions become pass 2's fixed oracle. The engine runs the
     // Opt-W cell once that LLBP-X cell has finished.
     let designs = [
-        bench::design("64K TSL", |_| bench::tsl64()),
-        bench::design("LLBP", |_| bench::llbp()),
-        bench::design("LLBP-X", |_| bench::llbpx()),
+        bench::design("64K TSL", bench::tsl64),
+        bench::design("LLBP", bench::llbp),
+        bench::design("LLBP-X", bench::llbpx),
         bench::design_after("LLBP-X Opt-W", "LLBP-X", bench::llbpx_opt_w_after),
-        bench::design("512K TSL", |_| bench::tsl(512)),
+        bench::design("512K TSL", || bench::tsl(512)),
     ];
     let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
     bench::tabulate(&mut table, &rows, |_, runs| {

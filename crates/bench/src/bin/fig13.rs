@@ -21,10 +21,10 @@ fn main() -> ExitCode {
     // Google traces: trace-only, as in the paper.
     let presets = bench::presets_where(|p| p.in_gem5_eval);
     let designs = [
-        bench::design("64K TSL", |_| bench::tsl64()),
-        bench::design("LLBP", |_| bench::llbp()),
-        bench::design("LLBP-X", |_| bench::llbpx()),
-        bench::design("512K TSL", |_| bench::tsl(512)),
+        bench::design("64K TSL", bench::tsl64),
+        bench::design("LLBP", bench::llbp),
+        bench::design("LLBP-X", bench::llbpx),
+        bench::design("512K TSL", || bench::tsl(512)),
     ];
     let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);
     let speedup = |runs: &[RunResult], i: usize| core.speedup(&runs[0], &runs[i]);

@@ -21,7 +21,7 @@ fn main() -> ExitCode {
     );
     let modes = [FalsePathMode::Include, FalsePathMode::Flush];
     let designs = modes.map(|mode| {
-        bench::design(format!("LLBP-X {mode:?}"), move |_| {
+        bench::design(format!("LLBP-X {mode:?}"), move || {
             bench::llbp_with(LlbpConfig { false_path: mode, ..LlbpConfig::llbpx() })
         })
     });

@@ -21,9 +21,9 @@ fn main() -> ExitCode {
     );
     let presets = bench::presets_where(|p| p.in_gem5_eval);
     let designs = [
-        bench::design("64K TSL", |_| bench::tsl64()),
-        bench::design("128K TSL", |_| bench::tsl(128)),
-        bench::design("LLBP-X", |_| bench::llbpx()),
+        bench::design("64K TSL", bench::tsl64),
+        bench::design("128K TSL", || bench::tsl(128)),
+        bench::design("LLBP-X", bench::llbpx),
     ];
     let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);
     let speedup = |runs: &[RunResult], i: usize| core.speedup(&runs[0], &runs[i]);

@@ -14,8 +14,8 @@ fn main() -> ExitCode {
         &["workload", "LLBP reads", "LLBP writes", "X reads", "X writes", "total change"],
     );
     let designs = [
-        bench::design("LLBP", |_| bench::llbp()),
-        bench::design("LLBP-X", |_| bench::llbpx()),
+        bench::design("LLBP", bench::llbp),
+        bench::design("LLBP-X", bench::llbpx),
     ];
     let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
     // Reads and writes of one run, in bits per instruction.

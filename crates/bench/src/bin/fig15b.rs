@@ -23,8 +23,8 @@ fn main() -> ExitCode {
         &["workload", "PS energy", "CTT energy", "total"],
     );
     let designs = [
-        bench::design("LLBP", |_| bench::llbp()),
-        bench::design("LLBP-X", |_| bench::llbpx()),
+        bench::design("LLBP", bench::llbp),
+        bench::design("LLBP-X", bench::llbpx),
     ];
     let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
     let (llbp_model, x_model) = (EnergyModel::llbp(), EnergyModel::llbpx());

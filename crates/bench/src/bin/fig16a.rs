@@ -25,9 +25,9 @@ fn main() -> ExitCode {
         &header_refs,
     );
 
-    let mut designs = vec![bench::design("64K TSL", |_| bench::tsl64())];
+    let mut designs = vec![bench::design("64K TSL", bench::tsl64)];
     for &(cd_log2_sets, _) in sweeps {
-        designs.push(bench::design(format!("LLBP-X CD 2^{cd_log2_sets}"), move |_| {
+        designs.push(bench::design(format!("LLBP-X CD 2^{cd_log2_sets}"), move || {
             bench::llbp_with(LlbpConfig { cd_log2_sets, ..LlbpConfig::llbpx_zero_latency() })
         }));
     }

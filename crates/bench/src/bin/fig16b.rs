@@ -26,8 +26,8 @@ fn main() -> ExitCode {
     // Each size is a pair of designs: the baseline TSL, then LLBP-X on it.
     let mut designs = Vec::new();
     for &kb in sizes {
-        designs.push(bench::design(format!("{kb}K TSL"), move |_| bench::tsl(kb)));
-        designs.push(bench::design(format!("LLBP-X {kb}K"), move |_| {
+        designs.push(bench::design(format!("{kb}K TSL"), move || bench::tsl(kb)));
+        designs.push(bench::design(format!("LLBP-X {kb}K"), move || {
             let tsl = TslConfig::kilobytes(kb);
             bench::llbp_with(LlbpConfig { tsl, ..LlbpConfig::llbpx_zero_latency() })
         }));

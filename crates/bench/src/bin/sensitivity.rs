@@ -31,13 +31,13 @@ fn sweep(
 fn main() -> ExitCode {
     let sim = bench::sim();
     let mut telemetry = bench::Telemetry::new("sensitivity");
-    let baseline = || bench::design("64K TSL", |_| bench::tsl64());
+    let baseline = || bench::design("64K TSL", bench::tsl64);
 
     // --- H_th sweep (must be TAGE history lengths) ---------------------
     let h_ths = [37usize, 112, 232, 522, 1444];
     let mut designs = vec![baseline()];
     designs.extend(h_ths.map(|h| {
-        bench::design(format!("LLBP-X H_th={h}"), move |_| {
+        bench::design(format!("LLBP-X H_th={h}"), move || {
             bench::llbp_with(LlbpConfig::llbpx().with_h_th(h))
         })
     }));
@@ -53,7 +53,7 @@ fn main() -> ExitCode {
     let ctt_sizes = [4096usize, 6144, 8192];
     let mut designs = vec![baseline()];
     designs.extend(ctt_sizes.map(|entries| {
-        bench::design(format!("LLBP-X CTT={entries}"), move |_| {
+        bench::design(format!("LLBP-X CTT={entries}"), move || {
             bench::llbp_with(LlbpConfig::llbpx().with_ctt_entries(entries))
         })
     }));

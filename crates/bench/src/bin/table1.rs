@@ -14,7 +14,7 @@ fn main() -> ExitCode {
         "Table I — workloads with branch MPKI for 64K TSL",
         &["workload", "measured MPKI", "paper MPKI"],
     );
-    let designs = [bench::design("64K TSL", |_| bench::tsl64())];
+    let designs = [bench::design("64K TSL", bench::tsl64)];
     let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
     bench::tabulate(&mut table, &rows, |preset, runs| {
         vec![f3(runs[0].mpki()), f3(preset.paper_mpki)]

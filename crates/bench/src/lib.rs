@@ -15,8 +15,9 @@
 //! its committed table.
 //!
 //! A figure is a table of workloads × designs. A binary declares its
-//! designs once ([`design`]) and [`run_rows`] runs them on every preset,
-//! one engine matrix row per preset, returning one result row per preset.
+//! designs once (`bench::design("LLBP", bench::llbp)`) and [`run_rows`]
+//! runs them on every preset as one engine grid ([`bpsim::exec`]),
+//! returning one result row of [`RunResult`]s per preset.
 //! [`tabulate`] renders those rows (`n/a` for a row with a failed cell),
 //! and the geomean/mean summaries run over the [`completed`] rows, so a
 //! summary over no completed rows renders `n/a` too.
@@ -36,7 +37,7 @@ use std::time::Instant;
 
 use bpsim::analysis::ContextAnalysis;
 use bpsim::env::Knob;
-use bpsim::exec::{self, MatrixRow};
+use bpsim::exec::{self, EngineOptions};
 use bpsim::report::Table;
 use bpsim::runner::{RunResult, Simulation};
 use bpsim::{CoreParams, SimPredictor};
@@ -45,6 +46,8 @@ use tage::{TageScl, TslConfig};
 use telemetry::Json;
 use workloads::presets::Preset;
 use workloads::WorkloadSpec;
+
+pub use bpsim::exec::{design, design_after, Design};
 
 /// Process start anchor, set by the first [`sim`] call; [`footer`] reports
 /// elapsed wall time against it.
@@ -198,64 +201,17 @@ fn opt_w(deep_contexts: impl IntoIterator<Item = u64>) -> Box<dyn SimPredictor> 
     Box::new(Llbp::with_oracle(cfg, deep_contexts))
 }
 
-/// One design of a figure: the cell name it gives every row and a
-/// predictor factory that receives each row's workload, or, for a design
-/// that depends on another, that design's run on the row.
-///
-/// The name labels the cell in engine error reports, so failures name the
-/// design, not just the workload, and it is part of the cell's checkpoint
-/// fingerprint, so give every distinct design in a binary a distinct name.
-pub struct Design {
-    name: String,
-    factory: Factory,
-}
-
-/// Builds a design's predictor for one row's workload.
-type FromSpec = Box<dyn Fn(&WorkloadSpec) -> Box<dyn SimPredictor> + Sync>;
-
-/// Builds a design's predictor from the row's run of another design.
-type FromRun = Box<dyn Fn(&RunResult) -> Box<dyn SimPredictor> + Sync>;
-
-enum Factory {
-    Plain(FromSpec),
-    /// Built from the row's run of the design named `source`.
-    After { source: String, factory: FromRun },
-}
-
-/// A [`Design`] named `name`. Most designs ignore the workload
-/// (`|_| bench::tsl64()`).
-pub fn design(
-    name: impl Into<String>,
-    factory: impl Fn(&WorkloadSpec) -> Box<dyn SimPredictor> + Sync + 'static,
-) -> Design {
-    Design { name: name.into(), factory: Factory::Plain(Box::new(factory)) }
-}
-
-/// A [`Design`] named `name` whose predictor is built from the row's run
-/// of the design named `source` ([`MatrixRow::cell_after`]): Opt-W takes
-/// its depth oracle from the row's LLBP-X run
-/// (`design_after("LLBP-X Opt-W", "LLBP-X", bench::llbpx_opt_w_after)`).
-/// `source` must be a design without a source of its own.
-pub fn design_after(
-    name: impl Into<String>,
-    source: impl Into<String>,
-    factory: impl Fn(&RunResult) -> Box<dyn SimPredictor> + Sync + 'static,
-) -> Design {
-    let (source, factory) = (source.into(), Box::new(factory));
-    Design { name: name.into(), factory: Factory::After { source, factory } }
-}
-
 /// Runs every design on every preset through the parallel experiment
-/// engine ([`bpsim::exec`]), one matrix row per preset, records every run
-/// and returns one result row per preset: the runs in design order,
-/// bit-identical to running the same cells serially. A failed cell comes
-/// back as a failed [`RunResult`]; [`tabulate`] renders its row `n/a`.
+/// engine ([`bpsim::exec::run_matrix`]), one grid row per preset, records
+/// every run and returns one result row per preset: the runs in design
+/// order, bit-identical to running the same cells serially. A failed cell
+/// comes back as a failed [`RunResult`]; [`tabulate`] renders its row `n/a`.
 ///
 /// ```no_run
 /// let sim = bench::sim();
 /// let mut telemetry = bench::Telemetry::new("demo");
 /// let designs = [
-///     bench::design("LLBP-X", |_| bench::llbpx()),
+///     bench::design("LLBP-X", bench::llbpx),
 ///     // Pass 1 of Opt-W is the row's own LLBP-X cell.
 ///     bench::design_after("LLBP-X Opt-W", "LLBP-X", bench::llbpx_opt_w_after),
 /// ];
@@ -272,37 +228,31 @@ pub fn run_rows(
     presets: Vec<Preset>,
     designs: &[Design],
 ) -> Vec<(Preset, Vec<RunResult>)> {
-    let rows: Vec<MatrixRow<'_>> = presets
-        .iter()
-        .map(|preset| {
-            designs.iter().fold(MatrixRow::new(&preset.spec), |row, design| {
-                let name = design.name.clone();
-                match &design.factory {
-                    Factory::Plain(factory) => row.cell(name, factory),
-                    Factory::After { source, factory } => row.cell_after(name, source, factory),
-                }
-            })
-        })
-        .collect();
-    let report = exec::run_matrix(sim, rows);
+    let specs: Vec<WorkloadSpec> = presets.iter().map(|p| p.spec.clone()).collect();
+    let rows = run_grid(telemetry, sim, &specs, designs, EngineOptions::from_env());
+    presets.into_iter().zip(rows).collect()
+}
+
+/// Runs one grid and records it: every run on the telemetry line, every
+/// failed cell on stderr and in [`exit_status`]'s count.
+fn run_grid(
+    telemetry: &mut Telemetry,
+    sim: &Simulation,
+    specs: &[WorkloadSpec],
+    designs: &[Design],
+    opts: EngineOptions,
+) -> Vec<Vec<RunResult>> {
+    let report = exec::run_matrix(sim, specs, designs, opts);
     telemetry.record_engine(&report);
     FAILED_CELLS.fetch_add(report.failed_cells(), Ordering::Relaxed);
     RESUMED_CELLS.fetch_add(report.resumed_cells(), Ordering::Relaxed);
-
-    let mut record = |output: Result<_, _>, design: &Design, preset: &Preset| {
-        let result = output.unwrap_or_else(|err| {
-            eprintln!("error: cell `{} / {}`: {err}", design.name, preset.spec.name);
-            RunResult::from_job_error(err)
-        });
-        telemetry.record_run(&result, sim);
-        result
-    };
-    let rows = presets.into_iter().zip(report.rows);
-    rows.map(|(preset, row)| {
-        let runs = row.into_iter().zip(designs).map(|(o, d)| record(o, d, &preset)).collect();
-        (preset, runs)
-    })
-    .collect()
+    for run in report.rows.iter().flatten() {
+        if let Some(error) = &run.error {
+            eprintln!("error: {error}");
+        }
+        telemetry.record_run(run, sim);
+    }
+    report.rows
 }
 
 /// Adds one table row per result row: the workload name followed by
@@ -342,27 +292,31 @@ pub fn geomean_ratio(rows: &[(Preset, Vec<RunResult>)], i: usize) -> Option<f64>
     bpsim::report::geomean(completed(rows).map(|runs| mpki_ratio(runs, i)))
 }
 
-/// Runs several context analyses (Figs. 6-9) in parallel through the
-/// engine's fan-out, recording each underlying simulation run; results
-/// come back in job order.
+/// Runs the context analyses (Figs. 6-9) of `spec` at each context depth
+/// of `depths` as one grid row, recording each underlying run; `None` for
+/// a failed cell, in depth order.
+///
+/// The checkpoint journal stays off: a journal line does not hold the
+/// analysis data, so a restored cell could not be analyzed.
+/// `LLBPX_THREADS` and `LLBPX_FAULT_CELL` apply.
 pub fn run_analyses(
     telemetry: &mut Telemetry,
     sim: &Simulation,
-    jobs: Vec<(WorkloadSpec, usize)>,
-) -> Vec<ContextAnalysis> {
-    let boxed: Vec<exec::BoxedJob<'static, ContextAnalysis>> = jobs
-        .into_iter()
-        .map(|(spec, w)| {
-            let sim = *sim;
-            Box::new(move || bpsim::analysis::analyze_contexts(&spec, w, &sim))
-                as exec::BoxedJob<'static, ContextAnalysis>
+    spec: &WorkloadSpec,
+    depths: &[usize],
+) -> Vec<Option<ContextAnalysis>> {
+    let analyzer = |w: usize| {
+        design(format!("LLBP W={w} analysis"), move || {
+            Box::new(ContextAnalysis::predictor(w)) as Box<dyn SimPredictor>
         })
-        .collect();
-    let analyses = exec::run_jobs(boxed);
-    for analysis in &analyses {
-        telemetry.record_run(&analysis.run, sim);
-    }
-    analyses
+    };
+    let designs: Vec<Design> = depths.iter().map(|&w| analyzer(w)).collect();
+    let opts = EngineOptions {
+        fault_cell: exec::FAULT_CELL.get(|| None),
+        ..EngineOptions::basic(exec::threads_from_env())
+    };
+    let rows = run_grid(telemetry, sim, std::slice::from_ref(spec), &designs, opts);
+    rows.iter().flatten().map(ContextAnalysis::from_run).collect()
 }
 
 /// Machine-readable emission for one experiment binary.

@@ -3,9 +3,8 @@
 
 use llbpx::{Llbp, LlbpConfig};
 use tage::{HISTORY_LENGTHS, NUM_TABLES};
-use workloads::WorkloadSpec;
 
-use crate::runner::{RunResult, Simulation};
+use crate::runner::RunResult;
 
 /// One context's row in the Fig. 6/7 data: distinct useful patterns and
 /// their average history length, sorted by useful-pattern count descending.
@@ -28,12 +27,37 @@ pub struct ContextAnalysis {
     pub duplication: [(u64, u64); NUM_TABLES],
     /// Dynamic useful predictions per history length.
     pub useful_by_len: [u64; NUM_TABLES],
-    /// The underlying simulation run (MPKI, counters, telemetry), so
-    /// analysis binaries can emit run records like everything else.
-    pub run: RunResult,
 }
 
 impl ContextAnalysis {
+    /// The unlimited-contexts/patterns configuration (the `+ Inf Patterns`
+    /// point of Fig. 5) at context depth `w`, with the analysis
+    /// instrumentation whose run [`ContextAnalysis::from_run`] reads.
+    pub fn predictor(w: usize) -> Llbp {
+        Llbp::new(LlbpConfig::with_infinite_patterns().with_w(w).with_analysis())
+    }
+
+    /// The context-level data of a finished run of
+    /// [`ContextAnalysis::predictor`]; `None` for a run without analysis
+    /// data (a failed cell, or another predictor).
+    pub fn from_run(run: &RunResult) -> Option<ContextAnalysis> {
+        let analysis = run.llbp.as_ref()?.analysis.as_ref()?;
+        let contexts = analysis
+            .useful_patterns_per_context()
+            .into_iter()
+            .map(|(cid, useful_patterns)| ContextProfile {
+                cid,
+                useful_patterns,
+                avg_history_len: analysis.avg_history_len(cid).unwrap_or(0.0),
+            })
+            .collect();
+        Some(ContextAnalysis {
+            contexts,
+            duplication: analysis.duplication_by_len(),
+            useful_by_len: analysis.useful_by_len,
+        })
+    }
+
     /// Fraction of contexts whose useful patterns exceed `capacity`
     /// (the paper: 14% exceed the 16-pattern set at NodeApp).
     pub fn fraction_exceeding(&self, capacity: usize) -> f64 {
@@ -66,38 +90,6 @@ impl ContextAnalysis {
     }
 }
 
-/// Runs the unlimited-contexts/patterns configuration (the `+ Inf
-/// Patterns` point of Fig. 5) at context depth `w` with analysis
-/// instrumentation and extracts the context-level data.
-pub fn analyze_contexts(spec: &WorkloadSpec, w: usize, sim: &Simulation) -> ContextAnalysis {
-    let cfg = LlbpConfig::with_infinite_patterns().with_w(w).with_analysis();
-    let mut predictor = Llbp::new(cfg);
-    let result = sim.run(&mut predictor, spec);
-    // Invariants by construction: the predictor was built two lines up as
-    // an LLBP with analysis enabled.
-    #[allow(clippy::expect_used)]
-    let stats = result.llbp.as_ref().expect("LLBP run carries stats");
-    #[allow(clippy::expect_used)]
-    let analysis = stats.analysis.clone().expect("analysis was enabled");
-
-    let contexts = analysis
-        .useful_patterns_per_context()
-        .into_iter()
-        .map(|(cid, useful_patterns)| ContextProfile {
-            cid,
-            useful_patterns,
-            avg_history_len: analysis.avg_history_len(cid).unwrap_or(0.0),
-        })
-        .collect();
-
-    ContextAnalysis {
-        contexts,
-        duplication: analysis.duplication_by_len(),
-        useful_by_len: analysis.useful_by_len,
-        run: result,
-    }
-}
-
 /// Relative change in dynamic useful predictions per history length when
 /// moving from context depth `w_base` to `w_new` (Fig. 9). `None` where the
 /// base has no useful predictions at that length.
@@ -123,11 +115,20 @@ pub fn len_label(idx: usize) -> String {
 mod tests {
     use super::*;
 
+    use crate::runner::Simulation;
+    use workloads::WorkloadSpec;
+
     fn tiny() -> (WorkloadSpec, Simulation) {
         (
             WorkloadSpec::new("tiny", 5).with_request_types(64).with_handlers(8),
             Simulation { warmup_instructions: 150_000, measure_instructions: 300_000 },
         )
+    }
+
+    /// The analysis of a run at depth `w`, as a figure's grid cell makes it.
+    fn analyze_contexts(spec: &WorkloadSpec, w: usize, sim: &Simulation) -> ContextAnalysis {
+        let run = sim.run(&mut ContextAnalysis::predictor(w), spec);
+        ContextAnalysis::from_run(&run).expect("an analysis run carries its data")
     }
 
     #[test]
@@ -179,12 +180,12 @@ mod tests {
     }
 
     #[test]
-    fn analysis_carries_its_underlying_run() {
+    fn only_an_analysis_run_yields_an_analysis() {
         let (spec, sim) = tiny();
-        let a = analyze_contexts(&spec, 8, &sim);
-        assert_eq!(a.run.workload, "tiny");
-        assert!(a.run.mpki() > 0.0);
-        assert!(a.run.llbp.is_some(), "the run keeps its second-level stats");
+        let plain = sim.run(&mut Llbp::new(LlbpConfig::with_infinite_patterns()), &spec);
+        assert!(plain.llbp.is_some() && ContextAnalysis::from_run(&plain).is_none());
+        let failed = RunResult { error: Some("boom".into()), ..RunResult::default() };
+        assert!(ContextAnalysis::from_run(&failed).is_none(), "a failed cell has no data");
     }
 
     #[test]

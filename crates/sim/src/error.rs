@@ -1,55 +1,14 @@
 //! Structured errors for the simulation engine.
 //!
 //! The experiment engine is built to survive partial failure: a panicking
-//! matrix cell becomes a [`JobError`] (captured on the worker via
-//! `catch_unwind`) instead of aborting the whole matrix. An unreadable
-//! checkpoint surfaces a [`SimError`]; an invalid workload spec panics with
-//! [`SimError::InvalidSpec`]'s message, which the engine isolates like any
-//! other panic.
+//! matrix cell is captured on its worker via `catch_unwind` and comes back
+//! as a failed run whose error holds [`panic_message`], instead of aborting
+//! the whole matrix. An unreadable checkpoint surfaces a [`SimError`]; an
+//! invalid workload spec panics with [`SimError::InvalidSpec`]'s message,
+//! which the engine isolates like any other panic.
 
 use std::fmt;
 use std::path::PathBuf;
-
-/// A failure inside one isolated matrix cell: its worker panicked, in the
-/// predictor factory or in the run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobError {
-    /// Zero-based index of the job in its matrix.
-    pub index: usize,
-    /// Workload name of the cell.
-    pub workload: String,
-    /// Predictor label, if the factory got far enough to produce one.
-    pub predictor: Option<String>,
-    /// The captured panic message.
-    pub message: String,
-}
-
-impl JobError {
-    /// The error of cell `index`, whose worker panicked with `message`.
-    pub fn panic(
-        index: usize,
-        workload: &str,
-        predictor: Option<String>,
-        message: String,
-    ) -> Self {
-        JobError { index, workload: workload.to_owned(), predictor, message }
-    }
-}
-
-impl fmt::Display for JobError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "matrix cell {} ({} × {}) failed: {}",
-            self.index,
-            self.predictor.as_deref().unwrap_or("unbuilt predictor"),
-            self.workload,
-            self.message
-        )
-    }
-}
-
-impl std::error::Error for JobError {}
 
 /// Errors surfaced by the simulation library's fallible paths.
 #[derive(Debug)]
@@ -99,27 +58,6 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn job_errors_render_their_cell() {
-        let e = JobError::panic(
-            3,
-            "NodeApp",
-            Some("LLBP-X".into()),
-            "boom".into(),
-        );
-        let s = e.to_string();
-        assert!(s.contains("cell 3"), "{s}");
-        assert!(s.contains("LLBP-X × NodeApp"), "{s}");
-        assert!(s.contains("boom"), "{s}");
-    }
-
-    /// A job error has one kind, a panic, and renders as `failed`.
-    #[test]
-    fn job_error_kinds_map_to_statuses() {
-        let s = JobError::panic(0, "w", None, "boom".into()).to_string();
-        assert!(s.contains("unbuilt predictor × w) failed: boom"), "{s}");
-    }
 
     #[test]
     fn panic_messages_capture_str_and_string_payloads() {

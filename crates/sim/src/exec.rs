@@ -1,9 +1,9 @@
-//! The parallel experiment engine: fans a run matrix out over worker
-//! threads, isolates per-cell failures, and journals completed cells to a
-//! checkpoint.
+//! The parallel experiment engine: runs a grid of workloads × designs
+//! over worker threads, isolates per-cell failures, and journals completed
+//! cells to a checkpoint.
 //!
-//! Every figure/table binary replays the paper's protocol as a *matrix*:
-//! one [`MatrixRow`] per workload, one cell per predictor design on it.
+//! Every figure/table binary replays the paper's protocol as a grid: the
+//! same [`Design`]s on every workload, one cell per (workload, design).
 //! The cells are embarrassingly parallel and deterministic by construction
 //! (the workload generator is seeded, the runner is single-threaded per
 //! cell), so this module provides:
@@ -11,22 +11,23 @@
 //! * [`run_jobs`] — a deterministic-order parallel map: jobs are claimed in
 //!   index order by `LLBPX_THREADS` scoped workers and the results come
 //!   back in job order, bit-identical to running them serially;
-//! * [`run_matrix`] — a run matrix on top of it: every cell streams its
-//!   row's workload from its own seeded generator, so the cells of a row
-//!   see the same records without sharing any memory; cells keep a flat,
-//!   row-major index (their fingerprint and their `LLBPX_FAULT_CELL`
-//!   number) and come back grouped by row. A *dependent* cell
-//!   ([`MatrixRow::cell_after`]) builds its predictor from the finished run
-//!   of another cell of its row, as fig12's Opt-W takes its depth oracle
-//!   from the row's LLBP-X run.
+//! * [`run_matrix`] — a grid on top of it: every cell streams its
+//!   workload from its own seeded generator, so the cells of a row see the
+//!   same records without sharing any memory; cells keep a flat, row-major
+//!   index (their fingerprint and their `LLBPX_FAULT_CELL` number) and come
+//!   back as one [`RunResult`] per cell, grouped by workload. A *dependent*
+//!   design ([`design_after`]) builds its predictor from the finished run
+//!   of another design on the same workload, as fig12's Opt-W takes its
+//!   depth oracle from the row's LLBP-X run.
 //!
 //! A cell is a pure function of (predictor config, workload seed,
 //! protocol): a real failure fails the same way every time, so there is no
 //! retrying. What the engine does instead:
 //!
-//! * **Cell isolation** — each matrix cell runs under `catch_unwind`, so a
-//!   panicking cell becomes an `Err(`[`JobError`]`)` in the report instead
-//!   of aborting the whole sweep; every other cell still completes.
+//! * **Cell isolation** — each cell runs under `catch_unwind`, so a
+//!   panicking cell comes back as a failed [`RunResult`] (its `error`
+//!   names the cell index, design and workload) instead of aborting the
+//!   whole sweep; every other cell still completes.
 //!   `LLBPX_FAULT_CELL=<index>` deliberately panics one cell, to exercise
 //!   this path end-to-end.
 //! * **Checkpoint/resume** — with `LLBPX_CHECKPOINT=<path>` set, every
@@ -55,7 +56,7 @@ use workloads::WorkloadSpec;
 
 use crate::checkpoint::{self, Checkpoint};
 use crate::env::Knob;
-use crate::error::{panic_message, JobError};
+use crate::error::panic_message;
 use crate::predictor::SimPredictor;
 use crate::runner::{RunResult, Simulation};
 
@@ -162,92 +163,62 @@ pub fn run_jobs_with<T: Send>(threads: usize, jobs: Vec<BoxedJob<'_, T>>) -> Vec
         .collect()
 }
 
-/// A matrix cell's predictor factory. It receives the row's workload and
-/// executes once, on the worker thread that claims the cell, so predictors
-/// never cross threads.
-pub type Factory<'a> = Box<dyn FnOnce(&WorkloadSpec) -> Box<dyn SimPredictor> + Send + 'a>;
+/// Builds an independent design's predictor.
+type Fresh = Box<dyn Fn() -> Box<dyn SimPredictor> + Sync>;
 
-/// A dependent cell's predictor factory: it receives the finished run of
-/// its source cell, and executes once, on the worker that claims the cell.
-pub type DependentFactory<'a> = Box<dyn FnOnce(&RunResult) -> Box<dyn SimPredictor> + Send + 'a>;
+/// Builds a dependent design's predictor from its source's run.
+type FromSource = Box<dyn Fn(&RunResult) -> Box<dyn SimPredictor> + Sync>;
 
-/// How a matrix cell builds its predictor.
-pub enum CellFactory<'a> {
-    /// From the row's workload alone.
-    Independent(Factory<'a>),
-    /// From the finished run of the independent cell at position `source`
-    /// of the same row.
-    After {
-        /// The source cell's position in its row.
-        source: usize,
-        /// The factory, called with the source's run.
-        factory: DependentFactory<'a>,
-    },
+/// How a design builds a cell's predictor, on the worker that claims the
+/// cell, so predictors never cross threads.
+enum Build {
+    Plain(Fresh),
+    /// From the same workload's run of the design named `source`.
+    After { source: String, factory: FromSource },
 }
 
-/// One row of a run matrix: a workload and the named cells that run on it.
-pub struct MatrixRow<'a> {
-    /// The workload every cell of the row runs on; each cell streams it
-    /// from its own generator.
-    pub spec: WorkloadSpec,
-    /// The cells: a name (the design label its binary gives it) and a
-    /// predictor factory. The name is part of the checkpoint fingerprint,
-    /// where it tells apart configurations whose predictors share a label
-    /// and storage size.
-    pub cells: Vec<(String, CellFactory<'a>)>,
+/// One design of a grid: the name every cell of the design carries and
+/// how each cell builds its predictor.
+///
+/// The name labels the cell in a failed run, so failures name the design,
+/// not just the workload, and it is part of the cell's checkpoint
+/// fingerprint, where it tells apart configurations whose predictors share
+/// a label and storage size: give every design of a grid a distinct name.
+pub struct Design {
+    name: String,
+    build: Build,
 }
 
-impl<'a> MatrixRow<'a> {
-    /// An empty row on workload `spec`.
-    pub fn new(spec: &WorkloadSpec) -> Self {
-        MatrixRow { spec: spec.clone(), cells: Vec::new() }
-    }
-
-    /// Appends a cell named `name`.
-    #[must_use]
-    pub fn cell(
-        mut self,
-        name: impl Into<String>,
-        factory: impl FnOnce(&WorkloadSpec) -> Box<dyn SimPredictor> + Send + 'a,
-    ) -> Self {
-        self.cells.push((name.into(), CellFactory::Independent(Box::new(factory))));
-        self
-    }
-
-    /// Appends a cell named `name` whose predictor is built from the
-    /// finished run of the row's cell named `source`. If that cell fails,
-    /// this one fails too, with an error that names it.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `source` names an earlier cell of this row that is
-    /// not itself dependent.
-    #[must_use]
-    pub fn cell_after(
-        mut self,
-        name: impl Into<String>,
-        source: &str,
-        factory: impl FnOnce(&RunResult) -> Box<dyn SimPredictor> + Send + 'a,
-    ) -> Self {
-        let name = name.into();
-        let found = self.cells.iter().position(|(cell, factory)| {
-            cell == source && matches!(factory, CellFactory::Independent(_))
-        });
-        let Some(source) = found else {
-            panic!("cell `{name}` depends on `{source}`, which is no independent cell of its row");
-        };
-        self.cells.push((name, CellFactory::After { source, factory: Box::new(factory) }));
-        self
-    }
+/// A [`Design`] named `name` whose cells build their predictor with
+/// `factory` (`design("LLBP", bench::llbp)`).
+pub fn design(
+    name: impl Into<String>,
+    factory: impl Fn() -> Box<dyn SimPredictor> + Sync + 'static,
+) -> Design {
+    Design { name: name.into(), build: Build::Plain(Box::new(factory)) }
 }
 
-/// A completed run matrix: per-cell outcomes row by row plus engine
+/// A [`Design`] named `name` whose predictor is built from the same
+/// workload's run of the design named `source`, which must be a design of
+/// the grid without a source of its own: Opt-W takes its depth oracle from
+/// the row's LLBP-X run (`design_after("LLBP-X Opt-W", "LLBP-X",
+/// bench::llbpx_opt_w_after)`). If the source cell fails, this one fails
+/// too, with an error that names it.
+pub fn design_after(
+    name: impl Into<String>,
+    source: impl Into<String>,
+    factory: impl Fn(&RunResult) -> Box<dyn SimPredictor> + Sync + 'static,
+) -> Design {
+    let (source, factory) = (source.into(), Box::new(factory));
+    Design { name: name.into(), build: Build::After { source, factory } }
+}
+
+/// A completed grid: one run per cell, grouped by workload, plus engine
 /// bookkeeping for the coordinator's telemetry record.
 pub struct MatrixReport {
-    /// Per-cell outcomes, one vector per submitted row, cells in submitted
-    /// order. A cell that panicked is an `Err` carrying the structured
-    /// error; every other cell completed normally.
-    pub rows: Vec<Vec<Result<RunResult, JobError>>>,
+    /// One vector per workload, its runs in design order. A cell that
+    /// failed is a run with `error` set.
+    pub rows: Vec<Vec<RunResult>>,
     /// Worker threads actually used.
     pub threads: usize,
 }
@@ -255,22 +226,18 @@ pub struct MatrixReport {
 impl MatrixReport {
     /// How many cells failed.
     pub fn failed_cells(&self) -> usize {
-        self.rows.iter().flatten().filter(|o| o.is_err()).count()
+        self.rows.iter().flatten().filter(|run| run.is_failed()).count()
     }
 
     /// How many cells were restored from the checkpoint journal instead of
     /// simulated in this invocation.
     pub fn resumed_cells(&self) -> usize {
-        self.rows
-            .iter()
-            .flatten()
-            .filter(|o| matches!(o, Ok(result) if result.resumed))
-            .count()
+        self.rows.iter().flatten().filter(|run| run.resumed).count()
     }
 }
 
-/// Everything that shapes how a matrix executes, beyond the jobs
-/// themselves. [`EngineOptions::from_env`] reads the whole knob set;
+/// Everything that shapes how a grid executes, beyond its cells.
+/// [`EngineOptions::from_env`] reads the whole knob set;
 /// [`EngineOptions::basic`] is the bare engine (no checkpoint, no fault)
 /// for tests and library callers.
 pub struct EngineOptions {
@@ -299,173 +266,161 @@ impl EngineOptions {
     }
 }
 
-/// Runs a matrix under the full environment-driven configuration
-/// ([`EngineOptions::from_env`]). See [`run_matrix_opts`].
-pub fn run_matrix(sim: &Simulation, rows: Vec<MatrixRow<'_>>) -> MatrixReport {
-    run_matrix_opts(sim, rows, EngineOptions::from_env())
+/// A failed run of cell `index`: the design's name, the workload and an
+/// error that names all three.
+fn failed(index: usize, design: &str, spec: &WorkloadSpec, reason: &str) -> RunResult {
+    let workload = spec.name.clone();
+    let error = format!("matrix cell {index} ({design} × {workload}) failed: {reason}");
+    RunResult { name: design.to_owned(), workload, error: Some(error), ..RunResult::default() }
 }
 
-/// Runs a matrix with an explicit thread count, no checkpoint and no fault
-/// injection. See [`run_matrix_opts`].
-pub fn run_matrix_with(sim: &Simulation, rows: Vec<MatrixRow<'_>>, threads: usize) -> MatrixReport {
-    run_matrix_opts(sim, rows, EngineOptions::basic(threads))
-}
-
-/// One cell: build the predictor, consult the journal, run it under
-/// `catch_unwind`, journal the completion.
+/// One cell: build the predictor, consult the journal, run it, journal the
+/// completion — all under `catch_unwind`.
 fn run_cell(
     sim: &Simulation,
     opts: &EngineOptions,
     spec: &WorkloadSpec,
     index: usize,
-    cell: &str,
-    factory: impl FnOnce(&WorkloadSpec) -> Box<dyn SimPredictor>,
-) -> Result<RunResult, JobError> {
-    let mut predictor = std::panic::catch_unwind(AssertUnwindSafe(|| factory(spec)))
-        .map_err(|payload| JobError::panic(index, &spec.name, None, panic_message(payload)))?;
-    let name = predictor.name();
-    let storage_bits = predictor.storage_bits();
-    let fingerprint = checkpoint::job_fingerprint(index, cell, &name, storage_bits, spec, sim);
-    if let Some(restored) = opts.checkpoint.as_deref().and_then(|cp| cp.lookup(&fingerprint)) {
-        return Ok(restored);
-    }
-
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+    design: &str,
+    factory: impl FnOnce() -> Box<dyn SimPredictor>,
+) -> RunResult {
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut predictor = factory();
+        let (name, bits) = (predictor.name(), predictor.storage_bits());
+        let fingerprint = checkpoint::job_fingerprint(index, design, &name, bits, spec, sim);
+        if let Some(restored) = opts.checkpoint.as_deref().and_then(|cp| cp.lookup(&fingerprint)) {
+            return restored;
+        }
         if opts.fault_cell == Some(index) {
             panic!("deliberate fault injected into cell {index} (see {ENV_FAULT_CELL})");
         }
-        sim.run(predictor.as_mut(), spec)
-    }))
-    .map_err(|payload| JobError::panic(index, &spec.name, Some(name), panic_message(payload)))?;
-    if let Some(cp) = opts.checkpoint.as_deref() {
-        cp.record(&fingerprint, &result, sim);
-    }
-    Ok(result)
+        let result = sim.run(predictor.as_mut(), spec);
+        if let Some(cp) = opts.checkpoint.as_deref() {
+            cp.record(&fingerprint, &result, sim);
+        }
+        result
+    }));
+    outcome.unwrap_or_else(|payload| failed(index, design, spec, &panic_message(payload)))
 }
 
 /// Finished runs of the cells that others depend on, published by the
 /// worker that ran each one to the workers waiting for it.
 struct Sources {
-    done: Mutex<Vec<Option<Result<RunResult, JobError>>>>,
+    done: Mutex<Vec<Option<RunResult>>>,
     ready: Condvar,
 }
 
 impl Sources {
-    fn new(cells: usize) -> Self {
-        Sources { done: Mutex::new(vec![None; cells]), ready: Condvar::new() }
-    }
-
-    fn publish(&self, index: usize, outcome: &Result<RunResult, JobError>) {
+    fn publish(&self, index: usize, run: &RunResult) {
         let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
-        done[index] = Some(outcome.clone());
+        done[index] = Some(run.clone());
         self.ready.notify_all();
     }
 
     /// Blocks until cell `index` has been published, then returns it.
-    fn wait(&self, index: usize) -> Result<RunResult, JobError> {
+    fn wait(&self, index: usize) -> RunResult {
         let done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
         let done = self
             .ready
             .wait_while(done, |done| done[index].is_none())
             .unwrap_or_else(PoisonError::into_inner);
         match &done[index] {
-            Some(outcome) => outcome.clone(),
+            Some(run) => run.clone(),
             None => unreachable!("wait_while returns once the cell is published"),
         }
     }
 }
 
-/// Runs every cell of `rows` under `sim`, fanning out over at most
-/// `opts.threads` workers, and returns the outcomes row by row — completed
-/// cells bit-identical to running the same cells serially via
+/// Runs every design on every workload of the grid `specs` × `designs`
+/// under `sim`, fanning out over at most `opts.threads` workers, and
+/// returns one run per cell, grouped by workload — completed cells
+/// bit-identical to running the same cells serially via
 /// [`Simulation::run`].
 ///
-/// Every cell has a flat, row-major index: its checkpoint fingerprint and
-/// its `LLBPX_FAULT_CELL` number. Workers claim every independent cell in
-/// index order before any dependent cell, so a dependent cell's source is
-/// finished or running when it is claimed, and it waits for a running one;
-/// a single worker never waits. Each cell streams its row's workload from
-/// a generator of its own, exactly as the serial path does: the generator
-/// is seeded, so every cell of a row sees the same records, and a row
-/// holds no trace memory. A row whose spec is invalid fails each of its
-/// cells with [`crate::SimError::InvalidSpec`]'s message.
+/// Cell `w * designs.len() + d` is design `d` on workload `w`: that flat,
+/// row-major index is its checkpoint fingerprint and its `LLBPX_FAULT_CELL`
+/// number. Workers claim every independent cell in index order before any
+/// dependent cell, so a dependent cell's source is finished or running
+/// when it is claimed, and it waits for a running one; a single worker
+/// never waits. Each cell streams its workload from a generator of its
+/// own, exactly as the serial path does: the generator is seeded, so every
+/// cell of a row sees the same records, and a row holds no trace memory.
+/// A row whose spec is invalid fails each of its cells with
+/// [`crate::SimError::InvalidSpec`]'s message.
 ///
-/// Each cell runs under `catch_unwind`; a panic yields `Err(JobError)` for
-/// that cell and for the cells that depend on it, and every other cell
-/// still completes. With a checkpoint, completed cells are journaled under
-/// their deterministic fingerprint and cells already in the journal are
-/// restored (marked `resumed`) instead of simulated; a dependent cell is
-/// built from its source's restored run then.
-pub fn run_matrix_opts(
+/// Each cell runs under `catch_unwind`; a panic fails that cell and the
+/// cells that depend on it, and every other cell still completes. With a
+/// checkpoint, completed cells are journaled under their deterministic
+/// fingerprint and cells already in the journal are restored (marked
+/// `resumed`) instead of simulated; a dependent cell is built from its
+/// source's restored run then.
+///
+/// # Panics
+///
+/// Panics if a dependent design's source is not an independent design of
+/// the grid.
+pub fn run_matrix(
     sim: &Simulation,
-    rows: Vec<MatrixRow<'_>>,
+    specs: &[WorkloadSpec],
+    designs: &[Design],
     opts: EngineOptions,
 ) -> MatrixReport {
-    type Job<'a> = BoxedJob<'a, Result<RunResult, JobError>>;
+    // Each dependent design's source, as a position in `designs`.
+    let source_of: Vec<Option<usize>> = designs
+        .iter()
+        .map(|design| {
+            let Build::After { source, .. } = &design.build else { return None };
+            let independent = |d: &Design| d.name == *source && matches!(d.build, Build::Plain(_));
+            match designs.iter().position(independent) {
+                Some(position) => Some(position),
+                None => panic!(
+                    "`{}` depends on `{source}`, which is no independent cell of its row",
+                    design.name
+                ),
+            }
+        })
+        .collect();
+    let width = designs.len();
+    let cells = specs.len() * width;
+    let sources = Sources { done: Mutex::new(vec![None; cells]), ready: Condvar::new() };
 
-    let widths: Vec<usize> = rows.iter().map(|row| row.cells.len()).collect();
-    let cells: usize = widths.iter().sum();
-    let sources = Sources::new(cells);
-    let (opts, sources) = (&opts, &sources);
-
-    let mut independent: Vec<(usize, Job<'_>)> = Vec::new();
-    let mut dependent: Vec<(usize, Job<'_>)> = Vec::new();
-    let mut is_source = vec![false; cells];
-    let mut base = 0;
-    for MatrixRow { spec, cells } in rows {
-        let names: Vec<String> = cells.iter().map(|(name, _)| name.clone()).collect();
-        for (position, (name, factory)) in cells.into_iter().enumerate() {
-            let (index, spec) = (base + position, spec.clone());
-            match factory {
-                CellFactory::Independent(factory) => {
-                    let job = move || run_cell(sim, opts, &spec, index, &name, factory);
-                    independent.push((index, Box::new(job)));
-                }
-                CellFactory::After { source, factory } => {
-                    let (source, source_name) = (base + source, names[source].clone());
-                    is_source[source] = true;
-                    let job = move || match sources.wait(source) {
-                        Ok(run) => run_cell(sim, opts, &spec, index, &name, |_| factory(&run)),
-                        Err(err) => {
-                            let message = format!(
-                                "its source cell {source} (`{source_name}`) failed: {}",
-                                err.message
-                            );
-                            Err(JobError::panic(index, &spec.name, None, message))
-                        }
-                    };
-                    dependent.push((index, Box::new(job)));
+    let cell = |index: usize| {
+        let (spec, d) = (&specs[index / width], index % width);
+        let name = designs[d].name.as_str();
+        let run = match (&designs[d].build, source_of[d]) {
+            (Build::Plain(factory), _) => run_cell(sim, &opts, spec, index, name, factory),
+            (Build::After { source, factory }, Some(position)) => {
+                let source_index = index - d + position;
+                let source_run = sources.wait(source_index);
+                match &source_run.error {
+                    Some(error) => {
+                        let reason =
+                            format!("its source cell {source_index} (`{source}`) failed: {error}");
+                        failed(index, name, spec, &reason)
+                    }
+                    None => run_cell(sim, &opts, spec, index, name, || factory(&source_run)),
                 }
             }
+            (Build::After { .. }, None) => unreachable!("every source was resolved above"),
+        };
+        if source_of.contains(&Some(d)) {
+            sources.publish(index, &run);
         }
-        base += names.len();
-    }
+        run
+    };
 
-    // A source publishes its outcome to the dependent cells waiting on it.
-    let is_source = &is_source;
-    let publishing = independent.into_iter().map(|(index, job)| {
-        let job: Job<'_> = Box::new(move || {
-            let outcome = job();
-            if is_source[index] {
-                sources.publish(index, &outcome);
-            }
-            outcome
-        });
-        (index, job)
-    });
-    let (order, jobs): (Vec<usize>, Vec<Job<'_>>) = publishing.chain(dependent).unzip();
-
-    let used_threads = opts.threads.max(1).min(cells.max(1));
-    let mut slots: Vec<Option<Result<RunResult, JobError>>> = vec![None; cells];
-    for (index, outcome) in order.into_iter().zip(run_jobs_with(opts.threads, jobs)) {
-        slots[index] = Some(outcome);
-    }
-    let mut outputs = slots.into_iter().map(|slot| match slot {
-        Some(outcome) => outcome,
-        None => unreachable!("every cell runs exactly once"),
-    });
-    let rows = widths.into_iter().map(|width| outputs.by_ref().take(width).collect()).collect();
-    MatrixReport { rows, threads: used_threads }
+    let cell = &cell;
+    let (independent, dependent): (Vec<usize>, Vec<usize>) =
+        (0..cells).partition(|&index| source_of[index % width].is_none());
+    let order: Vec<usize> = independent.into_iter().chain(dependent).collect();
+    let job = |index: usize| Box::new(move || cell(index)) as BoxedJob<'_, RunResult>;
+    let jobs = order.iter().map(|&index| job(index)).collect();
+    let mut runs: Vec<(usize, RunResult)> =
+        order.into_iter().zip(run_jobs_with(opts.threads, jobs)).collect();
+    runs.sort_unstable_by_key(|(index, _)| *index);
+    let mut runs = runs.into_iter().map(|(_, run)| run);
+    let rows = specs.iter().map(|_| runs.by_ref().take(width).collect()).collect();
+    MatrixReport { rows, threads: opts.threads.max(1).min(cells.max(1)) }
 }
 
 #[cfg(test)]
@@ -497,12 +452,23 @@ mod tests {
         EngineOptions { checkpoint, fault_cell, ..EngineOptions::basic(threads) }
     }
 
-    fn tsl64(_: &WorkloadSpec) -> Box<dyn SimPredictor> {
+    fn tsl64() -> Box<dyn SimPredictor> {
         Box::new(TageScl::new(TslConfig::kilobytes(64)))
     }
 
-    fn llbp(_: &WorkloadSpec) -> Box<dyn SimPredictor> {
+    fn llbp() -> Box<dyn SimPredictor> {
         Box::new(Llbp::new(LlbpConfig::paper_baseline()))
+    }
+
+    /// The error of a cell that must have failed.
+    fn error_of(run: &RunResult) -> &str {
+        run.error.as_deref().expect("the cell failed")
+    }
+
+    /// A run that must have completed.
+    fn completed(run: &RunResult) -> &RunResult {
+        assert!(!run.is_failed(), "cell {} × {} failed: {:?}", run.name, run.workload, run.error);
+        run
     }
 
     #[test]
@@ -530,12 +496,11 @@ mod tests {
         }
     }
 
-    fn standard_rows(specs: &[WorkloadSpec]) -> Vec<MatrixRow<'static>> {
-        let row = |spec| MatrixRow::new(spec).cell("64K TSL", tsl64).cell("LLBP", llbp);
-        specs.iter().map(row).collect()
+    fn standard_designs() -> [Design; 2] {
+        [design("64K TSL", tsl64), design("LLBP", llbp)]
     }
 
-    /// A [`standard_rows`] row run serially through [`compare`].
+    /// A [`standard_designs`] row run serially through [`compare`].
     fn serial_row(sim: &Simulation, spec: &WorkloadSpec) -> Vec<RunResult> {
         let mut tsl = TageScl::new(TslConfig::kilobytes(64));
         let mut llbp = Llbp::new(LlbpConfig::paper_baseline());
@@ -549,13 +514,14 @@ mod tests {
         let serial: Vec<_> = specs.iter().map(|spec| serial_row(&sim, spec)).collect();
 
         for threads in [1usize, 4] {
-            let report = run_matrix_with(&sim, standard_rows(&specs), threads);
+            let opts = EngineOptions::basic(threads);
+            let report = run_matrix(&sim, &specs, &standard_designs(), opts);
             assert_eq!(report.rows.len(), serial.len());
             assert_eq!(report.failed_cells(), 0);
             for (row, serial_row) in report.rows.iter().zip(&serial) {
                 assert_eq!(row.len(), serial_row.len());
                 for (parallel, serial) in row.iter().zip(serial_row) {
-                    assert_same_run(parallel.as_ref().expect("no cell fails"), serial);
+                    assert_same_run(completed(parallel), serial);
                 }
             }
         }
@@ -581,19 +547,17 @@ mod tests {
 
         let specs = [bad, good];
         for threads in [1usize, 4] {
-            let report = run_matrix_with(&sim, standard_rows(&specs), threads);
+            let opts = EngineOptions::basic(threads);
+            let report = run_matrix(&sim, &specs, &standard_designs(), opts);
             assert_eq!(report.failed_cells(), 2);
             for (index, cell) in report.rows[0].iter().enumerate() {
-                let err = cell.as_ref().expect_err("an invalid spec cannot run");
-                assert_eq!((err.index, err.workload.as_str()), (index, "bad"));
-                assert!(
-                    err.message.starts_with("invalid workload spec `bad`"),
-                    "{}",
-                    err.message
-                );
+                let error = error_of(cell);
+                assert_eq!(cell.workload, "bad");
+                assert!(error.starts_with(&format!("matrix cell {index} (")), "{error}");
+                assert!(error.contains("failed: invalid workload spec `bad`"), "{error}");
             }
             for (parallel, serial) in report.rows[1].iter().zip(&serial) {
-                assert_same_run(parallel.as_ref().expect("the valid row completes"), serial);
+                assert_same_run(completed(parallel), serial);
             }
         }
     }
@@ -603,38 +567,35 @@ mod tests {
         let bad = WorkloadSpec::new("bad", 1).with_request_types(0);
         let reason = bad.validate().expect_err("zero request types is invalid");
         let expected = SimError::InvalidSpec { workload: "bad".into(), reason }.to_string();
-        let row = MatrixRow::new(&bad).cell("64K TSL", tsl64);
-        let report = run_matrix_with(&tiny_sim(), vec![row], 1);
-        let err = report.rows[0][0].as_ref().expect_err("an invalid spec cannot run");
-        assert_eq!(err.message, expected);
-        assert!(err.predictor.is_some(), "the factory ran before the spec was rejected");
+        let designs = [design("64K TSL", tsl64)];
+        let report = run_matrix(&tiny_sim(), &[bad], &designs, EngineOptions::basic(1));
+        let run = &report.rows[0][0];
+        assert_eq!(error_of(run), format!("matrix cell 0 (64K TSL × bad) failed: {expected}"));
+        assert_eq!(run.name, "64K TSL", "a failed run carries its design's name");
     }
 
     #[test]
     fn fault_cells_keep_their_flat_index_across_rows() {
         let specs = [tiny_spec("flat-a", 37), tiny_spec("flat-b", 41)];
-        let rows: Vec<MatrixRow<'_>> = specs
-            .iter()
-            .map(|spec| {
-                (0..5).fold(MatrixRow::new(spec), |row, i| row.cell(format!("TSL {i}"), tsl64))
-            })
-            .collect();
+        let designs: Vec<Design> = (0..5).map(|i| design(format!("TSL {i}"), tsl64)).collect();
         let sim = Simulation { warmup_instructions: 10_000, measure_instructions: 20_000 };
-        let report = run_matrix_opts(&sim, rows, with_fault(2, None, Some(5)));
+        let report = run_matrix(&sim, &specs, &designs, with_fault(2, None, Some(5)));
         assert_eq!(report.failed_cells(), 1);
-        let err = report.rows[1][0].as_ref().expect_err("cell 5 opens row 1");
-        assert_eq!((err.index, err.workload.as_str()), (5, "flat-b"));
-        assert!(err.message.contains(ENV_FAULT_CELL), "{}", err.message);
-        assert!(report.rows.iter().flatten().filter(|o| o.is_ok()).count() == 9);
+        let run = &report.rows[1][0];
+        let error = error_of(run);
+        assert_eq!(run.workload, "flat-b", "cell 5 opens row 1");
+        assert!(error.starts_with("matrix cell 5 (TSL 0 × flat-b)"), "{error}");
+        assert!(error.contains(ENV_FAULT_CELL), "{error}");
+        assert!(report.rows.iter().flatten().filter(|run| !run.is_failed()).count() == 9);
     }
 
     #[test]
     fn worker_profiles_travel_with_their_runs() {
         let sim = tiny_sim();
-        let row = MatrixRow::new(&tiny_spec("prof", 5)).cell("LLBP a", llbp).cell("LLBP b", llbp);
-        let report = run_matrix_with(&sim, vec![row], 4);
+        let designs = [design("LLBP a", llbp), design("LLBP b", llbp)];
+        let report = run_matrix(&sim, &[tiny_spec("prof", 5)], &designs, EngineOptions::basic(4));
         for output in report.rows.iter().flatten() {
-            let output = output.as_ref().expect("no cell fails");
+            let output = completed(output);
             let named: Vec<&str> = output.profile.iter().map(|s| s.name).collect();
             for scope in ["tage::predict", "tage::update", "llbp::pattern_lookup"] {
                 assert!(named.contains(&scope), "{scope} missing from {named:?}");
@@ -650,22 +611,23 @@ mod tests {
         let clean = sim.run(&mut TageScl::new(TslConfig::kilobytes(64)), &spec);
 
         for threads in [1usize, 4] {
-            let row = MatrixRow::new(&spec)
-                .cell("ok a", tsl64)
-                .cell("boom", |_| panic!("factory exploded on purpose"))
-                .cell("ok b", tsl64);
-            let report = run_matrix_with(&sim, vec![row], threads);
+            let designs = [
+                design("ok a", tsl64),
+                design("boom", || panic!("factory exploded on purpose")),
+                design("ok b", tsl64),
+            ];
+            let report =
+                run_matrix(&sim, std::slice::from_ref(&spec), &designs, EngineOptions::basic(threads));
             assert_eq!(report.failed_cells(), 1);
             let row = &report.rows[0];
-            let err = row[1].as_ref().expect_err("cell 1 fails");
-            assert_eq!(err.index, 1);
-            assert_eq!(err.workload, spec.name);
-            assert_eq!(err.predictor, None, "the factory never produced one");
-            assert!(err.message.contains("factory exploded"), "{}", err.message);
+            let error = error_of(&row[1]);
+            assert!(error.starts_with("matrix cell 1 (boom × iso) failed:"), "{error}");
+            assert_eq!(row[1].workload, spec.name);
+            assert_eq!(row[1].name, "boom", "the factory never produced a predictor label");
+            assert!(error.contains("factory exploded"), "{error}");
             for i in [0usize, 2] {
-                let ok = row[i].as_ref().expect("survivors complete");
+                let ok = completed(&row[i]);
                 assert_eq!(ok.mispredicts, clean.mispredicts);
-                assert!(!ok.is_failed());
             }
         }
     }
@@ -674,12 +636,12 @@ mod tests {
     fn fault_injection_fails_exactly_the_chosen_cell() {
         let sim = tiny_sim();
         let specs = [tiny_spec("fault", 13)];
-        let report = run_matrix_opts(&sim, standard_rows(&specs), with_fault(2, None, Some(1)));
+        let report = run_matrix(&sim, &specs, &standard_designs(), with_fault(2, None, Some(1)));
         assert_eq!(report.failed_cells(), 1);
-        let err = report.rows[0][1].as_ref().expect_err("cell 1 is the fault cell");
-        assert!(err.message.contains(ENV_FAULT_CELL), "{}", err.message);
-        assert_eq!(err.predictor.as_deref(), Some("LLBP"), "run-stage failures carry the label");
-        assert!(report.rows[0][0].is_ok());
+        let run = &report.rows[0][1];
+        assert!(error_of(run).contains(ENV_FAULT_CELL), "{}", error_of(run));
+        assert_eq!(run.name, "LLBP", "run-stage failures carry the design's name");
+        assert!(!report.rows[0][0].is_failed());
     }
 
     #[test]
@@ -688,12 +650,13 @@ mod tests {
         let specs = [tiny_spec("ckpt", 17)];
         let path = tmp("resume");
         let _ = std::fs::remove_file(&path);
+        let designs = standard_designs();
 
-        let clean = run_matrix_with(&sim, standard_rows(&specs), 2);
+        let clean = run_matrix(&sim, &specs, &designs, EngineOptions::basic(2));
 
         // First pass: cell 1 faults, so only cell 0 lands in the journal.
         let cp = Arc::new(Checkpoint::open(&path).expect("journal opens"));
-        let first = run_matrix_opts(&sim, standard_rows(&specs), with_fault(2, Some(cp), Some(1)));
+        let first = run_matrix(&sim, &specs, &designs, with_fault(2, Some(cp), Some(1)));
         assert_eq!(first.failed_cells(), 1);
         assert_eq!(first.resumed_cells(), 0);
 
@@ -701,12 +664,11 @@ mod tests {
         // cell 1 simulates, and every metric matches the clean run.
         let cp = Arc::new(Checkpoint::open(&path).expect("journal reopens"));
         assert_eq!(cp.len(), 1, "only the completed cell was journaled");
-        let second = run_matrix_opts(&sim, standard_rows(&specs), with_fault(2, Some(cp), None));
+        let second = run_matrix(&sim, &specs, &designs, with_fault(2, Some(cp), None));
         assert_eq!(second.failed_cells(), 0);
         assert_eq!(second.resumed_cells(), 1);
         for (resumed, clean) in second.rows[0].iter().zip(&clean.rows[0]) {
-            let resumed = resumed.as_ref().expect("no cell fails");
-            let clean = clean.as_ref().expect("no cell fails");
+            let (resumed, clean) = (completed(resumed), completed(clean));
             assert_eq!(resumed.name, clean.name);
             assert_eq!(resumed.instructions, clean.instructions);
             assert_eq!(resumed.mispredicts, clean.mispredicts);
@@ -714,26 +676,25 @@ mod tests {
             assert_eq!(resumed.intervals, clean.intervals);
             assert_eq!(resumed.storage_bits, clean.storage_bits);
         }
-        assert!(second.rows[0][0].as_ref().is_ok_and(|o| o.resumed));
-        assert!(second.rows[0][1].as_ref().is_ok_and(|o| !o.resumed));
+        assert!(second.rows[0][0].resumed);
+        assert!(!second.rows[0][1].resumed);
 
         // Third pass: everything restores; nothing is simulated.
         let cp = Arc::new(Checkpoint::open(&path).expect("journal reopens again"));
         assert_eq!(cp.len(), 2);
-        let third = run_matrix_opts(&sim, standard_rows(&specs), with_fault(2, Some(cp), None));
+        let third = run_matrix(&sim, &specs, &designs, with_fault(2, Some(cp), None));
         assert_eq!(third.resumed_cells(), 2);
 
         // A different budget changes every fingerprint: nothing restores.
         let other = Simulation { warmup_instructions: 50_000, ..sim };
         let cp = Arc::new(Checkpoint::open(&path).expect("journal reopens once more"));
-        let fourth =
-            run_matrix_opts(&other, standard_rows(&specs), with_fault(2, Some(cp), None));
+        let fourth = run_matrix(&other, &specs, &designs, with_fault(2, Some(cp), None));
         assert_eq!(fourth.resumed_cells(), 0, "stale fingerprints never match");
 
         let _ = std::fs::remove_file(&path);
     }
 
-    fn llbpx(_: &WorkloadSpec) -> Box<dyn SimPredictor> {
+    fn llbpx() -> Box<dyn SimPredictor> {
         Box::new(Llbp::new(LlbpConfig::llbpx()))
     }
 
@@ -746,16 +707,10 @@ mod tests {
         Box::new(Llbp::with_oracle(cfg, deep))
     }
 
-    /// Rows whose dependent cell sits between two independent cells, so
-    /// its claim order differs from its index.
-    fn dependent_rows(specs: &[WorkloadSpec]) -> Vec<MatrixRow<'static>> {
-        let row = |spec| {
-            MatrixRow::new(spec)
-                .cell("LLBP-X", llbpx)
-                .cell_after("Opt-W", "LLBP-X", opt_w)
-                .cell("64K TSL", tsl64)
-        };
-        specs.iter().map(row).collect()
+    /// A dependent design between two independent ones, so its cells'
+    /// claim order differs from their index.
+    fn dependent_designs() -> [Design; 3] {
+        [design("LLBP-X", llbpx), design_after("Opt-W", "LLBP-X", opt_w), design("64K TSL", tsl64)]
     }
 
     #[test]
@@ -774,35 +729,26 @@ mod tests {
 
         for threads in [1usize, 4] {
             // Each dependent records the run it was handed.
-            let received = Mutex::new(Vec::new());
-            let rows = specs
-                .iter()
-                .map(|spec| {
-                    let opt_w = |source: &RunResult| {
-                        let seen = (source.workload.clone(), source.mispredicts);
-                        received.lock().unwrap_or_else(PoisonError::into_inner).push(seen);
-                        opt_w(source)
-                    };
-                    MatrixRow::new(spec)
-                        .cell("LLBP-X", llbpx)
-                        .cell_after("Opt-W", "LLBP-X", opt_w)
-                        .cell("64K TSL", tsl64)
-                })
-                .collect();
-            let report = run_matrix_with(&sim, rows, threads);
-            assert_eq!(report.failed_cells(), 0);
-            let mut received = received.into_inner().unwrap_or_else(PoisonError::into_inner);
-            received.sort();
-            let source = |row: &Vec<Result<RunResult, JobError>>| {
-                let source = row[0].as_ref().expect("no cell fails");
-                (source.workload.clone(), source.mispredicts)
+            let received = Arc::new(Mutex::new(Vec::new()));
+            let seen = Arc::clone(&received);
+            let opt_w = move |source: &RunResult| {
+                let run = (source.workload.clone(), source.mispredicts);
+                seen.lock().unwrap_or_else(PoisonError::into_inner).push(run);
+                opt_w(source)
             };
+            let designs =
+                [design("LLBP-X", llbpx), design_after("Opt-W", "LLBP-X", opt_w), design("64K TSL", tsl64)];
+            let report = run_matrix(&sim, &specs, &designs, EngineOptions::basic(threads));
+            assert_eq!(report.failed_cells(), 0);
+            let mut received =
+                std::mem::take(&mut *received.lock().unwrap_or_else(PoisonError::into_inner));
+            received.sort();
+            let source = |row: &Vec<RunResult>| (row[0].workload.clone(), row[0].mispredicts);
             let sources: Vec<_> = report.rows.iter().map(source).collect();
             assert_eq!(received, sources, "each dependent is handed its own row's run");
             for (row, serial_row) in report.rows.iter().zip(&serial) {
                 for (parallel, serial) in row.iter().zip(serial_row) {
-                    let parallel = parallel.as_ref().expect("no cell fails");
-                    assert_same_run(parallel, serial);
+                    assert_same_run(completed(parallel), serial);
                     assert_eq!(parallel.deep_contexts, serial.deep_contexts);
                 }
             }
@@ -815,13 +761,15 @@ mod tests {
         let specs = [tiny_spec("dep-fault", 29)];
         for threads in [1usize, 4] {
             let opts = with_fault(threads, None, Some(0));
-            let report = run_matrix_opts(&sim, dependent_rows(&specs), opts);
+            let report = run_matrix(&sim, &specs, &dependent_designs(), opts);
             assert_eq!(report.failed_cells(), 2);
-            let err = report.rows[0][1].as_ref().expect_err("the dependent fails with its source");
-            assert_eq!((err.index, err.predictor.as_deref()), (1, None), "it was never built");
-            assert!(err.message.contains("source cell 0 (`LLBP-X`) failed"), "{}", err.message);
-            assert!(err.message.contains(ENV_FAULT_CELL), "{}", err.message);
-            assert!(report.rows[0][2].is_ok(), "an unrelated cell still completes");
+            let run = &report.rows[0][1];
+            let error = error_of(run);
+            assert!(error.starts_with("matrix cell 1 (Opt-W × dep-fault)"), "{error}");
+            assert_eq!(run.storage_bits, 0, "it was never built");
+            assert!(error.contains("source cell 0 (`LLBP-X`) failed"), "{error}");
+            assert!(error.contains(ENV_FAULT_CELL), "{error}");
+            assert!(!report.rows[0][2].is_failed(), "an unrelated cell still completes");
         }
     }
 
@@ -835,11 +783,11 @@ mod tests {
         // Cell 4 is row 1's dependent, claimed last of all: the fault cell
         // is numbered row-major, not in claim order.
         let opts = with_fault(2, Some(cp), Some(4));
-        let report = run_matrix_opts(&sim, dependent_rows(&specs), opts);
+        let report = run_matrix(&sim, &specs, &dependent_designs(), opts);
         assert_eq!(report.failed_cells(), 1);
-        let err = report.rows[1][1].as_ref().expect_err("cell 4 is row 1's Opt-W");
-        assert_eq!(err.index, 4);
-        assert!(err.message.contains(ENV_FAULT_CELL), "{}", err.message);
+        let error = error_of(&report.rows[1][1]);
+        assert!(error.starts_with("matrix cell 4 (Opt-W × order-b)"), "{error}");
+        assert!(error.contains(ENV_FAULT_CELL), "{error}");
 
         let journal = std::fs::read_to_string(&path).expect("the journal was written");
         let _ = std::fs::remove_file(&path);
@@ -850,8 +798,8 @@ mod tests {
         let mut journaled: Vec<_> = journal.lines().map(fingerprint).collect();
         let mut expected = Vec::new();
         for ((r, row), spec) in report.rows.iter().enumerate().zip(&specs) {
-            for (c, (cell, outcome)) in ["LLBP-X", "Opt-W", "64K TSL"].iter().zip(row).enumerate() {
-                if let Ok(run) = outcome {
+            for (c, (cell, run)) in ["LLBP-X", "Opt-W", "64K TSL"].iter().zip(row).enumerate() {
+                if !run.is_failed() {
                     let (index, name, bits) = (3 * r + c, &run.name, run.storage_bits);
                     let fp = checkpoint::job_fingerprint(index, cell, name, bits, spec, &sim);
                     expected.push(Some(fp));
@@ -867,7 +815,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "`Opt-W` depends on `LLBP-X`, which is no independent cell")]
     fn a_dependent_needs_an_independent_source_in_its_row() {
-        let _ = MatrixRow::new(&tiny_spec("no-source", 1)).cell_after("Opt-W", "LLBP-X", opt_w);
+        let designs = [design_after("Opt-W", "LLBP-X", opt_w)];
+        let _ = run_matrix(&tiny_sim(), &[tiny_spec("no-source", 1)], &designs, EngineOptions::basic(1));
     }
 
     #[test]
@@ -882,16 +831,15 @@ mod tests {
         let sweep = |h_th: usize| {
             let cfg = LlbpConfig::llbpx().with_h_th(h_th);
             let cp = Arc::new(Checkpoint::open(&path).expect("journal opens"));
-            let row = MatrixRow::new(&spec).cell(format!("LLBP-X H_th={h_th}"), move |_| {
-                Box::new(Llbp::new(cfg)) as Box<dyn SimPredictor>
-            });
-            run_matrix_opts(&sim, vec![row], with_fault(1, Some(cp), None))
+            let designs = [design(format!("LLBP-X H_th={h_th}"), move || {
+                Box::new(Llbp::new(cfg.clone())) as Box<dyn SimPredictor>
+            })];
+            run_matrix(&sim, std::slice::from_ref(&spec), &designs, with_fault(1, Some(cp), None))
         };
         let first = sweep(112);
         let second = sweep(522);
         let _ = std::fs::remove_file(&path);
-        let (a, b) = (first.rows[0][0].as_ref(), second.rows[0][0].as_ref());
-        let (a, b) = (a.expect("completes"), b.expect("completes"));
+        let (a, b) = (completed(&first.rows[0][0]), completed(&second.rows[0][0]));
         assert_eq!((a.name.as_str(), b.name.as_str()), ("LLBP-X", "LLBP-X"));
         assert_eq!(a.storage_bits, b.storage_bits, "the collision needs equal storage");
         assert_eq!(second.resumed_cells(), 0, "a different H_th must not restore");

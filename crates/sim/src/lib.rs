@@ -6,14 +6,13 @@
 //! * [`runner`] — drives a predictor over a workload with warmup and
 //!   measurement phases (the paper's 100M + 200M instruction protocol,
 //!   scaled by configuration) and produces [`runner::RunResult`]s;
-//! * [`exec`] — the parallel experiment engine: fans a run matrix (one
-//!   row per workload, one cell per predictor on it) out over
-//!   `LLBPX_THREADS` workers with deterministic cell ordering (each cell
-//!   streams its workload from its own seeded generator), isolates
-//!   panicking cells as structured [`error::JobError`]s
-//!   (`LLBPX_FAULT_CELL` panics one on purpose; a panic is the only way a
-//!   cell fails), and journals completed cells to a [`checkpoint`] for
-//!   crash/resume;
+//! * [`exec`] — the parallel experiment engine: runs a grid of workloads ×
+//!   [`exec::Design`]s over `LLBPX_THREADS` workers with deterministic
+//!   cell ordering (each cell streams its workload from its own seeded
+//!   generator) and returns one [`RunResult`] per cell; a panicking cell
+//!   comes back as a failed run whose `error` names it (`LLBPX_FAULT_CELL`
+//!   panics one on purpose; a panic is the only way a cell fails), and
+//!   completed cells are journaled to a [`checkpoint`] for crash/resume;
 //! * [`checkpoint`] — the `LLBPX_CHECKPOINT` journal: completed matrix
 //!   cells keyed by deterministic job fingerprints, restored
 //!   bit-identically on re-run;
@@ -56,7 +55,7 @@ pub mod report;
 pub mod runner;
 pub mod timing;
 
-pub use error::{JobError, SimError};
+pub use error::SimError;
 pub use predictor::SimPredictor;
 pub use runner::{RunResult, Simulation};
 pub use timing::CoreParams;

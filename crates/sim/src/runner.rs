@@ -11,7 +11,7 @@ use traces::BranchStream;
 use workloads::{ServerWorkload, WorkloadSpec};
 
 use crate::env::Knob;
-use crate::error::{JobError, SimError};
+use crate::error::SimError;
 use crate::predictor::SimPredictor;
 
 /// Result of one predictor × workload run.
@@ -53,8 +53,9 @@ pub struct RunResult {
     pub intervals: Vec<IntervalSample>,
     /// Scope profile accumulated during the run (warmup + measurement).
     pub profile: Vec<ScopeTotals>,
-    /// The captured panic message of a matrix cell that failed; `None` for
-    /// a completed run.
+    /// Why a matrix cell failed: its index, design and workload, and the
+    /// captured panic message. `None` for a completed run; coordinators
+    /// render a failed run as an `n/a` row.
     pub error: Option<String>,
     /// Whether this result was restored from a checkpoint journal instead
     /// of simulated in this invocation.
@@ -62,17 +63,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// A placeholder result for a matrix cell that failed; coordinators
-    /// render these as `n/a` rows.
-    pub fn from_job_error(err: JobError) -> RunResult {
-        RunResult {
-            name: err.predictor.unwrap_or_else(|| "(failed)".to_owned()),
-            workload: err.workload,
-            error: Some(err.message),
-            ..RunResult::default()
-        }
-    }
-
     /// Whether the cell did not complete (the accuracy fields are
     /// meaningless then).
     pub fn is_failed(&self) -> bool {
@@ -522,8 +512,8 @@ mod tests {
         assert_eq!(j.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(j.get("resumed"), Some(&Json::Bool(true)));
         assert!(RunResult::from_json(&j).unwrap().resumed);
-        let err = JobError::panic(1, "w", Some("LLBP".into()), "boom".into());
-        let r = RunResult::from_job_error(err);
+        let error = Some("boom".to_owned());
+        let r = RunResult { name: "LLBP".into(), workload: "w".into(), error, ..RunResult::default() };
         assert!(r.is_failed());
         assert_eq!((r.name.as_str(), r.workload.as_str()), ("LLBP", "w"));
         assert_eq!(r.error.as_deref(), Some("boom"));

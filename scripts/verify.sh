@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification, fully offline: release build, the whole test suite,
 # the panic-free lint gate, the rustdoc link gate, and smoke experiments
-# covering determinism, fault isolation, and checkpoint/resume.
+# covering determinism (fig01 and the fig08 context analyses), fault
+# isolation, and checkpoint/resume.
 #
 # Usage: scripts/verify.sh
 # Exits nonzero on the first failure.
@@ -87,6 +88,23 @@ for r1, r4 in zip(one["runs"], four["runs"]):
 print(f"ok: {len(one['runs'])} run record(s), accuracy bit-identical at 1 and 4 threads, "
       f"wall {one['total_wall_seconds']:.2f}s vs {four['total_wall_seconds']:.2f}s")
 EOF
+
+echo "== smoke: fig08 context analyses, LLBPX_THREADS=1 vs 2 =="
+# The analyses run as one grid row of the engine too: their tables must
+# not depend on the worker count (only the engine: line may differ).
+analysis1="$(mktemp -t llbpx-verify-fig08-t1-XXXXXX.out)"
+analysis2="$(mktemp -t llbpx-verify-fig08-t2-XXXXXX.out)"
+for t in 1 2; do
+    out_var="analysis$t"
+    LLBPX_THREADS=$t REPRO_WORKLOADS=NodeApp REPRO_WARMUP=100000 REPRO_INSTRUCTIONS=400000 \
+        ./target/release/fig08 | grep -v '^engine:' >"${!out_var}"
+done
+if ! diff "$analysis1" "$analysis2"; then
+    echo "error: fig08 differs between LLBPX_THREADS=1 and 2" >&2
+    exit 1
+fi
+echo "ok: fig08 stdout byte-identical at 1 and 2 threads"
+rm -f "$analysis1" "$analysis2"
 
 echo "== smoke: fig01 accuracy parity vs recorded stats =="
 # The per-branch kernel is optimization territory; any change that shifts

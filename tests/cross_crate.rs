@@ -1,6 +1,7 @@
 //! Cross-crate interoperability: the seams between traces, workloads,
 //! tage, llbpx and bpsim.
 
+use bpsim::analysis::ContextAnalysis;
 use bpsim::runner::{RunResult, Simulation};
 use bpsim::SimPredictor;
 use llbpx::{Llbp, LlbpConfig};
@@ -88,7 +89,8 @@ fn opt_w_oracle_flows_between_runs() {
 fn analysis_statistics_flow_to_the_sim_layer() {
     let spec = WorkloadSpec::new("analysis", 4).with_request_types(128).with_handlers(16);
     let sim = Simulation { warmup_instructions: 200_000, measure_instructions: 400_000 };
-    let analysis = bpsim::analysis::analyze_contexts(&spec, 8, &sim);
+    let run = sim.run(&mut ContextAnalysis::predictor(8), &spec);
+    let analysis = ContextAnalysis::from_run(&run).expect("an analysis run carries its data");
     assert!(!analysis.contexts.is_empty());
     let total_useful: u64 = analysis.useful_by_len.iter().sum();
     let per_ctx_events: usize = analysis.contexts.iter().map(|c| c.useful_patterns).sum();

@@ -4,7 +4,8 @@
 //! * a matrix with one deliberately-panicking cell (`LLBPX_FAULT_CELL`)
 //!   completes every other cell, renders the failed preset as an `n/a`
 //!   row, marks the run `status: "failed"` in telemetry, and exits
-//!   non-zero;
+//!   non-zero; so does a context-analysis binary (fig08) with one failed
+//!   analysis cell;
 //! * a failed cell is left out of the run's `LLBPX_CHECKPOINT` journal,
 //!   so a re-run on that journal without the fault matches an
 //!   uninterrupted run;
@@ -71,6 +72,41 @@ fn a_panicking_cell_yields_na_row_failed_status_and_nonzero_exit() {
     let error = failed[0].get("error").unwrap().as_str().unwrap();
     assert!(error.contains("LLBPX_FAULT_CELL"), "error carries the panic message: {error}");
     assert_eq!(failed[0].get("workload").unwrap().as_str(), Some("NodeApp"));
+}
+
+#[test]
+fn a_failed_analysis_cell_renders_na_and_exits_nonzero() {
+    let sink = tmp_path("analysis-fault.json");
+    let _ = std::fs::remove_file(&sink);
+
+    // fig08's grid is NodeApp × W ∈ {2, 8, 64}: cell 1 is the W=8 analysis.
+    let output = Command::new(env!("CARGO_BIN_EXE_fig08"))
+        .arg("--json")
+        .arg(&sink)
+        .env("REPRO_WORKLOADS", "NodeApp")
+        .env("REPRO_WARMUP", "20000")
+        .env("REPRO_INSTRUCTIONS", "60000")
+        .env("LLBPX_THREADS", "2")
+        .env("LLBPX_FAULT_CELL", "1")
+        .output()
+        .expect("fig08 runs");
+    assert!(!output.status.success(), "a failed analysis cell must not exit 0");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("n/a"), "the failed analysis must render as n/a:\n{stdout}");
+
+    let text = std::fs::read_to_string(&sink).expect("sink was written");
+    let _ = std::fs::remove_file(&sink);
+    let line = Json::parse(text.lines().next().expect("one record line")).expect("valid JSON");
+    assert_eq!(line.get("failed_cells").unwrap().as_i64(), Some(1));
+    let runs = line.get("runs").unwrap().as_arr().unwrap();
+    assert_eq!(runs.len(), 3, "one run per context depth");
+    let failed: Vec<&Json> = runs
+        .iter()
+        .filter(|r| r.get("status").unwrap().as_str() == Some("failed"))
+        .collect();
+    assert_eq!(failed.len(), 1, "exactly the faulted cell fails");
+    let error = failed[0].get("error").unwrap().as_str().unwrap();
+    assert!(error.contains("LLBPX_FAULT_CELL"), "error carries the panic message: {error}");
 }
 
 #[test]

@@ -22,7 +22,7 @@
 
 use std::path::PathBuf;
 
-use bpsim::exec::{run_matrix_with, MatrixRow};
+use bpsim::exec::{design, design_after, run_matrix, EngineOptions};
 use bpsim::runner::{RunResult, Simulation};
 use bpsim::SimPredictor;
 use llbpx::{FalsePathMode, LlbpConfig};
@@ -95,27 +95,34 @@ fn opt_w_from_record(llbpx: &RunResult) -> Box<dyn SimPredictor> {
     bench::llbpx_opt_w_after(&record)
 }
 
-/// Runs every design on every golden workload, two cells at a time.
-fn simulate() -> Vec<Json> {
-    let mut names = Vec::new();
-    let mut row = |workload: &str, designs: Vec<(&'static str, Factory)>| {
-        let spec = workloads::presets::by_name(workload).expect("golden preset exists");
-        let row = designs.into_iter().fold(MatrixRow::new(&spec), |row, (name, factory)| {
-            names.push(name);
-            row.cell(name, move |_| factory())
-        });
-        names.push("LLBP-X Opt-W");
-        row.cell_after("LLBP-X Opt-W", "LLBP-X", opt_w_from_record)
-    };
-    let mut rows: Vec<MatrixRow<'_>> = WORKLOADS.iter().map(|w| row(w, designs())).collect();
-    rows.push(row("Kafka", vec![("LLBP-X", bench::llbpx)]));
-    let report = run_matrix_with(&PROTOCOL, rows, 2);
+/// Runs `designs` plus Opt-W on every one of `workloads` as one engine
+/// grid, two cells at a time: each run with its design's name, row-major.
+fn grid(workloads: &[&str], designs: Vec<(&'static str, Factory)>) -> Vec<(&'static str, RunResult)> {
+    let specs: Vec<_> = workloads
+        .iter()
+        .map(|w| workloads::presets::by_name(w).expect("golden preset exists"))
+        .collect();
+    let mut names: Vec<&'static str> = designs.iter().map(|(name, _)| *name).collect();
+    let mut designs: Vec<_> =
+        designs.into_iter().map(|(name, factory)| design(name, factory)).collect();
+    names.push("LLBP-X Opt-W");
+    designs.push(design_after("LLBP-X Opt-W", "LLBP-X", opt_w_from_record));
+    let report = run_matrix(&PROTOCOL, &specs, &designs, EngineOptions::basic(2));
+    report.rows.into_iter().flat_map(|row| names.iter().copied().zip(row)).collect()
+}
 
-    let kafka = report.rows[WORKLOADS.len()][0].as_ref().expect("Kafka's LLBP-X completes");
-    let deep = kafka.deep_contexts.as_ref().expect("LLBP-X decides depths");
+/// Every design on NodeApp and TPCC, then Kafka's LLBP-X and Opt-W.
+fn simulate() -> Vec<Json> {
+    let mut runs = grid(&WORKLOADS, designs());
+    let kafka = grid(&["Kafka"], vec![("LLBP-X", bench::llbpx)]);
+    let deep = kafka[0].1.deep_contexts.as_ref().expect("LLBP-X decides depths");
     assert!(!deep.is_empty(), "Kafka's Opt-W line must pin a non-empty oracle");
-    let runs = report.rows.iter().flatten().map(|run| run.as_ref().expect("no golden cell fails"));
-    names.into_iter().zip(runs).map(|(name, run)| stats(name, run)).collect()
+    runs.extend(kafka);
+    let stats = |(name, run): &(&str, RunResult)| {
+        assert!(!run.is_failed(), "no golden cell fails: {:?}", run.error);
+        stats(name, run)
+    };
+    runs.iter().map(stats).collect()
 }
 
 /// One run per line, so a drift shows up as a readable diff.

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use bpsim::exec::{run_matrix_with, MatrixRow};
+use bpsim::exec::{design, run_matrix, EngineOptions};
 use bpsim::runner::{compare, RunResult, Simulation};
 use bpsim::SimPredictor;
 use telemetry::Json;
@@ -54,22 +54,15 @@ fn engine_matrix_is_bit_identical_to_serial_compare() {
 
     // Engine: 1 and 4 workers, every cell streaming its own generator.
     for threads in [1usize, 4] {
-        let rows: Vec<MatrixRow<'_>> = specs()
-            .iter()
-            .map(|spec| {
-                MatrixRow::new(spec)
-                    .cell("64K TSL", |_| bench::tsl64())
-                    .cell("LLBP-X", |_| bench::llbpx())
-            })
-            .collect();
-        let report = run_matrix_with(&sim, rows, threads);
+        let designs = [design("64K TSL", bench::tsl64), design("LLBP-X", bench::llbpx)];
+        let report = run_matrix(&sim, &specs(), &designs, EngineOptions::basic(threads));
         assert_eq!(report.threads, threads);
         assert_eq!(report.failed_cells(), 0);
         assert_eq!(report.rows.len(), serial.len());
         for (serial_row, row) in serial.iter().zip(&report.rows) {
             assert_eq!(serial_row.len(), row.len());
             for (s, out) in serial_row.iter().zip(row) {
-                let out = out.as_ref().expect("no cell fails");
+                assert!(!out.is_failed(), "no cell fails: {:?}", out.error);
                 assert_same_run(s, out, &format!("threads={threads}"));
             }
         }
