@@ -179,6 +179,26 @@ mod tests {
         assert!(change.iter().any(|c| c.is_some()), "sweep must be comparable");
     }
 
+    /// An analysis cell of the grid engine comes back as an ordinary run
+    /// record, and the analysis is read from that same run.
+    #[test]
+    fn analysis_carries_its_underlying_run() {
+        let (spec, sim) = tiny();
+        let designs = [crate::exec::design("W=8", || Box::new(ContextAnalysis::predictor(8)))];
+        let report = crate::exec::run_matrix(
+            &sim,
+            std::slice::from_ref(&spec),
+            &designs,
+            crate::exec::EngineOptions::basic(1),
+        );
+        let run = &report.rows[0][0];
+        assert_eq!(run.workload, "tiny");
+        assert!(run.mpki() > 0.0);
+        assert!(run.llbp.is_some(), "the run keeps its second-level stats");
+        let a = ContextAnalysis::from_run(run).expect("an analysis run carries its data");
+        assert_eq!(a.contexts, analyze_contexts(&spec, 8, &sim).contexts);
+    }
+
     #[test]
     fn only_an_analysis_run_yields_an_analysis() {
         let (spec, sim) = tiny();

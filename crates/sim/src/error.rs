@@ -2,8 +2,8 @@
 //!
 //! The experiment engine is built to survive partial failure: a panicking
 //! matrix cell is captured on its worker via `catch_unwind` and comes back
-//! as a failed run whose error holds [`panic_message`], instead of aborting
-//! the whole matrix. An unreadable checkpoint surfaces a [`SimError`]; an
+//! as a failed run whose error is its [`cell_failure`] message, instead of
+//! aborting the whole matrix. An unreadable checkpoint surfaces a [`SimError`]; an
 //! invalid workload spec panics with [`SimError::InvalidSpec`]'s message,
 //! which the engine isolates like any other panic.
 
@@ -44,6 +44,12 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// The error of matrix cell `index`, the `design` × `workload` cell whose
+/// worker failed with `reason`.
+pub fn cell_failure(index: usize, design: &str, workload: &str, reason: &str) -> String {
+    format!("matrix cell {index} ({design} × {workload}) failed: {reason}")
+}
+
 /// Renders a captured panic payload (from `catch_unwind`) as a message.
 pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
@@ -58,6 +64,28 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn job_errors_render_their_cell() {
+        let s = cell_failure(3, "LLBP-X", "NodeApp", "boom");
+        assert!(s.contains("cell 3"), "{s}");
+        assert!(s.contains("LLBP-X × NodeApp"), "{s}");
+        assert!(s.contains("boom"), "{s}");
+    }
+
+    /// A failed cell has one kind, a panic, and its record renders as
+    /// `failed` with the cell's message.
+    #[test]
+    fn job_error_kinds_map_to_statuses() {
+        use crate::runner::{RunResult, Simulation};
+        let s = cell_failure(0, "LLBP", "w", "boom");
+        assert!(s.contains("LLBP × w) failed: boom"), "{s}");
+        let run = RunResult { error: Some(s.clone()), ..RunResult::default() };
+        let sim = Simulation { warmup_instructions: 1, measure_instructions: 1 };
+        let json = run.to_json(&sim);
+        assert_eq!(json.get("status").and_then(telemetry::Json::as_str), Some("failed"));
+        assert_eq!(json.get("error").and_then(telemetry::Json::as_str), Some(s.as_str()));
+    }
 
     #[test]
     fn panic_messages_capture_str_and_string_payloads() {

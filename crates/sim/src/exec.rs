@@ -56,7 +56,7 @@ use workloads::WorkloadSpec;
 
 use crate::checkpoint::{self, Checkpoint};
 use crate::env::Knob;
-use crate::error::panic_message;
+use crate::error::{cell_failure, panic_message};
 use crate::predictor::SimPredictor;
 use crate::runner::{RunResult, Simulation};
 
@@ -270,7 +270,7 @@ impl EngineOptions {
 /// error that names all three.
 fn failed(index: usize, design: &str, spec: &WorkloadSpec, reason: &str) -> RunResult {
     let workload = spec.name.clone();
-    let error = format!("matrix cell {index} ({design} × {workload}) failed: {reason}");
+    let error = cell_failure(index, design, &workload, reason);
     RunResult { name: design.to_owned(), workload, error: Some(error), ..RunResult::default() }
 }
 
