@@ -7,8 +7,11 @@ use bpsim::report::{pct, Table};
 use llbpx::LlbpConfig;
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("breakdown");
+    let mut fig = bench::Figure::new(
+        "breakdown",
+        "\u{a7}VII-E: depth adaptation contributes 82% of the gain over LLBP, \
+         history range selection 18%",
+    );
     let mut table = Table::new(
         "\u{a7}VII-E — optimization breakdown (MPKI reduction over LLBP)",
         &["workload", "depth adaptation only", "full LLBP-X"],
@@ -20,7 +23,7 @@ fn main() -> ExitCode {
         }),
         bench::design("LLBP-X", bench::llbpx),
     ];
-    let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
+    let rows = fig.run_rows(bench::presets(), &designs);
     bench::tabulate(&mut table, &rows, |_, runs| {
         (1..designs.len()).map(|i| pct(1.0 - bench::mpki_ratio(runs, i))).collect()
     });
@@ -38,10 +41,5 @@ fn main() -> ExitCode {
         Some(_) => {}
         None => println!("\ncontribution: depth adaptation n/a, history range selection n/a"),
     }
-    bench::footer(
-        &sim,
-        "\u{a7}VII-E: depth adaptation contributes 82% of the gain over LLBP, \
-         history range selection 18%",
-    );
-    bench::exit_status()
+    fig.finish()
 }

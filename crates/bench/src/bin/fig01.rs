@@ -13,8 +13,11 @@ use bpsim::report::{f3, pct, Table};
 use bpsim::CoreParams;
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig01");
+    let mut fig = bench::Figure::new(
+        "fig01",
+        "Fig. 1 (\u{a7}II-A): SPR has 15-60% fewer mispredictions yet a 7-45% \
+         higher branch-stall fraction; CPI drops ~46%",
+    );
     let sky_core = CoreParams::skylake_like();
     let spr_core = CoreParams::sapphire_rapids_like();
 
@@ -32,7 +35,7 @@ fn main() -> ExitCode {
         bench::design("64K TSL", bench::tsl64),
         bench::design("128K TSL", || bench::tsl(128)),
     ];
-    let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);
+    let rows = fig.run_rows(presets, &designs);
 
     // A zero-MPKI baseline has no meaningful relative change.
     let rel = |new: f64, base: f64| {
@@ -56,10 +59,5 @@ fn main() -> ExitCode {
         ]
     });
     print!("{}", table.render());
-    bench::footer(
-        &sim,
-        "Fig. 1 (\u{a7}II-A): SPR has 15-60% fewer mispredictions yet a 7-45% \
-         higher branch-stall fraction; CPI drops ~46%",
-    );
-    bench::exit_status()
+    fig.finish()
 }

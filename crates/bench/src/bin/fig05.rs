@@ -15,8 +15,11 @@ use bpsim::report::{f3, pct, Table};
 use llbpx::LlbpConfig;
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig05");
+    let mut fig = bench::Figure::new(
+        "fig05",
+        "Fig. 5 (\u{a7}III-A): tweaks 4.6%, 20b tag 1.3%, inf contexts 3.9%, \
+         inf patterns 9.1%, no contextualization 4.3%",
+    );
     type StepList = Vec<(&'static str, fn() -> LlbpConfig)>;
     let steps: StepList = vec![
         ("+No Design Tweaks", LlbpConfig::no_design_tweaks),
@@ -37,7 +40,7 @@ fn main() -> ExitCode {
     for &(step_name, cfg) in &steps {
         designs.push(bench::design(format!("LLBP {step_name}"), move || bench::llbp_with(cfg())));
     }
-    let rows = bench::run_rows(&mut telemetry, &sim, bench::representative_presets(), &designs);
+    let rows = fig.run_rows(bench::representative_presets(), &designs);
     bench::tabulate(&mut table, &rows, |_, runs| {
         let ratios = (1..designs.len()).map(|i| f3(bench::mpki_ratio(runs, i)));
         std::iter::once(f3(runs[0].mpki())).chain(ratios).collect()
@@ -55,10 +58,5 @@ fn main() -> ExitCode {
         println!("  {name:<22} {}", pct(g.zip(prev).map(|(g, prev)| 1.0 - g / prev)));
         prev = g;
     }
-    bench::footer(
-        &sim,
-        "Fig. 5 (\u{a7}III-A): tweaks 4.6%, 20b tag 1.3%, inf contexts 3.9%, \
-         inf patterns 9.1%, no contextualization 4.3%",
-    );
-    bench::exit_status()
+    fig.finish()
 }

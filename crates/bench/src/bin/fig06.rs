@@ -9,13 +9,14 @@
 use std::process::ExitCode;
 
 use bpsim::report::{pct, Table};
-use bpsim::Simulation;
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig06");
+    let mut fig = bench::Figure::new(
+        "fig06",
+        "Fig. 6 (\u{a7}III-B): highly skewed useful-pattern distribution",
+    );
     let preset = bench::analysis_preset();
-    let analysis = bench::run_analyses(&mut telemetry, &sim, &preset.spec, &[8]).remove(0);
+    let analysis = fig.run_analyses(&preset.spec, &[8]).remove(0);
 
     let mut table = Table::new(
         format!("Fig. 6 — useful patterns per context, {} (W=8)", preset.spec.name),
@@ -25,7 +26,7 @@ fn main() -> ExitCode {
         table.na_row(preset.spec.name.as_str());
         print!("{}", table.render());
         println!("\ncontexts analyzed: n/a");
-        return footer(&sim);
+        return fig.finish();
     };
     // Log-spaced ranks, as the figure's log-scale axis suggests.
     let n = analysis.contexts.len();
@@ -48,10 +49,5 @@ fn main() -> ExitCode {
         "contexts with at most 8 useful patterns: {} (paper: 68%)",
         pct(analysis.fraction_at_most(8))
     );
-    footer(&sim)
-}
-
-fn footer(sim: &Simulation) -> ExitCode {
-    bench::footer(sim, "Fig. 6 (\u{a7}III-B): highly skewed useful-pattern distribution");
-    bench::exit_status()
+    fig.finish()
 }

@@ -8,13 +8,15 @@
 use std::process::ExitCode;
 
 use bpsim::report::{f3, mean, Table};
-use bpsim::Simulation;
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig07");
+    let mut fig = bench::Figure::new(
+        "fig07",
+        "Fig. 7 (\u{a7}III-B): contexts with the most useful patterns hold the \
+         longest-history patterns",
+    );
     let preset = bench::analysis_preset();
-    let analysis = bench::run_analyses(&mut telemetry, &sim, &preset.spec, &[8]).remove(0);
+    let analysis = fig.run_analyses(&preset.spec, &[8]).remove(0);
 
     let mut table = Table::new(
         format!("Fig. 7 — avg history length per context, {} (Fig. 6 order)", preset.spec.name),
@@ -24,7 +26,7 @@ fn main() -> ExitCode {
         table.na_row(preset.spec.name.as_str());
         print!("{}", table.render());
         println!("\navg history length, most-contended decile: n/a");
-        return footer(&sim);
+        return fig.finish();
     };
     let n = analysis.contexts.len();
     let mut rank = 1usize;
@@ -48,14 +50,5 @@ fn main() -> ExitCode {
             if bottom > 0.0 { top / bottom } else { f64::INFINITY }
         );
     }
-    footer(&sim)
-}
-
-fn footer(sim: &Simulation) -> ExitCode {
-    bench::footer(
-        sim,
-        "Fig. 7 (\u{a7}III-B): contexts with the most useful patterns hold the \
-         longest-history patterns",
-    );
-    bench::exit_status()
+    fig.finish()
 }

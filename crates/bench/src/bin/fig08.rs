@@ -8,17 +8,20 @@
 use std::process::ExitCode;
 
 use bpsim::analysis::len_label;
-use bpsim::report::Table;
+use bpsim::report::{fmt_or_na, Table};
 use tage::NUM_TABLES;
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig08");
+    let mut fig = bench::Figure::new(
+        "fig08",
+        "Fig. 8 (\u{a7}III-C): short patterns duplicate most; duplication grows \
+         with W (e.g. len 6: 8.5% @W=2, 10.1% @W=8, 17.2% @W=64)",
+    );
     let preset = bench::analysis_preset();
 
     let depths = [2usize, 8, 64];
     // A failed cell's column renders `n/a`.
-    let analyses = bench::run_analyses(&mut telemetry, &sim, &preset.spec, &depths);
+    let analyses = fig.run_analyses(&preset.spec, &depths);
 
     let mut table = Table::new(
         format!("Fig. 8 — duplicates per unique useful pattern, {}", preset.spec.name),
@@ -47,26 +50,19 @@ fn main() -> ExitCode {
             println!("  W={w:<3} n/a");
             continue;
         };
+        // A range without a useful pattern has no ratio: `n/a`.
         let agg = |range: std::ops::Range<usize>| {
             let (t, u) = a.duplication[range]
                 .iter()
                 .fold((0u64, 0u64), |(t, u), &(tt, uu)| (t + tt, u + uu));
-            if u == 0 {
-                f64::NAN
-            } else {
-                t as f64 / u as f64
-            }
+            let ratio = (u > 0).then(|| t as f64 / u as f64);
+            fmt_or_na(ratio, |r| format!("{r:.3}"))
         };
         println!(
-            "  W={w:<3} short lengths (6-78): {:.3}   long lengths (93-3000): {:.3}",
+            "  W={w:<3} short lengths (6-78): {}   long lengths (93-3000): {}",
             agg(0..10),
             agg(10..NUM_TABLES)
         );
     }
-    bench::footer(
-        &sim,
-        "Fig. 8 (\u{a7}III-C): short patterns duplicate most; duplication grows \
-         with W (e.g. len 6: 8.5% @W=2, 10.1% @W=8, 17.2% @W=64)",
-    );
-    bench::exit_status()
+    fig.finish()
 }

@@ -9,15 +9,17 @@ use std::process::ExitCode;
 
 use bpsim::analysis::{len_label, useful_change_by_len};
 use bpsim::report::{pct, Table};
-use bpsim::Simulation;
 use tage::NUM_TABLES;
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig09");
+    let mut fig = bench::Figure::new(
+        "fig09",
+        "Fig. 9 (\u{a7}IV): short lengths gain 63-213% with W=2; long lengths \
+         gain 4.2-95% with W=64 and lose 49-74% with W=2",
+    );
     let preset = bench::analysis_preset();
 
-    let analyses = bench::run_analyses(&mut telemetry, &sim, &preset.spec, &[8, 2, 64]);
+    let analyses = fig.run_analyses(&preset.spec, &[8, 2, 64]);
     let mut table = Table::new(
         format!("Fig. 9 — useful predictions vs W=8 baseline, {}", preset.spec.name),
         &["history length", "useful @W=8", "W=2", "W=64"],
@@ -26,7 +28,7 @@ fn main() -> ExitCode {
         table.na_row(preset.spec.name.as_str());
         print!("{}", table.render());
         println!("\naggregate useful predictions vs W=8: n/a");
-        return footer(&sim);
+        return fig.finish();
     };
     let d_shallow = useful_change_by_len(base, shallow);
     let d_deep = useful_change_by_len(base, deep);
@@ -60,14 +62,5 @@ fn main() -> ExitCode {
         pct(agg(shallow, long.clone()) as f64 / agg(base, long.clone()).max(1) as f64 - 1.0),
         pct(agg(deep, long.clone()) as f64 / agg(base, long).max(1) as f64 - 1.0),
     );
-    footer(&sim)
-}
-
-fn footer(sim: &Simulation) -> ExitCode {
-    bench::footer(
-        sim,
-        "Fig. 9 (\u{a7}IV): short lengths gain 63-213% with W=2; long lengths \
-         gain 4.2-95% with W=64 and lose 49-74% with W=2",
-    );
-    bench::exit_status()
+    fig.finish()
 }

@@ -6,8 +6,12 @@ use std::process::ExitCode;
 use bpsim::report::{f3, pct, Table};
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig12");
+    let mut fig = bench::Figure::new(
+        "fig12",
+        "Fig. 12 (\u{a7}VII-A): LLBP-X reduces MPKI 1.4-27% (avg 12.1%), a 36% \
+         improvement over LLBP (accuracy gain 0.8-11.5%, avg 3.6%); Opt-W \
+         12.6%; 512K TSL 27.5%",
+    );
     let mut table = Table::new(
         "Fig. 12 — branch misprediction reduction over 64K TSL",
         &["workload", "64K MPKI", "LLBP", "LLBP-X", "LLBP-X Opt-W", "512K TSL"],
@@ -22,7 +26,7 @@ fn main() -> ExitCode {
         bench::design_after("LLBP-X Opt-W", "LLBP-X", bench::llbpx_opt_w_after),
         bench::design("512K TSL", || bench::tsl(512)),
     ];
-    let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
+    let rows = fig.run_rows(bench::presets(), &designs);
     bench::tabulate(&mut table, &rows, |_, runs| {
         let reductions = (1..designs.len()).map(|i| pct(1.0 - bench::mpki_ratio(runs, i)));
         std::iter::once(f3(runs[0].mpki())).chain(reductions).collect()
@@ -40,11 +44,5 @@ fn main() -> ExitCode {
         Some(_) => {}
         None => println!("LLBP-X achieves n/a of Opt-W"),
     }
-    bench::footer(
-        &sim,
-        "Fig. 12 (\u{a7}VII-A): LLBP-X reduces MPKI 1.4-27% (avg 12.1%), a 36% \
-         improvement over LLBP (accuracy gain 0.8-11.5%, avg 3.6%); Opt-W \
-         12.6%; 512K TSL 27.5%",
-    );
-    bench::exit_status()
+    fig.finish()
 }

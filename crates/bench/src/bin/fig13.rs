@@ -11,8 +11,11 @@ use bpsim::report::{f3, fmt_or_na, geomean, Table};
 use bpsim::{CoreParams, RunResult};
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig13");
+    let mut fig = bench::Figure::new(
+        "fig13",
+        "Fig. 13 (\u{a7}VII-B): LLBP-X 1% avg speedup (0.08-2.7%), LLBP 0.71%, \
+         ideal 512K TSL 2.4%",
+    );
     let core = CoreParams::paper_table2();
     let mut table = Table::new(
         "Fig. 13 — speedup over 64K TSL (8-wide OoO model)",
@@ -26,7 +29,7 @@ fn main() -> ExitCode {
         bench::design("LLBP-X", bench::llbpx),
         bench::design("512K TSL", || bench::tsl(512)),
     ];
-    let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);
+    let rows = fig.run_rows(presets, &designs);
     let speedup = |runs: &[RunResult], i: usize| core.speedup(&runs[0], &runs[i]);
     bench::tabulate(&mut table, &rows, |_, runs| {
         (1..designs.len()).map(|i| f3(speedup(runs, i))).collect()
@@ -53,10 +56,5 @@ fn main() -> ExitCode {
         Some(_) => {}
         None => println!("LLBP-X captures n/a of the ideal 512K gain (paper: 42%)"),
     }
-    bench::footer(
-        &sim,
-        "Fig. 13 (\u{a7}VII-B): LLBP-X 1% avg speedup (0.08-2.7%), LLBP 0.71%, \
-         ideal 512K TSL 2.4%",
-    );
-    bench::exit_status()
+    fig.finish()
 }

@@ -11,12 +11,16 @@ use std::process::ExitCode;
 
 use bpsim::exec;
 use bpsim::report::{f3, fmt_or_na, geomean, Table};
+use bpsim::Simulation;
 use pipeline::{PipelineModel, PipelineParams};
 use traces::BranchStream;
 use workloads::ServerWorkload;
 
-fn run(design: &mut Box<dyn bpsim::SimPredictor>, spec: &workloads::WorkloadSpec) -> pipeline::PipelineResult {
-    let sim = bench::sim();
+fn run(
+    sim: Simulation,
+    design: &mut Box<dyn bpsim::SimPredictor>,
+    spec: &workloads::WorkloadSpec,
+) -> pipeline::PipelineResult {
     let budget = sim.warmup_instructions + sim.measure_instructions;
     let mut model = PipelineModel::new(PipelineParams::paper_table2());
     // Bound the stream by the instruction budget.
@@ -39,8 +43,12 @@ fn run(design: &mut Box<dyn bpsim::SimPredictor>, spec: &workloads::WorkloadSpec
 }
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig13p");
+    let mut fig = bench::Figure::new(
+        "fig13p",
+        "Fig. 13 (\u{a7}VII-B), execution-driven cross-check: LLBP-X 1% avg \
+         (0.08-2.7%), LLBP 0.71%, ideal 512K TSL 2.4%",
+    );
+    let sim = *fig.sim();
     let mut table = Table::new(
         "Fig. 13 (execution-driven) — speedup over 64K TSL, pipeline model",
         &["workload", "64K IPC", "LLBP", "LLBP-X", "512K TSL (ideal)"],
@@ -54,10 +62,10 @@ fn main() -> ExitCode {
     for preset in &presets {
         for factory in factories {
             let spec = preset.spec.clone();
-            jobs.push(Box::new(move || run(&mut factory(), &spec)));
+            jobs.push(Box::new(move || run(sim, &mut factory(), &spec)));
         }
     }
-    let mut results = exec::run_jobs(jobs).into_iter();
+    let mut results = fig.run_jobs(jobs).into_iter();
 
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); 3];
     for preset in &presets {
@@ -81,21 +89,15 @@ fn main() -> ExitCode {
     // The pipeline model produces IPC speedups rather than run records;
     // attach the summary to the record line directly.
     for (i, label) in ["llbp", "llbpx", "tsl512"].iter().enumerate() {
-        telemetry.set_extra(
+        fig.set_extra(
             &format!("geomean_speedup_{label}"),
             telemetry::Json::from(geomean(speedups[i].iter().copied())),
         );
     }
-    telemetry.emit();
 
     let g = |i: usize| {
         fmt_or_na(geomean(speedups[i].iter().copied()), |g| format!("{:+.2}%", (g - 1.0) * 100.0))
     };
     println!("\naverage speedup: LLBP {}, LLBP-X {}, 512K TSL {}", g(0), g(1), g(2));
-    bench::footer(
-        &sim,
-        "Fig. 13 (\u{a7}VII-B), execution-driven cross-check: LLBP-X 1% avg \
-         (0.08-2.7%), LLBP 0.71%, ideal 512K TSL 2.4%",
-    );
-    bench::exit_status()
+    fig.finish()
 }

@@ -13,8 +13,12 @@ use bpsim::RunResult;
 use llbpx::{FalsePathMode, LlbpConfig};
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig14a");
+    let mut fig = bench::Figure::new(
+        "fig14a",
+        "Fig. 14a (\u{a7}VII-C): 84% of prefetches on time, ~40% over-prefetch; \
+         omitting false-path prefetches cuts over-prefetch 56% but costs 8% \
+         coverage and 1.4% accuracy",
+    );
     let mut table = Table::new(
         "Fig. 14a — prefetch effectiveness (share of issued prefetches)",
         &["workload", "mode", "on-time", "late", "unused", "MPKI"],
@@ -25,7 +29,7 @@ fn main() -> ExitCode {
             bench::llbp_with(LlbpConfig { false_path: mode, ..LlbpConfig::llbpx() })
         })
     });
-    let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
+    let rows = fig.run_rows(bench::presets(), &designs);
 
     // On-time, late and unused shares of the classified prefetches, and MPKI.
     let shares = |r: &RunResult| {
@@ -73,11 +77,5 @@ fn main() -> ExitCode {
     }
     let over_drop = avg(1, 2).zip(avg(0, 2)).map(|(flush, all)| 1.0 - flush / all.max(1e-12));
     println!("\nflushing false-path prefetches cuts unused prefetches by {}", pct(over_drop));
-    bench::footer(
-        &sim,
-        "Fig. 14a (\u{a7}VII-C): 84% of prefetches on time, ~40% over-prefetch; \
-         omitting false-path prefetches cuts over-prefetch 56% but costs 8% \
-         coverage and 1.4% accuracy",
-    );
-    bench::exit_status()
+    fig.finish()
 }

@@ -12,8 +12,11 @@ use bpsim::report::{f3, fmt_or_na, geomean, Table};
 use bpsim::{CoreParams, RunResult};
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig14b");
+    let mut fig = bench::Figure::new(
+        "fig14b",
+        "Fig. 14b (\u{a7}VII-C): with overriding, 128K TSL gains 0.6% while \
+         LLBP-X gains 1.4% over 64K TSL",
+    );
     let core = CoreParams::paper_table2_overriding();
     let mut table = Table::new(
         "Fig. 14b — speedup over 64K TSL in a 3-cycle overriding scheme",
@@ -25,7 +28,7 @@ fn main() -> ExitCode {
         bench::design("128K TSL", || bench::tsl(128)),
         bench::design("LLBP-X", bench::llbpx),
     ];
-    let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);
+    let rows = fig.run_rows(presets, &designs);
     let speedup = |runs: &[RunResult], i: usize| core.speedup(&runs[0], &runs[i]);
     bench::tabulate(&mut table, &rows, |_, runs| {
         (1..designs.len()).map(|i| f3(speedup(runs, i))).collect()
@@ -38,10 +41,5 @@ fn main() -> ExitCode {
 
     let gain = |i| fmt_or_na(geo(i), |g| format!("{:+.2}%", (g - 1.0) * 100.0));
     println!("\naverage speedup: 128K TSL {}, LLBP-X {}", gain(1), gain(2));
-    bench::footer(
-        &sim,
-        "Fig. 14b (\u{a7}VII-C): with overriding, 128K TSL gains 0.6% while \
-         LLBP-X gains 1.4% over 64K TSL",
-    );
-    bench::exit_status()
+    fig.finish()
 }

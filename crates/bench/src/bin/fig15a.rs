@@ -7,8 +7,11 @@ use bpsim::report::{f3, fmt_or_na, mean, pct, Table};
 use bpsim::RunResult;
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig15a");
+    let mut fig = bench::Figure::new(
+        "fig15a",
+        "Fig. 15a (\u{a7}VII-D): reads dominate (writes ~1/5); LLBP-X moves 9.9 \
+         bits/instr vs LLBP's 10.6 (-6.1%)",
+    );
     let mut table = Table::new(
         "Fig. 15a — pattern store <-> pattern buffer transfer (bits/instr)",
         &["workload", "LLBP reads", "LLBP writes", "X reads", "X writes", "total change"],
@@ -17,7 +20,7 @@ fn main() -> ExitCode {
         bench::design("LLBP", bench::llbp),
         bench::design("LLBP-X", bench::llbpx),
     ];
-    let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
+    let rows = fig.run_rows(bench::presets(), &designs);
     // Reads and writes of one run, in bits per instruction.
     let transfer = |r: &RunResult| {
         r.llbp.as_ref().expect("LLBP stats").transfer_bits_per_instruction(r.instructions)
@@ -41,10 +44,5 @@ fn main() -> ExitCode {
         "LLBP-X bandwidth change: {}",
         pct(x_total.zip(llbp_total).map(|(x, l)| x / l - 1.0))
     );
-    bench::footer(
-        &sim,
-        "Fig. 15a (\u{a7}VII-D): reads dominate (writes ~1/5); LLBP-X moves 9.9 \
-         bits/instr vs LLBP's 10.6 (-6.1%)",
-    );
-    bench::exit_status()
+    fig.finish()
 }

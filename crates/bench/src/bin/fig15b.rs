@@ -16,8 +16,11 @@ fn stats(run: &RunResult) -> &LlbpStats {
 }
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig15b");
+    let mut fig = bench::Figure::new(
+        "fig15b",
+        "Fig. 15b (\u{a7}VII-D): LLBP-X saves 5.4% pattern-store access energy, \
+         the CTT adds 5.2%, net +1.5% over LLBP",
+    );
     let mut table = Table::new(
         "Fig. 15b — LLBP-X energy relative to LLBP",
         &["workload", "PS energy", "CTT energy", "total"],
@@ -26,7 +29,7 @@ fn main() -> ExitCode {
         bench::design("LLBP", bench::llbp),
         bench::design("LLBP-X", bench::llbpx),
     ];
-    let rows = bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs);
+    let rows = fig.run_rows(bench::presets(), &designs);
     let (llbp_model, x_model) = (EnergyModel::llbp(), EnergyModel::llbpx());
     let relative_total =
         |runs: &[RunResult]| x_model.total(stats(&runs[1])) / llbp_model.total(stats(&runs[0]));
@@ -44,10 +47,5 @@ fn main() -> ExitCode {
 
     let avg = mean(bench::completed(&rows).map(relative_total));
     println!("\naverage LLBP-X energy vs LLBP: {}", pct(avg.map(|avg| avg - 1.0)));
-    bench::footer(
-        &sim,
-        "Fig. 15b (\u{a7}VII-D): LLBP-X saves 5.4% pattern-store access energy, \
-         the CTT adds 5.2%, net +1.5% over LLBP",
-    );
-    bench::exit_status()
+    fig.finish()
 }

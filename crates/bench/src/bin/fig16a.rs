@@ -8,8 +8,11 @@ use bpsim::report::{pct, Table};
 use llbpx::LlbpConfig;
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig16a");
+    let mut fig = bench::Figure::new(
+        "fig16a",
+        "Fig. 16a (\u{a7}VII-G): MPKI reduction grows from 10.5% (8K contexts) \
+         to 17.6% (128K contexts)",
+    );
     // Contexts = 2^log2_sets × 7 ways. The paper sweeps 8K..128K around
     // the 14K baseline; our synthetic context working set saturates around
     // ~14K contexts, so the sweep extends further down instead to expose
@@ -31,7 +34,7 @@ fn main() -> ExitCode {
             bench::llbp_with(LlbpConfig { cd_log2_sets, ..LlbpConfig::llbpx_zero_latency() })
         }));
     }
-    let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);
+    let rows = fig.run_rows(presets, &designs);
     bench::tabulate(&mut table, &rows, |_, runs| {
         (1..designs.len()).map(|i| pct(1.0 - bench::mpki_ratio(runs, i))).collect()
     });
@@ -39,10 +42,5 @@ fn main() -> ExitCode {
     avg.extend((1..designs.len()).map(|i| pct(bench::geomean_ratio(&rows, i).map(|g| 1.0 - g))));
     table.row(avg);
     print!("{}", table.render());
-    bench::footer(
-        &sim,
-        "Fig. 16a (\u{a7}VII-G): MPKI reduction grows from 10.5% (8K contexts) \
-         to 17.6% (128K contexts)",
-    );
-    bench::exit_status()
+    fig.finish()
 }

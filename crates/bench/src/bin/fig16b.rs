@@ -10,8 +10,11 @@ use llbpx::LlbpConfig;
 use tage::TslConfig;
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("fig16b");
+    let mut fig = bench::Figure::new(
+        "fig16b",
+        "Fig. 16b (\u{a7}VII-G): LLBP-X stays effective over smaller baselines \
+         (2.6% reduction even with a 4x smaller 16K TSL)",
+    );
     let sizes: &[u32] = &[8, 16, 32, 64];
     let presets = bench::representative_presets();
 
@@ -32,7 +35,7 @@ fn main() -> ExitCode {
             bench::llbp_with(LlbpConfig { tsl, ..LlbpConfig::llbpx_zero_latency() })
         }));
     }
-    let rows = bench::run_rows(&mut telemetry, &sim, presets, &designs);
+    let rows = fig.run_rows(presets, &designs);
     let ratio = |runs: &[RunResult], size: usize| bench::mpki_ratio(&runs[2 * size..], 1);
     bench::tabulate(&mut table, &rows, |_, runs| {
         (0..sizes.len()).map(|size| pct(1.0 - ratio(runs, size))).collect()
@@ -42,10 +45,5 @@ fn main() -> ExitCode {
     avg.extend((0..sizes.len()).map(|size| pct(geo(size).map(|g| 1.0 - g))));
     table.row(avg);
     print!("{}", table.render());
-    bench::footer(
-        &sim,
-        "Fig. 16b (\u{a7}VII-G): LLBP-X stays effective over smaller baselines \
-         (2.6% reduction even with a 4x smaller 16K TSL)",
-    );
-    bench::exit_status()
+    fig.finish()
 }

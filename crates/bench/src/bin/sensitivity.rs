@@ -3,22 +3,15 @@
 use std::process::ExitCode;
 
 use bpsim::report::{pct, Table};
-use bpsim::runner::Simulation;
 use llbpx::LlbpConfig;
 
 /// Runs one sweep whose first design is the 64K TSL baseline and prints
 /// its table: each configuration's MPKI reduction, then the geomean row.
-fn sweep(
-    telemetry: &mut bench::Telemetry,
-    sim: &Simulation,
-    title: &str,
-    columns: &[String],
-    designs: &[bench::Design],
-) {
+fn sweep(fig: &mut bench::Figure, title: &str, columns: &[String], designs: &[bench::Design]) {
     let mut header = vec!["workload"];
     header.extend(columns.iter().map(String::as_str));
     let mut table = Table::new(title, &header);
-    let rows = bench::run_rows(telemetry, sim, bench::representative_presets(), designs);
+    let rows = fig.run_rows(bench::representative_presets(), designs);
     bench::tabulate(&mut table, &rows, |_, runs| {
         (1..designs.len()).map(|i| pct(1.0 - bench::mpki_ratio(runs, i))).collect()
     });
@@ -29,8 +22,11 @@ fn sweep(
 }
 
 fn main() -> ExitCode {
-    let sim = bench::sim();
-    let mut telemetry = bench::Telemetry::new("sensitivity");
+    let mut fig = bench::Figure::new(
+        "sensitivity",
+        "\u{a7}VII-F: best H_th = 232 (13.6% vs 12.2% at 1444); CTT saturates \
+         at 6K entries (13.6% vs 12.8% at 4K)",
+    );
     let baseline = || bench::design("64K TSL", bench::tsl64);
 
     // --- H_th sweep (must be TAGE history lengths) ---------------------
@@ -42,8 +38,7 @@ fn main() -> ExitCode {
         })
     }));
     sweep(
-        &mut telemetry,
-        &sim,
+        &mut fig,
         "\u{a7}VII-F — H_th sweep: MPKI reduction over 64K TSL",
         &h_ths.map(|h| format!("H_th={h}")),
         &designs,
@@ -58,17 +53,11 @@ fn main() -> ExitCode {
         })
     }));
     sweep(
-        &mut telemetry,
-        &sim,
+        &mut fig,
         "\u{a7}VII-F — CTT capacity sweep: MPKI reduction over 64K TSL",
         &ctt_sizes.map(|e| format!("CTT {}K", e / 1024)),
         &designs,
     );
 
-    bench::footer(
-        &sim,
-        "\u{a7}VII-F: best H_th = 232 (13.6% vs 12.2% at 1444); CTT saturates \
-         at 6K entries (13.6% vs 12.8% at 4K)",
-    );
-    bench::exit_status()
+    fig.finish()
 }

@@ -12,6 +12,7 @@ use bpsim::CoreParams;
 use tage::DirectionPredictor;
 
 fn main() -> ExitCode {
+    let mut fig = bench::Figure::new("table2", "Table II (\u{a7}VI)");
     let mut table = Table::new(
         "Table II — parameters of the simulated processor (paper)",
         &["component", "configuration"],
@@ -42,7 +43,6 @@ fn main() -> ExitCode {
     model.row(["override bubble (\u{a7}VII-C)".into(), "3 cycles".into()]);
     print!("{}", model.render());
 
-    let mut telemetry = bench::Telemetry::new("table2");
     let mut storage = telemetry::Json::obj();
     let mut budgets = Table::new("Predictor storage budgets", &["design", "KiB"]);
     for design in [bench::tsl64(), bench::tsl(512), bench::llbp(), bench::llbpx()] {
@@ -52,9 +52,7 @@ fn main() -> ExitCode {
     }
     // This binary runs no simulations; its record carries the static
     // storage budgets instead of runs.
-    telemetry.set_extra("storage_bits", storage);
-    telemetry.emit();
+    fig.set_extra("storage_bits", storage);
     print!("{}", budgets.render());
-    println!("\npaper reference: Table II (\u{a7}VI)");
-    bench::exit_status()
+    fig.finish()
 }

@@ -14,30 +14,30 @@
 //! committed `results/*.txt` files were recorded at, so a bare run prints
 //! its committed table.
 //!
-//! A figure is a table of workloads × designs. A binary declares its
-//! designs once (`bench::design("LLBP", bench::llbp)`) and [`run_rows`]
-//! runs them on every preset as one engine grid ([`bpsim::exec`]),
-//! returning one result row of [`RunResult`]s per preset.
-//! [`tabulate`] renders those rows (`n/a` for a row with a failed cell),
-//! and the geomean/mean summaries run over the [`completed`] rows, so a
-//! summary over no completed rows renders `n/a` too.
+//! A figure is a table of workloads × designs, run by one [`Figure`] per
+//! invocation. A binary declares its designs once
+//! (`bench::design("LLBP", bench::llbp)`) and [`Figure::run_rows`] runs
+//! them on every preset as one engine grid ([`bpsim::exec`]), returning one
+//! result row of [`RunResult`]s per preset. [`tabulate`] renders those rows
+//! (`n/a` for a row with a failed cell), and the geomean/mean summaries run
+//! over the [`completed`] rows, so a summary over no completed rows renders
+//! `n/a` too. [`Figure::finish`] prints the footer and returns the exit
+//! code, a failure when any cell failed.
 //!
 //! Next to the text tables, every binary can also emit a machine-readable
-//! record of its runs (full counters, interval time-series, scope profile)
-//! through [`Telemetry`]: pass `--json <path>` or set `LLBPX_TELEMETRY=1`
-//! and one JSON line per invocation is appended to the sink (default
+//! record of its runs (full counters, interval time-series, scope profile):
+//! pass `--json <path>` or set `LLBPX_TELEMETRY=1` and its [`Figure`]
+//! appends one JSON line per invocation to the sink (default
 //! `BENCH_<name>.json`).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use bpsim::analysis::ContextAnalysis;
 use bpsim::env::Knob;
-use bpsim::exec::{self, EngineOptions};
+use bpsim::exec::{self, BoxedJob, EngineOptions};
 use bpsim::report::Table;
 use bpsim::runner::{RunResult, Simulation};
 use bpsim::{CoreParams, SimPredictor};
@@ -48,38 +48,6 @@ use workloads::presets::Preset;
 use workloads::WorkloadSpec;
 
 pub use bpsim::exec::{design, design_after, Design};
-
-/// Process start anchor, set by the first [`sim`] call; [`footer`] reports
-/// elapsed wall time against it.
-static STARTED: OnceLock<Instant> = OnceLock::new();
-
-/// Matrix cells that failed (panicked) across this invocation's matrices;
-/// [`exit_status`] turns a non-zero count into a failing exit code.
-static FAILED_CELLS: AtomicUsize = AtomicUsize::new(0);
-
-/// Matrix cells restored from the `LLBPX_CHECKPOINT` journal instead of
-/// simulated in this invocation.
-static RESUMED_CELLS: AtomicUsize = AtomicUsize::new(0);
-
-/// The exit code a binary's `main` should return: success when every
-/// matrix cell completed, failure (with a stderr summary) when any cell
-/// failed. Failed cells still render as `n/a` rows, so one bad cell never
-/// hides the rest of a figure — but it must not exit 0 either.
-pub fn exit_status() -> ExitCode {
-    let failed = FAILED_CELLS.load(Ordering::Relaxed);
-    if failed == 0 {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("error: {failed} matrix cell(s) failed; see the n/a rows above");
-        ExitCode::FAILURE
-    }
-}
-
-/// The simulation protocol for this invocation (env-scaled).
-pub fn sim() -> Simulation {
-    STARTED.get_or_init(Instant::now);
-    Simulation::from_env()
-}
 
 /// `REPRO_WORKLOADS` knob: the presets a comma-separated list of names
 /// selects (case-insensitive, space-trimmed), in preset-table order with
@@ -201,58 +169,241 @@ fn opt_w(deep_contexts: impl IntoIterator<Item = u64>) -> Box<dyn SimPredictor> 
     Box::new(Llbp::with_oracle(cfg, deep_contexts))
 }
 
-/// Runs every design on every preset through the parallel experiment
-/// engine ([`bpsim::exec::run_matrix`]), one grid row per preset, records
-/// every run and returns one result row per preset: the runs in design
-/// order, bit-identical to running the same cells serially. A failed cell
-/// comes back as a failed [`RunResult`]; [`tabulate`] renders its row `n/a`.
+/// One experiment binary's invocation: the protocol, the clock, the run
+/// record and the engine bookkeeping of every grid it runs.
 ///
-/// ```no_run
-/// let sim = bench::sim();
-/// let mut telemetry = bench::Telemetry::new("demo");
-/// let designs = [
-///     bench::design("LLBP-X", bench::llbpx),
-///     // Pass 1 of Opt-W is the row's own LLBP-X cell.
-///     bench::design_after("LLBP-X Opt-W", "LLBP-X", bench::llbpx_opt_w_after),
-/// ];
-/// for (preset, runs) in bench::run_rows(&mut telemetry, &sim, bench::presets(), &designs) {
-///     println!("{}: {:.3} vs {:.3}", preset.spec.name, runs[0].mpki(), runs[1].mpki());
-/// }
-/// ```
+/// Construct it once at the top of `main` with the binary's name and the
+/// paper result it reproduces, run every simulation through
+/// [`run_rows`](Figure::run_rows), [`run_analyses`](Figure::run_analyses)
+/// or [`run_jobs`](Figure::run_jobs), and end `main` with
+/// [`finish`](Figure::finish), which prints the footer and returns the exit
+/// code.
 ///
-/// The engine's knobs (`LLBPX_THREADS`, `LLBPX_CHECKPOINT`, ...) apply,
-/// and its bookkeeping lands on the binary's telemetry record line.
-pub fn run_rows(
-    telemetry: &mut Telemetry,
-    sim: &Simulation,
-    presets: Vec<Preset>,
-    designs: &[Design],
-) -> Vec<(Preset, Vec<RunResult>)> {
-    let specs: Vec<WorkloadSpec> = presets.iter().map(|p| p.spec.clone()).collect();
-    let rows = run_grid(telemetry, sim, &specs, designs, EngineOptions::from_env());
-    presets.into_iter().zip(rows).collect()
+/// With `--json <path>` or `LLBPX_TELEMETRY=1`, every run is recorded and
+/// one JSON line is appended to the sink (default `BENCH_<name>.json`)
+/// when the `Figure` drops, so a panic in `main` still writes it. Without
+/// either, nothing is recorded and nothing is written.
+pub struct Figure {
+    name: &'static str,
+    paper_ref: &'static str,
+    sim: Simulation,
+    started: Instant,
+    sink: Option<PathBuf>,
+    runs: Vec<Json>,
+    extra: Vec<(String, Json)>,
+    /// Workers the last engine call used; `None` until one runs.
+    threads: Option<usize>,
+    failed: usize,
+    resumed: usize,
 }
 
-/// Runs one grid and records it: every run on the telemetry line, every
-/// failed cell on stderr and in [`exit_status`]'s count.
-fn run_grid(
-    telemetry: &mut Telemetry,
-    sim: &Simulation,
-    specs: &[WorkloadSpec],
-    designs: &[Design],
-    opts: EngineOptions,
-) -> Vec<Vec<RunResult>> {
-    let report = exec::run_matrix(sim, specs, designs, opts);
-    telemetry.record_engine(&report);
-    FAILED_CELLS.fetch_add(report.failed_cells(), Ordering::Relaxed);
-    RESUMED_CELLS.fetch_add(report.resumed_cells(), Ordering::Relaxed);
-    for run in report.rows.iter().flatten() {
-        if let Some(error) = &run.error {
-            eprintln!("error: {error}");
+impl Figure {
+    /// The invocation of the binary `name`, which reproduces `paper_ref`:
+    /// the protocol comes from `REPRO_WARMUP` / `REPRO_INSTRUCTIONS`, the
+    /// record sink from `--json <path>` / `LLBPX_TELEMETRY`, and the wall
+    /// clock starts now.
+    pub fn new(name: &'static str, paper_ref: &'static str) -> Self {
+        Figure {
+            name,
+            paper_ref,
+            sim: Simulation::from_env(),
+            started: Instant::now(),
+            sink: telemetry::record::sink_from_env(name),
+            runs: Vec::new(),
+            extra: Vec::new(),
+            threads: None,
+            failed: 0,
+            resumed: 0,
         }
-        telemetry.record_run(run, sim);
     }
-    report.rows
+
+    /// The simulation protocol of this invocation.
+    pub fn sim(&self) -> &Simulation {
+        &self.sim
+    }
+
+    /// Attaches a top-level field to the record line (for data that is not
+    /// a simulation run, e.g. table 2's storage budgets).
+    pub fn set_extra(&mut self, key: &str, value: Json) {
+        self.extra.push((key.to_owned(), value));
+    }
+
+    /// Runs every design on every preset through the parallel experiment
+    /// engine ([`bpsim::exec::run_matrix`]), one grid row per preset, and
+    /// returns one result row per preset: the runs in design order,
+    /// bit-identical to running the same cells serially. A failed cell
+    /// comes back as a failed [`RunResult`]; [`tabulate`] renders its row
+    /// `n/a`.
+    ///
+    /// ```no_run
+    /// fn main() -> std::process::ExitCode {
+    ///     let mut fig = bench::Figure::new("demo", "Fig. 12");
+    ///     let designs = [
+    ///         bench::design("LLBP-X", bench::llbpx),
+    ///         // Pass 1 of Opt-W is the row's own LLBP-X cell.
+    ///         bench::design_after("LLBP-X Opt-W", "LLBP-X", bench::llbpx_opt_w_after),
+    ///     ];
+    ///     for (preset, runs) in fig.run_rows(bench::presets(), &designs) {
+    ///         println!("{}: {:.3} vs {:.3}", preset.spec.name, runs[0].mpki(), runs[1].mpki());
+    ///     }
+    ///     fig.finish()
+    /// }
+    /// ```
+    ///
+    /// The engine's knobs (`LLBPX_THREADS`, `LLBPX_CHECKPOINT`, ...) apply.
+    pub fn run_rows(
+        &mut self,
+        presets: Vec<Preset>,
+        designs: &[Design],
+    ) -> Vec<(Preset, Vec<RunResult>)> {
+        let specs: Vec<WorkloadSpec> = presets.iter().map(|p| p.spec.clone()).collect();
+        let rows = self.run_grid(&specs, designs, EngineOptions::from_env());
+        presets.into_iter().zip(rows).collect()
+    }
+
+    /// Runs the context analyses (Figs. 6-9) of `spec` at each context
+    /// depth of `depths` as one grid row, recording each underlying run;
+    /// `None` for a failed cell, in depth order.
+    ///
+    /// The checkpoint journal stays off: a journal line does not hold the
+    /// analysis data, so a restored cell could not be analyzed.
+    /// `LLBPX_THREADS` and `LLBPX_FAULT_CELL` apply.
+    pub fn run_analyses(
+        &mut self,
+        spec: &WorkloadSpec,
+        depths: &[usize],
+    ) -> Vec<Option<ContextAnalysis>> {
+        let analyzer = |w: usize| {
+            design(format!("LLBP W={w} analysis"), move || {
+                Box::new(ContextAnalysis::predictor(w)) as Box<dyn SimPredictor>
+            })
+        };
+        let designs: Vec<Design> = depths.iter().map(|&w| analyzer(w)).collect();
+        let opts = EngineOptions {
+            fault_cell: exec::FAULT_CELL.get(|| None),
+            ..EngineOptions::basic(exec::threads_from_env())
+        };
+        let rows = self.run_grid(std::slice::from_ref(spec), &designs, opts);
+        rows.iter().flatten().map(ContextAnalysis::from_run).collect()
+    }
+
+    /// Runs jobs that are not engine cells (fig13p's pipeline model) over
+    /// `LLBPX_THREADS` workers with [`exec::run_jobs_with`]; the results
+    /// return in job order. A panicking job propagates.
+    pub fn run_jobs<T: Send>(&mut self, jobs: Vec<BoxedJob<'_, T>>) -> Vec<T> {
+        let threads = exec::threads_from_env();
+        self.threads = Some(threads.max(1).min(jobs.len().max(1)));
+        exec::run_jobs_with(threads, jobs)
+    }
+
+    /// Runs one grid and records it: every run on the record line, every
+    /// failed cell on stderr and in [`finish`](Figure::finish)'s count.
+    fn run_grid(
+        &mut self,
+        specs: &[WorkloadSpec],
+        designs: &[Design],
+        opts: EngineOptions,
+    ) -> Vec<Vec<RunResult>> {
+        let report = exec::run_matrix(&self.sim, specs, designs, opts);
+        self.threads = Some(report.threads);
+        self.failed += report.failed_cells();
+        self.resumed += report.resumed_cells();
+        for run in report.rows.iter().flatten() {
+            if let Some(error) = &run.error {
+                eprintln!("error: {error}");
+            }
+            self.record_run(run);
+        }
+        report.rows
+    }
+
+    /// Adds `result`'s run record ([`RunResult::to_json`]) plus its CPI on
+    /// the paper's core to the record line.
+    fn record_run(&mut self, result: &RunResult) {
+        if self.sink.is_none() {
+            return;
+        }
+        let mut rec = result.to_json(&self.sim);
+        // A failed cell ran zero instructions; its CPI is meaningless.
+        if !result.is_failed() {
+            let core = CoreParams::paper_table2();
+            rec = rec.set("cpi", core.cpi(result.instructions, result.mispredicts, 0));
+        }
+        self.runs.push(rec);
+    }
+
+    /// Prints the footer and returns `main`'s exit code.
+    ///
+    /// The footer is the protocol, the engine line (the workers the last
+    /// engine call used and the elapsed wall time) and the paper
+    /// reference; a binary that never ran the engine prints the reference
+    /// alone. The exit code is a failure, with a stderr summary, when any
+    /// cell failed: failed cells render as `n/a` rows, so one bad cell
+    /// never hides the rest of a figure, but it must not exit 0 either.
+    pub fn finish(self) -> ExitCode {
+        println!();
+        if let Some(threads) = self.threads {
+            println!(
+                "protocol: {}M warmup + {}M measured instructions per run \
+                 (REPRO_WARMUP / REPRO_INSTRUCTIONS to rescale)",
+                self.sim.warmup_instructions / 1_000_000,
+                self.sim.measure_instructions / 1_000_000
+            );
+            println!(
+                "engine: {threads} thread(s) (LLBPX_THREADS), {:.2}s total wall time",
+                self.started.elapsed().as_secs_f64()
+            );
+        }
+        // Stderr, not stdout: a resumed run's tables must stay
+        // byte-identical to an uninterrupted run's.
+        if self.resumed > 0 {
+            eprintln!(
+                "checkpoint: {} cell(s) restored from the LLBPX_CHECKPOINT journal",
+                self.resumed
+            );
+        }
+        println!("paper reference: {}", self.paper_ref);
+        if self.failed == 0 {
+            ExitCode::SUCCESS
+        } else {
+            eprintln!("error: {} matrix cell(s) failed; see the n/a rows above", self.failed);
+            ExitCode::FAILURE
+        }
+    }
+}
+
+impl Drop for Figure {
+    /// Appends the record line to the sink, if there is one.
+    fn drop(&mut self) {
+        let Some(sink) = &self.sink else { return };
+        let run_count = self.runs.len();
+        // Elapsed (coordinator) time of the whole invocation — unlike the
+        // per-run `wall_seconds`, this does not multiply under concurrency,
+        // so threads=1 vs threads=N lines diff into a speedup directly.
+        let threads = self.threads.unwrap_or_else(exec::threads_from_env);
+        let mut line = Json::obj()
+            .set("schema", telemetry::record::SCHEMA)
+            .set("bench", self.name)
+            .set("total_wall_seconds", self.started.elapsed().as_secs_f64())
+            .set("runs", Json::Arr(std::mem::take(&mut self.runs)))
+            .set("threads", threads as u64);
+        if self.failed > 0 {
+            line = line.set("failed_cells", self.failed as u64);
+        }
+        if self.resumed > 0 {
+            line = line.set("resumed_cells", self.resumed as u64);
+        }
+        for (k, v) in &self.extra {
+            line = line.set(k.as_str(), v.clone());
+        }
+        match telemetry::record::append_line(sink, &line) {
+            Ok(()) => eprintln!(
+                "telemetry: appended {run_count} run record(s) to {}",
+                sink.display()
+            ),
+            Err(e) => eprintln!("telemetry: failed to write {}: {e}", sink.display()),
+        }
+    }
 }
 
 /// Adds one table row per result row: the workload name followed by
@@ -290,166 +441,6 @@ pub fn mpki_ratio(runs: &[RunResult], i: usize) -> f64 {
 /// `None` when no row completed.
 pub fn geomean_ratio(rows: &[(Preset, Vec<RunResult>)], i: usize) -> Option<f64> {
     bpsim::report::geomean(completed(rows).map(|runs| mpki_ratio(runs, i)))
-}
-
-/// Runs the context analyses (Figs. 6-9) of `spec` at each context depth
-/// of `depths` as one grid row, recording each underlying run; `None` for
-/// a failed cell, in depth order.
-///
-/// The checkpoint journal stays off: a journal line does not hold the
-/// analysis data, so a restored cell could not be analyzed.
-/// `LLBPX_THREADS` and `LLBPX_FAULT_CELL` apply.
-pub fn run_analyses(
-    telemetry: &mut Telemetry,
-    sim: &Simulation,
-    spec: &WorkloadSpec,
-    depths: &[usize],
-) -> Vec<Option<ContextAnalysis>> {
-    let analyzer = |w: usize| {
-        design(format!("LLBP W={w} analysis"), move || {
-            Box::new(ContextAnalysis::predictor(w)) as Box<dyn SimPredictor>
-        })
-    };
-    let designs: Vec<Design> = depths.iter().map(|&w| analyzer(w)).collect();
-    let opts = EngineOptions {
-        fault_cell: exec::FAULT_CELL.get(|| None),
-        ..EngineOptions::basic(exec::threads_from_env())
-    };
-    let rows = run_grid(telemetry, sim, std::slice::from_ref(spec), &designs, opts);
-    rows.iter().flatten().map(ContextAnalysis::from_run).collect()
-}
-
-/// Machine-readable emission for one experiment binary.
-///
-/// Construct once at the top of `main`, route every simulation through
-/// [`run_rows`] / [`run_analyses`] (or [`Telemetry::record_run`]), and on
-/// drop (or an explicit [`Telemetry::emit`]) the collected run records are
-/// appended as one JSON line to the resolved sink. With no `--json`
-/// argument and no `LLBPX_TELEMETRY` variable this is all free: nothing is
-/// recorded and nothing is written.
-pub struct Telemetry {
-    bench: &'static str,
-    sink: Option<PathBuf>,
-    runs: Vec<Json>,
-    extra: Vec<(String, Json)>,
-    /// Worker threads the last matrix of this invocation used.
-    threads: Option<usize>,
-    started: Instant,
-    emitted: bool,
-}
-
-impl Telemetry {
-    /// A recorder for the binary named `bench`, with the sink resolved from
-    /// `--json <path>` / `LLBPX_TELEMETRY`.
-    pub fn new(bench: &'static str) -> Self {
-        Telemetry {
-            bench,
-            sink: telemetry::record::sink_from_env(bench),
-            runs: Vec::new(),
-            extra: Vec::new(),
-            threads: None,
-            started: Instant::now(),
-            emitted: false,
-        }
-    }
-
-    /// Records an externally produced run (e.g. from
-    /// [`bpsim::runner::compare`]): its run record
-    /// ([`RunResult::to_json`]) plus the run's CPI on the paper's core.
-    pub fn record_run(&mut self, result: &RunResult, sim: &Simulation) {
-        if self.sink.is_none() {
-            return;
-        }
-        let mut rec = result.to_json(sim);
-        // A failed cell ran zero instructions; its CPI is meaningless.
-        if !result.is_failed() {
-            let core = CoreParams::paper_table2();
-            rec = rec.set("cpi", core.cpi(result.instructions, result.mispredicts, 0));
-        }
-        self.runs.push(rec);
-    }
-
-    /// Adds one matrix's engine bookkeeping to the record line: the
-    /// worker threads it used.
-    pub fn record_engine(&mut self, report: &exec::MatrixReport) {
-        self.threads = Some(report.threads);
-    }
-
-    /// Attaches a top-level field to this binary's record line (for data
-    /// that is not a simulation run, e.g. table 2's storage budgets).
-    pub fn set_extra(&mut self, key: &str, value: Json) {
-        self.extra.push((key.to_owned(), value));
-    }
-
-    /// Appends the collected records to the sink now (idempotent; also
-    /// invoked on drop).
-    pub fn emit(&mut self) {
-        if self.emitted {
-            return;
-        }
-        self.emitted = true;
-        let Some(sink) = &self.sink else { return };
-        let run_count = self.runs.len();
-        // Elapsed (coordinator) time of the whole invocation — unlike the
-        // per-run `wall_seconds`, this does not multiply under concurrency,
-        // so threads=1 vs threads=N lines diff into a speedup directly.
-        let mut line = Json::obj()
-            .set("schema", telemetry::record::SCHEMA)
-            .set("bench", self.bench)
-            .set("total_wall_seconds", self.started.elapsed().as_secs_f64())
-            .set("runs", Json::Arr(std::mem::take(&mut self.runs)));
-        let threads = self.threads.unwrap_or_else(exec::threads_from_env);
-        line = line.set("threads", threads as u64);
-        let failed = FAILED_CELLS.load(Ordering::Relaxed);
-        if failed > 0 {
-            line = line.set("failed_cells", failed as u64);
-        }
-        let resumed = RESUMED_CELLS.load(Ordering::Relaxed);
-        if resumed > 0 {
-            line = line.set("resumed_cells", resumed as u64);
-        }
-        for (k, v) in &self.extra {
-            line = line.set(k.as_str(), v.clone());
-        }
-        match telemetry::record::append_line(sink, &line) {
-            Ok(()) => eprintln!(
-                "telemetry: appended {run_count} run record(s) to {}",
-                sink.display()
-            ),
-            Err(e) => eprintln!("telemetry: failed to write {}: {e}", sink.display()),
-        }
-    }
-}
-
-impl Drop for Telemetry {
-    fn drop(&mut self) {
-        self.emit();
-    }
-}
-
-/// Prints the standard experiment footer: protocol, engine configuration
-/// (threads + elapsed wall time), and paper pointer.
-pub fn footer(sim: &Simulation, paper_ref: &str) {
-    println!(
-        "\nprotocol: {}M warmup + {}M measured instructions per run \
-         (REPRO_WARMUP / REPRO_INSTRUCTIONS to rescale)",
-        sim.warmup_instructions / 1_000_000,
-        sim.measure_instructions / 1_000_000
-    );
-    if let Some(started) = STARTED.get() {
-        println!(
-            "engine: {} thread(s) (LLBPX_THREADS), {:.2}s total wall time",
-            exec::threads_from_env(),
-            started.elapsed().as_secs_f64()
-        );
-    }
-    // Stderr, not stdout: a resumed run's tables must stay byte-identical
-    // to an uninterrupted run's.
-    let resumed = RESUMED_CELLS.load(Ordering::Relaxed);
-    if resumed > 0 {
-        eprintln!("checkpoint: {resumed} cell(s) restored from the LLBPX_CHECKPOINT journal");
-    }
-    println!("paper reference: {paper_ref}");
 }
 
 #[cfg(test)]
@@ -493,17 +484,23 @@ mod tests {
         let sink = std::env::temp_dir()
             .join(format!("llbpx-bench-engine-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&sink);
-        let mut telemetry = Telemetry::new("engine-test");
-        telemetry.sink = Some(sink.clone());
-        let matrix = |threads: usize| exec::MatrixReport { rows: Vec::new(), threads };
-        telemetry.record_engine(&matrix(3));
-        telemetry.record_engine(&matrix(2));
-        telemetry.emit();
+        let mut fig = Figure::new("engine-test", "none");
+        fig.sink = Some(sink.clone());
+        fig.sim = Simulation { warmup_instructions: 1_000, measure_instructions: 2_000 };
+        let spec = WorkloadSpec::new("tiny", 2).with_request_types(64).with_handlers(8);
+        let specs = [spec.clone(), spec.clone(), spec];
+        let designs = [design("64K TSL", tsl64)];
+        fig.run_grid(&specs, &designs, EngineOptions::basic(3));
+        fig.run_grid(&specs[..2], &designs, EngineOptions::basic(3));
+        assert_eq!(fig.threads, Some(2), "two cells keep two workers busy");
+        drop(fig);
 
         let text = std::fs::read_to_string(&sink).expect("the record was written");
         let _ = std::fs::remove_file(&sink);
         let line = Json::parse(text.trim()).expect("one JSON line");
-        assert_eq!(line.get("threads").and_then(Json::as_i64), Some(2), "the last matrix's");
+        assert_eq!(line.get("threads").and_then(Json::as_i64), Some(2), "the last grid's");
+        let runs = line.get("runs").and_then(Json::as_arr).map(<[Json]>::len);
+        assert_eq!(runs, Some(5), "every run of both grids");
     }
 
     #[test]

@@ -344,12 +344,11 @@ impl Llbp {
             } else {
                 TageScl::input_confidence(&tage)
             };
-            if let Some(eval) = self.tsl.sc_eval(pc, base_pred, conf) {
-                if eval.decisive {
-                    final_pred = eval.pred;
-                }
-                sc_used = Some((eval, base_pred));
+            let eval = self.tsl.sc_eval(pc, base_pred, conf);
+            if eval.decisive {
+                final_pred = eval.pred;
             }
+            sc_used = Some((eval, base_pred));
         }
         if self.tsl.loop_enabled() && linfo.hit && linfo.confident {
             final_pred = linfo.pred;

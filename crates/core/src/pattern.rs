@@ -54,12 +54,6 @@ impl Pattern {
         }
         self.ctr != before
     }
-
-    /// History length in bits.
-    #[inline]
-    pub fn history_bits(&self) -> usize {
-        tage::HISTORY_LENGTHS[self.len_idx as usize]
-    }
 }
 
 #[cfg(test)]
@@ -100,11 +94,5 @@ mod tests {
         assert_eq!(Pattern { tag: 0, len_idx: 0, ctr: -1 }.confidence(), 1);
         assert_eq!(Pattern { tag: 0, len_idx: 0, ctr: 1 }.confidence(), 3);
         assert_eq!(Pattern { tag: 0, len_idx: 0, ctr: -2 }.confidence(), 3);
-    }
-
-    #[test]
-    fn history_bits_follow_the_tage_table() {
-        let p = Pattern::allocate(0, 15, true);
-        assert_eq!(p.history_bits(), 232);
     }
 }

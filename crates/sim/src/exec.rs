@@ -8,9 +8,9 @@
 //! (the workload generator is seeded, the runner is single-threaded per
 //! cell), so this module provides:
 //!
-//! * [`run_jobs`] — a deterministic-order parallel map: jobs are claimed in
-//!   index order by `LLBPX_THREADS` scoped workers and the results come
-//!   back in job order, bit-identical to running them serially;
+//! * [`run_jobs_with`] — a deterministic-order parallel map: jobs are
+//!   claimed in index order by scoped workers and the results come back in
+//!   job order, bit-identical to running them serially;
 //! * [`run_matrix`] — a grid on top of it: every cell streams its
 //!   workload from its own seeded generator, so the cells of a row see the
 //!   same records without sharing any memory; cells keep a flat, row-major
@@ -104,14 +104,8 @@ fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// A boxed unit of work for [`run_jobs`].
+/// A boxed unit of work for [`run_jobs_with`].
 pub type BoxedJob<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
-
-/// Runs `jobs` across [`threads_from_env`] workers; results return in job
-/// order.
-pub fn run_jobs<T: Send>(jobs: Vec<BoxedJob<'_, T>>) -> Vec<T> {
-    run_jobs_with(threads_from_env(), jobs)
-}
 
 /// Runs `jobs` across at most `threads` scoped workers and returns the
 /// results in job order.

@@ -51,8 +51,6 @@ pub struct TageConfig {
     pub storage: TableStorageKind,
     /// log2 of bimodal entries.
     pub log2_bimodal: u32,
-    /// Useful-bit reset period, in allocation events.
-    pub u_reset_period: u64,
 }
 
 impl TageConfig {
@@ -65,7 +63,6 @@ impl TageConfig {
             short_tables: 9,
             storage: TableStorageKind::Direct,
             log2_bimodal: 13,
-            u_reset_period: 1 << 18,
         }
     }
 
@@ -124,10 +121,6 @@ impl Default for TageConfig {
 pub struct TslConfig {
     /// The TAGE core.
     pub tage: TageConfig,
-    /// Enable the loop predictor ("L").
-    pub loop_predictor: bool,
-    /// Enable the statistical corrector ("SC").
-    pub statistical_corrector: bool,
     /// Human-readable label used in reports.
     pub label: String,
 }
@@ -155,8 +148,6 @@ impl TslConfig {
         };
         TslConfig {
             tage: TageConfig::base_64k().with_log2_entries(log2_entries),
-            loop_predictor: true,
-            statistical_corrector: true,
             label: format!("{size_kb}K TSL"),
         }
     }
@@ -166,8 +157,6 @@ impl TslConfig {
     pub fn infinite() -> Self {
         TslConfig {
             tage: TageConfig::infinite(),
-            loop_predictor: true,
-            statistical_corrector: true,
             label: "Inf TSL".to_owned(),
         }
     }

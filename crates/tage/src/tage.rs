@@ -17,6 +17,9 @@ const INDEX: usize = 0;
 const TAG: usize = 1;
 const TAG2: usize = 2;
 
+/// Useful-bit reset period, in allocation events.
+const U_RESET_PERIOD: u64 = 1 << 18;
+
 /// Per-table indexing constants, hoisted out of the per-branch key loop.
 ///
 /// The PC-shuffle shift and the path-mix rotation both involve `% log2`
@@ -276,7 +279,7 @@ impl Tage {
                 t += 1;
             }
         }
-        if self.allocs_since_reset >= self.cfg.u_reset_period {
+        if self.allocs_since_reset >= U_RESET_PERIOD {
             self.allocs_since_reset = 0;
             for table in &mut self.tables {
                 table.reset_useful();

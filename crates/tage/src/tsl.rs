@@ -26,8 +26,8 @@ pub struct TslInfo {
     /// Loop predictor result.
     pub loop_info: LoopInfo,
     /// Statistical corrector result (evaluated with TAGE's prediction as
-    /// input), `None` when the SC is disabled.
-    pub sc: Option<ScEval>,
+    /// input).
+    pub sc: ScEval,
     /// Final combined prediction.
     pub pred: bool,
 }
@@ -69,11 +69,7 @@ impl TageScl {
 
     /// Stage 2: loop predictor lookup.
     pub fn loop_info(&self, pc: u64) -> LoopInfo {
-        if self.cfg.loop_predictor {
-            self.loop_pred.lookup(pc)
-        } else {
-            LoopInfo { pred: false, hit: false, confident: false }
-        }
+        self.loop_pred.lookup(pc)
     }
 
     /// Confidence class of a TAGE result, for the SC input term.
@@ -89,21 +85,15 @@ impl TageScl {
 
     /// Stage 3: statistical corrector evaluation for an arbitrary `input`
     /// prediction (TAGE's, or TAGE+LLBP's combined result).
-    ///
-    /// Returns `None` when the SC is disabled by configuration.
-    pub fn sc_eval(&self, pc: u64, input: bool, conf: ScInputConfidence) -> Option<ScEval> {
-        self.cfg
-            .statistical_corrector
-            .then(|| self.sc.evaluate(pc, input, conf, self.tage.history()))
+    pub fn sc_eval(&self, pc: u64, input: bool, conf: ScInputConfidence) -> ScEval {
+        self.sc.evaluate(pc, input, conf, self.tage.history())
     }
 
     /// Combines component results the way deployed TSL does.
-    pub fn combine(tage_pred: bool, loop_info: LoopInfo, loop_enabled: bool, sc: Option<ScEval>) -> bool {
+    pub fn combine(tage_pred: bool, loop_info: LoopInfo, loop_enabled: bool, sc: ScEval) -> bool {
         let mut pred = tage_pred;
-        if let Some(eval) = sc {
-            if eval.decisive {
-                pred = eval.pred;
-            }
+        if sc.decisive {
+            pred = sc.pred;
         }
         if loop_enabled && loop_info.hit && loop_info.confident {
             pred = loop_info.pred;
@@ -125,12 +115,8 @@ impl TageScl {
     /// `info` must come from [`predict`](Self::predict) (or the staged
     /// calls) for the same branch, before any history update.
     pub fn train(&mut self, pc: u64, taken: bool, info: &TslInfo) {
-        if self.cfg.loop_predictor {
-            self.loop_pred.update(pc, taken, info.tage.pred);
-        }
-        if let Some(eval) = info.sc {
-            self.sc.train(taken, info.tage.pred, eval);
-        }
+        self.loop_pred.update(pc, taken, info.tage.pred);
+        self.sc.train(taken, info.tage.pred, info.sc);
         self.tage.update(pc, taken, &info.tage);
     }
 
@@ -144,15 +130,13 @@ impl TageScl {
     /// Trains TAGE and the loop predictor only (no SC) — the original LLBP
     /// suppresses the SC when its pattern provides the prediction.
     pub fn train_without_sc(&mut self, pc: u64, taken: bool, tage: &TageInfo) {
-        if self.cfg.loop_predictor {
-            self.loop_pred.update(pc, taken, tage.pred);
-        }
+        self.loop_pred.update(pc, taken, tage.pred);
         self.tage.update(pc, taken, tage);
     }
 
     /// Whether the loop predictor chooser currently trusts loop predictions.
     pub fn loop_enabled(&self) -> bool {
-        self.cfg.loop_predictor && self.loop_pred.enabled()
+        self.loop_pred.enabled()
     }
 
     /// Advances all histories past `record`; call once per dynamic branch.
@@ -203,21 +187,32 @@ mod tests {
         tsl.process(PredictInput::new(&rec)).pred.expect("conditional")
     }
 
+    /// The same branch through a plain TAGE: TSL without its SC and loop
+    /// predictor.
+    fn drive_tage(tage: &mut Tage, pc: u64, taken: bool) -> bool {
+        let rec = BranchRecord::cond(pc, pc + 0x40, taken, 0);
+        let info = tage.predict(pc);
+        tage.update(pc, taken, &info);
+        tage.update_history(&rec);
+        info.pred
+    }
+
     #[test]
     fn loop_component_captures_fixed_trip_counts() {
         // Trip count 37 defeats short TAGE tables quickly; the loop
         // predictor should make the exit nearly free.
         let mut with_loop = TageScl::new(TslConfig::kilobytes(64));
-        let mut without = TageScl::new(TslConfig {
-            loop_predictor: false,
-            ..TslConfig::kilobytes(64)
-        });
+        let mut without = Tage::new(TslConfig::kilobytes(64).tage);
         let mut misses = [0u32; 2];
         for rep in 0..120 {
             for i in 0..38 {
                 let taken = i < 37;
-                for (mi, tsl) in [&mut with_loop, &mut without].into_iter().enumerate() {
-                    if drive(tsl, 0x8000, taken) != taken && rep > 60 {
+                let wrong = [
+                    drive(&mut with_loop, 0x8000, taken) != taken,
+                    drive_tage(&mut without, 0x8000, taken) != taken,
+                ];
+                for (mi, wrong) in wrong.into_iter().enumerate() {
+                    if wrong && rep > 60 {
                         misses[mi] += 1;
                     }
                 }
@@ -235,11 +230,7 @@ mod tests {
     fn sc_reduces_mispredictions_on_noisy_biased_branches() {
         // 85%-taken noise branch: TAGE keeps allocating useless long
         // patterns; the SC recognizes the bias.
-        let run = |sc_on: bool| {
-            let mut tsl = TageScl::new(TslConfig {
-                statistical_corrector: sc_on,
-                ..TslConfig::kilobytes(64)
-            });
+        let run = |drive: &mut dyn FnMut(bool) -> bool| {
             let mut x = 0xdead_beefu64;
             let mut wrong = 0;
             for i in 0..6000 {
@@ -247,14 +238,16 @@ mod tests {
                 x ^= x >> 7;
                 x ^= x << 17;
                 let taken = (x % 100) < 85;
-                if drive(&mut tsl, 0x9000, taken) != taken && i > 2000 {
+                if drive(taken) != taken && i > 2000 {
                     wrong += 1;
                 }
             }
             wrong
         };
-        let with_sc = run(true);
-        let without_sc = run(false);
+        let mut tsl = TageScl::new(TslConfig::kilobytes(64));
+        let with_sc = run(&mut |taken| drive(&mut tsl, 0x9000, taken));
+        let mut tage = Tage::new(TslConfig::kilobytes(64).tage);
+        let without_sc = run(&mut |taken| drive_tage(&mut tage, 0x9000, taken));
         assert!(
             with_sc <= without_sc + 40,
             "SC should not hurt biased branches: with={with_sc} without={without_sc}"

@@ -65,12 +65,6 @@ impl BranchKind {
         matches!(self, BranchKind::DirectCall | BranchKind::IndirectCall)
     }
 
-    /// Returns `true` for function returns.
-    #[inline]
-    pub fn is_return(self) -> bool {
-        self == BranchKind::Return
-    }
-
     /// Decodes a kind from its wire discriminant.
     ///
     /// Returns `None` for out-of-range values; used by the trace reader.
@@ -142,17 +136,6 @@ impl BranchRecord {
     pub fn instructions(&self) -> u64 {
         u64::from(self.instr_gap) + 1
     }
-
-    /// The address the program continues at after this branch resolves.
-    #[inline]
-    pub fn next_pc(&self) -> u64 {
-        if self.taken {
-            self.target
-        } else {
-            // Model a fixed 4-byte instruction encoding for fallthrough.
-            self.pc.wrapping_add(4)
-        }
-    }
 }
 
 impl fmt::Display for BranchRecord {
@@ -197,8 +180,6 @@ mod tests {
         assert!(BranchKind::DirectCall.is_call());
         assert!(BranchKind::IndirectCall.is_call());
         assert!(!BranchKind::Return.is_call());
-        assert!(BranchKind::Return.is_return());
-        assert!(!BranchKind::UncondDirect.is_return());
     }
 
     #[test]
@@ -207,14 +188,6 @@ mod tests {
         assert_eq!(r.instructions(), 10);
         let r = BranchRecord::cond(0x1000, 0x2000, false, 0);
         assert_eq!(r.instructions(), 1);
-    }
-
-    #[test]
-    fn next_pc_follows_direction() {
-        let taken = BranchRecord::cond(0x1000, 0x2000, true, 0);
-        assert_eq!(taken.next_pc(), 0x2000);
-        let not_taken = BranchRecord::cond(0x1000, 0x2000, false, 0);
-        assert_eq!(not_taken.next_pc(), 0x1004);
     }
 
     #[test]

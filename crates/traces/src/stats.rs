@@ -80,15 +80,6 @@ impl TraceStats {
             self.taken as f64 / self.branches as f64
         }
     }
-
-    /// Branches per kilo-instruction, or 0 for empty traces.
-    pub fn branches_per_kilo_instruction(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.branches as f64 * 1000.0 / self.instructions as f64
-        }
-    }
 }
 
 impl fmt::Display for TraceStats {
@@ -143,7 +134,6 @@ mod tests {
     fn rates_handle_empty_traces() {
         let stats = TraceStats::from_stream(VecTrace::default());
         assert_eq!(stats.taken_rate(), 0.0);
-        assert_eq!(stats.branches_per_kilo_instruction(), 0.0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification, fully offline: release build, the whole test suite,
 # the panic-free lint gate, the rustdoc link gate, and smoke experiments
-# covering determinism (fig01 and the fig08 context analyses), fault
-# isolation, and checkpoint/resume.
+# covering every binary's main, determinism (fig01 and the fig08 context
+# analyses), fault isolation, and checkpoint/resume.
 #
 # Usage: scripts/verify.sh
 # Exits nonzero on the first failure.
@@ -105,6 +105,40 @@ if ! diff "$analysis1" "$analysis2"; then
 fi
 echo "ok: fig08 stdout byte-identical at 1 and 2 threads"
 rm -f "$analysis1" "$analysis2"
+
+echo "== smoke: every experiment binary on a small protocol =="
+# CI's only run of every binary's main: each must exit 0, print its paper
+# reference and no NaN (a summary over missing data prints n/a), and an
+# engine line must report the worker count its record line holds.
+bin_out="$(mktemp -t llbpx-verify-bin-XXXXXX.out)"
+bin_sink="$(mktemp -t llbpx-verify-bin-XXXXXX.json)"
+count=0
+for src in crates/bench/src/bin/*.rs; do
+    bin="$(basename "$src" .rs)"
+    rm -f "$bin_sink"
+    if ! LLBPX_THREADS=2 REPRO_WORKLOADS=NodeApp REPRO_WARMUP=20000 REPRO_INSTRUCTIONS=60000 \
+        "./target/release/$bin" --json "$bin_sink" >"$bin_out" 2>/dev/null; then
+        echo "error: $bin exited nonzero" >&2
+        exit 1
+    fi
+    grep -q '^paper reference:' "$bin_out" || { echo "error: $bin printed no paper reference" >&2; exit 1; }
+    if grep -q 'NaN' "$bin_out"; then
+        echo "error: $bin printed NaN" >&2
+        exit 1
+    fi
+    python3 - "$bin" "$bin_out" "$bin_sink" <<'EOF'
+import json, re, sys
+name, out, sink = sys.argv[1:]
+engine = [l for l in open(out).read().splitlines() if l.startswith("engine:")]
+threads = json.loads(open(sink).read().splitlines()[0])["threads"]
+for line in engine:
+    shown = int(re.match(r"engine: (\d+) thread", line).group(1))
+    assert shown == threads, f"{name}: engine line says {shown} thread(s), record {threads}"
+EOF
+    count=$((count + 1))
+done
+rm -f "$bin_out" "$bin_sink"
+echo "ok: $count binaries exit 0 with a paper reference, no NaN and one thread count"
 
 echo "== smoke: fig01 accuracy parity vs recorded stats =="
 # The per-branch kernel is optimization territory; any change that shifts

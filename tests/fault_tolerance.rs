@@ -93,6 +93,7 @@ fn a_failed_analysis_cell_renders_na_and_exits_nonzero() {
     assert!(!output.status.success(), "a failed analysis cell must not exit 0");
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("n/a"), "the failed analysis must render as n/a:\n{stdout}");
+    assert!(!stdout.contains("NaN"), "an empty length range renders n/a, not NaN:\n{stdout}");
 
     let text = std::fs::read_to_string(&sink).expect("sink was written");
     let _ = std::fs::remove_file(&sink);

@@ -114,6 +114,33 @@ fn bench_binary_emits_a_valid_record_with_json_flag() {
 }
 
 #[test]
+fn the_engine_line_reports_the_workers_used() {
+    let sink = tmp_path("fig06");
+    let _ = std::fs::remove_file(&sink);
+
+    // fig06's grid is one cell (NodeApp at W=8), so of two requested
+    // threads one does the work.
+    let output = Command::new(env!("CARGO_BIN_EXE_fig06"))
+        .arg("--json")
+        .arg(&sink)
+        .env("REPRO_WORKLOADS", "NodeApp")
+        .env("REPRO_WARMUP", "20000")
+        .env("REPRO_INSTRUCTIONS", "60000")
+        .env("LLBPX_THREADS", "2")
+        .output()
+        .expect("fig06 runs");
+    assert!(output.status.success(), "fig06 failed: {}", String::from_utf8_lossy(&output.stderr));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let engine = stdout.lines().find(|l| l.starts_with("engine:")).expect("an engine line");
+    assert!(engine.starts_with("engine: 1 thread(s)"), "the workers used, not requested: {engine}");
+
+    let text = std::fs::read_to_string(&sink).expect("sink was written");
+    let _ = std::fs::remove_file(&sink);
+    let line = Json::parse(text.trim()).expect("one valid record line");
+    assert_eq!(line.get("threads").unwrap().as_i64(), Some(1), "the same count as the footer");
+}
+
+#[test]
 fn env_var_sink_appends_across_invocations() {
     let sink = tmp_path("env");
     let _ = std::fs::remove_file(&sink);
