@@ -25,7 +25,9 @@ fn main() -> ExitCode {
     ];
     let rows = fig.run_rows(bench::presets(), &designs);
     bench::tabulate(&mut table, &rows, |_, runs| {
-        (1..designs.len()).map(|i| pct(1.0 - bench::mpki_ratio(runs, i))).collect()
+        (1..designs.len())
+            .map(|i| pct(1.0 - bench::mpki_ratio(runs, i)))
+            .collect()
     });
     let reduction = |i| bench::geomean_ratio(&rows, i).map(|g| 1.0 - g);
     let (depth, full) = (reduction(1), reduction(2));

@@ -23,7 +23,15 @@ fn main() -> ExitCode {
 
     let mut table = Table::new(
         "Fig. 1 — MPKI and branch-stall fraction, Skylake-like vs SPR-like",
-        &["workload", "SKL MPKI", "SPR MPKI", "dMPKI", "SKL stall%", "SPR stall%", "dstall"],
+        &[
+            "workload",
+            "SKL MPKI",
+            "SPR MPKI",
+            "dMPKI",
+            "SKL stall%",
+            "SPR stall%",
+            "dstall",
+        ],
     );
 
     // The paper plots three workloads; default to a web/db/java mix.

@@ -13,7 +13,14 @@ fn main() -> ExitCode {
     );
     let mut table = Table::new(
         "Fig. 4 — MPKI normalized to 64K TSL (lower is better)",
-        &["workload", "64K MPKI", "LLBP", "LLBP-0Lat", "512K TSL", "Inf TSL"],
+        &[
+            "workload",
+            "64K MPKI",
+            "LLBP",
+            "LLBP-0Lat",
+            "512K TSL",
+            "Inf TSL",
+        ],
     );
     let designs = [
         bench::design("64K TSL", bench::tsl64),
@@ -33,7 +40,10 @@ fn main() -> ExitCode {
     print!("{}", table.render());
 
     println!();
-    for (i, name) in ["LLBP", "LLBP-0Lat", "512K TSL", "Inf TSL"].iter().enumerate() {
+    for (i, name) in ["LLBP", "LLBP-0Lat", "512K TSL", "Inf TSL"]
+        .iter()
+        .enumerate()
+    {
         let reduction = bench::geomean_ratio(&rows, i + 1).map(|g| 1.0 - g);
         println!("{name}: average MPKI reduction {}", pct(reduction));
     }

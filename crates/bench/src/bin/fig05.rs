@@ -26,7 +26,10 @@ fn main() -> ExitCode {
         ("+20b Tag", LlbpConfig::with_20b_tags),
         ("+Inf Contexts", LlbpConfig::with_infinite_contexts),
         ("+Inf Patterns", LlbpConfig::with_infinite_patterns),
-        ("+No Contextualization", LlbpConfig::without_contextualization),
+        (
+            "+No Contextualization",
+            LlbpConfig::without_contextualization,
+        ),
     ];
 
     let mut header = vec!["workload", "LLBP-0Lat MPKI"];
@@ -38,14 +41,20 @@ fn main() -> ExitCode {
 
     let mut designs = vec![bench::design("LLBP-0Lat", bench::llbp_0lat)];
     for &(step_name, cfg) in &steps {
-        designs.push(bench::design(format!("LLBP {step_name}"), move || bench::llbp_with(cfg())));
+        designs.push(bench::design(format!("LLBP {step_name}"), move || {
+            bench::llbp_with(cfg())
+        }));
     }
     let rows = fig.run_rows(bench::representative_presets(), &designs);
     bench::tabulate(&mut table, &rows, |_, runs| {
         let ratios = (1..designs.len()).map(|i| f3(bench::mpki_ratio(runs, i)));
         std::iter::once(f3(runs[0].mpki())).chain(ratios).collect()
     });
-    let base = if bench::completed(&rows).next().is_some() { "1.000" } else { "n/a" };
+    let base = if bench::completed(&rows).next().is_some() {
+        "1.000"
+    } else {
+        "n/a"
+    };
     let mut avg = vec!["geomean".into(), base.into()];
     avg.extend((1..designs.len()).map(|i| f3(bench::geomean_ratio(&rows, i))));
     table.row(avg);
@@ -55,7 +64,10 @@ fn main() -> ExitCode {
     let mut prev = Some(1.0);
     for (i, (name, _)) in steps.iter().enumerate() {
         let g = bench::geomean_ratio(&rows, i + 1);
-        println!("  {name:<22} {}", pct(g.zip(prev).map(|(g, prev)| 1.0 - g / prev)));
+        println!(
+            "  {name:<22} {}",
+            pct(g.zip(prev).map(|(g, prev)| 1.0 - g / prev))
+        );
         prev = g;
     }
     fig.finish()

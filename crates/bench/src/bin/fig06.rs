@@ -19,7 +19,10 @@ fn main() -> ExitCode {
     let analysis = fig.run_analyses(&preset.spec, &[8]).remove(0);
 
     let mut table = Table::new(
-        format!("Fig. 6 — useful patterns per context, {} (W=8)", preset.spec.name),
+        format!(
+            "Fig. 6 — useful patterns per context, {} (W=8)",
+            preset.spec.name
+        ),
         &["context rank", "useful patterns"],
     );
     let Some(analysis) = analysis else {
@@ -32,11 +35,17 @@ fn main() -> ExitCode {
     let n = analysis.contexts.len();
     let mut rank = 1usize;
     while rank <= n {
-        table.row([format!("{rank}"), format!("{}", analysis.contexts[rank - 1].useful_patterns)]);
+        table.row([
+            format!("{rank}"),
+            format!("{}", analysis.contexts[rank - 1].useful_patterns),
+        ]);
         rank *= 2;
     }
     if n > 0 {
-        table.row([format!("{n}"), format!("{}", analysis.contexts[n - 1].useful_patterns)]);
+        table.row([
+            format!("{n}"),
+            format!("{}", analysis.contexts[n - 1].useful_patterns),
+        ]);
     }
     print!("{}", table.render());
 

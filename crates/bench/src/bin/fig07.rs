@@ -19,7 +19,10 @@ fn main() -> ExitCode {
     let analysis = fig.run_analyses(&preset.spec, &[8]).remove(0);
 
     let mut table = Table::new(
-        format!("Fig. 7 — avg history length per context, {} (Fig. 6 order)", preset.spec.name),
+        format!(
+            "Fig. 7 — avg history length per context, {} (Fig. 6 order)",
+            preset.spec.name
+        ),
         &["context rank", "useful patterns", "avg history (bits)"],
     );
     let Some(analysis) = analysis else {
@@ -32,7 +35,11 @@ fn main() -> ExitCode {
     let mut rank = 1usize;
     while rank <= n {
         let c = &analysis.contexts[rank - 1];
-        table.row([format!("{rank}"), format!("{}", c.useful_patterns), f3(c.avg_history_len)]);
+        table.row([
+            format!("{rank}"),
+            format!("{}", c.useful_patterns),
+            f3(c.avg_history_len),
+        ]);
         rank *= 2;
     }
     print!("{}", table.render());
@@ -40,14 +47,26 @@ fn main() -> ExitCode {
     // The load-bearing comparison: top decile vs bottom decile.
     // Fewer than ten contexts leave both deciles empty.
     let decile = n / 10;
-    let top = mean(analysis.contexts[..decile].iter().map(|c| c.avg_history_len));
-    let bottom = mean(analysis.contexts[n - decile..].iter().map(|c| c.avg_history_len));
+    let top = mean(
+        analysis.contexts[..decile]
+            .iter()
+            .map(|c| c.avg_history_len),
+    );
+    let bottom = mean(
+        analysis.contexts[n - decile..]
+            .iter()
+            .map(|c| c.avg_history_len),
+    );
     if let Some((top, bottom)) = top.zip(bottom) {
         println!("\navg history length, most-contended decile: {top:.0} bits");
         println!("avg history length, least-contended decile: {bottom:.0} bits");
         println!(
             "ratio: {:.1}x (paper: up to 112 vs ~17 bits)",
-            if bottom > 0.0 { top / bottom } else { f64::INFINITY }
+            if bottom > 0.0 {
+                top / bottom
+            } else {
+                f64::INFINITY
+            }
         );
     }
     fig.finish()

@@ -24,22 +24,32 @@ fn main() -> ExitCode {
     let analyses = fig.run_analyses(&preset.spec, &depths);
 
     let mut table = Table::new(
-        format!("Fig. 8 — duplicates per unique useful pattern, {}", preset.spec.name),
+        format!(
+            "Fig. 8 — duplicates per unique useful pattern, {}",
+            preset.spec.name
+        ),
         &["history length", "W=2", "W=8", "W=64"],
     );
     for len_idx in 0..NUM_TABLES {
         let cells: Vec<String> = analyses
             .iter()
-            .map(|a| match a.as_ref().map(|a| a.duplication_ratio()[len_idx]) {
-                Some(Some(r)) => format!("{r:.2}"),
-                Some(None) => "-".into(),
-                None => "n/a".into(),
-            })
+            .map(
+                |a| match a.as_ref().map(|a| a.duplication_ratio()[len_idx]) {
+                    Some(Some(r)) => format!("{r:.2}"),
+                    Some(None) => "-".into(),
+                    None => "n/a".into(),
+                },
+            )
             .collect();
         if cells.iter().all(|c| c == "-" || c == "n/a") {
             continue;
         }
-        table.row([len_label(len_idx), cells[0].clone(), cells[1].clone(), cells[2].clone()]);
+        table.row([
+            len_label(len_idx),
+            cells[0].clone(),
+            cells[1].clone(),
+            cells[2].clone(),
+        ]);
     }
     print!("{}", table.render());
 

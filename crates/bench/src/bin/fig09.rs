@@ -21,7 +21,10 @@ fn main() -> ExitCode {
 
     let analyses = fig.run_analyses(&preset.spec, &[8, 2, 64]);
     let mut table = Table::new(
-        format!("Fig. 9 — useful predictions vs W=8 baseline, {}", preset.spec.name),
+        format!(
+            "Fig. 9 — useful predictions vs W=8 baseline, {}",
+            preset.spec.name
+        ),
         &["history length", "useful @W=8", "W=2", "W=64"],
     );
     let [Some(base), Some(shallow), Some(deep)] = analyses.as_slice() else {

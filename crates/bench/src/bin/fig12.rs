@@ -14,7 +14,14 @@ fn main() -> ExitCode {
     );
     let mut table = Table::new(
         "Fig. 12 — branch misprediction reduction over 64K TSL",
-        &["workload", "64K MPKI", "LLBP", "LLBP-X", "LLBP-X Opt-W", "512K TSL"],
+        &[
+            "workload",
+            "64K MPKI",
+            "LLBP",
+            "LLBP-X",
+            "LLBP-X Opt-W",
+            "512K TSL",
+        ],
     );
     // Opt-W is two-pass: pass 1 is the row's own LLBP-X cell, whose final
     // depth decisions become pass 2's fixed oracle. The engine runs the
@@ -29,7 +36,9 @@ fn main() -> ExitCode {
     let rows = fig.run_rows(bench::presets(), &designs);
     bench::tabulate(&mut table, &rows, |_, runs| {
         let reductions = (1..designs.len()).map(|i| pct(1.0 - bench::mpki_ratio(runs, i)));
-        std::iter::once(f3(runs[0].mpki())).chain(reductions).collect()
+        std::iter::once(f3(runs[0].mpki()))
+            .chain(reductions)
+            .collect()
     });
     let reduction = |i| bench::geomean_ratio(&rows, i).map(|g| 1.0 - g);
     let mut avg = vec!["geomean".into(), "-".into()];
@@ -38,7 +47,10 @@ fn main() -> ExitCode {
     print!("{}", table.render());
 
     let (llbp, llbpx, optw) = (reduction(1), reduction(2), reduction(3));
-    println!("\nLLBP-X vs LLBP improvement: {}", pct(llbpx.zip(llbp).map(|(x, l)| x - l)));
+    println!(
+        "\nLLBP-X vs LLBP improvement: {}",
+        pct(llbpx.zip(llbp).map(|(x, l)| x - l))
+    );
     match llbpx.zip(optw) {
         Some((x, o)) if o > 0.0 => println!("LLBP-X achieves {:.0}% of Opt-W", 100.0 * x / o),
         Some(_) => {}

@@ -38,7 +38,10 @@ fn run(
             Some(rec)
         }
     }
-    let stream = Budget { inner: ServerWorkload::new(spec), left: budget as i64 };
+    let stream = Budget {
+        inner: ServerWorkload::new(spec),
+        left: budget as i64,
+    };
     model.run(design.as_mut(), stream)
 }
 
@@ -96,8 +99,15 @@ fn main() -> ExitCode {
     }
 
     let g = |i: usize| {
-        fmt_or_na(geomean(speedups[i].iter().copied()), |g| format!("{:+.2}%", (g - 1.0) * 100.0))
+        fmt_or_na(geomean(speedups[i].iter().copied()), |g| {
+            format!("{:+.2}%", (g - 1.0) * 100.0)
+        })
     };
-    println!("\naverage speedup: LLBP {}, LLBP-X {}, 512K TSL {}", g(0), g(1), g(2));
+    println!(
+        "\naverage speedup: LLBP {}, LLBP-X {}, 512K TSL {}",
+        g(0),
+        g(1),
+        g(2)
+    );
     fig.finish()
 }

@@ -26,7 +26,10 @@ fn main() -> ExitCode {
     let modes = [FalsePathMode::Include, FalsePathMode::Flush];
     let designs = modes.map(|mode| {
         bench::design(format!("LLBP-X {mode:?}"), move || {
-            bench::llbp_with(LlbpConfig { false_path: mode, ..LlbpConfig::llbpx() })
+            bench::llbp_with(LlbpConfig {
+                false_path: mode,
+                ..LlbpConfig::llbpx()
+            })
         })
     });
     let rows = fig.run_rows(bench::presets(), &designs);
@@ -36,7 +39,12 @@ fn main() -> ExitCode {
         let s = r.llbp.as_ref().expect("LLBP stats");
         let classified = (s.prefetch_on_time + s.prefetch_late + s.prefetch_unused).max(1) as f64;
         let share = |n: u64| n as f64 / classified;
-        [share(s.prefetch_on_time), share(s.prefetch_late), share(s.prefetch_unused), r.mpki()]
+        [
+            share(s.prefetch_on_time),
+            share(s.prefetch_late),
+            share(s.prefetch_unused),
+            r.mpki(),
+        ]
     };
     // Each mode's row stands alone: a failed mode leaves the other's row.
     for (preset, runs) in &rows {
@@ -59,13 +67,19 @@ fn main() -> ExitCode {
     print!("{}", table.render());
 
     let avg = |mode: usize, k: usize| {
-        let completed = rows.iter().map(|(_, runs)| &runs[mode]).filter(|r| !r.is_failed());
+        let completed = rows
+            .iter()
+            .map(|(_, runs)| &runs[mode])
+            .filter(|r| !r.is_failed());
         mean(completed.map(|r| shares(r)[k]))
     };
     println!("\naverages:");
-    for (mi, mode) in ["with false-path (upper bar)", "flushed false-path (lower bar)"]
-        .iter()
-        .enumerate()
+    for (mi, mode) in [
+        "with false-path (upper bar)",
+        "flushed false-path (lower bar)",
+    ]
+    .iter()
+    .enumerate()
     {
         println!(
             "  {mode}: on-time {}, late {}, unused {}, MPKI {}",
@@ -75,7 +89,12 @@ fn main() -> ExitCode {
             fmt_or_na(avg(mi, 3), |mpki| format!("{mpki:.3}")),
         );
     }
-    let over_drop = avg(1, 2).zip(avg(0, 2)).map(|(flush, all)| 1.0 - flush / all.max(1e-12));
-    println!("\nflushing false-path prefetches cuts unused prefetches by {}", pct(over_drop));
+    let over_drop = avg(1, 2)
+        .zip(avg(0, 2))
+        .map(|(flush, all)| 1.0 - flush / all.max(1e-12));
+    println!(
+        "\nflushing false-path prefetches cuts unused prefetches by {}",
+        pct(over_drop)
+    );
     fig.finish()
 }

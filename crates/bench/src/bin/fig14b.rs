@@ -40,6 +40,10 @@ fn main() -> ExitCode {
     print!("{}", table.render());
 
     let gain = |i| fmt_or_na(geo(i), |g| format!("{:+.2}%", (g - 1.0) * 100.0));
-    println!("\naverage speedup: 128K TSL {}, LLBP-X {}", gain(1), gain(2));
+    println!(
+        "\naverage speedup: 128K TSL {}, LLBP-X {}",
+        gain(1),
+        gain(2)
+    );
     fig.finish()
 }

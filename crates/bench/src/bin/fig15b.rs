@@ -46,6 +46,9 @@ fn main() -> ExitCode {
     print!("{}", table.render());
 
     let avg = mean(bench::completed(&rows).map(relative_total));
-    println!("\naverage LLBP-X energy vs LLBP: {}", pct(avg.map(|avg| avg - 1.0)));
+    println!(
+        "\naverage LLBP-X energy vs LLBP: {}",
+        pct(avg.map(|avg| avg - 1.0))
+    );
     fig.finish()
 }

@@ -17,7 +17,13 @@ fn main() -> ExitCode {
     // the 14K baseline; our synthetic context working set saturates around
     // ~14K contexts, so the sweep extends further down instead to expose
     // the capacity knee (see EXPERIMENTS.md).
-    let sweeps: &[(u32, &str)] = &[(7, "0.9K"), (8, "1.8K"), (9, "3.6K"), (11, "14K (base)"), (14, "114K")];
+    let sweeps: &[(u32, &str)] = &[
+        (7, "0.9K"),
+        (8, "1.8K"),
+        (9, "3.6K"),
+        (11, "14K (base)"),
+        (14, "114K"),
+    ];
     let presets = bench::representative_presets();
 
     let mut header = vec!["workload".to_string()];
@@ -30,13 +36,21 @@ fn main() -> ExitCode {
 
     let mut designs = vec![bench::design("64K TSL", bench::tsl64)];
     for &(cd_log2_sets, _) in sweeps {
-        designs.push(bench::design(format!("LLBP-X CD 2^{cd_log2_sets}"), move || {
-            bench::llbp_with(LlbpConfig { cd_log2_sets, ..LlbpConfig::llbpx_zero_latency() })
-        }));
+        designs.push(bench::design(
+            format!("LLBP-X CD 2^{cd_log2_sets}"),
+            move || {
+                bench::llbp_with(LlbpConfig {
+                    cd_log2_sets,
+                    ..LlbpConfig::llbpx_zero_latency()
+                })
+            },
+        ));
     }
     let rows = fig.run_rows(presets, &designs);
     bench::tabulate(&mut table, &rows, |_, runs| {
-        (1..designs.len()).map(|i| pct(1.0 - bench::mpki_ratio(runs, i))).collect()
+        (1..designs.len())
+            .map(|i| pct(1.0 - bench::mpki_ratio(runs, i)))
+            .collect()
     });
     let mut avg = vec!["geomean".to_string()];
     avg.extend((1..designs.len()).map(|i| pct(bench::geomean_ratio(&rows, i).map(|g| 1.0 - g))));

@@ -32,13 +32,18 @@ fn main() -> ExitCode {
         designs.push(bench::design(format!("{kb}K TSL"), move || bench::tsl(kb)));
         designs.push(bench::design(format!("LLBP-X {kb}K"), move || {
             let tsl = TslConfig::kilobytes(kb);
-            bench::llbp_with(LlbpConfig { tsl, ..LlbpConfig::llbpx_zero_latency() })
+            bench::llbp_with(LlbpConfig {
+                tsl,
+                ..LlbpConfig::llbpx_zero_latency()
+            })
         }));
     }
     let rows = fig.run_rows(presets, &designs);
     let ratio = |runs: &[RunResult], size: usize| bench::mpki_ratio(&runs[2 * size..], 1);
     bench::tabulate(&mut table, &rows, |_, runs| {
-        (0..sizes.len()).map(|size| pct(1.0 - ratio(runs, size))).collect()
+        (0..sizes.len())
+            .map(|size| pct(1.0 - ratio(runs, size)))
+            .collect()
     });
     let geo = |size| geomean(bench::completed(&rows).map(|runs| ratio(runs, size)));
     let mut avg = vec!["geomean".to_string()];

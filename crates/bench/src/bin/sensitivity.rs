@@ -13,7 +13,9 @@ fn sweep(fig: &mut bench::Figure, title: &str, columns: &[String], designs: &[be
     let mut table = Table::new(title, &header);
     let rows = fig.run_rows(bench::representative_presets(), designs);
     bench::tabulate(&mut table, &rows, |_, runs| {
-        (1..designs.len()).map(|i| pct(1.0 - bench::mpki_ratio(runs, i))).collect()
+        (1..designs.len())
+            .map(|i| pct(1.0 - bench::mpki_ratio(runs, i)))
+            .collect()
     });
     let mut avg = vec!["geomean".to_string()];
     avg.extend((1..designs.len()).map(|i| pct(bench::geomean_ratio(&rows, i).map(|g| 1.0 - g))));

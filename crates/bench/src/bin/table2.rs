@@ -39,13 +39,21 @@ fn main() -> ExitCode {
     );
     model.row(["issue width".into(), format!("{}", core.issue_width)]);
     model.row(["base stall CPI".into(), format!("{}", core.base_stall_cpi)]);
-    model.row(["mispredict penalty".into(), format!("{} cycles", core.mispredict_penalty)]);
+    model.row([
+        "mispredict penalty".into(),
+        format!("{} cycles", core.mispredict_penalty),
+    ]);
     model.row(["override bubble (\u{a7}VII-C)".into(), "3 cycles".into()]);
     print!("{}", model.render());
 
     let mut storage = telemetry::Json::obj();
     let mut budgets = Table::new("Predictor storage budgets", &["design", "KiB"]);
-    for design in [bench::tsl64(), bench::tsl(512), bench::llbp(), bench::llbpx()] {
+    for design in [
+        bench::tsl64(),
+        bench::tsl(512),
+        bench::llbp(),
+        bench::llbpx(),
+    ] {
         let bits = design.storage_bits();
         budgets.row([design.name(), format!("{:.0}", bits as f64 / 8.0 / 1024.0)]);
         storage = storage.set(design.name(), bits);

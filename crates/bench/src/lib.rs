@@ -61,7 +61,10 @@ pub static WORKLOADS: Knob<Option<Vec<Preset>>> = Knob::new(
 );
 
 fn parse_workloads(raw: &str) -> Option<Option<Vec<Preset>>> {
-    let wanted: Vec<String> = raw.split(',').map(|s| s.trim().to_ascii_lowercase()).collect();
+    let wanted: Vec<String> = raw
+        .split(',')
+        .map(|s| s.trim().to_ascii_lowercase())
+        .collect();
     let all = workloads::presets::all();
     let picked: Vec<Preset> = all
         .into_iter()
@@ -74,9 +77,12 @@ fn parse_workloads(raw: &str) -> Option<Option<Vec<Preset>>> {
 /// The presets `REPRO_WORKLOADS` selects, or else every preset `default`
 /// keeps.
 pub fn presets_where(default: impl Fn(&Preset) -> bool) -> Vec<Preset> {
-    WORKLOADS
-        .get(|| None)
-        .unwrap_or_else(|| workloads::presets::all().into_iter().filter(|p| default(p)).collect())
+    WORKLOADS.get(|| None).unwrap_or_else(|| {
+        workloads::presets::all()
+            .into_iter()
+            .filter(|p| default(p))
+            .collect()
+    })
 }
 
 /// All presets, restricted by `REPRO_WORKLOADS` if set.
@@ -87,7 +93,14 @@ pub fn presets() -> Vec<Preset> {
 /// A representative six-workload subset for the expensive limit studies
 /// (idealized structures simulate slowly); override via `REPRO_WORKLOADS`.
 pub fn representative_presets() -> Vec<Preset> {
-    let keep = ["NodeApp", "TPCC", "Wikipedia", "Spring", "Charlie", "Whiskey"];
+    let keep = [
+        "NodeApp",
+        "TPCC",
+        "Wikipedia",
+        "Spring",
+        "Charlie",
+        "Whiskey",
+    ];
     presets_where(|p| keep.contains(&p.spec.name.as_str()))
 }
 
@@ -141,13 +154,22 @@ pub fn llbp_with(cfg: LlbpConfig) -> Box<dyn SimPredictor> {
 /// LLBP-X cell instead ([`llbpx_opt_w_after`]).
 pub fn opt_w_oracle(spec: &WorkloadSpec, sim: &Simulation) -> HashMap<u64, bool> {
     let llbpx = sim.run(&mut Llbp::new(LlbpConfig::llbpx()), spec);
-    llbpx.deep_contexts.unwrap_or_default().into_iter().map(|cid| (cid, true)).collect()
+    llbpx
+        .deep_contexts
+        .unwrap_or_default()
+        .into_iter()
+        .map(|cid| (cid, true))
+        .collect()
 }
 
 /// LLBP-X with a fixed depth oracle (no retraining loss on transitions):
 /// the contexts `oracle` maps to `true` are deep, every other is shallow.
 pub fn llbpx_opt_w(oracle: HashMap<u64, bool>) -> Box<dyn SimPredictor> {
-    opt_w(oracle.into_iter().filter_map(|(cid, deep)| deep.then_some(cid)))
+    opt_w(
+        oracle
+            .into_iter()
+            .filter_map(|(cid, deep)| deep.then_some(cid)),
+    )
 }
 
 /// LLBP-X Opt-W with the depth decisions of a finished LLBP-X run: the
@@ -159,13 +181,19 @@ pub fn llbpx_opt_w(oracle: HashMap<u64, bool>) -> Box<dyn SimPredictor> {
 /// contexts).
 pub fn llbpx_opt_w_after(llbpx: &RunResult) -> Box<dyn SimPredictor> {
     let Some(deep) = &llbpx.deep_contexts else {
-        panic!("Opt-W needs an LLBP-X run's depth decisions; `{}` made none", llbpx.name);
+        panic!(
+            "Opt-W needs an LLBP-X run's depth decisions; `{}` made none",
+            llbpx.name
+        );
     };
     opt_w(deep.iter().copied())
 }
 
 fn opt_w(deep_contexts: impl IntoIterator<Item = u64>) -> Box<dyn SimPredictor> {
-    let cfg = LlbpConfig { label: "LLBP-X Opt-W".to_owned(), ..LlbpConfig::llbpx() };
+    let cfg = LlbpConfig {
+        label: "LLBP-X Opt-W".to_owned(),
+        ..LlbpConfig::llbpx()
+    };
     Box::new(Llbp::with_oracle(cfg, deep_contexts))
 }
 
@@ -284,7 +312,10 @@ impl Figure {
             ..EngineOptions::basic(exec::threads_from_env())
         };
         let rows = self.run_grid(std::slice::from_ref(spec), &designs, opts);
-        rows.iter().flatten().map(ContextAnalysis::from_run).collect()
+        rows.iter()
+            .flatten()
+            .map(ContextAnalysis::from_run)
+            .collect()
     }
 
     /// Runs jobs that are not engine cells (fig13p's pipeline model) over
@@ -366,7 +397,10 @@ impl Figure {
         if self.failed == 0 {
             ExitCode::SUCCESS
         } else {
-            eprintln!("error: {} matrix cell(s) failed; see the n/a rows above", self.failed);
+            eprintln!(
+                "error: {} matrix cell(s) failed; see the n/a rows above",
+                self.failed
+            );
             ExitCode::FAILURE
         }
     }
@@ -429,7 +463,9 @@ pub fn tabulate(
 /// and mean summaries run over.
 pub fn completed(rows: &[(Preset, Vec<RunResult>)]) -> impl Iterator<Item = &[RunResult]> {
     let complete = |runs: &&[RunResult]| !runs.iter().any(RunResult::is_failed);
-    rows.iter().map(|(_, runs)| runs.as_slice()).filter(complete)
+    rows.iter()
+        .map(|(_, runs)| runs.as_slice())
+        .filter(complete)
 }
 
 /// Design `i`'s MPKI relative to the row's baseline, design 0.
@@ -465,11 +501,22 @@ mod tests {
             Some(picked.into_iter().map(|p| p.spec.name).collect::<Vec<_>>())
         };
         let both = Some(vec!["NodeApp".to_owned(), "TPCC".to_owned()]);
-        assert_eq!(names(" tpcc , NODEAPP,TPCC"), both, "table order, no duplicates");
-        assert_eq!(names("NodeApp,TPPC"), None, "one unknown name rejects the value");
+        assert_eq!(
+            names(" tpcc , NODEAPP,TPCC"),
+            both,
+            "table order, no duplicates"
+        );
+        assert_eq!(
+            names("NodeApp,TPPC"),
+            None,
+            "one unknown name rejects the value"
+        );
         assert_eq!(names(""), None, "an empty list is rejected");
         assert_eq!(names("NodeApp,"), None, "an empty name is rejected");
-        assert!(WORKLOADS.resolve(None, || None).is_none(), "unset selects nothing");
+        assert!(
+            WORKLOADS.resolve(None, || None).is_none(),
+            "unset selects nothing"
+        );
     }
 
     #[test]
@@ -481,13 +528,18 @@ mod tests {
 
     #[test]
     fn engine_threads_land_on_the_record_line() {
-        let sink = std::env::temp_dir()
-            .join(format!("llbpx-bench-engine-{}.json", std::process::id()));
+        let sink =
+            std::env::temp_dir().join(format!("llbpx-bench-engine-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&sink);
         let mut fig = Figure::new("engine-test", "none");
         fig.sink = Some(sink.clone());
-        fig.sim = Simulation { warmup_instructions: 1_000, measure_instructions: 2_000 };
-        let spec = WorkloadSpec::new("tiny", 2).with_request_types(64).with_handlers(8);
+        fig.sim = Simulation {
+            warmup_instructions: 1_000,
+            measure_instructions: 2_000,
+        };
+        let spec = WorkloadSpec::new("tiny", 2)
+            .with_request_types(64)
+            .with_handlers(8);
         let specs = [spec.clone(), spec.clone(), spec];
         let designs = [design("64K TSL", tsl64)];
         fig.run_grid(&specs, &designs, EngineOptions::basic(3));
@@ -498,31 +550,52 @@ mod tests {
         let text = std::fs::read_to_string(&sink).expect("the record was written");
         let _ = std::fs::remove_file(&sink);
         let line = Json::parse(text.trim()).expect("one JSON line");
-        assert_eq!(line.get("threads").and_then(Json::as_i64), Some(2), "the last grid's");
+        assert_eq!(
+            line.get("threads").and_then(Json::as_i64),
+            Some(2),
+            "the last grid's"
+        );
         let runs = line.get("runs").and_then(Json::as_arr).map(<[Json]>::len);
         assert_eq!(runs, Some(5), "every run of both grids");
     }
 
     #[test]
     fn oracle_helper_produces_decisions() {
-        let spec = WorkloadSpec::new("tiny", 2).with_request_types(64).with_handlers(8);
-        let sim = Simulation { warmup_instructions: 50_000, measure_instructions: 100_000 };
+        let spec = WorkloadSpec::new("tiny", 2)
+            .with_request_types(64)
+            .with_handlers(8);
+        let sim = Simulation {
+            warmup_instructions: 50_000,
+            measure_instructions: 100_000,
+        };
         let llbpx_run = sim.run(llbpx().as_mut(), &spec);
-        let deep = llbpx_run.deep_contexts.clone().expect("LLBP-X decides depths");
+        let deep = llbpx_run
+            .deep_contexts
+            .clone()
+            .expect("LLBP-X decides depths");
         let oracle = opt_w_oracle(&spec, &sim);
-        assert!(oracle.values().all(|&d| d), "the oracle lists deep contexts only");
+        assert!(
+            oracle.values().all(|&d| d),
+            "the oracle lists deep contexts only"
+        );
         let mut listed: Vec<u64> = oracle.keys().copied().collect();
         listed.sort_unstable();
         assert_eq!(listed, deep, "the oracle is the run's deep-context list");
         let from_map = sim.run(llbpx_opt_w(oracle).as_mut(), &spec);
         let from_run = sim.run(llbpx_opt_w_after(&llbpx_run).as_mut(), &spec);
         assert_eq!(from_map.mispredicts, from_run.mispredicts);
-        assert!(from_run.deep_contexts.is_none(), "an oracle run decides no depths");
+        assert!(
+            from_run.deep_contexts.is_none(),
+            "an oracle run decides no depths"
+        );
     }
 
     #[test]
     #[should_panic(expected = "`LLBP` made none")]
     fn opt_w_needs_a_depth_adapting_source_run() {
-        let _ = llbpx_opt_w_after(&RunResult { name: "LLBP".into(), ..RunResult::default() });
+        let _ = llbpx_opt_w_after(&RunResult {
+            name: "LLBP".into(),
+            ..RunResult::default()
+        });
     }
 }

@@ -31,9 +31,18 @@ fn run(p: &mut Llbp, spec: &workloads::WorkloadSpec, n: u64) {
     p.finish();
     let s = p.stats();
     println!("=== {} ===", p.name());
-    println!("  MPKI                 {:.3}", miss as f64 * 1000.0 / instr as f64);
-    println!("  provided / useful    {} / {}", s.llbp_provided, s.llbp_useful);
-    println!("  allocations          {} ({} dropped by range)", s.allocations, s.alloc_dropped_range);
+    println!(
+        "  MPKI                 {:.3}",
+        miss as f64 * 1000.0 / instr as f64
+    );
+    println!(
+        "  provided / useful    {} / {}",
+        s.llbp_provided, s.llbp_useful
+    );
+    println!(
+        "  allocations          {} ({} dropped by range)",
+        s.allocations, s.alloc_dropped_range
+    );
     println!("  sets created         {}", s.sets_created);
     println!("  store reads/writes   {} / {}", s.ps_reads, s.ps_writes);
     println!(
@@ -58,8 +67,13 @@ fn run(p: &mut Llbp, spec: &workloads::WorkloadSpec, n: u64) {
 }
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "NodeApp".to_owned());
-    let n: u64 = std::env::args().nth(2).and_then(|v| v.parse().ok()).unwrap_or(2_000_000);
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "NodeApp".to_owned());
+    let n: u64 = std::env::args()
+        .nth(2)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(2_000_000);
     let spec = workloads::presets::by_name(&name)
         .unwrap_or_else(|| panic!("unknown preset {name}; see workloads::presets::names()"));
     run(&mut Llbp::new(LlbpConfig::paper_baseline()), &spec, n);

@@ -67,7 +67,11 @@ impl PatternBuffer {
     /// A buffer of `capacity` pattern sets.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "pattern buffer needs capacity");
-        PatternBuffer { entries: Vec::with_capacity(capacity), capacity, clock: 0 }
+        PatternBuffer {
+            entries: Vec::with_capacity(capacity),
+            capacity,
+            clock: 0,
+        }
     }
 
     fn position(&self, cid: u64) -> Option<usize> {
@@ -222,7 +226,9 @@ mod tests {
         let mut pb = PatternBuffer::new(4);
         pb.insert(7, set1(), 10, true);
         let _ = pb.lookup(7, 3);
-        let PbLookup::Ready(i) = pb.lookup(7, 20) else { panic!("should be ready") };
+        let PbLookup::Ready(i) = pb.lookup(7, 20) else {
+            panic!("should be ready")
+        };
         assert!(pb.entry(i).late);
     }
 
@@ -254,7 +260,9 @@ mod tests {
     fn reinsert_same_cid_replaces_entry() {
         let mut pb = PatternBuffer::new(4);
         pb.insert(1, set1(), 0, true);
-        let ev = pb.insert(1, set1(), 5, false).expect("same-cid insert evicts old");
+        let ev = pb
+            .insert(1, set1(), 5, false)
+            .expect("same-cid insert evicts old");
         assert_eq!(ev.cid, 1);
         assert_eq!(pb.len(), 1);
     }

@@ -42,7 +42,12 @@ impl LengthSet {
             count += 1;
             mask |= 1 << idx;
         }
-        LengthSet { slots, count: count as u8, mask, bucketed }
+        LengthSet {
+            slots,
+            count: count as u8,
+            mask,
+            bucketed,
+        }
     }
 
     /// The original LLBP selection: 16 of the 21 lengths, bucketed.
@@ -52,7 +57,9 @@ impl LengthSet {
     pub fn llbp_default() -> Self {
         let drop = [1usize, 4, 8, 12, 14];
         Self::from_indices(
-            (0..NUM_TABLES).filter(|i| !drop.contains(i)).map(|i| i as u8),
+            (0..NUM_TABLES)
+                .filter(|i| !drop.contains(i))
+                .map(|i| i as u8),
             true,
         )
     }
@@ -113,7 +120,10 @@ impl LengthSet {
     /// Smallest supported slot whose history length strictly exceeds
     /// `min_bits`. Returns `None` when even the longest is too short.
     pub fn next_longer(&self, min_bits: usize) -> Option<u8> {
-        self.slots().iter().copied().find(|&s| HISTORY_LENGTHS[s as usize] > min_bits)
+        self.slots()
+            .iter()
+            .copied()
+            .find(|&s| HISTORY_LENGTHS[s as usize] > min_bits)
     }
 }
 
@@ -328,7 +338,11 @@ impl LlbpConfig {
     pub fn llbpx() -> Self {
         LlbpConfig {
             label: "LLBP-X".to_owned(),
-            depth: Some(DepthAdaptation { h_th: 232, ctt_ways: 6, history_range_selection: true }),
+            depth: Some(DepthAdaptation {
+                h_th: 232,
+                ctt_ways: 6,
+                history_range_selection: true,
+            }),
             ..LlbpConfig::paper_baseline()
         }
     }
@@ -371,7 +385,10 @@ impl LlbpConfig {
     /// Panics unless this is an LLBP-X configuration and `entries` fills
     /// whole ways.
     pub fn with_ctt_entries(mut self, entries: usize) -> Self {
-        assert!(entries.is_multiple_of(1 << CTT_LOG2_SETS), "entries must fill whole ways");
+        assert!(
+            entries.is_multiple_of(1 << CTT_LOG2_SETS),
+            "entries must fill whole ways"
+        );
         self.depth_mut().ctt_ways = entries >> CTT_LOG2_SETS;
         self
     }
@@ -487,7 +504,10 @@ mod tests {
         assert_eq!(cfg.total_contexts(), 14336);
         let kib = cfg.storage_bits() as f64 / 8.0 / 1024.0;
         // Paper: 515 KB of second-level storage.
-        assert!((490.0..=540.0).contains(&kib), "LLBP storage was {kib:.0} KiB");
+        assert!(
+            (490.0..=540.0).contains(&kib),
+            "LLBP storage was {kib:.0} KiB"
+        );
         assert_eq!(PATTERNS_PER_SET as u64 * cfg.pattern_bits(), 288);
     }
 
@@ -505,10 +525,19 @@ mod tests {
         let deep = LengthSet::deep_range();
         assert_eq!(shallow.len(), 16);
         assert_eq!(deep.len(), 16);
-        assert_eq!(HISTORY_LENGTHS[*shallow.slots().first().unwrap() as usize], 6);
-        assert_eq!(HISTORY_LENGTHS[*shallow.slots().last().unwrap() as usize], 232);
+        assert_eq!(
+            HISTORY_LENGTHS[*shallow.slots().first().unwrap() as usize],
+            6
+        );
+        assert_eq!(
+            HISTORY_LENGTHS[*shallow.slots().last().unwrap() as usize],
+            232
+        );
         assert_eq!(HISTORY_LENGTHS[*deep.slots().first().unwrap() as usize], 37);
-        assert_eq!(HISTORY_LENGTHS[*deep.slots().last().unwrap() as usize], 3000);
+        assert_eq!(
+            HISTORY_LENGTHS[*deep.slots().last().unwrap() as usize],
+            3000
+        );
     }
 
     #[test]
@@ -537,7 +566,10 @@ mod tests {
 
     #[test]
     fn limit_study_configs_are_unbounded() {
-        assert_eq!(LlbpConfig::with_infinite_contexts().storage_bits(), u64::MAX);
+        assert_eq!(
+            LlbpConfig::with_infinite_contexts().storage_bits(),
+            u64::MAX
+        );
         assert!(LlbpConfig::with_infinite_patterns().infinite_patterns);
         assert!(LlbpConfig::without_contextualization().no_contextualization);
         assert_eq!(LlbpConfig::with_20b_tags().pattern_tag_bits, 20);
@@ -563,7 +595,10 @@ mod tests {
         assert_eq!(cfg.depth.map(|d| d.ctt_ways), Some(4));
         let result = std::panic::catch_unwind(|| LlbpConfig::llbpx().with_ctt_entries(5000));
         assert!(result.is_err());
-        assert!(LlbpConfig::llbpx().with_ctt_entries(0).validate().is_err(), "no CTT ways");
+        assert!(
+            LlbpConfig::llbpx().with_ctt_entries(0).validate().is_err(),
+            "no CTT ways"
+        );
     }
 
     #[test]

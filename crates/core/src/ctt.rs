@@ -116,7 +116,9 @@ impl ContextTrackingTable {
     /// Untracked contexts are ignored (returns `false`).
     pub fn observe_allocation(&mut self, cid2: u64, long: bool) -> bool {
         self.clock += 1;
-        let Some(i) = self.find(cid2) else { return false };
+        let Some(i) = self.find(cid2) else {
+            return false;
+        };
         let e = &mut self.entries[i];
         e.lru = self.clock;
         if long {
@@ -192,7 +194,10 @@ mod tests {
         for _ in 0..6 {
             t.observe_allocation(0x42, false);
         }
-        assert!(t.is_deep(0x42), "must not revert before the counter empties");
+        assert!(
+            t.is_deep(0x42),
+            "must not revert before the counter empties"
+        );
         t.observe_allocation(0x42, false);
         assert!(!t.is_deep(0x42), "counter exhausted, back to shallow");
         assert_eq!(t.transitions(), 2);

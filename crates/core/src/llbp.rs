@@ -45,7 +45,11 @@ struct SelectedCtx {
     deep: bool,
 }
 
-const BOOT_CTX: SelectedCtx = SelectedCtx { cid: 0x1, cid2: 0x1, deep: false };
+const BOOT_CTX: SelectedCtx = SelectedCtx {
+    cid: 0x1,
+    cid2: 0x1,
+    deep: false,
+};
 
 /// The LLBP / LLBP-X hierarchical branch predictor.
 ///
@@ -113,7 +117,10 @@ impl Llbp {
     /// Panics if `cfg` fails validation or has no depth part.
     pub fn with_oracle(cfg: LlbpConfig, deep_contexts: impl IntoIterator<Item = u64>) -> Self {
         if cfg.depth.is_none() {
-            panic!("LLBP-X Opt-W needs a depth-adapting config; `{}` has none", cfg.label);
+            panic!(
+                "LLBP-X Opt-W needs a depth-adapting config; `{}` has none",
+                cfg.label
+            );
         }
         Self::build(cfg, Some(deep_contexts.into_iter().collect()))
     }
@@ -123,8 +130,10 @@ impl Llbp {
             panic!("invalid LLBP config `{}`: {e}", cfg.label);
         }
         let tag_bits = cfg.pattern_tag_bits;
-        let folds =
-            FoldLanes::new(HISTORY_LENGTHS, [[tag_bits; NUM_TABLES], [tag_bits - 1; NUM_TABLES]]);
+        let folds = FoldLanes::new(
+            HISTORY_LENGTHS,
+            [[tag_bits; NUM_TABLES], [tag_bits - 1; NUM_TABLES]],
+        );
         let store = if cfg.infinite_contexts {
             PatternStore::infinite()
         } else {
@@ -289,7 +298,11 @@ impl Llbp {
         let tags = self.pattern_tags(pc);
 
         let cur = if self.cfg.no_contextualization {
-            SelectedCtx { cid: pc, cid2: pc, deep: false }
+            SelectedCtx {
+                cid: pc,
+                cid2: pc,
+                deep: false,
+            }
         } else {
             self.current_context()
         };
@@ -301,7 +314,9 @@ impl Llbp {
         let m: Option<PatternMatch> = {
             let _t = telemetry::scope!("llbp::pattern_lookup");
             if self.cfg.no_contextualization {
-                self.store.lookup(cur.cid).and_then(|set| set.find_longest(&tags, &allowed))
+                self.store
+                    .lookup(cur.cid)
+                    .and_then(|set| set.find_longest(&tags, &allowed))
             } else {
                 match self.pb.lookup(cur.cid, self.clock) {
                     PbLookup::Ready(i) => {
@@ -328,7 +343,8 @@ impl Llbp {
 
         // --- combine ------------------------------------------------------
         let base_pred = if llbp_provides {
-            m.unwrap_or_else(|| unreachable!("provides implies match")).taken
+            m.unwrap_or_else(|| unreachable!("provides implies match"))
+                .taken
         } else {
             tage.pred
         };
@@ -336,7 +352,9 @@ impl Llbp {
         let mut sc_used = None;
         if !(llbp_provides && self.cfg.suppress_sc) {
             let conf = if llbp_provides {
-                if m.unwrap_or_else(|| unreachable!("provides implies match")).confident {
+                if m.unwrap_or_else(|| unreachable!("provides implies match"))
+                    .confident
+                {
                     ScInputConfidence::High
                 } else {
                     ScInputConfidence::Medium
@@ -363,15 +381,20 @@ impl Llbp {
             self.stats.llbp_provided += 1;
             let pm = m.unwrap_or_else(|| unreachable!("provides implies match"));
             // What would the standalone baseline TSL have predicted?
-            let baseline_sc = self.tsl.sc_eval(pc, tage.pred, TageScl::input_confidence(&tage));
-            let baseline =
-                TageScl::combine(tage.pred, linfo, self.tsl.loop_enabled(), baseline_sc);
+            let baseline_sc = self
+                .tsl
+                .sc_eval(pc, tage.pred, TageScl::input_confidence(&tage));
+            let baseline = TageScl::combine(tage.pred, linfo, self.tsl.loop_enabled(), baseline_sc);
             if pm.taken == taken && baseline != taken {
                 self.stats.llbp_useful += 1;
                 if let Some(analysis) = &mut self.stats.analysis {
                     analysis.record_useful(
                         cur.cid,
-                        PatternKey { pc, len_idx: pm.len_idx, tag: tags[pm.len_idx as usize] },
+                        PatternKey {
+                            pc,
+                            len_idx: pm.len_idx,
+                            tag: tags[pm.len_idx as usize],
+                        },
                     );
                 }
             } else if pm.taken != taken && baseline == taken {
@@ -403,8 +426,9 @@ impl Llbp {
         // --- allocate on a final misprediction ------------------------------
         if final_pred != taken {
             let provider_bits = if llbp_provides {
-                HISTORY_LENGTHS
-                    [m.unwrap_or_else(|| unreachable!("provides implies match")).len_idx as usize]
+                HISTORY_LENGTHS[m
+                    .unwrap_or_else(|| unreachable!("provides implies match"))
+                    .len_idx as usize]
             } else {
                 tage.provider_history_len()
             };
@@ -441,19 +465,28 @@ impl Llbp {
                 // below it, i.e. the context is pushing the shallow ceiling.
                 let long = HISTORY_LENGTHS[needed_idx as usize] >= depth.h_th;
                 ctt.observe_allocation(cur.cid2, long);
-                self.depth_decisions.insert(cur.cid2, ctt.peek_deep(cur.cid2));
+                self.depth_decisions
+                    .insert(cur.cid2, ctt.peek_deep(cur.cid2));
                 self.stats.depth_transitions = ctt.transitions();
             }
         }
 
         let Some(alloc_idx) = allowed.next_longer(provider_bits) else {
-            if self.cfg.depth.is_some_and(|depth| depth.history_range_selection) {
+            if self
+                .cfg
+                .depth
+                .is_some_and(|depth| depth.history_range_selection)
+            {
                 self.stats.alloc_dropped_range += 1;
             }
             return;
         };
 
-        let capacity = if self.cfg.infinite_patterns { None } else { Some(PATTERNS_PER_SET) };
+        let capacity = if self.cfg.infinite_patterns {
+            None
+        } else {
+            Some(PATTERNS_PER_SET)
+        };
 
         if self.cfg.no_contextualization {
             if self.store.lookup(cur.cid).is_none() {
@@ -464,7 +497,13 @@ impl Llbp {
                 .store
                 .lookup_mut(cur.cid)
                 .unwrap_or_else(|| unreachable!("set just ensured"));
-            set.allocate(tags[alloc_idx as usize], alloc_idx, taken, capacity, allowed);
+            set.allocate(
+                tags[alloc_idx as usize],
+                alloc_idx,
+                taken,
+                capacity,
+                allowed,
+            );
             self.stats.allocations += 1;
             return;
         }
@@ -472,7 +511,13 @@ impl Llbp {
         let i = self.ensure_pb_set(cur.cid);
         let allowed = *allowed;
         let entry = self.pb.entry_mut(i);
-        entry.set.allocate(tags[alloc_idx as usize], alloc_idx, taken, capacity, &allowed);
+        entry.set.allocate(
+            tags[alloc_idx as usize],
+            alloc_idx,
+            taken,
+            capacity,
+            &allowed,
+        );
         entry.dirty = true;
         self.stats.allocations += 1;
         self.check_overflow(i, cur.cid2);
@@ -522,7 +567,9 @@ impl Llbp {
             self.pb.touch(cid);
             return;
         }
-        let Some(set) = self.store.lookup(cid) else { return };
+        let Some(set) = self.store.lookup(cid) else {
+            return;
+        };
         let set = set.clone();
         self.stats.prefetches_issued += 1;
         self.stats.ps_reads += 1;
@@ -553,11 +600,19 @@ impl Llbp {
                 (None, Some(ctt)) => ctt.is_deep(cid2),
                 (None, None) => false,
             };
-            let cid = if deep { self.rcr.context_id(W_DEEP) } else { cid2 };
+            let cid = if deep {
+                self.rcr.context_id(W_DEEP)
+            } else {
+                cid2
+            };
             SelectedCtx { cid, cid2, deep }
         } else {
             let cid = self.rcr.context_id(self.cfg.w);
-            SelectedCtx { cid, cid2: cid, deep: false }
+            SelectedCtx {
+                cid,
+                cid2: cid,
+                deep: false,
+            }
         };
 
         self.ctx_queue.push_back(sel);
@@ -592,7 +647,10 @@ impl DirectionPredictor for Llbp {
         if record.kind.is_unconditional() {
             self.on_unconditional(record);
         }
-        Update { pred, first_cycle: pred.is_some() && self.last_provided }
+        Update {
+            pred,
+            first_cycle: pred.is_some() && self.last_provided,
+        }
     }
 
     fn name(&self) -> String {
@@ -656,7 +714,10 @@ mod tests {
             // real call chain to a handler would). The caller is encoded in
             // PC bit 2 as well, so it reaches the global history.
             for k in 0..6u64 {
-                drive(&mut p, &call(0x10_000 + caller * 4 + k * 0x100, 0x20_000 + k * 0x100));
+                drive(
+                    &mut p,
+                    &call(0x10_000 + caller * 4 + k * 0x100, 0x20_000 + k * 0x100),
+                );
             }
             let taken = caller.is_multiple_of(2);
             let pred = drive(&mut p, &cond(0x30_040, taken)).unwrap();
@@ -664,17 +725,26 @@ mod tests {
                 wrong += 1;
             }
             for k in 0..6u64 {
-                drive(&mut p, &BranchRecord::new(
-                    0x30_100 + k * 0x10,
-                    0x10_000 + k * 0x10,
-                    BranchKind::Return,
-                    true,
-                    4,
-                ));
+                drive(
+                    &mut p,
+                    &BranchRecord::new(
+                        0x30_100 + k * 0x10,
+                        0x10_000 + k * 0x10,
+                        BranchKind::Return,
+                        true,
+                        4,
+                    ),
+                );
             }
         }
-        assert!(wrong < 1500, "context-correlated branch mispredicted {wrong}/10000");
-        assert!(p.stats().llbp_provided > 0, "LLBP should provide predictions");
+        assert!(
+            wrong < 1500,
+            "context-correlated branch mispredicted {wrong}/10000"
+        );
+        assert!(
+            p.stats().llbp_provided > 0,
+            "LLBP should provide predictions"
+        );
     }
 
     #[test]
@@ -683,7 +753,10 @@ mod tests {
         assert!(p.config().depth.is_some() && p.ctt().is_some());
         assert_eq!(p.name(), "LLBP-X");
         let p = Llbp::with_oracle(LlbpConfig::llbpx(), [42u64]);
-        assert!(p.config().depth.is_some() && p.ctt().is_none(), "the oracle replaces the CTT");
+        assert!(
+            p.config().depth.is_some() && p.ctt().is_none(),
+            "the oracle replaces the CTT"
+        );
         assert!(Llbp::new(LlbpConfig::paper_baseline()).ctt().is_none());
     }
 
@@ -701,7 +774,10 @@ mod tests {
         // LLBP-X adds the 9 KiB CTT (§V-D.3).
         let kib = diff as f64 / 8.0 / 1024.0;
         assert!((8.0..=10.0).contains(&kib), "CTT overhead was {kib:.2} KiB");
-        assert_eq!(Llbp::new(LlbpConfig::with_infinite_patterns()).storage_bits(), u64::MAX);
+        assert_eq!(
+            Llbp::new(LlbpConfig::with_infinite_patterns()).storage_bits(),
+            u64::MAX
+        );
     }
 
     #[test]
@@ -725,7 +801,10 @@ mod tests {
         let classified = s.prefetch_on_time + s.prefetch_late + s.prefetch_unused;
         // After finish, every issued prefetch whose fill completed must be
         // classified (still-in-flight fills were drained too).
-        assert!(classified > 0, "prefetches should be classified after finish");
+        assert!(
+            classified > 0,
+            "prefetches should be classified after finish"
+        );
         assert!(classified <= s.prefetches_issued);
     }
 

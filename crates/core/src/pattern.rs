@@ -18,7 +18,11 @@ pub struct Pattern {
 impl Pattern {
     /// A freshly allocated pattern: weak counter in direction `taken`.
     pub fn allocate(tag: u32, len_idx: u8, taken: bool) -> Self {
-        Pattern { tag, len_idx, ctr: if taken { 0 } else { -1 } }
+        Pattern {
+            tag,
+            len_idx,
+            ctr: if taken { 0 } else { -1 },
+        }
     }
 
     /// Predicted direction.
@@ -90,9 +94,41 @@ mod tests {
 
     #[test]
     fn confidence_is_symmetric_around_the_weak_states() {
-        assert_eq!(Pattern { tag: 0, len_idx: 0, ctr: 0 }.confidence(), 1);
-        assert_eq!(Pattern { tag: 0, len_idx: 0, ctr: -1 }.confidence(), 1);
-        assert_eq!(Pattern { tag: 0, len_idx: 0, ctr: 1 }.confidence(), 3);
-        assert_eq!(Pattern { tag: 0, len_idx: 0, ctr: -2 }.confidence(), 3);
+        assert_eq!(
+            Pattern {
+                tag: 0,
+                len_idx: 0,
+                ctr: 0
+            }
+            .confidence(),
+            1
+        );
+        assert_eq!(
+            Pattern {
+                tag: 0,
+                len_idx: 0,
+                ctr: -1
+            }
+            .confidence(),
+            1
+        );
+        assert_eq!(
+            Pattern {
+                tag: 0,
+                len_idx: 0,
+                ctr: 1
+            }
+            .confidence(),
+            3
+        );
+        assert_eq!(
+            Pattern {
+                tag: 0,
+                len_idx: 0,
+                ctr: -2
+            }
+            .confidence(),
+            3
+        );
     }
 }

@@ -125,10 +125,15 @@ impl PatternSet {
         capacity: Option<usize>,
         allowed: &LengthSet,
     ) {
-        debug_assert!(allowed.contains(len_idx), "allocating unsupported length {len_idx}");
+        debug_assert!(
+            allowed.contains(len_idx),
+            "allocating unsupported length {len_idx}"
+        );
         self.allocs = self.allocs.saturating_add(1);
-        if let Some(existing) =
-            self.patterns.iter_mut().find(|p| p.tag == tag && p.len_idx == len_idx)
+        if let Some(existing) = self
+            .patterns
+            .iter_mut()
+            .find(|p| p.tag == tag && p.len_idx == len_idx)
         {
             existing.train(taken);
             return;
@@ -160,8 +165,8 @@ impl PatternSet {
             if in_bucket < bucket_cap {
                 self.patterns.push(Pattern::allocate(tag, len_idx, taken));
             } else {
-                let (_, victim) = victim
-                    .unwrap_or_else(|| unreachable!("bucket is full, so non-empty"));
+                let (_, victim) =
+                    victim.unwrap_or_else(|| unreachable!("bucket is full, so non-empty"));
                 self.patterns[victim] = Pattern::allocate(tag, len_idx, taken);
             }
         } else if self.patterns.len() < capacity {
@@ -209,8 +214,13 @@ mod tests {
         set.allocate(0x20, 20, false, None, &all); // length 3000, deep-only
         set.allocate(0x10, 3, true, None, &all);
         let tags = tags_with(&[(20, 0x20), (3, 0x10)]);
-        let m = set.find_longest(&tags, &shallow).expect("shallow pattern matches");
-        assert_eq!(m.len_idx, 3, "length 3000 must be invisible to a shallow context");
+        let m = set
+            .find_longest(&tags, &shallow)
+            .expect("shallow pattern matches");
+        assert_eq!(
+            m.len_idx, 3,
+            "length 3000 must be invisible to a shallow context"
+        );
     }
 
     #[test]
@@ -248,8 +258,14 @@ mod tests {
         }
         set.allocate(0x999, b0[1], false, Some(16), &allowed);
         assert_eq!(set.len(), 4, "bucket capacity enforced");
-        assert!(set.patterns().iter().any(|p| p.tag == 0x100), "strong pattern survives");
-        assert!(set.patterns().iter().any(|p| p.tag == 0x999), "new pattern allocated");
+        assert!(
+            set.patterns().iter().any(|p| p.tag == 0x100),
+            "strong pattern survives"
+        );
+        assert!(
+            set.patterns().iter().any(|p| p.tag == 0x999),
+            "new pattern allocated"
+        );
     }
 
     #[test]
@@ -281,7 +297,10 @@ mod tests {
         }
         set.allocate(0xff, 10, false, Some(4), &allowed);
         assert_eq!(set.len(), 4);
-        assert!(!set.patterns().iter().any(|p| p.tag == 0), "weakest evicted");
+        assert!(
+            !set.patterns().iter().any(|p| p.tag == 0),
+            "weakest evicted"
+        );
         assert!(set.patterns().iter().any(|p| p.tag == 0xff));
     }
 

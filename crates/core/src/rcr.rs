@@ -38,7 +38,10 @@ pub struct Rcr {
 impl Rcr {
     /// An empty register.
     pub fn new() -> Self {
-        Rcr { window: VecDeque::with_capacity(MAX_DEPTH), pushes: 0 }
+        Rcr {
+            window: VecDeque::with_capacity(MAX_DEPTH),
+            pushes: 0,
+        }
     }
 
     /// Records the PC of a retired unconditional branch.

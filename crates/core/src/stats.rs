@@ -72,9 +72,17 @@ type GetMut = fn(&mut LlbpStats) -> &mut u64;
 /// [`LlbpStats::counters`], [`LlbpStats::delta_since`] and
 /// [`LlbpStats::from_counters`] read.
 const COUNTERS: [(&str, Get, GetMut); 19] = [
-    ("cond_branches", |s| s.cond_branches, |s| &mut s.cond_branches),
+    (
+        "cond_branches",
+        |s| s.cond_branches,
+        |s| &mut s.cond_branches,
+    ),
     ("mispredicts", |s| s.mispredicts, |s| &mut s.mispredicts),
-    ("llbp_provided", |s| s.llbp_provided, |s| &mut s.llbp_provided),
+    (
+        "llbp_provided",
+        |s| s.llbp_provided,
+        |s| &mut s.llbp_provided,
+    ),
     ("llbp_useful", |s| s.llbp_useful, |s| &mut s.llbp_useful),
     ("llbp_harmful", |s| s.llbp_harmful, |s| &mut s.llbp_harmful),
     ("ps_reads", |s| s.ps_reads, |s| &mut s.ps_reads),
@@ -82,15 +90,43 @@ const COUNTERS: [(&str, Get, GetMut); 19] = [
     ("pb_accesses", |s| s.pb_accesses, |s| &mut s.pb_accesses),
     ("cd_accesses", |s| s.cd_accesses, |s| &mut s.cd_accesses),
     ("ctt_accesses", |s| s.ctt_accesses, |s| &mut s.ctt_accesses),
-    ("prefetches_issued", |s| s.prefetches_issued, |s| &mut s.prefetches_issued),
-    ("prefetch_on_time", |s| s.prefetch_on_time, |s| &mut s.prefetch_on_time),
-    ("prefetch_late", |s| s.prefetch_late, |s| &mut s.prefetch_late),
-    ("prefetch_unused", |s| s.prefetch_unused, |s| &mut s.prefetch_unused),
-    ("demand_fetches", |s| s.demand_fetches, |s| &mut s.demand_fetches),
+    (
+        "prefetches_issued",
+        |s| s.prefetches_issued,
+        |s| &mut s.prefetches_issued,
+    ),
+    (
+        "prefetch_on_time",
+        |s| s.prefetch_on_time,
+        |s| &mut s.prefetch_on_time,
+    ),
+    (
+        "prefetch_late",
+        |s| s.prefetch_late,
+        |s| &mut s.prefetch_late,
+    ),
+    (
+        "prefetch_unused",
+        |s| s.prefetch_unused,
+        |s| &mut s.prefetch_unused,
+    ),
+    (
+        "demand_fetches",
+        |s| s.demand_fetches,
+        |s| &mut s.demand_fetches,
+    ),
     ("allocations", |s| s.allocations, |s| &mut s.allocations),
-    ("alloc_dropped_range", |s| s.alloc_dropped_range, |s| &mut s.alloc_dropped_range),
+    (
+        "alloc_dropped_range",
+        |s| s.alloc_dropped_range,
+        |s| &mut s.alloc_dropped_range,
+    ),
     ("sets_created", |s| s.sets_created, |s| &mut s.sets_created),
-    ("depth_transitions", |s| s.depth_transitions, |s| &mut s.depth_transitions),
+    (
+        "depth_transitions",
+        |s| s.depth_transitions,
+        |s| &mut s.depth_transitions,
+    ),
 ];
 
 impl LlbpStats {
@@ -113,7 +149,10 @@ impl LlbpStats {
     /// Panics (debug builds) if `earlier` is not a prefix state of `self`
     /// (any counter would underflow).
     pub fn delta_since(&self, earlier: &LlbpStats) -> LlbpStats {
-        let mut delta = LlbpStats { analysis: self.analysis.clone(), ..LlbpStats::default() };
+        let mut delta = LlbpStats {
+            analysis: self.analysis.clone(),
+            ..LlbpStats::default()
+        };
         for (i, slot) in delta.alloc_len_histogram.iter_mut().enumerate() {
             *slot = self.alloc_len_histogram[i] - earlier.alloc_len_histogram[i];
         }
@@ -127,7 +166,10 @@ impl LlbpStats {
     /// for structured (JSON) emission. The histogram and analysis maps are
     /// exported separately.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        COUNTERS.iter().map(|&(name, get, _)| (name, get(self))).collect()
+        COUNTERS
+            .iter()
+            .map(|&(name, get, _)| (name, get(self)))
+            .collect()
     }
 
     /// The inverse of [`counters`](Self::counters): every scalar counter
@@ -248,15 +290,23 @@ pub struct AnalysisStats {
 impl AnalysisStats {
     /// Records one useful prediction by `key` in context `cid`.
     pub fn record_useful(&mut self, cid: u64, key: PatternKey) {
-        *self.useful_by_context.entry(cid).or_default().entry(key).or_insert(0) += 1;
+        *self
+            .useful_by_context
+            .entry(cid)
+            .or_default()
+            .entry(key)
+            .or_insert(0) += 1;
         self.useful_by_len[key.len_idx as usize] += 1;
         self.pattern_contexts.entry(key).or_default().insert(cid);
     }
 
     /// Distinct useful patterns per context, sorted descending (Fig. 6).
     pub fn useful_patterns_per_context(&self) -> Vec<(u64, usize)> {
-        let mut v: Vec<(u64, usize)> =
-            self.useful_by_context.iter().map(|(&cid, pats)| (cid, pats.len())).collect();
+        let mut v: Vec<(u64, usize)> = self
+            .useful_by_context
+            .iter()
+            .map(|(&cid, pats)| (cid, pats.len()))
+            .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
@@ -268,8 +318,10 @@ impl AnalysisStats {
         if pats.is_empty() {
             return None;
         }
-        let total: usize =
-            pats.keys().map(|k| tage::HISTORY_LENGTHS[k.len_idx as usize]).sum();
+        let total: usize = pats
+            .keys()
+            .map(|k| tage::HISTORY_LENGTHS[k.len_idx as usize])
+            .sum();
         Some(total as f64 / pats.len() as f64)
     }
 
@@ -296,14 +348,21 @@ mod tests {
 
     #[test]
     fn mpki_is_per_kilo_instruction() {
-        let stats = LlbpStats { mispredicts: 50, ..LlbpStats::default() };
+        let stats = LlbpStats {
+            mispredicts: 50,
+            ..LlbpStats::default()
+        };
         assert!((stats.mpki(10_000) - 5.0).abs() < 1e-12);
         assert_eq!(stats.mpki(0), 0.0);
     }
 
     #[test]
     fn transfer_bandwidth_uses_288_bit_transactions() {
-        let stats = LlbpStats { ps_reads: 100, ps_writes: 20, ..LlbpStats::default() };
+        let stats = LlbpStats {
+            ps_reads: 100,
+            ps_writes: 20,
+            ..LlbpStats::default()
+        };
         let (r, w) = stats.transfer_bits_per_instruction(28_800);
         assert!((r - 1.0).abs() < 1e-12);
         assert!((w - 0.2).abs() < 1e-12);
@@ -317,7 +376,11 @@ mod tests {
         a.record_useful(1, key(0x20, 5, 9));
         a.record_useful(2, key(0x10, 3, 7));
         let per_ctx = a.useful_patterns_per_context();
-        assert_eq!(per_ctx[0], (1, 2), "context 1 has two distinct useful patterns");
+        assert_eq!(
+            per_ctx[0],
+            (1, 2),
+            "context 1 has two distinct useful patterns"
+        );
         assert_eq!(per_ctx[1], (2, 1));
     }
 
@@ -340,7 +403,11 @@ mod tests {
         }
         a.record_useful(9, key(0x30, 4, 8));
         let dup = a.duplication_by_len();
-        assert_eq!(dup[4], (4, 2), "4 copies over 2 unique patterns at length idx 4");
+        assert_eq!(
+            dup[4],
+            (4, 2),
+            "4 copies over 2 unique patterns at length idx 4"
+        );
     }
 
     #[test]
@@ -367,7 +434,10 @@ mod tests {
         stats.alloc_len_histogram[3] = 9;
         assert_eq!(stats.check_invariants(), Vec::<String>::new());
         stats.validate(); // must not panic
-        assert_eq!(LlbpStats::default().check_invariants(), Vec::<String>::new());
+        assert_eq!(
+            LlbpStats::default().check_invariants(),
+            Vec::<String>::new()
+        );
     }
 
     #[test]
@@ -385,7 +455,9 @@ mod tests {
         };
         let violations = stats.check_invariants();
         assert!(
-            violations.iter().any(|v| v.contains("llbp_useful + llbp_harmful")),
+            violations
+                .iter()
+                .any(|v| v.contains("llbp_useful + llbp_harmful")),
             "outcome invariant flagged: {violations:?}"
         );
         assert!(
@@ -395,12 +467,20 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "validate only asserts in debug builds")]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "validate only asserts in debug builds"
+    )]
     fn validate_panics_on_violation_in_debug_builds() {
-        let stats = LlbpStats { mispredicts: 5, ..LlbpStats::default() };
+        let stats = LlbpStats {
+            mispredicts: 5,
+            ..LlbpStats::default()
+        };
         let err = std::panic::catch_unwind(|| stats.validate())
             .expect_err("a violated invariant must panic in debug builds");
-        let msg = err.downcast_ref::<String>().expect("panic carries a message");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("panic carries a message");
         assert!(msg.contains("mispredicts <= cond_branches"), "got: {msg}");
     }
 

@@ -21,7 +21,12 @@ struct StoreWay {
 
 #[derive(Debug, Clone)]
 enum StoreImpl {
-    Finite { ways: Vec<StoreWay>, sets_log2: u32, assoc: usize, tag_bits: u32 },
+    Finite {
+        ways: Vec<StoreWay>,
+        sets_log2: u32,
+        assoc: usize,
+        tag_bits: u32,
+    },
     Infinite(FastMap<u64, PatternSet>),
 }
 
@@ -43,7 +48,12 @@ impl PatternStore {
         PatternStore {
             inner: StoreImpl::Finite {
                 ways: vec![
-                    StoreWay { tag: 0, set: PatternSet::new(), lru: 0, valid: false };
+                    StoreWay {
+                        tag: 0,
+                        set: PatternSet::new(),
+                        lru: 0,
+                        valid: false
+                    };
                     (1usize << sets_log2) * assoc
                 ],
                 sets_log2,
@@ -57,7 +67,11 @@ impl PatternStore {
 
     /// The unbounded store of the "+ Inf Contexts" limit configuration.
     pub fn infinite() -> Self {
-        PatternStore { inner: StoreImpl::Infinite(FastMap::default()), clock: 0, evictions: 0 }
+        PatternStore {
+            inner: StoreImpl::Infinite(FastMap::default()),
+            clock: 0,
+            evictions: 0,
+        }
     }
 
     fn locate(sets_log2: u32, assoc: usize, tag_bits: u32, cid: u64) -> (usize, u32) {
@@ -70,7 +84,12 @@ impl PatternStore {
     pub fn lookup(&mut self, cid: u64) -> Option<&PatternSet> {
         self.clock += 1;
         match &mut self.inner {
-            StoreImpl::Finite { ways, sets_log2, assoc, tag_bits } => {
+            StoreImpl::Finite {
+                ways,
+                sets_log2,
+                assoc,
+                tag_bits,
+            } => {
                 let (base, tag) = Self::locate(*sets_log2, *assoc, *tag_bits, cid);
                 for i in base..base + *assoc {
                     if ways[i].valid && ways[i].tag == tag {
@@ -87,9 +106,16 @@ impl PatternStore {
     /// Whether `cid` currently resides in the directory (no LRU update).
     pub fn contains(&self, cid: u64) -> bool {
         match &self.inner {
-            StoreImpl::Finite { ways, sets_log2, assoc, tag_bits } => {
+            StoreImpl::Finite {
+                ways,
+                sets_log2,
+                assoc,
+                tag_bits,
+            } => {
                 let (base, tag) = Self::locate(*sets_log2, *assoc, *tag_bits, cid);
-                ways[base..base + *assoc].iter().any(|w| w.valid && w.tag == tag)
+                ways[base..base + *assoc]
+                    .iter()
+                    .any(|w| w.valid && w.tag == tag)
             }
             StoreImpl::Infinite(map) => map.contains_key(&cid),
         }
@@ -102,7 +128,12 @@ impl PatternStore {
     pub fn insert(&mut self, cid: u64, set: PatternSet) {
         self.clock += 1;
         match &mut self.inner {
-            StoreImpl::Finite { ways, sets_log2, assoc, tag_bits } => {
+            StoreImpl::Finite {
+                ways,
+                sets_log2,
+                assoc,
+                tag_bits,
+            } => {
                 let (base, tag) = Self::locate(*sets_log2, *assoc, *tag_bits, cid);
                 // Update in place on a directory hit.
                 for i in base..base + *assoc {
@@ -115,15 +146,17 @@ impl PatternStore {
                 // Victim: invalid first, then fewest confident patterns,
                 // then least recently used.
                 let victim = (base..base + *assoc)
-                    .min_by_key(|&i| {
-                        (ways[i].valid, ways[i].set.confident_count(), ways[i].lru)
-                    })
+                    .min_by_key(|&i| (ways[i].valid, ways[i].set.confident_count(), ways[i].lru))
                     .unwrap_or_else(|| unreachable!("assoc > 0"));
                 if ways[victim].valid {
                     self.evictions += 1;
                 }
-                ways[victim] =
-                    StoreWay { tag, set, lru: self.clock, valid: true };
+                ways[victim] = StoreWay {
+                    tag,
+                    set,
+                    lru: self.clock,
+                    valid: true,
+                };
             }
             StoreImpl::Infinite(map) => {
                 map.insert(cid, set);
@@ -136,7 +169,12 @@ impl PatternStore {
     pub fn lookup_mut(&mut self, cid: u64) -> Option<&mut PatternSet> {
         self.clock += 1;
         match &mut self.inner {
-            StoreImpl::Finite { ways, sets_log2, assoc, tag_bits } => {
+            StoreImpl::Finite {
+                ways,
+                sets_log2,
+                assoc,
+                tag_bits,
+            } => {
                 let (base, tag) = Self::locate(*sets_log2, *assoc, *tag_bits, cid);
                 for i in base..base + *assoc {
                     if ways[i].valid && ways[i].tag == tag {

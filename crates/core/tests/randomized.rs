@@ -62,16 +62,16 @@ fn find_longest_returns_the_longest_true_match() {
             let len_idx = slots[rng.next_below(slots.len() as u64) as usize];
             set.allocate(tag, len_idx, rng.next_bool(0.5), None, &allowed);
         }
-        let query: Vec<u32> =
-            (0..tage::NUM_TABLES).map(|_| (rng.next_u64() as u32) & 0x1fff).collect();
+        let query: Vec<u32> = (0..tage::NUM_TABLES)
+            .map(|_| (rng.next_u64() as u32) & 0x1fff)
+            .collect();
         match set.find_longest(&query, &allowed) {
             Some(m) => {
                 let p = set.patterns()[m.slot];
                 assert_eq!(p.len_idx, m.len_idx);
                 assert_eq!(p.tag, query[p.len_idx as usize]);
                 for other in set.patterns() {
-                    if allowed.contains(other.len_idx)
-                        && other.tag == query[other.len_idx as usize]
+                    if allowed.contains(other.len_idx) && other.tag == query[other.len_idx as usize]
                     {
                         assert!(other.len_idx <= m.len_idx, "missed a longer match");
                     }
@@ -116,7 +116,9 @@ fn rcr_depends_only_on_window() {
     for _ in 0..64 {
         let prefix_a: Vec<u64> = (0..rng.next_below(60)).map(|_| rng.next_u64()).collect();
         let prefix_b: Vec<u64> = (0..rng.next_below(60)).map(|_| rng.next_u64()).collect();
-        let window: Vec<u64> = (0..1 + rng.next_below(63)).map(|_| rng.next_u64()).collect();
+        let window: Vec<u64> = (0..1 + rng.next_below(63))
+            .map(|_| rng.next_u64())
+            .collect();
         let w = window.len();
         let build = |prefix: &[u64]| {
             let mut r = Rcr::new();

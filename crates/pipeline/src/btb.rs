@@ -95,8 +95,12 @@ impl Btb {
         let victim = (base..base + self.ways)
             .min_by_key(|&i| (self.entries[i].valid, self.entries[i].lru))
             .unwrap_or_else(|| unreachable!("ways > 0"));
-        self.entries[victim] =
-            BtbEntry { tag, target, lru: self.clock, valid: true };
+        self.entries[victim] = BtbEntry {
+            tag,
+            target,
+            lru: self.clock,
+            valid: true,
+        };
     }
 
     /// Total entries.
@@ -146,7 +150,7 @@ mod tests {
     #[test]
     fn lru_keeps_recently_used_ways() {
         let mut btb = Btb::new(0, 2); // one set
-        // Distinct tags within the single set need pcs differing above bit 2.
+                                      // Distinct tags within the single set need pcs differing above bit 2.
         btb.update(0x0004, 0xa);
         btb.update(0x1004, 0xb);
         let _ = btb.lookup(0x0004); // make 0x1004 LRU

@@ -228,8 +228,7 @@ impl PipelineModel {
     fn finalize(&mut self, r: &mut PipelineResult) {
         self.close_block(r);
         r.retire_cycles = r.instructions.div_ceil(self.params.retire_width);
-        r.backend_stall_cycles =
-            r.instructions * self.params.backend_stalls_per_kinstr / 1000;
+        r.backend_stall_cycles = r.instructions * self.params.backend_stalls_per_kinstr / 1000;
         r.cycles = r.fetch_cycles.max(r.retire_cycles)
             + r.mispredict_cycles
             + r.redirect_cycles
@@ -287,7 +286,11 @@ mod tests {
         });
         let r = model.run(&mut predictor(), noisy);
         assert!(r.mispredicts > 400, "stream should be unpredictable");
-        assert!(r.ipc() < 2.5, "random branches must tank IPC, got {}", r.ipc());
+        assert!(
+            r.ipc() < 2.5,
+            "random branches must tank IPC, got {}",
+            r.ipc()
+        );
         assert!(r.branch_stall_fraction() > 0.3);
     }
 
@@ -296,8 +299,20 @@ mod tests {
         let mut records = Vec::new();
         for i in 0..200u64 {
             let call_pc = 0x1000 + (i % 3) * 0x100;
-            records.push(BranchRecord::new(call_pc, 0x8000, BranchKind::DirectCall, true, 3));
-            records.push(BranchRecord::new(0x8040, call_pc + 4, BranchKind::Return, true, 3));
+            records.push(BranchRecord::new(
+                call_pc,
+                0x8000,
+                BranchKind::DirectCall,
+                true,
+                3,
+            ));
+            records.push(BranchRecord::new(
+                0x8040,
+                call_pc + 4,
+                BranchKind::Return,
+                true,
+                3,
+            ));
         }
         let mut model = PipelineModel::new(PipelineParams::paper_table2());
         let r = model.run(&mut predictor(), VecTrace::new(records));
@@ -341,7 +356,10 @@ mod tests {
         let big = run(Box::new(TageScl::new(TslConfig::kilobytes(512))));
         let s = big.speedup_over(&base);
         assert!(s > 1.0, "512K TSL must speed up NodeApp (got {s:.4})");
-        assert!(s < 1.2, "speedup should be single-digit percent (got {s:.4})");
+        assert!(
+            s < 1.2,
+            "speedup should be single-digit percent (got {s:.4})"
+        );
     }
 
     #[test]
@@ -357,6 +375,9 @@ mod tests {
                 + r.redirect_cycles
                 + r.backend_stall_cycles
         );
-        assert!(r.fetch_cycles >= r.instructions / 8 / 2, "fetch bound sanity");
+        assert!(
+            r.fetch_cycles >= r.instructions / 8 / 2,
+            "fetch bound sanity"
+        );
     }
 }

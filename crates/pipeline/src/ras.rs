@@ -30,7 +30,13 @@ impl ReturnAddressStack {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "RAS needs capacity");
-        ReturnAddressStack { slots: vec![0; capacity], top: 0, depth: 0, pushes: 0, overflows: 0 }
+        ReturnAddressStack {
+            slots: vec![0; capacity],
+            top: 0,
+            depth: 0,
+            pushes: 0,
+            overflows: 0,
+        }
     }
 
     /// Pushes a return address (the instruction after a call). Overwrites

@@ -34,7 +34,11 @@ impl ContextAnalysis {
     /// point of Fig. 5) at context depth `w`, with the analysis
     /// instrumentation whose run [`ContextAnalysis::from_run`] reads.
     pub fn predictor(w: usize) -> Llbp {
-        Llbp::new(LlbpConfig::with_infinite_patterns().with_w(w).with_analysis())
+        Llbp::new(
+            LlbpConfig::with_infinite_patterns()
+                .with_w(w)
+                .with_analysis(),
+        )
     }
 
     /// The context-level data of a finished run of
@@ -64,7 +68,11 @@ impl ContextAnalysis {
         if self.contexts.is_empty() {
             return 0.0;
         }
-        let over = self.contexts.iter().filter(|c| c.useful_patterns > capacity).count();
+        let over = self
+            .contexts
+            .iter()
+            .filter(|c| c.useful_patterns > capacity)
+            .count();
         over as f64 / self.contexts.len() as f64
     }
 
@@ -73,7 +81,11 @@ impl ContextAnalysis {
         if self.contexts.is_empty() {
             return 0.0;
         }
-        let under = self.contexts.iter().filter(|c| c.useful_patterns <= n).count();
+        let under = self
+            .contexts
+            .iter()
+            .filter(|c| c.useful_patterns <= n)
+            .count();
         under as f64 / self.contexts.len() as f64
     }
 
@@ -120,8 +132,13 @@ mod tests {
 
     fn tiny() -> (WorkloadSpec, Simulation) {
         (
-            WorkloadSpec::new("tiny", 5).with_request_types(64).with_handlers(8),
-            Simulation { warmup_instructions: 150_000, measure_instructions: 300_000 },
+            WorkloadSpec::new("tiny", 5)
+                .with_request_types(64)
+                .with_handlers(8),
+            Simulation {
+                warmup_instructions: 150_000,
+                measure_instructions: 300_000,
+            },
         )
     }
 
@@ -135,9 +152,15 @@ mod tests {
     fn analysis_produces_sorted_contexts() {
         let (spec, sim) = tiny();
         let a = analyze_contexts(&spec, 8, &sim);
-        assert!(!a.contexts.is_empty(), "some contexts should have useful patterns");
+        assert!(
+            !a.contexts.is_empty(),
+            "some contexts should have useful patterns"
+        );
         for w in a.contexts.windows(2) {
-            assert!(w[0].useful_patterns >= w[1].useful_patterns, "sorted descending");
+            assert!(
+                w[0].useful_patterns >= w[1].useful_patterns,
+                "sorted descending"
+            );
         }
     }
 
@@ -176,7 +199,10 @@ mod tests {
         }
         assert!(!shallow.contexts.is_empty());
         let change = useful_change_by_len(&shallow, &deep);
-        assert!(change.iter().any(|c| c.is_some()), "sweep must be comparable");
+        assert!(
+            change.iter().any(|c| c.is_some()),
+            "sweep must be comparable"
+        );
     }
 
     /// An analysis cell of the grid engine comes back as an ordinary run
@@ -184,7 +210,9 @@ mod tests {
     #[test]
     fn analysis_carries_its_underlying_run() {
         let (spec, sim) = tiny();
-        let designs = [crate::exec::design("W=8", || Box::new(ContextAnalysis::predictor(8)))];
+        let designs = [crate::exec::design("W=8", || {
+            Box::new(ContextAnalysis::predictor(8))
+        })];
         let report = crate::exec::run_matrix(
             &sim,
             std::slice::from_ref(&spec),
@@ -204,8 +232,14 @@ mod tests {
         let (spec, sim) = tiny();
         let plain = sim.run(&mut Llbp::new(LlbpConfig::with_infinite_patterns()), &spec);
         assert!(plain.llbp.is_some() && ContextAnalysis::from_run(&plain).is_none());
-        let failed = RunResult { error: Some("boom".into()), ..RunResult::default() };
-        assert!(ContextAnalysis::from_run(&failed).is_none(), "a failed cell has no data");
+        let failed = RunResult {
+            error: Some("boom".into()),
+            ..RunResult::default()
+        };
+        assert!(
+            ContextAnalysis::from_run(&failed).is_none(),
+            "a failed cell has no data"
+        );
     }
 
     #[test]

@@ -121,10 +121,19 @@ impl Checkpoint {
                 }
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(path).map_err(|e| {
-            SimError::Checkpoint { path: path.to_path_buf(), detail: e.to_string() }
-        })?;
-        Ok(Checkpoint { path: path.to_path_buf(), entries, file: Mutex::new(file) })
+        let file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| SimError::Checkpoint {
+                path: path.to_path_buf(),
+                detail: e.to_string(),
+            })?;
+        Ok(Checkpoint {
+            path: path.to_path_buf(),
+            entries,
+            file: Mutex::new(file),
+        })
     }
 
     /// The journal resolved from [`ENV_CHECKPOINT`], or `None` when
@@ -169,10 +178,16 @@ impl Checkpoint {
             return;
         }
         let line = journal_line(fingerprint, result, sim).to_string();
-        let mut file = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut file = self
+            .file
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         // One write_all per line keeps concurrent workers' entries whole.
         if let Err(e) = file.write_all(format!("{line}\n").as_bytes()) {
-            eprintln!("warning: checkpoint {}: write failed: {e}", self.path.display());
+            eprintln!(
+                "warning: checkpoint {}: write failed: {e}",
+                self.path.display()
+            );
         }
     }
 }
@@ -180,7 +195,10 @@ impl Checkpoint {
 /// A journal line: the run record plus the format version and the cell's
 /// fingerprint.
 fn journal_line(fingerprint: &str, result: &RunResult, sim: &Simulation) -> Json {
-    result.to_json(sim).set("v", ENTRY_VERSION).set("fingerprint", fingerprint)
+    result
+        .to_json(sim)
+        .set("v", ENTRY_VERSION)
+        .set("fingerprint", fingerprint)
 }
 
 fn parse_line(line: &str) -> Option<(String, RunResult)> {
@@ -189,7 +207,13 @@ fn parse_line(line: &str) -> Option<(String, RunResult)> {
         return None;
     }
     let fingerprint = j.get("fingerprint")?.as_str()?.to_owned();
-    Some((fingerprint, RunResult { resumed: true, ..RunResult::from_json(&j)? }))
+    Some((
+        fingerprint,
+        RunResult {
+            resumed: true,
+            ..RunResult::from_json(&j)?
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -239,7 +263,10 @@ mod tests {
     }
 
     fn sim() -> Simulation {
-        Simulation { warmup_instructions: 100_000, measure_instructions: 200_000 }
+        Simulation {
+            warmup_instructions: 100_000,
+            measure_instructions: 200_000,
+        }
     }
 
     fn line(fingerprint: &str, result: &RunResult) -> String {
@@ -252,18 +279,56 @@ mod tests {
 
     #[test]
     fn fingerprints_separate_cells_and_budgets() {
-        let spec = WorkloadSpec::new("w", 1).with_request_types(64).with_handlers(8);
-        let sim = Simulation { warmup_instructions: 10, measure_instructions: 20 };
+        let spec = WorkloadSpec::new("w", 1)
+            .with_request_types(64)
+            .with_handlers(8);
+        let sim = Simulation {
+            warmup_instructions: 10,
+            measure_instructions: 20,
+        };
         let base = job_fingerprint(0, "LLBP", "LLBP", 123, &spec, &sim);
-        assert_eq!(base, job_fingerprint(0, "LLBP", "LLBP", 123, &spec, &sim), "deterministic");
-        assert_ne!(base, job_fingerprint(1, "LLBP", "LLBP", 123, &spec, &sim), "index");
-        assert_ne!(base, job_fingerprint(0, "LLBP 2", "LLBP", 123, &spec, &sim), "cell name");
-        assert_ne!(base, job_fingerprint(0, "LLBP", "LLBP-X", 123, &spec, &sim), "label");
-        assert_ne!(base, job_fingerprint(0, "LLBP", "LLBP", 124, &spec, &sim), "storage");
-        let other_spec = WorkloadSpec::new("w", 2).with_request_types(64).with_handlers(8);
-        assert_ne!(base, job_fingerprint(0, "LLBP", "LLBP", 123, &other_spec, &sim), "spec");
-        let other_sim = Simulation { warmup_instructions: 11, measure_instructions: 20 };
-        assert_ne!(base, job_fingerprint(0, "LLBP", "LLBP", 123, &spec, &other_sim), "budgets");
+        assert_eq!(
+            base,
+            job_fingerprint(0, "LLBP", "LLBP", 123, &spec, &sim),
+            "deterministic"
+        );
+        assert_ne!(
+            base,
+            job_fingerprint(1, "LLBP", "LLBP", 123, &spec, &sim),
+            "index"
+        );
+        assert_ne!(
+            base,
+            job_fingerprint(0, "LLBP 2", "LLBP", 123, &spec, &sim),
+            "cell name"
+        );
+        assert_ne!(
+            base,
+            job_fingerprint(0, "LLBP", "LLBP-X", 123, &spec, &sim),
+            "label"
+        );
+        assert_ne!(
+            base,
+            job_fingerprint(0, "LLBP", "LLBP", 124, &spec, &sim),
+            "storage"
+        );
+        let other_spec = WorkloadSpec::new("w", 2)
+            .with_request_types(64)
+            .with_handlers(8);
+        assert_ne!(
+            base,
+            job_fingerprint(0, "LLBP", "LLBP", 123, &other_spec, &sim),
+            "spec"
+        );
+        let other_sim = Simulation {
+            warmup_instructions: 11,
+            measure_instructions: 20,
+        };
+        assert_ne!(
+            base,
+            job_fingerprint(0, "LLBP", "LLBP", 123, &spec, &other_sim),
+            "budgets"
+        );
         // A `|` in a cell name cannot move bytes between fields.
         assert_ne!(
             job_fingerprint(0, "a|b", "c", 1, &spec, &sim),
@@ -277,16 +342,25 @@ mod tests {
         let (fp, r) = parse_line(&line("00ff", &result)).expect("parses");
         assert_eq!(fp, "00ff");
         assert!(r.resumed && !r.is_failed() && r.llbp.is_some());
-        assert_eq!(r.deep_contexts, result.deep_contexts, "context IDs beyond i64 survive");
+        assert_eq!(
+            r.deep_contexts, result.deep_contexts,
+            "context IDs beyond i64 survive"
+        );
         // Every field the record holds — accuracy, counters, histogram,
         // intervals, storage, wall time — reads back unchanged.
-        let resumed = RunResult { resumed: true, ..result };
+        let resumed = RunResult {
+            resumed: true,
+            ..result
+        };
         assert_eq!(r.to_json(&sim()), resumed.to_json(&sim()));
     }
 
     #[test]
     fn infinite_storage_round_trips() {
-        let inf = RunResult { storage_bits: u64::MAX, ..sample_result() };
+        let inf = RunResult {
+            storage_bits: u64::MAX,
+            ..sample_result()
+        };
         let (_, r) = parse_line(&line("00ff", &inf)).expect("an Inf TSL cell restores");
         assert_eq!(r.storage_bits, u64::MAX);
     }
@@ -297,7 +371,10 @@ mod tests {
         assert!(parse_line(&good).is_some());
         let negative = good.replace("\"ps_reads\":0,", "\"ps_reads\":-1,");
         assert_ne!(negative, good, "the line holds the counter");
-        assert!(parse_line(&negative).is_none(), "-1 must not restore as 2^64-1");
+        assert!(
+            parse_line(&negative).is_none(),
+            "-1 must not restore as 2^64-1"
+        );
     }
 
     #[test]
@@ -325,7 +402,10 @@ mod tests {
         for cut in 0..=second.len() {
             std::fs::write(&path, format!("{first}\n{}", &second[..cut])).unwrap();
             let cp = Checkpoint::open(&path).unwrap();
-            assert!(cp.lookup("aaaa").is_some(), "cut={cut}: earlier records survive");
+            assert!(
+                cp.lookup("aaaa").is_some(),
+                "cut={cut}: earlier records survive"
+            );
             if cut == second.len() {
                 assert_eq!(cp.len(), 2, "the untruncated line loads");
             } else {
@@ -343,7 +423,14 @@ mod tests {
         {
             let cp = Checkpoint::open(&path).unwrap();
             assert!(cp.is_empty());
-            cp.record("cell1", &RunResult { storage_bits: 77, ..sample_result() }, &sim());
+            cp.record(
+                "cell1",
+                &RunResult {
+                    storage_bits: 77,
+                    ..sample_result()
+                },
+                &sim(),
+            );
             let failed = RunResult {
                 workload: "NodeApp".into(),
                 error: Some("boom".into()),

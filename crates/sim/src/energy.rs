@@ -34,12 +34,20 @@ pub struct EnergyModel {
 impl EnergyModel {
     /// Geometry of the paper's LLBP.
     pub fn llbp() -> Self {
-        EnergyModel { ps_bytes: 516 * 1024, cd_bytes: 14 * 1024, pb_bytes: 64 * 36, ctt_bytes: 0 }
+        EnergyModel {
+            ps_bytes: 516 * 1024,
+            cd_bytes: 14 * 1024,
+            pb_bytes: 64 * 36,
+            ctt_bytes: 0,
+        }
     }
 
     /// Geometry of the paper's LLBP-X (adds the 9 KiB CTT).
     pub fn llbpx() -> Self {
-        EnergyModel { ctt_bytes: 9 * 1024, ..EnergyModel::llbp() }
+        EnergyModel {
+            ctt_bytes: 9 * 1024,
+            ..EnergyModel::llbp()
+        }
     }
 
     /// Total access energy of a run, weighted by the recorded access
@@ -78,7 +86,11 @@ mod tests {
     #[test]
     fn weighting_follows_access_counts() {
         let model = EnergyModel::llbp();
-        let mut stats = LlbpStats { pb_accesses: 1000, cd_accesses: 100, ..Default::default() };
+        let mut stats = LlbpStats {
+            pb_accesses: 1000,
+            cd_accesses: 100,
+            ..Default::default()
+        };
         let low = model.total(&stats);
         stats.ps_reads = 50;
         let high = model.total(&stats);
@@ -98,7 +110,11 @@ mod tests {
         let llbpx = EnergyModel::llbpx().total(&stats);
         assert!(llbpx > llbp, "the CTT adds energy");
         // ...but only a few percent, as in Fig. 15b.
-        assert!(llbpx / llbp < 1.25, "CTT overhead should be small, got {}", llbpx / llbp);
+        assert!(
+            llbpx / llbp < 1.25,
+            "CTT overhead should be small, got {}",
+            llbpx / llbp
+        );
     }
 
     #[test]

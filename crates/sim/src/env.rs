@@ -42,7 +42,12 @@ impl<T> Knob<T> {
         fallback: &'static str,
         parse: fn(&str) -> Option<T>,
     ) -> Self {
-        Knob { key, expected, fallback, parse }
+        Knob {
+            key,
+            expected,
+            fallback,
+            parse,
+        }
     }
 
     /// Reads the knob from the process environment, falling back to
@@ -71,7 +76,9 @@ impl<T> Knob<T> {
 
 fn warn_once(key: &str, raw: &str, expected: &str, fallback_desc: &str) {
     static WARNED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
-    let mut warned = WARNED.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut warned = WARNED
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     if warned.insert(key.to_owned()) {
         eprintln!("warning: {key}={raw:?} is not {expected}; {fallback_desc}");
     }

@@ -80,20 +80,30 @@ mod tests {
         use crate::runner::{RunResult, Simulation};
         let s = cell_failure(0, "LLBP", "w", "boom");
         assert!(s.contains("LLBP × w) failed: boom"), "{s}");
-        let run = RunResult { error: Some(s.clone()), ..RunResult::default() };
-        let sim = Simulation { warmup_instructions: 1, measure_instructions: 1 };
+        let run = RunResult {
+            error: Some(s.clone()),
+            ..RunResult::default()
+        };
+        let sim = Simulation {
+            warmup_instructions: 1,
+            measure_instructions: 1,
+        };
         let json = run.to_json(&sim);
-        assert_eq!(json.get("status").and_then(telemetry::Json::as_str), Some("failed"));
-        assert_eq!(json.get("error").and_then(telemetry::Json::as_str), Some(s.as_str()));
+        assert_eq!(
+            json.get("status").and_then(telemetry::Json::as_str),
+            Some("failed")
+        );
+        assert_eq!(
+            json.get("error").and_then(telemetry::Json::as_str),
+            Some(s.as_str())
+        );
     }
 
     #[test]
     fn panic_messages_capture_str_and_string_payloads() {
-        let caught =
-            std::panic::catch_unwind(|| panic!("static message")).unwrap_err();
+        let caught = std::panic::catch_unwind(|| panic!("static message")).unwrap_err();
         assert_eq!(panic_message(caught), "static message");
-        let caught =
-            std::panic::catch_unwind(|| panic!("formatted {}", 42)).unwrap_err();
+        let caught = std::panic::catch_unwind(|| panic!("formatted {}", 42)).unwrap_err();
         assert_eq!(panic_message(caught), "formatted 42");
         let caught = std::panic::catch_unwind(|| std::panic::panic_any(7u32)).unwrap_err();
         assert!(panic_message(caught).contains("non-string"));
@@ -101,9 +111,15 @@ mod tests {
 
     #[test]
     fn sim_errors_render_every_variant() {
-        let invalid = SimError::InvalidSpec { workload: "w".into(), reason: "bad".into() };
+        let invalid = SimError::InvalidSpec {
+            workload: "w".into(),
+            reason: "bad".into(),
+        };
         assert!(invalid.to_string().contains("invalid workload spec `w`"));
-        let ckpt = SimError::Checkpoint { path: "/tmp/x".into(), detail: "denied".into() };
+        let ckpt = SimError::Checkpoint {
+            path: "/tmp/x".into(),
+            detail: "denied".into(),
+        };
         assert!(ckpt.to_string().contains("/tmp/x"));
     }
 }

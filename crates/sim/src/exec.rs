@@ -101,7 +101,9 @@ pub fn threads_from_env() -> usize {
 }
 
 fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// A boxed unit of work for [`run_jobs_with`].
@@ -137,8 +139,10 @@ pub fn run_jobs_with<T: Send>(threads: usize, jobs: Vec<BoxedJob<'_, T>>) -> Vec
                 if i >= n {
                     break;
                 }
-                let claimed =
-                    queue[i].lock().unwrap_or_else(PoisonError::into_inner).take();
+                let claimed = queue[i]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take();
                 let Some(job) = claimed else {
                     unreachable!("each job is claimed exactly once");
                 };
@@ -150,10 +154,12 @@ pub fn run_jobs_with<T: Send>(threads: usize, jobs: Vec<BoxedJob<'_, T>>) -> Vec
 
     slots
         .into_iter()
-        .map(|slot| match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            Some(result) => result,
-            None => unreachable!("scope joined every worker"),
-        })
+        .map(
+            |slot| match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                Some(result) => result,
+                None => unreachable!("scope joined every worker"),
+            },
+        )
         .collect()
 }
 
@@ -168,7 +174,10 @@ type FromSource = Box<dyn Fn(&RunResult) -> Box<dyn SimPredictor> + Sync>;
 enum Build {
     Plain(Fresh),
     /// From the same workload's run of the design named `source`.
-    After { source: String, factory: FromSource },
+    After {
+        source: String,
+        factory: FromSource,
+    },
 }
 
 /// One design of a grid: the name every cell of the design carries and
@@ -189,7 +198,10 @@ pub fn design(
     name: impl Into<String>,
     factory: impl Fn() -> Box<dyn SimPredictor> + Sync + 'static,
 ) -> Design {
-    Design { name: name.into(), build: Build::Plain(Box::new(factory)) }
+    Design {
+        name: name.into(),
+        build: Build::Plain(Box::new(factory)),
+    }
 }
 
 /// A [`Design`] named `name` whose predictor is built from the same
@@ -204,7 +216,10 @@ pub fn design_after(
     factory: impl Fn(&RunResult) -> Box<dyn SimPredictor> + Sync + 'static,
 ) -> Design {
     let (source, factory) = (source.into(), Box::new(factory));
-    Design { name: name.into(), build: Build::After { source, factory } }
+    Design {
+        name: name.into(),
+        build: Build::After { source, factory },
+    }
 }
 
 /// A completed grid: one run per cell, grouped by workload, plus engine
@@ -220,7 +235,11 @@ pub struct MatrixReport {
 impl MatrixReport {
     /// How many cells failed.
     pub fn failed_cells(&self) -> usize {
-        self.rows.iter().flatten().filter(|run| run.is_failed()).count()
+        self.rows
+            .iter()
+            .flatten()
+            .filter(|run| run.is_failed())
+            .count()
     }
 
     /// How many cells were restored from the checkpoint journal instead of
@@ -246,7 +265,11 @@ pub struct EngineOptions {
 impl EngineOptions {
     /// The bare engine: explicit threads, everything else off.
     pub fn basic(threads: usize) -> Self {
-        EngineOptions { threads, checkpoint: None, fault_cell: None }
+        EngineOptions {
+            threads,
+            checkpoint: None,
+            fault_cell: None,
+        }
     }
 
     /// The full environment-driven configuration: `LLBPX_THREADS`,
@@ -265,7 +288,12 @@ impl EngineOptions {
 fn failed(index: usize, design: &str, spec: &WorkloadSpec, reason: &str) -> RunResult {
     let workload = spec.name.clone();
     let error = cell_failure(index, design, &workload, reason);
-    RunResult { name: design.to_owned(), workload, error: Some(error), ..RunResult::default() }
+    RunResult {
+        name: design.to_owned(),
+        workload,
+        error: Some(error),
+        ..RunResult::default()
+    }
 }
 
 /// One cell: build the predictor, consult the journal, run it, journal the
@@ -282,7 +310,11 @@ fn run_cell(
         let mut predictor = factory();
         let (name, bits) = (predictor.name(), predictor.storage_bits());
         let fingerprint = checkpoint::job_fingerprint(index, design, &name, bits, spec, sim);
-        if let Some(restored) = opts.checkpoint.as_deref().and_then(|cp| cp.lookup(&fingerprint)) {
+        if let Some(restored) = opts
+            .checkpoint
+            .as_deref()
+            .and_then(|cp| cp.lookup(&fingerprint))
+        {
             return restored;
         }
         if opts.fault_cell == Some(index) {
@@ -363,7 +395,9 @@ pub fn run_matrix(
     let source_of: Vec<Option<usize>> = designs
         .iter()
         .map(|design| {
-            let Build::After { source, .. } = &design.build else { return None };
+            let Build::After { source, .. } = &design.build else {
+                return None;
+            };
             let independent = |d: &Design| d.name == *source && matches!(d.build, Build::Plain(_));
             match designs.iter().position(independent) {
                 Some(position) => Some(position),
@@ -376,7 +410,10 @@ pub fn run_matrix(
         .collect();
     let width = designs.len();
     let cells = specs.len() * width;
-    let sources = Sources { done: Mutex::new(vec![None; cells]), ready: Condvar::new() };
+    let sources = Sources {
+        done: Mutex::new(vec![None; cells]),
+        ready: Condvar::new(),
+    };
 
     let cell = |index: usize| {
         let (spec, d) = (&specs[index / width], index % width);
@@ -409,12 +446,20 @@ pub fn run_matrix(
     let order: Vec<usize> = independent.into_iter().chain(dependent).collect();
     let job = |index: usize| Box::new(move || cell(index)) as BoxedJob<'_, RunResult>;
     let jobs = order.iter().map(|&index| job(index)).collect();
-    let mut runs: Vec<(usize, RunResult)> =
-        order.into_iter().zip(run_jobs_with(opts.threads, jobs)).collect();
+    let mut runs: Vec<(usize, RunResult)> = order
+        .into_iter()
+        .zip(run_jobs_with(opts.threads, jobs))
+        .collect();
     runs.sort_unstable_by_key(|(index, _)| *index);
     let mut runs = runs.into_iter().map(|(_, run)| run);
-    let rows = specs.iter().map(|_| runs.by_ref().take(width).collect()).collect();
-    MatrixReport { rows, threads: opts.threads.max(1).min(cells.max(1)) }
+    let rows = specs
+        .iter()
+        .map(|_| runs.by_ref().take(width).collect())
+        .collect();
+    MatrixReport {
+        rows,
+        threads: opts.threads.max(1).min(cells.max(1)),
+    }
 }
 
 #[cfg(test)]
@@ -427,11 +472,16 @@ mod tests {
     use tage::{TageScl, TslConfig};
 
     fn tiny_spec(name: &str, seed: u64) -> WorkloadSpec {
-        WorkloadSpec::new(name, seed).with_request_types(64).with_handlers(8)
+        WorkloadSpec::new(name, seed)
+            .with_request_types(64)
+            .with_handlers(8)
     }
 
     fn tiny_sim() -> Simulation {
-        Simulation { warmup_instructions: 60_000, measure_instructions: 150_000 }
+        Simulation {
+            warmup_instructions: 60_000,
+            measure_instructions: 150_000,
+        }
     }
 
     fn tmp(tag: &str) -> PathBuf {
@@ -443,7 +493,11 @@ mod tests {
         checkpoint: Option<Arc<Checkpoint>>,
         fault_cell: Option<usize>,
     ) -> EngineOptions {
-        EngineOptions { checkpoint, fault_cell, ..EngineOptions::basic(threads) }
+        EngineOptions {
+            checkpoint,
+            fault_cell,
+            ..EngineOptions::basic(threads)
+        }
     }
 
     fn tsl64() -> Box<dyn SimPredictor> {
@@ -461,14 +515,21 @@ mod tests {
 
     /// A run that must have completed.
     fn completed(run: &RunResult) -> &RunResult {
-        assert!(!run.is_failed(), "cell {} × {} failed: {:?}", run.name, run.workload, run.error);
+        assert!(
+            !run.is_failed(),
+            "cell {} × {} failed: {:?}",
+            run.name,
+            run.workload,
+            run.error
+        );
         run
     }
 
     #[test]
     fn run_jobs_preserves_submission_order() {
-        let jobs: Vec<BoxedJob<'_, usize>> =
-            (0..17usize).map(|i| Box::new(move || i * i) as BoxedJob<'_, usize>).collect();
+        let jobs: Vec<BoxedJob<'_, usize>> = (0..17usize)
+            .map(|i| Box::new(move || i * i) as BoxedJob<'_, usize>)
+            .collect();
         let results = run_jobs_with(4, jobs);
         assert_eq!(results, (0..17).map(|i| i * i).collect::<Vec<_>>());
     }
@@ -476,8 +537,10 @@ mod tests {
     #[test]
     fn run_jobs_borrows_from_the_caller() {
         let inputs = [1u64, 2, 3];
-        let jobs: Vec<BoxedJob<'_, u64>> =
-            inputs.iter().map(|v| Box::new(move || v + 10) as BoxedJob<'_, u64>).collect();
+        let jobs: Vec<BoxedJob<'_, u64>> = inputs
+            .iter()
+            .map(|v| Box::new(move || v + 10) as BoxedJob<'_, u64>)
+            .collect();
         assert_eq!(run_jobs_with(2, jobs), vec![11, 12, 13]);
     }
 
@@ -547,8 +610,14 @@ mod tests {
             for (index, cell) in report.rows[0].iter().enumerate() {
                 let error = error_of(cell);
                 assert_eq!(cell.workload, "bad");
-                assert!(error.starts_with(&format!("matrix cell {index} (")), "{error}");
-                assert!(error.contains("failed: invalid workload spec `bad`"), "{error}");
+                assert!(
+                    error.starts_with(&format!("matrix cell {index} (")),
+                    "{error}"
+                );
+                assert!(
+                    error.contains("failed: invalid workload spec `bad`"),
+                    "{error}"
+                );
             }
             for (parallel, serial) in report.rows[1].iter().zip(&serial) {
                 assert_same_run(completed(parallel), serial);
@@ -560,34 +629,63 @@ mod tests {
     fn an_invalid_spec_is_rejected_structurally() {
         let bad = WorkloadSpec::new("bad", 1).with_request_types(0);
         let reason = bad.validate().expect_err("zero request types is invalid");
-        let expected = SimError::InvalidSpec { workload: "bad".into(), reason }.to_string();
+        let expected = SimError::InvalidSpec {
+            workload: "bad".into(),
+            reason,
+        }
+        .to_string();
         let designs = [design("64K TSL", tsl64)];
         let report = run_matrix(&tiny_sim(), &[bad], &designs, EngineOptions::basic(1));
         let run = &report.rows[0][0];
-        assert_eq!(error_of(run), format!("matrix cell 0 (64K TSL × bad) failed: {expected}"));
-        assert_eq!(run.name, "64K TSL", "a failed run carries its design's name");
+        assert_eq!(
+            error_of(run),
+            format!("matrix cell 0 (64K TSL × bad) failed: {expected}")
+        );
+        assert_eq!(
+            run.name, "64K TSL",
+            "a failed run carries its design's name"
+        );
     }
 
     #[test]
     fn fault_cells_keep_their_flat_index_across_rows() {
         let specs = [tiny_spec("flat-a", 37), tiny_spec("flat-b", 41)];
         let designs: Vec<Design> = (0..5).map(|i| design(format!("TSL {i}"), tsl64)).collect();
-        let sim = Simulation { warmup_instructions: 10_000, measure_instructions: 20_000 };
+        let sim = Simulation {
+            warmup_instructions: 10_000,
+            measure_instructions: 20_000,
+        };
         let report = run_matrix(&sim, &specs, &designs, with_fault(2, None, Some(5)));
         assert_eq!(report.failed_cells(), 1);
         let run = &report.rows[1][0];
         let error = error_of(run);
         assert_eq!(run.workload, "flat-b", "cell 5 opens row 1");
-        assert!(error.starts_with("matrix cell 5 (TSL 0 × flat-b)"), "{error}");
+        assert!(
+            error.starts_with("matrix cell 5 (TSL 0 × flat-b)"),
+            "{error}"
+        );
         assert!(error.contains(ENV_FAULT_CELL), "{error}");
-        assert!(report.rows.iter().flatten().filter(|run| !run.is_failed()).count() == 9);
+        assert!(
+            report
+                .rows
+                .iter()
+                .flatten()
+                .filter(|run| !run.is_failed())
+                .count()
+                == 9
+        );
     }
 
     #[test]
     fn worker_profiles_travel_with_their_runs() {
         let sim = tiny_sim();
         let designs = [design("LLBP a", llbp), design("LLBP b", llbp)];
-        let report = run_matrix(&sim, &[tiny_spec("prof", 5)], &designs, EngineOptions::basic(4));
+        let report = run_matrix(
+            &sim,
+            &[tiny_spec("prof", 5)],
+            &designs,
+            EngineOptions::basic(4),
+        );
         for output in report.rows.iter().flatten() {
             let output = completed(output);
             let named: Vec<&str> = output.profile.iter().map(|s| s.name).collect();
@@ -610,14 +708,24 @@ mod tests {
                 design("boom", || panic!("factory exploded on purpose")),
                 design("ok b", tsl64),
             ];
-            let report =
-                run_matrix(&sim, std::slice::from_ref(&spec), &designs, EngineOptions::basic(threads));
+            let report = run_matrix(
+                &sim,
+                std::slice::from_ref(&spec),
+                &designs,
+                EngineOptions::basic(threads),
+            );
             assert_eq!(report.failed_cells(), 1);
             let row = &report.rows[0];
             let error = error_of(&row[1]);
-            assert!(error.starts_with("matrix cell 1 (boom × iso) failed:"), "{error}");
+            assert!(
+                error.starts_with("matrix cell 1 (boom × iso) failed:"),
+                "{error}"
+            );
             assert_eq!(row[1].workload, spec.name);
-            assert_eq!(row[1].name, "boom", "the factory never produced a predictor label");
+            assert_eq!(
+                row[1].name, "boom",
+                "the factory never produced a predictor label"
+            );
             assert!(error.contains("factory exploded"), "{error}");
             for i in [0usize, 2] {
                 let ok = completed(&row[i]);
@@ -630,11 +738,19 @@ mod tests {
     fn fault_injection_fails_exactly_the_chosen_cell() {
         let sim = tiny_sim();
         let specs = [tiny_spec("fault", 13)];
-        let report = run_matrix(&sim, &specs, &standard_designs(), with_fault(2, None, Some(1)));
+        let report = run_matrix(
+            &sim,
+            &specs,
+            &standard_designs(),
+            with_fault(2, None, Some(1)),
+        );
         assert_eq!(report.failed_cells(), 1);
         let run = &report.rows[0][1];
         assert!(error_of(run).contains(ENV_FAULT_CELL), "{}", error_of(run));
-        assert_eq!(run.name, "LLBP", "run-stage failures carry the design's name");
+        assert_eq!(
+            run.name, "LLBP",
+            "run-stage failures carry the design's name"
+        );
         assert!(!report.rows[0][0].is_failed());
     }
 
@@ -680,7 +796,10 @@ mod tests {
         assert_eq!(third.resumed_cells(), 2);
 
         // A different budget changes every fingerprint: nothing restores.
-        let other = Simulation { warmup_instructions: 50_000, ..sim };
+        let other = Simulation {
+            warmup_instructions: 50_000,
+            ..sim
+        };
         let cp = Arc::new(Checkpoint::open(&path).expect("journal reopens once more"));
         let fourth = run_matrix(&other, &specs, &designs, with_fault(2, Some(cp), None));
         assert_eq!(fourth.resumed_cells(), 0, "stale fingerprints never match");
@@ -697,14 +816,21 @@ mod tests {
         let Some(deep) = source.deep_contexts.clone() else {
             panic!("`{}` decides no depths", source.name);
         };
-        let cfg = LlbpConfig { label: "LLBP-X Opt-W".to_owned(), ..LlbpConfig::llbpx() };
+        let cfg = LlbpConfig {
+            label: "LLBP-X Opt-W".to_owned(),
+            ..LlbpConfig::llbpx()
+        };
         Box::new(Llbp::with_oracle(cfg, deep))
     }
 
     /// A dependent design between two independent ones, so its cells'
     /// claim order differs from their index.
     fn dependent_designs() -> [Design; 3] {
-        [design("LLBP-X", llbpx), design_after("Opt-W", "LLBP-X", opt_w), design("64K TSL", tsl64)]
+        [
+            design("LLBP-X", llbpx),
+            design_after("Opt-W", "LLBP-X", opt_w),
+            design("64K TSL", tsl64),
+        ]
     }
 
     #[test]
@@ -727,11 +853,16 @@ mod tests {
             let seen = Arc::clone(&received);
             let opt_w = move |source: &RunResult| {
                 let run = (source.workload.clone(), source.mispredicts);
-                seen.lock().unwrap_or_else(PoisonError::into_inner).push(run);
+                seen.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(run);
                 opt_w(source)
             };
-            let designs =
-                [design("LLBP-X", llbpx), design_after("Opt-W", "LLBP-X", opt_w), design("64K TSL", tsl64)];
+            let designs = [
+                design("LLBP-X", llbpx),
+                design_after("Opt-W", "LLBP-X", opt_w),
+                design("64K TSL", tsl64),
+            ];
             let report = run_matrix(&sim, &specs, &designs, EngineOptions::basic(threads));
             assert_eq!(report.failed_cells(), 0);
             let mut received =
@@ -739,7 +870,10 @@ mod tests {
             received.sort();
             let source = |row: &Vec<RunResult>| (row[0].workload.clone(), row[0].mispredicts);
             let sources: Vec<_> = report.rows.iter().map(source).collect();
-            assert_eq!(received, sources, "each dependent is handed its own row's run");
+            assert_eq!(
+                received, sources,
+                "each dependent is handed its own row's run"
+            );
             for (row, serial_row) in report.rows.iter().zip(&serial) {
                 for (parallel, serial) in row.iter().zip(serial_row) {
                     assert_same_run(completed(parallel), serial);
@@ -759,11 +893,17 @@ mod tests {
             assert_eq!(report.failed_cells(), 2);
             let run = &report.rows[0][1];
             let error = error_of(run);
-            assert!(error.starts_with("matrix cell 1 (Opt-W × dep-fault)"), "{error}");
+            assert!(
+                error.starts_with("matrix cell 1 (Opt-W × dep-fault)"),
+                "{error}"
+            );
             assert_eq!(run.storage_bits, 0, "it was never built");
             assert!(error.contains("source cell 0 (`LLBP-X`) failed"), "{error}");
             assert!(error.contains(ENV_FAULT_CELL), "{error}");
-            assert!(!report.rows[0][2].is_failed(), "an unrelated cell still completes");
+            assert!(
+                !report.rows[0][2].is_failed(),
+                "an unrelated cell still completes"
+            );
         }
     }
 
@@ -780,14 +920,19 @@ mod tests {
         let report = run_matrix(&sim, &specs, &dependent_designs(), opts);
         assert_eq!(report.failed_cells(), 1);
         let error = error_of(&report.rows[1][1]);
-        assert!(error.starts_with("matrix cell 4 (Opt-W × order-b)"), "{error}");
+        assert!(
+            error.starts_with("matrix cell 4 (Opt-W × order-b)"),
+            "{error}"
+        );
         assert!(error.contains(ENV_FAULT_CELL), "{error}");
 
         let journal = std::fs::read_to_string(&path).expect("the journal was written");
         let _ = std::fs::remove_file(&path);
         let fingerprint = |line: &str| {
             let line = telemetry::Json::parse(line).expect("a journal line is JSON");
-            line.get("fingerprint").and_then(telemetry::Json::as_str).map(str::to_owned)
+            line.get("fingerprint")
+                .and_then(telemetry::Json::as_str)
+                .map(str::to_owned)
         };
         let mut journaled: Vec<_> = journal.lines().map(fingerprint).collect();
         let mut expected = Vec::new();
@@ -810,7 +955,12 @@ mod tests {
     #[should_panic(expected = "`Opt-W` depends on `LLBP-X`, which is no independent cell")]
     fn a_dependent_needs_an_independent_source_in_its_row() {
         let designs = [design_after("Opt-W", "LLBP-X", opt_w)];
-        let _ = run_matrix(&tiny_sim(), &[tiny_spec("no-source", 1)], &designs, EngineOptions::basic(1));
+        let _ = run_matrix(
+            &tiny_sim(),
+            &[tiny_spec("no-source", 1)],
+            &designs,
+            EngineOptions::basic(1),
+        );
     }
 
     #[test]
@@ -828,14 +978,26 @@ mod tests {
             let designs = [design(format!("LLBP-X H_th={h_th}"), move || {
                 Box::new(Llbp::new(cfg.clone())) as Box<dyn SimPredictor>
             })];
-            run_matrix(&sim, std::slice::from_ref(&spec), &designs, with_fault(1, Some(cp), None))
+            run_matrix(
+                &sim,
+                std::slice::from_ref(&spec),
+                &designs,
+                with_fault(1, Some(cp), None),
+            )
         };
         let first = sweep(112);
         let second = sweep(522);
         let _ = std::fs::remove_file(&path);
         let (a, b) = (completed(&first.rows[0][0]), completed(&second.rows[0][0]));
         assert_eq!((a.name.as_str(), b.name.as_str()), ("LLBP-X", "LLBP-X"));
-        assert_eq!(a.storage_bits, b.storage_bits, "the collision needs equal storage");
-        assert_eq!(second.resumed_cells(), 0, "a different H_th must not restore");
+        assert_eq!(
+            a.storage_bits, b.storage_bits,
+            "the collision needs equal storage"
+        );
+        assert_eq!(
+            second.resumed_cells(),
+            0,
+            "a different H_th must not restore"
+        );
     }
 }

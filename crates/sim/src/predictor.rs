@@ -80,8 +80,14 @@ mod tests {
         let llbp = Llbp::new(LlbpConfig::paper_baseline());
         assert!(llbp.observe().llbp.is_some());
         assert!(llbp.observe().pb_occupancy.is_some());
-        assert!(llbp.observe().depth_decisions.is_none(), "plain LLBP decides no depths");
-        assert!(Llbp::new(LlbpConfig::llbpx()).observe().depth_decisions.is_some());
+        assert!(
+            llbp.observe().depth_decisions.is_none(),
+            "plain LLBP decides no depths"
+        );
+        assert!(Llbp::new(LlbpConfig::llbpx())
+            .observe()
+            .depth_decisions
+            .is_some());
     }
 
     #[test]

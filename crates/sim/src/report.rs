@@ -156,7 +156,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "row arity mismatch in table \"demo\": header has 2 columns, row has 1 cells")]
+    #[should_panic(
+        expected = "row arity mismatch in table \"demo\": header has 2 columns, row has 1 cells"
+    )]
     fn mismatched_rows_are_rejected() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(["only one".into()]);

@@ -100,7 +100,11 @@ impl RunResult {
             for (name, value) in stats.counters() {
                 counters = counters.set(name, value);
             }
-            histogram = stats.alloc_len_histogram.iter().map(|&v| Json::from(v)).collect();
+            histogram = stats
+                .alloc_len_histogram
+                .iter()
+                .map(|&v| Json::from(v))
+                .collect();
         }
         let j = Json::obj()
             .set("predictor", self.name.as_str())
@@ -117,7 +121,10 @@ impl RunResult {
             .set("alloc_len_histogram", histogram);
         let j = match &self.deep_contexts {
             Some(deep) => {
-                let hex: Vec<Json> = deep.iter().map(|cid| format!("{cid:016x}").into()).collect();
+                let hex: Vec<Json> = deep
+                    .iter()
+                    .map(|cid| format!("{cid:016x}").into())
+                    .collect();
                 j.set("deep_contexts", hex)
             }
             None => j,
@@ -151,7 +158,11 @@ impl RunResult {
         let llbp = if *counters == Json::obj() {
             None
         } else {
-            let histogram = j.get("alloc_len_histogram")?.as_arr()?.iter().map(Json::as_u64);
+            let histogram = j
+                .get("alloc_len_histogram")?
+                .as_arr()?
+                .iter()
+                .map(Json::as_u64);
             Some(LlbpStats {
                 alloc_len_histogram: histogram.collect::<Option<Vec<_>>>()?.try_into().ok()?,
                 ..LlbpStats::from_counters(|name| counters.get(name)?.as_u64())?
@@ -164,7 +175,11 @@ impl RunResult {
             }
             None => None,
         };
-        let intervals = j.get("intervals")?.as_arr()?.iter().map(IntervalSample::from_json);
+        let intervals = j
+            .get("intervals")?
+            .as_arr()?
+            .iter()
+            .map(IntervalSample::from_json);
         Some(RunResult {
             name: j.get("predictor")?.as_str()?.to_owned(),
             workload: j.get("workload")?.as_str()?.to_owned(),
@@ -220,7 +235,10 @@ impl Simulation {
     /// committed `results/*.txt` file was recorded at, so a bare run of a
     /// binary prints its committed table.
     pub fn quick() -> Self {
-        Simulation { warmup_instructions: 4_000_000, measure_instructions: 8_000_000 }
+        Simulation {
+            warmup_instructions: 4_000_000,
+            measure_instructions: 8_000_000,
+        }
     }
 
     /// Reads `REPRO_WARMUP` / `REPRO_INSTRUCTIONS` from the environment
@@ -246,9 +264,19 @@ impl Simulation {
     ///
     /// Panics with [`SimError::InvalidSpec`]'s message if `spec` fails
     /// validation.
-    pub fn run<P: SimPredictor + ?Sized>(&self, predictor: &mut P, spec: &WorkloadSpec) -> RunResult {
+    pub fn run<P: SimPredictor + ?Sized>(
+        &self,
+        predictor: &mut P,
+        spec: &WorkloadSpec,
+    ) -> RunResult {
         let mut stream = ServerWorkload::try_new(spec).unwrap_or_else(|reason| {
-            panic!("{}", SimError::InvalidSpec { workload: spec.name.clone(), reason })
+            panic!(
+                "{}",
+                SimError::InvalidSpec {
+                    workload: spec.name.clone(),
+                    reason
+                }
+            )
         });
         self.run_stream(predictor, &mut stream, &spec.name)
     }
@@ -265,7 +293,9 @@ impl Simulation {
         // Warmup.
         let mut elapsed = 0u64;
         while elapsed < self.warmup_instructions {
-            let Some(rec) = stream.next_branch() else { break };
+            let Some(rec) = stream.next_branch() else {
+                break;
+            };
             elapsed += rec.instructions();
             predictor.process(PredictInput::new(&rec));
         }
@@ -275,16 +305,17 @@ impl Simulation {
 
         // Measurement, with the bimodal shadow for the overriding model.
         let mut shadow = Bimodal::new(13);
-        let mut recorder = IntervalRecorder::new(telemetry::record::interval_width(
-            self.measure_instructions,
-        ));
+        let mut recorder =
+            IntervalRecorder::new(telemetry::record::interval_width(self.measure_instructions));
         let mut result = RunResult {
             name: predictor.name(),
             workload: workload.to_owned(),
             ..RunResult::default()
         };
         while result.instructions < self.measure_instructions {
-            let Some(rec) = stream.next_branch() else { break };
+            let Some(rec) = stream.next_branch() else {
+                break;
+            };
             result.instructions += rec.instructions();
             let update = predictor.process(PredictInput::new(&rec));
             if let Some(pred) = update.pred {
@@ -320,7 +351,10 @@ impl Simulation {
             None => end.clone(),
         });
         result.deep_contexts = predictor.observe().depth_decisions.map(|decisions| {
-            let deep = decisions.iter().filter(|&(_, &deep)| deep).map(|(&cid, _)| cid);
+            let deep = decisions
+                .iter()
+                .filter(|&(_, &deep)| deep)
+                .map(|(&cid, _)| cid);
             let mut deep: Vec<u64> = deep.collect();
             deep.sort_unstable();
             deep
@@ -376,18 +410,26 @@ mod tests {
     use traces::VecTrace;
 
     fn tiny_spec() -> WorkloadSpec {
-        WorkloadSpec::new("tiny", 3).with_request_types(64).with_handlers(8)
+        WorkloadSpec::new("tiny", 3)
+            .with_request_types(64)
+            .with_handlers(8)
     }
 
     fn tiny_sim() -> Simulation {
-        Simulation { warmup_instructions: 100_000, measure_instructions: 200_000 }
+        Simulation {
+            warmup_instructions: 100_000,
+            measure_instructions: 200_000,
+        }
     }
 
     #[test]
     fn measures_the_requested_instruction_budget() {
         let r = tiny_sim().run(&mut TageScl::new(TslConfig::kilobytes(64)), &tiny_spec());
         assert!(r.instructions >= 200_000);
-        assert!(r.instructions < 220_000, "should stop promptly after the budget");
+        assert!(
+            r.instructions < 220_000,
+            "should stop promptly after the budget"
+        );
         assert!(r.cond_branches > 10_000);
         assert!(r.mpki() > 0.0);
     }
@@ -419,15 +461,24 @@ mod tests {
             mispredicts: 10,
             ..RunResult::default()
         };
-        let better = RunResult { mispredicts: 8, ..base.clone() };
-        let worse = RunResult { mispredicts: 12, ..base.clone() };
+        let better = RunResult {
+            mispredicts: 8,
+            ..base.clone()
+        };
+        let worse = RunResult {
+            mispredicts: 12,
+            ..base.clone()
+        };
         assert!(better.reduction_vs(&base) > 0.0);
         assert!(worse.reduction_vs(&base) < 0.0);
     }
 
     #[test]
     fn exhausted_streams_end_the_run_gracefully() {
-        let sim = Simulation { warmup_instructions: 0, measure_instructions: u64::MAX };
+        let sim = Simulation {
+            warmup_instructions: 0,
+            measure_instructions: u64::MAX,
+        };
         let mut trace = VecTrace::new(vec![
             traces::BranchRecord::cond(0x10, 0x20, true, 4),
             traces::BranchRecord::cond(0x10, 0x20, false, 4),
@@ -442,9 +493,15 @@ mod tests {
         let sim = tiny_sim();
         let r = sim.run(&mut Llbp::new(LlbpConfig::paper_baseline()), &tiny_spec());
         assert!(r.wall_seconds > 0.0);
-        assert!(r.intervals.len() >= 2, "default width is an eighth of the budget");
+        assert!(
+            r.intervals.len() >= 2,
+            "default width is an eighth of the budget"
+        );
         let total_interval_mispredicts: u64 = r.intervals.iter().map(|s| s.mispredicts).sum();
-        assert_eq!(total_interval_mispredicts, r.mispredicts, "intervals partition the run");
+        assert_eq!(
+            total_interval_mispredicts, r.mispredicts,
+            "intervals partition the run"
+        );
         assert!(
             r.intervals.iter().all(|s| s.pb_occupancy.is_some()),
             "LLBP runs carry the occupancy gauge"
@@ -464,8 +521,14 @@ mod tests {
         assert!(r.intervals.len() >= 2);
         let json = r.to_json(&sim);
         let get = |key: &str| json.get(key).unwrap();
-        assert_eq!(get("warmup_instructions").as_u64(), Some(sim.warmup_instructions));
-        assert_eq!(get("measure_instructions").as_u64(), Some(sim.measure_instructions));
+        assert_eq!(
+            get("warmup_instructions").as_u64(),
+            Some(sim.warmup_instructions)
+        );
+        assert_eq!(
+            get("measure_instructions").as_u64(),
+            Some(sim.measure_instructions)
+        );
         assert_eq!(get("intervals").as_arr().unwrap().len(), r.intervals.len());
         assert_eq!(get("profile").as_arr().unwrap().len(), r.profile.len());
         assert_eq!(
@@ -484,7 +547,9 @@ mod tests {
     fn run_records_round_trip_through_from_json() {
         let sim = tiny_sim();
         let strip_profile = |j: Json| match j {
-            Json::Obj(fields) => Json::Obj(fields.into_iter().filter(|(k, _)| k != "profile").collect()),
+            Json::Obj(fields) => {
+                Json::Obj(fields.into_iter().filter(|(k, _)| k != "profile").collect())
+            }
             other => other,
         };
         let designs: [Box<dyn SimPredictor>; 4] = [
@@ -499,37 +564,55 @@ mod tests {
             let back = RunResult::from_json(&json).expect("a completed run restores");
             assert_eq!(back.llbp.is_some(), run.llbp.is_some(), "{}", run.name);
             assert_eq!(back.storage_bits, run.storage_bits);
-            assert_eq!(strip_profile(back.to_json(&sim)), strip_profile(json), "{}", run.name);
+            assert_eq!(
+                strip_profile(back.to_json(&sim)),
+                strip_profile(json),
+                "{}",
+                run.name
+            );
         }
     }
 
     #[test]
     fn statuses_map_to_labels_and_placeholders() {
         let json = |r: &RunResult| Json::parse(&r.to_json(&tiny_sim()).to_string()).unwrap();
-        let resumed = RunResult { resumed: true, ..RunResult::default() };
+        let resumed = RunResult {
+            resumed: true,
+            ..RunResult::default()
+        };
         assert!(!resumed.is_failed());
         let j = json(&resumed);
         assert_eq!(j.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(j.get("resumed"), Some(&Json::Bool(true)));
         assert!(RunResult::from_json(&j).unwrap().resumed);
         let error = Some("boom".to_owned());
-        let r = RunResult { name: "LLBP".into(), workload: "w".into(), error, ..RunResult::default() };
+        let r = RunResult {
+            name: "LLBP".into(),
+            workload: "w".into(),
+            error,
+            ..RunResult::default()
+        };
         assert!(r.is_failed());
         assert_eq!((r.name.as_str(), r.workload.as_str()), ("LLBP", "w"));
         assert_eq!(r.error.as_deref(), Some("boom"));
         let j = json(&r);
         assert_eq!(j.get("status").and_then(Json::as_str), Some("failed"));
         assert_eq!(j.get("error").and_then(Json::as_str), Some("boom"));
-        assert!(j.get("storage_bits").is_none(), "a failed run has no storage");
-        assert!(RunResult::from_json(&j).is_none(), "only completed runs restore");
+        assert!(
+            j.get("storage_bits").is_none(),
+            "a failed run has no storage"
+        );
+        assert!(
+            RunResult::from_json(&j).is_none(),
+            "only completed runs restore"
+        );
     }
 
     #[test]
     fn from_env_falls_back_to_quick() {
         // Only checks the fallback path (environment mutation is unsafe in
         // multithreaded test runs).
-        if std::env::var("REPRO_WARMUP").is_err() && std::env::var("REPRO_INSTRUCTIONS").is_err()
-        {
+        if std::env::var("REPRO_WARMUP").is_err() && std::env::var("REPRO_INSTRUCTIONS").is_err() {
             assert_eq!(Simulation::from_env(), Simulation::quick());
         }
     }

@@ -66,7 +66,10 @@ impl CoreParams {
     /// The overriding-pipeline variant of the Table II core (§VII-C):
     /// 3-cycle redirect whenever TAGE/SC overturns the 1-cycle guess.
     pub fn paper_table2_overriding() -> Self {
-        CoreParams { override_bubble: 3.0, ..CoreParams::paper_table2() }
+        CoreParams {
+            override_bubble: 3.0,
+            ..CoreParams::paper_table2()
+        }
     }
 
     /// Total cycles to retire `instructions` with the given event counts.
@@ -93,8 +96,11 @@ impl CoreParams {
     /// available in the first cycle (the runner consults the predictor's
     /// pattern buffer per branch, §VII-D.2).
     pub fn cycles_for(&self, result: &RunResult) -> f64 {
-        let overrides =
-            if self.override_bubble > 0.0 { result.override_candidates } else { 0 };
+        let overrides = if self.override_bubble > 0.0 {
+            result.override_candidates
+        } else {
+            0
+        };
         self.cycles(result.instructions, result.mispredicts, overrides)
     }
 

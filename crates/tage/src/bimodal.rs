@@ -30,8 +30,14 @@ impl Bimodal {
     ///
     /// Panics if `log2_entries` exceeds 28 (a guard against typo sizes).
     pub fn new(log2_entries: u32) -> Self {
-        assert!(log2_entries <= 28, "bimodal log2_entries {log2_entries} too large");
-        Bimodal { counters: vec![-1; 1 << log2_entries], mask: (1 << log2_entries) - 1 }
+        assert!(
+            log2_entries <= 28,
+            "bimodal log2_entries {log2_entries} too large"
+        );
+        Bimodal {
+            counters: vec![-1; 1 << log2_entries],
+            mask: (1 << log2_entries) - 1,
+        }
     }
 
     #[inline]
@@ -103,7 +109,10 @@ mod tests {
             b.update(0x40, true);
         }
         b.update(0x40, false); // weakly taken now
-        assert!(b.predict(0x40), "one contrary outcome must not flip a saturated counter");
+        assert!(
+            b.predict(0x40),
+            "one contrary outcome must not flip a saturated counter"
+        );
         b.update(0x40, false);
         assert!(!b.predict(0x40));
     }

@@ -68,14 +68,20 @@ impl TageConfig {
 
     /// Scales the tagged tables to `log2_entries` entries per table.
     pub fn with_log2_entries(mut self, log2_entries: u32) -> Self {
-        assert!((5..=20).contains(&log2_entries), "log2_entries out of range");
+        assert!(
+            (5..=20).contains(&log2_entries),
+            "log2_entries out of range"
+        );
         self.log2_entries = log2_entries;
         self
     }
 
     /// Switches to the idealized infinite organization.
     pub fn infinite() -> Self {
-        TageConfig { storage: TableStorageKind::Infinite, ..TageConfig::base_64k() }
+        TageConfig {
+            storage: TableStorageKind::Infinite,
+            ..TageConfig::base_64k()
+        }
     }
 
     /// Tag width of table `t`.
@@ -84,7 +90,11 @@ impl TageConfig {
     ///
     /// Panics if the width is 0 or exceeds [`MAX_TAG_BITS`].
     pub fn tag_bits(&self, t: usize) -> u32 {
-        let bits = if t < self.short_tables { self.short_tag_bits } else { self.long_tag_bits };
+        let bits = if t < self.short_tables {
+            self.short_tag_bits
+        } else {
+            self.long_tag_bits
+        };
         assert!(
             (1..=MAX_TAG_BITS).contains(&bits),
             "TAGE tag width {bits} outside 1..={MAX_TAG_BITS}"
@@ -182,7 +192,10 @@ mod tests {
     #[test]
     fn paper_cited_lengths_are_present() {
         for cited in [6, 17, 37, 78, 112, 232, 1444, 3000] {
-            assert!(HISTORY_LENGTHS.contains(&cited), "missing paper length {cited}");
+            assert!(
+                HISTORY_LENGTHS.contains(&cited),
+                "missing paper length {cited}"
+            );
         }
     }
 
@@ -204,7 +217,10 @@ mod tests {
         let kib = bits as f64 / 8.0 / 1024.0;
         // Tagged tables plus bimodal; SC and loop add a few KiB on top in
         // the full TSL. The class is what matters.
-        assert!((30.0..=64.0).contains(&kib), "64K-class TAGE was {kib:.1} KiB");
+        assert!(
+            (30.0..=64.0).contains(&kib),
+            "64K-class TAGE was {kib:.1} KiB"
+        );
     }
 
     #[test]
@@ -240,7 +256,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "tag width 16")]
     fn tags_wider_than_an_entry_slot_are_rejected() {
-        let c = TageConfig { long_tag_bits: 16, ..TageConfig::base_64k() };
+        let c = TageConfig {
+            long_tag_bits: 16,
+            ..TageConfig::base_64k()
+        };
         let _ = c.tag_bits(NUM_TABLES - 1);
     }
 }

@@ -97,15 +97,28 @@ mod tests {
 
     #[test]
     fn hashes_are_deterministic_and_separate_keys() {
-        assert_eq!(hash(&(3u32, 0x5au16, 0x1000u64)), hash(&(3u32, 0x5au16, 0x1000u64)));
-        assert_ne!(hash(&(3u32, 0x5au16, 0x1000u64)), hash(&(3u32, 0x5au16, 0x1004u64)));
-        assert_ne!(hash(&(3u32, 0x5au16, 0x1000u64)), hash(&(0x5au32, 3u16, 0x1000u64)));
+        assert_eq!(
+            hash(&(3u32, 0x5au16, 0x1000u64)),
+            hash(&(3u32, 0x5au16, 0x1000u64))
+        );
+        assert_ne!(
+            hash(&(3u32, 0x5au16, 0x1000u64)),
+            hash(&(3u32, 0x5au16, 0x1004u64))
+        );
+        assert_ne!(
+            hash(&(3u32, 0x5au16, 0x1000u64)),
+            hash(&(0x5au32, 3u16, 0x1000u64))
+        );
         let bytes = |b: &[u8]| {
             let mut h = FastHasher::default();
             h.write(b);
             h.finish()
         };
-        assert_ne!(bytes(&[1, 2, 3]), bytes(&[1, 2, 3, 0]), "a zero tail byte still counts");
+        assert_ne!(
+            bytes(&[1, 2, 3]),
+            bytes(&[1, 2, 3, 0]),
+            "a zero tail byte still counts"
+        );
         assert_ne!(bytes(&[7; 9]), bytes(&[7; 8]));
     }
 
@@ -114,7 +127,11 @@ mod tests {
     #[test]
     fn aligned_keys_spread_over_the_low_bits() {
         let buckets: FastSet<u64> = (0..4096u64).map(|i| hash(&(i << 12)) & 0xff).collect();
-        assert!(buckets.len() > 240, "only {} of 256 low-byte buckets hit", buckets.len());
+        assert!(
+            buckets.len() > 240,
+            "only {} of 256 low-byte buckets hit",
+            buckets.len()
+        );
     }
 
     #[test]

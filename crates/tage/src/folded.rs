@@ -57,7 +57,10 @@ impl FoldedHistory {
             length < crate::history::HISTORY_CAPACITY,
             "folded history length {length} exceeds the history ring"
         );
-        assert!((1..=32).contains(&width), "folded history width {width} unsupported");
+        assert!(
+            (1..=32).contains(&width),
+            "folded history width {width} unsupported"
+        );
         FoldedHistory {
             comp: 0,
             length,
@@ -167,7 +170,10 @@ impl<const N: usize, const K: usize> FoldLanes<N, K> {
             );
         }
         for &width in widths.iter().flatten() {
-            assert!((1..=31).contains(&width), "fold lane width {width} unsupported");
+            assert!(
+                (1..=31).contains(&width),
+                "fold lane width {width} unsupported"
+            );
         }
         let lane = |f: &dyn Fn(usize, u32) -> u32| {
             std::array::from_fn(|k| std::array::from_fn(|i| f(lengths[i], widths[k][i])))
@@ -187,9 +193,8 @@ impl<const N: usize, const K: usize> FoldLanes<N, K> {
     pub fn update(&mut self, history: &GlobalHistory) {
         let inbit = history.bit_unchecked(0) as u32;
         // All ones where the bit leaving length `i`'s window is set.
-        let outgoing: [u32; N] = std::array::from_fn(|i| {
-            (history.bit_unchecked(self.lengths[i]) as u32).wrapping_neg()
-        });
+        let outgoing: [u32; N] =
+            std::array::from_fn(|i| (history.bit_unchecked(self.lengths[i]) as u32).wrapping_neg());
         for (k, comp) in self.comp.iter_mut().enumerate() {
             let (out, wrap, mask) = (&self.out[k], &self.wrap[k], &self.mask[k]);
             for (i, c) in comp.iter_mut().enumerate() {
@@ -263,14 +268,22 @@ mod tests {
     fn fold_changes_when_history_changes() {
         let (_, f1) = drive(64, 12, 4000, 1);
         let (_, f2) = drive(64, 12, 4000, 2);
-        assert_ne!(f1.value(), f2.value(), "different histories should fold differently");
+        assert_ne!(
+            f1.value(),
+            f2.value(),
+            "different histories should fold differently"
+        );
     }
 
     #[test]
     fn reference_matches_incremental() {
         for (len, width) in [(6, 10), (78, 13), (232, 12), (1444, 11)] {
             let (h, f) = drive(len, width, 3500, 0x5eed);
-            assert_eq!(f.value(), f.compute_reference(&h), "len={len} width={width}");
+            assert_eq!(
+                f.value(),
+                f.compute_reference(&h),
+                "len={len} width={width}"
+            );
         }
     }
 
@@ -300,7 +313,13 @@ mod tests {
         let mut lanes = FoldLanes::new(lengths, widths);
         let mut singles: Vec<Vec<FoldedHistory>> = widths
             .iter()
-            .map(|ws| lengths.iter().zip(ws).map(|(&l, &w)| FoldedHistory::new(l, w)).collect())
+            .map(|ws| {
+                lengths
+                    .iter()
+                    .zip(ws)
+                    .map(|(&l, &w)| FoldedHistory::new(l, w))
+                    .collect()
+            })
             .collect();
         let mut x = 0x1234u64 | 1;
         for _ in 0..5000 {

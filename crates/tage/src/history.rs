@@ -42,7 +42,11 @@ pub struct GlobalHistory {
 impl GlobalHistory {
     /// Creates an all-zero history.
     pub fn new() -> Self {
-        GlobalHistory { words: [0; HISTORY_CAPACITY / 64], pushed: 0, recent_word: 0 }
+        GlobalHistory {
+            words: [0; HISTORY_CAPACITY / 64],
+            pushed: 0,
+            recent_word: 0,
+        }
     }
 
     /// Pushes the newest history bit.
@@ -75,8 +79,7 @@ impl GlobalHistory {
     /// register semantics without an explicit `pushed` check.
     #[inline(always)]
     pub fn bit_unchecked(&self, age: usize) -> u64 {
-        let pos =
-            (self.pushed.wrapping_sub(1 + age as u64) as usize) & (HISTORY_CAPACITY - 1);
+        let pos = (self.pushed.wrapping_sub(1 + age as u64) as usize) & (HISTORY_CAPACITY - 1);
         (self.words[pos / 64] >> (pos % 64)) & 1
     }
 

@@ -70,7 +70,10 @@ pub struct LoopPredictor {
 impl LoopPredictor {
     /// Creates a predictor with `2^sets_log2` sets of `ways` entries.
     pub fn new(sets_log2: u32, ways: usize) -> Self {
-        assert!(ways > 0 && sets_log2 <= 12, "unreasonable loop predictor shape");
+        assert!(
+            ways > 0 && sets_log2 <= 12,
+            "unreasonable loop predictor shape"
+        );
         LoopPredictor {
             entries: vec![LoopEntry::default(); (1usize << sets_log2) * ways],
             sets_log2,
@@ -106,15 +109,27 @@ impl LoopPredictor {
     fn hit_info(e: &LoopEntry) -> LoopInfo {
         // `past_iter` taken iterations precede the exit: once the current
         // execution has seen that many, predict the exit.
-        let pred = if e.past_iter > 0 && e.current_iter >= e.past_iter { !e.dir } else { e.dir };
-        LoopInfo { pred, hit: true, confident: e.confidence == CONF_MAX }
+        let pred = if e.past_iter > 0 && e.current_iter >= e.past_iter {
+            !e.dir
+        } else {
+            e.dir
+        };
+        LoopInfo {
+            pred,
+            hit: true,
+            confident: e.confidence == CONF_MAX,
+        }
     }
 
     /// Queries the predictor (no state change).
     pub fn lookup(&self, pc: u64) -> LoopInfo {
         match self.find(pc) {
             Some(i) => Self::hit_info(&self.entries[i]),
-            None => LoopInfo { pred: false, hit: false, confident: false },
+            None => LoopInfo {
+                pred: false,
+                hit: false,
+                confident: false,
+            },
         }
     }
 
@@ -228,7 +243,10 @@ mod tests {
                 lp.update(0x900, taken, taken);
             }
         }
-        assert_eq!(confident_hits, 0, "varying trip count must not gain confidence");
+        assert_eq!(
+            confident_hits, 0,
+            "varying trip count must not gain confidence"
+        );
     }
 
     #[test]

@@ -51,7 +51,10 @@ impl Update {
     /// A conditional prediction from the second (late) pipeline level.
     #[inline]
     pub fn predicted(pred: bool) -> Self {
-        Update { pred: Some(pred), first_cycle: false }
+        Update {
+            pred: Some(pred),
+            first_cycle: false,
+        }
     }
 }
 

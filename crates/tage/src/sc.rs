@@ -98,7 +98,11 @@ impl StatisticalCorrector {
     #[inline]
     fn component_index(&self, comp: usize, pc: u64, input: bool, history: &GlobalHistory) -> usize {
         let len = SC_LENGTHS[comp];
-        let h = if len == 0 { u64::from(input) } else { history.recent(len) };
+        let h = if len == 0 {
+            u64::from(input)
+        } else {
+            history.recent(len)
+        };
         // Spread PC and history across the index domain; constants are odd
         // multiplicative mixers.
         let x = (pc >> 2)
@@ -125,7 +129,12 @@ impl StatisticalCorrector {
             sum += i32::from(self.counters[idx]) * 2 + 1;
         }
         sum += if input { conf.weight() } else { -conf.weight() };
-        ScEval { pred: sum >= 0, sum, decisive: sum.abs() >= self.threshold, indices }
+        ScEval {
+            pred: sum >= 0,
+            sum,
+            decisive: sum.abs() >= self.threshold,
+            indices,
+        }
     }
 
     /// Trains the corrector on the resolved `taken` outcome.
@@ -242,7 +251,10 @@ mod tests {
         }
         let e1 = sc.evaluate(0x4000, false, ScInputConfidence::Low, &h1);
         let e2 = sc.evaluate(0x4000, false, ScInputConfidence::Low, &h2);
-        assert!(e1.sum > e2.sum, "training under h1 must not fully transfer to h2");
+        assert!(
+            e1.sum > e2.sum,
+            "training under h1 must not fully transfer to h2"
+        );
     }
 
     #[test]

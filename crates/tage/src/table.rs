@@ -21,7 +21,11 @@ pub struct TageEntry {
 
 impl TageEntry {
     /// An invalid/empty slot: its tag matches no real tag.
-    pub const EMPTY: TageEntry = TageEntry { tag: u16::MAX, ctr: 0, useful: 0 };
+    pub const EMPTY: TageEntry = TageEntry {
+        tag: u16::MAX,
+        ctr: 0,
+        useful: 0,
+    };
 
     /// Predicted direction (counter sign).
     #[inline]
@@ -94,7 +98,11 @@ impl TaggedTable {
             }
             TableStorageKind::Infinite => TableStorage::Infinite(FastMap::default()),
         };
-        TaggedTable { storage, index_mask: (1 << log2_entries) - 1, tag_bits }
+        TaggedTable {
+            storage,
+            index_mask: (1 << log2_entries) - 1,
+            tag_bits,
+        }
     }
 
     /// Tag width of this table.
@@ -115,9 +123,10 @@ impl TaggedTable {
     pub fn probe(&self, index: u32, tag: u16, pc: u64) -> TageEntry {
         match &self.storage {
             TableStorage::Direct(v) => v[(index & self.index_mask) as usize],
-            TableStorage::Infinite(m) => {
-                m.get(&(index & self.index_mask, tag, pc)).copied().unwrap_or(TageEntry::EMPTY)
-            }
+            TableStorage::Infinite(m) => m
+                .get(&(index & self.index_mask, tag, pc))
+                .copied()
+                .unwrap_or(TageEntry::EMPTY),
         }
     }
 
@@ -159,7 +168,11 @@ impl TaggedTable {
     /// evicting whatever was there (direct) or adding a new entry (infinite).
     #[inline]
     pub fn allocate(&mut self, index: u32, tag: u16, pc: u64, taken: bool) {
-        let mut e = TageEntry { tag, ctr: 0, useful: 0 };
+        let mut e = TageEntry {
+            tag,
+            ctr: 0,
+            useful: 0,
+        };
         e.reset_weak(taken);
         match &mut self.storage {
             TableStorage::Direct(v) => v[(index & self.index_mask) as usize] = e,
@@ -206,7 +219,11 @@ mod tests {
 
     #[test]
     fn entry_train_saturates() {
-        let mut e = TageEntry { tag: 1, ctr: 0, useful: 0 };
+        let mut e = TageEntry {
+            tag: 1,
+            ctr: 0,
+            useful: 0,
+        };
         for _ in 0..10 {
             e.train(true);
         }
@@ -264,7 +281,10 @@ mod tests {
         let mut t = TaggedTable::new(TableStorageKind::Direct, 4, 8);
         t.allocate(3, 0x11, 0x1000, true);
         t.allocate(3, 0x22, 0x2000, false);
-        assert!(hit(&t, 3, 0x11, 0x1000).is_none(), "first entry must be evicted");
+        assert!(
+            hit(&t, 3, 0x11, 0x1000).is_none(),
+            "first entry must be evicted"
+        );
         assert!(hit(&t, 3, 0x22, 0x2000).is_some());
         // Index wraps by the mask.
         assert!(hit(&t, 3 + 16, 0x22, 0x2000).is_some());

@@ -137,8 +137,11 @@ impl Tage {
     #[inline]
     fn compute_keys(&self, pc: u64, indices: &mut [u32; NUM_TABLES], tags: &mut [u16; NUM_TABLES]) {
         let pcs = pc >> 2;
-        let (index_folds, tag_folds, tag_folds2) =
-            (self.folds.lane(INDEX), self.folds.lane(TAG), self.folds.lane(TAG2));
+        let (index_folds, tag_folds, tag_folds2) = (
+            self.folds.lane(INDEX),
+            self.folds.lane(TAG),
+            self.folds.lane(TAG2),
+        );
         for t in 0..NUM_TABLES {
             let k = &self.keys[t];
             let hist_mix = u64::from(index_folds[t]);
@@ -167,11 +170,16 @@ impl Tage {
             hits |= u32::from(entries[t].tag == tags[t]) << t;
         }
         let provider = hits.checked_ilog2().map(|t| t as usize);
-        let alt_provider =
-            provider.and_then(|t| (hits & !(1 << t)).checked_ilog2()).map(|t| t as usize);
+        let alt_provider = provider
+            .and_then(|t| (hits & !(1 << t)).checked_ilog2())
+            .map(|t| t as usize);
 
         let (provider_pred, provider_weak, provider_confident) = match provider {
-            Some(t) => (entries[t].taken(), entries[t].is_weak(), entries[t].is_confident()),
+            Some(t) => (
+                entries[t].taken(),
+                entries[t].is_weak(),
+                entries[t].is_confident(),
+            ),
             None => (self.bimodal.predict(pc), false, self.bimodal.confident(pc)),
         };
         let alt_pred = match alt_provider {
@@ -343,7 +351,10 @@ mod tests {
                 wrong += 1;
             }
         }
-        assert!(wrong < 30, "alternating branch mispredicted {wrong} times after warmup");
+        assert!(
+            wrong < 30,
+            "alternating branch mispredicted {wrong} times after warmup"
+        );
     }
 
     #[test]
@@ -366,7 +377,10 @@ mod tests {
             }
             a_out = a_taken;
         }
-        assert!(wrong < 150, "correlated branch mispredicted {wrong}/2500 times");
+        assert!(
+            wrong < 150,
+            "correlated branch mispredicted {wrong}/2500 times"
+        );
     }
 
     #[test]
@@ -388,7 +402,10 @@ mod tests {
             x ^= x << 17;
             drive(&mut tage, 0x3000, x & 1 == 1);
         }
-        assert!(tage.population() > 50, "mispredictions should allocate entries");
+        assert!(
+            tage.population() > 50,
+            "mispredictions should allocate entries"
+        );
     }
 
     #[test]
@@ -422,7 +439,10 @@ mod tests {
             wrong
         };
         let tiny = run(TageConfig::base_64k().with_log2_entries(5));
-        let infinite = run(TageConfig { storage: TableStorageKind::Infinite, ..TageConfig::base_64k() });
+        let infinite = run(TageConfig {
+            storage: TableStorageKind::Infinite,
+            ..TageConfig::base_64k()
+        });
         assert!(
             infinite < tiny,
             "infinite TAGE ({infinite} misses) must beat a 32-entry TAGE ({tiny} misses)"

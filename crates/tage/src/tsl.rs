@@ -107,7 +107,12 @@ impl TageScl {
         let loop_info = self.loop_info(pc);
         let sc = self.sc_eval(pc, tage.pred, Self::input_confidence(&tage));
         let pred = Self::combine(tage.pred, loop_info, self.loop_pred.enabled(), sc);
-        TslInfo { tage, loop_info, sc, pred }
+        TslInfo {
+            tage,
+            loop_info,
+            sc,
+            pred,
+        }
     }
 
     /// Trains every component on the resolved outcome.
@@ -184,7 +189,9 @@ mod tests {
 
     fn drive(tsl: &mut TageScl, pc: u64, taken: bool) -> bool {
         let rec = BranchRecord::cond(pc, pc + 0x40, taken, 0);
-        tsl.process(PredictInput::new(&rec)).pred.expect("conditional")
+        tsl.process(PredictInput::new(&rec))
+            .pred
+            .expect("conditional")
     }
 
     /// The same branch through a plain TAGE: TSL without its SC and loop

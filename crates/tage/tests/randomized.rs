@@ -4,13 +4,13 @@
 //! Property tests driven by the in-repo deterministic PRNG, so the
 //! workspace needs no registry access.
 
-use telemetry::SplitMix64;
 use tage::folded::FoldLanes;
 use tage::history::HISTORY_CAPACITY;
 use tage::{
-    DirectionPredictor, FoldedHistory, GlobalHistory, PredictInput, TageConfig, TageScl,
-    TslConfig, HISTORY_LENGTHS, NUM_TABLES,
+    DirectionPredictor, FoldedHistory, GlobalHistory, PredictInput, TageConfig, TageScl, TslConfig,
+    HISTORY_LENGTHS, NUM_TABLES,
 };
+use telemetry::SplitMix64;
 use traces::BranchRecord;
 
 fn rand_bits(rng: &mut SplitMix64, min: u64, max: u64) -> Vec<bool> {
@@ -32,7 +32,11 @@ fn folded_history_matches_reference() {
             h.push(b);
             f.update(&h);
         }
-        assert_eq!(f.value(), f.compute_reference(&h), "length {length} width {width}");
+        assert_eq!(
+            f.value(),
+            f.compute_reference(&h),
+            "length {length} width {width}"
+        );
     }
 }
 
@@ -108,7 +112,10 @@ fn tage_fold_lanes_match_reference_at_every_size_class() {
 #[test]
 fn llbp_fold_lanes_match_reference_at_pattern_tag_widths() {
     for tag_bits in [13, 20] {
-        check_lanes([[tag_bits; NUM_TABLES], [tag_bits - 1; NUM_TABLES]], u64::from(tag_bits));
+        check_lanes(
+            [[tag_bits; NUM_TABLES], [tag_bits - 1; NUM_TABLES]],
+            u64::from(tag_bits),
+        );
     }
 }
 
@@ -182,9 +189,17 @@ fn prediction_presence_follows_kind() {
     for _ in 0..64 {
         let kind =
             traces::BranchKind::ALL[rng.next_below(traces::BranchKind::ALL.len() as u64) as usize];
-        let rec =
-            BranchRecord::new(rng.next_u64(), rng.next_u64(), kind, true, rng.next_u64() as u32);
+        let rec = BranchRecord::new(
+            rng.next_u64(),
+            rng.next_u64(),
+            kind,
+            true,
+            rng.next_u64() as u32,
+        );
         let mut tsl = TageScl::new(TslConfig::kilobytes(64));
-        assert_eq!(tsl.process(PredictInput::new(&rec)).pred.is_some(), kind.is_conditional());
+        assert_eq!(
+            tsl.process(PredictInput::new(&rec)).pred.is_some(),
+            kind.is_conditional()
+        );
     }
 }

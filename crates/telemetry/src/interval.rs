@@ -114,7 +114,12 @@ impl IntervalRecorder {
     /// Panics if `every` is zero.
     pub fn new(every: u64) -> Self {
         assert!(every > 0, "interval width must be positive");
-        IntervalRecorder { every, next_at: every, last: IntervalSnapshot::default(), samples: Vec::new() }
+        IntervalRecorder {
+            every,
+            next_at: every,
+            last: IntervalSnapshot::default(),
+            samples: Vec::new(),
+        }
     }
 
     /// Instruction offset of the next interval boundary.
@@ -159,7 +164,13 @@ impl IntervalRecorder {
         let instr = snap.instructions - self.last.instructions;
         let mispredicts = snap.mispredicts - self.last.mispredicts;
         let allocations = snap.allocations - self.last.allocations;
-        let per_kilo = |n: u64| if instr == 0 { 0.0 } else { n as f64 * 1000.0 / instr as f64 };
+        let per_kilo = |n: u64| {
+            if instr == 0 {
+                0.0
+            } else {
+                n as f64 * 1000.0 / instr as f64
+            }
+        };
         self.samples.push(IntervalSample {
             instructions: snap.instructions,
             cond_branches: snap.cond_branches - self.last.cond_branches,
@@ -223,7 +234,10 @@ mod tests {
         r.observe(snap(200, 10));
         let s = r.samples();
         assert_eq!(s[0].mispredicts, 4);
-        assert_eq!(s[1].mispredicts, 6, "second interval holds only its own events");
+        assert_eq!(
+            s[1].mispredicts, 6,
+            "second interval holds only its own events"
+        );
         assert!((s[1].mpki - 60.0).abs() < 1e-9);
     }
 
@@ -246,7 +260,10 @@ mod tests {
             r.observe(snap(i, i / 7));
         }
         let offs: Vec<u64> = r.samples().iter().map(|s| s.instructions).collect();
-        assert!(offs.windows(2).all(|w| w[0] < w[1]), "non-monotone {offs:?}");
+        assert!(
+            offs.windows(2).all(|w| w[0] < w[1]),
+            "non-monotone {offs:?}"
+        );
     }
 
     #[test]
@@ -261,6 +278,9 @@ mod tests {
         let j = r.samples()[0].to_json();
         assert_eq!(j.get("pb_occupancy").unwrap().as_f64(), Some(0.5));
         assert_eq!(j.get("instructions").unwrap().as_i64(), Some(12));
-        assert_eq!(IntervalSample::from_json(&j).as_ref(), Some(&r.samples()[0]));
+        assert_eq!(
+            IntervalSample::from_json(&j).as_ref(),
+            Some(&r.samples()[0])
+        );
     }
 }

@@ -140,7 +140,10 @@ impl Json {
 
     /// Parses a JSON document (the whole input must be one value).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -254,7 +257,10 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> JsonError {
-        JsonError { offset: self.pos, message: message.to_owned() }
+        JsonError {
+            offset: self.pos,
+            message: message.to_owned(),
+        }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -405,9 +411,7 @@ impl<'a> Parser<'a> {
                     }
                     out.push_str(
                         std::str::from_utf8(&self.bytes[start..self.pos])
-                            .unwrap_or_else(|_| {
-                                unreachable!("input was a valid &str")
-                            }),
+                            .unwrap_or_else(|_| unreachable!("input was a valid &str")),
                     );
                 }
             }
@@ -417,8 +421,12 @@ impl<'a> Parser<'a> {
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let b = self.peek().ok_or_else(|| self.err("unterminated \\u escape"))?;
-            let d = (b as char).to_digit(16).ok_or_else(|| self.err("bad hex digit"))?;
+            let b = self
+                .peek()
+                .ok_or_else(|| self.err("unterminated \\u escape"))?;
+            let d = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad hex digit"))?;
             v = v * 16 + d;
             self.pos += 1;
         }
@@ -458,9 +466,10 @@ impl<'a> Parser<'a> {
                 return Ok(Json::Int(i));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| JsonError { offset: start, message: "invalid number".to_owned() })
+        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
+            offset: start,
+            message: "invalid number".to_owned(),
+        })
     }
 }
 
@@ -470,7 +479,10 @@ mod tests {
 
     #[test]
     fn objects_serialize_in_insertion_order() {
-        let j = Json::obj().set("b", 1u64).set("a", "x").set("c", Json::Null);
+        let j = Json::obj()
+            .set("b", 1u64)
+            .set("a", "x")
+            .set("c", Json::Null);
         assert_eq!(j.to_string(), r#"{"b":1,"a":"x","c":null}"#);
     }
 
@@ -489,7 +501,16 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"\\q\"", "1 2", "{\"a\" 1}"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "tru",
+            "\"\\q\"",
+            "1 2",
+            "{\"a\" 1}",
+        ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
@@ -510,9 +531,22 @@ mod tests {
     #[test]
     fn as_u64_rejects_negative_and_fractional_values() {
         let sentinel = Json::parse(&Json::from(u64::MAX).to_string()).unwrap();
-        assert_eq!(sentinel.as_u64(), Some(u64::MAX), "the Inf storage sentinel saturates");
-        assert_eq!((Json::Int(7).as_u64(), Json::Num(3.0).as_u64()), (Some(7), Some(3)));
-        for bad in [Json::Int(-1), Json::Num(-1.0), Json::Num(2.5), Json::Num(1e30), Json::Null] {
+        assert_eq!(
+            sentinel.as_u64(),
+            Some(u64::MAX),
+            "the Inf storage sentinel saturates"
+        );
+        assert_eq!(
+            (Json::Int(7).as_u64(), Json::Num(3.0).as_u64()),
+            (Some(7), Some(3))
+        );
+        for bad in [
+            Json::Int(-1),
+            Json::Num(-1.0),
+            Json::Num(2.5),
+            Json::Num(1e30),
+            Json::Null,
+        ] {
             assert_eq!(bad.as_u64(), None, "{bad:?} must be rejected");
         }
     }

@@ -20,11 +20,11 @@
 
 pub mod interval;
 pub mod json;
-pub mod profile;
 pub mod prng;
+pub mod profile;
 pub mod record;
 
 pub use interval::{IntervalRecorder, IntervalSample, IntervalSnapshot};
 pub use json::Json;
-pub use profile::ScopeTotals;
 pub use prng::SplitMix64;
+pub use profile::ScopeTotals;

@@ -97,7 +97,10 @@ mod tests {
             assert!(v < 10);
             seen[v] = true;
         }
-        assert!(seen.iter().all(|&s| s), "1000 draws should hit all 10 buckets");
+        assert!(
+            seen.iter().all(|&s| s),
+            "1000 draws should hit all 10 buckets"
+        );
     }
 
     #[test]

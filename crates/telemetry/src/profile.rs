@@ -68,7 +68,11 @@ fn slot_mut(totals: &mut Vec<ScopeTotals>, slot: usize) -> &mut ScopeTotals {
     if slot >= totals.len() {
         let names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
         let have = totals.len();
-        let fresh = |&name| ScopeTotals { name, calls: 0, nanos: 0 };
+        let fresh = |&name| ScopeTotals {
+            name,
+            calls: 0,
+            nanos: 0,
+        };
         totals.extend(names[have..=slot].iter().map(fresh));
     }
     &mut totals[slot]
@@ -86,7 +90,10 @@ pub struct ScopeSite {
 impl ScopeSite {
     /// A site for `name`; its slot is resolved on first entry.
     pub const fn new(name: &'static str) -> Self {
-        ScopeSite { name, slot: OnceLock::new() }
+        ScopeSite {
+            name,
+            slot: OnceLock::new(),
+        }
     }
 
     /// Starts timing this site's scope until the returned guard drops.
@@ -147,8 +154,12 @@ impl Drop for ScopeGuard {
 /// Current totals for every scope this thread has entered, sorted by name.
 pub fn snapshot() -> Vec<ScopeTotals> {
     REGISTRY.with(|r| {
-        let mut v: Vec<ScopeTotals> =
-            r.borrow().iter().filter(|t| t.calls > 0 || t.nanos > 0).cloned().collect();
+        let mut v: Vec<ScopeTotals> = r
+            .borrow()
+            .iter()
+            .filter(|t| t.calls > 0 || t.nanos > 0)
+            .cloned()
+            .collect();
         v.sort_by(|a, b| a.name.cmp(b.name));
         v
     })
@@ -163,7 +174,11 @@ pub fn since(before: &[ScopeTotals]) -> Vec<ScopeTotals> {
             let prior = before.iter().find(|b| b.name == now.name);
             let calls = now.calls - prior.map_or(0, |b| b.calls);
             let nanos = now.nanos.saturating_sub(prior.map_or(0, |b| b.nanos));
-            (calls > 0).then_some(ScopeTotals { name: now.name, calls, nanos })
+            (calls > 0).then_some(ScopeTotals {
+                name: now.name,
+                calls,
+                nanos,
+            })
         })
         .collect()
 }
@@ -189,8 +204,14 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let snap = snapshot();
-        let a = snap.iter().find(|t| t.name == "test::a").expect("scope a recorded");
-        let b = snap.iter().find(|t| t.name == "test::b").expect("scope b recorded");
+        let a = snap
+            .iter()
+            .find(|t| t.name == "test::a")
+            .expect("scope a recorded");
+        let b = snap
+            .iter()
+            .find(|t| t.name == "test::b")
+            .expect("scope b recorded");
         assert_eq!(a.calls, 10);
         assert_eq!(b.calls, 1);
         assert!(b.nanos >= 1_000_000, "2ms sleep timed as {}ns", b.nanos);
@@ -235,7 +256,10 @@ mod tests {
             std::hint::black_box(());
         }
         let snap = snapshot();
-        let t = snap.iter().find(|t| t.name == "test::sampled").expect("recorded");
+        let t = snap
+            .iter()
+            .find(|t| t.name == "test::sampled")
+            .expect("recorded");
         assert_eq!(t.calls, SAMPLE_PERIOD * 3 + 5, "every entry counts");
         assert!(t.nanos > 0, "sampled entries accumulate scaled time");
     }
@@ -282,9 +306,15 @@ mod tests {
             // `_live` drops here, after its slot was cleared and reused.
         }
         let snap = snapshot();
-        let other = snap.iter().find(|t| t.name == "test::other").expect("other recorded");
+        let other = snap
+            .iter()
+            .find(|t| t.name == "test::other")
+            .expect("other recorded");
         assert_eq!(other.calls, 1);
-        let live = snap.iter().find(|t| t.name == "test::live").expect("live re-registered");
+        let live = snap
+            .iter()
+            .find(|t| t.name == "test::live")
+            .expect("live re-registered");
         assert!(live.nanos > 0);
     }
 }

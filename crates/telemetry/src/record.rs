@@ -54,10 +54,16 @@ pub fn with_run_sections(
     resumed: bool,
 ) -> Json {
     let profile = profile.iter().map(|s| {
-        Json::obj().set("scope", s.name).set("calls", s.calls).set("nanos", s.nanos)
+        Json::obj()
+            .set("scope", s.name)
+            .set("calls", s.calls)
+            .set("nanos", s.nanos)
     });
     let mut j = run
-        .set("intervals", Json::Arr(intervals.iter().map(IntervalSample::to_json).collect()))
+        .set(
+            "intervals",
+            Json::Arr(intervals.iter().map(IntervalSample::to_json).collect()),
+        )
         .set("profile", Json::Arr(profile.collect()))
         .set("status", if error.is_some() { "failed" } else { "ok" });
     if let Some(error) = error {
@@ -116,7 +122,10 @@ pub fn interval_width(measure_instructions: u64) -> u64 {
 /// Appends `record` as one JSON line to `path` (creating the file if
 /// needed), so successive invocations build a trajectory.
 pub fn append_line(path: &Path, record: &Json) -> std::io::Result<()> {
-    let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
     writeln!(file, "{record}")
 }
 
@@ -142,18 +151,32 @@ mod tests {
             allocs_per_kilo: 50.0,
             pb_occupancy: Some(0.5),
         };
-        let profile = [ScopeTotals { name: "tage::predict", calls: 5, nanos: 1000 }];
+        let profile = [ScopeTotals {
+            name: "tage::predict",
+            calls: 5,
+            nanos: 1000,
+        }];
         let intervals = std::slice::from_ref(&sample);
         let rec = with_run_sections(run, intervals, &profile, None, false).set("cpi", 1.5);
         let j = Json::parse(&rec.to_string()).expect("round-trips");
         assert_eq!(j.get("predictor").unwrap().as_str(), Some("LLBP"));
-        assert_eq!(j.get("counters").unwrap().get("llbp_provided").unwrap().as_i64(), Some(3));
+        assert_eq!(
+            j.get("counters")
+                .unwrap()
+                .get("llbp_provided")
+                .unwrap()
+                .as_i64(),
+            Some(3)
+        );
         let intervals = j.get("intervals").unwrap().as_arr().unwrap();
         assert_eq!(intervals.len(), 1);
         assert_eq!(IntervalSample::from_json(&intervals[0]), Some(sample));
         let profile = j.get("profile").unwrap().as_arr().unwrap();
         assert_eq!(profile.len(), 1);
-        assert_eq!(profile[0].get("scope").unwrap().as_str(), Some("tage::predict"));
+        assert_eq!(
+            profile[0].get("scope").unwrap().as_str(),
+            Some("tage::predict")
+        );
         assert_eq!(profile[0].get("nanos").unwrap().as_u64(), Some(1000));
         assert_eq!(j.get("cpi").unwrap().as_f64(), Some(1.5));
         // No error reads back as status "ok"; optional fields stay off the
@@ -165,7 +188,9 @@ mod tests {
 
     #[test]
     fn failed_and_resumed_records_emit_v2_fields() {
-        let run = Json::obj().set("predictor", "LLBP").set("workload", "NodeApp");
+        let run = Json::obj()
+            .set("predictor", "LLBP")
+            .set("workload", "NodeApp");
         let rec = with_run_sections(run, &[], &[], Some("worker panicked"), true);
         let j = Json::parse(&rec.to_string()).expect("round-trips");
         assert_eq!(j.get("status").unwrap().as_str(), Some("failed"));
@@ -209,7 +234,10 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert_eq!(Json::parse(lines[1]).unwrap().get("run").unwrap().as_i64(), Some(2));
+        assert_eq!(
+            Json::parse(lines[1]).unwrap().get("run").unwrap().as_i64(),
+            Some(2)
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -122,7 +122,13 @@ impl BranchRecord {
             kind.is_conditional() || taken,
             "unconditional branch at {pc:#x} recorded as not taken"
         );
-        BranchRecord { pc, target, kind, taken, instr_gap }
+        BranchRecord {
+            pc,
+            target,
+            kind,
+            taken,
+            instr_gap,
+        }
     }
 
     /// Convenience constructor for a conditional direct branch.
@@ -167,8 +173,10 @@ mod tests {
 
     #[test]
     fn conditional_and_unconditional_partition_kinds() {
-        let conditional: Vec<_> =
-            BranchKind::ALL.iter().filter(|k| k.is_conditional()).collect();
+        let conditional: Vec<_> = BranchKind::ALL
+            .iter()
+            .filter(|k| k.is_conditional())
+            .collect();
         assert_eq!(conditional, [&BranchKind::CondDirect]);
         for kind in BranchKind::ALL {
             assert_ne!(kind.is_conditional(), kind.is_unconditional());

@@ -87,9 +87,18 @@ impl fmt::Display for TraceStats {
         writeln!(f, "instructions        {:>14}", self.instructions)?;
         writeln!(f, "branches            {:>14}", self.branches)?;
         for kind in BranchKind::ALL {
-            writeln!(f, "  {:<6}            {:>14}", kind.to_string(), self.per_kind[kind as usize])?;
+            writeln!(
+                f,
+                "  {:<6}            {:>14}",
+                kind.to_string(),
+                self.per_kind[kind as usize]
+            )?;
         }
-        writeln!(f, "taken rate          {:>13.1}%", self.taken_rate() * 100.0)?;
+        writeln!(
+            f,
+            "taken rate          {:>13.1}%",
+            self.taken_rate() * 100.0
+        )?;
         writeln!(f, "static branches     {:>14}", self.unique_pcs)?;
         write!(f, "static conditionals {:>14}", self.unique_cond_pcs)
     }

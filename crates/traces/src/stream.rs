@@ -45,7 +45,10 @@ impl<S: BranchStream + ?Sized> BranchStream for Box<S> {
 pub trait StreamExt: BranchStream + Sized {
     /// Bounds the stream to at most `n` branch records.
     fn take_branches(self, n: u64) -> Take<Self> {
-        Take { inner: self, remaining: n }
+        Take {
+            inner: self,
+            remaining: n,
+        }
     }
 
     /// Adapts the stream into a standard [`Iterator`].
@@ -286,7 +289,10 @@ mod tests {
             assert_eq!(b.next_branch().as_ref(), Some(expected));
         }
         assert_eq!(a.next_branch(), None);
-        assert!(Arc::ptr_eq(&a.records, &shared.records), "clones share one buffer");
+        assert!(
+            Arc::ptr_eq(&a.records, &shared.records),
+            "clones share one buffer"
+        );
         assert_eq!(shared.len(), 4, "cloned cursors leave the source untouched");
         assert_eq!(shared.records(), &records[..]);
     }

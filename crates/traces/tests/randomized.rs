@@ -31,8 +31,10 @@ fn take_respects_bounds() {
     for _ in 0..128 {
         let records = rand_records(&mut rng, 100);
         let n = rng.next_below(200);
-        let taken: Vec<BranchRecord> =
-            VecTrace::new(records.clone()).take_branches(n).iter().collect();
+        let taken: Vec<BranchRecord> = VecTrace::new(records.clone())
+            .take_branches(n)
+            .iter()
+            .collect();
         let expected: Vec<BranchRecord> = records.into_iter().take(n as usize).collect();
         assert_eq!(taken, expected);
     }

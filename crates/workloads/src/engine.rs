@@ -96,8 +96,7 @@ impl ServerWorkload {
     /// Panics if `spec` fails [`WorkloadSpec::validate`]; use
     /// [`ServerWorkload::try_new`] to handle invalid specs structurally.
     pub fn new(spec: &WorkloadSpec) -> Self {
-        Self::try_new(spec)
-            .unwrap_or_else(|e| panic!("invalid workload spec `{}`: {e}", spec.name))
+        Self::try_new(spec).unwrap_or_else(|e| panic!("invalid workload spec `{}`: {e}", spec.name))
     }
 
     /// Builds the generator, reporting a failed [`WorkloadSpec::validate`]
@@ -108,10 +107,7 @@ impl ServerWorkload {
         let zipf = Zipf::new(spec.request_types, spec.zipf_exponent);
         let first = zipf.sample(&mut rng);
         Ok(ServerWorkload {
-            phase: vec![
-                0;
-                spec.handlers * spec.branches_per_handler * spec.types_per_handler()
-            ],
+            phase: vec![0; spec.handlers * spec.branches_per_handler * spec.types_per_handler()],
             zipf,
             rng,
             working: VecDeque::with_capacity(8),
@@ -142,8 +138,7 @@ impl ServerWorkload {
         if j >= spec.branches_per_handler - spec.h2p_per_handler {
             return SiteClass::H2p;
         }
-        let u = mix_all(&[spec.seed, h as u64, j as u64, SALT_CLASS]) as f64
-            / u64::MAX as f64;
+        let u = mix_all(&[spec.seed, h as u64, j as u64, SALT_CLASS]) as f64 / u64::MAX as f64;
         if u < spec.noise_fraction {
             SiteClass::Noisy
         } else if u < spec.noise_fraction + spec.loop_fraction {
@@ -179,7 +174,8 @@ impl ServerWorkload {
     #[inline]
     fn push(&mut self, pc: u64, target: u64, kind: BranchKind, taken: bool) {
         let gap = self.gap();
-        self.buf.push_back(BranchRecord::new(pc, target, kind, taken, gap));
+        self.buf
+            .push_back(BranchRecord::new(pc, target, kind, taken, gap));
     }
 
     /// Samples the next request type (session bursts + working set + Zipf).
@@ -209,7 +205,13 @@ impl ServerWorkload {
     fn emit_leaf(&mut self, h: usize, j: usize, r: usize) {
         let spec = &self.spec;
         let l = mix_range(
-            &[spec.seed, h as u64, j as u64, (r % spec.leaf_select_mod) as u64, SALT_LEAF],
+            &[
+                spec.seed,
+                h as u64,
+                j as u64,
+                (r % spec.leaf_select_mod) as u64,
+                SALT_LEAF,
+            ],
             spec.leaves as u64,
         ) as usize;
         let site = layout::site_base(h, j);
@@ -277,7 +279,12 @@ impl ServerWorkload {
                     u64::from(self.spec.max_trip),
                 ) as u32;
                 for i in 0..=trip {
-                    self.push(branch_pc, branch_pc - 0x10, BranchKind::CondDirect, i < trip);
+                    self.push(
+                        branch_pc,
+                        branch_pc - 0x10,
+                        BranchKind::CondDirect,
+                        i < trip,
+                    );
                 }
             }
             SiteClass::H2p => {
@@ -307,7 +314,12 @@ impl ServerWorkload {
 
         // Poll loop: almost always "another request is ready".
         let poll_taken = !self.rng.next_bool(0.02);
-        self.push(layout::POLL_PC, layout::POLL_PC - 0x20, BranchKind::CondDirect, poll_taken);
+        self.push(
+            layout::POLL_PC,
+            layout::POLL_PC - 0x20,
+            BranchKind::CondDirect,
+            poll_taken,
+        );
 
         // Dispatch bits encode a mixed image of r (balanced bits).
         let rbits = mix64(self.spec.seed ^ (r as u64) ^ SALT_RBITS);
@@ -319,21 +331,25 @@ impl ServerWorkload {
 
         // Into the route function (target encodes r in the UB stream).
         let route = layout::route_pc(r);
-        self.push(layout::DISPATCH_ICALL, route, BranchKind::IndirectCall, true);
+        self.push(
+            layout::DISPATCH_ICALL,
+            route,
+            BranchKind::IndirectCall,
+            true,
+        );
         let handler = layout::handler_pc(h);
         self.push(route + 0x10, handler, BranchKind::DirectCall, true);
 
         // Handler body.
         for j in 0..self.spec.branches_per_handler {
-            let leaf_draw = mix_all(&[self.spec.seed, h as u64, j as u64, SALT_LEAF_CALL])
-                as f64
+            let leaf_draw = mix_all(&[self.spec.seed, h as u64, j as u64, SALT_LEAF_CALL]) as f64
                 / u64::MAX as f64;
             if leaf_draw < self.spec.leaf_call_prob {
                 self.emit_leaf(h, j, r);
             }
             self.emit_site(h, j, r);
-            let jump_draw = mix_all(&[self.spec.seed, h as u64, j as u64, SALT_JUMP]) as f64
-                / u64::MAX as f64;
+            let jump_draw =
+                mix_all(&[self.spec.seed, h as u64, j as u64, SALT_JUMP]) as f64 / u64::MAX as f64;
             let has_jump = jump_draw < self.spec.jump_prob;
             if has_jump {
                 let site = layout::site_base(h, j);
@@ -344,7 +360,12 @@ impl ServerWorkload {
         // Unwind.
         let ret_pc = handler + 0x100 + (self.spec.branches_per_handler as u64) * 0x100;
         self.push(ret_pc, route + 0x14, BranchKind::Return, true);
-        self.push(route + 0x20, layout::DISPATCH_ICALL + 4, BranchKind::Return, true);
+        self.push(
+            route + 0x20,
+            layout::DISPATCH_ICALL + 4,
+            BranchKind::Return,
+            true,
+        );
 
         self.prev2_r = self.prev_r;
         self.prev_r = self.current_r;
@@ -379,13 +400,22 @@ mod tests {
 
     #[test]
     fn stream_is_deterministic_per_seed() {
-        let a: Vec<_> = ServerWorkload::new(&small_spec()).take_branches(5000).iter().collect();
-        let b: Vec<_> = ServerWorkload::new(&small_spec()).take_branches(5000).iter().collect();
-        assert_eq!(a, b);
-        let c: Vec<_> = ServerWorkload::new(&WorkloadSpec { seed: 8, ..small_spec() })
+        let a: Vec<_> = ServerWorkload::new(&small_spec())
             .take_branches(5000)
             .iter()
             .collect();
+        let b: Vec<_> = ServerWorkload::new(&small_spec())
+            .take_branches(5000)
+            .iter()
+            .collect();
+        assert_eq!(a, b);
+        let c: Vec<_> = ServerWorkload::new(&WorkloadSpec {
+            seed: 8,
+            ..small_spec()
+        })
+        .take_branches(5000)
+        .iter()
+        .collect();
         assert_ne!(a, c);
     }
 
@@ -416,7 +446,11 @@ mod tests {
                     assert!(rec.taken, "{name}: unconditional at {pc:#x} not taken");
                 }
                 if let Some(p) = prev.filter(|p| p.kind.is_conditional() && !p.taken) {
-                    assert!(pc > p.pc, "{name}: {pc:#x} does not fall through from {:#x}", p.pc);
+                    assert!(
+                        pc > p.pc,
+                        "{name}: {pc:#x} does not fall through from {:#x}",
+                        p.pc
+                    );
                 }
                 prev = Some(rec);
                 instructions += rec.instructions();
@@ -430,7 +464,10 @@ mod tests {
             TraceStats::from_stream(ServerWorkload::new(&small_spec()).take_branches(50_000));
         // Conditional majority, healthy unconditional mix for the RCR.
         let cond_share = stats.conditional_branches() as f64 / stats.branches as f64;
-        assert!((0.5..0.95).contains(&cond_share), "conditional share {cond_share}");
+        assert!(
+            (0.5..0.95).contains(&cond_share),
+            "conditional share {cond_share}"
+        );
         assert!(stats.per_kind[BranchKind::DirectCall as usize] > 1000);
         assert!(stats.per_kind[BranchKind::Return as usize] > 1000);
         assert!(stats.per_kind[BranchKind::IndirectCall as usize] > 100);
@@ -448,7 +485,9 @@ mod tests {
         let mut seen = std::collections::HashMap::new();
         for h in 0..spec.handlers {
             for j in 0..spec.branches_per_handler {
-                *seen.entry(ServerWorkload::site_class(&spec, h, j)).or_insert(0) += 1;
+                *seen
+                    .entry(ServerWorkload::site_class(&spec, h, j))
+                    .or_insert(0) += 1;
             }
         }
         assert!(seen[&SiteClass::Typed] > 0);
@@ -470,7 +509,10 @@ mod tests {
             }
         }
         assert_eq!(ServerWorkload::classify_pc(&spec, layout::POLL_PC), None);
-        assert_eq!(ServerWorkload::classify_pc(&spec, layout::leaf_pc(3) + 0x40), None);
+        assert_eq!(
+            ServerWorkload::classify_pc(&spec, layout::leaf_pc(3) + 0x40),
+            None
+        );
     }
 
     #[test]
@@ -482,9 +524,7 @@ mod tests {
         let j = spec.branches_per_handler - 1; // an H2P site
         assert_eq!(ServerWorkload::site_class(&spec, h, j), SiteClass::H2p);
         let outcomes: Vec<bool> = (0..32u64)
-            .map(|prev| {
-                mix_bool(&[spec.seed, h as u64, j as u64, 5, prev, 3, SALT_H2P])
-            })
+            .map(|prev| mix_bool(&[spec.seed, h as u64, j as u64, 5, prev, 3, SALT_H2P]))
             .collect();
         assert!(outcomes.iter().any(|&o| o) && outcomes.iter().any(|&o| !o));
     }
@@ -500,7 +540,10 @@ mod tests {
     #[test]
     fn session_stay_controls_type_churn() {
         let churn = |stay: f64| {
-            let spec = WorkloadSpec { session_stay: stay, ..small_spec() };
+            let spec = WorkloadSpec {
+                session_stay: stay,
+                ..small_spec()
+            };
             let mut w = ServerWorkload::new(&spec);
             let mut changes = 0;
             let mut last = w.current_r;
@@ -514,7 +557,10 @@ mod tests {
             }
             changes
         };
-        assert!(churn(0.95) < churn(0.3), "higher stay must mean fewer type changes");
+        assert!(
+            churn(0.95) < churn(0.3),
+            "higher stay must mean fewer type changes"
+        );
     }
 
     #[test]

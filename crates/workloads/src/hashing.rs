@@ -52,7 +52,13 @@ pub struct XorShift {
 impl XorShift {
     /// Creates a generator; a zero seed is remapped to a fixed constant.
     pub fn new(seed: u64) -> Self {
-        XorShift { state: if seed == 0 { 0x853c_49e6_748f_ea9b } else { mix64(seed) } }
+        XorShift {
+            state: if seed == 0 {
+                0x853c_49e6_748f_ea9b
+            } else {
+                mix64(seed)
+            },
+        }
     }
 
     /// Next raw 64-bit value.
@@ -114,7 +120,10 @@ mod tests {
             counts[mix_range(&[i, 3], 8) as usize] += 1;
         }
         for (i, &c) in counts.iter().enumerate() {
-            assert!((700..1300).contains(&c), "bucket {i} count {c} far from uniform");
+            assert!(
+                (700..1300).contains(&c),
+                "bucket {i} count {c} far from uniform"
+            );
         }
     }
 

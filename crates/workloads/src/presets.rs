@@ -27,7 +27,11 @@ fn preset(
     in_gem5_eval: bool,
     tune: impl FnOnce(WorkloadSpec) -> WorkloadSpec,
 ) -> Preset {
-    Preset { spec: tune(WorkloadSpec::new(name, seed)), paper_mpki, in_gem5_eval }
+    Preset {
+        spec: tune(WorkloadSpec::new(name, seed)),
+        paper_mpki,
+        in_gem5_eval,
+    }
 }
 
 /// All fourteen presets, in Table I order.
@@ -196,7 +200,11 @@ mod tests {
         for (i, a) in presets.iter().enumerate() {
             for b in &presets[i + 1..] {
                 assert_ne!(a.spec.name, b.spec.name);
-                assert_ne!(a.spec.seed, b.spec.seed, "{} vs {}", a.spec.name, b.spec.name);
+                assert_ne!(
+                    a.spec.seed, b.spec.seed,
+                    "{} vs {}",
+                    a.spec.name, b.spec.name
+                );
             }
         }
     }
@@ -210,18 +218,30 @@ mod tests {
 
     #[test]
     fn google_traces_are_excluded_from_gem5_eval() {
-        let gem5: Vec<_> =
-            all().into_iter().filter(|p| p.in_gem5_eval).map(|p| p.spec.name).collect();
+        let gem5: Vec<_> = all()
+            .into_iter()
+            .filter(|p| p.in_gem5_eval)
+            .map(|p| p.spec.name)
+            .collect();
         assert_eq!(gem5.len(), 10);
         for google in ["Charlie", "Delta", "Merced", "Whiskey"] {
-            assert!(!gem5.iter().any(|n| n == google), "{google} must be trace-only");
+            assert!(
+                !gem5.iter().any(|n| n == google),
+                "{google} must be trace-only"
+            );
         }
     }
 
     #[test]
     fn paper_mpki_matches_table_one() {
         let presets = all();
-        let get = |n: &str| presets.iter().find(|p| p.spec.name == n).unwrap().paper_mpki;
+        let get = |n: &str| {
+            presets
+                .iter()
+                .find(|p| p.spec.name == n)
+                .unwrap()
+                .paper_mpki
+        };
         assert_eq!(get("NodeApp"), 4.43);
         assert_eq!(get("Kafka"), 0.26);
         assert_eq!(get("Whiskey"), 5.38);

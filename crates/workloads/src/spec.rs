@@ -251,7 +251,9 @@ mod tests {
 
     #[test]
     fn types_per_handler_rounds_up() {
-        let s = WorkloadSpec::new("w", 1).with_request_types(100).with_handlers(16);
+        let s = WorkloadSpec::new("w", 1)
+            .with_request_types(100)
+            .with_handlers(16);
         assert_eq!(s.types_per_handler(), 7);
     }
 }

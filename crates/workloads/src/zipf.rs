@@ -36,7 +36,10 @@ impl Zipf {
     /// Panics if `n` is zero or `s` is negative/non-finite.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs a positive support size");
-        assert!(s >= 0.0 && s.is_finite(), "Zipf exponent must be finite and non-negative");
+        assert!(
+            s >= 0.0 && s.is_finite(),
+            "Zipf exponent must be finite and non-negative"
+        );
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for rank in 1..=n {
@@ -93,7 +96,10 @@ mod tests {
     fn mass_decreases_with_rank() {
         let zipf = Zipf::new(50, 1.2);
         for i in 1..50 {
-            assert!(zipf.pmf(i) <= zipf.pmf(i - 1) + 1e-15, "rank {i} gained mass");
+            assert!(
+                zipf.pmf(i) <= zipf.pmf(i - 1) + 1e-15,
+                "rank {i} gained mass"
+            );
         }
     }
 
@@ -112,7 +118,10 @@ mod tests {
         for _ in 0..10_000 {
             seen[zipf.sample(&mut rng)] = true;
         }
-        assert!(seen.iter().all(|&s| s), "all ranks should eventually appear");
+        assert!(
+            seen.iter().all(|&s| s),
+            "all ranks should eventually appear"
+        );
     }
 
     #[test]

@@ -48,12 +48,21 @@ fn generation_is_seed_deterministic() {
     let mut rng = SplitMix64::new(0x7365_6564);
     for _ in 0..4 {
         let spec = rand_spec(&mut rng);
-        let a: Vec<_> = ServerWorkload::new(&spec).take_branches(2000).iter().collect();
-        let b: Vec<_> = ServerWorkload::new(&spec).take_branches(2000).iter().collect();
+        let a: Vec<_> = ServerWorkload::new(&spec)
+            .take_branches(2000)
+            .iter()
+            .collect();
+        let b: Vec<_> = ServerWorkload::new(&spec)
+            .take_branches(2000)
+            .iter()
+            .collect();
         assert_eq!(a, b);
         let mut other = spec.clone();
         other.seed = spec.seed.wrapping_add(1);
-        let c: Vec<_> = ServerWorkload::new(&other).take_branches(2000).iter().collect();
+        let c: Vec<_> = ServerWorkload::new(&other)
+            .take_branches(2000)
+            .iter()
+            .collect();
         assert_ne!(a, c);
     }
 }
@@ -105,8 +114,7 @@ fn zipf_is_well_formed() {
 fn mix_range_is_bounded() {
     let mut rng = SplitMix64::new(0x6d69_7872);
     for _ in 0..256 {
-        let parts: Vec<u64> =
-            (0..1 + rng.next_below(5)).map(|_| rng.next_u64()).collect();
+        let parts: Vec<u64> = (0..1 + rng.next_below(5)).map(|_| rng.next_u64()).collect();
         let bound = 1 + rng.next_below(9_999);
         assert!(workloads::hashing::mix_range(&parts, bound) < bound);
     }

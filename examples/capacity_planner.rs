@@ -16,7 +16,10 @@ fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "TPCC".to_owned());
     let spec = workloads::presets::by_name(&name)
         .unwrap_or_else(|| panic!("unknown preset {name}; see workloads::presets::names()"));
-    let sim = Simulation { warmup_instructions: 2_000_000, measure_instructions: 4_000_000 };
+    let sim = Simulation {
+        warmup_instructions: 2_000_000,
+        measure_instructions: 4_000_000,
+    };
 
     let designs: Vec<Box<dyn SimPredictor>> = vec![
         Box::new(TageScl::new(TslConfig::kilobytes(32))),
@@ -29,7 +32,13 @@ fn main() {
 
     let mut table = Table::new(
         format!("capacity planning, {name}"),
-        &["design", "storage KiB", "MPKI", "accuracy", "latency-feasible?"],
+        &[
+            "design",
+            "storage KiB",
+            "MPKI",
+            "accuracy",
+            "latency-feasible?",
+        ],
     );
     let mut base_mpki = None;
     for mut design in designs {

@@ -29,11 +29,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("trace profile:\n{stats}\n");
 
     // Compare predictors on the generated stream.
-    let sim = Simulation { warmup_instructions: 2_000_000, measure_instructions: 4_000_000 };
+    let sim = Simulation {
+        warmup_instructions: 2_000_000,
+        measure_instructions: 4_000_000,
+    };
     let base = sim.run(&mut TageScl::new(TslConfig::kilobytes(64)), &spec);
     let x = sim.run(&mut Llbp::new(LlbpConfig::llbpx()), &spec);
 
-    let mut table = Table::new("my-service — predictor comparison", &["design", "MPKI", "delta"]);
+    let mut table = Table::new(
+        "my-service — predictor comparison",
+        &["design", "MPKI", "delta"],
+    );
     table.row([base.name.clone(), f3(base.mpki()), "-".into()]);
     table.row([x.name.clone(), f3(x.mpki()), pct(x.reduction_vs(&base))]);
     print!("{}", table.render());

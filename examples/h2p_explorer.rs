@@ -20,7 +20,9 @@ use workloads::engine::SiteClass;
 use workloads::ServerWorkload;
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "NodeApp".to_owned());
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "NodeApp".to_owned());
     let spec = workloads::presets::by_name(&name)
         .unwrap_or_else(|| panic!("unknown preset {name}; see workloads::presets::names()"));
 
@@ -38,13 +40,21 @@ fn main() {
         }
     }
 
-    let mut ranked: Vec<(u64, u64, u64)> =
-        per_pc.into_iter().map(|(pc, (execs, misses))| (pc, execs, misses)).collect();
+    let mut ranked: Vec<(u64, u64, u64)> = per_pc
+        .into_iter()
+        .map(|(pc, (execs, misses))| (pc, execs, misses))
+        .collect();
     ranked.sort_by_key(|&(_, _, misses)| std::cmp::Reverse(misses));
 
     let mut table = Table::new(
         format!("top misprediction contributors, {name} (64K TSL)"),
-        &["pc", "executions", "mispredicts", "miss rate", "generator class"],
+        &[
+            "pc",
+            "executions",
+            "mispredicts",
+            "miss rate",
+            "generator class",
+        ],
     );
     let mut h2p_in_top = 0;
     for &(pc, execs, misses) in ranked.iter().take(15) {

@@ -15,7 +15,10 @@ fn main() {
     let spec = workloads::presets::by_name("NodeApp").expect("preset exists");
 
     // A quick protocol: 2M instructions warmup, 4M measured.
-    let sim = Simulation { warmup_instructions: 2_000_000, measure_instructions: 4_000_000 };
+    let sim = Simulation {
+        warmup_instructions: 2_000_000,
+        measure_instructions: 4_000_000,
+    };
 
     // The three contenders.
     let mut tsl = TageScl::new(TslConfig::kilobytes(64));

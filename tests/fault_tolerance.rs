@@ -24,7 +24,10 @@ use std::time::{Duration, Instant};
 use telemetry::Json;
 
 fn tmp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("llbpx-fault-tolerance-{tag}-{}", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "llbpx-fault-tolerance-{tag}-{}",
+        std::process::id()
+    ))
 }
 
 fn fig01() -> Command {
@@ -53,10 +56,22 @@ fn a_panicking_cell_yields_na_row_failed_status_and_nonzero_exit() {
     assert!(stderr.contains("matrix cell(s) failed"), "stderr: {stderr}");
 
     let stdout = String::from_utf8_lossy(&output.stdout);
-    let na_row = stdout.lines().find(|l| l.contains("NodeApp")).expect("NodeApp row renders");
-    assert!(na_row.contains("n/a"), "failed preset must render as n/a: {na_row}");
-    let tpcc_row = stdout.lines().find(|l| l.contains("TPCC")).expect("TPCC row renders");
-    assert!(!tpcc_row.contains("n/a"), "healthy preset must still complete: {tpcc_row}");
+    let na_row = stdout
+        .lines()
+        .find(|l| l.contains("NodeApp"))
+        .expect("NodeApp row renders");
+    assert!(
+        na_row.contains("n/a"),
+        "failed preset must render as n/a: {na_row}"
+    );
+    let tpcc_row = stdout
+        .lines()
+        .find(|l| l.contains("TPCC"))
+        .expect("TPCC row renders");
+    assert!(
+        !tpcc_row.contains("n/a"),
+        "healthy preset must still complete: {tpcc_row}"
+    );
 
     let text = std::fs::read_to_string(&sink).expect("sink was written");
     let _ = std::fs::remove_file(&sink);
@@ -70,7 +85,10 @@ fn a_panicking_cell_yields_na_row_failed_status_and_nonzero_exit() {
         .collect();
     assert_eq!(failed.len(), 1, "exactly the faulted cell fails");
     let error = failed[0].get("error").unwrap().as_str().unwrap();
-    assert!(error.contains("LLBPX_FAULT_CELL"), "error carries the panic message: {error}");
+    assert!(
+        error.contains("LLBPX_FAULT_CELL"),
+        "error carries the panic message: {error}"
+    );
     assert_eq!(failed[0].get("workload").unwrap().as_str(), Some("NodeApp"));
 }
 
@@ -90,10 +108,19 @@ fn a_failed_analysis_cell_renders_na_and_exits_nonzero() {
         .env("LLBPX_FAULT_CELL", "1")
         .output()
         .expect("fig08 runs");
-    assert!(!output.status.success(), "a failed analysis cell must not exit 0");
+    assert!(
+        !output.status.success(),
+        "a failed analysis cell must not exit 0"
+    );
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("n/a"), "the failed analysis must render as n/a:\n{stdout}");
-    assert!(!stdout.contains("NaN"), "an empty length range renders n/a, not NaN:\n{stdout}");
+    assert!(
+        stdout.contains("n/a"),
+        "the failed analysis must render as n/a:\n{stdout}"
+    );
+    assert!(
+        !stdout.contains("NaN"),
+        "an empty length range renders n/a, not NaN:\n{stdout}"
+    );
 
     let text = std::fs::read_to_string(&sink).expect("sink was written");
     let _ = std::fs::remove_file(&sink);
@@ -107,7 +134,10 @@ fn a_failed_analysis_cell_renders_na_and_exits_nonzero() {
         .collect();
     assert_eq!(failed.len(), 1, "exactly the faulted cell fails");
     let error = failed[0].get("error").unwrap().as_str().unwrap();
-    assert!(error.contains("LLBPX_FAULT_CELL"), "error carries the panic message: {error}");
+    assert!(
+        error.contains("LLBPX_FAULT_CELL"),
+        "error carries the panic message: {error}"
+    );
 }
 
 #[test]
@@ -129,7 +159,11 @@ fn a_failed_cell_is_not_journaled_and_a_clean_resume_matches() {
         .expect("fig01 runs");
     assert!(!faulted.status.success(), "a failed cell must not exit 0");
     let journaled = std::fs::read_to_string(&checkpoint).expect("journal was written");
-    assert_eq!(journaled.lines().count(), 3, "only the completed cells are journaled");
+    assert_eq!(
+        journaled.lines().count(),
+        3,
+        "only the completed cells are journaled"
+    );
 
     // Re-run on the same journal without the fault: the three completed
     // cells restore, the failed one (never journaled) simulates, and
@@ -155,31 +189,55 @@ fn a_failed_cell_is_not_journaled_and_a_clean_resume_matches() {
     let _ = std::fs::remove_file(&sink);
     let line = Json::parse(text.lines().next().expect("one record line")).expect("valid JSON");
     assert_eq!(line.get("resumed_cells").unwrap().as_i64(), Some(3));
-    assert!(line.get("failed_cells").is_none(), "nothing fails on the re-run");
+    assert!(
+        line.get("failed_cells").is_none(),
+        "nothing fails on the re-run"
+    );
 }
 
 #[test]
 fn journal_lines_of_an_older_format_are_dropped_and_their_cells_re_simulate() {
     let checkpoint = tmp_path("v3.ckpt");
     let _ = std::fs::remove_file(&checkpoint);
-    let clean = fig01().env("LLBPX_CHECKPOINT", &checkpoint).output().expect("fig01 runs");
+    let clean = fig01()
+        .env("LLBPX_CHECKPOINT", &checkpoint)
+        .output()
+        .expect("fig01 runs");
     assert!(clean.status.success());
 
     // Relabel every journaled line as format version 3: even under a
     // matching fingerprint, a line of an older format must not restore.
     let journal = std::fs::read_to_string(&checkpoint).expect("journal was written");
-    assert_eq!(journal.matches("\"v\":4").count(), 4, "one v4 line per cell");
+    assert_eq!(
+        journal.matches("\"v\":4").count(),
+        4,
+        "one v4 line per cell"
+    );
     std::fs::write(&checkpoint, journal.replace("\"v\":4", "\"v\":3")).unwrap();
 
-    let rerun = fig01().env("LLBPX_CHECKPOINT", &checkpoint).output().expect("fig01 re-runs");
+    let rerun = fig01()
+        .env("LLBPX_CHECKPOINT", &checkpoint)
+        .output()
+        .expect("fig01 re-runs");
     let journal = std::fs::read_to_string(&checkpoint).expect("journal was appended");
     let _ = std::fs::remove_file(&checkpoint);
     assert!(rerun.status.success());
     let stderr = String::from_utf8_lossy(&rerun.stderr);
-    assert_eq!(stderr.matches("dropping unparseable journal line").count(), 4, "{stderr}");
-    assert!(!stderr.contains("restored from"), "no cell may restore: {stderr}");
+    assert_eq!(
+        stderr.matches("dropping unparseable journal line").count(),
+        4,
+        "{stderr}"
+    );
+    assert!(
+        !stderr.contains("restored from"),
+        "no cell may restore: {stderr}"
+    );
     assert_eq!(stable_stdout(&clean.stdout), stable_stdout(&rerun.stdout));
-    assert_eq!(journal.matches("\"v\":4").count(), 4, "every cell re-simulated");
+    assert_eq!(
+        journal.matches("\"v\":4").count(),
+        4,
+        "every cell re-simulated"
+    );
 }
 
 #[test]
@@ -199,21 +257,33 @@ fn summaries_over_no_completed_rows_render_na() {
             .env("LLBPX_FAULT_CELL", "0")
             .output()
             .expect("the binary runs");
-        assert!(!output.status.success(), "{binary}: a failed cell must not exit 0");
+        assert!(
+            !output.status.success(),
+            "{binary}: a failed cell must not exit 0"
+        );
         let stdout = String::from_utf8_lossy(&output.stdout);
         // The footer quotes the paper's numbers; only the figure counts.
         let figure = stdout.split("\nprotocol:").next().unwrap_or_default();
         let summaries: Vec<&str> = figure
             .lines()
             .filter(|l| {
-                ["geomean", "average", "improvement", "achieves", "bandwidth change"]
-                    .iter()
-                    .any(|word| l.contains(word))
+                [
+                    "geomean",
+                    "average",
+                    "improvement",
+                    "achieves",
+                    "bandwidth change",
+                ]
+                .iter()
+                .any(|word| l.contains(word))
             })
             .collect();
         assert!(summaries.len() >= 2, "{binary}: no summaries in\n{stdout}");
         for line in summaries {
-            assert!(line.contains("n/a"), "{binary}: a summary over no rows: {line}");
+            assert!(
+                line.contains("n/a"),
+                "{binary}: a summary over no rows: {line}"
+            );
             for number in ["NaN", "100", "0.000", "0.00"] {
                 assert!(!line.contains(number), "{binary}: {number} in {line}");
             }
@@ -296,7 +366,10 @@ fn a_sigkilled_matrix_resumes_bit_identically_from_its_checkpoint() {
     let _ = std::fs::remove_file(&checkpoint);
     let line = Json::parse(text.lines().next().expect("one record line")).expect("valid JSON");
     assert!(line.get("resumed_cells").unwrap().as_i64().unwrap() >= 1);
-    assert!(line.get("failed_cells").is_none(), "nothing failed on resume");
+    assert!(
+        line.get("failed_cells").is_none(),
+        "nothing failed on resume"
+    );
     let restored = line
         .get("runs")
         .unwrap()

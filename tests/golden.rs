@@ -28,8 +28,10 @@ use bpsim::SimPredictor;
 use llbpx::{FalsePathMode, LlbpConfig};
 use telemetry::Json;
 
-const PROTOCOL: Simulation =
-    Simulation { warmup_instructions: 100_000, measure_instructions: 400_000 };
+const PROTOCOL: Simulation = Simulation {
+    warmup_instructions: 100_000,
+    measure_instructions: 400_000,
+};
 const WORKLOADS: [&str; 2] = ["NodeApp", "TPCC"];
 
 type Factory = fn() -> Box<dyn SimPredictor>;
@@ -49,19 +51,34 @@ fn designs() -> Vec<(&'static str, Factory)> {
         ("LLBP", bench::llbp),
         ("LLBP-0Lat", bench::llbp_0lat),
         ("LLBP-X", bench::llbpx),
-        ("+No Design Tweaks", || bench::llbp_with(LlbpConfig::no_design_tweaks())),
+        ("+No Design Tweaks", || {
+            bench::llbp_with(LlbpConfig::no_design_tweaks())
+        }),
         ("+20b Tag", || bench::llbp_with(LlbpConfig::with_20b_tags())),
-        ("+Inf Contexts", || bench::llbp_with(LlbpConfig::with_infinite_contexts())),
-        ("+Inf Patterns", || bench::llbp_with(LlbpConfig::with_infinite_patterns())),
-        ("+No Contextualization", || bench::llbp_with(LlbpConfig::without_contextualization())),
+        ("+Inf Contexts", || {
+            bench::llbp_with(LlbpConfig::with_infinite_contexts())
+        }),
+        ("+Inf Patterns", || {
+            bench::llbp_with(LlbpConfig::with_infinite_patterns())
+        }),
+        ("+No Contextualization", || {
+            bench::llbp_with(LlbpConfig::without_contextualization())
+        }),
         ("LLBP-X no-HRS", || {
             bench::llbp_with(LlbpConfig::llbpx().without_history_range_selection())
         }),
         ("LLBP-X Flush", || {
-            bench::llbp_with(LlbpConfig { false_path: FalsePathMode::Flush, ..LlbpConfig::llbpx() })
+            bench::llbp_with(LlbpConfig {
+                false_path: FalsePathMode::Flush,
+                ..LlbpConfig::llbpx()
+            })
         }),
-        ("LLBP-X-0Lat", || bench::llbp_with(LlbpConfig::llbpx_zero_latency())),
-        ("LLBP-X CTT=4096", || bench::llbp_with(LlbpConfig::llbpx().with_ctt_entries(4096))),
+        ("LLBP-X-0Lat", || {
+            bench::llbp_with(LlbpConfig::llbpx_zero_latency())
+        }),
+        ("LLBP-X CTT=4096", || {
+            bench::llbp_with(LlbpConfig::llbpx().with_ctt_entries(4096))
+        }),
     ]
 }
 
@@ -97,26 +114,42 @@ fn opt_w_from_record(llbpx: &RunResult) -> Box<dyn SimPredictor> {
 
 /// Runs `designs` plus Opt-W on every one of `workloads` as one engine
 /// grid, two cells at a time: each run with its design's name, row-major.
-fn grid(workloads: &[&str], designs: Vec<(&'static str, Factory)>) -> Vec<(&'static str, RunResult)> {
+fn grid(
+    workloads: &[&str],
+    designs: Vec<(&'static str, Factory)>,
+) -> Vec<(&'static str, RunResult)> {
     let specs: Vec<_> = workloads
         .iter()
         .map(|w| workloads::presets::by_name(w).expect("golden preset exists"))
         .collect();
     let mut names: Vec<&'static str> = designs.iter().map(|(name, _)| *name).collect();
-    let mut designs: Vec<_> =
-        designs.into_iter().map(|(name, factory)| design(name, factory)).collect();
+    let mut designs: Vec<_> = designs
+        .into_iter()
+        .map(|(name, factory)| design(name, factory))
+        .collect();
     names.push("LLBP-X Opt-W");
     designs.push(design_after("LLBP-X Opt-W", "LLBP-X", opt_w_from_record));
     let report = run_matrix(&PROTOCOL, &specs, &designs, EngineOptions::basic(2));
-    report.rows.into_iter().flat_map(|row| names.iter().copied().zip(row)).collect()
+    report
+        .rows
+        .into_iter()
+        .flat_map(|row| names.iter().copied().zip(row))
+        .collect()
 }
 
 /// Every design on NodeApp and TPCC, then Kafka's LLBP-X and Opt-W.
 fn simulate() -> Vec<Json> {
     let mut runs = grid(&WORKLOADS, designs());
     let kafka = grid(&["Kafka"], vec![("LLBP-X", bench::llbpx)]);
-    let deep = kafka[0].1.deep_contexts.as_ref().expect("LLBP-X decides depths");
-    assert!(!deep.is_empty(), "Kafka's Opt-W line must pin a non-empty oracle");
+    let deep = kafka[0]
+        .1
+        .deep_contexts
+        .as_ref()
+        .expect("LLBP-X decides depths");
+    assert!(
+        !deep.is_empty(),
+        "Kafka's Opt-W line must pin a non-empty oracle"
+    );
     runs.extend(kafka);
     let stats = |(name, run): &(&str, RunResult)| {
         assert!(!run.is_failed(), "no golden cell fails: {:?}", run.error);
@@ -132,7 +165,10 @@ fn render(runs: &[Json]) -> String {
         PROTOCOL.measure_instructions.into(),
     ]);
     let lines: Vec<String> = runs.iter().map(|r| format!("  {r}")).collect();
-    format!("{{\"protocol\":{protocol},\"runs\":[\n{}\n]}}\n", lines.join(",\n"))
+    format!(
+        "{{\"protocol\":{protocol},\"runs\":[\n{}\n]}}\n",
+        lines.join(",\n")
+    )
 }
 
 #[test]
@@ -148,14 +184,27 @@ fn every_design_matches_its_golden_stats() {
         .collect();
     assert_eq!(
         protocol,
-        [PROTOCOL.warmup_instructions as i64, PROTOCOL.measure_instructions as i64],
+        [
+            PROTOCOL.warmup_instructions as i64,
+            PROTOCOL.measure_instructions as i64
+        ],
         "the golden stats were recorded at another protocol"
     );
-    let want = golden.get("runs").and_then(Json::as_arr).expect("golden runs");
+    let want = golden
+        .get("runs")
+        .and_then(Json::as_arr)
+        .expect("golden runs");
     let got = simulate();
-    assert_eq!(got.len(), want.len(), "design list differs from the recorded one");
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "design list differs from the recorded one"
+    );
     for (g, w) in got.iter().zip(want) {
-        assert_eq!(g, w, "accuracy drifted from the golden stats:\n  got  {g}\n  want {w}");
+        assert_eq!(
+            g, w,
+            "accuracy drifted from the golden stats:\n  got  {g}\n  want {w}"
+        );
     }
 }
 

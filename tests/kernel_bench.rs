@@ -24,7 +24,9 @@ const BATCH: usize = 200_000;
 
 /// Emits one kernel-latency record to the telemetry sink, if configured.
 fn emit_kernel_ns(kernel: &str, calls: usize, ns_per_call: f64) {
-    let Some(sink) = telemetry::record::sink_from_env("kernel_bench") else { return };
+    let Some(sink) = telemetry::record::sink_from_env("kernel_bench") else {
+        return;
+    };
     let line = Json::obj()
         .set("schema", telemetry::record::SCHEMA)
         .set("bench", "kernel_bench")
@@ -32,7 +34,10 @@ fn emit_kernel_ns(kernel: &str, calls: usize, ns_per_call: f64) {
         .set("calls", calls as u64)
         .set("ns_per_call", ns_per_call);
     telemetry::record::append_line(&sink, &line).expect("telemetry sink is writable");
-    eprintln!("telemetry: {kernel} {ns_per_call:.1} ns/call appended to {}", sink.display());
+    eprintln!(
+        "telemetry: {kernel} {ns_per_call:.1} ns/call appended to {}",
+        sink.display()
+    );
 }
 
 /// A deterministic conditional-branch batch: a few hundred sites with
@@ -131,7 +136,10 @@ fn tage_stage_latency() {
         assert!(ns < 100_000.0, "{stage} took {ns:.0} ns/call");
         emit_kernel_ns(stage, records.len(), ns.max(0.0));
     }
-    assert!(history > 0.0 && full > history, "the stages take measurable time");
+    assert!(
+        history > 0.0 && full > history,
+        "the stages take measurable time"
+    );
 }
 
 #[test]
@@ -180,12 +188,12 @@ fn pattern_set_find_longest_latency() {
 /// kernel over the full fig01 protocol).
 #[test]
 fn accuracy_stats_are_pinned_on_two_presets() {
-    let sim = Simulation { warmup_instructions: 300_000, measure_instructions: 600_000 };
+    let sim = Simulation {
+        warmup_instructions: 300_000,
+        measure_instructions: 600_000,
+    };
     // (preset, instructions, cond_branches, mispredicts)
-    let pins = [
-        ("NodeApp", PIN_NODEAPP),
-        ("TPCC", PIN_TPCC),
-    ];
+    let pins = [("NodeApp", PIN_NODEAPP), ("TPCC", PIN_TPCC)];
     for (name, (instructions, cond_branches, mispredicts)) in pins {
         let spec = workloads::presets::by_name(name).expect("preset exists");
         let mut tsl = TageScl::new(TslConfig::kilobytes(64));

@@ -18,27 +18,43 @@ use workloads::WorkloadSpec;
 
 fn specs() -> Vec<WorkloadSpec> {
     vec![
-        WorkloadSpec::new("alpha", 3).with_request_types(64).with_handlers(8),
-        WorkloadSpec::new("beta", 17).with_request_types(160).with_handlers(24),
+        WorkloadSpec::new("alpha", 3)
+            .with_request_types(64)
+            .with_handlers(8),
+        WorkloadSpec::new("beta", 17)
+            .with_request_types(160)
+            .with_handlers(24),
     ]
 }
 
 fn assert_same_run(serial: &RunResult, engine: &RunResult, how: &str) {
     assert_eq!(serial.name, engine.name, "{how}");
     assert_eq!(serial.workload, engine.workload, "{how}");
-    assert_eq!(serial.instructions, engine.instructions, "{how}: instructions");
-    assert_eq!(serial.cond_branches, engine.cond_branches, "{how}: cond_branches");
+    assert_eq!(
+        serial.instructions, engine.instructions,
+        "{how}: instructions"
+    );
+    assert_eq!(
+        serial.cond_branches, engine.cond_branches,
+        "{how}: cond_branches"
+    );
     assert_eq!(serial.mispredicts, engine.mispredicts, "{how}: mispredicts");
     assert_eq!(
         serial.override_candidates, engine.override_candidates,
         "{how}: override_candidates"
     );
-    assert_eq!(serial.intervals, engine.intervals, "{how}: interval partitions");
+    assert_eq!(
+        serial.intervals, engine.intervals,
+        "{how}: interval partitions"
+    );
 }
 
 #[test]
 fn engine_matrix_is_bit_identical_to_serial_compare() {
-    let sim = Simulation { warmup_instructions: 60_000, measure_instructions: 160_000 };
+    let sim = Simulation {
+        warmup_instructions: 60_000,
+        measure_instructions: 160_000,
+    };
 
     // Serial reference: runner::compare per workload, predictors in order.
     let mut serial = Vec::new();
@@ -54,7 +70,10 @@ fn engine_matrix_is_bit_identical_to_serial_compare() {
 
     // Engine: 1 and 4 workers, every cell streaming its own generator.
     for threads in [1usize, 4] {
-        let designs = [design("64K TSL", bench::tsl64), design("LLBP-X", bench::llbpx)];
+        let designs = [
+            design("64K TSL", bench::tsl64),
+            design("LLBP-X", bench::llbpx),
+        ];
         let report = run_matrix(&sim, &specs(), &designs, EngineOptions::basic(threads));
         assert_eq!(report.threads, threads);
         assert_eq!(report.failed_cells(), 0);
@@ -80,7 +99,11 @@ fn run_fig01(threads: &str, sink: &PathBuf) -> Json {
         .env("REPRO_INSTRUCTIONS", "200000")
         .output()
         .expect("fig01 runs");
-    assert!(output.status.success(), "fig01 failed: {}", String::from_utf8_lossy(&output.stderr));
+    assert!(
+        output.status.success(),
+        "fig01 failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
     let text = std::fs::read_to_string(sink).expect("sink was written");
     let _ = std::fs::remove_file(sink);
     Json::parse(text.lines().next().expect("one record line")).expect("valid JSON")
@@ -88,8 +111,8 @@ fn run_fig01(threads: &str, sink: &PathBuf) -> Json {
 
 #[test]
 fn bench_binary_accuracy_is_invariant_under_llbpx_threads() {
-    let sink = std::env::temp_dir()
-        .join(format!("llbpx-parallel-engine-{}.json", std::process::id()));
+    let sink =
+        std::env::temp_dir().join(format!("llbpx-parallel-engine-{}.json", std::process::id()));
     let one = run_fig01("1", &sink);
     let four = run_fig01("4", &sink);
 
@@ -101,9 +124,14 @@ fn bench_binary_accuracy_is_invariant_under_llbpx_threads() {
     assert_eq!(runs1.len(), runs4.len());
     assert!(!runs1.is_empty());
     for (r1, r4) in runs1.iter().zip(runs4) {
-        for key in
-            ["predictor", "workload", "instructions", "cond_branches", "mispredicts", "mpki"]
-        {
+        for key in [
+            "predictor",
+            "workload",
+            "instructions",
+            "cond_branches",
+            "mispredicts",
+            "mpki",
+        ] {
             assert_eq!(
                 r1.get(key).map(Json::to_string),
                 r4.get(key).map(Json::to_string),

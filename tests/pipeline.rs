@@ -8,7 +8,9 @@ use traces::{BranchStream, StreamExt, TraceStats, VecTrace};
 use workloads::{ServerWorkload, WorkloadSpec};
 
 fn small_spec() -> WorkloadSpec {
-    WorkloadSpec::new("pipeline", 77).with_request_types(128).with_handlers(16)
+    WorkloadSpec::new("pipeline", 77)
+        .with_request_types(128)
+        .with_handlers(16)
 }
 
 #[test]
@@ -16,7 +18,10 @@ fn predictors_see_identical_streams_from_identical_specs() {
     // Two different predictors fed from freshly constructed generators
     // must observe the same branches — the property every comparison in
     // the evaluation relies on.
-    let sim = Simulation { warmup_instructions: 100_000, measure_instructions: 200_000 };
+    let sim = Simulation {
+        warmup_instructions: 100_000,
+        measure_instructions: 200_000,
+    };
     let a = sim.run(&mut TageScl::new(TslConfig::kilobytes(64)), &small_spec());
     let b = sim.run(&mut Llbp::new(LlbpConfig::paper_baseline()), &small_spec());
     assert_eq!(a.instructions, b.instructions);
@@ -25,20 +30,28 @@ fn predictors_see_identical_streams_from_identical_specs() {
 
 #[test]
 fn replayed_trace_and_live_generator_predict_identically() {
-    let sim = Simulation { warmup_instructions: 50_000, measure_instructions: 100_000 };
+    let sim = Simulation {
+        warmup_instructions: 50_000,
+        measure_instructions: 100_000,
+    };
 
     let live = sim.run(&mut TageScl::new(TslConfig::kilobytes(64)), &small_spec());
 
     // Same protocol, but replayed from a captured copy of the stream.
-    let mut trace: VecTrace =
-        ServerWorkload::new(&small_spec()).take_branches(60_000).iter().collect();
+    let mut trace: VecTrace = ServerWorkload::new(&small_spec())
+        .take_branches(60_000)
+        .iter()
+        .collect();
     let replayed = sim.run_stream(
         &mut TageScl::new(TslConfig::kilobytes(64)),
         &mut trace,
         "pipeline",
     );
 
-    assert_eq!(live.mispredicts, replayed.mispredicts, "replay must not perturb results");
+    assert_eq!(
+        live.mispredicts, replayed.mispredicts,
+        "replay must not perturb results"
+    );
     assert_eq!(live.instructions, replayed.instructions);
 }
 
@@ -47,7 +60,10 @@ fn trace_statistics_agree_with_run_accounting() {
     let n = 50_000;
     let stats = TraceStats::from_stream(ServerWorkload::new(&small_spec()).take_branches(n));
 
-    let sim = Simulation { warmup_instructions: 0, measure_instructions: u64::MAX };
+    let sim = Simulation {
+        warmup_instructions: 0,
+        measure_instructions: u64::MAX,
+    };
     let mut stream = ServerWorkload::new(&small_spec()).take_branches(n);
     let r = sim.run_stream(
         &mut TageScl::new(TslConfig::kilobytes(64)),
@@ -62,7 +78,10 @@ fn trace_statistics_agree_with_run_accounting() {
 fn llbp_second_level_observes_the_unconditional_stream() {
     // No warmup: the result's second-level stats cover the measurement
     // phase only, so the UB reconstruction below must span the same window.
-    let sim = Simulation { warmup_instructions: 0, measure_instructions: 300_000 };
+    let sim = Simulation {
+        warmup_instructions: 0,
+        measure_instructions: 300_000,
+    };
     let mut llbp = Llbp::new(LlbpConfig::paper_baseline());
     let r = sim.run(&mut llbp, &small_spec());
     let stats = r.llbp.expect("stats");

@@ -21,16 +21,29 @@ fn tmp_path(tag: &str) -> PathBuf {
 
 #[test]
 fn library_run_records_carry_every_section() {
-    let sim = Simulation { warmup_instructions: 50_000, measure_instructions: 200_000 };
-    let spec = WorkloadSpec::new("tiny", 11).with_request_types(64).with_handlers(8);
+    let sim = Simulation {
+        warmup_instructions: 50_000,
+        measure_instructions: 200_000,
+    };
+    let spec = WorkloadSpec::new("tiny", 11)
+        .with_request_types(64)
+        .with_handlers(8);
     let mut p = Llbp::new(LlbpConfig::llbpx());
     let result = sim.run(&mut p, &spec);
 
     let json = Json::parse(&result.to_json(&sim).to_string()).expect("round-trips");
     assert_eq!(json.get("predictor").unwrap().as_str(), Some("LLBP-X"));
-    assert_eq!(json.get("warmup_instructions").unwrap().as_i64(), Some(50_000));
+    assert_eq!(
+        json.get("warmup_instructions").unwrap().as_i64(),
+        Some(50_000)
+    );
     let counters = json.get("counters").expect("counters section");
-    for key in ["cond_branches", "llbp_provided", "prefetches_issued", "allocations"] {
+    for key in [
+        "cond_branches",
+        "llbp_provided",
+        "prefetches_issued",
+        "allocations",
+    ] {
         assert!(counters.get(key).is_some(), "counter {key} missing");
     }
     assert!(json.get("intervals").unwrap().as_arr().unwrap().len() >= 2);
@@ -42,7 +55,10 @@ fn library_run_records_carry_every_section() {
                 && s.get("calls").and_then(Json::as_i64).unwrap_or(0) > 0
         })
         .count();
-    assert!(nonzero >= 3, "expected >=3 timed scopes, profile: {profile:?}");
+    assert!(
+        nonzero >= 3,
+        "expected >=3 timed scopes, profile: {profile:?}"
+    );
 }
 
 #[test]
@@ -58,7 +74,11 @@ fn bench_binary_emits_a_valid_record_with_json_flag() {
         .env("REPRO_INSTRUCTIONS", "200000")
         .output()
         .expect("fig01 runs");
-    assert!(output.status.success(), "fig01 failed: {}", String::from_utf8_lossy(&output.stderr));
+    assert!(
+        output.status.success(),
+        "fig01 failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
 
     let text = std::fs::read_to_string(&sink).expect("sink was written");
     let _ = std::fs::remove_file(&sink);
@@ -66,7 +86,10 @@ fn bench_binary_emits_a_valid_record_with_json_flag() {
     assert_eq!(lines.len(), 1, "one invocation appends one line");
     let line = Json::parse(lines[0]).expect("the record line is valid JSON");
 
-    assert_eq!(line.get("schema").unwrap().as_str(), Some("llbpx-telemetry/6"));
+    assert_eq!(
+        line.get("schema").unwrap().as_str(),
+        Some("llbpx-telemetry/6")
+    );
     assert_eq!(line.get("bench").unwrap().as_str(), Some("fig01"));
 
     // Engine bookkeeping on the record line.
@@ -79,10 +102,25 @@ fn bench_binary_emits_a_valid_record_with_json_flag() {
     for run in runs {
         // Config / protocol.
         assert_eq!(run.get("workload").unwrap().as_str(), Some("NodeApp"));
-        assert_eq!(run.get("warmup_instructions").unwrap().as_i64(), Some(50_000));
-        assert_eq!(run.get("measure_instructions").unwrap().as_i64(), Some(200_000));
-        assert!(run.get("predictor").unwrap().as_str().unwrap().contains("TSL"));
-        assert_eq!(run.get("status").unwrap().as_str(), Some("ok"), "v2 status field");
+        assert_eq!(
+            run.get("warmup_instructions").unwrap().as_i64(),
+            Some(50_000)
+        );
+        assert_eq!(
+            run.get("measure_instructions").unwrap().as_i64(),
+            Some(200_000)
+        );
+        assert!(run
+            .get("predictor")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("TSL"));
+        assert_eq!(
+            run.get("status").unwrap().as_str(),
+            Some("ok"),
+            "v2 status field"
+        );
         assert!(run.get("mpki").unwrap().as_f64().unwrap() > 0.0);
         assert!(run.get("cpi").unwrap().as_f64().unwrap() > 0.0);
         assert!(run.get("storage_bits").unwrap().as_i64().unwrap() > 0);
@@ -94,9 +132,14 @@ fn bench_binary_emits_a_valid_record_with_json_flag() {
         // Interval time-series: default width is an eighth of the budget.
         let intervals = run.get("intervals").unwrap().as_arr().unwrap();
         assert!(intervals.len() >= 2, "got {} intervals", intervals.len());
-        let offsets: Vec<i64> =
-            intervals.iter().map(|s| s.get("instructions").unwrap().as_i64().unwrap()).collect();
-        assert!(offsets.windows(2).all(|w| w[0] < w[1]), "non-monotone {offsets:?}");
+        let offsets: Vec<i64> = intervals
+            .iter()
+            .map(|s| s.get("instructions").unwrap().as_i64().unwrap())
+            .collect();
+        assert!(
+            offsets.windows(2).all(|w| w[0] < w[1]),
+            "non-monotone {offsets:?}"
+        );
 
         // Scope profile: the predictor scopes, and the generator scope of
         // the run that streamed its own workload, must be timed.
@@ -129,15 +172,29 @@ fn the_engine_line_reports_the_workers_used() {
         .env("LLBPX_THREADS", "2")
         .output()
         .expect("fig06 runs");
-    assert!(output.status.success(), "fig06 failed: {}", String::from_utf8_lossy(&output.stderr));
+    assert!(
+        output.status.success(),
+        "fig06 failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
     let stdout = String::from_utf8_lossy(&output.stdout);
-    let engine = stdout.lines().find(|l| l.starts_with("engine:")).expect("an engine line");
-    assert!(engine.starts_with("engine: 1 thread(s)"), "the workers used, not requested: {engine}");
+    let engine = stdout
+        .lines()
+        .find(|l| l.starts_with("engine:"))
+        .expect("an engine line");
+    assert!(
+        engine.starts_with("engine: 1 thread(s)"),
+        "the workers used, not requested: {engine}"
+    );
 
     let text = std::fs::read_to_string(&sink).expect("sink was written");
     let _ = std::fs::remove_file(&sink);
     let line = Json::parse(text.trim()).expect("one valid record line");
-    assert_eq!(line.get("threads").unwrap().as_i64(), Some(1), "the same count as the footer");
+    assert_eq!(
+        line.get("threads").unwrap().as_i64(),
+        Some(1),
+        "the same count as the footer"
+    );
 }
 
 #[test]
@@ -161,7 +218,15 @@ fn env_var_sink_appends_across_invocations() {
         let j = Json::parse(l).expect("valid JSON line");
         assert_eq!(j.get("bench").unwrap().as_str(), Some("table2"));
         // table2 runs no simulations; it records the storage budgets.
-        assert!(j.get("storage_bits").unwrap().get("LLBP-X").unwrap().as_i64().unwrap() > 0);
+        assert!(
+            j.get("storage_bits")
+                .unwrap()
+                .get("LLBP-X")
+                .unwrap()
+                .as_i64()
+                .unwrap()
+                > 0
+        );
         assert_eq!(j.get("runs").unwrap().as_arr().unwrap().len(), 0);
     }
 }
