@@ -5,6 +5,8 @@
 //! lookup before arrival is a miss and marks the entry late (Fig. 14a's
 //! taxonomy). Dirty sets are written back to the store on eviction.
 
+use tage::FastMap;
+
 use crate::pattern_set::PatternSet;
 
 /// One PB entry.
@@ -56,9 +58,15 @@ pub enum PbLookup {
 }
 
 /// The pattern buffer.
+///
+/// Entries live in a dense vector (eviction order and LRU scans depend on
+/// it); a residency index maps each resident context ID to its position,
+/// so the per-branch lookups cost one hash probe instead of a scan.
 #[derive(Debug, Clone)]
 pub struct PatternBuffer {
     entries: Vec<PbEntry>,
+    /// Context ID → position in `entries`, for every resident entry.
+    index: FastMap<u64, usize>,
     capacity: usize,
     clock: u64,
 }
@@ -67,15 +75,19 @@ impl PatternBuffer {
     /// A buffer of `capacity` pattern sets.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "pattern buffer needs capacity");
+        let mut index = FastMap::default();
+        index.reserve(capacity);
         PatternBuffer {
             entries: Vec::with_capacity(capacity),
+            index,
             capacity,
             clock: 0,
         }
     }
 
+    #[inline]
     fn position(&self, cid: u64) -> Option<usize> {
-        self.entries.iter().position(|e| e.cid == cid)
+        self.index.get(&cid).copied()
     }
 
     /// Whether a (possibly in-flight) entry exists for `cid`.
@@ -110,12 +122,15 @@ impl PatternBuffer {
         &self.entries[i]
     }
 
-    /// Touches `cid`'s LRU state (a prefetch that found the set resident).
-    pub fn touch(&mut self, cid: u64) {
+    /// Touches `cid`'s LRU state if it is resident (a prefetch that found
+    /// the set buffered) and reports whether it was.
+    pub fn touch(&mut self, cid: u64) -> bool {
+        let Some(i) = self.position(cid) else {
+            return false;
+        };
         self.clock += 1;
-        if let Some(i) = self.position(cid) {
-            self.entries[i].lru = self.clock;
-        }
+        self.entries[i].lru = self.clock;
+        true
     }
 
     /// Inserts a set for `cid` arriving at `arrival`; evicts LRU if full.
@@ -143,6 +158,7 @@ impl PatternBuffer {
                 .unwrap_or_else(|| unreachable!("buffer is full, so non-empty"));
             evicted = Some(self.take(lru));
         }
+        self.index.insert(cid, self.entries.len());
         self.entries.push(PbEntry {
             cid,
             set,
@@ -158,6 +174,10 @@ impl PatternBuffer {
 
     fn take(&mut self, i: usize) -> Evicted {
         let e = self.entries.swap_remove(i);
+        self.index.remove(&e.cid);
+        if let Some(moved) = self.entries.get(i) {
+            self.index.insert(moved.cid, i);
+        }
         Evicted {
             cid: e.cid,
             set: e.set,
@@ -173,7 +193,13 @@ impl PatternBuffer {
     pub fn flush_inflight(&mut self, now: u64) -> usize {
         let before = self.entries.len();
         self.entries.retain(|e| e.arrival <= now);
-        before - self.entries.len()
+        let dropped = before - self.entries.len();
+        if dropped > 0 {
+            self.index.clear();
+            self.index
+                .extend(self.entries.iter().enumerate().map(|(i, e)| (e.cid, i)));
+        }
+        dropped
     }
 
     /// Drains every entry (end of run), returning them for writeback.

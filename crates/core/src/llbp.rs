@@ -311,6 +311,9 @@ impl Llbp {
         let allowed = *self.allowed_lengths(cur.deep);
 
         // --- LLBP pattern match -----------------------------------------
+        // The PB entry that served the match; nothing touches the PB again
+        // before training, so the index stays valid until then.
+        let mut pb_index = None;
         let m: Option<PatternMatch> = {
             let _t = telemetry::scope!("llbp::pattern_lookup");
             if self.cfg.no_contextualization {
@@ -323,6 +326,7 @@ impl Llbp {
                         let found = self.pb.entry(i).set.find_longest(&tags, &allowed);
                         if found.is_some() {
                             self.pb.entry_mut(i).used = true;
+                            pb_index = Some(i);
                         }
                         found
                     }
@@ -414,7 +418,7 @@ impl Llbp {
                 if let Some(set) = self.store.lookup_mut(cur.cid) {
                     set.train(pm.slot, taken);
                 }
-            } else if let PbLookup::Ready(i) = self.pb.lookup(cur.cid, self.clock) {
+            } else if let Some(i) = pb_index {
                 let changed = self.pb.entry_mut(i).set.train(pm.slot, taken);
                 if changed {
                     self.pb.entry_mut(i).dirty = true;
@@ -563,8 +567,7 @@ impl Llbp {
     /// already buffered.
     fn issue_prefetch(&mut self, cid: u64) {
         let _t = telemetry::scope!("llbp::prefetch");
-        if self.pb.contains(cid) {
-            self.pb.touch(cid);
+        if self.pb.touch(cid) {
             return;
         }
         let Some(set) = self.store.lookup(cid) else {

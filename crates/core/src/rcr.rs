@@ -1,11 +1,11 @@
 //! Rolling Context Register (RCR): context IDs from unconditional-branch
 //! history (§II-C.2, §V-B.2).
 
-use std::collections::VecDeque;
-
 /// Maximum supported context depth (LLBP-X uses up to W = 64; sweeps in the
-/// analysis figures go further).
+/// analysis figures go further). A power of two: the window is a ring
+/// indexed by the push count modulo this.
 pub const MAX_DEPTH: usize = 128;
+const _: () = assert!(MAX_DEPTH.is_power_of_two());
 
 /// The RCR: a window of recent unconditional-branch PCs from which context
 /// IDs of any depth can be hashed.
@@ -30,8 +30,9 @@ pub const MAX_DEPTH: usize = 128;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Rcr {
-    /// Most recent UB PC at the back.
-    window: VecDeque<u64>,
+    /// The last `MAX_DEPTH` UB PCs as a ring: push `k` (0-based) lands in
+    /// slot `k % MAX_DEPTH`. Slots not yet written hold zero.
+    window: [u64; MAX_DEPTH],
     pushes: u64,
 }
 
@@ -39,17 +40,14 @@ impl Rcr {
     /// An empty register.
     pub fn new() -> Self {
         Rcr {
-            window: VecDeque::with_capacity(MAX_DEPTH),
+            window: [0; MAX_DEPTH],
             pushes: 0,
         }
     }
 
     /// Records the PC of a retired unconditional branch.
     pub fn push(&mut self, pc: u64) {
-        if self.window.len() == MAX_DEPTH {
-            self.window.pop_front();
-        }
-        self.window.push_back(pc);
+        self.window[self.pushes as usize % MAX_DEPTH] = pc;
         self.pushes += 1;
     }
 
@@ -69,9 +67,11 @@ impl Rcr {
     pub fn context_id(&self, w: usize) -> u64 {
         assert!(w > 0 && w <= MAX_DEPTH, "context depth {w} out of range");
         let mut acc = 0x1234_5678_9abc_def0u64 ^ (w as u64);
-        let n = self.window.len();
+        // Slot of the `i`-th most recent push. Before `w` pushes the walk
+        // wraps into slots no push has written yet, which read zero.
+        let newest = self.pushes.wrapping_sub(1) as usize;
         for i in 0..w {
-            let pc = if i < n { self.window[n - 1 - i] } else { 0 };
+            let pc = self.window[newest.wrapping_sub(i) % MAX_DEPTH];
             acc = splitmix(acc ^ pc.rotate_left((i % 61) as u32));
         }
         acc

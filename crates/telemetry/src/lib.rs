@@ -10,8 +10,8 @@
 //! * [`interval`] — per-interval time-series sampling (MPKI, pattern-buffer
 //!   occupancy, prefetch timeliness, allocation rate) for phase-behavior
 //!   views of a run;
-//! * [`profile`] — lightweight RAII scope timers with a thread-local
-//!   registry, instrumenting the simulator's hot paths;
+//! * [`profile`] — lightweight RAII scope timers over fixed thread-local
+//!   counters, instrumenting the simulator's hot paths;
 //! * [`prng`] — a deterministic SplitMix64 generator used by the
 //!   randomized tests across the workspace (in place of the former
 //!   crates-io `rand` dependency).

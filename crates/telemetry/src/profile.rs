@@ -1,13 +1,16 @@
-//! Lightweight scope profiling: RAII timers feeding a thread-local registry.
+//! Lightweight scope profiling: RAII timers feeding per-thread counters.
 //!
 //! The simulator's hot paths (`Tage::predict`/`update`, LLBP's pattern-set
 //! lookup and prefetch, the workload generator) open a
 //! [`scope!`](crate::scope!) guard; dropping the guard adds the elapsed wall
-//! time to that scope's running totals. Each call site resolves its name to
-//! a registry slot once, so entering a scope is an indexed counter bump.
-//! The runner snapshots the registry around each run and reports the delta
-//! as the run's profile section, so optimisation work in later PRs has a
-//! per-run baseline to beat.
+//! time to that scope's running totals. Every distinct scope name owns one
+//! process-wide slot below [`MAX_SCOPES`], and each call site caches its
+//! slot after the first entry. Entering a scope is then one relaxed load of
+//! that cached slot plus one increment of this thread's call counter for
+//! it, held in a fixed, const-initialized thread-local array (no lazy
+//! allocation, no borrow flag, no destructor). The runner snapshots the
+//! counters around each run and reports the delta as the run's profile
+//! section, so optimisation work has a per-run baseline to beat.
 //!
 //! Call counts are exact. Wall time is *sampled*: one in
 //! [`SAMPLE_PERIOD`] entries of each scope is timed (the first always is)
@@ -17,16 +20,21 @@
 //! entries per run the estimate converges tightly; scopes entered once
 //! (coarse phases) are always timed exactly.
 //!
-//! The registry is thread-local: a simulation run reads exactly the scopes
-//! its own thread executed, and parallel test threads never contend or mix
-//! their numbers.
+//! The counters are thread-local: a simulation run reads exactly the
+//! scopes its own thread executed, and parallel test threads never contend
+//! or mix their numbers.
 
-use std::cell::RefCell;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Every `SAMPLE_PERIOD`-th entry of a scope is timed; the rest only count.
 pub const SAMPLE_PERIOD: u64 = 64;
+
+/// Most distinct scope names a process may use. Each thread holds two
+/// counters per slot; registering one more name panics.
+pub const MAX_SCOPES: usize = 64;
 
 /// Accumulated totals for one named scope.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,50 +49,59 @@ pub struct ScopeTotals {
 }
 
 /// Every scope name any thread has entered. A name's position is its slot
-/// in each thread's registry, fixed for the life of the process.
+/// in each thread's counters, fixed for the life of the process.
 static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
-thread_local! {
-    /// This thread's totals, indexed by slot.
-    static REGISTRY: RefCell<Vec<ScopeTotals>> = const { RefCell::new(Vec::new()) };
+/// One thread's counters, indexed by slot.
+struct Counters {
+    calls: [Cell<u64>; MAX_SCOPES],
+    nanos: [Cell<u64>; MAX_SCOPES],
 }
 
-/// The slot of `name`, assigning the next free one on first use.
+thread_local! {
+    static COUNTERS: Counters = const {
+        Counters {
+            calls: [const { Cell::new(0) }; MAX_SCOPES],
+            nanos: [const { Cell::new(0) }; MAX_SCOPES],
+        }
+    };
+}
+
+/// The slot of `name` in `names`, appending it on first use.
+///
+/// # Panics
+///
+/// Panics if `name` would be the `MAX_SCOPES + 1`-th distinct name.
+fn intern_in(names: &mut Vec<&'static str>, name: &'static str) -> usize {
+    if let Some(slot) = names.iter().position(|&n| n == name) {
+        return slot;
+    }
+    if names.len() == MAX_SCOPES {
+        panic!(
+            "scope `{name}` exceeds the profiler's {MAX_SCOPES} scope names; \
+             raise telemetry::profile::MAX_SCOPES"
+        );
+    }
+    names.push(name);
+    names.len() - 1
+}
+
+/// The process-wide slot of `name`.
 fn intern(name: &'static str) -> usize {
     let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
-    match names.iter().position(|&n| n == name) {
-        Some(slot) => slot,
-        None => {
-            names.push(name);
-            names.len() - 1
-        }
-    }
+    intern_in(&mut names, name)
 }
 
-/// The totals in `slot`, first growing this thread's registry to reach it
-/// (rare: once per scope per thread, and after a [`reset`]).
-#[inline]
-fn slot_mut(totals: &mut Vec<ScopeTotals>, slot: usize) -> &mut ScopeTotals {
-    if slot >= totals.len() {
-        let names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
-        let have = totals.len();
-        let fresh = |&name| ScopeTotals {
-            name,
-            calls: 0,
-            nanos: 0,
-        };
-        totals.extend(names[have..=slot].iter().map(fresh));
-    }
-    &mut totals[slot]
-}
+/// A site's slot before its first entry resolves it.
+const UNRESOLVED: usize = usize::MAX;
 
 /// One scope call site, created by [`scope!`](crate::scope!): the name and,
-/// after the first entry, its registry slot. Entering a resolved site is an
-/// indexed counter bump with no name lookup.
+/// after the first entry, its slot. Entering a resolved site is one relaxed
+/// load and a counter bump with no name lookup.
 #[derive(Debug)]
 pub struct ScopeSite {
     name: &'static str,
-    slot: OnceLock<usize>,
+    slot: AtomicUsize,
 }
 
 impl ScopeSite {
@@ -92,14 +109,28 @@ impl ScopeSite {
     pub const fn new(name: &'static str) -> Self {
         ScopeSite {
             name,
-            slot: OnceLock::new(),
+            slot: AtomicUsize::new(UNRESOLVED),
         }
     }
 
     /// Starts timing this site's scope until the returned guard drops.
     #[inline]
     pub fn enter(&self) -> ScopeGuard {
-        enter(*self.slot.get_or_init(|| intern(self.name)))
+        // Relaxed suffices: every thread that resolves the site stores the
+        // same slot, and nothing else is published through it.
+        let slot = match self.slot.load(Ordering::Relaxed) {
+            UNRESOLVED => self.resolve(),
+            slot => slot,
+        };
+        enter(slot)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn resolve(&self) -> usize {
+        let slot = intern(self.name);
+        self.slot.store(slot, Ordering::Relaxed);
+        slot
     }
 }
 
@@ -121,7 +152,7 @@ macro_rules! scope {
 /// [`scope!`](crate::scope!).
 #[must_use = "the scope is timed until this guard is dropped"]
 pub struct ScopeGuard {
-    /// Registry slot the entry was counted in.
+    /// Slot the entry was counted in.
     slot: usize,
     /// `Some` only for the sampled (timed) entries.
     start: Option<Instant>,
@@ -129,40 +160,70 @@ pub struct ScopeGuard {
 
 #[inline]
 fn enter(slot: usize) -> ScopeGuard {
-    REGISTRY.with(|r| {
-        let mut totals = r.borrow_mut();
-        let t = slot_mut(&mut totals, slot);
-        t.calls += 1;
-        // The first call of every scope is timed, so any entered scope has
-        // nonzero time; after that, one in SAMPLE_PERIOD.
-        let start = (t.calls % SAMPLE_PERIOD == 1).then(Instant::now);
-        ScopeGuard { slot, start }
-    })
+    let calls = COUNTERS.with(|c| {
+        let calls = &c.calls[slot];
+        let n = calls.get() + 1;
+        calls.set(n);
+        n
+    });
+    // The first call of every scope is timed, so any entered scope has
+    // nonzero time; after that, one in SAMPLE_PERIOD.
+    if calls % SAMPLE_PERIOD == 1 {
+        ScopeGuard::timed(slot)
+    } else {
+        ScopeGuard { slot, start: None }
+    }
+}
+
+impl ScopeGuard {
+    #[cold]
+    #[inline(never)]
+    fn timed(slot: usize) -> ScopeGuard {
+        ScopeGuard {
+            slot,
+            start: Some(Instant::now()),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn record(slot: usize, start: Instant) {
+        let nanos = (start.elapsed().as_nanos() as u64).saturating_mul(SAMPLE_PERIOD);
+        // A reset while this guard was live (tests) leaves the slot in
+        // place, so the time still lands on this scope.
+        COUNTERS.with(|c| {
+            let total = &c.nanos[slot];
+            total.set(total.get() + nanos);
+        });
+    }
 }
 
 impl Drop for ScopeGuard {
     #[inline]
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let nanos = (start.elapsed().as_nanos() as u64).saturating_mul(SAMPLE_PERIOD);
-        // If the registry was reset while this guard was live (tests), the
-        // slot is regrown and the time still lands on this scope.
-        REGISTRY.with(|r| slot_mut(&mut r.borrow_mut(), self.slot).nanos += nanos);
+        if let Some(start) = self.start {
+            Self::record(self.slot, start);
+        }
     }
 }
 
 /// Current totals for every scope this thread has entered, sorted by name.
 pub fn snapshot() -> Vec<ScopeTotals> {
-    REGISTRY.with(|r| {
-        let mut v: Vec<ScopeTotals> = r
-            .borrow()
+    let names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut v: Vec<ScopeTotals> = COUNTERS.with(|c| {
+        names
             .iter()
+            .enumerate()
+            .map(|(slot, &name)| ScopeTotals {
+                name,
+                calls: c.calls[slot].get(),
+                nanos: c.nanos[slot].get(),
+            })
             .filter(|t| t.calls > 0 || t.nanos > 0)
-            .cloned()
-            .collect();
-        v.sort_by(|a, b| a.name.cmp(b.name));
-        v
-    })
+            .collect()
+    });
+    v.sort_by(|a, b| a.name.cmp(b.name));
+    v
 }
 
 /// Totals accumulated since `before` (a prior [`snapshot`]), dropping
@@ -183,9 +244,13 @@ pub fn since(before: &[ScopeTotals]) -> Vec<ScopeTotals> {
         .collect()
 }
 
-/// Clears this thread's registry (tests).
+/// Zeroes this thread's counters (tests). Slots stay assigned.
 pub fn reset() {
-    REGISTRY.with(|r| r.borrow_mut().clear());
+    COUNTERS.with(|c| {
+        for cell in c.calls.iter().chain(&c.nanos) {
+            cell.set(0);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -292,6 +357,35 @@ mod tests {
         }
         let names: Vec<_> = snapshot().iter().map(|t| t.name).collect();
         assert_eq!(names, ["test::here"]);
+    }
+
+    #[test]
+    fn interning_reuses_slots_and_caps_the_names() {
+        let mut names = Vec::new();
+        assert_eq!(intern_in(&mut names, "a"), 0);
+        assert_eq!(intern_in(&mut names, "b"), 1);
+        assert_eq!(intern_in(&mut names, "a"), 0, "a known name keeps its slot");
+        let leaked: Vec<&'static str> = (2..MAX_SCOPES)
+            .map(|i| &*Box::leak(format!("cap::{i}").into_boxed_str()))
+            .collect();
+        for (i, &name) in leaked.iter().enumerate() {
+            assert_eq!(intern_in(&mut names, name), i + 2);
+        }
+        assert_eq!(names.len(), MAX_SCOPES);
+        assert_eq!(
+            intern_in(&mut names, "b"),
+            1,
+            "known names resolve at the cap"
+        );
+        let over = std::panic::catch_unwind(move || intern_in(&mut names, "one::too::many"));
+        let msg = over.expect_err("the cap panics");
+        let msg = msg
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(
+            msg.contains("one::too::many") && msg.contains("MAX_SCOPES"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -68,6 +68,76 @@ const SALT_JUMP: u64 = 0x88;
 const SALT_LEAF_CALL: u64 = 0x99;
 const SALT_RBITS: u64 = 0xaa;
 
+/// One handler site's static draws, packed into a byte: the [`SiteClass`]
+/// in the low two bits, then whether the site calls a leaf, whether it
+/// ends in a jump, and a Noisy site's bias direction. Built once per
+/// generator, so a request's handler body reads them instead of rehashing.
+#[derive(Debug, Clone, Copy)]
+struct SiteDraws(u8);
+
+impl SiteDraws {
+    /// The classes in declaration order, so `class as u8` indexes them.
+    const CLASSES: [SiteClass; 4] = [
+        SiteClass::Typed,
+        SiteClass::Noisy,
+        SiteClass::Loop,
+        SiteClass::H2p,
+    ];
+    const LEAF_CALL: u8 = 1 << 2;
+    const JUMP: u8 = 1 << 3;
+    const NOISY_DIR: u8 = 1 << 4;
+
+    fn new(spec: &WorkloadSpec, h: usize, j: usize) -> Self {
+        let class = ServerWorkload::site_class(spec, h, j);
+        let mut bits = class as u8;
+        let draw = |salt| mix_all(&[spec.seed, h as u64, j as u64, salt]) as f64 / u64::MAX as f64;
+        if draw(SALT_LEAF_CALL) < spec.leaf_call_prob {
+            bits |= Self::LEAF_CALL;
+        }
+        if draw(SALT_JUMP) < spec.jump_prob {
+            bits |= Self::JUMP;
+        }
+        if class == SiteClass::Noisy && mix_bool(&[spec.seed, h as u64, j as u64, SALT_DIR]) {
+            bits |= Self::NOISY_DIR;
+        }
+        SiteDraws(bits)
+    }
+
+    #[inline]
+    fn class(self) -> SiteClass {
+        Self::CLASSES[usize::from(self.0 & 3)]
+    }
+
+    #[inline]
+    fn has(self, flag: u8) -> bool {
+        self.0 & flag != 0
+    }
+}
+
+/// One leaf function's static draws: its first branch's bias and
+/// direction, and whether its second branch inverts the first.
+#[derive(Debug, Clone, Copy)]
+struct LeafDraws {
+    bias: f64,
+    dir: bool,
+    invert: bool,
+}
+
+impl LeafDraws {
+    fn new(spec: &WorkloadSpec, l: usize) -> Self {
+        // Kept highly biased: each leaf call injects one weakly-noisy bit
+        // into global history, and the density of such bits bounds how
+        // often long patterns re-match.
+        let bias =
+            0.97 + 0.025 * (mix_all(&[spec.seed, l as u64, SALT_BIAS]) as f64 / u64::MAX as f64);
+        LeafDraws {
+            bias,
+            dir: mix_bool(&[spec.seed, l as u64, SALT_DIR]),
+            invert: mix_bool(&[spec.seed, l as u64, 2]),
+        }
+    }
+}
+
 /// A deterministic branch-stream generator for one [`WorkloadSpec`].
 ///
 /// Implements [`BranchStream`] and never ends; bound it with
@@ -79,6 +149,10 @@ pub struct ServerWorkload {
     rng: XorShift,
     /// Phase counters, indexed by `(h, j, r / handlers)`.
     phase: Vec<u8>,
+    /// Static draws of handler site `(h, j)` at `h * branches_per_handler + j`.
+    sites: Vec<SiteDraws>,
+    /// Static draws of each leaf function.
+    leaves: Vec<LeafDraws>,
     /// Recency list of request types (session working set).
     working: VecDeque<usize>,
     current_r: usize,
@@ -108,6 +182,12 @@ impl ServerWorkload {
         let first = zipf.sample(&mut rng);
         Ok(ServerWorkload {
             phase: vec![0; spec.handlers * spec.branches_per_handler * spec.types_per_handler()],
+            sites: (0..spec.handlers)
+                .flat_map(|h| {
+                    (0..spec.branches_per_handler).map(move |j| SiteDraws::new(spec, h, j))
+                })
+                .collect(),
+            leaves: (0..spec.leaves).map(|l| LeafDraws::new(spec, l)).collect(),
             zipf,
             rng,
             working: VecDeque::with_capacity(8),
@@ -218,14 +298,9 @@ impl ServerWorkload {
         let leaf = layout::leaf_pc(l);
         self.push(site, leaf, BranchKind::DirectCall, true);
 
-        // Branch 1: noisy-biased, per-leaf bias and direction. Kept highly
-        // biased: each leaf call injects one weakly-noisy bit into global
-        // history, and the density of such bits bounds how often long
-        // patterns re-match.
-        let bias = 0.97
-            + 0.025 * (mix_all(&[self.spec.seed, l as u64, SALT_BIAS]) as f64 / u64::MAX as f64);
-        let dir = mix_bool(&[self.spec.seed, l as u64, SALT_DIR]);
-        let b1 = self.rng.next_bool(bias) == dir;
+        // Branch 1: noisy-biased, per-leaf bias and direction.
+        let draws = self.leaves[l];
+        let b1 = self.rng.next_bool(draws.bias) == draws.dir;
         self.push(leaf + 0x40, leaf + 0x60, BranchKind::CondDirect, b1);
 
         // Optional short fixed-trip loop (half the leaves).
@@ -238,17 +313,17 @@ impl ServerWorkload {
 
         // Branch 2: copies (or inverts) branch 1 — pure short-history
         // correlation, the "easy" pattern contextualization duplicates.
-        let b2 = b1 ^ mix_bool(&[self.spec.seed, l as u64, 2]);
+        let b2 = b1 ^ draws.invert;
         self.push(leaf + 0xc0, leaf + 0xe0, BranchKind::CondDirect, b2);
 
         self.push(leaf + 0x100, site + 4, BranchKind::Return, true);
     }
 
-    fn emit_site(&mut self, h: usize, j: usize, r: usize) {
+    fn emit_site(&mut self, h: usize, j: usize, r: usize, draws: SiteDraws) {
         let spec_seed = self.spec.seed;
         let site = layout::site_base(h, j);
         let branch_pc = site + 0x40;
-        match Self::site_class(&self.spec, h, j) {
+        match draws.class() {
             SiteClass::Typed => {
                 let idx = self.phase_index(h, j, r);
                 let p = self.phase[idx];
@@ -264,13 +339,14 @@ impl ServerWorkload {
                 self.push(branch_pc, branch_pc + 0x20, BranchKind::CondDirect, taken);
             }
             SiteClass::Noisy => {
+                // The bias is hashed per entry: a precomputed f64 per site
+                // would outweigh the rest of the site table eightfold.
                 let span = self.spec.noise_bias_max - self.spec.noise_bias_min;
                 let bias = self.spec.noise_bias_min
                     + span
                         * (mix_all(&[spec_seed, h as u64, j as u64, SALT_BIAS]) as f64
                             / u64::MAX as f64);
-                let dir = mix_bool(&[spec_seed, h as u64, j as u64, SALT_DIR]);
-                let taken = self.rng.next_bool(bias) == dir;
+                let taken = self.rng.next_bool(bias) == draws.has(SiteDraws::NOISY_DIR);
                 self.push(branch_pc, branch_pc + 0x20, BranchKind::CondDirect, taken);
             }
             SiteClass::Loop => {
@@ -341,17 +417,14 @@ impl ServerWorkload {
         self.push(route + 0x10, handler, BranchKind::DirectCall, true);
 
         // Handler body.
-        for j in 0..self.spec.branches_per_handler {
-            let leaf_draw = mix_all(&[self.spec.seed, h as u64, j as u64, SALT_LEAF_CALL]) as f64
-                / u64::MAX as f64;
-            if leaf_draw < self.spec.leaf_call_prob {
+        let per_handler = self.spec.branches_per_handler;
+        for j in 0..per_handler {
+            let draws = self.sites[h * per_handler + j];
+            if draws.has(SiteDraws::LEAF_CALL) {
                 self.emit_leaf(h, j, r);
             }
-            self.emit_site(h, j, r);
-            let jump_draw =
-                mix_all(&[self.spec.seed, h as u64, j as u64, SALT_JUMP]) as f64 / u64::MAX as f64;
-            let has_jump = jump_draw < self.spec.jump_prob;
-            if has_jump {
+            self.emit_site(h, j, r, draws);
+            if draws.has(SiteDraws::JUMP) {
                 let site = layout::site_base(h, j);
                 self.push(site + 0x80, site + 0x100, BranchKind::UncondDirect, true);
             }

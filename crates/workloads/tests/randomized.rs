@@ -119,3 +119,57 @@ fn mix_range_is_bounded() {
         assert!(workloads::hashing::mix_range(&parts, bound) < bound);
     }
 }
+
+/// FNV-1a over every field of the first `n` records of a preset's stream.
+fn stream_fingerprint(spec: &WorkloadSpec, n: u64) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for rec in ServerWorkload::new(spec).take_branches(n).iter() {
+        let words = [
+            rec.pc,
+            rec.target,
+            rec.kind as u64,
+            u64::from(rec.taken),
+            u64::from(rec.instr_gap),
+        ];
+        for word in words {
+            hash = (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Every preset's stream is pinned: the first 200K records of each hash to
+/// the value recorded before the generator precomputed its per-site and
+/// per-leaf draws. The golden stats cover only NodeApp and TPCC, so this
+/// is what holds the other presets' streams in place.
+#[test]
+fn preset_streams_are_pinned() {
+    const RECORDS: u64 = 200_000;
+    let got: Vec<(String, u64)> = workloads::presets::all()
+        .iter()
+        .map(|p| (p.spec.name.clone(), stream_fingerprint(&p.spec, RECORDS)))
+        .collect();
+    let pinned: &[(&str, u64)] = &STREAM_PINS;
+    assert_eq!(got.len(), pinned.len(), "one pin per preset");
+    for ((name, hash), (want_name, want)) in got.iter().zip(pinned) {
+        assert_eq!(name, want_name, "presets changed order");
+        assert_eq!(hash, want, "{name}: the first {RECORDS} records changed");
+    }
+}
+
+const STREAM_PINS: [(&str, u64); 14] = [
+    ("NodeApp", 0x45de078fe806727a),
+    ("PHPWiki", 0x05dbc97e516d0d9a),
+    ("TPCC", 0x3f1b1b41827e5c88),
+    ("Twitter", 0x49ed85003a359590),
+    ("Wikipedia", 0x5f0ef33273c297c7),
+    ("Kafka", 0xfdd690978812244e),
+    ("Spring", 0x969972a294997bb0),
+    ("Tomcat", 0x21839600e759d6d7),
+    ("Chirper", 0x21e83d0673a52eb9),
+    ("FinagleHTTP", 0xdb6cff7df879ff53),
+    ("Charlie", 0x9c9a7d7f19a44e39),
+    ("Delta", 0xececed959fb48554),
+    ("Merced", 0x260a1843af37eed7),
+    ("Whiskey", 0x76b97ae4602d7d3f),
+];

@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
-# Tier-1 verification, fully offline: release build, the whole test suite,
-# the panic-free lint gate, the rustdoc link gate, and smoke experiments
-# covering every binary's main, determinism (fig01 and the fig08 context
-# analyses), fault isolation, and checkpoint/resume.
+# Tier-1 verification, fully offline: the format gate, release build, the
+# whole test suite, the panic-free lint gate, the rustdoc link gate, and
+# smoke experiments covering every binary's main, determinism (fig01 and
+# the fig08 context analyses), fault isolation, and checkpoint/resume.
 #
 # Usage: scripts/verify.sh
 # Exits nonzero on the first failure.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Formatting first: it is the cheapest gate. `--all` covers every workspace
+# member; perfbench/driver is a workspace of its own and is not checked.
+echo "== lint: cargo fmt --check (whole workspace) =="
+cargo fmt --all --check
 
 echo "== tier-1: release build =="
 cargo build --release --offline

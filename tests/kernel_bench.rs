@@ -2,21 +2,28 @@
 //! pinning for the optimized hot path.
 //!
 //! Style follows `crates/tage/tests/randomized.rs`: deterministic seeded
-//! inputs, offline, no external harness. The timing tests measure the two
-//! kernels the hot-path work targets — `TageScl` predict/update and
-//! `PatternSet::find_longest` — plus the three stages of the TAGE core
-//! (`tage::update_history`, `tage::predict`, `tage::update`), and emit
+//! inputs, offline, no external harness. The timing tests measure the
+//! kernels the hot-path work targets — `TageScl` predict/update,
+//! `PatternSet::find_longest`, the three stages of the TAGE core
+//! (`tage::update_history`, `tage::predict`, `tage::update`), the pattern
+//! buffer lookup, the RCR context hash, workload generation, and one
+//! `scope!` entry of the profiler against a whole LLBP-X branch — and emit
 //! per-call nanoseconds into the telemetry sink (`LLBPX_TELEMETRY=1`, sink
-//! `BENCH_kernel_bench.json`) so a regression names the stage that moved. Assertions stay loose on
-//! absolute speed (CI machines vary); the pinned-accuracy test is exact.
+//! `BENCH_kernel_bench.json`) so a regression names the stage that moved.
+//! Assertions stay loose on absolute speed (CI machines vary); the
+//! pinned-accuracy test is exact.
 
 use std::time::Instant;
 
 use bpsim::runner::Simulation;
-use llbpx::{LengthSet, PatternSet};
+use llbpx::buffer::{PatternBuffer, PbLookup};
+use llbpx::config::PB_ENTRIES;
+use llbpx::rcr::Rcr;
+use llbpx::{LengthSet, Llbp, LlbpConfig, PatternSet};
 use tage::{DirectionPredictor, PredictInput, Tage, TageConfig, TageScl, TslConfig, NUM_TABLES};
 use telemetry::{Json, SplitMix64};
-use traces::BranchRecord;
+use traces::{BranchRecord, BranchStream, StreamExt};
+use workloads::ServerWorkload;
 
 /// Branches per timing batch — large enough that per-batch overhead
 /// (clock reads, loop setup) vanishes into the per-branch cost.
@@ -180,6 +187,139 @@ fn pattern_set_find_longest_latency() {
     assert!(hits > 0, "some lookups match");
     assert!(ns < 100_000.0, "find_longest took {ns:.0} ns/call");
     emit_kernel_ns("pattern_set::find_longest", calls, ns);
+}
+
+/// Best-of-3 nanoseconds per call of `calls` runs of `kernel`.
+fn best_ns(calls: usize, mut kernel: impl FnMut()) -> f64 {
+    (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..calls {
+                kernel();
+            }
+            start.elapsed().as_nanos() as f64 / calls as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// A pattern buffer filled to its 64 entries, probed with a mix of
+/// resident (90%) and absent context IDs, as the per-branch lookup sees.
+#[test]
+fn pattern_buffer_lookup_latency() {
+    let mut rng = SplitMix64::new(0x7062_6c6b);
+    let mut pb = PatternBuffer::new(PB_ENTRIES);
+    let resident: Vec<u64> = (0..PB_ENTRIES).map(|_| rng.next_u64()).collect();
+    for &cid in &resident {
+        pb.insert(cid, PatternSet::new(), 0, true);
+    }
+    let probes: Vec<u64> = (0..1024)
+        .map(|_| {
+            if rng.next_bool(0.9) {
+                resident[rng.next_below(resident.len() as u64) as usize]
+            } else {
+                rng.next_u64()
+            }
+        })
+        .collect();
+    let (mut i, mut ready) = (0usize, 0u64);
+    let ns = best_ns(BATCH, || {
+        ready += matches!(pb.lookup(probes[i % probes.len()], 1), PbLookup::Ready(_)) as u64;
+        i += 1;
+    });
+    assert_eq!(pb.len(), PB_ENTRIES, "lookups never evict");
+    assert!(ready > 0, "resident probes hit");
+    assert!(ns < 100_000.0, "pattern buffer lookup took {ns:.0} ns/call");
+    emit_kernel_ns("pattern_buffer::lookup", BATCH, ns);
+}
+
+/// The shallow (W = 8) context hash LLBP-X computes on every
+/// unconditional branch, interleaved with the RCR push that precedes it.
+#[test]
+fn rcr_context_id_latency() {
+    let mut rng = SplitMix64::new(0x7263_726b);
+    let pcs: Vec<u64> = (0..1024)
+        .map(|_| 0x1000 + rng.next_below(4096) * 4)
+        .collect();
+    let mut rcr = Rcr::new();
+    let (mut i, mut acc) = (0usize, 0u64);
+    let ns = best_ns(BATCH, || {
+        rcr.push(pcs[i % pcs.len()]);
+        acc ^= rcr.context_id(8);
+        i += 1;
+    });
+    std::hint::black_box(acc);
+    assert!(
+        ns < 100_000.0,
+        "RCR push + context_id(8) took {ns:.0} ns/call"
+    );
+    emit_kernel_ns("rcr::context_id(8)", BATCH, ns);
+}
+
+/// Generating one branch record of the NodeApp stream.
+#[test]
+fn workload_generation_latency() {
+    let spec = workloads::presets::by_name("NodeApp").expect("preset exists");
+    let mut stream = ServerWorkload::new(&spec);
+    let mut taken = 0u64;
+    let ns = best_ns(BATCH, || {
+        taken += stream.next_branch().expect("generators never end").taken as u64;
+    });
+    assert!(taken > 0, "the stream is not degenerate");
+    assert!(ns < 100_000.0, "generation took {ns:.0} ns/branch");
+    emit_kernel_ns("workload::next_branch", BATCH, ns);
+}
+
+/// The profiler's cost next to the work it measures: one `scope!` entry
+/// and exit against one LLBP-X branch (prediction, training, prefetch) on
+/// a NodeApp stream. The hot-path budget allows the profiler at most 2%
+/// of a branch; the profiler's share per branch also counts how many
+/// scopes a branch enters.
+#[test]
+fn scope_entry_cost_against_an_llbpx_branch() {
+    let scope_ns = best_ns(BATCH * 5, || {
+        let _g = telemetry::scope!("kernel_bench::scope");
+        std::hint::black_box(());
+    });
+
+    let spec = workloads::presets::by_name("NodeApp").expect("preset exists");
+    let records: Vec<BranchRecord> = ServerWorkload::new(&spec)
+        .take_branches(BATCH as u64)
+        .iter()
+        .collect();
+    let mut llbpx = Llbp::new(LlbpConfig::llbpx());
+    for rec in &records {
+        llbpx.process(PredictInput::new(rec));
+    }
+    let before = telemetry::profile::snapshot();
+    let start = Instant::now();
+    for rec in &records {
+        llbpx.process(PredictInput::new(rec));
+    }
+    let branch_ns = start.elapsed().as_nanos() as f64 / records.len() as f64;
+    let entries: u64 = telemetry::profile::since(&before)
+        .iter()
+        .map(|t| t.calls)
+        .sum();
+    let entries_per_branch = entries as f64 / records.len() as f64;
+
+    let share = scope_ns / branch_ns;
+    eprintln!(
+        "profiler: {scope_ns:.2} ns/entry, LLBP-X {branch_ns:.1} ns/branch ({:.2}% per entry), \
+         {entries_per_branch:.2} entries/branch ({:.2}% of a branch)",
+        100.0 * share,
+        100.0 * share * entries_per_branch
+    );
+    assert!(
+        entries_per_branch > 1.0,
+        "TAGE predict and update are scoped on every branch"
+    );
+    assert!(
+        share <= 0.02,
+        "one scope entry costs {:.2}% of an LLBP-X branch",
+        100.0 * share
+    );
+    emit_kernel_ns("profile::scope", BATCH * 5, scope_ns);
+    emit_kernel_ns("llbpx::process", records.len(), branch_ns);
 }
 
 /// Pins exact accuracy stats on two presets: any later change to the hot
