@@ -70,9 +70,11 @@ const SALT_RBITS: u64 = 0xaa;
 
 /// One handler site's static draws, packed into a byte: the [`SiteClass`]
 /// in the low two bits, then whether the site calls a leaf, whether it
-/// ends in a jump, and a Noisy site's bias direction. Built once per
-/// generator, so a request's handler body reads them instead of rehashing.
-#[derive(Debug, Clone, Copy)]
+/// ends in a jump, and a Noisy site's bias direction. A handler's draws are
+/// made on its first request and then read by every later one instead of
+/// rehashed; drawing lazily keeps a short run from paying for handlers it
+/// never reaches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SiteDraws(u8);
 
 impl SiteDraws {
@@ -86,6 +88,8 @@ impl SiteDraws {
     const LEAF_CALL: u8 = 1 << 2;
     const JUMP: u8 = 1 << 3;
     const NOISY_DIR: u8 = 1 << 4;
+    /// A site not drawn yet; no draw sets bit 7.
+    const UNDRAWN: SiteDraws = SiteDraws(0xff);
 
     fn new(spec: &WorkloadSpec, h: usize, j: usize) -> Self {
         let class = ServerWorkload::site_class(spec, h, j);
@@ -149,7 +153,8 @@ pub struct ServerWorkload {
     rng: XorShift,
     /// Phase counters, indexed by `(h, j, r / handlers)`.
     phase: Vec<u8>,
-    /// Static draws of handler site `(h, j)` at `h * branches_per_handler + j`.
+    /// Static draws of handler site `(h, j)` at `h * branches_per_handler + j`,
+    /// [`SiteDraws::UNDRAWN`] until handler `h` first runs.
     sites: Vec<SiteDraws>,
     /// Static draws of each leaf function.
     leaves: Vec<LeafDraws>,
@@ -182,11 +187,7 @@ impl ServerWorkload {
         let first = zipf.sample(&mut rng);
         Ok(ServerWorkload {
             phase: vec![0; spec.handlers * spec.branches_per_handler * spec.types_per_handler()],
-            sites: (0..spec.handlers)
-                .flat_map(|h| {
-                    (0..spec.branches_per_handler).map(move |j| SiteDraws::new(spec, h, j))
-                })
-                .collect(),
+            sites: vec![SiteDraws::UNDRAWN; spec.handlers * spec.branches_per_handler],
             leaves: (0..spec.leaves).map(|l| LeafDraws::new(spec, l)).collect(),
             zipf,
             rng,
@@ -418,8 +419,14 @@ impl ServerWorkload {
 
         // Handler body.
         let per_handler = self.spec.branches_per_handler;
+        let first = h * per_handler;
+        if self.sites[first] == SiteDraws::UNDRAWN {
+            for j in 0..per_handler {
+                self.sites[first + j] = SiteDraws::new(&self.spec, h, j);
+            }
+        }
         for j in 0..per_handler {
-            let draws = self.sites[h * per_handler + j];
+            let draws = self.sites[first + j];
             if draws.has(SiteDraws::LEAF_CALL) {
                 self.emit_leaf(h, j, r);
             }
