@@ -278,10 +278,9 @@ impl Llbp {
                 if let Some(ev) = self.pb.insert(cid, set, self.clock, prefetched) {
                     Self::account_eviction(&mut self.stats, &mut self.store, ev);
                 }
-                match self.pb.lookup(cid, u64::MAX) {
-                    PbLookup::Ready(i) => i,
-                    _ => unreachable!("entry was just inserted"),
-                }
+                // `insert` pushes the new entry last and stamps it most
+                // recently used, so its index needs no second lookup.
+                self.pb.len() - 1
             }
         }
     }

@@ -141,11 +141,6 @@ impl PipelineModel {
         }
     }
 
-    /// The parameters this model was built with.
-    pub fn params(&self) -> &PipelineParams {
-        &self.params
-    }
-
     /// Drives `predictor` over `stream`, accounting cycles until the
     /// stream ends. The predictor is trained as it goes (execution-driven).
     pub fn run<P, S>(&mut self, predictor: &mut P, mut stream: S) -> PipelineResult

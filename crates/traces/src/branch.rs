@@ -64,14 +64,6 @@ impl BranchKind {
     pub fn is_call(self) -> bool {
         matches!(self, BranchKind::DirectCall | BranchKind::IndirectCall)
     }
-
-    /// Decodes a kind from its wire discriminant.
-    ///
-    /// Returns `None` for out-of-range values; used by the trace reader.
-    #[inline]
-    pub fn from_u8(value: u8) -> Option<BranchKind> {
-        BranchKind::ALL.get(value as usize).copied()
-    }
 }
 
 impl fmt::Display for BranchKind {
@@ -161,15 +153,6 @@ impl fmt::Display for BranchRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_roundtrips_through_u8() {
-        for kind in BranchKind::ALL {
-            assert_eq!(BranchKind::from_u8(kind as u8), Some(kind));
-        }
-        assert_eq!(BranchKind::from_u8(6), None);
-        assert_eq!(BranchKind::from_u8(u8::MAX), None);
-    }
 
     #[test]
     fn conditional_and_unconditional_partition_kinds() {

@@ -12,7 +12,10 @@ use std::collections::VecDeque;
 use traces::{BranchKind, BranchRecord, BranchStream};
 
 use crate::hashing::{mix64, mix_all, mix_bool, mix_range, XorShift};
-use crate::spec::WorkloadSpec;
+use crate::spec::{
+    WorkloadSpec, DISPATCH_BITS, GAP_MAX, GAP_MIN, JUMP_PROB, LEAF_CALL_PROB, LEAF_SELECT_MOD,
+    LEAVES, LOCAL_PROB, LOOP_FRACTION, MAX_TRIP, WORKING_SET, ZIPF_EXPONENT,
+};
 use crate::zipf::Zipf;
 
 /// Address layout of the synthetic program (one region per function kind).
@@ -44,8 +47,8 @@ pub mod layout {
 /// Static behaviour class of a handler site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SiteClass {
-    /// Outcome is a deterministic function of (site, request type, phase):
-    /// the bread-and-butter patterns that stress predictor capacity.
+    /// Outcome is a deterministic function of (site, request type): the
+    /// bread-and-butter patterns that stress predictor capacity.
     Typed,
     /// Noisy-biased outcome (bias drawn per site): the irreducible floor.
     Noisy,
@@ -95,10 +98,10 @@ impl SiteDraws {
         let class = ServerWorkload::site_class(spec, h, j);
         let mut bits = class as u8;
         let draw = |salt| mix_all(&[spec.seed, h as u64, j as u64, salt]) as f64 / u64::MAX as f64;
-        if draw(SALT_LEAF_CALL) < spec.leaf_call_prob {
+        if draw(SALT_LEAF_CALL) < LEAF_CALL_PROB {
             bits |= Self::LEAF_CALL;
         }
-        if draw(SALT_JUMP) < spec.jump_prob {
+        if draw(SALT_JUMP) < JUMP_PROB {
             bits |= Self::JUMP;
         }
         if class == SiteClass::Noisy && mix_bool(&[spec.seed, h as u64, j as u64, SALT_DIR]) {
@@ -151,8 +154,6 @@ pub struct ServerWorkload {
     spec: WorkloadSpec,
     zipf: Zipf,
     rng: XorShift,
-    /// Phase counters, indexed by `(h, j, r / handlers)`.
-    phase: Vec<u8>,
     /// Static draws of handler site `(h, j)` at `h * branches_per_handler + j`,
     /// [`SiteDraws::UNDRAWN`] until handler `h` first runs.
     sites: Vec<SiteDraws>,
@@ -162,9 +163,7 @@ pub struct ServerWorkload {
     working: VecDeque<usize>,
     current_r: usize,
     prev_r: usize,
-    prev2_r: usize,
     buf: VecDeque<BranchRecord>,
-    requests: u64,
 }
 
 impl ServerWorkload {
@@ -183,32 +182,19 @@ impl ServerWorkload {
     pub fn try_new(spec: &WorkloadSpec) -> Result<Self, String> {
         spec.validate()?;
         let mut rng = XorShift::new(spec.seed);
-        let zipf = Zipf::new(spec.request_types, spec.zipf_exponent);
+        let zipf = Zipf::new(spec.request_types, ZIPF_EXPONENT);
         let first = zipf.sample(&mut rng);
         Ok(ServerWorkload {
-            phase: vec![0; spec.handlers * spec.branches_per_handler * spec.types_per_handler()],
             sites: vec![SiteDraws::UNDRAWN; spec.handlers * spec.branches_per_handler],
-            leaves: (0..spec.leaves).map(|l| LeafDraws::new(spec, l)).collect(),
+            leaves: (0..LEAVES).map(|l| LeafDraws::new(spec, l)).collect(),
             zipf,
             rng,
-            working: VecDeque::with_capacity(8),
+            working: VecDeque::with_capacity(WORKING_SET),
             current_r: first,
             prev_r: first,
-            prev2_r: first,
             buf: VecDeque::with_capacity(512),
-            requests: 0,
             spec: spec.clone(),
         })
-    }
-
-    /// The spec this generator was built from.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
-
-    /// Requests fully emitted so far.
-    pub fn requests(&self) -> u64 {
-        self.requests
     }
 
     /// Static class of handler site `(h, j)`.
@@ -222,7 +208,7 @@ impl ServerWorkload {
         let u = mix_all(&[spec.seed, h as u64, j as u64, SALT_CLASS]) as f64 / u64::MAX as f64;
         if u < spec.noise_fraction {
             SiteClass::Noisy
-        } else if u < spec.noise_fraction + spec.loop_fraction {
+        } else if u < spec.noise_fraction + LOOP_FRACTION {
             SiteClass::Loop
         } else {
             SiteClass::Typed
@@ -248,8 +234,8 @@ impl ServerWorkload {
 
     #[inline]
     fn gap(&mut self) -> u32 {
-        let span = u64::from(self.spec.gap_max - self.spec.gap_min) + 1;
-        self.spec.gap_min + self.rng.next_range(span) as u32
+        let span = u64::from(GAP_MAX - GAP_MIN) + 1;
+        GAP_MIN + self.rng.next_range(span) as u32
     }
 
     #[inline]
@@ -264,7 +250,7 @@ impl ServerWorkload {
         if self.rng.next_bool(self.spec.session_stay) {
             return self.current_r;
         }
-        let r = if !self.working.is_empty() && self.rng.next_bool(self.spec.local_prob) {
+        let r = if !self.working.is_empty() && self.rng.next_bool(LOCAL_PROB) {
             let i = self.rng.next_range(self.working.len() as u64) as usize;
             self.working[i]
         } else {
@@ -273,14 +259,8 @@ impl ServerWorkload {
         // Move-to-front recency update.
         self.working.retain(|&w| w != r);
         self.working.push_front(r);
-        self.working.truncate(self.spec.working_set);
+        self.working.truncate(WORKING_SET);
         r
-    }
-
-    #[inline]
-    fn phase_index(&self, h: usize, j: usize, r: usize) -> usize {
-        (h * self.spec.branches_per_handler + j) * self.spec.types_per_handler()
-            + r / self.spec.handlers
     }
 
     fn emit_leaf(&mut self, h: usize, j: usize, r: usize) {
@@ -290,10 +270,10 @@ impl ServerWorkload {
                 spec.seed,
                 h as u64,
                 j as u64,
-                (r % spec.leaf_select_mod) as u64,
+                (r % LEAF_SELECT_MOD) as u64,
                 SALT_LEAF,
             ],
-            spec.leaves as u64,
+            LEAVES as u64,
         ) as usize;
         let site = layout::site_base(h, j);
         let leaf = layout::leaf_pc(l);
@@ -326,17 +306,10 @@ impl ServerWorkload {
         let branch_pc = site + 0x40;
         match draws.class() {
             SiteClass::Typed => {
-                let idx = self.phase_index(h, j, r);
-                let p = self.phase[idx];
-                self.phase[idx] = (p + 1) % self.spec.phases;
-                let taken = mix_bool(&[
-                    spec_seed,
-                    h as u64,
-                    j as u64,
-                    r as u64,
-                    u64::from(p),
-                    SALT_OUTCOME,
-                ]);
+                // The literal 0 is part of the hash input every preset's
+                // pinned stream was recorded with; dropping it would
+                // change every Typed outcome.
+                let taken = mix_bool(&[spec_seed, h as u64, j as u64, r as u64, 0, SALT_OUTCOME]);
                 self.push(branch_pc, branch_pc + 0x20, BranchKind::CondDirect, taken);
             }
             SiteClass::Noisy => {
@@ -353,7 +326,7 @@ impl ServerWorkload {
             SiteClass::Loop => {
                 let trip = 1 + mix_range(
                     &[spec_seed, h as u64, j as u64, r as u64, SALT_TRIP],
-                    u64::from(self.spec.max_trip),
+                    u64::from(MAX_TRIP),
                 ) as u32;
                 for i in 0..=trip {
                     self.push(
@@ -400,7 +373,7 @@ impl ServerWorkload {
 
         // Dispatch bits encode a mixed image of r (balanced bits).
         let rbits = mix64(self.spec.seed ^ (r as u64) ^ SALT_RBITS);
-        for j in 0..self.spec.dispatch_bits {
+        for j in 0..DISPATCH_BITS {
             let pc = layout::DISPATCH_BASE + u64::from(j) * 0x40;
             let taken = (rbits >> j) & 1 == 1;
             self.push(pc, pc + 0x20, BranchKind::CondDirect, taken);
@@ -447,10 +420,8 @@ impl ServerWorkload {
             true,
         );
 
-        self.prev2_r = self.prev_r;
         self.prev_r = self.current_r;
         self.current_r = r;
-        self.requests += 1;
     }
 }
 
@@ -597,23 +568,25 @@ mod tests {
 
     #[test]
     fn h2p_outcomes_depend_on_previous_request_type() {
-        // Directly check the outcome function: same (h, j, r, phase) but
+        // Directly check the outcome function: same (h, j, r) but
         // different prev_r must flip the outcome for some inputs.
         let spec = small_spec();
         let h = 0;
         let j = spec.branches_per_handler - 1; // an H2P site
         assert_eq!(ServerWorkload::site_class(&spec, h, j), SiteClass::H2p);
         let outcomes: Vec<bool> = (0..32u64)
-            .map(|prev| mix_bool(&[spec.seed, h as u64, j as u64, 5, prev, 3, SALT_H2P]))
+            .map(|prev| mix_bool(&[spec.seed, h as u64, j as u64, 5, prev, SALT_H2P]))
             .collect();
         assert!(outcomes.iter().any(|&o| o) && outcomes.iter().any(|&o| !o));
     }
 
     #[test]
     fn gaps_respect_the_configured_range() {
-        let spec = small_spec();
-        for rec in ServerWorkload::new(&spec).take_branches(10_000).iter() {
-            assert!((spec.gap_min..=spec.gap_max).contains(&rec.instr_gap));
+        for rec in ServerWorkload::new(&small_spec())
+            .take_branches(10_000)
+            .iter()
+        {
+            assert!((GAP_MIN..=GAP_MAX).contains(&rec.instr_gap));
         }
     }
 
@@ -641,15 +614,5 @@ mod tests {
             churn(0.95) < churn(0.3),
             "higher stay must mean fewer type changes"
         );
-    }
-
-    #[test]
-    fn requests_counter_advances() {
-        let mut w = ServerWorkload::new(&small_spec());
-        for _ in 0..1000 {
-            let _ = w.next_branch();
-        }
-        assert!(w.requests() > 0);
-        assert!(w.spec().name == "test");
     }
 }

@@ -1,9 +1,10 @@
 //! Deterministic mixing functions used by the workload synthesizer.
 //!
 //! Branch outcomes in the synthetic server are *functions* of identifiers
-//! (handler, branch, request type, phase) rather than fresh random draws,
-//! so that the same `(branch, context)` always behaves the same way — the
-//! property that makes patterns learnable and the whole trace reproducible.
+//! (handler, branch, request type and, for H2P sites, the previous request
+//! type) rather than fresh random draws, so that the same
+//! `(branch, context)` always behaves the same way — the property that
+//! makes patterns learnable and the whole trace reproducible.
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixer.
 #[inline]

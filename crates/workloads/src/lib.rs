@@ -11,7 +11,7 @@
 //!   unconditional branches (calls, returns, jumps) that LLBP's rolling
 //!   context register hashes.
 //! * **Capacity pressure.** Handler branch outcomes are deterministic per
-//!   `(branch, request type, phase)`, so the global pattern working set is
+//!   `(branch, request type)`, so the global pattern working set is
 //!   learnable but large — tens to hundreds of thousands of TAGE patterns,
 //!   overwhelming a 64 KiB predictor while fitting a 512 KiB one.
 //! * **Hard-to-predict (H2P) branches.** Selected branches additionally

@@ -1,6 +1,43 @@
-//! Workload specification: every knob of the synthetic server.
+//! Workload specification: what a preset varies, and the fixed shape
+//! every preset shares.
+//!
+//! A [`WorkloadSpec`] holds only the values some preset in
+//! [`crate::presets`] sets. The rest of the synthetic server's shape is
+//! the same for every workload and lives here as constants.
 
-/// Parameters of a synthetic server workload.
+/// Shared utility leaf functions.
+pub const LEAVES: usize = 48;
+/// Probability that a handler site is preceded by a call to a leaf.
+pub const LEAF_CALL_PROB: f64 = 0.35;
+/// The leaf called at a site depends on `r % LEAF_SELECT_MOD`, which
+/// injects request-type bits into the unconditional-branch stream (and so
+/// into LLBP's contexts).
+pub const LEAF_SELECT_MOD: usize = 8;
+/// Probability of an unconditional jump after a handler site.
+pub const JUMP_PROB: f64 = 0.25;
+/// Fraction of handler sites (before the H2P tail) that are loops.
+pub const LOOP_FRACTION: f64 = 0.10;
+/// Loop trip counts are `1 + hash(site, request type) % MAX_TRIP`.
+pub const MAX_TRIP: u16 = 6;
+/// Zipf exponent of request-type popularity (0 would be uniform).
+pub const ZIPF_EXPONENT: f64 = 0.9;
+/// Size of the recently-seen request-type working set.
+pub const WORKING_SET: usize = 8;
+/// Probability, when a request leaves its session, of redrawing its type
+/// from the working set rather than from the Zipf distribution.
+pub const LOCAL_PROB: f64 = 0.5;
+/// Conditional dispatch branches encoding each request's type.
+pub const DISPATCH_BITS: u32 = 6;
+/// Minimum non-branch instructions between two branches.
+pub const GAP_MIN: u32 = 2;
+/// Maximum non-branch instructions between two branches.
+pub const GAP_MAX: u32 = 10;
+
+// The generator divides and draws ranges by these; a zero or an inverted
+// range would panic mid-stream, so reject it at compile time.
+const _: () = assert!(LEAVES > 0 && LEAF_SELECT_MOD > 0 && MAX_TRIP > 0 && GAP_MIN <= GAP_MAX);
+
+/// The per-workload parameters of a synthetic server.
 ///
 /// The defaults describe a mid-sized service; the fourteen presets in
 /// [`crate::presets`] are tuned variants. All randomness derives from
@@ -13,7 +50,7 @@
 ///     .with_request_types(256)
 ///     .with_handlers(32)
 ///     .with_noise(0.10, 0.88, 0.97);
-/// assert_eq!(spec.types_per_handler(), 8);
+/// assert_eq!(spec.validate(), Ok(()));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
@@ -31,16 +68,9 @@ pub struct WorkloadSpec {
     pub handlers: usize,
     /// Conditional branch sites per handler body.
     pub branches_per_handler: usize,
-    /// Number of shared utility leaf functions.
-    pub leaves: usize,
-    /// Probability a handler site is preceded by a call to a leaf.
-    pub leaf_call_prob: f64,
-    /// The leaf chosen at a site depends on `r % leaf_select_mod`, injecting
-    /// request-type bits into the unconditional-branch stream (and thus into
-    /// LLBP's contexts).
-    pub leaf_select_mod: usize,
-    /// Probability of an unconditional jump after a handler site.
-    pub jump_prob: f64,
+    /// Handler sites (at the end of each body) whose outcome additionally
+    /// depends on the *previous* request's type — the H2P branches.
+    pub h2p_per_handler: usize,
 
     // Behaviour mix -------------------------------------------------------
     /// Fraction of handler sites with noisy-biased outcomes.
@@ -49,34 +79,10 @@ pub struct WorkloadSpec {
     pub noise_bias_min: f64,
     /// Upper bound of the noisy bias.
     pub noise_bias_max: f64,
-    /// Fraction of handler sites that are loops.
-    pub loop_fraction: f64,
-    /// Loop trip counts are `1 + hash(...) % max_trip` (per request type).
-    pub max_trip: u16,
-    /// Phase modulus for request-type-determined sites: outcomes cycle
-    /// through `phases` variants per `(site, type)`.
-    pub phases: u8,
-    /// Handler sites (at the end of each body) whose outcome additionally
-    /// depends on the *previous* request's type — the H2P branches.
-    pub h2p_per_handler: usize,
 
     // Request process -----------------------------------------------------
-    /// Zipf exponent of type popularity (0 = uniform).
-    pub zipf_exponent: f64,
     /// Probability the next request keeps the current type (session burst).
     pub session_stay: f64,
-    /// Size of the recently-seen-type working set.
-    pub working_set: usize,
-    /// Probability (given no stay) of redrawing from the working set.
-    pub local_prob: f64,
-
-    // Misc ----------------------------------------------------------------
-    /// Conditional dispatch branches encoding the request type.
-    pub dispatch_bits: u32,
-    /// Minimum non-branch instructions between branches.
-    pub gap_min: u32,
-    /// Maximum non-branch instructions between branches.
-    pub gap_max: u32,
 }
 
 impl WorkloadSpec {
@@ -88,30 +94,12 @@ impl WorkloadSpec {
             request_types: 1024,
             handlers: 64,
             branches_per_handler: 24,
-            leaves: 48,
-            leaf_call_prob: 0.35,
-            leaf_select_mod: 8,
-            jump_prob: 0.25,
+            h2p_per_handler: 2,
             noise_fraction: 0.08,
             noise_bias_min: 0.90,
             noise_bias_max: 0.98,
-            loop_fraction: 0.10,
-            max_trip: 6,
-            phases: 1,
-            h2p_per_handler: 2,
-            zipf_exponent: 0.9,
             session_stay: 0.85,
-            working_set: 8,
-            local_prob: 0.5,
-            dispatch_bits: 6,
-            gap_min: 2,
-            gap_max: 10,
         }
-    }
-
-    /// Distinct request types handled by one handler function.
-    pub fn types_per_handler(&self) -> usize {
-        self.request_types.div_ceil(self.handlers)
     }
 
     /// Sets the number of request types.
@@ -170,22 +158,9 @@ impl WorkloadSpec {
         if self.h2p_per_handler > self.branches_per_handler {
             return Err("h2p_per_handler exceeds branches_per_handler".into());
         }
-        if self.leaves == 0 || self.leaf_select_mod == 0 {
-            return Err("leaves and leaf_select_mod must be positive".into());
-        }
-        if self.phases == 0 || self.max_trip == 0 {
-            return Err("phases and max_trip must be positive".into());
-        }
-        if self.gap_min > self.gap_max {
-            return Err("gap_min exceeds gap_max".into());
-        }
         for (label, p) in [
-            ("leaf_call_prob", self.leaf_call_prob),
-            ("jump_prob", self.jump_prob),
             ("noise_fraction", self.noise_fraction),
-            ("loop_fraction", self.loop_fraction),
             ("session_stay", self.session_stay),
-            ("local_prob", self.local_prob),
             ("noise_bias_min", self.noise_bias_min),
             ("noise_bias_max", self.noise_bias_max),
         ] {
@@ -193,11 +168,8 @@ impl WorkloadSpec {
                 return Err(format!("{label} must be a probability, got {p}"));
             }
         }
-        if self.noise_fraction + self.loop_fraction > 1.0 {
-            return Err("noise_fraction + loop_fraction exceeds 1".into());
-        }
-        if self.working_set == 0 {
-            return Err("working_set must be positive".into());
+        if self.noise_fraction + LOOP_FRACTION > 1.0 {
+            return Err("noise_fraction + LOOP_FRACTION exceeds 1".into());
         }
         Ok(())
     }
@@ -223,7 +195,6 @@ mod tests {
             .with_noise(0.2, 0.8, 0.95);
         assert_eq!(s.request_types, 512);
         assert_eq!(s.handlers, 16);
-        assert_eq!(s.types_per_handler(), 32);
         assert_eq!(s.h2p_per_handler, 3);
         assert_eq!(s.validate(), Ok(()));
     }
@@ -233,6 +204,19 @@ mod tests {
         let mut s = WorkloadSpec::new("z", 3);
         s.session_stay = 1.5;
         assert!(s.validate().unwrap_err().contains("session_stay"));
+        let base = WorkloadSpec::new("z", 3);
+        for bad in [-0.1, 1.1, f64::NAN] {
+            let s = base.clone().with_noise(bad, 0.9, 0.98);
+            assert!(s.validate().unwrap_err().contains("noise_fraction must"));
+            let s = base.clone().with_noise(0.08, bad, 0.98);
+            assert!(s.validate().unwrap_err().contains("noise_bias_min must"));
+            let s = base.clone().with_noise(0.08, 0.9, bad);
+            assert!(s.validate().unwrap_err().contains("noise_bias_max must"));
+        }
+        // Each share is a probability, but noisy and loop sites together
+        // would exceed every site.
+        let s = base.with_noise(1.0 - LOOP_FRACTION / 2.0, 0.9, 0.98);
+        assert!(s.validate().unwrap_err().contains("LOOP_FRACTION"));
     }
 
     #[test]
@@ -241,19 +225,19 @@ mod tests {
         s.handlers = 0;
         assert!(s.validate().is_err());
         let mut s = WorkloadSpec::new("z", 3);
+        s.handlers = s.request_types + 1;
+        assert_eq!(
+            s.validate(),
+            Err("handlers must be in 1..=request_types".into())
+        );
+        let mut s = WorkloadSpec::new("z", 3);
+        s.branches_per_handler = 0;
+        assert_eq!(
+            s.validate(),
+            Err("branches_per_handler must be positive".into())
+        );
+        let mut s = WorkloadSpec::new("z", 3);
         s.h2p_per_handler = s.branches_per_handler + 1;
         assert!(s.validate().is_err());
-        let mut s = WorkloadSpec::new("z", 3);
-        s.gap_min = 20;
-        s.gap_max = 10;
-        assert!(s.validate().is_err());
-    }
-
-    #[test]
-    fn types_per_handler_rounds_up() {
-        let s = WorkloadSpec::new("w", 1)
-            .with_request_types(100)
-            .with_handlers(16);
-        assert_eq!(s.types_per_handler(), 7);
     }
 }

@@ -5,6 +5,7 @@
 
 use telemetry::SplitMix64;
 use traces::{BranchStream, StreamExt};
+use workloads::spec::{GAP_MAX, GAP_MIN};
 use workloads::{ServerWorkload, WorkloadSpec, Zipf};
 
 fn rand_spec(rng: &mut SplitMix64) -> WorkloadSpec {
@@ -37,7 +38,7 @@ fn generated_streams_are_well_formed() {
             if rec.kind.is_unconditional() {
                 assert!(rec.taken, "unconditional not taken at {:#x}", rec.pc);
             }
-            assert!((spec.gap_min..=spec.gap_max).contains(&rec.instr_gap));
+            assert!((GAP_MIN..=GAP_MAX).contains(&rec.instr_gap));
         }
     }
 }

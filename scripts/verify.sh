@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification, fully offline: the format gate, release build, the
 # whole test suite, the panic-free lint gate, the rustdoc link gate, and
-# smoke experiments covering every binary's main, determinism (fig01 and
-# the fig08 context analyses), fault isolation, and checkpoint/resume.
+# smoke experiments covering every binary's main, the examples,
+# determinism (fig01 and the fig08 context analyses), fault isolation,
+# and checkpoint/resume.
 #
 # Usage: scripts/verify.sh
 # Exits nonzero on the first failure.
@@ -144,6 +145,16 @@ EOF
 done
 rm -f "$bin_out" "$bin_sink"
 echo "ok: $count binaries exit 0 with a paper reference, no NaN and one thread count"
+
+echo "== smoke: the bench examples run to completion =="
+# Clippy builds the examples but nothing else runs them; custom_workload
+# is the only caller of the WorkloadSpec builder outside the presets and
+# the tests. Each must exit 0 (set -e stops the script otherwise).
+cargo build -q --release --offline -p bench --examples
+for example in quickstart h2p_explorer capacity_planner custom_workload; do
+    "./target/release/examples/$example" >/dev/null
+done
+echo "ok: 4 examples exit 0"
 
 echo "== smoke: fig01 accuracy parity vs recorded stats =="
 # The per-branch kernel is optimization territory; any change that shifts
