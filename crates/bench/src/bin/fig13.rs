@@ -4,6 +4,10 @@
 //! As in the paper, the four Google traces are excluded from the
 //! performance evaluation (their gem5 runs are impossible; here we simply
 //! honor the same subset).
+//!
+//! The grid is [`bench::fig13_designs`], behind the frontend observer, so
+//! `fig13p` prices the same cells on the frontend cycle model and a
+//! journal of either binary restores the other's cells.
 
 use std::process::ExitCode;
 
@@ -23,12 +27,7 @@ fn main() -> ExitCode {
     );
     // Google traces: trace-only, as in the paper.
     let presets = bench::presets_where(|p| p.in_gem5_eval);
-    let designs = [
-        bench::design("64K TSL", bench::tsl64),
-        bench::design("LLBP", bench::llbp),
-        bench::design("LLBP-X", bench::llbpx),
-        bench::design("512K TSL", || bench::tsl(512)),
-    ];
+    let designs = bench::fig13_designs();
     let rows = fig.run_rows(presets, &designs);
     let speedup = |runs: &[RunResult], i: usize| core.speedup(&runs[0], &runs[i]);
     bench::tabulate(&mut table, &rows, |_, runs| {

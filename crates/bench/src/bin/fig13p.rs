@@ -1,113 +1,60 @@
-//! Fig. 13 (execution-driven variant): speedup over 64K TSL on the
-//! cycle-level frontend/pipeline model (BTB + RAS + block-based fetch),
+//! Fig. 13 (frontend cycle model): speedup over 64K TSL on a trace-driven
+//! model of the Table II frontend (BTB + RAS + block-based fetch),
 //! cross-checking the analytical `fig13` numbers.
 //!
-//! Unlike `fig13`, the predictor here interacts with the frontend: fetch
-//! blocks end at taken branches, BTB misses redirect, and direction
-//! mispredictions resteer — the closest this reproduction gets to the
-//! paper's gem5 runs.
+//! It runs `fig13`'s grid ([`bench::fig13_designs`]) and prices each run
+//! with [`bpsim::timing::frontend_cycles`] instead of the analytical core:
+//! fetch blocks end at taken branches and mispredictions, BTB and RAS
+//! misses redirect, and direction mispredictions resteer. The frontend
+//! observes the predictor's outcomes but never feeds back into it, and it
+//! counts the measured window only, like every other figure.
 
 use std::process::ExitCode;
 
-use bpsim::exec;
 use bpsim::report::{f3, fmt_or_na, geomean, Table};
-use bpsim::Simulation;
-use pipeline::{PipelineModel, PipelineParams};
-use traces::BranchStream;
-use workloads::ServerWorkload;
+use bpsim::timing::frontend_cycles;
+use bpsim::RunResult;
 
-fn run(
-    sim: Simulation,
-    design: &mut Box<dyn bpsim::SimPredictor>,
-    spec: &workloads::WorkloadSpec,
-) -> pipeline::PipelineResult {
-    let budget = sim.warmup_instructions + sim.measure_instructions;
-    let mut model = PipelineModel::new(PipelineParams::paper_table2());
-    // Bound the stream by the instruction budget.
-    struct Budget<S> {
-        inner: S,
-        left: i64,
-    }
-    impl<S: BranchStream> BranchStream for Budget<S> {
-        fn next_branch(&mut self) -> Option<traces::BranchRecord> {
-            if self.left <= 0 {
-                return None;
-            }
-            let rec = self.inner.next_branch()?;
-            self.left -= rec.instructions() as i64;
-            Some(rec)
-        }
-    }
-    let stream = Budget {
-        inner: ServerWorkload::new(spec),
-        left: budget as i64,
+/// Cycles per instruction of an observed run on the frontend model.
+fn cpi(run: &RunResult) -> f64 {
+    let Some(frontend) = &run.frontend else {
+        panic!("`{}` ran without the frontend observer", run.name);
     };
-    model.run(design.as_mut(), stream)
+    frontend_cycles(run.instructions, run.mispredicts, frontend) as f64
+        / run.instructions.max(1) as f64
 }
 
 fn main() -> ExitCode {
     let mut fig = bench::Figure::new(
         "fig13p",
-        "Fig. 13 (\u{a7}VII-B), execution-driven cross-check: LLBP-X 1% avg \
+        "Fig. 13 (\u{a7}VII-B), frontend-cycle-model cross-check: LLBP-X 1% avg \
          (0.08-2.7%), LLBP 0.71%, ideal 512K TSL 2.4%",
     );
-    let sim = *fig.sim();
     let mut table = Table::new(
-        "Fig. 13 (execution-driven) — speedup over 64K TSL, pipeline model",
+        "Fig. 13 (frontend cycle model) — speedup over 64K TSL",
         &["workload", "64K IPC", "LLBP", "LLBP-X", "512K TSL (ideal)"],
     );
     let presets = bench::presets_where(|p| p.in_gem5_eval);
-    // The pipeline model sits outside the runner, so fan out over the raw
-    // job API rather than the run matrix.
-    let factories: [fn() -> Box<dyn bpsim::SimPredictor>; 4] =
-        [bench::tsl64, bench::llbp, bench::llbpx, || bench::tsl(512)];
-    let mut jobs: Vec<exec::BoxedJob<'static, pipeline::PipelineResult>> = Vec::new();
-    for preset in &presets {
-        for factory in factories {
-            let spec = preset.spec.clone();
-            jobs.push(Box::new(move || run(sim, &mut factory(), &spec)));
-        }
-    }
-    let mut results = fig.run_jobs(jobs).into_iter();
-
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for preset in &presets {
-        let base = results.next().expect("one result per job");
-        let mut cells = vec![preset.spec.name.clone(), f3(base.ipc())];
-        for speedup_col in &mut speedups {
-            let r = results.next().expect("one result per job");
-            let s = r.speedup_over(&base);
-            speedup_col.push(s);
-            cells.push(f3(s));
-        }
-        table.row(cells);
-    }
+    let designs = bench::fig13_designs();
+    let rows = fig.run_rows(presets, &designs);
+    let speedup = |runs: &[RunResult], i: usize| cpi(&runs[0]) / cpi(&runs[i]);
+    bench::tabulate(&mut table, &rows, |_, runs| {
+        let mut cells = vec![f3(1.0 / cpi(&runs[0]))];
+        cells.extend((1..designs.len()).map(|i| f3(speedup(runs, i))));
+        cells
+    });
+    let geo = |i| geomean(bench::completed(&rows).map(|runs| speedup(runs, i)));
     let mut avg = vec!["geomean".into(), "-".into()];
-    for s in &speedups {
-        avg.push(f3(geomean(s.iter().copied())));
-    }
+    avg.extend((1..designs.len()).map(|i| f3(geo(i))));
     table.row(avg);
     print!("{}", table.render());
 
-    // The pipeline model produces IPC speedups rather than run records;
-    // attach the summary to the record line directly.
-    for (i, label) in ["llbp", "llbpx", "tsl512"].iter().enumerate() {
-        fig.set_extra(
-            &format!("geomean_speedup_{label}"),
-            telemetry::Json::from(geomean(speedups[i].iter().copied())),
-        );
-    }
-
-    let g = |i: usize| {
-        fmt_or_na(geomean(speedups[i].iter().copied()), |g| {
-            format!("{:+.2}%", (g - 1.0) * 100.0)
-        })
-    };
+    let gain = |i| fmt_or_na(geo(i), |g| format!("{:+.2}%", (g - 1.0) * 100.0));
     println!(
         "\naverage speedup: LLBP {}, LLBP-X {}, 512K TSL {}",
-        g(0),
-        g(1),
-        g(2)
+        gain(1),
+        gain(2),
+        gain(3)
     );
     fig.finish()
 }

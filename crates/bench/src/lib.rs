@@ -37,11 +37,12 @@ use std::time::Instant;
 
 use bpsim::analysis::ContextAnalysis;
 use bpsim::env::Knob;
-use bpsim::exec::{self, BoxedJob, EngineOptions};
+use bpsim::exec::{self, EngineOptions};
 use bpsim::report::Table;
 use bpsim::runner::{RunResult, Simulation};
 use bpsim::{CoreParams, SimPredictor};
 use llbpx::{Llbp, LlbpConfig};
+use pipeline::Frontend;
 use tage::{TageScl, TslConfig};
 use telemetry::Json;
 use workloads::presets::Preset;
@@ -148,6 +149,25 @@ pub fn llbp_with(cfg: LlbpConfig) -> Box<dyn SimPredictor> {
     Box::new(Llbp::new(cfg))
 }
 
+/// The Fig. 13 grid, shared by `fig13` and `fig13p`: 64K TSL (the
+/// baseline), LLBP, LLBP-X and the ideal 512K TSL, each behind the
+/// frontend observer ([`pipeline::Frontend`]). `fig13` reads the runs'
+/// mispredictions and `fig13p` their frontend counters; the cells are the
+/// same, so one binary's journal restores the other's.
+pub fn fig13_designs() -> [Design; 4] {
+    let observed = |name: &str, factory: fn() -> Box<dyn SimPredictor>| {
+        design(name, move || {
+            Box::new(Frontend::new(factory())) as Box<dyn SimPredictor>
+        })
+    };
+    [
+        observed("64K TSL", tsl64),
+        observed("LLBP", llbp),
+        observed("LLBP-X", llbpx),
+        observed("512K TSL", || tsl(512)),
+    ]
+}
+
 /// Runs LLBP-X once to convergence and returns its depth decisions as a
 /// map, every listed context deep — the "found ahead of time" oracle of
 /// LLBP-X Opt-W (§VII-A). A figure takes the same decisions from its row's
@@ -202,8 +222,8 @@ fn opt_w(deep_contexts: impl IntoIterator<Item = u64>) -> Box<dyn SimPredictor> 
 ///
 /// Construct it once at the top of `main` with the binary's name and the
 /// paper result it reproduces, run every simulation through
-/// [`run_rows`](Figure::run_rows), [`run_analyses`](Figure::run_analyses)
-/// or [`run_jobs`](Figure::run_jobs), and end `main` with
+/// [`run_rows`](Figure::run_rows) or
+/// [`run_analyses`](Figure::run_analyses), and end `main` with
 /// [`finish`](Figure::finish), which prints the footer and returns the exit
 /// code.
 ///
@@ -316,15 +336,6 @@ impl Figure {
             .flatten()
             .map(ContextAnalysis::from_run)
             .collect()
-    }
-
-    /// Runs jobs that are not engine cells (fig13p's pipeline model) over
-    /// `LLBPX_THREADS` workers with [`exec::run_jobs_with`]; the results
-    /// return in job order. A panicking job propagates.
-    pub fn run_jobs<T: Send>(&mut self, jobs: Vec<BoxedJob<'_, T>>) -> Vec<T> {
-        let threads = exec::threads_from_env();
-        self.threads = Some(threads.max(1).min(jobs.len().max(1)));
-        exec::run_jobs_with(threads, jobs)
     }
 
     /// Runs one grid and records it: every run on the record line, every

@@ -216,11 +216,6 @@ impl PatternBuffer {
         self.entries.len()
     }
 
-    /// Configured capacity in pattern sets.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// `true` when the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()

@@ -182,11 +182,6 @@ impl Llbp {
         &self.stats
     }
 
-    /// Pattern-buffer occupancy in `[0, 1]` right now (a telemetry gauge).
-    pub fn pb_occupancy(&self) -> f64 {
-        self.pb.len() as f64 / self.pb.capacity() as f64
-    }
-
     /// Final depth decision observed per tracked shallow context; empty
     /// unless the CTT decides depths (LLBP-X without an oracle).
     pub fn depth_decisions(&self) -> &FastMap<u64, bool> {

@@ -1,5 +1,12 @@
 //! Branch target buffer: the Table II configuration is 16K entries, 8-way.
 
+/// Sets of the Table II BTB, log2: 2^11 sets × [`BTB_WAYS`] ways = 16K
+/// entries.
+pub const BTB_LOG2_SETS: u32 = 11;
+
+/// Ways of the Table II BTB.
+pub const BTB_WAYS: usize = 8;
+
 /// One BTB entry.
 #[derive(Debug, Clone, Copy, Default)]
 struct BtbEntry {
@@ -25,8 +32,6 @@ pub struct Btb {
     sets_log2: u32,
     ways: usize,
     clock: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Btb {
@@ -43,14 +48,7 @@ impl Btb {
             sets_log2,
             ways,
             clock: 0,
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// The paper's Table II BTB: 16K entries, 8-way.
-    pub fn paper_table2() -> Self {
-        Btb::new(11, 8) // 2^11 sets × 8 ways = 16384 entries
     }
 
     #[inline]
@@ -63,8 +61,7 @@ impl Btb {
         ((pc >> (2 + self.sets_log2)) & 0xffff) as u32
     }
 
-    /// Looks up the predicted target for a branch at `pc`, updating LRU
-    /// and hit/miss statistics.
+    /// Looks up the predicted target for a branch at `pc`, updating LRU.
     pub fn lookup(&mut self, pc: u64) -> Option<u64> {
         self.clock += 1;
         let base = self.set_base(pc);
@@ -72,11 +69,9 @@ impl Btb {
         for i in base..base + self.ways {
             if self.entries[i].valid && self.entries[i].tag == tag {
                 self.entries[i].lru = self.clock;
-                self.hits += 1;
                 return Some(self.entries[i].target);
             }
         }
-        self.misses += 1;
         None
     }
 
@@ -102,16 +97,6 @@ impl Btb {
             valid: true,
         };
     }
-
-    /// Total entries.
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `(hits, misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +105,8 @@ mod tests {
 
     #[test]
     fn paper_btb_has_16k_entries() {
-        assert_eq!(Btb::paper_table2().capacity(), 16 * 1024);
+        let btb = Btb::new(BTB_LOG2_SETS, BTB_WAYS);
+        assert_eq!(btb.entries.len(), 16 * 1024);
     }
 
     #[test]
@@ -128,15 +114,16 @@ mod tests {
         let mut btb = Btb::new(4, 2);
         btb.update(0x1000, 0x2000);
         assert_eq!(btb.lookup(0x1000), Some(0x2000));
-        let (h, m) = btb.stats();
-        assert_eq!((h, m), (1, 0));
+        assert_eq!(btb.lookup(0x1000), Some(0x2000), "a hit keeps the entry");
     }
 
     #[test]
     fn lookup_miss_is_counted() {
         let mut btb = Btb::new(4, 2);
         assert_eq!(btb.lookup(0x1000), None);
-        assert_eq!(btb.stats(), (0, 1));
+        assert_eq!(btb.lookup(0x1000), None, "a miss installs nothing");
+        btb.update(0x1000, 0x2000);
+        assert_eq!(btb.lookup(0x1000), Some(0x2000));
     }
 
     #[test]

@@ -1,241 +1,142 @@
-//! The execution-driven core model: block-based fetch + BTB/RAS +
-//! direction-misprediction resteers + a retire-bandwidth backend.
+//! The frontend observer: block-based fetch and BTB/RAS target prediction,
+//! fed by the direction outcomes of the predictor under test.
 //!
 //! Cycle accounting. The frontend fetches instruction *blocks*: a block
-//! ends at a taken branch (or at the fetch-width boundary), so
+//! ends at a taken branch or at a direction misprediction (the resteer),
+//! so
 //!
 //! ```text
-//! fetch_cycles  = Σ ceil(block_len / fetch_width)
+//! fetch_cycles = Σ ceil(block_len / FETCH_WIDTH)
 //! ```
 //!
-//! Penalty cycles are added for: direction mispredictions (full resteer),
-//! taken branches whose target missed in the BTB (decode-time redirect),
-//! and return-address-stack mispredictions (same redirect). The backend
-//! bounds throughput at `retire_width` with a deterministic long-latency
-//! stall component standing in for cache misses. Total cycles are
+//! A taken branch whose target missed in the BTB (or, for a return, in
+//! the RAS) is a target miss. [`bpsim::timing::frontend_cycles`] adds the
+//! penalties and the backend bound:
 //!
 //! ```text
 //! cycles = max(fetch_cycles, retire_cycles) + penalties + backend_stalls
 //! ```
 //!
 //! which is the standard decoupled frontend/backend bound used in
-//! analytical pipeline studies, made execution-driven because fetch blocks,
-//! BTB contents and predictions all come from the actual trace.
+//! analytical pipeline studies, with the fetch blocks and BTB contents
+//! taken from the trace.
 
-use tage::{DirectionPredictor, PredictInput};
-use traces::{BranchKind, BranchRecord, BranchStream};
+use bpsim::predictor::Observation;
+use bpsim::timing::{FrontendCounters, FETCH_WIDTH};
+use bpsim::SimPredictor;
+use tage::{DirectionPredictor, PredictInput, Update};
+use traces::{BranchKind, BranchRecord};
 
-use crate::btb::Btb;
-use crate::ras::ReturnAddressStack;
+use crate::btb::{Btb, BTB_LOG2_SETS, BTB_WAYS};
+use crate::ras::{ReturnAddressStack, RAS_DEPTH};
 
-/// Parameters of the modelled core.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipelineParams {
-    /// Instructions fetched per cycle (block bound).
-    pub fetch_width: u64,
-    /// Instructions retired per cycle.
-    pub retire_width: u64,
-    /// Full resteer penalty for a direction misprediction, in cycles.
-    pub mispredict_penalty: u64,
-    /// Decode-time redirect penalty for a BTB/RAS target miss, in cycles.
-    pub redirect_penalty: u64,
-    /// Backend long-latency stall cycles per 1000 instructions
-    /// (cache/memory stand-in, applied deterministically).
-    pub backend_stalls_per_kinstr: u64,
-    /// BTB shape: log2 sets.
-    pub btb_log2_sets: u32,
-    /// BTB associativity.
-    pub btb_ways: usize,
-    /// Return address stack depth.
-    pub ras_depth: usize,
-}
-
-impl PipelineParams {
-    /// The Table II core: 8-wide, 16K-entry 8-way BTB, deep resteer.
-    pub fn paper_table2() -> Self {
-        PipelineParams {
-            fetch_width: 8,
-            retire_width: 8,
-            mispredict_penalty: 20,
-            redirect_penalty: 3,
-            backend_stalls_per_kinstr: 220,
-            btb_log2_sets: 11,
-            btb_ways: 8,
-            ras_depth: 32,
-        }
-    }
-}
-
-/// Cycle breakdown of one run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PipelineResult {
-    /// Instructions retired.
-    pub instructions: u64,
-    /// Total cycles.
-    pub cycles: u64,
-    /// Fetch-bound cycles (block structure).
-    pub fetch_cycles: u64,
-    /// Retire-bound cycles.
-    pub retire_cycles: u64,
-    /// Cycles lost to direction mispredictions.
-    pub mispredict_cycles: u64,
-    /// Cycles lost to BTB/RAS target redirects.
-    pub redirect_cycles: u64,
-    /// Backend long-latency stall cycles.
-    pub backend_stall_cycles: u64,
-    /// Conditional branches predicted.
-    pub cond_branches: u64,
-    /// Direction mispredictions.
-    pub mispredicts: u64,
-    /// Taken-branch target lookups that missed (BTB or RAS).
-    pub target_misses: u64,
-}
-
-impl PipelineResult {
-    /// Instructions per cycle.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.cycles as f64
-        }
-    }
-
-    /// Speedup of this run over `base` (same instruction budget assumed).
-    pub fn speedup_over(&self, base: &PipelineResult) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        (base.cycles as f64 / base.instructions.max(1) as f64)
-            / (self.cycles as f64 / self.instructions.max(1) as f64)
-    }
-
-    /// Fraction of cycles lost to branch mispredictions (Top-Down style).
-    pub fn branch_stall_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.mispredict_cycles as f64 / self.cycles as f64
-        }
-    }
-}
-
-/// The execution-driven pipeline model.
-#[derive(Debug, Clone)]
-pub struct PipelineModel {
-    params: PipelineParams,
+/// The frontend observer: wraps a predictor, forwards every call to it
+/// unchanged, and counts the fetch cycles and target misses of the branch
+/// stream it sees. [`SimPredictor::observe`] exposes the counts as
+/// `frontend`, on top of the wrapped predictor's own observation.
+pub struct Frontend<P> {
+    inner: P,
     btb: Btb,
     ras: ReturnAddressStack,
-    /// Instructions in the current fetch block.
+    /// Instructions in the open fetch block.
     block: u64,
+    counters: FrontendCounters,
 }
 
-impl PipelineModel {
-    /// Builds a model from `params`.
-    pub fn new(params: PipelineParams) -> Self {
-        PipelineModel {
-            btb: Btb::new(params.btb_log2_sets, params.btb_ways),
-            ras: ReturnAddressStack::new(params.ras_depth),
+impl<P> Frontend<P> {
+    /// `inner` behind a cold Table II frontend.
+    pub fn new(inner: P) -> Self {
+        Frontend {
+            inner,
+            btb: Btb::new(BTB_LOG2_SETS, BTB_WAYS),
+            ras: ReturnAddressStack::new(RAS_DEPTH),
             block: 0,
-            params,
+            counters: FrontendCounters::default(),
         }
     }
 
-    /// Drives `predictor` over `stream`, accounting cycles until the
-    /// stream ends. The predictor is trained as it goes (execution-driven).
-    pub fn run<P, S>(&mut self, predictor: &mut P, mut stream: S) -> PipelineResult
-    where
-        P: DirectionPredictor + ?Sized,
-        S: BranchStream,
-    {
-        let mut r = PipelineResult::default();
-        while let Some(rec) = stream.next_branch() {
-            self.step(predictor, &rec, &mut r);
-        }
-        self.finalize(&mut r);
-        r
-    }
-
-    fn step<P: DirectionPredictor + ?Sized>(
-        &mut self,
-        predictor: &mut P,
-        rec: &BranchRecord,
-        r: &mut PipelineResult,
-    ) {
-        r.instructions += rec.instructions();
+    /// Accounts one branch, given whether its direction was mispredicted.
+    fn account(&mut self, rec: &BranchRecord, mispredicted: bool) {
         self.block += rec.instructions();
-
-        let pred = predictor.process(PredictInput::new(rec)).pred;
-        if let Some(pred) = pred {
-            r.cond_branches += 1;
-            if pred != rec.taken {
-                r.mispredicts += 1;
-                r.mispredict_cycles += self.params.mispredict_penalty;
-                // The resteer also ends the current fetch block.
-                self.close_block(r);
-            }
+        if mispredicted {
+            // The resteer ends the current fetch block.
+            self.close_block();
         }
-
-        if rec.taken {
-            // A taken branch terminates the fetch block and needs a target.
-            let target_ok = match rec.kind {
-                BranchKind::Return => {
-                    let predicted = self.ras.pop();
-                    predicted == Some(rec.target)
-                }
-                BranchKind::CondDirect | BranchKind::UncondDirect => {
-                    // Direct targets are available at decode even on a BTB
-                    // miss; only a miss costs the redirect.
-                    let hit = self.btb.lookup(rec.pc).is_some();
-                    self.btb.update(rec.pc, rec.target);
-                    hit
-                }
-                BranchKind::UncondIndirect | BranchKind::IndirectCall => {
-                    let hit = self.btb.lookup(rec.pc) == Some(rec.target);
-                    self.btb.update(rec.pc, rec.target);
-                    hit
-                }
-                BranchKind::DirectCall => {
-                    let hit = self.btb.lookup(rec.pc).is_some();
-                    self.btb.update(rec.pc, rec.target);
-                    hit
-                }
-            };
-            if rec.kind.is_call() {
-                self.ras.push(rec.pc.wrapping_add(4));
-            }
-            if !target_ok {
-                r.target_misses += 1;
-                r.redirect_cycles += self.params.redirect_penalty;
-            }
-            self.close_block(r);
+        if !rec.taken {
+            return;
         }
+        // A taken branch ends the fetch block and needs a target.
+        let target_ok = match rec.kind {
+            BranchKind::Return => self.ras.pop() == Some(rec.target),
+            BranchKind::UncondIndirect | BranchKind::IndirectCall => {
+                let hit = self.btb.lookup(rec.pc) == Some(rec.target);
+                self.btb.update(rec.pc, rec.target);
+                hit
+            }
+            // Direct targets are available at decode even on a BTB miss;
+            // only a miss costs the redirect.
+            BranchKind::CondDirect | BranchKind::UncondDirect | BranchKind::DirectCall => {
+                let hit = self.btb.lookup(rec.pc).is_some();
+                self.btb.update(rec.pc, rec.target);
+                hit
+            }
+        };
+        if rec.kind.is_call() {
+            self.ras.push(rec.pc.wrapping_add(4));
+        }
+        if !target_ok {
+            self.counters.target_misses += 1;
+        }
+        self.close_block();
     }
 
     #[inline]
-    fn close_block(&mut self, r: &mut PipelineResult) {
-        if self.block > 0 {
-            r.fetch_cycles += self.block.div_ceil(self.params.fetch_width);
-            self.block = 0;
-        }
+    fn close_block(&mut self) {
+        self.counters.fetch_cycles += self.block.div_ceil(FETCH_WIDTH);
+        self.block = 0;
+    }
+}
+
+impl<P: DirectionPredictor> DirectionPredictor for Frontend<P> {
+    fn process(&mut self, input: PredictInput<'_>) -> Update {
+        let update = self.inner.process(input);
+        let rec = input.record;
+        self.account(rec, update.pred.is_some_and(|pred| pred != rec.taken));
+        update
     }
 
-    fn finalize(&mut self, r: &mut PipelineResult) {
-        self.close_block(r);
-        r.retire_cycles = r.instructions.div_ceil(self.params.retire_width);
-        r.backend_stall_cycles = r.instructions * self.params.backend_stalls_per_kinstr / 1000;
-        r.cycles = r.fetch_cycles.max(r.retire_cycles)
-            + r.mispredict_cycles
-            + r.redirect_cycles
-            + r.backend_stall_cycles;
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn storage_bits(&self) -> u64 {
+        self.inner.storage_bits()
+    }
+}
+
+impl<P: SimPredictor> SimPredictor for Frontend<P> {
+    /// Closes the open fetch block, then finishes the wrapped predictor.
+    fn finish(&mut self) {
+        self.close_block();
+        self.inner.finish();
+    }
+
+    fn observe(&self) -> Observation<'_> {
+        Observation {
+            frontend: Some(self.counters),
+            ..self.inner.observe()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpsim::timing::{frontend_cycles, BACKEND_STALLS_PER_KINSTR, MISPREDICT_PENALTY};
+    use bpsim::{RunResult, Simulation};
+    use llbpx::{Llbp, LlbpConfig};
     use tage::{TageScl, TslConfig};
-    use traces::{StreamExt, VecTrace};
+    use traces::{BranchStream, StreamExt, VecTrace};
 
     fn straight_line(n: usize) -> VecTrace {
         // Never-taken conditionals: pure straight-line code.
@@ -246,21 +147,38 @@ mod tests {
         )
     }
 
-    fn predictor() -> TageScl {
-        TageScl::new(TslConfig::kilobytes(64))
+    fn tsl64() -> Box<dyn SimPredictor> {
+        Box::new(TageScl::new(TslConfig::kilobytes(64)))
+    }
+
+    /// Every record of `stream` measured (zero warmup) behind the observer.
+    fn observe(predictor: Box<dyn SimPredictor>, mut stream: impl BranchStream) -> RunResult {
+        let sim = Simulation {
+            warmup_instructions: 0,
+            measure_instructions: u64::MAX,
+        };
+        sim.run_stream(&mut Frontend::new(predictor), &mut stream, "test")
+    }
+
+    fn cycles(run: &RunResult) -> u64 {
+        let frontend = run.frontend.expect("the observer was on");
+        frontend_cycles(run.instructions, run.mispredicts, &frontend)
+    }
+
+    fn target_misses(run: &RunResult) -> u64 {
+        run.frontend.expect("the observer was on").target_misses
     }
 
     #[test]
     fn straight_line_code_is_fetch_or_retire_bound() {
-        let mut model = PipelineModel::new(PipelineParams {
-            backend_stalls_per_kinstr: 0,
-            ..PipelineParams::paper_table2()
-        });
-        let r = model.run(&mut predictor(), straight_line(1000));
-        // 8 instructions per record, width 8: ~1 cycle per record plus the
-        // rare warmup mispredictions.
-        assert!(r.ipc() > 5.0, "straight-line IPC was {}", r.ipc());
+        let r = observe(tsl64(), straight_line(1000));
         assert_eq!(r.instructions, 8000);
+        // 8 instructions per record, width 8: ~1 cycle per record plus the
+        // rare warmup mispredictions, before the backend's stalls.
+        let backend = r.instructions * BACKEND_STALLS_PER_KINSTR / 1000;
+        let ipc = r.instructions as f64 / (cycles(&r) - backend) as f64;
+        assert!(ipc > 5.0, "straight-line IPC was {ipc}");
+        assert_eq!(target_misses(&r), 0, "nothing is taken");
     }
 
     #[test]
@@ -275,18 +193,12 @@ mod tests {
                 BranchRecord::cond(0x1000 + (i % 4) * 64, 0x2000, x & 1 == 1, 7)
             })
             .collect();
-        let mut model = PipelineModel::new(PipelineParams {
-            backend_stalls_per_kinstr: 0,
-            ..PipelineParams::paper_table2()
-        });
-        let r = model.run(&mut predictor(), noisy);
+        let r = observe(tsl64(), noisy);
         assert!(r.mispredicts > 400, "stream should be unpredictable");
-        assert!(
-            r.ipc() < 2.5,
-            "random branches must tank IPC, got {}",
-            r.ipc()
-        );
-        assert!(r.branch_stall_fraction() > 0.3);
+        let ipc = r.instructions as f64 / cycles(&r) as f64;
+        assert!(ipc < 2.5, "random branches must tank IPC, got {ipc}");
+        let branch_stalls = (r.mispredicts * MISPREDICT_PENALTY) as f64;
+        assert!(branch_stalls / cycles(&r) as f64 > 0.3);
     }
 
     #[test]
@@ -309,13 +221,12 @@ mod tests {
                 3,
             ));
         }
-        let mut model = PipelineModel::new(PipelineParams::paper_table2());
-        let r = model.run(&mut predictor(), VecTrace::new(records));
+        let r = observe(tsl64(), VecTrace::new(records));
         // Calls may miss the BTB initially; returns must be near-perfect.
         assert!(
-            r.target_misses < 20,
+            target_misses(&r) < 20,
             "matched call/return pairs should rarely miss ({} misses)",
-            r.target_misses
+            target_misses(&r)
         );
     }
 
@@ -333,23 +244,29 @@ mod tests {
                 )
             })
             .collect();
-        let mut model = PipelineModel::new(PipelineParams::paper_table2());
-        let r = model.run(&mut predictor(), records);
-        assert!(r.target_misses > 900, "changing indirect targets must miss");
-        assert!(r.redirect_cycles > 0);
+        let r = observe(tsl64(), records);
+        assert!(
+            target_misses(&r) > 900,
+            "changing indirect targets must miss"
+        );
+        let hit_everything = FrontendCounters {
+            target_misses: 0,
+            ..r.frontend.expect("the observer was on")
+        };
+        assert!(cycles(&r) > frontend_cycles(r.instructions, r.mispredicts, &hit_everything));
     }
 
     #[test]
     fn better_prediction_means_speedup_on_real_workloads() {
         let spec = workloads::presets::by_name("NodeApp").unwrap();
-        let run = |mut p: Box<dyn tage::DirectionPredictor>| {
-            let mut model = PipelineModel::new(PipelineParams::paper_table2());
-            let stream = workloads::ServerWorkload::new(&spec).take_branches(400_000);
-            model.run(p.as_mut(), stream)
+        let cpi = |p: Box<dyn SimPredictor>| {
+            let r = observe(
+                p,
+                workloads::ServerWorkload::new(&spec).take_branches(400_000),
+            );
+            cycles(&r) as f64 / r.instructions as f64
         };
-        let base = run(Box::new(TageScl::new(TslConfig::kilobytes(64))));
-        let big = run(Box::new(TageScl::new(TslConfig::kilobytes(512))));
-        let s = big.speedup_over(&base);
+        let s = cpi(tsl64()) / cpi(Box::new(TageScl::new(TslConfig::kilobytes(512))));
         assert!(s > 1.0, "512K TSL must speed up NodeApp (got {s:.4})");
         assert!(
             s < 1.2,
@@ -360,19 +277,63 @@ mod tests {
     #[test]
     fn cycle_breakdown_is_consistent() {
         let spec = workloads::presets::by_name("Kafka").unwrap();
-        let mut model = PipelineModel::new(PipelineParams::paper_table2());
         let stream = workloads::ServerWorkload::new(&spec).take_branches(100_000);
-        let r = model.run(&mut predictor(), stream);
+        let r = observe(tsl64(), stream);
+        let f = r.frontend.expect("the observer was on");
         assert_eq!(
-            r.cycles,
-            r.fetch_cycles.max(r.retire_cycles)
-                + r.mispredict_cycles
-                + r.redirect_cycles
-                + r.backend_stall_cycles
+            cycles(&r),
+            f.fetch_cycles.max(r.instructions.div_ceil(8))
+                + 20 * r.mispredicts
+                + 3 * f.target_misses
+                + r.instructions * 220 / 1000
         );
         assert!(
-            r.fetch_cycles >= r.instructions / 8 / 2,
+            f.fetch_cycles >= r.instructions / 8 / 2,
             "fetch bound sanity"
         );
+    }
+
+    /// The observer changes nothing the predictor computes: with and
+    /// without it, a run agrees on every accuracy field, every
+    /// second-level counter and the depth decisions.
+    #[test]
+    fn the_observer_is_transparent() {
+        let spec = workloads::WorkloadSpec::new("tiny", 3)
+            .with_request_types(64)
+            .with_handlers(8);
+        let sim = Simulation {
+            warmup_instructions: 50_000,
+            measure_instructions: 150_000,
+        };
+        let llbpx = || Box::new(Llbp::new(LlbpConfig::llbpx())) as Box<dyn SimPredictor>;
+        for design in [tsl64, llbpx] {
+            let plain = sim.run(design().as_mut(), &spec);
+            let observed = sim.run(&mut Frontend::new(design()), &spec);
+            let name = &plain.name;
+            assert_eq!(observed.name, plain.name);
+            assert_eq!(observed.storage_bits, plain.storage_bits, "{name}");
+            assert_eq!(observed.instructions, plain.instructions, "{name}");
+            assert_eq!(observed.cond_branches, plain.cond_branches, "{name}");
+            assert_eq!(observed.mispredicts, plain.mispredicts, "{name}");
+            assert_eq!(
+                observed.override_candidates, plain.override_candidates,
+                "{name}"
+            );
+            assert_eq!(observed.intervals, plain.intervals, "{name}");
+            let counters = |r: &RunResult| {
+                r.llbp
+                    .as_ref()
+                    .map(|s| (s.counters(), s.alloc_len_histogram))
+            };
+            assert_eq!(counters(&observed), counters(&plain), "{name}");
+            assert_eq!(observed.deep_contexts, plain.deep_contexts, "{name}");
+            assert!(plain.frontend.is_none());
+            assert!(observed.frontend.is_some_and(|f| f.fetch_cycles > 0));
+            let restored = RunResult::from_json(&observed.to_json(&sim));
+            assert_eq!(restored.and_then(|r| r.frontend), observed.frontend);
+            if name == "LLBP-X" {
+                assert!(plain.llbp.is_some() && plain.deep_contexts.is_some());
+            }
+        }
     }
 }

@@ -1,39 +1,41 @@
-//! Execution-driven frontend/pipeline timing model.
+//! Trace-driven frontend cycle model of the Table II core.
 //!
 //! The paper's performance numbers (Figs. 13, 14b) come from gem5 running
 //! the Table II core. `bpsim::timing` reproduces them with Top-Down
-//! arithmetic; this crate goes one level deeper with an execution-driven
-//! model of the machine's *frontend*, which is where branch prediction
-//! matters:
+//! arithmetic over a run's mispredictions; this crate adds a model of the
+//! machine's *frontend*, which is where branch prediction matters:
 //!
-//! * block-based fetch: a taken branch terminates the fetch group, so
-//!   code layout and taken-branch density set the fetch bandwidth;
+//! * block-based fetch: a taken branch or a direction misprediction ends
+//!   the fetch block, so code layout and taken-branch density set the
+//!   fetch bandwidth;
 //! * a 16K-entry 8-way **BTB** (Table II) providing taken-branch targets,
-//!   with decode-time redirect penalties on misses;
-//! * a **return address stack** predicting return targets;
-//! * direction mispredictions (from the real branch predictor under test)
-//!   costing a full pipeline resteer;
-//! * a retire-bandwidth backend bound with a deterministic long-latency
-//!   stall component.
+//!   where a miss costs a decode-time redirect;
+//! * a **return address stack** predicting return targets.
 //!
-//! The model *drives* the predictor itself, so prediction accuracy,
-//! fetch-block structure and BTB behaviour interact exactly as in an
-//! execution-driven simulator.
+//! [`Frontend`] is an observer: it wraps any [`bpsim::SimPredictor`],
+//! forwards every prediction unchanged, and from each branch record and
+//! whether its conditional was mispredicted counts the run's fetch cycles
+//! and target misses ([`bpsim::timing::FrontendCounters`]). The predictor never
+//! sees the frontend, so the model is trace-driven: a BTB miss delays no
+//! predictor update. The runner snapshots the counters at the end of
+//! warmup, so the BTB and RAS warm up but only the measured window counts,
+//! and [`bpsim::timing::frontend_cycles`] turns them into cycles.
 //!
 //! # Example
 //!
 //! ```
-//! use pipeline::{PipelineModel, PipelineParams};
+//! use bpsim::timing::frontend_cycles;
+//! use bpsim::Simulation;
+//! use pipeline::Frontend;
 //! use tage::{TageScl, TslConfig};
-//! use traces::StreamExt;
-//! use workloads::ServerWorkload;
 //!
 //! let spec = workloads::presets::by_name("Chirper").unwrap();
-//! let mut model = PipelineModel::new(PipelineParams::paper_table2());
-//! let mut predictor = TageScl::new(TslConfig::kilobytes(64));
-//! let stream = ServerWorkload::new(&spec).take_branches(50_000);
-//! let result = model.run(&mut predictor, stream);
-//! assert!(result.ipc() > 0.5 && result.ipc() < 8.0);
+//! let sim = Simulation { warmup_instructions: 20_000, measure_instructions: 100_000 };
+//! let run = sim.run(&mut Frontend::new(TageScl::new(TslConfig::kilobytes(64))), &spec);
+//! let frontend = run.frontend.expect("the observer was on");
+//! let cycles = frontend_cycles(run.instructions, run.mispredicts, &frontend);
+//! let ipc = run.instructions as f64 / cycles as f64;
+//! assert!(ipc > 0.5 && ipc < 8.0);
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -42,6 +44,6 @@ pub mod btb;
 pub mod core;
 pub mod ras;
 
-pub use crate::core::{PipelineModel, PipelineParams, PipelineResult};
+pub use crate::core::Frontend;
 pub use btb::Btb;
 pub use ras::ReturnAddressStack;

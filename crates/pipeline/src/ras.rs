@@ -1,6 +1,9 @@
 //! Return address stack: call targets are pushed at calls, predicted at
 //! returns. A fixed-depth circular stack, as hardware RASes are.
 
+/// Depth of the modelled core's return address stack.
+pub const RAS_DEPTH: usize = 32;
+
 /// A circular return address stack.
 ///
 /// ```
@@ -17,9 +20,8 @@
 pub struct ReturnAddressStack {
     slots: Vec<u64>,
     top: usize,
+    /// Live entries (at most the capacity).
     depth: usize,
-    pushes: u64,
-    overflows: u64,
 }
 
 impl ReturnAddressStack {
@@ -34,8 +36,6 @@ impl ReturnAddressStack {
             slots: vec![0; capacity],
             top: 0,
             depth: 0,
-            pushes: 0,
-            overflows: 0,
         }
     }
 
@@ -44,12 +44,7 @@ impl ReturnAddressStack {
     pub fn push(&mut self, return_address: u64) {
         self.top = (self.top + 1) % self.slots.len();
         self.slots[self.top] = return_address;
-        self.pushes += 1;
-        if self.depth == self.slots.len() {
-            self.overflows += 1;
-        } else {
-            self.depth += 1;
-        }
+        self.depth = (self.depth + 1).min(self.slots.len());
     }
 
     /// Pops the predicted return target, or `None` when empty.
@@ -61,16 +56,6 @@ impl ReturnAddressStack {
         self.top = (self.top + self.slots.len() - 1) % self.slots.len();
         self.depth -= 1;
         Some(v)
-    }
-
-    /// Current live depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// `(pushes, overflows)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.pushes, self.overflows)
     }
 }
 
@@ -84,7 +69,6 @@ mod tests {
         for v in [1u64, 2, 3] {
             ras.push(v);
         }
-        assert_eq!(ras.depth(), 3);
         assert_eq!(ras.pop(), Some(3));
         assert_eq!(ras.pop(), Some(2));
         assert_eq!(ras.pop(), Some(1));
@@ -100,7 +84,6 @@ mod tests {
         assert_eq!(ras.pop(), Some(3));
         assert_eq!(ras.pop(), Some(2));
         assert_eq!(ras.pop(), None, "oldest entry was overwritten");
-        assert_eq!(ras.stats(), (3, 1));
     }
 
     #[test]
@@ -112,6 +95,6 @@ mod tests {
         ras.push(30);
         assert_eq!(ras.pop(), Some(30));
         assert_eq!(ras.pop(), Some(10));
-        assert_eq!(ras.depth(), 0);
+        assert_eq!(ras.pop(), None);
     }
 }

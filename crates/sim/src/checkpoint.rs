@@ -3,9 +3,10 @@
 //! At paper-scale budgets a sweep is hours of work. With `LLBPX_CHECKPOINT`
 //! pointing at a journal file, [`crate::exec::run_matrix`] appends one line
 //! per *completed* cell, keyed by a deterministic fingerprint of the cell's
-//! index and name, the predictor (label + storage bits), the workload spec
-//! and the simulation budgets. A re-run of the same matrix restores those
-//! cells from the journal instead of re-simulating them.
+//! index and name, the predictor (label + storage bits, and whether the
+//! frontend observer wraps it), the workload spec and the simulation
+//! budgets. A re-run of the same matrix restores those cells from the
+//! journal instead of re-simulating them.
 //!
 //! A journal line is the cell's run record ([`RunResult::to_json`], the
 //! object a telemetry line holds per run) plus `"v"` (the line format
@@ -45,9 +46,13 @@ pub const ENV_CHECKPOINT: &str = "LLBPX_CHECKPOINT";
 /// version 3 lines are the run record itself. Version 4 records carry an
 /// LLBP-X run's deep contexts, the oracle a dependent Opt-W cell is built
 /// from: a version 3 LLBP-X line would restore with none, and its Opt-W
-/// would silently equal LLBP-X. Lines of any other version are dropped
-/// with a warning and their cells re-run.
-const ENTRY_VERSION: i64 = 4;
+/// would silently equal LLBP-X. Version 5 fingerprints say whether the
+/// frontend observer was on, and its records carry the observer's
+/// counters (a v4 line of an observed cell would restore without them)
+/// and interval samples without the dropped `pb_occupancy` gauge. Lines
+/// of any other version are dropped with a warning and their cells
+/// re-run.
+const ENTRY_VERSION: i64 = 5;
 
 /// FNV-1a 64-bit hash.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -61,18 +66,22 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The deterministic identity of one matrix cell: job index, the cell's
 /// name (the design label its binary gives it), the predictor's own label
-/// and storage budget, the full workload spec and the simulation budgets.
+/// and storage budget, whether the frontend observer wraps the predictor,
+/// the full workload spec and the simulation budgets.
 /// Two cells share a fingerprint exactly when re-running them would
 /// produce bit-identical results.
 ///
 /// The cell name tells apart configurations that the predictor label and
 /// storage cannot: every `LlbpConfig::with_h_th` variant is labelled
-/// "LLBP-X" and has the same storage.
+/// "LLBP-X" and has the same storage. The observer flag keeps a plain
+/// cell's line (which holds no frontend counters) from restoring an
+/// observed cell of the same name and index.
 pub fn job_fingerprint(
     index: usize,
     cell: &str,
     predictor: &str,
     storage_bits: u64,
+    frontend: bool,
     spec: &WorkloadSpec,
     sim: &Simulation,
 ) -> String {
@@ -80,7 +89,7 @@ pub fn job_fingerprint(
     // (seed, mix, sizes) changes the fingerprint; `{cell:?}` quotes the
     // name so a `|` inside it cannot shift the fields.
     let canonical = format!(
-        "v{ENTRY_VERSION}|{index}|{cell:?}|{predictor}|{storage_bits}|{spec:?}|{}|{}",
+        "v{ENTRY_VERSION}|{index}|{cell:?}|{predictor}|{storage_bits}|{frontend}|{spec:?}|{}|{}",
         sim.warmup_instructions, sim.measure_instructions
     );
     format!("{:016x}", fnv1a64(canonical.as_bytes()))
@@ -219,6 +228,7 @@ fn parse_line(line: &str) -> Option<(String, RunResult)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timing::FrontendCounters;
     use llbpx::LlbpStats;
     use telemetry::IntervalSample;
 
@@ -245,6 +255,10 @@ mod tests {
             llbp: Some(stats),
             storage_bits: 4096,
             deep_contexts: Some(vec![0x2a, 0x8000_0000_0000_0001, u64::MAX]),
+            frontend: Some(FrontendCounters {
+                fetch_cycles: 31_500,
+                target_misses: 77,
+            }),
             wall_seconds: 0.125,
             intervals: vec![IntervalSample {
                 instructions: 100_000,
@@ -256,7 +270,6 @@ mod tests {
                 prefetch_late: 2,
                 allocations: 60,
                 allocs_per_kilo: 0.6,
-                pb_occupancy: Some(0.5),
             }],
             ..RunResult::default()
         }
@@ -286,38 +299,43 @@ mod tests {
             warmup_instructions: 10,
             measure_instructions: 20,
         };
-        let base = job_fingerprint(0, "LLBP", "LLBP", 123, &spec, &sim);
+        let base = job_fingerprint(0, "LLBP", "LLBP", 123, false, &spec, &sim);
         assert_eq!(
             base,
-            job_fingerprint(0, "LLBP", "LLBP", 123, &spec, &sim),
+            job_fingerprint(0, "LLBP", "LLBP", 123, false, &spec, &sim),
             "deterministic"
         );
         assert_ne!(
             base,
-            job_fingerprint(1, "LLBP", "LLBP", 123, &spec, &sim),
+            job_fingerprint(1, "LLBP", "LLBP", 123, false, &spec, &sim),
             "index"
         );
         assert_ne!(
             base,
-            job_fingerprint(0, "LLBP 2", "LLBP", 123, &spec, &sim),
+            job_fingerprint(0, "LLBP 2", "LLBP", 123, false, &spec, &sim),
             "cell name"
         );
         assert_ne!(
             base,
-            job_fingerprint(0, "LLBP", "LLBP-X", 123, &spec, &sim),
+            job_fingerprint(0, "LLBP", "LLBP-X", 123, false, &spec, &sim),
             "label"
         );
         assert_ne!(
             base,
-            job_fingerprint(0, "LLBP", "LLBP", 124, &spec, &sim),
+            job_fingerprint(0, "LLBP", "LLBP", 124, false, &spec, &sim),
             "storage"
+        );
+        assert_ne!(
+            base,
+            job_fingerprint(0, "LLBP", "LLBP", 123, true, &spec, &sim),
+            "frontend observer"
         );
         let other_spec = WorkloadSpec::new("w", 2)
             .with_request_types(64)
             .with_handlers(8);
         assert_ne!(
             base,
-            job_fingerprint(0, "LLBP", "LLBP", 123, &other_spec, &sim),
+            job_fingerprint(0, "LLBP", "LLBP", 123, false, &other_spec, &sim),
             "spec"
         );
         let other_sim = Simulation {
@@ -326,13 +344,13 @@ mod tests {
         };
         assert_ne!(
             base,
-            job_fingerprint(0, "LLBP", "LLBP", 123, &spec, &other_sim),
+            job_fingerprint(0, "LLBP", "LLBP", 123, false, &spec, &other_sim),
             "budgets"
         );
         // A `|` in a cell name cannot move bytes between fields.
         assert_ne!(
-            job_fingerprint(0, "a|b", "c", 1, &spec, &sim),
-            job_fingerprint(0, "a", "b|c", 1, &spec, &sim)
+            job_fingerprint(0, "a|b", "c", 1, false, &spec, &sim),
+            job_fingerprint(0, "a", "b|c", 1, false, &spec, &sim)
         );
     }
 
@@ -347,7 +365,8 @@ mod tests {
             "context IDs beyond i64 survive"
         );
         // Every field the record holds — accuracy, counters, histogram,
-        // intervals, storage, wall time — reads back unchanged.
+        // frontend counters, intervals, storage, wall time — reads back
+        // unchanged.
         let resumed = RunResult {
             resumed: true,
             ..result

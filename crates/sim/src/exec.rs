@@ -32,8 +32,8 @@
 //!   this path end-to-end.
 //! * **Checkpoint/resume** — with `LLBPX_CHECKPOINT=<path>` set, every
 //!   completed cell is journaled (keyed by a deterministic fingerprint of
-//!   cell name, predictor, workload spec and budgets); re-running after a
-//!   crash or kill restores journaled cells bit-identically and simulates
+//!   cell name, predictor, frontend observer, workload spec and budgets);
+//!   re-running after a crash or kill restores journaled cells bit-identically and simulates
 //!   only the rest. See [`crate::checkpoint`].
 //!
 //! There is no per-cell deadline either: a cell that runs too long does so
@@ -309,7 +309,9 @@ fn run_cell(
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let mut predictor = factory();
         let (name, bits) = (predictor.name(), predictor.storage_bits());
-        let fingerprint = checkpoint::job_fingerprint(index, design, &name, bits, spec, sim);
+        let observed = predictor.observe().frontend.is_some();
+        let fingerprint =
+            checkpoint::job_fingerprint(index, design, &name, bits, observed, spec, sim);
         if let Some(restored) = opts
             .checkpoint
             .as_deref()
@@ -940,7 +942,8 @@ mod tests {
             for (c, (cell, run)) in ["LLBP-X", "Opt-W", "64K TSL"].iter().zip(row).enumerate() {
                 if !run.is_failed() {
                     let (index, name, bits) = (3 * r + c, &run.name, run.storage_bits);
-                    let fp = checkpoint::job_fingerprint(index, cell, name, bits, spec, &sim);
+                    let fp =
+                        checkpoint::job_fingerprint(index, cell, name, bits, false, spec, &sim);
                     expected.push(Some(fp));
                 }
             }

@@ -3,6 +3,8 @@
 use llbpx::{Llbp, LlbpStats};
 use tage::{DirectionPredictor, FastMap, TageScl};
 
+use crate::timing::FrontendCounters;
+
 /// A point-in-time snapshot of everything a predictor exposes to the
 /// simulator's instrumentation, returned by [`SimPredictor::observe`].
 ///
@@ -13,9 +15,9 @@ use tage::{DirectionPredictor, FastMap, TageScl};
 pub struct Observation<'a> {
     /// Second-level statistics, for hierarchical predictors.
     pub llbp: Option<&'a LlbpStats>,
-    /// Pattern-buffer occupancy in `[0, 1]`, for predictors that have one
-    /// (a telemetry gauge sampled into the interval time-series).
-    pub pb_occupancy: Option<f64>,
+    /// Frontend counters so far, for predictors wrapped in the frontend
+    /// observer (`pipeline::Frontend`).
+    pub frontend: Option<FrontendCounters>,
     /// Depth decision per tracked shallow context, for predictors whose
     /// CTT decides depths (LLBP-X without an oracle).
     pub depth_decisions: Option<&'a FastMap<u64, bool>>,
@@ -47,8 +49,8 @@ impl SimPredictor for Llbp {
     fn observe(&self) -> Observation<'_> {
         Observation {
             llbp: Some(self.stats()),
-            pb_occupancy: Some(Llbp::pb_occupancy(self)),
             depth_decisions: self.ctt().map(|_| self.depth_decisions()),
+            ..Observation::default()
         }
     }
 }
@@ -72,14 +74,14 @@ mod tests {
     fn tsl_has_no_second_level_stats() {
         let tsl = TageScl::new(TslConfig::kilobytes(64));
         assert!(tsl.observe().llbp.is_none());
-        assert!(tsl.observe().pb_occupancy.is_none());
+        assert!(tsl.observe().frontend.is_none());
     }
 
     #[test]
     fn llbp_exposes_second_level_stats() {
         let llbp = Llbp::new(LlbpConfig::paper_baseline());
         assert!(llbp.observe().llbp.is_some());
-        assert!(llbp.observe().pb_occupancy.is_some());
+        assert!(llbp.observe().frontend.is_none(), "no observer wraps it");
         assert!(
             llbp.observe().depth_decisions.is_none(),
             "plain LLBP decides no depths"

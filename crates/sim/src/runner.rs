@@ -13,6 +13,7 @@ use workloads::{ServerWorkload, WorkloadSpec};
 use crate::env::Knob;
 use crate::error::SimError;
 use crate::predictor::SimPredictor;
+use crate::timing::FrontendCounters;
 
 /// Result of one predictor × workload run.
 #[derive(Debug, Clone, Default)]
@@ -42,6 +43,10 @@ pub struct RunResult {
     /// context as shallow. `Some` only for predictors whose CTT decides
     /// depths (LLBP-X without an oracle).
     pub deep_contexts: Option<Vec<u64>>,
+    /// Frontend counters over the measurement phase, for a predictor that
+    /// ran behind the frontend observer (`pipeline::Frontend`); the
+    /// warmup's share is subtracted, like the second-level statistics'.
+    pub frontend: Option<FrontendCounters>,
     /// Wall-clock seconds of the whole run (warmup + measurement).
     ///
     /// This is per-job wall time: under the parallel experiment engine
@@ -92,7 +97,8 @@ impl RunResult {
     /// requested protocol (warmup/measurement budgets). A failed run
     /// carries its `error` and no `storage_bits`. A depth-adapting run
     /// carries `deep_contexts` as 16-digit hex strings (a context ID is a
-    /// full 64-bit hash, beyond what a JSON number holds exactly).
+    /// full 64-bit hash, beyond what a JSON number holds exactly); an
+    /// observed run carries its `frontend` counters.
     pub fn to_json(&self, sim: &Simulation) -> Json {
         let mut counters = Json::obj();
         let mut histogram = Vec::new();
@@ -129,6 +135,15 @@ impl RunResult {
             }
             None => j,
         };
+        let j = match &self.frontend {
+            Some(frontend) => j.set(
+                "frontend",
+                Json::obj()
+                    .set("fetch_cycles", frontend.fetch_cycles)
+                    .set("target_misses", frontend.target_misses),
+            ),
+            None => j,
+        };
         let mut j = telemetry::record::with_run_sections(
             j,
             &self.intervals,
@@ -144,11 +159,11 @@ impl RunResult {
 
     /// The inverse of [`RunResult::to_json`] for a completed run: the
     /// accuracy fields, the second-level counters (`None` when the record's
-    /// `counters` object is empty), the deep contexts, the interval
-    /// time-series, the storage bits and `wall_seconds`. The scope profile
-    /// is not restored: its labels are `&'static str`s into the binary.
-    /// `None` for a failed run, or when any field is missing, negative or
-    /// fractional.
+    /// `counters` object is empty), the deep contexts, the frontend
+    /// counters, the interval time-series, the storage bits and
+    /// `wall_seconds`. The scope profile is not restored: its labels are
+    /// `&'static str`s into the binary. `None` for a failed run, or when
+    /// any field is missing, negative or fractional.
     pub fn from_json(j: &Json) -> Option<RunResult> {
         if j.get("status")?.as_str()? != "ok" {
             return None;
@@ -175,6 +190,13 @@ impl RunResult {
             }
             None => None,
         };
+        let frontend = match j.get("frontend") {
+            Some(f) => Some(FrontendCounters {
+                fetch_cycles: f.get("fetch_cycles")?.as_u64()?,
+                target_misses: f.get("target_misses")?.as_u64()?,
+            }),
+            None => None,
+        };
         let intervals = j
             .get("intervals")?
             .as_arr()?
@@ -190,6 +212,7 @@ impl RunResult {
             llbp,
             storage_bits: u("storage_bits")?,
             deep_contexts,
+            frontend,
             wall_seconds: j.get("wall_seconds")?.as_f64()?,
             intervals: intervals.collect::<Option<_>>()?,
             profile: Vec::new(),
@@ -299,9 +322,10 @@ impl Simulation {
             elapsed += rec.instructions();
             predictor.process(PredictInput::new(&rec));
         }
-        // Second-level counters are cumulative; snapshot them so the
-        // result reports the measurement phase only.
-        let warm_stats = predictor.observe().llbp.cloned();
+        // Second-level and frontend counters are cumulative; snapshot them
+        // so the result reports the measurement phase only.
+        let warm = predictor.observe();
+        let (warm_stats, warm_frontend) = (warm.llbp.cloned(), warm.frontend);
 
         // Measurement, with the bimodal shadow for the overriding model.
         let mut shadow = Bimodal::new(13);
@@ -350,6 +374,10 @@ impl Simulation {
             Some(start) => end.delta_since(start),
             None => end.clone(),
         });
+        result.frontend = predictor
+            .observe()
+            .frontend
+            .map(|end| end.delta_since(&warm_frontend.unwrap_or_default()));
         result.deep_contexts = predictor.observe().depth_decisions.map(|decisions| {
             let deep = decisions
                 .iter()
@@ -380,15 +408,13 @@ fn snapshot_counters<P: SimPredictor + ?Sized>(
         mispredicts: result.mispredicts,
         ..IntervalSnapshot::default()
     };
-    let obs = predictor.observe();
-    if let Some(stats) = obs.llbp {
+    if let Some(stats) = predictor.observe().llbp {
         let base = |pick: fn(&LlbpStats) -> u64| warm.map_or(0, pick);
         snap.prefetches_issued = stats.prefetches_issued - base(|s| s.prefetches_issued);
         snap.prefetch_on_time = stats.prefetch_on_time - base(|s| s.prefetch_on_time);
         snap.prefetch_late = stats.prefetch_late - base(|s| s.prefetch_late);
         snap.allocations = stats.allocations - base(|s| s.allocations);
     }
-    snap.pb_occupancy = obs.pb_occupancy;
     snap
 }
 
@@ -405,9 +431,48 @@ pub fn compare<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::Observation;
     use llbpx::{Llbp, LlbpConfig};
-    use tage::{DirectionPredictor, TageScl, TslConfig};
+    use tage::{DirectionPredictor, TageScl, TslConfig, Update};
     use traces::VecTrace;
+
+    /// A stand-in for the frontend observer (`pipeline::Frontend`, which
+    /// depends on this crate): it forwards every call and counts each
+    /// branch's instructions as fetch cycles and each taken branch as a
+    /// target miss.
+    struct Observed<P>(P, FrontendCounters);
+
+    impl<P: SimPredictor + 'static> Observed<P> {
+        fn boxed(inner: P) -> Box<dyn SimPredictor> {
+            Box::new(Observed(inner, FrontendCounters::default()))
+        }
+    }
+
+    impl<P: SimPredictor> DirectionPredictor for Observed<P> {
+        fn process(&mut self, input: PredictInput<'_>) -> Update {
+            self.1.fetch_cycles += input.record.instructions();
+            self.1.target_misses += u64::from(input.record.taken);
+            self.0.process(input)
+        }
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn storage_bits(&self) -> u64 {
+            self.0.storage_bits()
+        }
+    }
+
+    impl<P: SimPredictor> SimPredictor for Observed<P> {
+        fn finish(&mut self) {
+            self.0.finish();
+        }
+        fn observe(&self) -> Observation<'_> {
+            Observation {
+                frontend: Some(self.1),
+                ..self.0.observe()
+            }
+        }
+    }
 
     fn tiny_spec() -> WorkloadSpec {
         WorkloadSpec::new("tiny", 3)
@@ -489,6 +554,24 @@ mod tests {
     }
 
     #[test]
+    fn frontend_counters_cover_the_measured_window_only() {
+        let plain = tiny_sim().run(&mut TageScl::new(TslConfig::kilobytes(64)), &tiny_spec());
+        assert!(plain.frontend.is_none(), "no observer, no counters");
+        let mut observed = Observed::boxed(TageScl::new(TslConfig::kilobytes(64)));
+        let r = tiny_sim().run(observed.as_mut(), &tiny_spec());
+        let frontend = r.frontend.expect("an observed run carries counters");
+        assert_eq!(
+            frontend.fetch_cycles, r.instructions,
+            "the warmup's instructions are subtracted"
+        );
+        assert!(frontend.target_misses > 0);
+        assert_eq!(
+            r.mispredicts, plain.mispredicts,
+            "the observer is transparent"
+        );
+    }
+
+    #[test]
     fn runs_collect_telemetry_sections() {
         let sim = tiny_sim();
         let r = sim.run(&mut Llbp::new(LlbpConfig::paper_baseline()), &tiny_spec());
@@ -501,10 +584,6 @@ mod tests {
         assert_eq!(
             total_interval_mispredicts, r.mispredicts,
             "intervals partition the run"
-        );
-        assert!(
-            r.intervals.iter().all(|s| s.pb_occupancy.is_some()),
-            "LLBP runs carry the occupancy gauge"
         );
         let named: Vec<&str> = r.profile.iter().map(|s| s.name).collect();
         for scope in ["tage::predict", "tage::update", "llbp::pattern_lookup"] {
@@ -542,7 +621,8 @@ mod tests {
     }
 
     /// `from_json` inverts `to_json` on real runs of every storage class
-    /// and predictor family, the TSLs' empty counter set included.
+    /// and predictor family, the TSLs' empty counter set included, with
+    /// and without frontend counters.
     #[test]
     fn run_records_round_trip_through_from_json() {
         let sim = tiny_sim();
@@ -552,11 +632,13 @@ mod tests {
             }
             other => other,
         };
-        let designs: [Box<dyn SimPredictor>; 4] = [
+        let designs: [Box<dyn SimPredictor>; 6] = [
             Box::new(TageScl::new(TslConfig::kilobytes(64))),
             Box::new(TageScl::new(TslConfig::infinite())),
             Box::new(Llbp::new(LlbpConfig::paper_baseline())),
             Box::new(Llbp::new(LlbpConfig::llbpx())),
+            Observed::boxed(TageScl::new(TslConfig::kilobytes(64))),
+            Observed::boxed(Llbp::new(LlbpConfig::llbpx())),
         ];
         for mut design in designs {
             let run = sim.run(design.as_mut(), &tiny_spec());
@@ -564,6 +646,7 @@ mod tests {
             let back = RunResult::from_json(&json).expect("a completed run restores");
             assert_eq!(back.llbp.is_some(), run.llbp.is_some(), "{}", run.name);
             assert_eq!(back.storage_bits, run.storage_bits);
+            assert_eq!(back.frontend, run.frontend, "{}", run.name);
             assert_eq!(
                 strip_profile(back.to_json(&sim)),
                 strip_profile(json),

@@ -8,8 +8,64 @@
 //! guess. This module implements exactly that arithmetic, which preserves
 //! the relative speedups the figures report (see DESIGN.md, substitution
 //! table).
+//!
+//! Next to it sits the Table II frontend's cycle formula
+//! ([`frontend_cycles`]), which turns a run's frontend counters
+//! ([`FrontendCounters`], collected by `pipeline::Frontend`) into cycles.
 
 use crate::runner::RunResult;
+
+/// Instructions the Table II frontend fetches per cycle: a fetch block of
+/// `n` instructions costs `⌈n / 8⌉` cycles.
+pub const FETCH_WIDTH: u64 = 8;
+
+/// Instructions the Table II backend retires per cycle.
+pub const RETIRE_WIDTH: u64 = 8;
+
+/// Cycles a direction misprediction costs (full resteer).
+pub const MISPREDICT_PENALTY: u64 = 20;
+
+/// Cycles a taken branch whose target missed in the BTB or the RAS costs
+/// (decode-time redirect).
+pub const REDIRECT_PENALTY: u64 = 3;
+
+/// Backend long-latency stall cycles per 1000 instructions, a
+/// deterministic stand-in for cache and memory misses.
+pub const BACKEND_STALLS_PER_KINSTR: u64 = 220;
+
+/// What the frontend observer counts over a run's measured window, on top
+/// of the instructions and mispredictions every [`RunResult`] holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrontendCounters {
+    /// Cycles spent fetching: `Σ ⌈block_len / FETCH_WIDTH⌉` over the fetch
+    /// blocks, each ended by a taken branch or a misprediction.
+    pub fetch_cycles: u64,
+    /// Taken branches whose target missed in the BTB or the RAS.
+    pub target_misses: u64,
+}
+
+impl FrontendCounters {
+    /// The counts accumulated since `start`, an earlier snapshot of the
+    /// same run.
+    pub fn delta_since(&self, start: &FrontendCounters) -> FrontendCounters {
+        FrontendCounters {
+            fetch_cycles: self.fetch_cycles - start.fetch_cycles,
+            target_misses: self.target_misses - start.target_misses,
+        }
+    }
+}
+
+/// Cycles on the Table II core, the decoupled frontend/backend bound:
+/// `max(fetch, ⌈instr / 8⌉) + 20·mispredicts + 3·target_misses +
+/// instr·220/1000`.
+pub fn frontend_cycles(instructions: u64, mispredicts: u64, frontend: &FrontendCounters) -> u64 {
+    frontend
+        .fetch_cycles
+        .max(instructions.div_ceil(RETIRE_WIDTH))
+        + mispredicts * MISPREDICT_PENALTY
+        + frontend.target_misses * REDIRECT_PENALTY
+        + instructions * BACKEND_STALLS_PER_KINSTR / 1000
+}
 
 /// Parameters of the modelled core.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,6 +231,33 @@ mod tests {
         let few = result(1_000_000, 1_000, 5_000);
         let many = result(1_000_000, 1_000, 20_000);
         assert!(over.cycles_for(&few) < over.cycles_for(&many));
+    }
+
+    #[test]
+    fn frontend_cycles_follow_the_table2_formula() {
+        let frontend = FrontendCounters {
+            fetch_cycles: 150,
+            target_misses: 4,
+        };
+        // Fetch-bound: 150 fetch cycles exceed ⌈1000 / 8⌉ = 125.
+        assert_eq!(frontend_cycles(1000, 2, &frontend), 150 + 40 + 12 + 220);
+        // Retire-bound: ⌈1001 / 8⌉ = 126 exceeds 100 fetch cycles.
+        let fetch_light = FrontendCounters {
+            fetch_cycles: 100,
+            ..frontend
+        };
+        assert_eq!(frontend_cycles(1001, 0, &fetch_light), 126 + 12 + 220);
+        let later = FrontendCounters {
+            fetch_cycles: 170,
+            target_misses: 9,
+        };
+        assert_eq!(
+            later.delta_since(&frontend),
+            FrontendCounters {
+                fetch_cycles: 20,
+                target_misses: 5
+            }
+        );
     }
 
     #[test]

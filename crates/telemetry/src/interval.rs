@@ -2,17 +2,15 @@
 //!
 //! The runner feeds the recorder cumulative counters once per branch; every
 //! `every` instructions the recorder closes an interval and stores the
-//! *deltas* — interval MPKI, prefetch timeliness, allocation rate — plus
-//! point-in-time gauges like pattern-buffer occupancy. The result is the
-//! repo's first per-interval view of the synthetic workloads (the kind of
-//! breakdown the paper's Figs. 6-9 and workload-characterization follow-ups
-//! build on).
+//! *deltas* — interval MPKI, prefetch timeliness, allocation rate. The
+//! result is the repo's first per-interval view of the synthetic workloads
+//! (the kind of breakdown the paper's Figs. 6-9 and
+//! workload-characterization follow-ups build on).
 
 use crate::json::Json;
 
-/// Cumulative counter values at one observation point (all monotone except
-/// the gauges).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Cumulative counter values at one observation point (all monotone).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntervalSnapshot {
     /// Instructions retired so far in the measurement phase.
     pub instructions: u64,
@@ -28,9 +26,6 @@ pub struct IntervalSnapshot {
     pub prefetch_late: u64,
     /// Pattern allocations so far.
     pub allocations: u64,
-    /// Pattern-buffer occupancy in `[0, 1]` right now (gauge), if the
-    /// predictor has a pattern buffer.
-    pub pb_occupancy: Option<f64>,
 }
 
 /// One closed interval of the time-series.
@@ -54,8 +49,6 @@ pub struct IntervalSample {
     pub allocations: u64,
     /// Allocations per kilo-instruction inside the interval.
     pub allocs_per_kilo: f64,
-    /// Pattern-buffer occupancy gauge at the close of the interval.
-    pub pb_occupancy: Option<f64>,
 }
 
 impl IntervalSample {
@@ -71,7 +64,6 @@ impl IntervalSample {
             .set("prefetch_late", self.prefetch_late)
             .set("allocations", self.allocations)
             .set("allocs_per_kilo", self.allocs_per_kilo)
-            .set("pb_occupancy", self.pb_occupancy)
     }
 
     /// The inverse of [`IntervalSample::to_json`]; `None` when a field is
@@ -89,10 +81,6 @@ impl IntervalSample {
             prefetch_late: u("prefetch_late")?,
             allocations: u("allocations")?,
             allocs_per_kilo: f("allocs_per_kilo")?,
-            pb_occupancy: match j.get("pb_occupancy")? {
-                Json::Null => None,
-                v => Some(v.as_f64()?),
-            },
         })
     }
 }
@@ -181,7 +169,6 @@ impl IntervalRecorder {
             prefetch_late: snap.prefetch_late - self.last.prefetch_late,
             allocations,
             allocs_per_kilo: per_kilo(allocations),
-            pb_occupancy: snap.pb_occupancy,
         });
         self.last = snap;
     }
@@ -267,17 +254,18 @@ mod tests {
     }
 
     #[test]
-    fn json_shape_carries_the_gauges() {
+    fn json_shape_round_trips() {
         let mut r = IntervalRecorder::new(10);
         r.observe(IntervalSnapshot {
             instructions: 12,
             mispredicts: 1,
-            pb_occupancy: Some(0.5),
+            allocations: 3,
             ..IntervalSnapshot::default()
         });
         let j = r.samples()[0].to_json();
-        assert_eq!(j.get("pb_occupancy").unwrap().as_f64(), Some(0.5));
         assert_eq!(j.get("instructions").unwrap().as_i64(), Some(12));
+        assert_eq!(j.get("allocations").unwrap().as_i64(), Some(3));
+        assert!(j.get("pb_occupancy").is_none(), "v7 dropped the gauge");
         assert_eq!(
             IntervalSample::from_json(&j).as_ref(),
             Some(&r.samples()[0])

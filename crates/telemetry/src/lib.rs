@@ -7,9 +7,8 @@
 //!   machine-readable run records (`BENCH_*.json`);
 //! * [`record`] — the record-line schema, plus the `--json` /
 //!   `LLBPX_TELEMETRY` sink resolution shared by every experiment binary;
-//! * [`interval`] — per-interval time-series sampling (MPKI, pattern-buffer
-//!   occupancy, prefetch timeliness, allocation rate) for phase-behavior
-//!   views of a run;
+//! * [`interval`] — per-interval time-series sampling (MPKI, prefetch
+//!   timeliness, allocation rate) for phase-behavior views of a run;
 //! * [`profile`] — lightweight RAII scope timers over fixed thread-local
 //!   counters, instrumenting the simulator's hot paths;
 //! * [`prng`] — a deterministic SplitMix64 generator used by the

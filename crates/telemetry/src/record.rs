@@ -34,7 +34,11 @@ use crate::profile::ScopeTotals;
 /// deadline and with it the `"timeout"` status and the timed-out-cell
 /// count: `status` is `"ok"` or `"failed"`, and a failed run is one that
 /// panicked. Every completed run carries its predictor's `storage_bits`.
-pub const SCHEMA: &str = "llbpx-telemetry/6";
+/// v7 removes the interval samples' `pb_occupancy` gauge, which read 1 in
+/// nearly every LLBP-family sample and so carried no information; a run
+/// whose predictor ran behind the frontend observer carries a `frontend`
+/// object (`fetch_cycles`, `target_misses`) over its measured window.
+pub const SCHEMA: &str = "llbpx-telemetry/7";
 
 /// Environment variable enabling telemetry without touching a binary's
 /// argument list. Values: `1`/`true` (default `BENCH_<name>.json` in the
@@ -149,7 +153,6 @@ mod tests {
             prefetch_late: 0,
             allocations: 1,
             allocs_per_kilo: 50.0,
-            pb_occupancy: Some(0.5),
         };
         let profile = [ScopeTotals {
             name: "tage::predict",

@@ -3,7 +3,7 @@
 # whole test suite, the panic-free lint gate, the rustdoc link gate, and
 # smoke experiments covering every binary's main, the examples,
 # determinism (fig01 and the fig08 context analyses), fault isolation,
-# and checkpoint/resume.
+# checkpoint/resume, and a journal shared by fig13 and fig13p.
 #
 # Usage: scripts/verify.sh
 # Exits nonzero on the first failure.
@@ -68,7 +68,7 @@ def load(path):
         lines = [l for l in f.read().splitlines() if l.strip()]
     assert len(lines) == 1, f"expected one record line, got {len(lines)}"
     rec = json.loads(lines[0])
-    assert rec["schema"] == "llbpx-telemetry/6", rec["schema"]
+    assert rec["schema"] == "llbpx-telemetry/7", rec["schema"]
     assert rec["bench"] == "fig01"
     assert "failed_cells" not in rec, "no cell may fail in the clean smoke"
     assert rec["total_wall_seconds"] > 0
@@ -257,11 +257,11 @@ lines = [l for l in open(sys.argv[1]).read().splitlines() if l.strip()]
 assert len(lines) == 8, f"expected one line per fig01 cell, got {len(lines)}"
 for line in lines:
     entry = json.loads(line)
-    assert entry["v"] == 4, entry["v"]
+    assert entry["v"] == 5, entry["v"]
     assert entry["fingerprint"], "a journal line needs its cell's fingerprint"
     missing = RECORD_KEYS - set(entry)
     assert not missing, f"journal line lacks run-record keys {sorted(missing)}"
-print(f"ok: {len(lines)} journal line(s), each a v4 run record")
+print(f"ok: {len(lines)} journal line(s), each a v5 run record")
 EOF
 echo "ok: killed after $before journaled cell(s); resumed output byte-identical"
 rm -f "$ckpt" "$clean_out" "$resume_out"
@@ -312,5 +312,47 @@ assert rerun == clean, "an Opt-W cell built from a restored LLBP-X record drifte
 print("ok: 2 Opt-W cells rebuilt from restored LLBP-X records, counter-identical")
 EOF
 rm -f "$ckpt" "$optw_clean" "$clean_out" "$resume_out"
+
+echo "== smoke: fig13p restores every cell from fig13's journal =="
+# fig13 and fig13p run one grid (bench::fig13_designs) behind the frontend
+# observer, so a fig13 journal restores all 8 of fig13p's cells, and the
+# restored fig13p prints what a fresh one does (the engine: line aside).
+# Its record holds one ok run per cell, each with its frontend counters.
+ckpt="$(mktemp -t llbpx-verify-fig13-XXXXXX.jsonl)"
+fresh_out="$(mktemp -t llbpx-verify-fig13p-XXXXXX.out)"
+shared_out="$(mktemp -t llbpx-verify-fig13p-XXXXXX.out)"
+shared_err="$(mktemp -t llbpx-verify-fig13p-XXXXXX.err)"
+shared_sink="$(mktemp -t llbpx-verify-fig13p-XXXXXX.json)"
+rm -f "$ckpt" "$shared_sink"
+fig13_small=(env LLBPX_THREADS=2 REPRO_WORKLOADS=NodeApp,TPCC
+             REPRO_WARMUP=100000 REPRO_INSTRUCTIONS=400000)
+"${fig13_small[@]}" "LLBPX_CHECKPOINT=$ckpt" ./target/release/fig13 >/dev/null
+"${fig13_small[@]}" ./target/release/fig13p >"$fresh_out"
+"${fig13_small[@]}" "LLBPX_CHECKPOINT=$ckpt" ./target/release/fig13p --json "$shared_sink" \
+    >"$shared_out" 2>"$shared_err"
+grep -q '^checkpoint: 8 cell(s) restored' "$shared_err" || {
+    echo "error: fig13p did not restore its 8 cells from fig13's journal:" >&2
+    cat "$shared_err" >&2
+    exit 1
+}
+if ! diff <(grep -v '^engine:' "$fresh_out") <(grep -v '^engine:' "$shared_out"); then
+    echo "error: fig13p restored from fig13's journal differs from a fresh run" >&2
+    exit 1
+fi
+python3 - "$ckpt" "$shared_sink" <<'EOF'
+import json, sys
+lines = [json.loads(l) for l in open(sys.argv[1]).read().splitlines() if l.strip()]
+assert len(lines) == 8 and all(l["v"] == 5 for l in lines), [l["v"] for l in lines]
+rec = json.loads(open(sys.argv[2]).read().splitlines()[0])
+assert rec["schema"] == "llbpx-telemetry/7" and rec["bench"] == "fig13p"
+assert rec["resumed_cells"] == 8, rec.get("resumed_cells")
+assert len(rec["runs"]) == 8, len(rec["runs"])
+for run in rec["runs"]:
+    assert run["status"] == "ok", run
+    assert run["frontend"]["fetch_cycles"] > 0, run["frontend"]
+print("ok: 8 fig13p cells restored from fig13's v5 journal, each with frontend counters")
+EOF
+echo "ok: fig13p on fig13's journal prints what a fresh fig13p does"
+rm -f "$ckpt" "$fresh_out" "$shared_out" "$shared_err" "$shared_sink"
 
 echo "== verify: all green =="

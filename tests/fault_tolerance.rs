@@ -4,8 +4,9 @@
 //! * a matrix with one deliberately-panicking cell (`LLBPX_FAULT_CELL`)
 //!   completes every other cell, renders the failed preset as an `n/a`
 //!   row, marks the run `status: "failed"` in telemetry, and exits
-//!   non-zero; so does a context-analysis binary (fig08) with one failed
-//!   analysis cell;
+//!   non-zero, in fig01 and in fig13p (whose completed runs carry their
+//!   frontend counters); so does a context-analysis binary (fig08) with
+//!   one failed analysis cell;
 //! * a failed cell is left out of the run's `LLBPX_CHECKPOINT` journal,
 //!   so a re-run on that journal without the fault matches an
 //!   uninterrupted run;
@@ -30,8 +31,9 @@ fn tmp_path(tag: &str) -> PathBuf {
     ))
 }
 
-fn fig01() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig01"));
+/// `binary` on NodeApp and TPCC at a small protocol over 4 workers.
+fn small_run(binary: &str) -> Command {
+    let mut cmd = Command::new(binary);
     cmd.env("REPRO_WORKLOADS", "NodeApp,TPCC")
         .env("REPRO_WARMUP", "50000")
         .env("REPRO_INSTRUCTIONS", "200000")
@@ -39,18 +41,34 @@ fn fig01() -> Command {
     cmd
 }
 
+fn fig01() -> Command {
+    small_run(env!("CARGO_BIN_EXE_fig01"))
+}
+
 #[test]
 fn a_panicking_cell_yields_na_row_failed_status_and_nonzero_exit() {
+    // fig01 runs 2 designs per preset and fig13p 4, behind the frontend
+    // observer.
+    let binaries = [
+        (env!("CARGO_BIN_EXE_fig01"), 4),
+        (env!("CARGO_BIN_EXE_fig13p"), 8),
+    ];
+    for (binary, cells) in binaries {
+        a_panicking_cell_is_isolated(binary, cells);
+    }
+}
+
+fn a_panicking_cell_is_isolated(binary: &str, cells: usize) {
     let sink = tmp_path("fault-cell.json");
     let _ = std::fs::remove_file(&sink);
 
     // Cell 1 is NodeApp's second job; TPCC's cells must still complete.
-    let output = fig01()
+    let output = small_run(binary)
         .arg("--json")
         .arg(&sink)
         .env("LLBPX_FAULT_CELL", "1")
         .output()
-        .expect("fig01 runs");
+        .expect("the binary runs");
     assert!(!output.status.success(), "a failed cell must not exit 0");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("matrix cell(s) failed"), "stderr: {stderr}");
@@ -78,11 +96,10 @@ fn a_panicking_cell_yields_na_row_failed_status_and_nonzero_exit() {
     let line = Json::parse(text.lines().next().expect("one record line")).expect("valid JSON");
     assert_eq!(line.get("failed_cells").unwrap().as_i64(), Some(1));
     let runs = line.get("runs").unwrap().as_arr().unwrap();
-    assert_eq!(runs.len(), 4);
-    let failed: Vec<&Json> = runs
+    assert_eq!(runs.len(), cells, "{binary}");
+    let (failed, ok): (Vec<&Json>, Vec<&Json>) = runs
         .iter()
-        .filter(|r| r.get("status").unwrap().as_str() == Some("failed"))
-        .collect();
+        .partition(|r| r.get("status").unwrap().as_str() == Some("failed"));
     assert_eq!(failed.len(), 1, "exactly the faulted cell fails");
     let error = failed[0].get("error").unwrap().as_str().unwrap();
     assert!(
@@ -90,6 +107,14 @@ fn a_panicking_cell_yields_na_row_failed_status_and_nonzero_exit() {
         "error carries the panic message: {error}"
     );
     assert_eq!(failed[0].get("workload").unwrap().as_str(), Some("NodeApp"));
+    let observed = binary.ends_with("fig13p");
+    for run in ok {
+        assert_eq!(
+            run.get("frontend").is_some(),
+            observed,
+            "{binary}: only fig13p's runs carry frontend counters"
+        );
+    }
 }
 
 #[test]
@@ -197,7 +222,7 @@ fn a_failed_cell_is_not_journaled_and_a_clean_resume_matches() {
 
 #[test]
 fn journal_lines_of_an_older_format_are_dropped_and_their_cells_re_simulate() {
-    let checkpoint = tmp_path("v3.ckpt");
+    let checkpoint = tmp_path("v4.ckpt");
     let _ = std::fs::remove_file(&checkpoint);
     let clean = fig01()
         .env("LLBPX_CHECKPOINT", &checkpoint)
@@ -205,15 +230,15 @@ fn journal_lines_of_an_older_format_are_dropped_and_their_cells_re_simulate() {
         .expect("fig01 runs");
     assert!(clean.status.success());
 
-    // Relabel every journaled line as format version 3: even under a
+    // Relabel every journaled line as format version 4: even under a
     // matching fingerprint, a line of an older format must not restore.
     let journal = std::fs::read_to_string(&checkpoint).expect("journal was written");
     assert_eq!(
-        journal.matches("\"v\":4").count(),
+        journal.matches("\"v\":5").count(),
         4,
-        "one v4 line per cell"
+        "one v5 line per cell"
     );
-    std::fs::write(&checkpoint, journal.replace("\"v\":4", "\"v\":3")).unwrap();
+    std::fs::write(&checkpoint, journal.replace("\"v\":5", "\"v\":4")).unwrap();
 
     let rerun = fig01()
         .env("LLBPX_CHECKPOINT", &checkpoint)
@@ -234,7 +259,7 @@ fn journal_lines_of_an_older_format_are_dropped_and_their_cells_re_simulate() {
     );
     assert_eq!(stable_stdout(&clean.stdout), stable_stdout(&rerun.stdout));
     assert_eq!(
-        journal.matches("\"v\":4").count(),
+        journal.matches("\"v\":5").count(),
         4,
         "every cell re-simulated"
     );

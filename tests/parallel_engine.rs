@@ -5,11 +5,15 @@
 //!
 //! The second test drives a real experiment binary end-to-end under
 //! `LLBPX_THREADS=1` and `LLBPX_THREADS=4` and diffs every accuracy field
-//! of the emitted records (only timing fields may differ).
+//! of the emitted records (only timing fields may differ). The third
+//! checks that a journal line of a plain cell never restores a cell that
+//! runs behind the frontend observer.
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::Arc;
 
+use bpsim::checkpoint::Checkpoint;
 use bpsim::exec::{design, run_matrix, EngineOptions};
 use bpsim::runner::{compare, RunResult, Simulation};
 use bpsim::SimPredictor;
@@ -144,4 +148,40 @@ fn bench_binary_accuracy_is_invariant_under_llbpx_threads() {
             "interval partitions differ between LLBPX_THREADS=1 and 4"
         );
     }
+}
+
+#[test]
+fn a_plain_journal_line_never_restores_an_observed_cell() {
+    let sim = Simulation {
+        warmup_instructions: 30_000,
+        measure_instructions: 80_000,
+    };
+    let spec = &specs()[..1];
+    let path = std::env::temp_dir().join(format!(
+        "llbpx-parallel-observed-{}.ckpt",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let journaled = |designs: &[bpsim::exec::Design]| {
+        let opts = EngineOptions {
+            checkpoint: Some(Arc::new(Checkpoint::open(&path).expect("journal opens"))),
+            ..EngineOptions::basic(1)
+        };
+        run_matrix(&sim, spec, designs, opts)
+    };
+    // Cell 0 of both grids is a "64K TSL" of the same storage; only the
+    // frontend observer tells them apart.
+    let plain = journaled(&[design("64K TSL", bench::tsl64)]);
+    let observed = &bench::fig13_designs()[..1];
+    let first = journaled(observed);
+    let second = journaled(observed);
+    let _ = std::fs::remove_file(&path);
+
+    assert!(plain.rows[0][0].frontend.is_none());
+    assert_eq!(first.resumed_cells(), 0, "a plain line must not restore");
+    let simulated = &first.rows[0][0];
+    assert!(simulated.frontend.is_some(), "the observed cell simulated");
+    assert_same_run(&plain.rows[0][0], simulated, "observer on vs off");
+    assert_eq!(second.resumed_cells(), 1, "an observed line restores");
+    assert_eq!(second.rows[0][0].frontend, simulated.frontend);
 }

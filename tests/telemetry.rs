@@ -88,7 +88,7 @@ fn bench_binary_emits_a_valid_record_with_json_flag() {
 
     assert_eq!(
         line.get("schema").unwrap().as_str(),
-        Some("llbpx-telemetry/6")
+        Some("llbpx-telemetry/7")
     );
     assert_eq!(line.get("bench").unwrap().as_str(), Some("fig01"));
 
@@ -139,6 +139,14 @@ fn bench_binary_emits_a_valid_record_with_json_flag() {
         assert!(
             offsets.windows(2).all(|w| w[0] < w[1]),
             "non-monotone {offsets:?}"
+        );
+        assert!(
+            intervals.iter().all(|s| s.get("pb_occupancy").is_none()),
+            "v7 dropped the occupancy gauge"
+        );
+        assert!(
+            run.get("frontend").is_none(),
+            "fig01 runs without the frontend observer"
         );
 
         // Scope profile: the predictor scopes, and the generator scope of
