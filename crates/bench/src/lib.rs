@@ -25,7 +25,7 @@
 //! code, a failure when any cell failed.
 //!
 //! Next to the text tables, every binary can also emit a machine-readable
-//! record of its runs (full counters, interval time-series, scope profile):
+//! record of its runs (full counters, scope profile):
 //! pass `--json <path>` or set `LLBPX_TELEMETRY=1` and its [`Figure`]
 //! appends one JSON line per invocation to the sink (default
 //! `BENCH_<name>.json`).

@@ -188,11 +188,6 @@ impl Llbp {
         &self.depth_decisions
     }
 
-    /// The underlying TSL (diagnostics).
-    pub fn tsl(&self) -> &TageScl {
-        &self.tsl
-    }
-
     /// The context tracking table, when depth adaptation is active
     /// (diagnostics).
     pub fn ctt(&self) -> Option<&ContextTrackingTable> {

@@ -319,7 +319,6 @@ mod tests {
                 observed.override_candidates, plain.override_candidates,
                 "{name}"
             );
-            assert_eq!(observed.intervals, plain.intervals, "{name}");
             let counters = |r: &RunResult| {
                 r.llbp
                     .as_ref()

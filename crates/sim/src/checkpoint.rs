@@ -11,8 +11,9 @@
 //! A journal line is the cell's run record ([`RunResult::to_json`], the
 //! object a telemetry line holds per run) plus `"v"` (the line format
 //! version) and `"fingerprint"`. [`RunResult::from_json`] reads it back:
-//! every accuracy field, the second-level counters, the interval
-//! time-series, the storage bits and the original run's `wall_seconds`.
+//! every accuracy field, the second-level counters, the deep contexts, the
+//! frontend counters, the storage bits and the original run's
+//! `wall_seconds`.
 //! The scope profile is not restored, and restored runs are marked
 //! `resumed: true` in telemetry.
 //!
@@ -48,10 +49,11 @@ pub const ENV_CHECKPOINT: &str = "LLBPX_CHECKPOINT";
 /// from: a version 3 LLBP-X line would restore with none, and its Opt-W
 /// would silently equal LLBP-X. Version 5 fingerprints say whether the
 /// frontend observer was on, and its records carry the observer's
-/// counters (a v4 line of an observed cell would restore without them)
-/// and interval samples without the dropped `pb_occupancy` gauge. Lines
-/// of any other version are dropped with a warning and their cells
-/// re-run.
+/// counters (a v4 line of an observed cell would restore without them).
+/// A v5 line written before the record dropped its `intervals` series
+/// still restores: the reader ignores the key, and no restored field
+/// depended on it. Lines of any other version are dropped with a warning
+/// and their cells re-run.
 const ENTRY_VERSION: i64 = 5;
 
 /// FNV-1a 64-bit hash.
@@ -230,7 +232,6 @@ mod tests {
     use super::*;
     use crate::timing::FrontendCounters;
     use llbpx::LlbpStats;
-    use telemetry::IntervalSample;
 
     fn sample_result() -> RunResult {
         let mut stats = LlbpStats {
@@ -260,17 +261,6 @@ mod tests {
                 target_misses: 77,
             }),
             wall_seconds: 0.125,
-            intervals: vec![IntervalSample {
-                instructions: 100_000,
-                cond_branches: 15_000,
-                mispredicts: 160,
-                mpki: 1.6,
-                prefetches_issued: 20,
-                prefetch_on_time: 18,
-                prefetch_late: 2,
-                allocations: 60,
-                allocs_per_kilo: 0.6,
-            }],
             ..RunResult::default()
         }
     }
@@ -365,11 +355,47 @@ mod tests {
             "context IDs beyond i64 survive"
         );
         // Every field the record holds — accuracy, counters, histogram,
-        // frontend counters, intervals, storage, wall time — reads back
+        // frontend counters, storage, wall time — reads back
         // unchanged.
         let resumed = RunResult {
             resumed: true,
             ..result
+        };
+        assert_eq!(r.to_json(&sim()), resumed.to_json(&sim()));
+    }
+
+    /// A v5 line written while run records still carried the `intervals`
+    /// series restores every field but that series.
+    #[test]
+    fn a_v5_line_with_intervals_still_restores() {
+        const LINE: &str = concat!(
+            r#"{"predictor":"LLBP-X","workload":"NodeApp","warmup_instructions":100000,"#,
+            r#""measure_instructions":200000,"instructions":200000,"#,
+            r#""cond_branches":31000,"mispredicts":310,"mpki":1.55,"#,
+            r#""override_candidates":99,"wall_seconds":0.125,"#,
+            r#""counters":{"cond_branches":1000,"mispredicts":31,"llbp_provided":400,"#,
+            r#""llbp_useful":0,"llbp_harmful":0,"ps_reads":0,"ps_writes":0,"#,
+            r#""pb_accesses":0,"cd_accesses":0,"ctt_accesses":0,"prefetches_issued":55,"#,
+            r#""prefetch_on_time":44,"prefetch_late":8,"prefetch_unused":3,"#,
+            r#""demand_fetches":0,"allocations":120,"alloc_dropped_range":0,"#,
+            r#""sets_created":0,"depth_transitions":0},"alloc_len_histogram":[0,0,17,0,"#,
+            r#"0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"deep_contexts":["000000000000002a","#,
+            r#""8000000000000001","ffffffffffffffff"],"frontend":{"fetch_cycles":31500,"#,
+            r#""target_misses":77},"intervals":[{"instructions":100000,"#,
+            r#""cond_branches":15000,"mispredicts":160,"mpki":1.6,"#,
+            r#""prefetches_issued":20,"prefetch_on_time":18,"prefetch_late":2,"#,
+            r#""allocations":60,"allocs_per_kilo":0.6}],"profile":[],"status":"ok","#,
+            r#""storage_bits":4096,"v":5,"fingerprint":"00ff"}"#,
+        );
+        assert!(LINE.contains("\"intervals\":[{"), "the older format");
+        let (fp, r) = parse_line(LINE).expect("a v5 line with intervals restores");
+        assert_eq!(fp, "00ff");
+        assert!(r.resumed && !r.is_failed());
+        assert_eq!(r.deep_contexts, sample_result().deep_contexts);
+        assert_eq!(r.frontend, sample_result().frontend);
+        let resumed = RunResult {
+            resumed: true,
+            ..sample_result()
         };
         assert_eq!(r.to_json(&sim()), resumed.to_json(&sim()));
     }

@@ -1,12 +1,14 @@
 //! The simulation driver: warmup, measurement, result collection and
-//! telemetry (wall clock, interval time-series, scope profile).
+//! telemetry (wall clock, scope profile). A run measures one window: the
+//! last instructions of a run are the window of a run with a longer
+//! warmup.
 
 use std::time::Instant;
 
 use llbpx::LlbpStats;
 use tage::bimodal::Bimodal;
 use tage::PredictInput;
-use telemetry::{IntervalRecorder, IntervalSample, IntervalSnapshot, Json, ScopeTotals};
+use telemetry::{Json, ScopeTotals};
 use traces::BranchStream;
 use workloads::{ServerWorkload, WorkloadSpec};
 
@@ -53,9 +55,6 @@ pub struct RunResult {
     /// ([`crate::exec`]) runs overlap, so the sum of `wall_seconds` across
     /// runs exceeds the elapsed wall clock of the invoking binary.
     pub wall_seconds: f64,
-    /// Interval time-series over the measurement phase, an eighth of the
-    /// budget per sample.
-    pub intervals: Vec<IntervalSample>,
     /// Scope profile accumulated during the run (warmup + measurement).
     pub profile: Vec<ScopeTotals>,
     /// Why a matrix cell failed: its index, design and workload, and the
@@ -146,7 +145,6 @@ impl RunResult {
         };
         let mut j = telemetry::record::with_run_sections(
             j,
-            &self.intervals,
             &self.profile,
             self.error.as_deref(),
             self.resumed,
@@ -160,10 +158,10 @@ impl RunResult {
     /// The inverse of [`RunResult::to_json`] for a completed run: the
     /// accuracy fields, the second-level counters (`None` when the record's
     /// `counters` object is empty), the deep contexts, the frontend
-    /// counters, the interval time-series, the storage bits and
-    /// `wall_seconds`. The scope profile is not restored: its labels are
-    /// `&'static str`s into the binary. `None` for a failed run, or when
-    /// any field is missing, negative or fractional.
+    /// counters, the storage bits and `wall_seconds`. The scope profile is
+    /// not restored: its labels are `&'static str`s into the binary. `None`
+    /// for a failed run, or when any field is missing, negative or
+    /// fractional.
     pub fn from_json(j: &Json) -> Option<RunResult> {
         if j.get("status")?.as_str()? != "ok" {
             return None;
@@ -197,11 +195,6 @@ impl RunResult {
             }),
             None => None,
         };
-        let intervals = j
-            .get("intervals")?
-            .as_arr()?
-            .iter()
-            .map(IntervalSample::from_json);
         Some(RunResult {
             name: j.get("predictor")?.as_str()?.to_owned(),
             workload: j.get("workload")?.as_str()?.to_owned(),
@@ -214,7 +207,6 @@ impl RunResult {
             deep_contexts,
             frontend,
             wall_seconds: j.get("wall_seconds")?.as_f64()?,
-            intervals: intervals.collect::<Option<_>>()?,
             profile: Vec::new(),
             error: None,
             resumed: j.get("resumed") == Some(&Json::Bool(true)),
@@ -329,8 +321,6 @@ impl Simulation {
 
         // Measurement, with the bimodal shadow for the overriding model.
         let mut shadow = Bimodal::new(13);
-        let mut recorder =
-            IntervalRecorder::new(telemetry::record::interval_width(self.measure_instructions));
         let mut result = RunResult {
             name: predictor.name(),
             workload: workload.to_owned(),
@@ -355,12 +345,6 @@ impl Simulation {
                 }
                 shadow.update(rec.pc, rec.taken);
             }
-            // Snapshots are only materialized at interval boundaries; the
-            // recorder ignores observations between them, so skipping the
-            // per-branch snapshot yields identical samples.
-            if result.instructions >= recorder.next_boundary() {
-                recorder.observe(snapshot_counters(&result, predictor, warm_stats.as_ref()));
-            }
         }
         predictor.finish();
         // Invariants are cumulative-state properties; check them before the
@@ -368,8 +352,6 @@ impl Simulation {
         if let Some(end) = predictor.observe().llbp {
             end.validate();
         }
-        result.intervals =
-            recorder.finish(snapshot_counters(&result, predictor, warm_stats.as_ref()));
         result.llbp = predictor.observe().llbp.map(|end| match &warm_stats {
             Some(start) => end.delta_since(start),
             None => end.clone(),
@@ -392,30 +374,6 @@ impl Simulation {
         result.wall_seconds = started.elapsed().as_secs_f64();
         result
     }
-}
-
-/// Cumulative measurement-phase counters at this moment, as an interval
-/// observation. Second-level counters are rebased to the warmup snapshot so
-/// the time-series is measurement-relative like everything else.
-fn snapshot_counters<P: SimPredictor + ?Sized>(
-    result: &RunResult,
-    predictor: &P,
-    warm: Option<&LlbpStats>,
-) -> IntervalSnapshot {
-    let mut snap = IntervalSnapshot {
-        instructions: result.instructions,
-        cond_branches: result.cond_branches,
-        mispredicts: result.mispredicts,
-        ..IntervalSnapshot::default()
-    };
-    if let Some(stats) = predictor.observe().llbp {
-        let base = |pick: fn(&LlbpStats) -> u64| warm.map_or(0, pick);
-        snap.prefetches_issued = stats.prefetches_issued - base(|s| s.prefetches_issued);
-        snap.prefetch_on_time = stats.prefetch_on_time - base(|s| s.prefetch_on_time);
-        snap.prefetch_late = stats.prefetch_late - base(|s| s.prefetch_late);
-        snap.allocations = stats.allocations - base(|s| s.allocations);
-    }
-    snap
 }
 
 /// Convenience: one warmed-up run of each provided predictor over the same
@@ -576,15 +534,6 @@ mod tests {
         let sim = tiny_sim();
         let r = sim.run(&mut Llbp::new(LlbpConfig::paper_baseline()), &tiny_spec());
         assert!(r.wall_seconds > 0.0);
-        assert!(
-            r.intervals.len() >= 2,
-            "default width is an eighth of the budget"
-        );
-        let total_interval_mispredicts: u64 = r.intervals.iter().map(|s| s.mispredicts).sum();
-        assert_eq!(
-            total_interval_mispredicts, r.mispredicts,
-            "intervals partition the run"
-        );
         let named: Vec<&str> = r.profile.iter().map(|s| s.name).collect();
         for scope in ["tage::predict", "tage::update", "llbp::pattern_lookup"] {
             assert!(named.contains(&scope), "{scope} missing from {named:?}");
@@ -597,7 +546,6 @@ mod tests {
         let sim = tiny_sim();
         let mut llbp = Llbp::new(LlbpConfig::paper_baseline());
         let r = sim.run(&mut llbp, &tiny_spec());
-        assert!(r.intervals.len() >= 2);
         let json = r.to_json(&sim);
         let get = |key: &str| json.get(key).unwrap();
         assert_eq!(
@@ -608,7 +556,10 @@ mod tests {
             get("measure_instructions").as_u64(),
             Some(sim.measure_instructions)
         );
-        assert_eq!(get("intervals").as_arr().unwrap().len(), r.intervals.len());
+        assert!(
+            json.get("intervals").is_none(),
+            "v8 dropped the time-series"
+        );
         assert_eq!(get("profile").as_arr().unwrap().len(), r.profile.len());
         assert_eq!(
             get("counters").get("cond_branches").and_then(Json::as_u64),

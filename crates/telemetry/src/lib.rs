@@ -7,8 +7,6 @@
 //!   machine-readable run records (`BENCH_*.json`);
 //! * [`record`] — the record-line schema, plus the `--json` /
 //!   `LLBPX_TELEMETRY` sink resolution shared by every experiment binary;
-//! * [`interval`] — per-interval time-series sampling (MPKI, prefetch
-//!   timeliness, allocation rate) for phase-behavior views of a run;
 //! * [`profile`] — lightweight RAII scope timers over fixed thread-local
 //!   counters, instrumenting the simulator's hot paths;
 //! * [`prng`] — a deterministic SplitMix64 generator used by the
@@ -17,13 +15,11 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod interval;
 pub mod json;
 pub mod prng;
 pub mod profile;
 pub mod record;
 
-pub use interval::{IntervalRecorder, IntervalSample, IntervalSnapshot};
 pub use json::Json;
 pub use prng::SplitMix64;
 pub use profile::ScopeTotals;

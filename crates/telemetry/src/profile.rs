@@ -16,8 +16,11 @@
 //! [`SAMPLE_PERIOD`] entries of each scope is timed (the first always is)
 //! and the measured nanoseconds are scaled by the period, so `nanos` is an
 //! unbiased estimate of the true total while the per-entry overhead of the
-//! untimed majority is a counter bump — no clock reads. At millions of
-//! entries per run the estimate converges tightly; scopes entered once
+//! untimed majority is a counter bump — no clock reads. A timed entry's
+//! span also holds about one clock read (the tail of the read that starts
+//! it and the head of the one that ends it); its cost is measured once
+//! per process and taken off every sample before the scaling. At millions
+//! of entries per run the estimate converges tightly; scopes entered once
 //! (coarse phases) are always timed exactly.
 //!
 //! The counters are thread-local: a simulation run reads exactly the
@@ -26,7 +29,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Every `SAMPLE_PERIOD`-th entry of a scope is timed; the rest only count.
@@ -35,6 +38,9 @@ pub const SAMPLE_PERIOD: u64 = 64;
 /// Most distinct scope names a process may use. Each thread holds two
 /// counters per slot; registering one more name panics.
 pub const MAX_SCOPES: usize = 64;
+
+/// Back-to-back clock-read pairs whose median is the per-sample clock cost.
+const CLOCK_PAIRS: usize = 501;
 
 /// Accumulated totals for one named scope.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,7 +194,7 @@ impl ScopeGuard {
     #[cold]
     #[inline(never)]
     fn record(slot: usize, start: Instant) {
-        let nanos = (start.elapsed().as_nanos() as u64).saturating_mul(SAMPLE_PERIOD);
+        let nanos = sample_nanos(start.elapsed().as_nanos() as u64, clock_nanos());
         // A reset while this guard was live (tests) leaves the slot in
         // place, so the time still lands on this scope.
         COUNTERS.with(|c| {
@@ -196,6 +202,26 @@ impl ScopeGuard {
             total.set(total.get() + nanos);
         });
     }
+}
+
+/// The cost of one clock read inside a timed span: the median of
+/// back-to-back `Instant::now()` pairs, measured on first use.
+fn clock_nanos() -> u64 {
+    static CLOCK: OnceLock<u64> = OnceLock::new();
+    *CLOCK.get_or_init(|| {
+        let mut pairs: Vec<u64> = (0..CLOCK_PAIRS)
+            .map(|_| Instant::now().elapsed().as_nanos() as u64)
+            .collect();
+        pairs.sort_unstable();
+        pairs[CLOCK_PAIRS / 2]
+    })
+}
+
+/// One timed sample's share of its scope's `nanos`: the `elapsed` span
+/// less the `clock` read it holds (at least zero), scaled by
+/// [`SAMPLE_PERIOD`].
+fn sample_nanos(elapsed: u64, clock: u64) -> u64 {
+    elapsed.saturating_sub(clock).saturating_mul(SAMPLE_PERIOD)
 }
 
 impl Drop for ScopeGuard {
@@ -318,7 +344,9 @@ mod tests {
         reset();
         for _ in 0..(SAMPLE_PERIOD * 3 + 5) {
             let _g = crate::scope!("test::sampled");
-            std::hint::black_box(());
+            // A body that outlasts a clock read, so the timed samples
+            // hold time after the clock cost is taken off.
+            std::thread::sleep(std::time::Duration::from_micros(1));
         }
         let snap = snapshot();
         let t = snap
@@ -327,6 +355,17 @@ mod tests {
             .expect("recorded");
         assert_eq!(t.calls, SAMPLE_PERIOD * 3 + 5, "every entry counts");
         assert!(t.nanos > 0, "sampled entries accumulate scaled time");
+    }
+
+    #[test]
+    fn samples_lose_one_clock_read_and_scale_by_the_period() {
+        assert_eq!(sample_nanos(145, 45), 100 * SAMPLE_PERIOD);
+        assert_eq!(sample_nanos(45, 45), 0, "an empty span is no time");
+        assert_eq!(sample_nanos(30, 45), 0, "a fast read saturates at 0");
+        assert_eq!(sample_nanos(u64::MAX, 0), u64::MAX, "scaling saturates");
+        let clock = clock_nanos();
+        assert_eq!(clock, clock_nanos(), "measured once per process");
+        assert!(clock < 1_000_000, "a clock read costs {clock} ns");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! A run record is one predictor × workload run as a JSON object:
 //! protocol (warmup/measure), configuration labels, headline metrics, the
-//! full always-on counter set, the interval time-series and the scope
-//! profile. `bpsim::runner::RunResult::to_json` writes it, closing it with
-//! [`with_run_sections`] (the sections whose types this crate owns, and
+//! full always-on counter set and the scope profile.
+//! `bpsim::runner::RunResult::to_json` writes it, closing it with
+//! [`with_run_sections`] (the profile, whose type this crate owns, and
 //! the run's outcome), and the `LLBPX_CHECKPOINT` journal stores the same
 //! object per completed cell.
 //! Experiment binaries bundle their runs into one JSON line and append it
@@ -15,7 +15,6 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::interval::IntervalSample;
 use crate::json::Json;
 use crate::profile::ScopeTotals;
 
@@ -38,21 +37,23 @@ use crate::profile::ScopeTotals;
 /// nearly every LLBP-family sample and so carried no information; a run
 /// whose predictor ran behind the frontend observer carries a `frontend`
 /// object (`fetch_cycles`, `target_misses`) over its measured window.
-pub const SCHEMA: &str = "llbpx-telemetry/7";
+/// v8 drops the per-run `intervals` time-series: the last *k*
+/// instructions of a run are the measured window of a run with a longer
+/// warmup, so the series held nothing the protocol knobs do not give.
+pub const SCHEMA: &str = "llbpx-telemetry/8";
 
 /// Environment variable enabling telemetry without touching a binary's
 /// argument list. Values: `1`/`true` (default `BENCH_<name>.json` in the
 /// working directory), a `*.json` path, or a directory.
 pub const ENV_SINK: &str = "LLBPX_TELEMETRY";
 
-/// Appends the closing sections of a run record to `run`: the `intervals`
-/// time-series, the scope `profile`, and the outcome (schema v2) —
+/// Appends the closing sections of a run record to `run`: the scope
+/// `profile` and the outcome (schema v2) —
 /// `status` (`"failed"` when `error` is set, `"ok"` otherwise), the failed
 /// run's `error`, and `resumed` for a run restored from a checkpoint
 /// journal. Optional fields stay off the line entirely.
 pub fn with_run_sections(
     run: Json,
-    intervals: &[IntervalSample],
     profile: &[ScopeTotals],
     error: Option<&str>,
     resumed: bool,
@@ -64,10 +65,6 @@ pub fn with_run_sections(
             .set("nanos", s.nanos)
     });
     let mut j = run
-        .set(
-            "intervals",
-            Json::Arr(intervals.iter().map(IntervalSample::to_json).collect()),
-        )
         .set("profile", Json::Arr(profile.collect()))
         .set("status", if error.is_some() { "failed" } else { "ok" });
     if let Some(error) = error {
@@ -115,14 +112,6 @@ pub fn sink_from_env(bench: &str) -> Option<PathBuf> {
     sink_from(bench, std::env::args().skip(1), env.as_deref())
 }
 
-/// The interval width (instructions per sample): an eighth of the
-/// measurement budget, at least one instruction. It is a function of the
-/// budget alone, so a checkpoint fingerprint that hashes the budget also
-/// pins the width of every journaled interval series.
-pub fn interval_width(measure_instructions: u64) -> u64 {
-    (measure_instructions / 8).max(1)
-}
-
 /// Appends `record` as one JSON line to `path` (creating the file if
 /// needed), so successive invocations build a trajectory.
 pub fn append_line(path: &Path, record: &Json) -> std::io::Result<()> {
@@ -143,24 +132,12 @@ mod tests {
             .set("predictor", "LLBP")
             .set("workload", "NodeApp")
             .set("counters", Json::obj().set("llbp_provided", 3u64));
-        let sample = IntervalSample {
-            instructions: 20,
-            cond_branches: 5,
-            mispredicts: 2,
-            mpki: 100.0,
-            prefetches_issued: 0,
-            prefetch_on_time: 0,
-            prefetch_late: 0,
-            allocations: 1,
-            allocs_per_kilo: 50.0,
-        };
         let profile = [ScopeTotals {
             name: "tage::predict",
             calls: 5,
             nanos: 1000,
         }];
-        let intervals = std::slice::from_ref(&sample);
-        let rec = with_run_sections(run, intervals, &profile, None, false).set("cpi", 1.5);
+        let rec = with_run_sections(run, &profile, None, false).set("cpi", 1.5);
         let j = Json::parse(&rec.to_string()).expect("round-trips");
         assert_eq!(j.get("predictor").unwrap().as_str(), Some("LLBP"));
         assert_eq!(
@@ -171,9 +148,6 @@ mod tests {
                 .as_i64(),
             Some(3)
         );
-        let intervals = j.get("intervals").unwrap().as_arr().unwrap();
-        assert_eq!(intervals.len(), 1);
-        assert_eq!(IntervalSample::from_json(&intervals[0]), Some(sample));
         let profile = j.get("profile").unwrap().as_arr().unwrap();
         assert_eq!(profile.len(), 1);
         assert_eq!(
@@ -194,7 +168,7 @@ mod tests {
         let run = Json::obj()
             .set("predictor", "LLBP")
             .set("workload", "NodeApp");
-        let rec = with_run_sections(run, &[], &[], Some("worker panicked"), true);
+        let rec = with_run_sections(run, &[], Some("worker panicked"), true);
         let j = Json::parse(&rec.to_string()).expect("round-trips");
         assert_eq!(j.get("status").unwrap().as_str(), Some("failed"));
         assert_eq!(j.get("error").unwrap().as_str(), Some("worker panicked"));
@@ -242,11 +216,5 @@ mod tests {
             Some(2)
         );
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn interval_width_defaults_to_an_eighth() {
-        assert_eq!(interval_width(8_000), 1_000);
-        assert_eq!(interval_width(0), 1);
     }
 }

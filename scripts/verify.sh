@@ -54,8 +54,9 @@ for t in 1 4; do
         ./target/release/fig01 --json "${!sink_var}"
 done
 
-# Each record must be one well-formed JSON line with runs, intervals, the
-# engine bookkeeping, and a nonzero scope profile that includes the run's
+# Each record must be one well-formed JSON line with runs (none carrying
+# the interval series schema v8 dropped), the engine bookkeeping, and a
+# nonzero scope profile that includes the run's
 # own workload generation (the same contract tests/telemetry.rs
 # enforces) — and every accuracy field must be
 # bit-identical between the 1-thread and 4-thread invocations (only the
@@ -68,14 +69,14 @@ def load(path):
         lines = [l for l in f.read().splitlines() if l.strip()]
     assert len(lines) == 1, f"expected one record line, got {len(lines)}"
     rec = json.loads(lines[0])
-    assert rec["schema"] == "llbpx-telemetry/7", rec["schema"]
+    assert rec["schema"] == "llbpx-telemetry/8", rec["schema"]
     assert rec["bench"] == "fig01"
     assert "failed_cells" not in rec, "no cell may fail in the clean smoke"
     assert rec["total_wall_seconds"] > 0
     assert len(rec["runs"]) >= 1
     for run in rec["runs"]:
         assert run["status"] == "ok", run
-        assert len(run["intervals"]) >= 2, "too few interval samples"
+        assert "intervals" not in run, "schema v8 dropped the interval series"
         timed = [s for s in run["profile"] if s["nanos"] > 0 and s["calls"] > 0]
         assert len(timed) >= 2, f"too few timed scopes: {run['profile']}"
         assert any(s["scope"] == "workload::emit_request" for s in timed), \
@@ -86,7 +87,7 @@ one, four = load(sys.argv[1]), load(sys.argv[2])
 assert one["threads"] == 1 and four["threads"] == 4, (one["threads"], four["threads"])
 assert len(one["runs"]) == len(four["runs"])
 ACCURACY = ["predictor", "workload", "instructions", "cond_branches",
-            "mispredicts", "mpki", "intervals"]
+            "mispredicts", "mpki", "counters", "alloc_len_histogram"]
 for r1, r4 in zip(one["runs"], four["runs"]):
     for key in ACCURACY:
         assert r1[key] == r4[key], \
@@ -115,7 +116,8 @@ rm -f "$analysis1" "$analysis2"
 echo "== smoke: every experiment binary on a small protocol =="
 # CI's only run of every binary's main: each must exit 0, print its paper
 # reference and no NaN (a summary over missing data prints n/a), and an
-# engine line must report the worker count its record line holds.
+# engine line must report the worker count its record line holds; the
+# record is schema v8, so no run carries an interval series.
 bin_out="$(mktemp -t llbpx-verify-bin-XXXXXX.out)"
 bin_sink="$(mktemp -t llbpx-verify-bin-XXXXXX.json)"
 count=0
@@ -136,10 +138,13 @@ for src in crates/bench/src/bin/*.rs; do
 import json, re, sys
 name, out, sink = sys.argv[1:]
 engine = [l for l in open(out).read().splitlines() if l.startswith("engine:")]
-threads = json.loads(open(sink).read().splitlines()[0])["threads"]
+rec = json.loads(open(sink).read().splitlines()[0])
+threads = rec["threads"]
 for line in engine:
     shown = int(re.match(r"engine: (\d+) thread", line).group(1))
     assert shown == threads, f"{name}: engine line says {shown} thread(s), record {threads}"
+assert rec["schema"] == "llbpx-telemetry/8", f"{name}: {rec['schema']}"
+assert not any("intervals" in run for run in rec["runs"]), f"{name}: a run carries intervals"
 EOF
     count=$((count + 1))
 done
@@ -252,7 +257,7 @@ python3 - "$ckpt" <<'EOF'
 import json, sys
 RECORD_KEYS = {"predictor", "workload", "instructions", "cond_branches",
                "mispredicts", "override_candidates", "counters",
-               "alloc_len_histogram", "intervals", "storage_bits"}
+               "alloc_len_histogram", "storage_bits"}
 lines = [l for l in open(sys.argv[1]).read().splitlines() if l.strip()]
 assert len(lines) == 8, f"expected one line per fig01 cell, got {len(lines)}"
 for line in lines:
@@ -261,6 +266,7 @@ for line in lines:
     assert entry["fingerprint"], "a journal line needs its cell's fingerprint"
     missing = RECORD_KEYS - set(entry)
     assert not missing, f"journal line lacks run-record keys {sorted(missing)}"
+    assert "intervals" not in entry, "schema v8 dropped the interval series"
 print(f"ok: {len(lines)} journal line(s), each a v5 run record")
 EOF
 echo "ok: killed after $before journaled cell(s); resumed output byte-identical"
@@ -343,13 +349,15 @@ python3 - "$ckpt" "$shared_sink" <<'EOF'
 import json, sys
 lines = [json.loads(l) for l in open(sys.argv[1]).read().splitlines() if l.strip()]
 assert len(lines) == 8 and all(l["v"] == 5 for l in lines), [l["v"] for l in lines]
+assert not any("intervals" in l for l in lines), "schema v8 dropped the interval series"
 rec = json.loads(open(sys.argv[2]).read().splitlines()[0])
-assert rec["schema"] == "llbpx-telemetry/7" and rec["bench"] == "fig13p"
+assert rec["schema"] == "llbpx-telemetry/8" and rec["bench"] == "fig13p"
 assert rec["resumed_cells"] == 8, rec.get("resumed_cells")
 assert len(rec["runs"]) == 8, len(rec["runs"])
 for run in rec["runs"]:
     assert run["status"] == "ok", run
     assert run["frontend"]["fetch_cycles"] > 0, run["frontend"]
+    assert "intervals" not in run, "schema v8 dropped the interval series"
 print("ok: 8 fig13p cells restored from fig13's v5 journal, each with frontend counters")
 EOF
 echo "ok: fig13p on fig13's journal prints what a fresh fig13p does"

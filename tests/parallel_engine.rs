@@ -47,9 +47,15 @@ fn assert_same_run(serial: &RunResult, engine: &RunResult, how: &str) {
         serial.override_candidates, engine.override_candidates,
         "{how}: override_candidates"
     );
+    let second_level = |r: &RunResult| {
+        r.llbp
+            .as_ref()
+            .map(|s| (s.counters(), s.alloc_len_histogram))
+    };
     assert_eq!(
-        serial.intervals, engine.intervals,
-        "{how}: interval partitions"
+        second_level(serial),
+        second_level(engine),
+        "{how}: second-level counters"
     );
 }
 
@@ -135,6 +141,8 @@ fn bench_binary_accuracy_is_invariant_under_llbpx_threads() {
             "cond_branches",
             "mispredicts",
             "mpki",
+            "counters",
+            "alloc_len_histogram",
         ] {
             assert_eq!(
                 r1.get(key).map(Json::to_string),
@@ -142,11 +150,6 @@ fn bench_binary_accuracy_is_invariant_under_llbpx_threads() {
                 "{key} differs between LLBPX_THREADS=1 and 4"
             );
         }
-        assert_eq!(
-            r1.get("intervals").map(Json::to_string),
-            r4.get("intervals").map(Json::to_string),
-            "interval partitions differ between LLBPX_THREADS=1 and 4"
-        );
     }
 }
 

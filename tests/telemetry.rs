@@ -4,8 +4,9 @@
 //! This is the acceptance test for the telemetry layer: a bench binary run
 //! with `--json <path>` must append a valid record line carrying the
 //! protocol/config, the engine bookkeeping (threads, total wall time), the
-//! full second-level counters, at least two interval samples, and the
-//! predictor and workload-generator profile scopes with nonzero timings.
+//! full second-level counters, no interval series (schema v8 dropped it),
+//! and the predictor and workload-generator profile scopes with nonzero
+//! timings.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -46,7 +47,10 @@ fn library_run_records_carry_every_section() {
     ] {
         assert!(counters.get(key).is_some(), "counter {key} missing");
     }
-    assert!(json.get("intervals").unwrap().as_arr().unwrap().len() >= 2);
+    assert!(
+        json.get("intervals").is_none(),
+        "v8 dropped the time-series"
+    );
     let profile = json.get("profile").unwrap().as_arr().unwrap();
     let nonzero = profile
         .iter()
@@ -88,7 +92,7 @@ fn bench_binary_emits_a_valid_record_with_json_flag() {
 
     assert_eq!(
         line.get("schema").unwrap().as_str(),
-        Some("llbpx-telemetry/7")
+        Some("llbpx-telemetry/8")
     );
     assert_eq!(line.get("bench").unwrap().as_str(), Some("fig01"));
 
@@ -129,21 +133,7 @@ fn bench_binary_emits_a_valid_record_with_json_flag() {
         // have no second level).
         assert!(run.get("counters").is_some());
 
-        // Interval time-series: default width is an eighth of the budget.
-        let intervals = run.get("intervals").unwrap().as_arr().unwrap();
-        assert!(intervals.len() >= 2, "got {} intervals", intervals.len());
-        let offsets: Vec<i64> = intervals
-            .iter()
-            .map(|s| s.get("instructions").unwrap().as_i64().unwrap())
-            .collect();
-        assert!(
-            offsets.windows(2).all(|w| w[0] < w[1]),
-            "non-monotone {offsets:?}"
-        );
-        assert!(
-            intervals.iter().all(|s| s.get("pb_occupancy").is_none()),
-            "v7 dropped the occupancy gauge"
-        );
+        assert!(run.get("intervals").is_none(), "v8 dropped the time-series");
         assert!(
             run.get("frontend").is_none(),
             "fig01 runs without the frontend observer"
