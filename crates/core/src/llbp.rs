@@ -341,6 +341,7 @@ impl Llbp {
         } else {
             tage.pred
         };
+        let tage_conf = TageScl::input_confidence(&tage);
         let mut final_pred = base_pred;
         let mut sc_used = None;
         if !(llbp_provides && self.cfg.suppress_sc) {
@@ -353,15 +354,15 @@ impl Llbp {
                     ScInputConfidence::Medium
                 }
             } else {
-                TageScl::input_confidence(&tage)
+                tage_conf
             };
             let eval = self.tsl.sc_eval(pc, base_pred, conf);
             if eval.decisive {
                 final_pred = eval.pred;
             }
-            sc_used = Some((eval, base_pred));
+            sc_used = Some((eval, base_pred, conf));
         }
-        if self.tsl.loop_enabled() && linfo.hit && linfo.confident {
+        if self.tsl.loop_enabled() && linfo.hit() && linfo.confident {
             final_pred = linfo.pred;
         }
 
@@ -373,10 +374,14 @@ impl Llbp {
         if llbp_provides {
             self.stats.llbp_provided += 1;
             let pm = m.unwrap_or_else(|| unreachable!("provides implies match"));
-            // What would the standalone baseline TSL have predicted?
-            let baseline_sc = self
-                .tsl
-                .sc_eval(pc, tage.pred, TageScl::input_confidence(&tage));
+            // What would the standalone baseline TSL have predicted? Its SC
+            // input is TAGE's; `sc_eval` is pure, so when the pattern fed
+            // the SC the same prediction and confidence class, the first
+            // evaluation is the baseline's too.
+            let baseline_sc = match sc_used {
+                Some((eval, input, conf)) if input == tage.pred && conf == tage_conf => eval,
+                _ => self.tsl.sc_eval(pc, tage.pred, tage_conf),
+            };
             let baseline = TageScl::combine(tage.pred, linfo, self.tsl.loop_enabled(), baseline_sc);
             if pm.taken == taken && baseline != taken {
                 self.stats.llbp_useful += 1;
@@ -396,8 +401,8 @@ impl Llbp {
         }
 
         // --- train the TSL -------------------------------------------------
-        self.tsl.train_without_sc(pc, taken, &tage);
-        if let Some((eval, input)) = sc_used {
+        self.tsl.train_without_sc(pc, taken, &tage, &linfo);
+        if let Some((eval, input, _)) = sc_used {
             self.tsl.train_sc_with_input(taken, input, eval);
         }
 

@@ -67,9 +67,15 @@ impl TageConfig {
     }
 
     /// Scales the tagged tables to `log2_entries` entries per table.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `log2_entries` is in `5..=16`: TAGE computes its
+    /// indices in `u32` lanes that hold a 16-bit index at most
+    /// ([`MAX_LANE_INDEX_BITS`](crate::history::MAX_LANE_INDEX_BITS)).
     pub fn with_log2_entries(mut self, log2_entries: u32) -> Self {
         assert!(
-            (5..=20).contains(&log2_entries),
+            (5..=crate::history::MAX_LANE_INDEX_BITS).contains(&log2_entries),
             "log2_entries out of range"
         );
         self.log2_entries = log2_entries;

@@ -154,10 +154,11 @@ impl PathHistory {
 /// Precomputed constants for one `(len, table, log2_size)` instantiation of
 /// [`PathHistory::mix`].
 ///
-/// The rotation amount involves a `table % log2_size` term that compiles to
-/// a hardware divide when evaluated inline; TAGE evaluates the mix for all
-/// 21 tables on every prediction, so the constants are hoisted here once at
-/// construction and [`apply`](Self::apply) is pure shift/mask work.
+/// This is the scalar reference of [`PathMixLanes`], the role
+/// [`FoldedHistory`](crate::FoldedHistory) plays for
+/// [`FoldLanes`](crate::folded::FoldLanes): TAGE runs the lanes, and the
+/// tests check every lane against this. Its rotation shifts by a per-table
+/// count (`table % log2_size`), which the lanes turn into a multiply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathMix {
     len_mask: u64,
@@ -196,6 +197,80 @@ impl PathMix {
         let a2 = ((a2 << self.rot) & self.size_mask) | (a2 >> self.back);
         let a = a1 ^ a2;
         ((a << self.rot) & self.size_mask) | (a >> self.back)
+    }
+}
+
+/// [`PathMix`] for `N` tables at once: lane `t` equals
+/// `PathMix::new(lens[t], t, log2_size)`.
+///
+/// Every shift count of a lane is either uniform across the tables (the
+/// index width `log2_size`) or turned into a per-lane constant: rotating
+/// `x` left by `rot` within `size` bits is `y = x * (1 << rot)` followed by
+/// `(y & mask) | (y >> size)`, because `(x << rot) >> size` is the
+/// `x >> (size - rot)` of the scalar form. A lane is then multiplies,
+/// masks and uniform shifts on `u32`s, which the compiler vectorizes four
+/// lanes wide on the baseline x86-64 target (a per-lane shift count has no
+/// SSE2 instruction). The rotated value stays below `2^max(size, 26)`, so
+/// the product stays below `2^32` for every `size ≤ 16`, the widest the
+/// lanes accept.
+///
+/// ```
+/// use tage::history::{PathMix, PathMixLanes};
+/// use tage::PathHistory;
+///
+/// let mut path = PathHistory::new();
+/// for pc in [0x40u64, 0x84, 0x1c4, 0x204] {
+///     path.push(pc);
+/// }
+/// let lanes = PathMixLanes::new([6, 16, 27], 5);
+/// assert_eq!(u64::from(lanes.lane(2, &path)), PathMix::new(27, 2, 5).apply(&path));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathMixLanes<const N: usize> {
+    /// `2^len - 1`: the path bits lane `t` reads.
+    len_mask: [u32; N],
+    /// `1 << (t % size)`: lane `t`'s rotation as a multiplier.
+    rot: [u32; N],
+    size: u32,
+    /// `2^size - 1`.
+    mask: u32,
+}
+
+/// The widest index [`PathMixLanes`] (and so TAGE) supports: the rotation
+/// product of a `size`-bit value must fit a `u32` lane.
+pub const MAX_LANE_INDEX_BITS: u32 = 16;
+
+impl<const N: usize> PathMixLanes<N> {
+    /// Precomputes the lanes; `lens[t]` path bits (at most [`PATH_BITS`]
+    /// are read) mix into `log2_size` index bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `log2_size` is in `1..=`[`MAX_LANE_INDEX_BITS`] (the
+    /// scalar mix of size 0 is the constant 0, which no TAGE table uses).
+    pub fn new(lens: [usize; N], log2_size: u32) -> Self {
+        assert!(
+            (1..=MAX_LANE_INDEX_BITS).contains(&log2_size),
+            "path mix size {log2_size} outside 1..={MAX_LANE_INDEX_BITS}"
+        );
+        PathMixLanes {
+            len_mask: lens.map(|len| (1u32 << len.min(PATH_BITS as usize)) - 1),
+            rot: std::array::from_fn(|t| 1 << (t as u32 % log2_size)),
+            size: log2_size,
+            mask: (1 << log2_size) - 1,
+        }
+    }
+
+    /// The mix of lane `t` over the current path history.
+    #[inline(always)]
+    pub fn lane(&self, t: usize, path: &PathHistory) -> u32 {
+        let (rot, size, mask) = (self.rot[t], self.size, self.mask);
+        // The path holds `PATH_BITS` bits, so the cast is lossless.
+        let a = path.bits as u32 & self.len_mask[t];
+        let y = (a >> size) * rot;
+        let a = (a & mask) ^ ((y & mask) | (y >> size));
+        let y = a * rot;
+        (y & mask) | (y >> size)
     }
 }
 

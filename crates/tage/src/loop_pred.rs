@@ -26,10 +26,19 @@ struct LoopEntry {
 pub struct LoopInfo {
     /// Predicted direction.
     pub pred: bool,
-    /// A valid entry matched.
-    pub hit: bool,
+    /// The matching valid entry (its slot in the table), `None` on a miss;
+    /// [`LoopPredictor::update`] trains this slot without a second scan.
+    pub entry: Option<usize>,
     /// Entry confidence is saturated — prediction is trustworthy.
     pub confident: bool,
+}
+
+impl LoopInfo {
+    /// A valid entry matched.
+    #[inline]
+    pub fn hit(&self) -> bool {
+        self.entry.is_some()
+    }
 }
 
 const CONF_MAX: u8 = 3;
@@ -47,7 +56,7 @@ const ITER_MAX: u16 = 1023; // 10-bit iteration counters
 ///     for i in 0..6 {
 ///         let taken = i < 5;
 ///         let info = lp.lookup(0x700);
-///         lp.update(0x700, taken, info.pred);
+///         lp.update(0x700, &info, taken, info.pred);
 ///     }
 /// }
 /// // By now the trip count is locked in with full confidence.
@@ -55,7 +64,7 @@ const ITER_MAX: u16 = 1023; // 10-bit iteration counters
 ///     let info = lp.lookup(0x700);
 ///     assert!(info.confident);
 ///     assert_eq!(info.pred, i < 5);
-///     lp.update(0x700, i < 5, info.pred);
+///     lp.update(0x700, &info, i < 5, info.pred);
 /// }
 /// ```
 #[derive(Debug, Clone)]
@@ -104,9 +113,9 @@ impl LoopPredictor {
         self.with_loop >= 0
     }
 
-    /// What a matching entry predicts.
+    /// What the matching entry in `slot` predicts.
     #[inline]
-    fn hit_info(e: &LoopEntry) -> LoopInfo {
+    fn hit_info(slot: usize, e: &LoopEntry) -> LoopInfo {
         // `past_iter` taken iterations precede the exit: once the current
         // execution has seen that many, predict the exit.
         let pred = if e.past_iter > 0 && e.current_iter >= e.past_iter {
@@ -116,7 +125,7 @@ impl LoopPredictor {
         };
         LoopInfo {
             pred,
-            hit: true,
+            entry: Some(slot),
             confident: e.confidence == CONF_MAX,
         }
     }
@@ -124,20 +133,21 @@ impl LoopPredictor {
     /// Queries the predictor (no state change).
     pub fn lookup(&self, pc: u64) -> LoopInfo {
         match self.find(pc) {
-            Some(i) => Self::hit_info(&self.entries[i]),
+            Some(i) => Self::hit_info(i, &self.entries[i]),
             None => LoopInfo {
                 pred: false,
-                hit: false,
+                entry: None,
                 confident: false,
             },
         }
     }
 
-    /// Trains on the resolved outcome. `tage_pred` is the prediction the
-    /// rest of the predictor produced, used to steer the meta-chooser.
-    pub fn update(&mut self, pc: u64, taken: bool, tage_pred: bool) {
-        if let Some(i) = self.find(pc) {
-            let info = Self::hit_info(&self.entries[i]);
+    /// Trains on the resolved outcome. `info` must be this predictor's
+    /// [`lookup`](Self::lookup) of `pc` with no update since, so its slot
+    /// and prediction still hold. `tage_pred` is the prediction the rest of
+    /// the predictor produced, used to steer the meta-chooser.
+    pub fn update(&mut self, pc: u64, info: &LoopInfo, taken: bool, tage_pred: bool) {
+        if let Some(i) = info.entry {
             if info.confident && info.pred != tage_pred {
                 // The chooser learns from genuine disagreements only.
                 let delta = if info.pred == taken { 1 } else { -1 };
@@ -216,7 +226,7 @@ mod tests {
                 if rep >= reps - measured && info.confident && info.pred != taken {
                     wrong += 1;
                 }
-                lp.update(0x900, taken, taken /* pretend tage is right */);
+                lp.update(0x900, &info, taken, taken /* pretend tage is right */);
             }
         }
         wrong
@@ -237,10 +247,11 @@ mod tests {
             let trip = 3 + (rep % 5) as u16; // varies every execution
             for i in 0..=trip {
                 let taken = i < trip;
-                if lp.lookup(0x900).confident {
+                let info = lp.lookup(0x900);
+                if info.confident {
                     confident_hits += 1;
                 }
-                lp.update(0x900, taken, taken);
+                lp.update(0x900, &info, taken, taken);
             }
         }
         assert_eq!(
@@ -253,7 +264,7 @@ mod tests {
     fn miss_is_reported_as_miss() {
         let lp = LoopPredictor::new(6, 4);
         let info = lp.lookup(0xabc);
-        assert!(!info.hit);
+        assert!(!info.hit());
         assert!(!info.confident);
     }
 
@@ -264,15 +275,15 @@ mod tests {
         for _ in 0..10 {
             for i in 0..5 {
                 let taken = i < 4;
-                lp.update(0x900, taken, taken);
+                let info = lp.lookup(0x900);
+                lp.update(0x900, &info, taken, taken);
             }
         }
         assert!(lp.enabled());
         // Now the branch stops looping; TAGE predicts correctly, loop wrong.
         for _ in 0..40 {
             let info = lp.lookup(0x900);
-            lp.update(0x900, false, false);
-            let _ = info;
+            lp.update(0x900, &info, false, false);
         }
         assert!(!lp.enabled(), "chooser should turn the loop predictor off");
     }

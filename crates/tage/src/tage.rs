@@ -9,7 +9,7 @@
 use crate::bimodal::Bimodal;
 use crate::config::{TageConfig, HISTORY_LENGTHS, NUM_TABLES};
 use crate::folded::FoldLanes;
-use crate::history::{GlobalHistory, PathHistory, PathMix};
+use crate::history::{GlobalHistory, PathHistory, PathMixLanes};
 use crate::table::{TageEntry, TaggedTable};
 
 /// Lanes of [`Tage`]'s folds: the index fold and the two tag folds.
@@ -20,21 +20,51 @@ const TAG2: usize = 2;
 /// Useful-bit reset period, in allocation events.
 const U_RESET_PERIOD: u64 = 1 << 18;
 
-/// Per-table indexing constants, hoisted out of the per-branch key loop.
+/// The per-table key constants as `u32` lanes, one per table, so that
+/// [`Tage::compute_keys`] is a branch-free pass of multiplies, masks,
+/// XORs and shifts by the one index width `size`, which the compiler
+/// vectorizes four tables wide on the baseline x86-64 target like
+/// [`FoldLanes::update`].
 ///
-/// The PC-shuffle shift and the path-mix rotation both involve `% log2`
-/// terms that compile to hardware divides when left inline — two divides per
-/// table, 42 per prediction. All of them are fixed at construction.
+/// The scalar key of table `t` shifts by per-table counts twice: the PC
+/// self-shuffle `pcs >> s` with `s = (t % size) + 1`, and the rotations of
+/// Seznec's path mix ([`PathMix`](crate::history::PathMix), the reference;
+/// here [`PathMixLanes`]). Both become per-lane multipliers. Split `pcs`
+/// at bit `size` into `lo` and `hi`; with `m = 2^(size - s)`, the masked
+/// `pcs >> s` is `((lo * m) >> size) | (hi * m)` masked: `lo * m` stays
+/// below `2^(2 * size - 1)`, and the index keeps only the low `size` bits
+/// of the wrapping `hi * m`. Hence `size ≤ 16`
+/// ([`MAX_LANE_INDEX_BITS`](crate::history::MAX_LANE_INDEX_BITS)).
 #[derive(Debug, Clone, Copy)]
 struct KeyConsts {
-    /// `(t % log2_entries) + 1`: the PC self-shuffle distance.
-    pc_shift: u32,
-    /// Precomputed path-history mix for this table.
-    path_mix: PathMix,
-    /// `2^log2_entries - 1`.
-    index_mask: u64,
-    /// `2^tag_bits - 1`.
-    tag_mask: u64,
+    /// `log2_entries`, the index width of every table.
+    size: u32,
+    /// `2^size - 1`.
+    index_mask: u32,
+    /// `2^(size - s)` for the PC self-shuffle distance `s = (t % size) + 1`.
+    pc_mul: [u32; NUM_TABLES],
+    /// Seznec's path mix of `min(HISTORY_LENGTHS[t], 16)` path bits.
+    path: PathMixLanes<NUM_TABLES>,
+    /// `2^tag_bits(t) - 1`.
+    tag_mask: [u32; NUM_TABLES],
+}
+
+impl KeyConsts {
+    /// # Panics
+    ///
+    /// Panics unless `cfg.log2_entries` is in
+    /// `1..=`[`MAX_LANE_INDEX_BITS`](crate::history::MAX_LANE_INDEX_BITS).
+    fn new(cfg: &TageConfig) -> Self {
+        let size = cfg.log2_entries;
+        let path = PathMixLanes::new(HISTORY_LENGTHS.map(|len| len.min(16)), size);
+        KeyConsts {
+            size,
+            index_mask: (1 << size) - 1,
+            pc_mul: std::array::from_fn(|t| 1 << (size - (t as u32 % size) - 1)),
+            path,
+            tag_mask: std::array::from_fn(|t| (1 << cfg.tag_bits(t)) - 1),
+        }
+    }
 }
 
 /// Everything TAGE computed for one prediction, kept so the update phase
@@ -79,7 +109,7 @@ pub struct Tage {
     /// Index, tag and second-tag folds ([`INDEX`], [`TAG`], [`TAG2`]) of
     /// every history length.
     folds: FoldLanes<NUM_TABLES, 3>,
-    keys: [KeyConsts; NUM_TABLES],
+    keys: KeyConsts,
     /// Signed counter: ≥0 means trust the alternate over weak providers.
     use_alt_on_na: i8,
     /// Deterministic xorshift state for allocation spreading.
@@ -102,12 +132,7 @@ impl Tage {
                 std::array::from_fn(|t| cfg.tag_bits(t) - 1),
             ],
         );
-        let keys = std::array::from_fn(|t| KeyConsts {
-            pc_shift: ((t as u32) % cfg.log2_entries) + 1,
-            path_mix: PathMix::new(HISTORY_LENGTHS[t].min(16), t, cfg.log2_entries),
-            index_mask: (1u64 << cfg.log2_entries) - 1,
-            tag_mask: (1u64 << cfg.tag_bits(t)) - 1,
-        });
+        let keys = KeyConsts::new(&cfg);
         Tage {
             bimodal: Bimodal::new(cfg.log2_bimodal),
             tables,
@@ -132,23 +157,28 @@ impl Tage {
         &self.history
     }
 
-    /// Fills `indices`/`tags` for every table in one flat pass, hoisting
-    /// the PC-derived terms out of the per-table work.
+    /// Fills `indices`/`tags` for every table in one pass over the
+    /// [`KeyConsts`] lanes: PC shuffle, path mix, index and tag.
     #[inline]
     fn compute_keys(&self, pc: u64, indices: &mut [u32; NUM_TABLES], tags: &mut [u16; NUM_TABLES]) {
+        let k = &self.keys;
         let pcs = pc >> 2;
+        // Indices and tags keep at most 16 bits, so the casts keep every
+        // bit that reaches them.
+        let (pc_low, pc_hi) = (pcs as u32, (pcs >> k.size) as u32);
+        let pc_lo = pc_low & k.index_mask;
         let (index_folds, tag_folds, tag_folds2) = (
             self.folds.lane(INDEX),
             self.folds.lane(TAG),
             self.folds.lane(TAG2),
         );
         for t in 0..NUM_TABLES {
-            let k = &self.keys[t];
-            let hist_mix = u64::from(index_folds[t]);
-            let path_mix = k.path_mix.apply(&self.path);
-            indices[t] = ((pcs ^ (pcs >> k.pc_shift) ^ hist_mix ^ path_mix) & k.index_mask) as u32;
-            let tag_mix = u64::from(tag_folds[t]) ^ (u64::from(tag_folds2[t]) << 1);
-            tags[t] = ((pcs ^ tag_mix) & k.tag_mask) as u16;
+            let m = k.pc_mul[t];
+            let pc_shuffle = ((pc_lo * m) >> k.size) | pc_hi.wrapping_mul(m);
+            let path_mix = k.path.lane(t, &self.path);
+            indices[t] = (pc_low ^ pc_shuffle ^ index_folds[t] ^ path_mix) & k.index_mask;
+            let tag_mix = tag_folds[t] ^ (tag_folds2[t] << 1);
+            tags[t] = ((pc_low ^ tag_mix) & k.tag_mask[t]) as u16;
         }
     }
 

@@ -95,7 +95,7 @@ impl TageScl {
         if sc.decisive {
             pred = sc.pred;
         }
-        if loop_enabled && loop_info.hit && loop_info.confident {
+        if loop_enabled && loop_info.hit() && loop_info.confident {
             pred = loop_info.pred;
         }
         pred
@@ -120,7 +120,8 @@ impl TageScl {
     /// `info` must come from [`predict`](Self::predict) (or the staged
     /// calls) for the same branch, before any history update.
     pub fn train(&mut self, pc: u64, taken: bool, info: &TslInfo) {
-        self.loop_pred.update(pc, taken, info.tage.pred);
+        self.loop_pred
+            .update(pc, &info.loop_info, taken, info.tage.pred);
         self.sc.train(taken, info.tage.pred, info.sc);
         self.tage.update(pc, taken, &info.tage);
     }
@@ -134,8 +135,15 @@ impl TageScl {
 
     /// Trains TAGE and the loop predictor only (no SC) — the original LLBP
     /// suppresses the SC when its pattern provides the prediction.
-    pub fn train_without_sc(&mut self, pc: u64, taken: bool, tage: &TageInfo) {
-        self.loop_pred.update(pc, taken, tage.pred);
+    /// `loop_info` is this branch's [`loop_info`](Self::loop_info).
+    pub fn train_without_sc(
+        &mut self,
+        pc: u64,
+        taken: bool,
+        tage: &TageInfo,
+        loop_info: &LoopInfo,
+    ) {
+        self.loop_pred.update(pc, loop_info, taken, tage.pred);
         self.tage.update(pc, taken, tage);
     }
 

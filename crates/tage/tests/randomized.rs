@@ -1,14 +1,17 @@
-//! Randomized tests for the TAGE substrate: folded histories, the history
-//! ring, bimodal counters, and predictor determinism.
+//! Randomized tests for the TAGE substrate: folded histories, the path
+//! mix and TAGE's table keys, the history ring, bimodal counters, and
+//! predictor determinism.
 //!
 //! Property tests driven by the in-repo deterministic PRNG, so the
 //! workspace needs no registry access.
 
 use tage::folded::FoldLanes;
-use tage::history::HISTORY_CAPACITY;
+use tage::history::{
+    history_bit, PathMix, PathMixLanes, HISTORY_CAPACITY, MAX_LANE_INDEX_BITS, PATH_BITS,
+};
 use tage::{
-    DirectionPredictor, FoldedHistory, GlobalHistory, PredictInput, TageConfig, TageScl, TslConfig,
-    HISTORY_LENGTHS, NUM_TABLES,
+    DirectionPredictor, FoldedHistory, GlobalHistory, PathHistory, PredictInput, Tage, TageConfig,
+    TageScl, TslConfig, HISTORY_LENGTHS, NUM_TABLES,
 };
 use telemetry::SplitMix64;
 use traces::BranchRecord;
@@ -116,6 +119,107 @@ fn llbp_fold_lanes_match_reference_at_pattern_tag_widths() {
             [[tag_bits; NUM_TABLES], [tag_bits - 1; NUM_TABLES]],
             u64::from(tag_bits),
         );
+    }
+}
+
+/// A path history whose 27 bits are all random: one push per bit.
+fn random_path(rng: &mut SplitMix64) -> PathHistory {
+    let mut path = PathHistory::new();
+    for _ in 0..PATH_BITS {
+        path.push(rng.next_u64());
+    }
+    path
+}
+
+/// The lane path mix equals the scalar `PathMix` on every table for every
+/// index width TAGE accepts (5..=16, the widest a `u32` lane holds), over
+/// the path lengths TAGE mixes (at most 16 bits) and over all 27 path
+/// bits.
+#[test]
+fn path_mix_lanes_match_the_scalar_mix_at_every_index_width() {
+    let mut rng = SplitMix64::new(0x7061_7468);
+    let tage_lens = HISTORY_LENGTHS.map(|len| len.min(16));
+    for log2_size in 5..=MAX_LANE_INDEX_BITS {
+        for lens in [tage_lens, [PATH_BITS as usize; NUM_TABLES]] {
+            let lanes = PathMixLanes::new(lens, log2_size);
+            for _ in 0..64 {
+                let path = random_path(&mut rng);
+                for (t, &len) in lens.iter().enumerate() {
+                    assert_eq!(
+                        u64::from(lanes.lane(t, &path)),
+                        PathMix::new(len, t, log2_size).apply(&path),
+                        "table {t}, {len} path bits, size {log2_size}, path {:#x}",
+                        path.value()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// TAGE's indices and tags equal the scalar formula, evaluated from
+/// reference folds and the scalar path mix, at every TSL size class and
+/// at the index widths' extremes, for random PCs over a random branch
+/// stream.
+#[test]
+fn tage_keys_match_the_scalar_formula_at_every_size_class() {
+    let size_classes = [8, 16, 32, 64, 128, 256, 512].map(|kb| TslConfig::kilobytes(kb).tage);
+    let extremes =
+        [5, MAX_LANE_INDEX_BITS].map(|log2| TageConfig::base_64k().with_log2_entries(log2));
+    for cfg in size_classes.into_iter().chain(extremes) {
+        let size = cfg.log2_entries;
+        let mut rng = SplitMix64::new(0x6b65_7973 ^ u64::from(size));
+        let mut tage = Tage::new(cfg.clone());
+        let mut history = GlobalHistory::new();
+        let mut path = PathHistory::new();
+        let fold = |width: fn(&TageConfig, usize) -> u32| -> Vec<FoldedHistory> {
+            (0..NUM_TABLES)
+                .map(|t| FoldedHistory::new(HISTORY_LENGTHS[t], width(&cfg, t)))
+                .collect()
+        };
+        let mut index_folds = fold(|cfg, _| cfg.log2_entries);
+        let mut tag_folds = fold(|cfg, t| cfg.tag_bits(t));
+        let mut tag_folds2 = fold(|cfg, t| cfg.tag_bits(t) - 1);
+        for n in 0..3000 {
+            let pc = rng.next_u64() & 0xffff_ffff_fffc;
+            let info = tage.predict(pc);
+            let pcs = pc >> 2;
+            for t in 0..NUM_TABLES {
+                let path_mix = PathMix::new(HISTORY_LENGTHS[t].min(16), t, size).apply(&path);
+                let index =
+                    (pcs ^ (pcs >> ((t as u32 % size) + 1)) ^ index_folds[t].value() ^ path_mix)
+                        & ((1 << size) - 1);
+                let tag = (pcs ^ tag_folds[t].value() ^ (tag_folds2[t].value() << 1))
+                    & ((1 << cfg.tag_bits(t)) - 1);
+                assert_eq!(
+                    u64::from(info.indices[t]),
+                    index,
+                    "size {size}, branch {n}, table {t}: index"
+                );
+                assert_eq!(
+                    u64::from(info.tags[t]),
+                    tag,
+                    "size {size}, branch {n}, table {t}: tag"
+                );
+            }
+            let kind = traces::BranchKind::ALL
+                [rng.next_below(traces::BranchKind::ALL.len() as u64) as usize];
+            let taken = !kind.is_conditional() || rng.next_bool(0.6);
+            let rec = BranchRecord::new(pc, rng.next_u64() & 0xffff_fffc, kind, taken, 1);
+            if kind.is_conditional() {
+                tage.update(pc, rec.taken, &info);
+            }
+            tage.update_history(&rec);
+            history.push(history_bit(&rec));
+            path.push(pc);
+            for f in index_folds
+                .iter_mut()
+                .chain(&mut tag_folds)
+                .chain(&mut tag_folds2)
+            {
+                f.update(&history);
+            }
+        }
     }
 }
 

@@ -22,9 +22,18 @@ cargo build --release --offline
 # The benchmark driver is a separate workspace that calls the engine's
 # public API; build it here so an API change breaks CI, not the next
 # benchmark run. Its artifacts go to the repository's target directory.
+# Its lock file does not yet record that `pipeline` depends on `bpsim`, so
+# a build rewrites it; the committed file is put back either way, and the
+# working tree stays as clean as it was.
 echo "== build: benchmark driver (perfbench/driver) =="
+driver_lock="$(mktemp -t llbpx-verify-lock-XXXXXX)"
+cp perfbench/driver/Cargo.lock "$driver_lock"
+driver_status=0
 cargo build --release --offline --manifest-path perfbench/driver/Cargo.toml \
-    --target-dir target
+    --target-dir target || driver_status=$?
+cp "$driver_lock" perfbench/driver/Cargo.lock
+rm -f "$driver_lock"
+[ "$driver_status" -eq 0 ] || exit "$driver_status"
 
 echo "== tier-1: test suite =="
 cargo test -q --offline
