@@ -251,6 +251,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "log2_entries out of range")]
+    fn indices_wider_than_a_key_lane_are_rejected() {
+        let _ = TageConfig::base_64k().with_log2_entries(crate::history::MAX_LANE_INDEX_BITS + 1);
+    }
+
+    #[test]
     fn tag_width_splits_short_and_long_tables() {
         let c = TageConfig::base_64k();
         assert_eq!(c.tag_bits(0), 8);

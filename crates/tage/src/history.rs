@@ -210,9 +210,10 @@ impl PathMix {
 /// `x >> (size - rot)` of the scalar form. A lane is then multiplies,
 /// masks and uniform shifts on `u32`s, which the compiler vectorizes four
 /// lanes wide on the baseline x86-64 target (a per-lane shift count has no
-/// SSE2 instruction). The rotated value stays below `2^max(size, 26)`, so
-/// the product stays below `2^32` for every `size ≤ 16`, the widest the
-/// lanes accept.
+/// SSE2 instruction). The first rotation's input stays below
+/// `2^(27 - size)` and the second's below `2^max(size, 26 - size)`, so with
+/// `rot < size` both products stay below `2^32` for every `size ≤ 16`,
+/// the widest the lanes accept.
 ///
 /// ```
 /// use tage::history::{PathMix, PathMixLanes};

@@ -165,8 +165,8 @@ impl Tage {
         let pcs = pc >> 2;
         // Indices and tags keep at most 16 bits, so the casts keep every
         // bit that reaches them.
-        let (pc_low, pc_hi) = (pcs as u32, (pcs >> k.size) as u32);
-        let pc_lo = pc_low & k.index_mask;
+        let pcs32 = pcs as u32;
+        let (lo, hi) = (pcs32 & k.index_mask, (pcs >> k.size) as u32);
         let (index_folds, tag_folds, tag_folds2) = (
             self.folds.lane(INDEX),
             self.folds.lane(TAG),
@@ -174,11 +174,11 @@ impl Tage {
         );
         for t in 0..NUM_TABLES {
             let m = k.pc_mul[t];
-            let pc_shuffle = ((pc_lo * m) >> k.size) | pc_hi.wrapping_mul(m);
+            let pc_shuffle = ((lo * m) >> k.size) | hi.wrapping_mul(m);
             let path_mix = k.path.lane(t, &self.path);
-            indices[t] = (pc_low ^ pc_shuffle ^ index_folds[t] ^ path_mix) & k.index_mask;
+            indices[t] = (pcs32 ^ pc_shuffle ^ index_folds[t] ^ path_mix) & k.index_mask;
             let tag_mix = tag_folds[t] ^ (tag_folds2[t] << 1);
-            tags[t] = ((pc_low ^ tag_mix) & k.tag_mask[t]) as u16;
+            tags[t] = ((pcs32 ^ tag_mix) & k.tag_mask[t]) as u16;
         }
     }
 

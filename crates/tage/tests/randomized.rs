@@ -181,7 +181,7 @@ fn tage_keys_match_the_scalar_formula_at_every_size_class() {
         let mut tag_folds = fold(|cfg, t| cfg.tag_bits(t));
         let mut tag_folds2 = fold(|cfg, t| cfg.tag_bits(t) - 1);
         for n in 0..3000 {
-            let pc = rng.next_u64() & 0xffff_ffff_fffc;
+            let pc = rng.next_u64() & !3;
             let info = tage.predict(pc);
             let pcs = pc >> 2;
             for t in 0..NUM_TABLES {
