@@ -360,7 +360,7 @@ impl Llbp {
             if eval.decisive {
                 final_pred = eval.pred;
             }
-            sc_used = Some((eval, base_pred, conf));
+            sc_used = Some((eval, base_pred));
         }
         if self.tsl.loop_enabled() && linfo.hit() && linfo.confident {
             final_pred = linfo.pred;
@@ -374,14 +374,8 @@ impl Llbp {
         if llbp_provides {
             self.stats.llbp_provided += 1;
             let pm = m.unwrap_or_else(|| unreachable!("provides implies match"));
-            // What would the standalone baseline TSL have predicted? Its SC
-            // input is TAGE's; `sc_eval` is pure, so when the pattern fed
-            // the SC the same prediction and confidence class, the first
-            // evaluation is the baseline's too.
-            let baseline_sc = match sc_used {
-                Some((eval, input, conf)) if input == tage.pred && conf == tage_conf => eval,
-                _ => self.tsl.sc_eval(pc, tage.pred, tage_conf),
-            };
+            // What would the standalone baseline TSL have predicted?
+            let baseline_sc = self.tsl.sc_eval(pc, tage.pred, tage_conf);
             let baseline = TageScl::combine(tage.pred, linfo, self.tsl.loop_enabled(), baseline_sc);
             if pm.taken == taken && baseline != taken {
                 self.stats.llbp_useful += 1;
@@ -402,7 +396,7 @@ impl Llbp {
 
         // --- train the TSL -------------------------------------------------
         self.tsl.train_without_sc(pc, taken, &tage, &linfo);
-        if let Some((eval, input, _)) = sc_used {
+        if let Some((eval, input)) = sc_used {
             self.tsl.train_sc_with_input(taken, input, eval);
         }
 

@@ -6,6 +6,8 @@
 //! into table indices to break aliasing between branches with identical
 //! history (Seznec's `F()` mix).
 
+use crate::config::{HISTORY_LENGTHS, NUM_TABLES};
+
 /// Capacity of the global history ring in bits. Must exceed the longest
 /// history length (3000) plus slack for the folded-history update, and be a
 /// power of two.
@@ -200,8 +202,14 @@ impl PathMix {
     }
 }
 
-/// [`PathMix`] for `N` tables at once: lane `t` equals
-/// `PathMix::new(lens[t], t, log2_size)`.
+/// The most path bits TAGE mixes into a table index: table `t` mixes
+/// `min(HISTORY_LENGTHS[t], 16)`.
+const MIX_PATH_BITS: usize = 16;
+
+/// TAGE's [`PathMix`] of every table at once: lane `t` equals
+/// `PathMix::new(min(HISTORY_LENGTHS[t], 16), t, log2_size)`. It also
+/// holds the index width and mask that the rest of TAGE's key computation
+/// shares.
 ///
 /// Every shift count of a lane is either uniform across the tables (the
 /// index width `log2_size`) or turned into a per-lane constant: rotating
@@ -210,10 +218,10 @@ impl PathMix {
 /// `x >> (size - rot)` of the scalar form. A lane is then multiplies,
 /// masks and uniform shifts on `u32`s, which the compiler vectorizes four
 /// lanes wide on the baseline x86-64 target (a per-lane shift count has no
-/// SSE2 instruction). The first rotation's input stays below
-/// `2^(27 - size)` and the second's below `2^max(size, 26 - size)`, so with
-/// `rot < size` both products stay below `2^32` for every `size ≤ 16`,
-/// the widest the lanes accept.
+/// SSE2 instruction). A lane reads at most 16 path bits, so both rotation
+/// inputs stay below `2^size` (the first is `a >> size < 2^(16 - size)`),
+/// and with `rot < size` both products stay below `2^(2 * size - 1)`,
+/// within a `u32` for every `size ≤ 16`, the widest the lanes accept.
 ///
 /// ```
 /// use tage::history::{PathMix, PathMixLanes};
@@ -223,15 +231,16 @@ impl PathMix {
 /// for pc in [0x40u64, 0x84, 0x1c4, 0x204] {
 ///     path.push(pc);
 /// }
-/// let lanes = PathMixLanes::new([6, 16, 27], 5);
-/// assert_eq!(u64::from(lanes.lane(2, &path)), PathMix::new(27, 2, 5).apply(&path));
+/// let lanes = PathMixLanes::new(5);
+/// // Table 20's history is longer than 16 bits: it mixes 16 path bits.
+/// assert_eq!(u64::from(lanes.lane(20, &path)), PathMix::new(16, 20, 5).apply(&path));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PathMixLanes<const N: usize> {
-    /// `2^len - 1`: the path bits lane `t` reads.
-    len_mask: [u32; N],
+pub struct PathMixLanes {
+    /// `2^min(HISTORY_LENGTHS[t], 16) - 1`: the path bits lane `t` reads.
+    len_mask: [u32; NUM_TABLES],
     /// `1 << (t % size)`: lane `t`'s rotation as a multiplier.
-    rot: [u32; N],
+    rot: [u32; NUM_TABLES],
     size: u32,
     /// `2^size - 1`.
     mask: u32,
@@ -241,32 +250,44 @@ pub struct PathMixLanes<const N: usize> {
 /// product of a `size`-bit value must fit a `u32` lane.
 pub const MAX_LANE_INDEX_BITS: u32 = 16;
 
-impl<const N: usize> PathMixLanes<N> {
-    /// Precomputes the lanes; `lens[t]` path bits (at most [`PATH_BITS`]
-    /// are read) mix into `log2_size` index bits.
+impl PathMixLanes {
+    /// Precomputes the lanes of a TAGE with `log2_size` index bits.
     ///
     /// # Panics
     ///
     /// Panics unless `log2_size` is in `1..=`[`MAX_LANE_INDEX_BITS`] (the
     /// scalar mix of size 0 is the constant 0, which no TAGE table uses).
-    pub fn new(lens: [usize; N], log2_size: u32) -> Self {
+    pub fn new(log2_size: u32) -> Self {
         assert!(
             (1..=MAX_LANE_INDEX_BITS).contains(&log2_size),
             "path mix size {log2_size} outside 1..={MAX_LANE_INDEX_BITS}"
         );
         PathMixLanes {
-            len_mask: lens.map(|len| (1u32 << len.min(PATH_BITS as usize)) - 1),
+            len_mask: HISTORY_LENGTHS.map(|len| (1u32 << len.min(MIX_PATH_BITS)) - 1),
             rot: std::array::from_fn(|t| 1 << (t as u32 % log2_size)),
             size: log2_size,
             mask: (1 << log2_size) - 1,
         }
     }
 
+    /// The index width `log2_size`.
+    #[inline(always)]
+    pub fn index_bits(&self) -> u32 {
+        self.size
+    }
+
+    /// `2^log2_size - 1`.
+    #[inline(always)]
+    pub fn index_mask(&self) -> u32 {
+        self.mask
+    }
+
     /// The mix of lane `t` over the current path history.
     #[inline(always)]
     pub fn lane(&self, t: usize, path: &PathHistory) -> u32 {
         let (rot, size, mask) = (self.rot[t], self.size, self.mask);
-        // The path holds `PATH_BITS` bits, so the cast is lossless.
+        // The lane reads at most 16 of the path's bits, so the cast keeps
+        // every bit it reads.
         let a = path.bits as u32 & self.len_mask[t];
         let y = (a >> size) * rot;
         let a = (a & mask) ^ ((y & mask) | (y >> size));

@@ -28,7 +28,7 @@ pub struct LoopInfo {
     pub pred: bool,
     /// The matching valid entry (its slot in the table), `None` on a miss;
     /// [`LoopPredictor::update`] trains this slot without a second scan.
-    pub entry: Option<usize>,
+    entry: Option<usize>,
     /// Entry confidence is saturated — prediction is trustworthy.
     pub confident: bool,
 }
@@ -148,6 +148,12 @@ impl LoopPredictor {
     /// the predictor produced, used to steer the meta-chooser.
     pub fn update(&mut self, pc: u64, info: &LoopInfo, taken: bool, tage_pred: bool) {
         if let Some(i) = info.entry {
+            debug_assert!(
+                i - i % self.ways == self.set_base(pc)
+                    && self.entries[i].valid
+                    && self.entries[i].tag == Self::tag_of(pc),
+                "loop info of another branch or a stale lookup"
+            );
             if info.confident && info.pred != tage_pred {
                 // The chooser learns from genuine disagreements only.
                 let delta = if info.pred == taken { 1 } else { -1 };
@@ -286,6 +292,18 @@ mod tests {
             lp.update(0x900, &info, false, false);
         }
         assert!(!lp.enabled(), "chooser should turn the loop predictor off");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "another branch")]
+    fn update_rejects_the_lookup_of_another_branch() {
+        let mut lp = LoopPredictor::new(6, 4);
+        let info = lp.lookup(0x900);
+        lp.update(0x900, &info, true, true); // allocates 0x900's entry
+        let info = lp.lookup(0x900);
+        assert!(info.hit());
+        lp.update(0x904, &info, true, true);
     }
 
     #[test]

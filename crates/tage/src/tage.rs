@@ -29,22 +29,19 @@ const U_RESET_PERIOD: u64 = 1 << 18;
 /// The scalar key of table `t` shifts by per-table counts twice: the PC
 /// self-shuffle `pcs >> s` with `s = (t % size) + 1`, and the rotations of
 /// Seznec's path mix ([`PathMix`](crate::history::PathMix), the reference;
-/// here [`PathMixLanes`]). Both become per-lane multipliers. Split `pcs`
-/// at bit `size` into `lo` and `hi`; with `m = 2^(size - s)`, the masked
-/// `pcs >> s` is `((lo * m) >> size) | (hi * m)` masked: `lo * m` stays
-/// below `2^(2 * size - 1)`, and the index keeps only the low `size` bits
-/// of the wrapping `hi * m`. Hence `size ≤ 16`
+/// here [`PathMixLanes`], which also holds `size` and the index mask).
+/// Both become per-lane multipliers. Split `pcs` at bit `size` into `lo`
+/// and `hi`; with `m = 2^(size - s)`, the masked `pcs >> s` is
+/// `((lo * m) >> size) | (hi * m)` masked: `lo * m` stays below
+/// `2^(2 * size - 1)`, and the index keeps only the low `size` bits of the
+/// wrapping `hi * m`. Hence `size ≤ 16`
 /// ([`MAX_LANE_INDEX_BITS`](crate::history::MAX_LANE_INDEX_BITS)).
 #[derive(Debug, Clone, Copy)]
 struct KeyConsts {
-    /// `log2_entries`, the index width of every table.
-    size: u32,
-    /// `2^size - 1`.
-    index_mask: u32,
     /// `2^(size - s)` for the PC self-shuffle distance `s = (t % size) + 1`.
     pc_mul: [u32; NUM_TABLES],
-    /// Seznec's path mix of `min(HISTORY_LENGTHS[t], 16)` path bits.
-    path: PathMixLanes<NUM_TABLES>,
+    /// Seznec's path mix, the index width and the index mask.
+    path: PathMixLanes,
     /// `2^tag_bits(t) - 1`.
     tag_mask: [u32; NUM_TABLES],
 }
@@ -56,10 +53,8 @@ impl KeyConsts {
     /// `1..=`[`MAX_LANE_INDEX_BITS`](crate::history::MAX_LANE_INDEX_BITS).
     fn new(cfg: &TageConfig) -> Self {
         let size = cfg.log2_entries;
-        let path = PathMixLanes::new(HISTORY_LENGTHS.map(|len| len.min(16)), size);
+        let path = PathMixLanes::new(size);
         KeyConsts {
-            size,
-            index_mask: (1 << size) - 1,
             pc_mul: std::array::from_fn(|t| 1 << (size - (t as u32 % size) - 1)),
             path,
             tag_mask: std::array::from_fn(|t| (1 << cfg.tag_bits(t)) - 1),
@@ -162,11 +157,12 @@ impl Tage {
     #[inline]
     fn compute_keys(&self, pc: u64, indices: &mut [u32; NUM_TABLES], tags: &mut [u16; NUM_TABLES]) {
         let k = &self.keys;
+        let (size, index_mask) = (k.path.index_bits(), k.path.index_mask());
         let pcs = pc >> 2;
         // Indices and tags keep at most 16 bits, so the casts keep every
         // bit that reaches them.
         let pcs32 = pcs as u32;
-        let (lo, hi) = (pcs32 & k.index_mask, (pcs >> k.size) as u32);
+        let (lo, hi) = (pcs32 & index_mask, (pcs >> size) as u32);
         let (index_folds, tag_folds, tag_folds2) = (
             self.folds.lane(INDEX),
             self.folds.lane(TAG),
@@ -174,9 +170,9 @@ impl Tage {
         );
         for t in 0..NUM_TABLES {
             let m = k.pc_mul[t];
-            let pc_shuffle = ((lo * m) >> k.size) | hi.wrapping_mul(m);
+            let pc_shuffle = ((lo * m) >> size) | hi.wrapping_mul(m);
             let path_mix = k.path.lane(t, &self.path);
-            indices[t] = (pcs32 ^ pc_shuffle ^ index_folds[t] ^ path_mix) & k.index_mask;
+            indices[t] = (pcs32 ^ pc_shuffle ^ index_folds[t] ^ path_mix) & index_mask;
             let tag_mix = tag_folds[t] ^ (tag_folds2[t] << 1);
             tags[t] = ((pcs32 ^ tag_mix) & k.tag_mask[t]) as u16;
         }
