@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use tage::folded::FoldLanes;
+use tage::folded::{FoldLanes, FOLD_LANES};
 use tage::sc::ScInputConfidence;
 use tage::{
     DirectionPredictor, FastMap, FastSet, PredictInput, TageScl, Update, HISTORY_LENGTHS,
@@ -67,9 +67,10 @@ const BOOT_CTX: SelectedCtx = SelectedCtx {
 pub struct Llbp {
     cfg: LlbpConfig,
     tsl: TageScl,
-    /// Per-length tag folds: lane 0 at the pattern tag width, lane 1 at
-    /// width-1 (decorrelates tags, as in TAGE).
-    folds: FoldLanes<NUM_TABLES, 2>,
+    /// Per-length tag folds: fold 0 at the pattern tag width, fold 1 at
+    /// width-1 (decorrelates tags, as in TAGE). `u32` lanes, because the
+    /// limit study folds 20-bit tags.
+    folds: FoldLanes<u32, FOLD_LANES, 2>,
     rcr: Rcr,
     ctt: Option<ContextTrackingTable>,
     /// Opt-W oracle: the shallow context IDs that are deep; every other
@@ -131,8 +132,8 @@ impl Llbp {
         }
         let tag_bits = cfg.pattern_tag_bits;
         let folds = FoldLanes::new(
-            HISTORY_LENGTHS,
-            [[tag_bits; NUM_TABLES], [tag_bits - 1; NUM_TABLES]],
+            &HISTORY_LENGTHS,
+            [&[tag_bits; NUM_TABLES], &[tag_bits - 1; NUM_TABLES]],
         );
         let store = if cfg.infinite_contexts {
             PatternStore::infinite()
@@ -632,9 +633,9 @@ impl DirectionPredictor for Llbp {
             .is_conditional()
             .then(|| self.predict_and_train(record));
         // Histories advance after prediction/update, exactly once per
-        // branch, shared between TAGE and the pattern-tag folds.
+        // branch: the pattern-tag folds take the bits TAGE's update read.
         self.tsl.update_history(record);
-        self.folds.update(self.tsl.history());
+        self.folds.update(self.tsl.outgoing());
         if record.kind.is_unconditional() {
             self.on_unconditional(record);
         }

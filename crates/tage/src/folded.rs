@@ -7,9 +7,10 @@
 //!
 //! [`FoldedHistory`] is the single-fold reference. The predictors run
 //! [`FoldLanes`], which updates every fold over a set of history lengths in
-//! one vectorizable pass: TAGE for its indices and tags, and the `llbpx`
-//! crate for pattern tags at its own widths (13 / 20 bits) from the same
-//! global history.
+//! one vectorizable pass: TAGE for its indices and tags in `u16` lanes, and
+//! the `llbpx` crate for pattern tags at its own widths (13 / 20 bits) in
+//! `u32` lanes. Both fold the same [`OutgoingBits`], which TAGE reads from
+//! the global history once per push.
 
 use crate::history::GlobalHistory;
 
@@ -112,17 +113,173 @@ impl FoldedHistory {
     }
 }
 
-/// `K` folds for each of `N` history lengths, updated in lock-step.
+/// TAGE's 21 history lengths padded to whole SSE2 vectors: three 8-lane
+/// vectors of `u16` folds (TAGE's), six 4-lane vectors of `u32` folds
+/// (LLBP's). The padding lanes are inert: their folds stay 0.
+pub const FOLD_LANES: usize = 24;
+
+/// What one history push moves through each of `N` history windows: the
+/// bit entering them all and, per window length, the bit leaving it.
+///
+/// The outgoing bits are read from 32-bit windows of the
+/// [`GlobalHistory`], not bit by bit. For a length of 32 or more, the bits
+/// that leave its window over the next 32 pushes are already in the
+/// history, so one [`GlobalHistory::window`] load every 32 pushes holds
+/// them all, and a push shifts each window by the same count. A shorter
+/// window's outgoing bit is still in the 32 newest bits, so a per-lane
+/// mask of [`GlobalHistory::recent`] picks it. Either way a push is a
+/// branch-free pass with uniform shifts over the lanes.
+///
+/// TAGE computes these once per push and every [`FoldLanes`] over the
+/// same lengths, TAGE's and LLBP's, folds them in.
+///
+/// ```
+/// use tage::folded::OutgoingBits;
+/// use tage::GlobalHistory;
+///
+/// let mut h = GlobalHistory::new();
+/// let mut bits = OutgoingBits::<4>::new(&[6, 37, 3000]);
+/// for i in 0..5000 {
+///     h.push(i % 7 < 3);
+///     bits.advance(&h);
+/// }
+/// assert_eq!(bits.inbit(), h.bit(0) == 1);
+/// assert_eq!(bits.outgoing(1), h.bit(37) == 1);
+/// assert!(!bits.outgoing(3), "a padding lane has no window");
+/// ```
+#[derive(Debug, Clone)]
+pub struct OutgoingBits<const N: usize> {
+    lengths: [usize; N],
+    /// Per length of 32 or more, the 32 bits leaving its window from the
+    /// last load on, oldest in bit 0; 0 for the other lanes.
+    windows: [u32; N],
+    /// 1 for the lanes read from `windows`, 0 for the others.
+    window_sel: [u32; N],
+    /// `1 << length` for the lengths below 32, 0 for the others.
+    recent_sel: [u32; N],
+    /// The newest history bit.
+    inbit: u32,
+    /// All ones where the bit leaving that lane's window is set.
+    masks: [u32; N],
+}
+
+impl<const N: usize> OutgoingBits<N> {
+    /// The windows of `lengths`; lanes past `lengths.len()` are padding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `N` lengths, or a length is 0 or
+    /// does not fit the history ring.
+    pub fn new(lengths: &[usize]) -> Self {
+        assert!(
+            lengths.len() <= N,
+            "{} lengths for {N} lanes",
+            lengths.len()
+        );
+        for &length in lengths {
+            assert!(length > 0, "folded history length must be positive");
+            assert!(
+                length < crate::history::HISTORY_CAPACITY,
+                "folded history length {length} exceeds the history ring"
+            );
+        }
+        let length = |i: usize| lengths.get(i).copied().unwrap_or(0);
+        OutgoingBits {
+            lengths: std::array::from_fn(length),
+            windows: [0; N],
+            window_sel: std::array::from_fn(|i| u32::from(length(i) >= 32)),
+            recent_sel: std::array::from_fn(|i| match length(i) {
+                l @ 1..32 => 1 << l,
+                _ => 0,
+            }),
+            inbit: 0,
+            masks: [0; N],
+        }
+    }
+
+    /// Reads the bits the newest push of `history` moved. Call exactly
+    /// once after every `history.push`, from the first push on.
+    #[inline]
+    pub fn advance(&mut self, history: &GlobalHistory) {
+        debug_assert!(!history.is_empty(), "advance follows a push");
+        let step = ((history.len() - 1) % 32) as u32;
+        if step == 0 {
+            for (window, &length) in self.windows.iter_mut().zip(&self.lengths) {
+                if length >= 32 {
+                    *window = history.window(length);
+                }
+            }
+        }
+        let recent = history.recent(32) as u32;
+        self.inbit = recent & 1;
+        for i in 0..N {
+            let bit =
+                ((self.windows[i] >> step) & self.window_sel[i]) | (recent & self.recent_sel[i]);
+            self.masks[i] = u32::from(bit != 0).wrapping_neg();
+        }
+    }
+
+    /// The bit the last push entered.
+    pub fn inbit(&self) -> bool {
+        self.inbit != 0
+    }
+
+    /// The bit the last push moved out of lane `i`'s window.
+    pub fn outgoing(&self, i: usize) -> bool {
+        self.masks[i] != 0
+    }
+}
+
+/// An unsigned integer type that holds fold lanes: `u16` for TAGE's folds,
+/// whose index and tag widths are at most 16 bits, 8 to an SSE2 vector;
+/// `u32` for LLBP's, whose limit study folds 20-bit pattern tags.
+pub trait Lane:
+    Copy
+    + Default
+    + Eq
+    + std::fmt::Debug
+    + std::ops::BitAnd<Output = Self>
+    + std::ops::BitOr<Output = Self>
+    + std::ops::BitXor<Output = Self>
+    + std::ops::Shl<u32, Output = Self>
+    + Into<u32>
+{
+    /// Width of the type in bits.
+    const BITS: u32;
+    /// The low [`BITS`](Self::BITS) bits of `v`.
+    fn truncate(v: u32) -> Self;
+}
+
+impl Lane for u16 {
+    const BITS: u32 = u16::BITS;
+    #[inline(always)]
+    fn truncate(v: u32) -> Self {
+        v as u16
+    }
+}
+
+impl Lane for u32 {
+    const BITS: u32 = u32::BITS;
+    #[inline(always)]
+    fn truncate(v: u32) -> Self {
+        v
+    }
+}
+
+/// `K` folds for each of `N` history lengths, updated in lock-step from
+/// one [`OutgoingBits`].
 ///
 /// TAGE keeps three folds per table (index, tag and second tag) over the
-/// same 21 lengths, and LLBP two more at its pattern-tag width. Every fold
-/// of one length drops the same outgoing bit, so the lanes read it once per
-/// length and share it across the `K` folds.
+/// same 21 lengths in `u16` lanes, and LLBP two more at its pattern-tag
+/// width in `u32` lanes. The lanes are stored fold-major (`[fold][length]`)
+/// and each carries its update as constants instead of shift counts: the
+/// outgoing-bit position `1 << (length % width)`, the top bit
+/// `1 << (width - 1)` and the mask `2^width - 1`. A push is then
 ///
-/// The lanes are stored fold-major (`[fold][length]`) as `u32`s, and each
-/// lane carries its update as constants instead of shift counts: the
-/// outgoing-bit position `1 << (length % width)`, the overflow bit
-/// `1 << width` and the mask `2^width - 1`. The lane loop is then
+/// `new = (((c << 1) | in) & mask) ^ (outgoing & out) ^ top(c)`,
+///
+/// where `top(c)` is the bit the shift pushes out of the fold, taken from
+/// the old value so that a fold may fill its whole lane. The loop is
 /// branch-free with uniform shifts, which the compiler vectorizes on the
 /// baseline x86-64 target.
 ///
@@ -130,86 +287,93 @@ impl FoldedHistory {
 /// widths[k][i])` driven by the same history, which stays the reference.
 ///
 /// ```
-/// use tage::folded::FoldLanes;
+/// use tage::folded::{FoldLanes, OutgoingBits};
 /// use tage::{FoldedHistory, GlobalHistory};
 ///
 /// let mut h = GlobalHistory::new();
-/// let mut lanes = FoldLanes::new([6, 37], [[10, 10], [8, 7]]);
+/// let mut bits = OutgoingBits::<8>::new(&[6, 37]);
+/// let mut lanes = FoldLanes::<u16, 8, 2>::new(&[6, 37], [&[10, 10], &[8, 7]]);
 /// for i in 0..200 {
 ///     h.push(i % 7 < 3);
-///     lanes.update(&h);
+///     bits.advance(&h);
+///     lanes.update(&bits);
 /// }
 /// assert_eq!(u64::from(lanes.lane(1)[1]), FoldedHistory::new(37, 7).compute_reference(&h));
 /// ```
 #[derive(Debug, Clone)]
-pub struct FoldLanes<const N: usize, const K: usize> {
-    comp: [[u32; N]; K],
+pub struct FoldLanes<T: Lane, const N: usize, const K: usize> {
+    comp: [[T; N]; K],
     /// `1 << (length % width)`: where the outgoing bit re-enters.
-    out: [[u32; N]; K],
-    /// `1 << width`: the bit the shift pushes out of the fold.
-    wrap: [[u32; N]; K],
+    out: [[T; N]; K],
+    /// `1 << (width - 1)`: the bit the shift pushes out of the fold.
+    top: [[T; N]; K],
     /// `2^width - 1`.
-    mask: [[u32; N]; K],
-    lengths: [usize; N],
+    mask: [[T; N]; K],
 }
 
-impl<const N: usize, const K: usize> FoldLanes<N, K> {
+impl<T: Lane, const N: usize, const K: usize> FoldLanes<T, N, K> {
     /// Creates the lanes; `widths[k][i]` is the width of fold `k` over
-    /// `lengths[i]` history bits.
+    /// `lengths[i]` history bits. Lanes past `lengths.len()` are padding
+    /// and stay 0.
     ///
     /// # Panics
     ///
-    /// Panics if a length is 0 or does not fit the history ring, or a width
-    /// is 0 or above 31 (a lane needs a spare bit for the shift).
-    pub fn new(lengths: [usize; N], widths: [[u32; N]; K]) -> Self {
-        for &length in &lengths {
-            assert!(length > 0, "folded history length must be positive");
-            assert!(
-                length < crate::history::HISTORY_CAPACITY,
-                "folded history length {length} exceeds the history ring"
-            );
-        }
-        for &width in widths.iter().flatten() {
-            assert!(
-                (1..=31).contains(&width),
-                "fold lane width {width} unsupported"
-            );
+    /// Panics if there are more than `N` lengths, a fold has not one width
+    /// per length, a length is 0, or a width is 0 or wider than `T`.
+    pub fn new(lengths: &[usize], widths: [&[u32]; K]) -> Self {
+        assert!(
+            lengths.len() <= N,
+            "{} lengths for {N} lanes",
+            lengths.len()
+        );
+        assert!(
+            lengths.iter().all(|&l| l > 0),
+            "folded history length must be positive"
+        );
+        for ws in widths {
+            assert_eq!(ws.len(), lengths.len(), "one fold width per history length");
+            for &width in ws {
+                assert!(
+                    (1..=T::BITS).contains(&width),
+                    "fold lane width {width} unsupported by {}-bit lanes",
+                    T::BITS
+                );
+            }
         }
         let lane = |f: &dyn Fn(usize, u32) -> u32| {
-            std::array::from_fn(|k| std::array::from_fn(|i| f(lengths[i], widths[k][i])))
+            std::array::from_fn(|k| {
+                std::array::from_fn(|i| match (lengths.get(i), widths[k].get(i)) {
+                    (Some(&length), Some(&width)) => T::truncate(f(length, width)),
+                    _ => T::default(),
+                })
+            })
         };
         FoldLanes {
-            comp: [[0; N]; K],
+            comp: [[T::default(); N]; K],
             out: lane(&|length, width| 1 << (length as u32 % width)),
-            wrap: lane(&|_, width| 1 << width),
-            mask: lane(&|_, width| (1 << width) - 1),
-            lengths,
+            top: lane(&|_, width| 1 << (width - 1)),
+            mask: lane(&|_, width| u32::MAX >> (32 - width)),
         }
     }
 
-    /// Folds in the newest bit of `history` (call once after every
-    /// `history.push`).
+    /// Folds in the bits of the last push (call once after every
+    /// [`OutgoingBits::advance`] over the same lengths).
     #[inline]
-    pub fn update(&mut self, history: &GlobalHistory) {
-        let inbit = history.bit_unchecked(0) as u32;
-        // All ones where the bit leaving length `i`'s window is set.
-        let outgoing: [u32; N] =
-            std::array::from_fn(|i| (history.bit_unchecked(self.lengths[i]) as u32).wrapping_neg());
+    pub fn update(&mut self, bits: &OutgoingBits<N>) {
+        let inbit = T::truncate(bits.inbit);
+        let outgoing: [T; N] = std::array::from_fn(|i| T::truncate(bits.masks[i]));
         for (k, comp) in self.comp.iter_mut().enumerate() {
-            let (out, wrap, mask) = (&self.out[k], &self.wrap[k], &self.mask[k]);
+            let (out, top, mask) = (&self.out[k], &self.top[k], &self.mask[k]);
             for (i, c) in comp.iter_mut().enumerate() {
-                let shifted = ((*c << 1) | inbit) ^ (out[i] & outgoing[i]);
-                // `FoldedHistory`'s `c ^= c >> width`: the single overflow
-                // bit wraps around to bit 0 (the mask then clears it).
-                let wrapped = u32::from(shifted & wrap[i] != 0);
-                *c = (shifted ^ wrapped) & mask[i];
+                let wrapped = T::truncate(u32::from(*c & top[i] != T::default()));
+                *c = (((*c << 1) | inbit) & mask[i]) ^ (outgoing[i] & out[i]) ^ wrapped;
             }
         }
     }
 
-    /// The values of fold `k`, one per history length.
+    /// The values of fold `k`, one per lane.
     #[inline]
-    pub fn lane(&self, k: usize) -> &[u32; N] {
+    pub fn lane(&self, k: usize) -> &[T; N] {
         &self.comp[k]
     }
 }
@@ -217,6 +381,7 @@ impl<const N: usize, const K: usize> FoldLanes<N, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::HISTORY_CAPACITY;
 
     /// Push `n` pseudorandom bits through history + fold and check the fold
     /// only depends on the last `length` bits.
@@ -308,15 +473,16 @@ mod tests {
     #[test]
     fn fold_lanes_match_single_folds() {
         let lengths = [6usize, 37, 232, 3000];
-        let widths = [[10u32, 13, 12, 11], [1, 31, 9, 20]];
+        let widths: [&[u32]; 2] = [&[10, 13, 12, 11], &[1, 32, 9, 20]];
         let mut h = GlobalHistory::new();
-        let mut lanes = FoldLanes::new(lengths, widths);
+        let mut bits = OutgoingBits::<4>::new(&lengths);
+        let mut lanes = FoldLanes::<u32, 4, 2>::new(&lengths, widths);
         let mut singles: Vec<Vec<FoldedHistory>> = widths
             .iter()
             .map(|ws| {
                 lengths
                     .iter()
-                    .zip(ws)
+                    .zip(ws.iter())
                     .map(|(&l, &w)| FoldedHistory::new(l, w))
                     .collect()
             })
@@ -327,7 +493,8 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             h.push(x & 1 == 1);
-            lanes.update(&h);
+            bits.advance(&h);
+            lanes.update(&bits);
             for fold in singles.iter_mut().flatten() {
                 fold.update(&h);
             }
@@ -340,8 +507,49 @@ mod tests {
     }
 
     #[test]
+    fn outgoing_bits_match_the_history() {
+        let lengths = [1usize, 6, 31, 32, 33, 64, 3000, 4095];
+        let mut h = GlobalHistory::new();
+        let mut bits = OutgoingBits::<10>::new(&lengths);
+        let mut x = 0x6f75_7467u64;
+        for n in 0..3 * HISTORY_CAPACITY {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            h.push(x & 1 == 1);
+            bits.advance(&h);
+            assert_eq!(bits.inbit(), h.bit(0) == 1, "push {n}");
+            for (i, &length) in lengths.iter().enumerate() {
+                assert_eq!(
+                    bits.outgoing(i),
+                    h.bit(length) == 1,
+                    "push {n}, length {length}"
+                );
+            }
+            assert!(
+                !bits.outgoing(8) && !bits.outgoing(9),
+                "padding lanes stay clear"
+            );
+        }
+    }
+
+    #[test]
+    fn padding_lanes_stay_zero() {
+        let mut h = GlobalHistory::new();
+        let mut bits = OutgoingBits::<8>::new(&[6, 9]);
+        let mut lanes = FoldLanes::<u16, 8, 1>::new(&[6, 9], [&[4, 16]]);
+        for i in 0..300 {
+            h.push(i % 3 != 0);
+            bits.advance(&h);
+            lanes.update(&bits);
+        }
+        assert_ne!(lanes.lane(0)[..2], [0, 0]);
+        assert_eq!(lanes.lane(0)[2..], [0; 6]);
+    }
+
+    #[test]
     #[should_panic(expected = "width")]
-    fn fold_lanes_reject_a_32_bit_width() {
-        let _ = FoldLanes::new([10], [[32]]);
+    fn u16_fold_lanes_reject_a_17_bit_width() {
+        let _ = FoldLanes::<u16, 1, 1>::new(&[10], [&[17]]);
     }
 }

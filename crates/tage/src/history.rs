@@ -85,6 +85,38 @@ impl GlobalHistory {
         (self.words[pos / 64] >> (pos % 64)) & 1
     }
 
+    /// The 32 bits of ages `age` down to `age - 31` in one two-word load:
+    /// bit `k` of the result is [`bit(age - k)`](Self::bit), so the oldest
+    /// bit sits in bit 0. These are the bits that leave an `age`-bit window
+    /// over the next 32 pushes.
+    ///
+    /// ```
+    /// use tage::GlobalHistory;
+    ///
+    /// let mut h = GlobalHistory::new();
+    /// for i in 0..100 {
+    ///     h.push(i % 3 == 0);
+    /// }
+    /// let w = h.window(40);
+    /// assert!((0..32).all(|k| u64::from(w >> k) & 1 == h.bit(40 - k)));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `31 <= age < HISTORY_CAPACITY`.
+    #[inline]
+    pub fn window(&self, age: usize) -> u32 {
+        assert!(
+            (31..HISTORY_CAPACITY).contains(&age),
+            "history window at age {age} out of range"
+        );
+        let pos = (self.pushed.wrapping_sub(1 + age as u64) as usize) & (HISTORY_CAPACITY - 1);
+        let word = pos / 64;
+        let pair = u128::from(self.words[word])
+            | (u128::from(self.words[(word + 1) % self.words.len()]) << 64);
+        (pair >> (pos % 64)) as u32
+    }
+
     /// Number of bits pushed so far.
     #[inline]
     pub fn len(&self) -> u64 {

@@ -8,9 +8,9 @@
 
 use crate::bimodal::Bimodal;
 use crate::config::{TageConfig, HISTORY_LENGTHS, NUM_TABLES};
-use crate::folded::FoldLanes;
+use crate::folded::{FoldLanes, OutgoingBits, FOLD_LANES};
 use crate::history::{GlobalHistory, PathHistory, PathMixLanes};
-use crate::table::{TageEntry, TaggedTable};
+use crate::table::{TableStore, TageEntry, TaggedTables};
 
 /// Lanes of [`Tage`]'s folds: the index fold and the two tag folds.
 const INDEX: usize = 0;
@@ -24,7 +24,8 @@ const U_RESET_PERIOD: u64 = 1 << 18;
 /// [`Tage::compute_keys`] is a branch-free pass of multiplies, masks,
 /// XORs and shifts by the one index width `size`, which the compiler
 /// vectorizes four tables wide on the baseline x86-64 target like
-/// [`FoldLanes::update`].
+/// [`FoldLanes::update`]. The folds it reads are `u16` lanes, and each tag
+/// is computed in `u16` throughout.
 ///
 /// The scalar key of table `t` shifts by per-table counts twice: the PC
 /// self-shuffle `pcs >> s` with `s = (t % size) + 1`, and the rotations of
@@ -43,7 +44,7 @@ struct KeyConsts {
     /// Seznec's path mix, the index width and the index mask.
     path: PathMixLanes,
     /// `2^tag_bits(t) - 1`.
-    tag_mask: [u32; NUM_TABLES],
+    tag_mask: [u16; NUM_TABLES],
 }
 
 impl KeyConsts {
@@ -97,13 +98,15 @@ impl TageInfo {
 #[derive(Debug, Clone)]
 pub struct Tage {
     cfg: TageConfig,
-    tables: Vec<TaggedTable>,
+    tables: TaggedTables,
     bimodal: Bimodal,
     history: GlobalHistory,
     path: PathHistory,
+    /// The bits the last push moved through every history length's window.
+    outgoing: OutgoingBits<FOLD_LANES>,
     /// Index, tag and second-tag folds ([`INDEX`], [`TAG`], [`TAG2`]) of
     /// every history length.
-    folds: FoldLanes<NUM_TABLES, 3>,
+    folds: FoldLanes<u16, FOLD_LANES, 3>,
     keys: KeyConsts,
     /// Signed counter: ≥0 means trust the alternate over weak providers.
     use_alt_on_na: i8,
@@ -116,23 +119,22 @@ pub struct Tage {
 impl Tage {
     /// Builds a TAGE core from `cfg`.
     pub fn new(cfg: TageConfig) -> Self {
-        let tables: Vec<TaggedTable> = (0..NUM_TABLES)
-            .map(|t| TaggedTable::new(cfg.storage, cfg.log2_entries, cfg.tag_bits(t)))
-            .collect();
+        let tag_bits: [u32; NUM_TABLES] = std::array::from_fn(|t| cfg.tag_bits(t));
         let folds = FoldLanes::new(
-            HISTORY_LENGTHS,
+            &HISTORY_LENGTHS,
             [
-                [cfg.log2_entries; NUM_TABLES],
-                std::array::from_fn(|t| cfg.tag_bits(t)),
-                std::array::from_fn(|t| cfg.tag_bits(t) - 1),
+                &[cfg.log2_entries; NUM_TABLES],
+                &tag_bits,
+                &tag_bits.map(|bits| bits - 1),
             ],
         );
         let keys = KeyConsts::new(&cfg);
         Tage {
             bimodal: Bimodal::new(cfg.log2_bimodal),
-            tables,
+            tables: TaggedTables::new(cfg.storage, cfg.log2_entries),
             history: GlobalHistory::new(),
             path: PathHistory::new(),
+            outgoing: OutgoingBits::new(&HISTORY_LENGTHS),
             folds,
             keys,
             use_alt_on_na: 0,
@@ -147,9 +149,17 @@ impl Tage {
         &self.cfg
     }
 
-    /// Shared global history register (LLBP folds off the same register).
+    /// Shared global history register.
     pub fn history(&self) -> &GlobalHistory {
         &self.history
+    }
+
+    /// The bits the last [`update_history`](Self::update_history) moved
+    /// through each history length's window; lane `i` is
+    /// `HISTORY_LENGTHS[i]`. LLBP folds its pattern tags from these, so the
+    /// history is read once per branch.
+    pub fn outgoing(&self) -> &OutgoingBits<FOLD_LANES> {
+        &self.outgoing
     }
 
     /// Fills `indices`/`tags` for every table in one pass over the
@@ -172,9 +182,11 @@ impl Tage {
             let m = k.pc_mul[t];
             let pc_shuffle = ((lo * m) >> size) | hi.wrapping_mul(m);
             let path_mix = k.path.lane(t, &self.path);
-            indices[t] = (pcs32 ^ pc_shuffle ^ index_folds[t] ^ path_mix) & index_mask;
+            indices[t] = (pcs32 ^ pc_shuffle ^ u32::from(index_folds[t]) ^ path_mix) & index_mask;
+            // A second-tag fold is one bit narrower than the tag, so the
+            // shifted fold stays within the tag's ≤ 15 bits.
             let tag_mix = tag_folds[t] ^ (tag_folds2[t] << 1);
-            tags[t] = ((pcs32 ^ tag_mix) & k.tag_mask[t]) as u16;
+            tags[t] = (pcs32 as u16 ^ tag_mix) & k.tag_mask[t];
         }
     }
 
@@ -189,10 +201,12 @@ impl Tage {
         // provider is the longest match (highest set bit), the alternate
         // the next longest. The probed entries are kept by value (they are
         // `Copy`) so neither is looked up a second time.
-        let mut entries = [TageEntry::EMPTY; NUM_TABLES];
+        let entries = match &self.tables {
+            TaggedTables::Direct(s) => probe_all(s, &indices, &tags, pc),
+            TaggedTables::Infinite(s) => probe_all(s, &indices, &tags, pc),
+        };
         let mut hits = 0u32;
         for t in 0..NUM_TABLES {
-            entries[t] = self.tables[t].probe(indices[t], tags[t], pc);
             hits |= u32::from(entries[t].tag == tags[t]) << t;
         }
         let provider = hits.checked_ilog2().map(|t| t as usize);
@@ -254,31 +268,14 @@ impl Tage {
                 let delta = if info.alt_pred == taken { 1 } else { -1 };
                 self.use_alt_on_na = (self.use_alt_on_na + delta).clamp(-8, 7);
             }
-            let entry = self.tables[t]
-                .lookup_mut(info.indices[t], info.tags[t], pc)
-                .unwrap_or_else(|| unreachable!("provider entry present during update"));
-            // Useful bit: provider beat a disagreeing alternate.
-            if info.provider_pred != info.alt_pred {
-                if info.provider_pred == taken {
-                    entry.useful = 1;
-                } else {
-                    entry.useful = entry.useful.saturating_sub(1);
-                }
+            match &mut self.tables {
+                TaggedTables::Direct(s) => train_provider(s, t, pc, taken, info),
+                TaggedTables::Infinite(s) => train_provider(s, t, pc, taken, info),
             }
-            entry.train(taken);
-            // Train the alternate too while the provider is still weak, so
-            // the fallback stays warm (Seznec's update of the alt entry).
-            if info.provider_weak {
-                match info.alt_provider {
-                    Some(a) => {
-                        if let Some(e) =
-                            self.tables[a].lookup_mut(info.indices[a], info.tags[a], pc)
-                        {
-                            e.train(taken);
-                        }
-                    }
-                    None => self.bimodal.update(pc, taken),
-                }
+            // A weak provider's bimodal alternate trains too (the tagged
+            // alternate trained with the provider).
+            if info.provider_weak && info.alt_provider.is_none() {
+                self.bimodal.update(pc, taken);
             }
         } else {
             self.bimodal.update(pc, taken);
@@ -300,24 +297,14 @@ impl Tage {
         // Random skip keeps allocations from piling into the first longer
         // table (Seznec's randomized start).
         let skip = (self.next_rand() % 2) as usize;
-        let mut remaining = 2;
-        let mut t = start + skip.min(NUM_TABLES - 1 - start);
-        while t < NUM_TABLES && remaining > 0 {
-            if self.tables[t].can_allocate(info.indices[t]) {
-                self.tables[t].allocate(info.indices[t], info.tags[t], pc, taken);
-                self.allocs_since_reset += 1;
-                remaining -= 1;
-                t += 2; // spread allocations across lengths
-            } else {
-                self.tables[t].age_victim(info.indices[t]);
-                t += 1;
-            }
-        }
+        let first = start + skip.min(NUM_TABLES - 1 - start);
+        self.allocs_since_reset += match &mut self.tables {
+            TaggedTables::Direct(s) => allocate_from(s, first, pc, taken, info),
+            TaggedTables::Infinite(s) => allocate_from(s, first, pc, taken, info),
+        };
         if self.allocs_since_reset >= U_RESET_PERIOD {
             self.allocs_since_reset = 0;
-            for table in &mut self.tables {
-                table.reset_useful();
-            }
+            self.tables.reset_useful();
         }
     }
 
@@ -326,9 +313,11 @@ impl Tage {
     /// Must be called exactly once per dynamic branch (conditional and
     /// unconditional), after [`update`](Self::update).
     pub fn update_history(&mut self, record: &traces::BranchRecord) {
+        let _t = telemetry::scope!("tage::update_history");
         self.history.push(crate::history::history_bit(record));
         self.path.push(record.pc);
-        self.folds.update(&self.history);
+        self.outgoing.advance(&self.history);
+        self.folds.update(&self.outgoing);
     }
 
     /// Storage in bits (tagged tables + bimodal).
@@ -338,8 +327,69 @@ impl Tage {
 
     /// Total live entries across the tagged tables (diagnostics).
     pub fn population(&self) -> usize {
-        self.tables.iter().map(|t| t.population()).sum()
+        self.tables.population()
     }
+}
+
+/// Every table's entry at this branch's keys.
+#[inline(always)]
+fn probe_all<S: TableStore>(
+    s: &S,
+    indices: &[u32; NUM_TABLES],
+    tags: &[u16; NUM_TABLES],
+    pc: u64,
+) -> [TageEntry; NUM_TABLES] {
+    std::array::from_fn(|t| s.probe(t, indices[t], tags[t], pc))
+}
+
+/// Trains provider `t`'s entry on `taken`, and the tagged alternate's while
+/// the provider is weak, so the fallback stays warm (Seznec's update of the
+/// alt entry).
+#[inline(always)]
+fn train_provider<S: TableStore>(s: &mut S, t: usize, pc: u64, taken: bool, info: &TageInfo) {
+    let entry = s
+        .entry_mut(t, info.indices[t], info.tags[t], pc)
+        .unwrap_or_else(|| unreachable!("provider entry present during update"));
+    // Useful bit: provider beat a disagreeing alternate.
+    if info.provider_pred != info.alt_pred {
+        if info.provider_pred == taken {
+            entry.useful = 1;
+        } else {
+            entry.useful = entry.useful.saturating_sub(1);
+        }
+    }
+    entry.train(taken);
+    if let Some(a) = info.alt_provider.filter(|_| info.provider_weak) {
+        if let Some(e) = s.entry_mut(a, info.indices[a], info.tags[a], pc) {
+            e.train(taken);
+        }
+    }
+}
+
+/// Allocates up to two entries from table `first` on, every other table
+/// after a success, aging each victim that refuses; returns how many it
+/// allocated.
+#[inline(always)]
+fn allocate_from<S: TableStore>(
+    s: &mut S,
+    first: usize,
+    pc: u64,
+    taken: bool,
+    info: &TageInfo,
+) -> u64 {
+    let mut allocated = 0;
+    let mut t = first;
+    while t < NUM_TABLES && allocated < 2 {
+        if s.can_allocate(t, info.indices[t]) {
+            s.allocate(t, info.indices[t], info.tags[t], pc, taken);
+            allocated += 1;
+            t += 2; // spread allocations across lengths
+        } else {
+            s.age_victim(t, info.indices[t]);
+            t += 1;
+        }
+    }
+    allocated
 }
 
 #[cfg(test)]
@@ -497,7 +547,10 @@ mod tests {
         let info = tage.predict(0xdead_beef);
         for t in 0..NUM_TABLES {
             assert!(info.tags[t] < (1 << tage.config().tag_bits(t)), "table {t}");
-            assert!(info.indices[t] <= tage.tables[t].index_mask());
+            assert!(
+                info.indices[t] < (1 << tage.config().log2_entries),
+                "table {t}"
+            );
         }
     }
 }

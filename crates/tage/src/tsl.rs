@@ -11,6 +11,7 @@
 //! as the hardware proposal does.
 
 use crate::config::TslConfig;
+use crate::folded::{OutgoingBits, FOLD_LANES};
 use crate::history::GlobalHistory;
 use crate::loop_pred::{LoopInfo, LoopPredictor};
 use crate::predictor::{DirectionPredictor, PredictInput, Update};
@@ -57,9 +58,16 @@ impl TageScl {
         &self.cfg
     }
 
-    /// Shared global history (the `llbpx` crate folds off this register).
+    /// Shared global history.
     pub fn history(&self) -> &GlobalHistory {
         self.tage.history()
+    }
+
+    /// The bits the last history update moved through each history
+    /// length's window (the `llbpx` crate folds its pattern tags from
+    /// these; see [`Tage::outgoing`]).
+    pub fn outgoing(&self) -> &OutgoingBits<FOLD_LANES> {
+        self.tage.outgoing()
     }
 
     /// Stage 1: TAGE lookup.

@@ -1,11 +1,12 @@
-//! Randomized tests for the TAGE substrate: folded histories, the path
-//! mix and TAGE's table keys, the history ring, bimodal counters, and
-//! predictor determinism.
+//! Randomized tests for the TAGE substrate: folded histories and the fold
+//! lanes, the path mix and TAGE's table keys, the history ring and its
+//! windows, bimodal counters, and predictor determinism.
 //!
 //! Property tests driven by the in-repo deterministic PRNG, so the
 //! workspace needs no registry access.
 
-use tage::folded::FoldLanes;
+use tage::config::MAX_TAG_BITS;
+use tage::folded::{FoldLanes, Lane, OutgoingBits, FOLD_LANES};
 use tage::history::{
     history_bit, PathMix, PathMixLanes, HISTORY_CAPACITY, MAX_LANE_INDEX_BITS, PATH_BITS,
 };
@@ -67,58 +68,108 @@ fn folded_history_is_windowed() {
     }
 }
 
-/// Drives `lanes` with a random stream longer than the history ring and
-/// checks every lane against the closed-form fold at checkpoints along the
-/// way (including after the ring wraps).
-fn check_lanes<const K: usize>(widths: [[u32; NUM_TABLES]; K], seed: u64) {
+/// Pushes of a lane check: three passes around the history ring, so the
+/// ring wraps twice and every 32-push window load is crossed over 380 times.
+const LANE_PUSHES: usize = 3 * HISTORY_CAPACITY;
+
+/// Drives `K` folds of `T` lanes over every history length, fold `k` of
+/// length `i` at width `width(k, i)`, with a random stream of
+/// [`LANE_PUSHES`] bits, and checks every lane against an incrementally
+/// updated [`FoldedHistory`] after every push.
+fn check_lanes<T: Lane, const K: usize>(width: impl Fn(usize, usize) -> u32, seed: u64) {
+    let widths: [Vec<u32>; K] =
+        std::array::from_fn(|k| (0..NUM_TABLES).map(|i| width(k, i)).collect());
     let mut rng = SplitMix64::new(seed);
     let mut h = GlobalHistory::new();
-    let mut lanes = FoldLanes::new(HISTORY_LENGTHS, widths);
-    let pushes = HISTORY_CAPACITY + 1500;
+    let mut bits = OutgoingBits::<FOLD_LANES>::new(&HISTORY_LENGTHS);
+    let mut lanes = FoldLanes::<T, FOLD_LANES, K>::new(
+        &HISTORY_LENGTHS,
+        std::array::from_fn(|k| widths[k].as_slice()),
+    );
+    let mut folds: [Vec<FoldedHistory>; K] = std::array::from_fn(|k| {
+        HISTORY_LENGTHS
+            .iter()
+            .zip(&widths[k])
+            .map(|(&length, &width)| FoldedHistory::new(length, width))
+            .collect()
+    });
     let bias = 0.2 + 0.6 * rng.next_f64();
-    for n in 1..=pushes {
+    for n in 1..=LANE_PUSHES {
         h.push(rng.next_bool(bias));
-        lanes.update(&h);
-        if n % 997 == 0 || n == HISTORY_CAPACITY || n == pushes {
-            for (k, ws) in widths.iter().enumerate() {
-                for (i, (&length, &width)) in HISTORY_LENGTHS.iter().zip(ws).enumerate() {
-                    let want = FoldedHistory::new(length, width).compute_reference(&h);
-                    assert_eq!(
-                        u64::from(lanes.lane(k)[i]),
-                        want,
-                        "push {n}: fold {k} of length {length} at width {width}"
-                    );
-                }
+        bits.advance(&h);
+        lanes.update(&bits);
+        for (k, folds) in folds.iter_mut().enumerate() {
+            for (i, fold) in folds.iter_mut().enumerate() {
+                fold.update(&h);
+                assert_eq!(
+                    u64::from(lanes.lane(k)[i].into()),
+                    fold.value(),
+                    "push {n}: fold {k} of length {} at width {}",
+                    fold.length(),
+                    fold.width()
+                );
             }
+            assert!(
+                lanes.lane(k)[NUM_TABLES..]
+                    .iter()
+                    .all(|&pad| pad == T::default()),
+                "push {n}: fold {k} padding"
+            );
         }
     }
 }
 
-/// TAGE's three fold lanes (index, tag, second tag) equal the reference
-/// fold at every TSL size class, with the 8/12-bit tag split.
+/// TAGE's `u16` lanes equal the reference fold at every width they hold,
+/// 1..=16 (index widths up to `MAX_LANE_INDEX_BITS`, tags up to
+/// `MAX_TAG_BITS`), at every history length: fold `k` of length `i` has
+/// width `1 + (k + i) % 16`, so every length meets every width and each
+/// fold mixes widths across its lanes.
+#[test]
+fn u16_fold_lanes_match_the_reference_at_every_width() {
+    const { assert!(MAX_LANE_INDEX_BITS <= u16::BITS && MAX_TAG_BITS < u16::BITS) };
+    check_lanes::<u16, 16>(|k, i| 1 + ((k + i) % 16) as u32, 0x6c61_6e65);
+}
+
+/// TAGE's own three folds (index, tag, second tag) at every TSL size
+/// class, with the 8/12-bit tag split.
 #[test]
 fn tage_fold_lanes_match_reference_at_every_size_class() {
-    for log2_entries in 7..=13 {
+    for log2_entries in (7..=13).chain([MAX_LANE_INDEX_BITS]) {
         let cfg = TageConfig::base_64k().with_log2_entries(log2_entries);
-        let widths = [
-            [log2_entries; NUM_TABLES],
-            std::array::from_fn(|t| cfg.tag_bits(t)),
-            std::array::from_fn(|t| cfg.tag_bits(t) - 1),
-        ];
-        assert_eq!((widths[1][0], widths[1][NUM_TABLES - 1]), (8, 12));
-        check_lanes(widths, 0x6c61_6e65 ^ u64::from(log2_entries));
+        check_lanes::<u16, 3>(
+            |k, i| [log2_entries, cfg.tag_bits(i), cfg.tag_bits(i) - 1][k],
+            0x7461_6765 ^ u64::from(log2_entries),
+        );
     }
 }
 
-/// LLBP's two pattern-tag lanes equal the reference fold at its default
-/// 13-bit pattern tags and at the 20-bit tags of the limit study.
+/// LLBP's two `u32` pattern-tag lanes equal the reference fold at its
+/// default 13/12-bit folds and at the limit study's 20/19.
 #[test]
 fn llbp_fold_lanes_match_reference_at_pattern_tag_widths() {
     for tag_bits in [13, 20] {
-        check_lanes(
-            [[tag_bits; NUM_TABLES], [tag_bits - 1; NUM_TABLES]],
-            u64::from(tag_bits),
-        );
+        check_lanes::<u32, 2>(|k, _| tag_bits - k as u32, u64::from(tag_bits));
+    }
+}
+
+/// A history window is the 32 bits it names, at any age and ring offset.
+#[test]
+fn history_windows_hold_the_bits_they_name() {
+    let mut rng = SplitMix64::new(0x7769_6e64_6f77);
+    let mut h = GlobalHistory::new();
+    for n in 0..2 * HISTORY_CAPACITY {
+        h.push(rng.next_bool(0.5));
+        if n % 61 == 0 {
+            let age = 31 + rng.next_below((HISTORY_CAPACITY - 31) as u64) as usize;
+            let w = h.window(age);
+            for k in 0..32 {
+                assert_eq!(
+                    u64::from(w >> k) & 1,
+                    h.bit(age - k),
+                    "push {n}, age {age}, bit {k}"
+                );
+            }
+        }
     }
 }
 

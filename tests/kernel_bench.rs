@@ -5,7 +5,8 @@
 //! inputs, offline, no external harness. The timing tests measure the
 //! kernels the hot-path work targets — `TageScl` predict/update,
 //! `PatternSet::find_longest`, the three stages of the TAGE core
-//! (`tage::update_history`, `tage::predict`, `tage::update`), the pattern
+//! (`tage::update_history`, `tage::predict`, `tage::update`), one history
+//! push through TAGE's and LLBP's fold lanes (`fold_lanes`), the pattern
 //! buffer lookup, the RCR context hash, workload generation, and one
 //! `scope!` entry of the profiler against a whole LLBP-X branch — and emit
 //! per-call nanoseconds into the telemetry sink (`LLBPX_TELEMETRY=1`, sink
@@ -20,7 +21,11 @@ use llbpx::buffer::{PatternBuffer, PbLookup};
 use llbpx::config::PB_ENTRIES;
 use llbpx::rcr::Rcr;
 use llbpx::{LengthSet, Llbp, LlbpConfig, PatternSet};
-use tage::{DirectionPredictor, PredictInput, Tage, TageConfig, TageScl, TslConfig, NUM_TABLES};
+use tage::folded::{FoldLanes, OutgoingBits, FOLD_LANES};
+use tage::{
+    DirectionPredictor, GlobalHistory, PredictInput, Tage, TageConfig, TageScl, TslConfig,
+    HISTORY_LENGTHS, NUM_TABLES,
+};
 use telemetry::{Json, SplitMix64};
 use traces::{BranchRecord, BranchStream, StreamExt};
 use workloads::ServerWorkload;
@@ -93,29 +98,29 @@ fn tage_process_kernel_latency() {
     emit_kernel_ns("tage::process", records.len(), ns);
 }
 
-/// Best-of-`REPEATS` nanoseconds per record of `pass` over `records`, each
-/// repeat on a fresh clone of the warmed `tage`.
-fn stage_ns(tage: &Tage, records: &[BranchRecord], pass: fn(&mut Tage, &BranchRecord)) -> f64 {
-    const REPEATS: usize = 3;
-    (0..REPEATS)
-        .map(|_| {
-            let mut t = tage.clone();
-            let start = Instant::now();
-            for rec in records {
-                pass(&mut t, rec);
-            }
-            std::hint::black_box(&t);
-            start.elapsed().as_nanos() as f64 / records.len() as f64
-        })
-        .fold(f64::INFINITY, f64::min)
+/// Nanoseconds per record of `pass` over `records`, on a fresh clone of
+/// the warmed `tage`.
+fn pass_ns(tage: &Tage, records: &[BranchRecord], pass: fn(&mut Tage, &BranchRecord)) -> f64 {
+    let mut t = tage.clone();
+    let start = Instant::now();
+    for rec in records {
+        pass(&mut t, rec);
+    }
+    std::hint::black_box(&t);
+    start.elapsed().as_nanos() as f64 / records.len() as f64
 }
 
 /// Splits one TAGE-core branch into its stages. The stages depend on each
 /// other's state, so each is timed as the difference between passes that
 /// run successively more of them: history only, predict + history, and the
-/// full predict + update + history step.
+/// full predict + update + history step. Each repeat runs the three passes
+/// back to back, so a drift in the host's speed moves all three, and each
+/// pass keeps its best time. A stage whose difference is not positive is
+/// below what this host resolves: it is reported as unresolved, with no
+/// kernel record.
 #[test]
 fn tage_stage_latency() {
+    const REPEATS: usize = 5;
     let records = branch_batch(0x7374_6167);
     let mut tage = Tage::new(TageConfig::base_64k());
     let step = |t: &mut Tage, rec: &BranchRecord| {
@@ -126,27 +131,84 @@ fn tage_stage_latency() {
     for rec in &records {
         step(&mut tage, rec);
     }
-    let history = stage_ns(&tage, &records, |t, rec| t.update_history(rec));
-    let predicted = stage_ns(&tage, &records, |t, rec| {
-        std::hint::black_box(t.predict(rec.pc));
-        t.update_history(rec);
-    });
-    let full = stage_ns(&tage, &records, step);
+    let passes: [fn(&mut Tage, &BranchRecord); 3] = [
+        |t, rec| t.update_history(rec),
+        |t, rec| {
+            std::hint::black_box(t.predict(rec.pc));
+            t.update_history(rec);
+        },
+        step,
+    ];
+    let mut best = [f64::INFINITY; 3];
+    for _ in 0..REPEATS {
+        for (best, &pass) in best.iter_mut().zip(&passes) {
+            *best = best.min(pass_ns(&tage, &records, pass));
+        }
+    }
+    let [history, predicted, full] = best;
     let stages = [
         ("tage::update_history", history),
         ("tage::predict", predicted - history),
         ("tage::update", full - predicted),
     ];
     for (stage, ns) in stages {
-        // Differences of noisy timings can dip below zero on a busy host;
-        // only a catastrophic regression fails.
         assert!(ns < 100_000.0, "{stage} took {ns:.0} ns/call");
-        emit_kernel_ns(stage, records.len(), ns.max(0.0));
+        if ns > 0.0 {
+            emit_kernel_ns(stage, records.len(), ns);
+        } else {
+            eprintln!(
+                "{stage}: unresolved, {ns:.1} ns/call: its pass was no slower than the pass \
+                 without it ({history:.1} / {predicted:.1} / {full:.1} ns per branch for \
+                 history / + predict / + update), so the host's noise exceeds the stage"
+            );
+        }
     }
     assert!(
         history > 0.0 && full > history,
         "the stages take measurable time"
     );
+}
+
+/// One history push through every fold of a TAGE-family predictor: the
+/// outgoing bits TAGE reads from the history windows, TAGE's three `u16`
+/// folds (index, tag and second tag at the 64K TSL's widths) and LLBP's
+/// two `u32` pattern-tag folds, all over the same history.
+#[test]
+fn fold_lanes_latency() {
+    let mut rng = SplitMix64::new(0x666f_6c64);
+    let stream: Vec<bool> = (0..4096).map(|_| rng.next_bool(0.5)).collect();
+    let cfg = TageConfig::base_64k();
+    let tag_bits: [u32; NUM_TABLES] = std::array::from_fn(|t| cfg.tag_bits(t));
+    let pattern_bits = LlbpConfig::llbpx().pattern_tag_bits;
+    let mut history = GlobalHistory::new();
+    let mut outgoing = OutgoingBits::<FOLD_LANES>::new(&HISTORY_LENGTHS);
+    let mut tage_folds = FoldLanes::<u16, FOLD_LANES, 3>::new(
+        &HISTORY_LENGTHS,
+        [
+            &[cfg.log2_entries; NUM_TABLES],
+            &tag_bits,
+            &tag_bits.map(|bits| bits - 1),
+        ],
+    );
+    let mut llbp_folds = FoldLanes::<u32, FOLD_LANES, 2>::new(
+        &HISTORY_LENGTHS,
+        [&[pattern_bits; NUM_TABLES], &[pattern_bits - 1; NUM_TABLES]],
+    );
+    let mut i = 0usize;
+    let ns = best_ns(BATCH, || {
+        history.push(stream[i % stream.len()]);
+        outgoing.advance(&history);
+        tage_folds.update(&outgoing);
+        llbp_folds.update(&outgoing);
+        i += 1;
+    });
+    std::hint::black_box((&tage_folds, &llbp_folds));
+    assert!(
+        tage_folds.lane(0).iter().any(|&f| f != 0),
+        "the folds take the history in"
+    );
+    assert!(ns < 100_000.0, "a fold push took {ns:.0} ns");
+    emit_kernel_ns("fold_lanes", BATCH, ns);
 }
 
 #[test]
