@@ -176,25 +176,28 @@ impl<const N: usize> OutgoingBits<N> {
             "{} lengths for {N} lanes",
             lengths.len()
         );
-        for &length in lengths {
+        let mut bits = OutgoingBits {
+            lengths: [0; N],
+            windows: [0; N],
+            window_sel: [0; N],
+            recent_sel: [0; N],
+            inbit: 0,
+            masks: [0; N],
+        };
+        for (i, &length) in lengths.iter().enumerate() {
             assert!(length > 0, "folded history length must be positive");
             assert!(
                 length < crate::history::HISTORY_CAPACITY,
                 "folded history length {length} exceeds the history ring"
             );
+            bits.lengths[i] = length;
+            if length >= 32 {
+                bits.window_sel[i] = 1;
+            } else {
+                bits.recent_sel[i] = 1 << length;
+            }
         }
-        let length = |i: usize| lengths.get(i).copied().unwrap_or(0);
-        OutgoingBits {
-            lengths: std::array::from_fn(length),
-            windows: [0; N],
-            window_sel: std::array::from_fn(|i| u32::from(length(i) >= 32)),
-            recent_sel: std::array::from_fn(|i| match length(i) {
-                l @ 1..32 => 1 << l,
-                _ => 0,
-            }),
-            inbit: 0,
-            masks: [0; N],
-        }
+        bits
     }
 
     /// Reads the bits the newest push of `history` moved. Call exactly
@@ -326,34 +329,28 @@ impl<T: Lane, const N: usize, const K: usize> FoldLanes<T, N, K> {
             "{} lengths for {N} lanes",
             lengths.len()
         );
-        assert!(
-            lengths.iter().all(|&l| l > 0),
-            "folded history length must be positive"
-        );
-        for ws in widths {
+        let zero = [[T::default(); N]; K];
+        let mut lanes = FoldLanes {
+            comp: zero,
+            out: zero,
+            top: zero,
+            mask: zero,
+        };
+        for (k, ws) in widths.iter().enumerate() {
             assert_eq!(ws.len(), lengths.len(), "one fold width per history length");
-            for &width in ws {
+            for (i, (&length, &width)) in lengths.iter().zip(ws.iter()).enumerate() {
+                assert!(length > 0, "folded history length must be positive");
                 assert!(
                     (1..=T::BITS).contains(&width),
                     "fold lane width {width} unsupported by {}-bit lanes",
                     T::BITS
                 );
+                lanes.out[k][i] = T::truncate(1 << (length as u32 % width));
+                lanes.top[k][i] = T::truncate(1 << (width - 1));
+                lanes.mask[k][i] = T::truncate(u32::MAX >> (32 - width));
             }
         }
-        let lane = |f: &dyn Fn(usize, u32) -> u32| {
-            std::array::from_fn(|k| {
-                std::array::from_fn(|i| match (lengths.get(i), widths[k].get(i)) {
-                    (Some(&length), Some(&width)) => T::truncate(f(length, width)),
-                    _ => T::default(),
-                })
-            })
-        };
-        FoldLanes {
-            comp: [[T::default(); N]; K],
-            out: lane(&|length, width| 1 << (length as u32 % width)),
-            top: lane(&|_, width| 1 << (width - 1)),
-            mask: lane(&|_, width| u32::MAX >> (32 - width)),
-        }
+        lanes
     }
 
     /// Folds in the bits of the last push (call once after every

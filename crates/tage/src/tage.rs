@@ -332,7 +332,6 @@ impl Tage {
 }
 
 /// Every table's entry at this branch's keys.
-#[inline(always)]
 fn probe_all<S: TableStore>(
     s: &S,
     indices: &[u32; NUM_TABLES],
@@ -345,7 +344,6 @@ fn probe_all<S: TableStore>(
 /// Trains provider `t`'s entry on `taken`, and the tagged alternate's while
 /// the provider is weak, so the fallback stays warm (Seznec's update of the
 /// alt entry).
-#[inline(always)]
 fn train_provider<S: TableStore>(s: &mut S, t: usize, pc: u64, taken: bool, info: &TageInfo) {
     let entry = s
         .entry_mut(t, info.indices[t], info.tags[t], pc)
@@ -369,7 +367,6 @@ fn train_provider<S: TableStore>(s: &mut S, t: usize, pc: u64, taken: bool, info
 /// Allocates up to two entries from table `first` on, every other table
 /// after a success, aging each victim that refuses; returns how many it
 /// allocated.
-#[inline(always)]
 fn allocate_from<S: TableStore>(
     s: &mut S,
     first: usize,

@@ -130,8 +130,9 @@ fn u16_fold_lanes_match_the_reference_at_every_width() {
     check_lanes::<u16, 16>(|k, i| 1 + ((k + i) % 16) as u32, 0x6c61_6e65);
 }
 
-/// TAGE's own three folds (index, tag, second tag) at every TSL size
-/// class, with the 8/12-bit tag split.
+/// TAGE's own three folds (index, tag, second tag) at the index widths of
+/// every TSL size class (7..=13 bits) and at the widest, 16 bits, with the
+/// 8/12-bit tag split.
 #[test]
 fn tage_fold_lanes_match_reference_at_every_size_class() {
     for log2_entries in (7..=13).chain([MAX_LANE_INDEX_BITS]) {
