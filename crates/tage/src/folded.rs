@@ -467,6 +467,7 @@ mod tests {
     fn zero_width_is_rejected() {
         let _ = FoldedHistory::new(10, 0);
     }
+
     #[test]
     fn fold_lanes_match_single_folds() {
         let lengths = [6usize, 37, 232, 3000];
@@ -542,6 +543,13 @@ mod tests {
         }
         assert_ne!(lanes.lane(0)[..2], [0, 0]);
         assert_eq!(lanes.lane(0)[2..], [0; 6]);
+    }
+
+    /// TAGE's `u16` lanes cannot hold a fold as wide as LLBP's `u32` ones.
+    #[test]
+    #[should_panic(expected = "width")]
+    fn fold_lanes_reject_a_32_bit_width() {
+        let _ = FoldLanes::<u16, 1, 1>::new(&[10], [&[32]]);
     }
 
     #[test]

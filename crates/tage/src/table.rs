@@ -359,8 +359,10 @@ mod tests {
         assert!(hit(&s, 2, 3, 0x5a, 0x9999).is_some());
     }
 
+    /// A direct table evicts on a tag conflict and wraps its index, but
+    /// aliases only within its own table of the flat array.
     #[test]
-    fn direct_tables_alias_within_a_table_only() {
+    fn direct_table_aliases_and_evicts() {
         let mut s = DirectTables::new(4);
         s.allocate(5, 3, 0x11, 0x1000, true);
         s.allocate(5, 3, 0x22, 0x2000, false);
